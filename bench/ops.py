@@ -6,18 +6,26 @@ Clifford tables).  `draw(seed)` makes every input from the workload seed.
 `min_passes` is the fixed op count of an untraced run, in passes: a run
 keeps going past it only while less than --seconds of timed work has been
 done, so the number of ops, and with it the rank of the tail percentile,
-does not change with machine speed.  `pass_ops(k)` lists the ops of pass k as (label, callable, args, meta)
-tuples, looking the callables up on their modules at that moment so that
-installed trace wrappers are picked up.  `check(label, args, out)` is the oracle, run outside the timed
-region; `perturb(label, out)` returns a deliberately wrong copy of an output
-that the oracle must reject.
+does not change with machine speed.  `tail_block` is the op count of the
+blocks the tail percentile is taken in.  `pass_ops(k)` lists the ops of pass
+k as (label, callable, args, meta) tuples, looking the callables up on their
+modules at that moment so that installed trace wrappers are picked up; so
+does `setup()`, and `setup_calls` lists the traced calls it must make.
+`check(label, args, out, meta)` is the oracle, run outside the timed region;
+`perturb(label, out)` returns a deliberately wrong copy of a correct output
+that the oracle must reject (None if this output cannot be made wrong that
+way; the run then tries a later one).  `known_defect(label, args, out, err,
+meta)` tells a failure that is a known, measured defect of the library from
+any other; only the latter makes a run incorrect.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from cayleymap import catalog, clifford as cl, degree
+from cayleymap import catalog, clifford as cl, degree, errors
 from cayleymap import representation as rm
 
 TOL = 1e-8
@@ -32,8 +40,18 @@ def _rel_ok(err: float, scale: float, tol: float = TOL) -> bool:
 PROJECT_REPS = {"full": [("sl", 6), ("sl", 10), ("so", 12), ("gl", 12)], "smoke": [("sl", 3), ("so", 4), ("gl", 3)]}
 PROJECT_KINDS = ("generic", "hyperbolic", "unipotent", "cartan")
 PROJECT_OPS = ("cayley", "psi", "cayley_jacobian", "adjoint_matrix", "centralizer_dim", "multiplicative_jordan")
-MAKERS = {"sl": catalog.make_sl, "so": catalog.make_so, "gl": catalog.make_gl}
 POOL = 4
+
+
+class Workload:
+    """Defaults: tail blocks of 500 ops, no set-up calls to check, no known defect."""
+
+    tail_block = 500
+    setup_calls: dict = {}
+
+    @staticmethod
+    def known_defect(label, args, out, err, meta) -> bool:
+        return False
 
 
 def _applies(op: str, kind: str) -> bool:
@@ -57,13 +75,14 @@ def closed_image(family: str, m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-class Project:
+class Project(Workload):
     def __init__(self, smoke: bool):
         self.keys = PROJECT_REPS["smoke" if smoke else "full"]
         self.min_passes = 1 if smoke else 20
+        self.setup_calls = dict(Counter(f"catalog.make_{fam}" for fam, _ in self.keys))
 
     def setup(self):
-        self.reps = {f"{fam}{n}": MAKERS[fam](n) for fam, n in self.keys}
+        self.reps = {f"{fam}{n}": getattr(catalog, f"make_{fam}")(n) for fam, n in self.keys}
 
     def draw(self, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E0]))
@@ -165,11 +184,8 @@ class Project:
 
 # --- spin --------------------------------------------------------------------
 
-# Ops per cycle at each n.  Every cycle runs n = 6..10 and includes n = 10;
-# the multiplicities put the median in the middle of the n = 7 ops and the
-# tail (the op with 10 slower ones beyond it) among the n = 9 ops, away from
-# any group boundary, so neither jumps between sizes from run to run.
-SPIN_CYCLE = {"full": {6: 8, 7: 8, 8: 2, 9: 5, 10: 1}, "smoke": {3: 1, 4: 1, 5: 1}}
+# One op per n in a cycle; a pass is one cycle.
+SPIN_NS = {"full": (6, 7, 8, 9, 10), "smoke": (3, 4, 5)}
 
 
 def random_bivector(n: int, rng) -> cl.CliffordElement:
@@ -201,14 +217,18 @@ def spin_chain(u: cl.CliffordElement):
     return t, pr0, pr2, closed
 
 
-class Spin:
+class Spin(Workload):
     def __init__(self, smoke: bool):
-        cycle = SPIN_CYCLE["smoke" if smoke else "full"]
-        self.ns = [n for n, count in cycle.items() for _ in range(count)]
-        self.min_passes = 1 if smoke else 2
+        self.ns = SPIN_NS["smoke" if smoke else "full"]
+        self.min_passes = 1 if smoke else 8
+        # The tail is taken per cycle, where it is the op at the largest n.
+        # (Over a whole run it would be the op with 10 slower ones beyond
+        # it, a smaller n whenever a run does more than two cycles.)
+        self.tail_block = len(self.ns)
+        self.setup_calls = {"clifford.tables": len(self.ns)}
 
     def setup(self):
-        for n in sorted(set(self.ns)):
+        for n in self.ns:
             cl.CliffordElement(n)
 
     def draw(self, seed: int):
@@ -243,7 +263,12 @@ FIBER_NS = {"full": tuple(range(3, 13)), "smoke": (3, 4, 5)}
 FIBER_POOL = 400
 
 
-class Fiber:
+def fiber_degree(family: str, n: int) -> int:
+    """The mapping degree: n for sl; n for even, n - 1 for odd spin."""
+    return n if family == "sl" or n % 2 == 0 else n - 1
+
+
+class Fiber(Workload):
     def __init__(self, smoke: bool):
         self.ns = FIBER_NS["smoke" if smoke else "full"]
         self.min_passes = 1 if smoke else 600
@@ -271,14 +296,12 @@ class Fiber:
     def check(label, args, out, n) -> bool:
         x = args[1]
         eye = np.eye(n)
+        if out.count != fiber_degree(label, n):
+            return False
         if label == "sl":
-            if out.count != n:
-                return False
             return all(
                 _rel_ok(np.linalg.norm(closed_image("sl", e) - x), np.linalg.norm(x)) for e in out.valid_elements
             )
-        if out.count != (n if n % 2 == 0 else n - 1):
-            return False
         for t, rot in zip(out.element_roots, out.valid_elements):
             if np.linalg.norm(rot.T @ rot - eye) > 1e-6:
                 return False
@@ -287,9 +310,24 @@ class Fiber:
         return True
 
     @staticmethod
+    def known_defect(label, args, out, err, meta) -> bool:
+        """The defect of ROADMAP item 4: a wrong count, or sl_fiber refusing a
+        large-scale target as degenerate.  Elements that fail their oracle
+        under the right count, and any other exception, are not excused."""
+        if err is not None:
+            return isinstance(err, errors.DegenerateInput)
+        return out.count != fiber_degree(label, meta)
+
+    @staticmethod
     def perturb(label, out):
+        """Shift every element off the fiber, keeping the count right; None
+        when the output has no element to shift."""
+        if not out.valid_elements:
+            return None
         bad = degree.FiberReport(**vars(out))
-        bad.count += 1
+        shift = np.zeros_like(out.valid_elements[0])
+        shift[0, 1] = 1e-3
+        bad.valid_elements = [e + shift * (1.0 + np.linalg.norm(e)) for e in out.valid_elements]
         return bad
 
 

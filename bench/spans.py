@@ -210,7 +210,10 @@ def descendant_counts(spans: list, root: int, children: dict) -> dict:
 # Exact call counts of the current library, checked on every traced run so a
 # wrapper that stops catching calls shows up as a mismatch rather than as a
 # silently cheaper layer.  Rules: span name -> (expected descendant counts).
+# The set-up span carries the calls its workload's set-up must make
+# (ops.Workload.setup_calls).
 COVERAGE_RULES = {
+    "bench.setup": lambda meta: meta["calls"],
     "representation.cayley": lambda meta: {"linalg.solve_linear": 1},
     "representation.psi": lambda meta: {"linalg.solve_linear": 1, "linalg.determinant": 1},
     "degree.sl_fiber": lambda meta: {"linalg.determinant": meta["n"] + 1},

@@ -50,7 +50,7 @@ def test_smoke_run(workload, trace):
     assert set(full["env"]["threads"].values()) == {"1"}
 
 
-def test_perturbed_cayley_image_counts_as_failed():
+def _load_ops():
     saved = list(sys.path)
     sys.path.insert(0, str(ROOT / "src"))
     try:
@@ -59,6 +59,11 @@ def test_perturbed_cayley_image_counts_as_failed():
         spec.loader.exec_module(ops)
     finally:
         sys.path[:] = saved
+    return ops
+
+
+def test_perturbed_cayley_image_counts_as_failed():
+    ops = _load_ops()
     wl = ops.Project(smoke=True)
     wl.setup()
     wl.draw(0)
@@ -70,6 +75,33 @@ def test_perturbed_cayley_image_counts_as_failed():
             assert not wl.check(label, args, wl.perturb(label, out), meta)
             checked += 1
     assert checked == len(ops.PROJECT_KINDS)
+
+
+def test_fiber_excuses_only_the_known_defect():
+    ops = _load_ops()
+    wl = ops.Fiber(smoke=True)
+    wl.draw(0)
+    checked = 0
+    for label, fn, args, n in wl.pass_ops(0):
+        try:
+            out = fn(*args)
+        except ops.errors.DegenerateInput:
+            continue
+        if not wl.check(label, args, out, n):
+            continue
+        assert not wl.known_defect(label, args, out, None, n)
+        wrong_count = ops.degree.FiberReport(**vars(out))
+        wrong_count.count += 1
+        assert wl.known_defect(label, args, wrong_count, None, n)
+        off_fiber = wl.perturb(label, out)
+        if off_fiber is None:
+            continue
+        assert not wl.check(label, args, off_fiber, n)
+        assert not wl.known_defect(label, args, off_fiber, None, n)
+        checked += 1
+    assert checked > 0
+    assert wl.known_defect("sl", (3, None), None, ops.errors.DegenerateInput("scale"), 3)
+    assert not wl.known_defect("sl", (3, None), None, TypeError("bug"), 3)
 
 
 def test_fails_without_sources(tmp_path):

@@ -44,10 +44,12 @@ def _import_cayleymap():
 
 
 _REFERENCE = []
+REF_EVERY_NS = 125_000_000
 
 
-def reference_s() -> float:
-    """Thread CPU time of one run of a fixed numpy-only reference kernel.
+def reference_s() -> tuple[int, float]:
+    """When (perf_counter ns) and how long (process CPU s) one run of a fixed
+    numpy-only reference kernel took.
 
     The kernel makes the kind of calls the library makes (small complex
     det / solve / eigvals / svd and an einsum contraction, from Python), so
@@ -62,17 +64,17 @@ def reference_s() -> float:
         _REFERENCE.extend(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(4, 17))
         _REFERENCE.append(rng.standard_normal((36, 6, 6)) + 0j)
     *mats, stack = _REFERENCE
-    c0 = time.thread_time_ns()
+    c0 = time.process_time_ns()
     for m in mats:
         np.linalg.det(m)
         np.linalg.solve(m, m)
         np.linalg.eigvals(m)
         np.linalg.svd(m, compute_uv=False)
         np.einsum("iab,jba->ij", stack, stack)
-    return (time.thread_time_ns() - c0) * 1e-9
+    return time.perf_counter_ns(), (time.process_time_ns() - c0) * 1e-9
 
 
-def reference_samples(count: int) -> list[float]:
+def reference_samples(count: int) -> list[tuple[int, float]]:
     return [reference_s() for _ in range(count)]
 
 
@@ -127,11 +129,15 @@ def mode_verify(cfg: dict) -> dict:
     import cayleymap.cli as cli
 
     import_s = time.perf_counter() - t0
+    # CPU from process start until the CLI can run, as in a no-op invocation
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    ready_cpu = usage.ru_utime + usage.ru_stime
     _import_cayleymap()
     from cayleymap import suites
 
-    claim_ns = []
     claim_cpu = []
+    ref = reference_samples(3)
+    last_ref = [time.perf_counter_ns()]
     tracer = None
     if cfg["trace"]:
         import spans as sp
@@ -142,12 +148,15 @@ def mode_verify(cfg: dict) -> dict:
 
         def timed(run):
             def inner(rng, trial):
-                a, ca = time.perf_counter_ns(), time.thread_time_ns()
+                start = time.process_time_ns()
                 try:
                     return run(rng, trial)
                 finally:
-                    claim_ns.append(time.perf_counter_ns() - a)
-                    claim_cpu.append(time.thread_time_ns() - ca)
+                    claim_cpu.append(time.process_time_ns() - start)
+                    # sample the reference kernel every REF_EVERY_NS, between claims
+                    if time.perf_counter_ns() - last_ref[0] > REF_EVERY_NS:
+                        ref.append(reference_s())
+                        last_ref[0] = time.perf_counter_ns()
 
             return inner
 
@@ -156,7 +165,6 @@ def mode_verify(cfg: dict) -> dict:
 
     argv = ["verify", "--suite", "all", "--trials", str(cfg["trials"]), "--seed", str(cfg["seed"])]
     argv += ["--report", cfg["report"]]
-    ref = reference_samples(3)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         root = tracer.open("bench.pass") if tracer else None
         a = time.perf_counter_ns()
@@ -165,7 +173,7 @@ def mode_verify(cfg: dict) -> dict:
         if tracer:
             tracer.close(root)
     ref += reference_samples(3)
-    out = {"exit": code, "claim_ns": claim_ns, "claim_cpu": claim_cpu, "import_s": import_s, "main_ns": wall_ns}
+    out = {"exit": code, "claim_cpu": claim_cpu, "import_s": import_s, "main_ns": wall_ns, "ready_cpu": ready_cpu}
     out["ref"] = ref
     if tracer:
         tracer.uninstall()
@@ -177,12 +185,10 @@ def mode_verify(cfg: dict) -> dict:
     return out
 
 
-REF_EVERY_NS = 250_000_000
-
 # Coverage rules (spans.COVERAGE_RULES) each workload must exercise.
 REQUIRED_COVERAGE = {
-    "project": ["representation.cayley", "representation.psi"],
-    "spin": ["bench.spin_chain"],
+    "project": ["bench.setup", "representation.cayley", "representation.psi"],
+    "spin": ["bench.setup", "bench.spin_chain"],
     "fiber": ["degree.sl_fiber"],
     "verify": ["representation.cayley", "representation.psi", "degree.sl_fiber"],
 }
@@ -200,20 +206,20 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
     tracer = sp.Tracer() if cfg["trace"] and not setup_only else None
     if tracer:
         tracer.install()
-        setup_span = tracer.open("bench.setup")
+        setup_span = tracer.open("bench.setup", {"calls": wl.setup_calls})
     wl.setup()
     wl.draw(cfg["seed"])
-    ready = time.clock_gettime(time.CLOCK_MONOTONIC)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     ready_cpu = usage.ru_utime + usage.ru_stime
     if tracer:
         tracer.close(setup_span)
         tracer.uninstall()
     if setup_only:
-        return {"ready": ready, "ready_cpu": ready_cpu, "ref": reference_samples(3)}
+        return {"ready_cpu": ready_cpu}
 
     passes = []
-    first_outputs = {}
+    perturbed = {}  # label -> (args, meta, a wrong copy of a correct output)
+    good_labels = set()
     pass_ids = []
     traced_walls = []
     budget = cfg["seconds"] * 1e9
@@ -231,27 +237,28 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
             ops_k = wl.pass_ops(k)
             records = []
             ref_wall = ref_cpu = 0
-            t0, c0 = time.perf_counter_ns(), time.thread_time_ns()
+            t0, c0 = time.perf_counter_ns(), time.process_time_ns()
             for label, fn, args, meta in ops_k:
                 span = tracer.open(f"bench.{label}", {"n": meta} if isinstance(meta, int) else None) if traced else None
-                a, ca = time.perf_counter_ns(), time.thread_time_ns()
+                ca = time.process_time_ns()
                 try:
                     out, err = fn(*args), None
                 except Exception as exc:  # a failed op is counted, never fatal
                     out, err = None, exc
-                b, cb = time.perf_counter_ns(), time.thread_time_ns()
+                b, cb = time.perf_counter_ns(), time.process_time_ns()
                 if traced:
                     tracer.close(span, err is not None)
-                records.append((label, args, meta, out, err, b - a, cb - ca))
+                records.append((label, args, meta, out, err, cb - ca))
                 # sample the reference kernel every REF_EVERY_NS, between ops,
                 # and leave its time out of the pass
                 if not traced and b - last_ref > REF_EVERY_NS:
                     ref.append(reference_s())
                     last_ref = time.perf_counter_ns()
                     ref_wall += last_ref - b
-                    ref_cpu += time.thread_time_ns() - cb
-            wall = time.perf_counter_ns() - t0 - ref_wall
-            cpu = time.thread_time_ns() - c0 - ref_cpu
+                    ref_cpu += time.process_time_ns() - cb
+            t1 = time.perf_counter_ns()
+            wall = t1 - t0 - ref_wall
+            cpu = time.process_time_ns() - c0 - ref_cpu
             if traced:
                 tracer.close(root)
                 tracer.uninstall()
@@ -259,31 +266,40 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
                 traced_walls.append(wall)
             timed += wall
             ok = []
-            for label, args, meta, out, err, _ns, _cpu in records:
-                good = err is None and _safe_check(wl, label, args, out, meta)
+            known = 0
+            for label, args, meta, out, err, _cpu in records:
+                good = err is None and _safe(wl.check, label, args, out, meta)
                 ok.append(good)
-                if good and label not in first_outputs:
-                    first_outputs[label] = (args, meta, out)
+                known += not good and _safe(wl.known_defect, label, args, out, err, meta)
+                if good and label not in perturbed:
+                    good_labels.add(label)
+                    bad = wl.perturb(label, out)
+                    if bad is not None:
+                        perturbed[label] = (args, meta, bad)
             passes.append(
                 {
                     "traced": traced,
+                    "span_ns": [t0, t1],
                     "wall_ns": wall,
-                    "lat_ns": [r[5] for r in records],
                     "cpu_ns": cpu,
-                    "lat_cpu": [r[6] for r in records],
+                    "lat_cpu": [r[5] for r in records],
                     "ok": ok,
+                    "known_defect": known,
                     "errors": sorted({type(r[4]).__name__ for r in records if r[4] is not None}),
                 }
             )
         k += 1
 
-    # the oracle must reject a deliberately wrong output of every op kind
-    self_check = {
-        label: not _safe_check(wl, label, args, wl.perturb(label, out), meta)
-        for label, (args, meta, out) in first_outputs.items()
-    }
+    # the oracle must reject a deliberately wrong output of every op kind,
+    # and not take it for the known defect
+    self_check = dict.fromkeys(good_labels, False)
+    for label, (args, meta, bad) in perturbed.items():
+        self_check[label] = not (
+            _safe(wl.check, label, args, bad, meta) or _safe(wl.known_defect, label, args, bad, None, meta)
+        )
     ref += reference_samples(3)
-    result = {"ready": ready, "ready_cpu": ready_cpu, "passes": passes, "self_check": self_check, "ref": ref}
+    result = {"ready_cpu": ready_cpu, "passes": passes, "self_check": self_check, "ref": ref}
+    result["tail_block"] = wl.tail_block
     if tracer:
         setup_wall = setup_span[sp.END] - setup_span[sp.START]
         result["layers"] = _layer_values(tracer.spans, [setup_span[sp.ID]], pass_ids, traced_walls, setup_wall)
@@ -292,10 +308,12 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
     return result
 
 
-def _safe_check(wl, label, args, out, meta) -> bool:
+def _safe(verdict, *args) -> bool:
+    """An oracle verdict; an output the oracle cannot even evaluate is
+    neither correct nor a known defect."""
     try:
-        return bool(wl.check(label, args, out, meta))
-    except Exception:  # an output the oracle cannot even evaluate is wrong
+        return bool(verdict(*args))
+    except Exception:
         return False
 
 
