@@ -3,14 +3,20 @@
 A workload object is built in a worker process after BLAS has been pinned.
 `setup()` does the program-side set-up the first op needs (representations,
 Clifford tables).  `draw(seed)` makes every input from the workload seed.
-`min_passes` is the fixed op count of an untraced run, in passes: a run
-keeps going past it only while less than --seconds of timed work has been
-done, so the number of ops, and with it the rank of the tail percentile,
-does not change with machine speed.  `tail_block` is the op count of the
-blocks the tail percentile is taken in.  `pass_ops(k)` lists the ops of pass
-k as (label, callable, args, meta) tuples, looking the callables up on their
-modules at that moment so that installed trace wrappers are picked up; so
-does `setup()`, and `setup_calls` lists the traced calls it must make.
+`passes(seconds)` is the op count of an untraced run, in passes: `pass_rate`
+passes per second of --seconds (one in smoke mode).  It depends on --seconds
+only, never on how fast the machine runs, so a seed always gives the same
+ops, the same failures and the same rank of the tail percentile.  (Spin's
+cycles take 4-5 s each, so its 10 passes at --seconds 10 take ~50 s.)
+`reference` names the reference kernel (worker.reference_s) the workload's
+times are scaled by, sampled between ops every `ref_every_ns`.
+`tail_block` is the op count of the blocks the tail percentile is taken in;
+`low_quartile` reports pass time, rate and tail as lower quartiles (upper,
+for the rate) over passes or blocks instead of medians.
+`pass_ops(k)` lists the ops of pass k as (label, callable, args, meta)
+tuples, looking the callables up on their modules at that moment so that
+installed trace wrappers are picked up; so does `setup()`, and
+`setup_calls` lists the traced calls it must make.
 `check(label, args, out, meta)` is the oracle, run outside the timed region;
 `perturb(label, out)` returns a deliberately wrong copy of a correct output
 that the oracle must reject (None if this output cannot be made wrong that
@@ -44,10 +50,17 @@ POOL = 4
 
 
 class Workload:
-    """Defaults: tail blocks of 500 ops, no set-up calls to check, no known defect."""
+    """Defaults: tail blocks of 500 ops, no set-up calls to check, the small
+    reference kernel every 125 ms, medians, no known defect."""
 
     tail_block = 500
     setup_calls: dict = {}
+    reference = "small"
+    ref_every_ns = 125_000_000
+    low_quartile = False
+
+    def passes(self, seconds: float) -> int:
+        return 1 if self.smoke else max(1, round(self.pass_rate * seconds))
 
     @staticmethod
     def known_defect(label, args, out, err, meta) -> bool:
@@ -76,9 +89,11 @@ def closed_image(family: str, m: np.ndarray) -> np.ndarray:
 
 
 class Project(Workload):
+    pass_rate = 2.0
+
     def __init__(self, smoke: bool):
         self.keys = PROJECT_REPS["smoke" if smoke else "full"]
-        self.min_passes = 1 if smoke else 20
+        self.smoke = smoke
         self.setup_calls = dict(Counter(f"catalog.make_{fam}" for fam, _ in self.keys))
 
     def setup(self):
@@ -218,9 +233,22 @@ def spin_chain(u: cl.CliffordElement):
 
 
 class Spin(Workload):
+    pass_rate = 1.0
+    # the reference is the dense product most of the time goes into, sampled
+    # after every op (a pass has 5 ops and takes seconds)
+    reference = "gemm"
+    ref_every_ns = 0
+    # A cycle is five ops of fixed cost (random_bivector fixes the work at
+    # each n), so the host's contention is the only thing that varies it,
+    # and it only ever slows a cycle, for tens of seconds at a time: pass
+    # time, rate and tail are taken as the lower quartile over cycles.  Over
+    # ten seeds of 8 cycles their spread was 0.11-0.12 as medians and
+    # 0.03-0.04 so (0.085 in a noisier hour, hence 10 cycles).
+    low_quartile = True
+
     def __init__(self, smoke: bool):
         self.ns = SPIN_NS["smoke" if smoke else "full"]
-        self.min_passes = 1 if smoke else 8
+        self.smoke = smoke
         # The tail is taken per cycle, where it is the op at the largest n.
         # (Over a whole run it would be the op with 10 slower ones beyond
         # it, a smaller n whenever a run does more than two cycles.)
@@ -269,9 +297,11 @@ def fiber_degree(family: str, n: int) -> int:
 
 
 class Fiber(Workload):
+    pass_rate = 60.0
+
     def __init__(self, smoke: bool):
         self.ns = FIBER_NS["smoke" if smoke else "full"]
-        self.min_passes = 1 if smoke else 600
+        self.smoke = smoke
 
     def setup(self):
         pass

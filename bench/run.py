@@ -43,7 +43,7 @@ SUITES = ("clifford", "degree", "equivariance", "hyperbolic", "inequality", "jor
 # are CPU times scaled to reference speed (see scale): on a shared host,
 # other tenants take the CPU away in bursts (steal, which wall time sees) and
 # change how fast it runs for minutes at a time (which CPU time sees too), by
-# up to 40%.  The raw wall time of the run is kept in the result file.
+# up to 70%.  The raw wall time of the run is kept in the result file.
 END_TO_END = {
     "setup_s": ("s", "lower"),
     "pass_s": ("s", "lower"),
@@ -69,22 +69,23 @@ PER_LAYER["cli.main.self_pct"] = ("%", "lower")
 PER_LAYER["trace.overhead_s"] = ("s", "lower")
 PER_LAYER["trace.coverage_mismatches"] = ("count", "lower")
 
-# The unit of scaled times: a typical CPU time of one reference kernel
+# The unit of scaled times: a typical CPU time of each reference kernel
 # (worker.reference_s) on the machine the baseline in spec.json was measured
-# on, where it ranged from 2.8 to 4.8 ms with the host's load.
-REF_S = 0.004
+# on, where "small" ranged from 2.8 to 4.8 ms and "gemm" from 16 to 22 ms
+# with the host's load.
+REF_S = {"small": 0.004, "gemm": 0.018}
 
 # Set-up samples per run (the median is reported; project set-up takes ~7 s,
 # the others well under 1 s; verify takes one from each invocation), verify
-# trials and invocations per run, and the samples behind each traced-run CLI
-# probe.
+# trials per invocation, and the samples behind each traced-run CLI probe.
 FULL = {
     "setup_samples": {"project": 3, "spin": 5, "fiber": 5},
     "verify_trials": 20,
-    "verify_invocations": 6,
     "probes": 3,
 }
-SMOKE = {"setup_samples": dict.fromkeys(WORKLOADS, 1), "verify_trials": 1, "verify_invocations": 1, "probes": 1}
+SMOKE = {"setup_samples": dict.fromkeys(WORKLOADS, 1), "verify_trials": 1, "probes": 1}
+# verify invocations per second of --seconds (6 in a 10 s run)
+VERIFY_RATE = 0.6
 
 
 class BenchError(Exception):
@@ -132,11 +133,17 @@ def cli_cold_start(samples: int) -> list[float]:
 TAIL_BLOCK = 500
 
 
-def tail(pass_latencies: list, block: int) -> tuple[float, float, int, int]:
+def typical(values, low: bool = False) -> float:
+    """The median, or with `low` the lower quartile (see ops.Spin)."""
+    values = list(values)
+    return statistics.quantiles(values, n=4)[0] if low and len(values) > 1 else statistics.median(values)
+
+
+def tail(pass_latencies: list, block: int, low: bool = False) -> tuple[float, float, int, int]:
     """Tail latency: consecutive passes are grouped into blocks of at least
     `block` ops (one block when there are fewer); in each block take the
     highest percentile with at least 10 ops beyond it (the maximum when a
-    block has 10 or fewer); report the median over blocks.
+    block has 10 or fewer); report typical() over blocks.
 
     Returns (value, percentile, ops beyond it, blocks).
     """
@@ -150,23 +157,26 @@ def tail(pass_latencies: list, block: int) -> tuple[float, float, int, int]:
         idx = len(ordered) - 11 if len(ordered) > 10 else len(ordered) - 1
         values.append(ordered[idx])
     pct = 100.0 * idx / max(1, len(ordered) - 1)
-    return statistics.median(values), pct, len(ordered) - 1 - idx, blocks
+    return typical(values, low), pct, len(ordered) - 1 - idx, blocks
 
 
-def summarize(setup: list, passes: list, lats: list, attempted: int, rss: float, wall: float, block: int) -> dict:
+def summarize(
+    setup: list, passes: list, lats: list, attempted: int, rss: float, wall: float, block: int, low: bool = False
+) -> dict:
     """End-to-end metrics, times in reference-speed CPU time.
 
     setup: scaled set-up seconds per sample; passes: (scaled seconds, correct
     ops) per untraced pass; lats: scaled per-op ns, one list per pass; wall:
-    raw wall seconds of the workload run.  Set-up, pass time and rate are
-    medians over samples and passes.
+    raw wall seconds of the workload run.  Set-up is the median over
+    samples; pass time, rate and tail are typical(..., low) over passes
+    (for the rate: the upper quartile when low).
     """
     ok = sum(n for _, n in passes)
-    value, *rank = tail(lats, block)
+    value, *rank = tail(lats, block, low)
     return {
         "setup_s": statistics.median(setup),
-        "pass_s": statistics.median(t for t, _ in passes),
-        "ops_per_s": statistics.median(n / t for t, n in passes),
+        "pass_s": typical((t for t, _ in passes), low),
+        "ops_per_s": -typical((-n / t for t, n in passes), low),
         "op_p50_ms": statistics.median(x for p in lats for x in p) * 1e-6,
         "op_tail_ms": value * 1e-6,
         "ok_frac": ok / attempted,
@@ -179,25 +189,25 @@ def summarize(setup: list, passes: list, lats: list, attempted: int, rss: float,
     }
 
 
-def scale(ref: list) -> float:
+def scale(ref: list, kind: str = "small") -> float:
     """The factor that turns CPU time in a process into reference-speed CPU
     time: REF_S over the median time of the reference kernel in it, so scaled
     times read as CPU time on a machine running at the speed the baseline was
-    measured at.  `ref` holds (when ns, seconds) samples."""
-    return REF_S / statistics.median(s for _, s in ref)
+    measured at.  `ref` holds (when ns, seconds) samples of kernel `kind`."""
+    return REF_S[kind] / statistics.median(s for _, s in ref)
 
 
 LOCAL_NS = 1_000_000_000
 
 
-def pass_scale(ref: list, span: list) -> float:
+def pass_scale(ref: list, span: list, kind: str) -> float:
     """scale() from the reference samples taken within LOCAL_NS of a pass (at
     least the three nearest), so that the host's swings during a run are taken
     out as well as its speed over the run."""
     start, end = span
     near = sorted(ref, key=lambda r: max(start - r[0], r[0] - end, 0))
     local = [r for r in near if max(start - r[0], r[0] - end) <= LOCAL_NS]
-    return scale(local if len(local) >= 3 else near[:3])
+    return scale(local if len(local) >= 3 else near[:3], kind)
 
 
 # --- project / spin / fiber ------------------------------------------------------
@@ -207,10 +217,12 @@ def run_passes(name: str, seed: int, seconds: float, trace: bool, smoke: bool, s
     cfg = {"mode": "run", "workload": name, "seed": seed, "seconds": seconds, "trace": trace, "smoke": smoke}
     cfg["spans"] = str(OUT / f"spans-{tag}.jsonl")
     result, (wall, _, rss) = worker(cfg)
-    # Every set-up sample is scaled by the reference kernel over the whole
-    # run: its few runs right after a set-up read 3-5 ms at random and made
-    # project set-up spread twice as wide as unscaled.
-    run_scale = scale(result["ref"])
+    # Every set-up sample is scaled by the small kernel over the whole run:
+    # its few runs right after a set-up read 3-5 ms at random and made
+    # project set-up spread twice as wide as unscaled.  Raw set-up CPU drifts
+    # with the host: on fiber it read 0.30 s, then 0.51 s forty minutes
+    # later, while scaled it read 0.41 s and 0.43 s.
+    run_scale = scale(result["ref"]["small"])
     setup = [result["ready_cpu"] * run_scale]
     for _ in range(sizes["setup_samples"][name] - 1 if not trace else 0):
         setup.append(worker(dict(cfg, mode="setup"))[0]["ready_cpu"] * run_scale)
@@ -231,11 +243,12 @@ def run_passes(name: str, seed: int, seconds: float, trace: bool, smoke: bool, s
     }
     plain = [p for p in result["passes"] if not p["traced"]]
     if not trace:
-        scales = [pass_scale(result["ref"], p["span_ns"]) for p in plain]
+        kind = result["ref_kind"]
+        scales = [pass_scale(result["ref"][kind], p["span_ns"], kind) for p in plain]
         details["pass_scales"] = [min(scales), statistics.median(scales), max(scales)]
         passes = [(p["cpu_ns"] * 1e-9 * k, sum(p["ok"])) for p, k in zip(plain, scales)]
         lats = [[x * k for x in p["lat_cpu"]] for p, k in zip(plain, scales)]
-        metrics = summarize(setup, passes, lats, attempted, rss, wall, result["tail_block"])
+        metrics = summarize(setup, passes, lats, attempted, rss, wall, result["tail_block"], result["low_quartile"])
         return correct, attempted, ok, metrics, details
     traced = [p for p in result["passes"] if p["traced"]]
     overhead = (statistics.median(p["wall_ns"] for p in traced) - statistics.median(p["wall_ns"] for p in plain)) * 1e-9
@@ -258,19 +271,18 @@ def run_verify(seed: int, seconds: float, trace: bool, smoke: bool, sizes: dict,
     reference = None
     runs = {False: [], True: []}  # (wall, scaled CPU, correct records) per invocation
     lats, setup, rss, layers, coverages = [], [], 0.0, [], []
-    elapsed = 0.0
-    # like the pass workloads: a fixed invocation count, extended only while
-    # less than --seconds has elapsed; traced runs alternate for --seconds
-    while len(runs[False]) < (1 if trace else sizes["verify_invocations"]) or elapsed < seconds:
+    # like the pass workloads: an invocation count set by --seconds only;
+    # traced runs alternate plain and traced invocations, a third as many pairs
+    count = 1 if smoke else max(1, round(VERIFY_RATE * seconds))
+    for _ in range(max(1, count // 3) if trace else count):
         for traced in (False, True) if trace else (False,):
             spans = str(OUT / f"spans-{tag}-{len(runs[traced])}.jsonl")
             result, (wall, cpu, peak) = worker(dict(cfg, trace=traced, spans=spans))
             data = report.read_bytes()
             reference = data if reference is None else reference
-            elapsed += wall
-            k = scale(result["ref"])
+            k = scale(result["ref"]["small"])
             # the process CPU time includes the reference kernel runs
-            cpu = (cpu - sum(s for _, s in result["ref"])) * k
+            cpu = (cpu - sum(s for _, s in result["ref"]["small"])) * k
             runs[traced].append((wall, cpu, sum(verify_oracle(result["exit"], data, reference))))
             if traced:
                 layers.append(result["layers"])

@@ -5,7 +5,7 @@ Usage: python3 bench/worker.py '<json config>'
 The config names a mode:
   setup   set up (import, build, draw inputs) and report when ready
   import  report how long `import cayleymap.cli` takes in a fresh process
-  run     set up, then run passes of the workload for `seconds` of timed work
+  run     set up, then run the passes of the workload sized for `seconds`
   verify  run `cayleymap verify` once through `cli.main` in this process
 
 BLAS is pinned to one thread before numpy is imported.  Results go to the
@@ -43,39 +43,56 @@ def _import_cayleymap():
         raise SystemExit(f"cayleymap imported from {cayleymap.__file__}, not from this checkout's src/")
 
 
-_REFERENCE = []
+_REFERENCE = {}
 REF_EVERY_NS = 125_000_000
 
 
-def reference_s() -> tuple[int, float]:
+def reference_s(kind: str = "small") -> tuple[int, float]:
     """When (perf_counter ns) and how long (process CPU s) one run of a fixed
     numpy-only reference kernel took.
 
-    The kernel makes the kind of calls the library makes (small complex
-    det / solve / eigvals / svd and an einsum contraction, from Python), so
-    it slows down and speeds up with the machine the way the workloads do;
-    run.py divides by it to take the host's speed swings out of the figures.
-    It uses no cayleymap code, so a change to the library does not move it.
+    The kernel does the kind of work the workload does, so it slows down and
+    speeds up with the machine the way the workload does; run.py divides by
+    it to take the host's speed swings out of the figures.  "small" makes
+    the calls most of the library makes (small complex det / solve / eigvals
+    / svd and an einsum contraction, from Python); "gemm" multiplies dense
+    384 x 384 complex matrices, the products that matrix_exp chains on the
+    gamma matrix, which are most of the time of the spin workload (and which
+    a shared host slows down differently from small Python-bound calls).
+    Neither uses cayleymap code, so a change to the library does not move it.
     """
     import numpy as np
 
-    if not _REFERENCE:
+    if kind not in _REFERENCE:
         rng = np.random.default_rng(20011024)
-        _REFERENCE.extend(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(4, 17))
-        _REFERENCE.append(rng.standard_normal((36, 6, 6)) + 0j)
-    *mats, stack = _REFERENCE
+        if kind == "small":
+            mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(4, 17)]
+            _REFERENCE[kind] = mats, rng.standard_normal((36, 6, 6)) + 0j
+        else:
+            _REFERENCE[kind] = rng.standard_normal((384, 384)) + 1j * rng.standard_normal((384, 384))
     c0 = time.process_time_ns()
-    for m in mats:
-        np.linalg.det(m)
-        np.linalg.solve(m, m)
-        np.linalg.eigvals(m)
-        np.linalg.svd(m, compute_uv=False)
-        np.einsum("iab,jba->ij", stack, stack)
+    if kind == "small":
+        mats, stack = _REFERENCE[kind]
+        for m in mats:
+            np.linalg.det(m)
+            np.linalg.solve(m, m)
+            np.linalg.eigvals(m)
+            np.linalg.svd(m, compute_uv=False)
+            np.einsum("iab,jba->ij", stack, stack)
+    else:
+        a = _REFERENCE[kind]
+        (a @ a) @ a
     return time.perf_counter_ns(), (time.process_time_ns() - c0) * 1e-9
 
 
-def reference_samples(count: int) -> list[tuple[int, float]]:
-    return [reference_s() for _ in range(count)]
+def reference_samples(kinds, count: int = 1) -> dict:
+    """`count` samples of each kernel in `kinds`, as {kind: [(when, s), ...]}."""
+    return {kind: [reference_s(kind) for _ in range(count)] for kind in kinds}
+
+
+def add_samples(ref: dict, more: dict) -> None:
+    for kind, samples in more.items():
+        ref[kind] += samples
 
 
 def mode_import(cfg: dict) -> dict:
@@ -136,7 +153,7 @@ def mode_verify(cfg: dict) -> dict:
     from cayleymap import suites
 
     claim_cpu = []
-    ref = reference_samples(3)
+    ref = reference_samples(["small"], 3)
     last_ref = [time.perf_counter_ns()]
     tracer = None
     if cfg["trace"]:
@@ -155,7 +172,7 @@ def mode_verify(cfg: dict) -> dict:
                     claim_cpu.append(time.process_time_ns() - start)
                     # sample the reference kernel every REF_EVERY_NS, between claims
                     if time.perf_counter_ns() - last_ref[0] > REF_EVERY_NS:
-                        ref.append(reference_s())
+                        add_samples(ref, reference_samples(["small"]))
                         last_ref[0] = time.perf_counter_ns()
 
             return inner
@@ -172,7 +189,7 @@ def mode_verify(cfg: dict) -> dict:
         wall_ns = time.perf_counter_ns() - a
         if tracer:
             tracer.close(root)
-    ref += reference_samples(3)
+    add_samples(ref, reference_samples(["small"], 3))
     out = {"exit": code, "claim_cpu": claim_cpu, "import_s": import_s, "main_ns": wall_ns, "ready_cpu": ready_cpu}
     out["ref"] = ref
     if tracer:
@@ -195,8 +212,8 @@ REQUIRED_COVERAGE = {
 
 
 def mode_run(cfg: dict, setup_only: bool) -> dict:
-    """Set up, then alternate untraced (and, when tracing, traced) passes
-    until `seconds` of timed pass work; check each pass after timing it."""
+    """Set up, then run the workload's passes for `seconds` (alternating
+    untraced and traced ones when tracing); check each pass after timing it."""
     import spans as sp
 
     _import_cayleymap()
@@ -222,14 +239,14 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
     good_labels = set()
     pass_ids = []
     traced_walls = []
-    budget = cfg["seconds"] * 1e9
-    ref = reference_samples(3)
+    # the small kernel scales set-up, the workload's own kernel its passes
+    kinds = sorted({"small", wl.reference})
+    ref = reference_samples(kinds, 3)
     last_ref = time.perf_counter_ns()
-    timed = 0
-    k = 0
-    # traced runs alternate plain and traced passes for --seconds only
-    min_passes = 1 if tracer else wl.min_passes
-    while k < min_passes or timed < budget:
+    # a fixed pass count, so a seed always gives the same ops and failures;
+    # a traced run alternates plain and traced passes, a quarter as many pairs
+    count = wl.passes(cfg["seconds"])
+    for k in range(max(1, count // 4) if tracer else count):
         for traced in (False, True) if tracer else (False,):
             if traced:
                 tracer.install()
@@ -249,10 +266,10 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
                 if traced:
                     tracer.close(span, err is not None)
                 records.append((label, args, meta, out, err, cb - ca))
-                # sample the reference kernel every REF_EVERY_NS, between ops,
+                # sample the reference kernel every ref_every_ns, between ops,
                 # and leave its time out of the pass
-                if not traced and b - last_ref > REF_EVERY_NS:
-                    ref.append(reference_s())
+                if not traced and b - last_ref >= wl.ref_every_ns:
+                    add_samples(ref, reference_samples(kinds))
                     last_ref = time.perf_counter_ns()
                     ref_wall += last_ref - b
                     ref_cpu += time.process_time_ns() - cb
@@ -264,7 +281,6 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
                 tracer.uninstall()
                 pass_ids.append(root[sp.ID])
                 traced_walls.append(wall)
-            timed += wall
             ok = []
             known = 0
             for label, args, meta, out, err, _cpu in records:
@@ -297,9 +313,11 @@ def mode_run(cfg: dict, setup_only: bool) -> dict:
         self_check[label] = not (
             _safe(wl.check, label, args, bad, meta) or _safe(wl.known_defect, label, args, bad, None, meta)
         )
-    ref += reference_samples(3)
+    add_samples(ref, reference_samples(kinds, 3))
     result = {"ready_cpu": ready_cpu, "passes": passes, "self_check": self_check, "ref": ref}
+    result["ref_kind"] = wl.reference
     result["tail_block"] = wl.tail_block
+    result["low_quartile"] = wl.low_quartile
     if tracer:
         setup_wall = setup_span[sp.END] - setup_span[sp.START]
         result["layers"] = _layer_values(tracer.spans, [setup_span[sp.ID]], pass_ids, traced_walls, setup_wall)
