@@ -119,6 +119,23 @@ def make_sl2_irrep(m: int) -> Representation:
     return Representation(f"sl2irrep{m}", basis=[h, e, f], metadata=meta)
 
 
+# family -> (maker, size key of its descriptor).  make() looks the maker up on
+# this module when called, so a rebound catalog.make_* reaches every caller.
+FAMILIES = {
+    "sl": ("make_sl", "n"),
+    "so": ("make_so", "n"),
+    "gl": ("make_gl", "n"),
+    "sl2_irrep": ("make_sl2_irrep", "m"),
+}
+
+
+def make(family: str, size: int) -> Representation:
+    """Catalog representation of a family; size is n, or m for sl2_irrep."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return globals()[FAMILIES[family][0]](size)
+
+
 def torus_element(rep: Representation, a: complex) -> GroupElement:
     """diag(a, 1/a) realized in an sl2-type representation."""
     family = rep.metadata.get("family")
@@ -220,12 +237,8 @@ def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _cgauss(rng, size, scale=1.0):
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
-
-
 def _conjugate(rep: Representation, m: np.ndarray, rng) -> np.ndarray:
-    q = linalg.matrix_exp(rep.materialize(_cgauss(rng, rep.g_dim, 0.3)))
+    q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
     return q @ m @ np.linalg.inv(q)
 
 
@@ -234,7 +247,7 @@ def _nilpotent_direction(rep: Representation, rng) -> np.ndarray:
     family = rep.metadata.get("family")
     if family in ("sl", "gl"):
         n = rep.v_dim
-        x = np.triu(_cgauss(rng, (n, n)), k=1)
+        x = np.triu(linalg.complex_normal(rng, (n, n)), k=1)
         return x
     if family == "so":
         # rank-2 nilpotent w a^T - a w^T with w isotropic and a^T w = 0
@@ -243,12 +256,12 @@ def _nilpotent_direction(rep: Representation, rng) -> np.ndarray:
         w[0], w[1] = 1.0, 1.0j
         wt = np.zeros(n, dtype=complex)
         wt[0], wt[1] = 0.5, -0.5j  # dual vector with wt . w = 1
-        a = _cgauss(rng, n)
+        a = linalg.complex_normal(rng, n)
         a = a - (a @ w) * wt
         return np.outer(w, a) - np.outer(a, w)
     if "nilpotent_index" in rep.metadata:
         coords = np.zeros(rep.g_dim, dtype=complex)
-        coords[rep.metadata["nilpotent_index"]] = 0.5 + _cgauss(rng, ())
+        coords[rep.metadata["nilpotent_index"]] = 0.5 + linalg.complex_normal(rng, ())
         return rep.materialize(coords)
     raise ValueError(f"no unipotent sampler for family {family!r} of {rep.name}")
 
@@ -274,7 +287,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     family = rep.metadata.get("family")
 
     if kind == "generic":
-        return GroupElement(linalg.matrix_exp(rep.materialize(_cgauss(rng, rep.g_dim, 0.4))), tag)
+        return GroupElement(linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.4))), tag)
 
     if kind in ("hyperbolic", "elliptic"):
         cartan = rep.metadata.get("cartan_indices")
@@ -298,7 +311,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
         if cartan is None:
             raise ValueError(f"{rep.name} has no Cartan bookkeeping")
         coords = np.zeros(rep.g_dim, dtype=complex)
-        coords[list(cartan)] = _cgauss(rng, len(cartan), 0.6)
+        coords[list(cartan)] = linalg.complex_normal(rng, len(cartan), 0.6)
         return GroupElement(linalg.matrix_exp(rep.materialize(coords)), tag)
 
     # trace_free: group elements whose representing matrix is itself
@@ -307,7 +320,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
         raise ValueError("trace_free sampling is defined for the sl family")
     n = rep.metadata["n"]
     lams = _traceless_spectrum(n, rng)
-    q = np.linalg.qr(_cgauss(rng, (n, n)))[0]
+    q = np.linalg.qr(linalg.complex_normal(rng, (n, n)))[0]
     m = q @ np.diag(lams) @ q.conj().T
     m = m - (np.trace(m) / n) * np.eye(n)  # pin the trace to exactly 0
     return GroupElement(m, tag)
@@ -319,26 +332,19 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
 def from_descriptor(d: dict) -> Representation:
     """Build a representation from the JSON descriptor form."""
     family = d.get("family")
-    if family == "sl":
-        return make_sl(int(d["n"]))
-    if family == "gl":
-        return make_gl(int(d["n"]))
-    if family == "so":
-        return make_so(int(d["n"]))
-    if family == "sl2_irrep":
-        return make_sl2_irrep(int(d["m"]))
     if family == "custom":
         basis = [linalg.matrix_from_json(b) for b in d["basis"]]
         return Representation(d.get("name", "custom"), basis, metadata={"family": "custom"})
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return make(family, int(d[FAMILIES[family][1]]))
 
 
 def to_descriptor(rep: Representation) -> dict:
     family = rep.metadata.get("family", "custom")
-    if family in ("sl", "gl", "so"):
-        return {"family": family, "n": rep.metadata["n"]}
-    if family == "sl2_irrep":
-        return {"family": family, "m": rep.metadata["m"]}
+    if family in FAMILIES:
+        key = FAMILIES[family][1]
+        return {"family": family, key: rep.metadata[key]}
     return {
         "family": "custom",
         "name": rep.name,

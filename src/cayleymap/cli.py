@@ -48,27 +48,24 @@ def parse_matrix_arg(text: str) -> np.ndarray:
             return np.eye(int(rest), dtype=complex)
         except ValueError as exc:
             raise UsageError(f"cannot parse identity size in {text!r}") from exc
+    return _load_json(s, "matrix", linalg.matrix_from_json)
+
+
+def _load_json(path: str, what: str, parse):
+    """parse(payload) of the JSON file at path; any failure is a usage error."""
     try:
-        with open(s, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return linalg.matrix_from_json(payload)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"cannot load matrix from {text!r}: {exc}") from exc
+        raise UsageError(f"cannot load {what} from {path!r}: {exc}") from exc
 
 
 def _build_rep(args):
-    group = args.group
-    if group == "sl":
-        return catalog.make_sl(args.n)
-    if group == "so":
-        return catalog.make_so(args.n)
-    if group == "gl":
-        return catalog.make_gl(args.n)
-    if group == "sl2_irrep":
-        if args.m is None:
-            raise UsageError("--m is required for --group sl2_irrep")
-        return catalog.make_sl2_irrep(args.m)
-    raise UsageError(f"unknown group {group!r}")
+    key = catalog.FAMILIES[args.group][1]
+    size = getattr(args, key)
+    if size is None:
+        raise UsageError(f"--{key} is required for --group {args.group}")
+    return catalog.make(args.group, size)
 
 
 def _element_for(args, rep):
@@ -80,10 +77,6 @@ def _element_for(args, rep):
     if args.sample is not None:
         return catalog.sample_element(rep, args.sample, args.seed)
     raise UsageError("provide --element or --sample KIND")
-
-
-def _complex_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def _emit(payload: dict, args) -> None:
@@ -142,7 +135,8 @@ def cmd_psi(args) -> int:
     if args.inverse:
         m = np.linalg.inv(m)
     value = rm.psi(rep, m)
-    _emit({"command": "psi", "group": rep.name, "inverse": bool(args.inverse), "psi": _complex_pair(value)}, args)
+    payload = {"command": "psi", "group": rep.name, "inverse": bool(args.inverse), "psi": linalg.complex_to_json(value)}
+    _emit(payload, args)
     return 0
 
 
@@ -155,7 +149,7 @@ def cmd_jacobian(args) -> int:
             "command": "jacobian",
             "group": rep.name,
             "matrix": linalg.matrix_to_json(jac),
-            "det": _complex_pair(linalg.determinant(jac)),
+            "det": linalg.complex_to_json(linalg.determinant(jac)),
         },
         args,
     )
@@ -205,12 +199,7 @@ def cmd_verify(args) -> int:
 
 def _spin_element_for(args) -> cl.SpinElement:
     if args.element is not None:
-        try:
-            with open(args.element, "r", encoding="utf-8") as fh:
-                value = cl.CliffordElement.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"cannot load spin element from {args.element!r}: {exc}") from exc
-        return cl.SpinElement(value)
+        return cl.SpinElement(_load_json(args.element, "spin element", cl.CliffordElement.from_json))
     if args.random:
         if args.n is None:
             raise UsageError("--random needs --n")
@@ -218,7 +207,7 @@ def _spin_element_for(args) -> cl.SpinElement:
         u = cl.CliffordElement(args.n)
         for a in range(args.n):
             for b in range(a + 1, args.n):
-                u.coeffs[(1 << a) | (1 << b)] = 0.4 * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+                u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, scale=0.4)
         return cl.spin_exp(u)
     raise UsageError("provide --element FILE or --random")
 
@@ -226,12 +215,7 @@ def _spin_element_for(args) -> cl.SpinElement:
 def cmd_spin_exp(args) -> int:
     if args.element is None:
         raise UsageError("spin exp needs --element FILE with bivector coefficients")
-    try:
-        with open(args.element, "r", encoding="utf-8") as fh:
-            u = cl.CliffordElement.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"cannot load bivector from {args.element!r}: {exc}") from exc
-    g = cl.spin_exp(u)
+    g = cl.spin_exp(_load_json(args.element, "bivector", cl.CliffordElement.from_json))
     _emit({"command": "spin-exp", "element": g.value.to_json()}, args)
     return 0
 
@@ -248,7 +232,7 @@ def cmd_spin_cayley(args) -> int:
     pr2 = cl.spin_cayley(g)
     payload = {
         "command": "spin-cayley",
-        "pr0": _complex_pair(pr0),
+        "pr0": linalg.complex_to_json(pr0),
         "pr2": pr2.to_json(),
     }
     t = cl.vector_action(g)
@@ -270,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report", metavar="PATH", help="also write the output to PATH")
 
     selectors = argparse.ArgumentParser(add_help=False)
-    selectors.add_argument("--group", required=True, choices=("sl", "so", "gl", "sl2_irrep"))
+    selectors.add_argument("--group", required=True, choices=tuple(catalog.FAMILIES))
     selectors.add_argument("--n", type=int, default=2)
     selectors.add_argument("--m", type=int, default=None, help="irrep label for sl2_irrep")
     selectors.add_argument("--element", help="diag(...), identity N, or matrix JSON path")
@@ -332,12 +316,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    # numpy's LinAlgError (a singular element, say) subclasses ValueError but
+    # is a failed mathematical precondition, not a usage error
+    except (CayleyMapError, np.linalg.LinAlgError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return MATH_ERROR
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CayleyMapError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return MATH_ERROR
 
 
 if __name__ == "__main__":

@@ -222,10 +222,6 @@ def kappa(u: CliffordElement) -> CliffordElement:
     return CliffordElement(u.n, signs * u.coeffs)
 
 
-def pr_k(u: CliffordElement, k: int) -> CliffordElement:
-    return u.grade(k)
-
-
 def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     """Left wedge by the degree-1 element x."""
     x = _coerce(u.n, x)

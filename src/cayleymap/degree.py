@@ -47,17 +47,13 @@ class FiberReport:
         return {
             "family": self.family,
             "n": self.n,
-            "polynomial": _complex_list(self.polynomial.coeffs),
-            "roots": _complex_list(self.roots),
+            "polynomial": linalg.complex_to_json(self.polynomial.coeffs),
+            "roots": linalg.complex_to_json(self.roots),
             "count": self.count,
             "elements": [linalg.matrix_to_json(e) for e in self.valid_elements],
-            "element_roots": _complex_list(np.asarray(self.element_roots)),
-            "skipped_roots": _complex_list(np.asarray(self.skipped_roots)),
+            "element_roots": linalg.complex_to_json(self.element_roots),
+            "skipped_roots": linalg.complex_to_json(self.skipped_roots),
         }
-
-
-def _complex_list(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
 
 
 def _char_poly(x: np.ndarray) -> linalg.Polynomial:
@@ -175,10 +171,10 @@ def spin_fiber(n: int, x, dedup_tol: float = linalg.ROOT_DEDUP_TOL) -> FiberRepo
 
 
 def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:
-    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    m = linalg.complex_normal(rng, (n, n))
     return m - (np.trace(m) / n) * np.eye(n)
 
 
 def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
-    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    m = linalg.complex_normal(rng, (n, n))
     return 0.5 * (m - m.T)

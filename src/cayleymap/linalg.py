@@ -44,6 +44,13 @@ def matrix_to_json(m: Matrix) -> dict:
     return out
 
 
+def complex_to_json(z):
+    """[re, im] for a scalar, a list of [re, im] pairs for a 1-D array."""
+    a = np.asarray(z, dtype=complex)
+    pairs = [[float(v.real), float(v.imag)] for v in np.atleast_1d(a)]
+    return pairs if a.ndim else pairs[0]
+
+
 def matrix_from_json(d: dict) -> Matrix:
     n = int(d["n"])
     re = np.asarray(d["re"], dtype=float)
@@ -51,6 +58,11 @@ def matrix_from_json(d: dict) -> Matrix:
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix payload shape mismatch for n={n}")
     return as_square_matrix(re + 1j * im)
+
+
+def complex_normal(rng: np.random.Generator, size=None, scale: float = 1.0):
+    """Circular complex Gaussian samples with E|z|^2 = scale^2."""
+    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
 def solve_linear(a: Matrix, b: Matrix, rtol: float = RTOL) -> Matrix:

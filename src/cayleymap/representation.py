@@ -3,14 +3,17 @@
 A Representation bundles the algebra basis matrices B_i (images of a chosen
 basis of the algebra under the differential of the representation) together
 with the cached Gram matrix of the trace form, G_ij = tr(B_i B_j).  The
-projection of a group element g solves
+projection of a matrix M solves
 
-    G c = t,   t_i = tr(M(g) B_i),
+    G c = t,   t_i = tr(M B_i),
 
 so c are the coordinates of the unique algebra element whose trace pairing
-with every basis vector matches that of M(g).  The Jacobian of the map in
-the left-invariant frame, its determinant, adjoint matrices, Jordan-type
-decompositions and centralizer dimensions all reduce to the same Gram solve.
+with every basis vector matches that of M.  Representation.coords_of is the
+one place that forms this pairing and solves the Gram system, for a single
+matrix or a stack of them.  The map itself projects M(g); the Jacobian in
+the left-invariant frame, adjoint matrices, centralizer operators and
+structure constants project the stacks M(g) B_i, b B_i b^-1, [x, B_i] and
+[B_i, B_j].
 """
 
 from __future__ import annotations
@@ -58,11 +61,14 @@ def _mat(g) -> np.ndarray:
 class Representation:
     """Algebra basis matrices with cached trace-form Gram matrix.
 
-    Raises DegenerateForm when the basis is linearly dependent or the trace
-    form is singular on its span (then no projection map exists), and
-    NotASubalgebra when the span is not closed under commutators.
-    Instances are immutable in practice: nothing mutates basis or gram after
-    construction, so values are safe to share across threads.
+    coords_of is the single trace-form projection: every coordinate
+    computation of this module goes through it.  Raises DegenerateForm when
+    the basis is linearly dependent or the trace form is singular on its span
+    (then no projection map exists), and NotASubalgebra when the span is not
+    closed under commutators; check_closure=False defers that check to the
+    first structure_constants call.  Instances are immutable in practice:
+    nothing mutates basis or gram after construction, so values are safe to
+    share across threads.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None, check_closure: bool = True):
@@ -76,10 +82,12 @@ class Representation:
         self.basis = mats
         self.stack = np.stack(mats)
         self.metadata = dict(metadata or {})
-        self.gram = build_gram(self)
+        self.gram = build_gram(self.stack)
+        # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
+        self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
         self._structure: np.ndarray | None = None
         if check_closure:
-            self._check_closure()
+            self.structure_constants()
 
     @property
     def v_dim(self) -> int:
@@ -90,62 +98,71 @@ class Representation:
         return self.stack.shape[0]
 
     def materialize(self, coords) -> np.ndarray:
+        """Matrices sum_i c_i B_i for coordinates of shape (..., g)."""
         coords = np.asarray(coords, dtype=complex)
-        return np.einsum("i,iab->ab", coords, self.stack)
+        flat = coords @ self.stack.reshape(self.g_dim, -1)
+        return flat.reshape(coords.shape[:-1] + (self.v_dim, self.v_dim))
 
     def trace_pair(self, m) -> np.ndarray:
-        """Vector of trace pairings t_i = tr(m B_i)."""
-        return np.einsum("ab,iba->i", np.asarray(m, dtype=complex), self.stack)
+        """Trace pairings t_i = tr(m B_i) for matrices of shape (..., v, v)."""
+        m = np.asarray(m, dtype=complex)
+        t = m.reshape(-1, self.v_dim * self.v_dim) @ self._pairing
+        return t.reshape(m.shape[:-2] + (self.g_dim,))
 
     def coords_of(self, m, residual_tol: float | None = None) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
 
-        With residual_tol set, raises NotASubalgebra if m is not actually in
-        the span to that relative accuracy.
+        m has shape (..., v, v); the result has shape (..., g), from one Gram
+        solve whatever the leading axes.  With residual_tol set, raises
+        NotASubalgebra if some matrix of m is not actually in the span to
+        that relative accuracy.
         """
-        c = linalg.solve_linear(self.gram, self.trace_pair(m))
+        t = self.trace_pair(m)
+        c = linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T).T.reshape(t.shape)
         if residual_tol is not None:
-            res = np.linalg.norm(m - self.materialize(c))
-            if res > residual_tol * (1.0 + np.linalg.norm(m)):
-                raise NotASubalgebra(f"element leaves the basis span (residual {res:.2e})")
+            res = np.linalg.norm(m - self.materialize(c), axis=(-2, -1))
+            worst = float(np.max(res / (1.0 + np.linalg.norm(m, axis=(-2, -1)))))
+            if worst > residual_tol:
+                raise NotASubalgebra(f"element leaves the basis span (residual {worst:.2e})")
         return c
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j]; cached."""
-        if self._structure is None:
-            g = self.g_dim
-            comm = np.einsum("iab,jbc->ijac", self.stack, self.stack)
-            comm = comm - np.transpose(comm, (1, 0, 2, 3))
-            t = np.einsum("ijab,kba->ijk", comm, self.stack)
-            c = linalg.solve_linear(self.gram, t.reshape(g * g, g).T)
-            self._structure = np.ascontiguousarray(c.T.reshape(g, g, g))
-        return self._structure
+        """c[i, j, :] = coordinates of [B_i, B_j]; cached.
 
-    def _check_closure(self):
-        g = self.g_dim
-        c = self.structure_constants()
-        recon = np.einsum("ijk,kab->ijab", c, self.stack)
-        comm = np.einsum("iab,jbc->ijac", self.stack, self.stack)
-        comm = comm - np.transpose(comm, (1, 0, 2, 3))
-        res = np.abs(comm - recon).reshape(g * g, -1).sum(axis=1).max()
-        if res > CLOSURE_TOL * (1.0 + np.abs(comm).max()):
-            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
+        Raises NotASubalgebra when some commutator leaves the basis span.
+        """
+        if self._structure is None:
+            comm = _commutators(self.stack)
+            c = self.coords_of(comm)
+            recon = self.materialize(c)
+            recon -= comm  # in place: the commutator stack is the largest array here
+            res = np.abs(recon).reshape(self.g_dim**2, -1).sum(axis=1).max()
+            if res > CLOSURE_TOL * (1.0 + np.abs(comm).max()):
+                raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
+            self._structure = c
+        return self._structure
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, v_dim={self.v_dim}, g_dim={self.g_dim})"
 
 
-def build_gram(rep: Representation) -> np.ndarray:
-    """Gram matrix G_ij = tr(B_i B_j) of the trace form, cached on the rep."""
-    g = np.einsum("iab,jba->ij", rep.stack, rep.stack)
+def _commutators(stack: np.ndarray) -> np.ndarray:
+    """[B_i, B_j] as a (g, g, v, v) array, from one (g v) x (g v) product."""
+    g, v = stack.shape[:2]
+    prod = (stack.reshape(g * v, v) @ stack.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
+    return prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)
+
+
+def build_gram(stack: np.ndarray) -> np.ndarray:
+    """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack."""
+    g = np.einsum("iab,jba->ij", stack, stack)
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < GRAM_SINGULAR_TOL * sv[0]:
         raise DegenerateForm(
-            f"trace form singular on {rep.name!r} "
+            f"trace form singular on the basis span "
             f"(singular value ratio {sv[-1] / max(sv[0], 1e-300):.2e})"
         )
-    rep.gram = g
     return g
 
 
@@ -181,20 +198,16 @@ class AlgebraVector:
 
 def cayley(rep: Representation, g) -> AlgebraVector:
     """Project the group element onto the algebra in the trace form."""
-    t = rep.trace_pair(_mat(g))
-    return AlgebraVector(rep, linalg.solve_linear(rep.gram, t))
+    return AlgebraVector(rep, rep.coords_of(_mat(g)))
 
 
 def cayley_jacobian(rep: Representation, g) -> np.ndarray:
     """Matrix of the differential at g, composed with left translation.
 
     Column i holds the image coordinates of the i-th left-invariant
-    direction: G M = S with S_ji = tr(M(g) B_i B_j).
+    direction, the projection of M(g) B_i.
     """
-    m = _mat(g)
-    gb = np.einsum("ab,ibc->iac", m, rep.stack)
-    s = np.einsum("iac,jca->ji", gb, rep.stack)
-    return linalg.solve_linear(rep.gram, s)
+    return rep.coords_of(_mat(g) @ rep.stack).T
 
 
 def psi(rep: Representation, g) -> complex:
@@ -218,17 +231,10 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     representation.
     """
     bm = _mat(b)
-    binv = np.linalg.inv(bm)
-    conj = np.einsum("ab,ibc,cd->iad", bm, rep.stack, binv)
-    t = np.einsum("iad,kda->ik", conj, rep.stack)
-    ad = linalg.solve_linear(rep.gram, t.T)
-    recon = np.einsum("ki,kab->iab", ad, rep.stack)
-    res = np.linalg.norm((conj - recon).reshape(rep.g_dim, -1), axis=1)
-    scale = 1.0 + np.linalg.norm(conj.reshape(rep.g_dim, -1), axis=1)
-    worst = float(np.max(res / scale))
-    if worst > ADJOINT_RESIDUAL_TOL:
-        raise NotEquivariant(f"conjugation leaves the algebra span (residual {worst:.2e})")
-    return ad
+    try:
+        return rep.coords_of(bm @ rep.stack @ np.linalg.inv(bm), residual_tol=ADJOINT_RESIDUAL_TOL).T
+    except NotASubalgebra as exc:
+        raise NotEquivariant(f"conjugation leaves the algebra span: {exc}") from exc
 
 
 # --- Jordan-type decompositions ----------------------------------------------
@@ -301,9 +307,7 @@ def centralizer_dim(rep: Representation, x) -> int:
         op = adjoint_matrix(rep, x) - np.eye(rep.g_dim)
     elif isinstance(x, AlgebraVector):
         xm = x.matrix()
-        bracket = np.einsum("ab,ibc->iac", xm, rep.stack) - np.einsum("iab,bc->iac", rep.stack, xm)
-        t = np.einsum("iad,kda->ik", bracket, rep.stack)
-        op = linalg.solve_linear(rep.gram, t.T)
+        op = rep.coords_of(xm @ rep.stack - rep.stack @ xm).T
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
     sv = np.linalg.svd(op, compute_uv=False)

@@ -75,17 +75,9 @@ _REPS: dict = {}
 
 
 def _rep(key):
-    """Catalog representations, built once."""
+    """Catalog representations by (family, size), built once."""
     if key not in _REPS:
-        kind, n = key
-        if kind == "sl":
-            _REPS[key] = catalog.make_sl(n)
-        elif kind == "so":
-            _REPS[key] = catalog.make_so(n)
-        elif kind == "gl":
-            _REPS[key] = catalog.make_gl(n)
-        else:
-            _REPS[key] = catalog.make_sl2_irrep(n)
+        _REPS[key] = catalog.make(*key)
     return _REPS[key]
 
 
@@ -97,13 +89,9 @@ FAMILY_KEYS = [
     ("so", 4),
     ("so", 5),
     ("gl", 2),
-    ("irrep", 2),
-    ("irrep", 3),
+    ("sl2_irrep", 2),
+    ("sl2_irrep", 3),
 ]
-
-
-def _cgauss(rng, size=None, scale=1.0):
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
 def _seed_int(rng) -> int:
@@ -162,7 +150,7 @@ def _psi_basis_invariance(rng, trial) -> float:
     g = _sample(rep, "generic", rng)
     p1 = rm.psi(rep, g)
     # well-conditioned random change of basis: unitary times bounded diagonal
-    q = np.linalg.qr(_cgauss(rng, (rep.g_dim, rep.g_dim)))[0]
+    q = np.linalg.qr(linalg.complex_normal(rng, (rep.g_dim, rep.g_dim)))[0]
     q = q @ np.diag(rng.uniform(0.5, 2.0, rep.g_dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, rep.g_dim)))
     new_basis = [rep.materialize(q[:, j]) for j in range(rep.g_dim)]
     rep2 = rm.Representation(f"{rep.name}-recoord", new_basis, check_closure=False)
@@ -205,7 +193,7 @@ def _jordan_sample(rng, n, rep):
     u[0, 1] = rng.normal() + 1j * rng.normal()
     if n >= 4 and rng.uniform() < 0.5:
         u[1, 2] = rng.normal() + 1j * rng.normal()
-    q = linalg.matrix_exp(rep.materialize(_cgauss(rng, rep.g_dim, 0.3)))
+    q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
     return q @ (s @ u) @ np.linalg.inv(q)
 
 
@@ -220,10 +208,10 @@ def _jordan_semisimple(rng, trial) -> float:
 
 
 def _additive_commute(rng, trial) -> float:
-    lam = _cgauss(rng, ())
+    lam = linalg.complex_normal(rng, ())
     block = np.diag([lam, lam, -2 * lam])
     block[0, 1] = 1.0
-    v = _cgauss(rng, (3, 3)) + 2 * np.eye(3)
+    v = linalg.complex_normal(rng, (3, 3)) + 2 * np.eye(3)
     x = v @ block @ np.linalg.inv(v)
     xs, xn = rm.additive_jordan(x, cluster_tol=1e-4)
     return float(np.linalg.norm(xs @ xn - xn @ xs))
@@ -300,7 +288,7 @@ UNIPOTENT = [
 # --- hyperbolic suite ------------------------------------------------------------------
 
 
-HYPERBOLIC_KEYS = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4), ("irrep", 2), ("irrep", 3)]
+HYPERBOLIC_KEYS = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4), ("sl2_irrep", 2), ("sl2_irrep", 3)]
 
 
 def _hyperbolic_nonsingular(rng, trial) -> float:
@@ -367,7 +355,7 @@ def _ideal_restriction(rng, trial) -> float:
     idx = [0, 1, 2] if side == 0 else [3, 4, 5]
     sub = rm.restrict_to_subalgebra(rep, idx)
     coords = np.zeros(6, dtype=complex)
-    coords[idx] = _cgauss(rng, 3, 0.4)
+    coords[idx] = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     full = rm.cayley(rep, g).coords
     restricted = rm.cayley(sub, g).coords
@@ -401,12 +389,12 @@ IRREP_PAIRS = [(1, 2), (2, 3), (1, 4), (2, 2), (3, 4), (1, 3)]
 
 def _sum_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("irrep", m1)), _rep(("irrep", m2))
-    ref = _rep(("irrep", 1))
+    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
+    ref = _rep(("sl2_irrep", 1))
     both = catalog.direct_sum(r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jsum = catalog.dynkin_ratio(both, ref)
-    coords = _cgauss(rng, 3, 0.4)
+    coords = linalg.complex_normal(rng, 3, 0.4)
     c1 = rm.cayley(r1, catalog.realize(r1, coords)).coords
     c2 = rm.cayley(r2, catalog.realize(r2, coords)).coords
     cs = rm.cayley(both, catalog.realize(both, coords)).coords
@@ -416,12 +404,12 @@ def _sum_mix(rng, trial) -> float:
 
 def _tensor_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("irrep", m1)), _rep(("irrep", m2))
-    ref = _rep(("irrep", 1))
+    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
+    ref = _rep(("sl2_irrep", 1))
     prod = catalog.tensor(r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jprod = catalog.dynkin_ratio(prod, ref)
-    coords = _cgauss(rng, 3, 0.4)
+    coords = linalg.complex_normal(rng, 3, 0.4)
     g1, g2 = catalog.realize(r1, coords), catalog.realize(r2, coords)
     gp = catalog.realize(prod, coords)
     mix = (
@@ -434,9 +422,9 @@ def _tensor_mix(rng, trial) -> float:
 def _tensor_power_scaling(rng, trial) -> float:
     m = (1, 2)[trial % 2]
     k = (2, 3)[(trial // 2) % 2]
-    rep = _rep(("irrep", m))
+    rep = _rep(("sl2_irrep", m))
     power = catalog.tensor_power(rep, k)
-    coords = _cgauss(rng, 3, 0.4)
+    coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     gk = catalog.realize(power, coords)
     mix = (rm.character(rep, g) / rep.v_dim) ** (k - 1) * rm.cayley(rep, g).coords
@@ -445,9 +433,9 @@ def _tensor_power_scaling(rng, trial) -> float:
 
 def _dual_negation(rng, trial) -> float:
     m = 1 + trial % 4
-    rep = _rep(("irrep", m))
+    rep = _rep(("sl2_irrep", m))
     d = catalog.dual(rep)
-    coords = _cgauss(rng, 3, 0.4)
+    coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     gd = catalog.realize(d, coords)
     lhs = rm.cayley(d, gd).coords
@@ -457,24 +445,24 @@ def _dual_negation(rng, trial) -> float:
 
 def _gram_additivity(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("irrep", m1)), _rep(("irrep", m2))
+    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
     both = catalog.direct_sum(r1, r2)
     return float(np.max(np.abs(both.gram - (r1.gram + r2.gram))))
 
 
 def _gram_tensor_rule(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("irrep", m1)), _rep(("irrep", m2))
+    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
     prod = catalog.tensor(r1, r2)
     expected = r2.v_dim * r1.gram + r1.v_dim * r2.gram
     return float(np.max(np.abs(prod.gram - expected)) / (1.0 + np.max(np.abs(expected))))
 
 
 def _index_ratio_series(rng, trial) -> float:
-    ref = _rep(("irrep", 1))
+    ref = _rep(("sl2_irrep", 1))
     worst = 0.0
     for m in range(1, 6):
-        got = catalog.dynkin_ratio(_rep(("irrep", m)), ref)
+        got = catalog.dynkin_ratio(_rep(("sl2_irrep", m)), ref)
         expected = m * (m + 1) * (m + 2) / 6.0
         worst = max(worst, abs(got - expected) / expected)
     return worst
@@ -495,14 +483,14 @@ SUMTENSOR = [
 
 
 def _random_element(n, rng, scale=0.7):
-    return cl.CliffordElement(n, _cgauss(rng, 1 << n, scale))
+    return cl.CliffordElement(n, linalg.complex_normal(rng, 1 << n, scale))
 
 
 def _random_bivector(n, rng, scale=0.4):
     u = cl.CliffordElement(n)
     for a in range(n):
         for b in range(a + 1, n):
-            u.coeffs[(1 << a) | (1 << b)] = _cgauss(rng, (), scale)
+            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), scale)
     return u
 
 
@@ -541,8 +529,8 @@ def _pairing_law(rng, trial) -> float:
 
 def _contraction_anticommutator(rng, trial) -> float:
     n = _cl_n(trial)
-    x = cl.from_vector(n, _cgauss(rng, n))
-    y = cl.from_vector(n, _cgauss(rng, n))
+    x = cl.from_vector(n, linalg.complex_normal(rng, n))
+    y = cl.from_vector(n, linalg.complex_normal(rng, n))
     u = _random_element(n, rng)
     lhs = cl.epsilon(x, cl.iota(y, u)) + cl.iota(y, cl.epsilon(x, u))
     xy = complex(np.sum(x.vector_part() * y.vector_part()))
@@ -607,7 +595,7 @@ def _spin_square_law(rng, trial) -> float:
 def _spin_commutation(rng, trial) -> float:
     n = _spin_n(trial)
     w = _random_bivector(n, rng)
-    x = cl.from_vector(n, _cgauss(rng, n))
+    x = cl.from_vector(n, linalg.complex_normal(rng, n))
     e2w = cl.exterior_exp(2.0 * w)
     br = w * x - x * w
     lhs = e2w * (x - br)

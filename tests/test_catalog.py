@@ -279,3 +279,15 @@ def test_descriptor_custom_basis():
     d = {"family": "custom", "basis": [linalg.matrix_to_json(b) for b in rep.basis]}
     back = catalog.from_descriptor(d)
     assert np.allclose(back.gram, rep.gram)
+
+
+def test_family_registry_calls_makers_by_module_attribute(monkeypatch):
+    # rebinding catalog.make_* (as a tracer does) must reach every registry caller
+    calls = []
+    real = catalog.make_sl2_irrep
+    monkeypatch.setattr(catalog, "make_sl2_irrep", lambda m: calls.append(m) or real(m))
+    assert catalog.make("sl2_irrep", 2).name == "sl2irrep2"
+    assert catalog.from_descriptor({"family": "sl2_irrep", "m": 3}).g_dim == 3
+    assert calls == [2, 3]
+    with pytest.raises(ValueError):
+        catalog.make("sp", 4)

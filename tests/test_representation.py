@@ -450,6 +450,78 @@ def test_pullback_pairings_linearly_independent():
         assert sv[-1] > 1e-8 * sv[0]
 
 
+# --- the projection against a least-squares oracle ------------------------------
+
+
+def _recoordinated_sl3():
+    # a well-conditioned complex change of basis of sl3; the span is a
+    # subalgebra, but the closure check is left to structure_constants
+    rng = _rng(11)
+    q = np.linalg.qr(_cgauss(rng, (SL3.g_dim, SL3.g_dim)))[0] @ np.diag(rng.uniform(0.5, 2.0, SL3.g_dim))
+    return rm.Representation("sl3-recoord", [SL3.materialize(q[:, j]) for j in range(SL3.g_dim)], check_closure=False)
+
+
+ORACLE_REPS = [SL3, SO4, catalog.make_gl(3), catalog.make_sl2_irrep(3), _recoordinated_sl3()]
+
+
+def _oracle_coords(rep, mats):
+    """Trace-form projection coordinates by np.linalg.lstsq.
+
+    The trace-form complement of the span, {y : tr(y B_i) = 0}, is the null
+    space of the pairing rows vec(B_i^T).  The flattened basis together with
+    that complement spans all v x v matrices, so the least-squares solution
+    splits each matrix exactly into span part plus complement part.
+    """
+    v, g = rep.v_dim, rep.g_dim
+    flat = rep.stack.reshape(g, v * v)
+    pairing = np.transpose(rep.stack, (0, 2, 1)).reshape(g, v * v)
+    complement = np.linalg.svd(pairing)[2][g:].conj().T
+    system = np.hstack([flat.T, complement])
+    rhs = np.asarray(mats).reshape(-1, v * v).T
+    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return sol[:g].T.reshape(np.shape(mats)[:-2] + (g,))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("rep", ORACLE_REPS, ids=lambda r: r.name)
+def test_projection_matches_lstsq_oracle(rep):
+    rng = _rng(12)
+    stack = _cgauss(rng, (2, 3, rep.v_dim, rep.v_dim))
+    coords = rep.coords_of(stack)
+    _assert_close(coords, _oracle_coords(rep, stack))
+    # one solve over the leading axes equals one solve per matrix
+    each = np.array([[rep.coords_of(m) for m in row] for row in stack])
+    assert np.allclose(coords, each, rtol=1e-13, atol=1e-13)
+
+    g = catalog.sample_element(rep, "generic", 5).matrix
+    _assert_close(rm.cayley_jacobian(rep, g), _oracle_coords(rep, g @ rep.stack).T)
+    _assert_close(rm.adjoint_matrix(rep, g), _oracle_coords(rep, g @ rep.stack @ np.linalg.inv(g)).T)
+
+    b = rep.stack
+    comm = b[:, None] @ b[None, :] - b[None, :] @ b[:, None]
+    _assert_close(rep.structure_constants(), _oracle_coords(rep, comm))
+
+
+@pytest.mark.parametrize("rep", ORACLE_REPS, ids=lambda r: r.name)
+def test_centralizer_operator_matches_lstsq_oracle(rep, monkeypatch):
+    x = rm.cayley(rep, catalog.sample_element(rep, "generic", 6))
+    xm = x.matrix()
+    want = _oracle_coords(rep, xm @ rep.stack - rep.stack @ xm).T
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(np.array(a)) or svd(a, **kw))
+    dim = rm.centralizer_dim(rep, x)
+    monkeypatch.undo()
+    # the last SVD centralizer_dim takes is that of its operator, ad(x) on coordinates
+    _assert_close(seen[-1], want)
+    sv = np.linalg.svd(want, compute_uv=False)
+    assert dim == int(np.sum(sv < rm.KERNEL_CUTOFF * sv[0]))
+
+
 # --- zero-sum exponential inequality ------------------------------------------------
 
 
