@@ -204,11 +204,7 @@ def _spin_element_for(args) -> cl.SpinElement:
         if args.n is None:
             raise UsageError("--random needs --n")
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x5919]))
-        u = cl.CliffordElement(args.n)
-        for a in range(args.n):
-            for b in range(a + 1, args.n):
-                u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, scale=0.4)
-        return cl.spin_exp(u)
+        return cl.spin_exp(cl.random_bivector(args.n, rng))
     raise UsageError("provide --element FILE or --random")
 
 

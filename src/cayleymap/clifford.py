@@ -2,18 +2,23 @@
 
 Multivectors hold 2^n coefficients indexed by subset bitmask (bit i set
 means the generator z_{i+1} occurs), with basis blades written in increasing
-generator order.  Both products reduce to one cached table per n:
+generator order.  Each blade acts by left multiplication as a signed
+permutation of the blades,
 
     z_I z_J = c_{I,J} z_{I xor J},   c_{I,J} = (-1)^{#{(i,j) in IxJ : i > j}}
 
-with z_i^2 = 1; the wedge product is the same rule restricted to disjoint
-masks.  On top of that sit the grade involutions, the contraction/wedge
+with z_i^2 = 1, so every product is one matrix built from a cached table per
+n: left multiplication by u has L(u)[K, J] = c_{K xor J, J} u[K xor J], and
+the wedge product keeps the entries with J a subset of K (disjoint blades).
+On top of that sit the grade involutions, the contraction/wedge
 derivations, the spin group (even elements g with g alpha(g) = 1 whose
 twisted conjugation preserves V), its vector action, the bivector/skew
 isomorphism, and the classical Cayley transform b -> (1-b)(1+b)^{-1}.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,36 +28,41 @@ from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularMatrix, Singu
 # Tables grow as 4^n; the library targets desk scale (2^10 coefficients).
 MAX_N = 10
 
-_TABLES: dict[int, "_Tables"] = {}
-
 
 class _Tables:
-    """Cached product structure for fixed n: XOR targets, signs, grades."""
+    """Cached product structure for fixed n, indexed [K, J] like L(u):
+    grades, xor = K xor J, sign = c_{K xor J, J}, and wedge = (J subset of K)."""
 
     def __init__(self, n: int):
         d = 1 << n
         idx = np.arange(d, dtype=np.int64)
-        self.n = n
-        self.dim = d
         self.grades = np.bitwise_count(idx).astype(np.int64)
         self.xor = idx[:, None] ^ idx[None, :]
-        # inversions between I and J: sum over j in J of |{i in I : i > j}|
-        inv = np.zeros((d, d), dtype=np.int64)
-        for j in range(n):
-            above_j = np.bitwise_count(idx >> (j + 1))
-            jbit = (idx >> j) & 1
-            inv += above_j[:, None] * jbit[None, :]
-        self.sign = np.where(inv & 1, -1.0, 1.0)
-        self.disjoint = (idx[:, None] & idx[None, :]) == 0
-        self.colgrid = np.broadcast_to(idx, (d, d))
+        # c_{I,J} = (-1)^(number of i in I above an odd number of j in J);
+        # bit i of below[J] is set when J has an odd number of bits under i
+        below = np.zeros(d, dtype=np.int64)
+        for k in range(1, n):
+            below ^= idx << k
+        parity = np.bitwise_count(self.xor & (below & (d - 1))[None, :]) & 1
+        self.sign = np.where(parity, -1.0, 1.0)
+        self.wedge = (self.xor & idx[None, :]) == 0
 
 
+@functools.cache
 def _tables(n: int) -> _Tables:
     if n < 1 or n > MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    if n not in _TABLES:
-        _TABLES[n] = _Tables(n)
-    return _TABLES[n]
+    return _Tables(n)
+
+
+def _left(u: CliffordElement, wedge: bool = False) -> np.ndarray:
+    """Matrix of left Clifford (or, with wedge, exterior) multiplication by u."""
+    t = _tables(u.n)
+    m = u.coeffs[t.xor]
+    np.multiply(t.sign, m, out=m)
+    if wedge:
+        np.copyto(m, 0.0, where=~t.wedge)
+    return m
 
 
 class CliffordElement:
@@ -177,31 +187,29 @@ def from_vector(n: int, x) -> CliffordElement:
     return out
 
 
+def random_bivector(n: int, rng: np.random.Generator, scale: float = 0.4) -> CliffordElement:
+    """Bivector with circular Gaussian coefficients (E|c|^2 = scale^2), drawn
+    pair by pair in the order (1,2), (1,3), ..., (n-1,n)."""
+    u = CliffordElement(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), scale)
+    return u
+
+
 # --- products ------------------------------------------------------------
 
 
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    t = _tables(u.n)
-    weights = (t.sign * np.outer(u.coeffs, v.coeffs)).ravel()
-    targets = t.xor.ravel()
-    out = np.bincount(targets, weights=weights.real, minlength=t.dim) + 1j * np.bincount(
-        targets, weights=weights.imag, minlength=t.dim
-    )
-    return CliffordElement(u.n, out)
+    return CliffordElement(u.n, _left(u) @ v.coeffs)
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    t = _tables(u.n)
-    weights = (t.sign * t.disjoint * np.outer(u.coeffs, v.coeffs)).ravel()
-    targets = t.xor.ravel()
-    out = np.bincount(targets, weights=weights.real, minlength=t.dim) + 1j * np.bincount(
-        targets, weights=weights.imag, minlength=t.dim
-    )
-    return CliffordElement(u.n, out)
+    return CliffordElement(u.n, _left(u, wedge=True) @ v.coeffs)
 
 
 # --- grade involutions and derivations ------------------------------------
@@ -226,19 +234,7 @@ def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     """Left wedge by the degree-1 element x."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "epsilon direction")
-    t = _tables(u.n)
-    out = np.zeros(t.dim, dtype=complex)
-    idx = np.arange(t.dim, dtype=np.int64)
-    for i in range(u.n):
-        xi = x.coeffs[1 << i]
-        if xi == 0:
-            continue
-        free = (idx >> i) & 1 == 0
-        src = idx[free]
-        below = np.bitwise_count(src & ((1 << i) - 1))
-        sgn = np.where(below & 1, -1.0, 1.0)
-        out[src | (1 << i)] += xi * sgn * u.coeffs[src]
-    return CliffordElement(u.n, out)
+    return exterior_mul(x, u)
 
 
 def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
@@ -246,19 +242,7 @@ def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     a degree -1 super-derivation with iota(x) y = (x, y) on vectors."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "iota direction")
-    t = _tables(u.n)
-    out = np.zeros(t.dim, dtype=complex)
-    idx = np.arange(t.dim, dtype=np.int64)
-    for i in range(u.n):
-        xi = x.coeffs[1 << i]
-        if xi == 0:
-            continue
-        has = (idx >> i) & 1 == 1
-        src = idx[has]
-        below = np.bitwise_count(src & ((1 << i) - 1))
-        sgn = np.where(below & 1, -1.0, 1.0)
-        out[src ^ (1 << i)] += xi * sgn * u.coeffs[src]
-    return CliffordElement(u.n, out)
+    return CliffordElement(u.n, _left(x, wedge=True).T @ u.coeffs)
 
 
 def pairing(u: CliffordElement, v: CliffordElement) -> complex:
@@ -279,11 +263,7 @@ def _require_degree(u: CliffordElement, k: int, what: str, tol: float = 1e-10):
 
 def gamma_matrix(u: CliffordElement) -> np.ndarray:
     """Matrix of left Clifford multiplication by u in the blade basis."""
-    t = _tables(u.n)
-    m = np.empty((t.dim, t.dim), dtype=complex)
-    # for fixed column J the row map I -> I xor J is a bijection
-    m[t.xor, t.colgrid] = t.sign * u.coeffs[:, None]
-    return m
+    return _left(u)
 
 
 def volume_idempotents(n: int):
@@ -292,10 +272,9 @@ def volume_idempotents(n: int):
     mu = zeta * z_1...z_n with zeta = i^(n(n-1)/2), fixing one of the two
     valid global signs deterministically.
     """
-    t = _tables(n)
     zeta = 1j ** ((n * (n - 1) // 2) % 4)
     mu = CliffordElement(n)
-    mu.coeffs[t.dim - 1] = zeta
+    mu.coeffs[-1] = zeta
     half = scalar(n, 0.5)
     e_plus = half + 0.5 * mu
     e_minus = half - 0.5 * mu
@@ -322,15 +301,11 @@ class SpinElement:
         odd = sum(g.grade(k).norm() for k in range(1, g.n + 1, 2))
         if odd > 1e-10 * scale:
             raise NotInSpin(f"odd-degree residue {odd:.2e}")
-        unit = g * alpha(g) - scalar(g.n, 1.0)
+        ag = alpha(g)
+        unit = g * ag - scalar(g.n, 1.0)
         if unit.norm() > 1e-8 * scale * scale:
             raise NotInSpin(f"g alpha(g) != 1 (residual {unit.norm():.2e})")
-        ag = alpha(g)
-        for i in range(g.n):
-            w = g * basis_vector(g.n, i) * ag
-            resid = (w - w.grade(1)).norm()
-            if resid > 1e-8 * scale * scale:
-                raise NotInSpin(f"conjugation leaves V (residual {resid:.2e})")
+        _twisted_images(g, ag)
 
     @property
     def n(self) -> int:
@@ -350,20 +325,24 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     return SpinElement(CliffordElement(u.n, col))
 
 
-def vector_action(g: SpinElement) -> np.ndarray:
-    """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
-    gv = g.value if isinstance(g, SpinElement) else g
-    n = gv.n
-    ag = alpha(gv)
+def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
+    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin if one leaves V."""
+    n = g.n
+    scale = max(1.0, g.norm()) ** 2
     t = np.empty((n, n), dtype=complex)
-    scale = max(1.0, gv.norm()) ** 2
     for j in range(n):
-        w = gv * basis_vector(n, j) * ag
+        w = g * basis_vector(n, j) * ag
         resid = (w - w.grade(1)).norm()
         if resid > 1e-8 * scale:
             raise NotInSpin(f"twisted conjugation leaves V (residual {resid:.2e})")
         t[:, j] = w.vector_part()
     return t
+
+
+def vector_action(g: SpinElement) -> np.ndarray:
+    """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
+    gv = g.value if isinstance(g, SpinElement) else g
+    return _twisted_images(gv, alpha(gv))
 
 
 def tau(u: CliffordElement) -> np.ndarray:

@@ -315,11 +315,10 @@ def min_intercluster_gap(dec: SpectralDecomposition) -> float:
     """Smallest distance between raw eigenvalues assigned to different clusters."""
     raw = dec.raw_eigenvalues
     # Membership by nearest representative; ties are irrelevant for the gap.
-    dists = np.abs(raw[:, None] - dec.eigenvalues[None, :])
-    labels = np.argmin(dists, axis=1)
-    gap = np.inf
-    for i in range(raw.size):
-        for j in range(i + 1, raw.size):
-            if labels[i] != labels[j]:
-                gap = min(gap, abs(raw[i] - raw[j]))
-    return float(gap)
+    labels = np.argmin(np.abs(raw[:, None] - dec.eigenvalues[None, :]), axis=1)
+    diff = raw[:, None] - raw[None, :]
+    # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on
+    # complex arrays can differ in the last ulp
+    gaps = np.hypot(diff.real, diff.imag)
+    gaps[labels[:, None] == labels[None, :]] = np.inf
+    return float(gaps.min(initial=np.inf))

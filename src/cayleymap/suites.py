@@ -9,6 +9,7 @@ with the same seed reproduce every record bit for bit.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -71,14 +72,16 @@ class SuiteResult:
 
 # --- shared helpers -----------------------------------------------------------
 
-_REPS: dict = {}
-
-
+@functools.cache
 def _rep(key):
     """Catalog representations by (family, size), built once."""
-    if key not in _REPS:
-        _REPS[key] = catalog.make(*key)
-    return _REPS[key]
+    return catalog.make(*key)
+
+
+@functools.cache
+def _built(combinator, *args):
+    """combinator(*args) (a catalog direct sum, tensor, tensor power or dual), built once."""
+    return combinator(*args)
 
 
 FAMILY_KEYS = [
@@ -336,17 +339,14 @@ def _cartan_restriction(rng, trial) -> float:
     return _rel(np.linalg.norm(full - restricted), np.linalg.norm(full))
 
 
+@functools.cache
 def _so4_ideal_rep():
-    if ("so4", "ideals") not in _REPS:
-        so4 = _rep(("so", 4))
-        order = [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
-        x = {pair: so4.basis[k] for k, pair in enumerate(order)}
-        left = [x[(0, 1)] + x[(2, 3)], x[(0, 2)] - x[(1, 3)], x[(0, 3)] + x[(1, 2)]]
-        right = [x[(0, 1)] - x[(2, 3)], x[(0, 2)] + x[(1, 3)], x[(0, 3)] - x[(1, 2)]]
-        _REPS[("so4", "ideals")] = rm.Representation(
-            "so4-ideal-basis", left + right, metadata={"family": "custom"}
-        )
-    return _REPS[("so4", "ideals")]
+    so4 = _rep(("so", 4))
+    order = [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
+    x = {pair: so4.basis[k] for k, pair in enumerate(order)}
+    left = [x[(0, 1)] + x[(2, 3)], x[(0, 2)] - x[(1, 3)], x[(0, 3)] + x[(1, 2)]]
+    right = [x[(0, 1)] - x[(2, 3)], x[(0, 2)] + x[(1, 3)], x[(0, 3)] - x[(1, 2)]]
+    return rm.Representation("so4-ideal-basis", left + right, metadata={"family": "custom"})
 
 
 def _ideal_restriction(rng, trial) -> float:
@@ -391,7 +391,7 @@ def _sum_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
     r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
     ref = _rep(("sl2_irrep", 1))
-    both = catalog.direct_sum(r1, r2)
+    both = _built(catalog.direct_sum, r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jsum = catalog.dynkin_ratio(both, ref)
     coords = linalg.complex_normal(rng, 3, 0.4)
@@ -406,7 +406,7 @@ def _tensor_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
     r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
     ref = _rep(("sl2_irrep", 1))
-    prod = catalog.tensor(r1, r2)
+    prod = _built(catalog.tensor, r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jprod = catalog.dynkin_ratio(prod, ref)
     coords = linalg.complex_normal(rng, 3, 0.4)
@@ -423,7 +423,7 @@ def _tensor_power_scaling(rng, trial) -> float:
     m = (1, 2)[trial % 2]
     k = (2, 3)[(trial // 2) % 2]
     rep = _rep(("sl2_irrep", m))
-    power = catalog.tensor_power(rep, k)
+    power = _built(catalog.tensor_power, rep, k)
     coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     gk = catalog.realize(power, coords)
@@ -434,7 +434,7 @@ def _tensor_power_scaling(rng, trial) -> float:
 def _dual_negation(rng, trial) -> float:
     m = 1 + trial % 4
     rep = _rep(("sl2_irrep", m))
-    d = catalog.dual(rep)
+    d = _built(catalog.dual, rep)
     coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     gd = catalog.realize(d, coords)
@@ -446,14 +446,14 @@ def _dual_negation(rng, trial) -> float:
 def _gram_additivity(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
     r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
-    both = catalog.direct_sum(r1, r2)
+    both = _built(catalog.direct_sum, r1, r2)
     return float(np.max(np.abs(both.gram - (r1.gram + r2.gram))))
 
 
 def _gram_tensor_rule(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
     r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
-    prod = catalog.tensor(r1, r2)
+    prod = _built(catalog.tensor, r1, r2)
     expected = r2.v_dim * r1.gram + r1.v_dim * r2.gram
     return float(np.max(np.abs(prod.gram - expected)) / (1.0 + np.max(np.abs(expected))))
 
@@ -484,14 +484,6 @@ SUMTENSOR = [
 
 def _random_element(n, rng, scale=0.7):
     return cl.CliffordElement(n, linalg.complex_normal(rng, 1 << n, scale))
-
-
-def _random_bivector(n, rng, scale=0.4):
-    u = cl.CliffordElement(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), scale)
-    return u
 
 
 def _cl_n(trial, lo=2, hi=6):
@@ -559,7 +551,7 @@ def _alpha_involution(rng, trial) -> float:
 
 def _tau_differential(rng, trial) -> float:
     n = 3 + trial % 4
-    u = _random_bivector(n, rng)
+    u = cl.random_bivector(n, rng)
     eps = 1e-6
     fd = (cl.vector_action(cl.spin_exp(eps * u)) - cl.vector_action(cl.spin_exp(-eps * u))) / (2 * eps)
     return float(np.linalg.norm(fd - cl.tau(u)))
@@ -586,7 +578,7 @@ def _spin_n(trial):
 
 def _spin_square_law(rng, trial) -> float:
     n = _spin_n(trial)
-    g = cl.spin_exp(_random_bivector(n, rng))
+    g = cl.spin_exp(cl.random_bivector(n, rng))
     t = cl.vector_action(g)
     rhs = np.linalg.det(np.eye(n) + t) / 2**n
     return _rel(abs(cl.spin_scalar(g) ** 2 - rhs), abs(rhs))
@@ -594,7 +586,7 @@ def _spin_square_law(rng, trial) -> float:
 
 def _spin_commutation(rng, trial) -> float:
     n = _spin_n(trial)
-    w = _random_bivector(n, rng)
+    w = cl.random_bivector(n, rng)
     x = cl.from_vector(n, linalg.complex_normal(rng, n))
     e2w = cl.exterior_exp(2.0 * w)
     br = w * x - x * w
@@ -605,7 +597,7 @@ def _spin_commutation(rng, trial) -> float:
 
 def _spin_sample_nonsingular(rng, n):
     for _ in range(20):
-        g = cl.spin_exp(_random_bivector(n, rng))
+        g = cl.spin_exp(cl.random_bivector(n, rng))
         t = cl.vector_action(g)
         if abs(np.linalg.det(np.eye(n) + t)) > 0.1:
             return g, t
@@ -630,7 +622,7 @@ def _spin_closed_form(rng, trial) -> float:
 
 def _double_cover_sign(rng, trial) -> float:
     n = _spin_n(trial)
-    g = cl.spin_exp(_random_bivector(n, rng))
+    g = cl.spin_exp(cl.random_bivector(n, rng))
     resid = np.linalg.norm(cl.vector_action(-g) - cl.vector_action(g))
     resid = max(resid, abs(cl.spin_scalar(-g) + cl.spin_scalar(g)))
     return float(resid)

@@ -1,7 +1,11 @@
 """Clifford/exterior products, spin group, vector action and Cayley transform."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleymap import clifford as cl
 from cayleymap import linalg
@@ -15,16 +19,6 @@ def _rng(seed):
 def random_element(n, rng, scale=0.7):
     c = scale * (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)) / np.sqrt(2)
     return cl.CliffordElement(n, c)
-
-
-def random_bivector(n, rng, scale=0.4):
-    u = cl.CliffordElement(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            u.coeffs[(1 << a) | (1 << b)] = (
-                scale * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            )
-    return u
 
 
 def random_vector(n, rng):
@@ -78,6 +72,98 @@ def test_clifford_associativity():
         d2 = (((u ^ v) ^ w) - (u ^ (v ^ w))).norm()
         assert d1 <= 1e-10 * (u.norm() * v.norm() * w.norm() + 1)
         assert d2 <= 1e-10 * (u.norm() * v.norm() * w.norm() + 1)
+
+
+# --- independent oracle: reduction of generator words -------------------------------
+
+
+def _word(mask):
+    """Generator indices of the blade z_mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _reduce(word):
+    """(sign, mask) with z_word = sign * z_mask: sort the word by adjacent
+    swaps of distinct generators (each flips the sign), then cancel the now
+    adjacent pairs z_i z_i = 1."""
+    word, sign = list(word), 1
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                sign = -sign
+    mask = 0
+    for i in word:
+        mask ^= 1 << i
+    return sign, mask
+
+
+@functools.cache
+def _word_table(n):
+    """_reduce of z_I z_J for every blade pair (I, J)."""
+    return [[_reduce(_word(i) + _word(j)) for j in range(1 << n)] for i in range(1 << n)]
+
+
+def _oracle_mul(u, v, wedge=False):
+    """Clifford (or exterior) product expanded bilinearly over blade pairs."""
+    table = _word_table(u.n)
+    out = np.zeros(1 << u.n, dtype=complex)
+    for i, ui in enumerate(u.coeffs):
+        for j, vj in enumerate(v.coeffs):
+            if not (wedge and i & j):
+                sign, k = table[i][j]
+                out[k] += sign * ui * vj
+    return out
+
+
+def _oracle_iota(x, v):
+    """iota(z_i) z_J = c z_{J - i} where z_i z_{J - i} = c z_J, zero if i is not in J."""
+    table = _word_table(v.n)
+    out = np.zeros(1 << v.n, dtype=complex)
+    for i in range(v.n):
+        for j, vj in enumerate(v.coeffs):
+            if j >> i & 1:
+                sign, _ = table[1 << i][j ^ (1 << i)]
+                out[j ^ (1 << i)] += sign * x.coeffs[1 << i] * vj
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_products_match_word_oracle_on_blades(n):
+    for i in range(1 << n):
+        u = cl.basis_blade(n, i)
+        gamma = cl.gamma_matrix(u)
+        for j in range(1 << n):
+            v = cl.basis_blade(n, j)
+            sign, k = _word_table(n)[i][j]
+            want = sign * cl.basis_blade(n, k).coeffs
+            assert np.array_equal((u * v).coeffs, want)
+            assert np.array_equal(gamma[:, j], want)
+            assert np.array_equal((u ^ v).coeffs, 0 * want if i & j else want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derivations_match_word_oracle_on_blades(n):
+    for i in range(n):
+        x = cl.basis_vector(n, i)
+        for j in range(1 << n):
+            v = cl.basis_blade(n, j)
+            assert np.array_equal(cl.epsilon(x, v).coeffs, _oracle_mul(x, v, wedge=True))
+            assert np.array_equal(cl.iota(x, v).coeffs, _oracle_iota(x, v))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(n=st.sampled_from([5, 6]), seed=st.integers(0, 2**32 - 1))
+def test_products_match_word_oracle_by_bilinearity(n, seed):
+    rng = _rng(seed)
+    u, v = random_element(n, rng), random_element(n, rng)
+    x = random_vector(n, rng)
+    tol = 1e-12 * (1 + u.norm()) * (1 + v.norm())
+    assert np.abs((u * v).coeffs - _oracle_mul(u, v)).max() <= tol
+    assert np.abs((u ^ v).coeffs - _oracle_mul(u, v, wedge=True)).max() <= tol
+    assert np.abs(cl.gamma_matrix(u) @ v.coeffs - _oracle_mul(u, v)).max() <= tol
+    assert np.abs(cl.epsilon(x, v).coeffs - _oracle_mul(x, v, wedge=True)).max() <= tol
+    assert np.abs(cl.iota(x, v).coeffs - _oracle_iota(x, v)).max() <= tol
 
 
 def test_dimension_mismatch_rejected():
@@ -225,7 +311,7 @@ def test_spin_exp_rotation_series():
 def test_spin_exp_group_membership():
     rng = _rng(7)
     for n in (2, 3, 5, 8):
-        g = cl.spin_exp(random_bivector(n, rng))
+        g = cl.spin_exp(cl.random_bivector(n, rng))
         unit = g.value * cl.alpha(g.value) - cl.scalar(n, 1.0)
         assert unit.norm() < 1e-8
 
@@ -251,7 +337,7 @@ def test_vector_action_rotation_convention():
 def test_vector_action_special_orthogonal():
     rng = _rng(8)
     for n in (3, 4, 6, 8):
-        g = cl.spin_exp(random_bivector(n, rng))
+        g = cl.spin_exp(cl.random_bivector(n, rng))
         t = cl.vector_action(g)
         assert np.linalg.norm(t.T @ t - np.eye(n)) < 1e-8
         assert abs(np.linalg.det(t) - 1) < 1e-8
@@ -259,7 +345,7 @@ def test_vector_action_special_orthogonal():
 
 def test_vector_action_kernel_is_sign():
     rng = _rng(9)
-    g = cl.spin_exp(random_bivector(4, rng))
+    g = cl.spin_exp(cl.random_bivector(4, rng))
     assert np.allclose(cl.vector_action(g), cl.vector_action(-g), atol=1e-12)
 
 
@@ -283,7 +369,7 @@ def test_tau_inverse_pair():
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = 0.5 * (m - m.T)
         assert np.linalg.norm(cl.tau(cl.tau_inv(s)) - s) < 1e-10
-        u = random_bivector(n, rng)
+        u = cl.random_bivector(n, rng)
         assert (cl.tau_inv(cl.tau(u)) - u).norm() < 1e-10
 
 
@@ -296,7 +382,7 @@ def test_tau_is_vector_action_differential():
     rng = _rng(11)
     eps = 1e-6
     for n in (3, 5):
-        u = random_bivector(n, rng)
+        u = cl.random_bivector(n, rng)
         g = cl.spin_exp(eps * u)
         fd = (cl.vector_action(g) - np.eye(n)) / eps
         assert np.linalg.norm(fd - cl.tau(u)) < 1e-5
@@ -362,7 +448,7 @@ def test_spin_cayley_worked_example():
 def test_commutation_identity():
     rng = _rng(13)
     for n in (3, 4, 6):
-        w = random_bivector(n, rng)
+        w = cl.random_bivector(n, rng)
         x = random_vector(n, rng)
         e2w = cl.exterior_exp(2.0 * w)
         br = w * x - x * w
@@ -378,7 +464,7 @@ def test_factorization_and_closed_form():
         trial = 0
         while done < 4 and trial < 40:
             trial += 1
-            g = cl.spin_exp(random_bivector(n, rng))
+            g = cl.spin_exp(cl.random_bivector(n, rng))
             t = cl.vector_action(g)
             if abs(np.linalg.det(np.eye(n) + t)) < 0.1:
                 continue
@@ -396,7 +482,7 @@ def test_square_law():
     rng = _rng(15)
     for n in range(3, 9):
         for _ in range(4):
-            g = cl.spin_exp(random_bivector(n, rng))
+            g = cl.spin_exp(cl.random_bivector(n, rng))
             t = cl.vector_action(g)
             lhs = cl.spin_scalar(g) ** 2
             rhs = np.linalg.det(np.eye(n) + t) / 2**n
@@ -405,7 +491,7 @@ def test_square_law():
 
 def test_double_cover_signs():
     rng = _rng(16)
-    g = cl.spin_exp(random_bivector(5, rng))
+    g = cl.spin_exp(cl.random_bivector(5, rng))
     assert cl.spin_scalar(-g) == pytest.approx(-cl.spin_scalar(g))
     plus, minus = cl.lift_rotation(cl.vector_action(g))
     vals = sorted([cl.spin_scalar(plus), cl.spin_scalar(minus)], key=lambda z: z.real)

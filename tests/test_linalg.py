@@ -123,6 +123,20 @@ def test_spectral_projector_invariants():
     assert np.linalg.norm(s @ n - n @ s) < 1e-8
 
 
+def test_min_intercluster_gap_single_cluster_is_inf():
+    dec = linalg.spectral(2.0 * np.eye(3))
+    assert len(dec.eigenvalues) == 1
+    assert linalg.min_intercluster_gap(dec) == np.inf
+
+
+def test_min_intercluster_gap_two_clusters():
+    assert linalg.min_intercluster_gap(linalg.spectral(np.diag([1.0, 1.0, 3.0]))) == 2.0
+    # raw values join the nearest representative: {1, 1.5} and {4+i, 5+i}
+    raw = np.array([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
+    dec = linalg.SpectralDecomposition(np.array([1.25, 4.5 + 1j]), [], [], raw)
+    assert linalg.min_intercluster_gap(dec) == np.hypot(2.5, 1.0)
+
+
 # --- polynomial roots -------------------------------------------------------
 
 
