@@ -100,13 +100,19 @@ def _flatten_csv(payload: dict) -> str:
                     f"{rec['residual']!r},{rec['tolerance']!r},{int(rec['pass'])}"
                 )
         return "\n".join(lines) + "\n"
-    # generic fallback: one key,value row per scalar field
-    lines = ["key,value"]
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (int, float, str, bool)):
-            lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+    # generic fallback: one key,value row per leaf, nested keys joined by dots
+    rows = [f"{key},{value}" for key, value in _csv_leaves(payload)]
+    return "\n".join(["key,value", *rows]) + "\n"
+
+
+def _csv_leaves(value, path: str = ""):
+    """(dotted key, scalar) pairs of a JSON value; dict keys sorted, list items by index."""
+    if not isinstance(value, (dict, list)):
+        yield path, value
+        return
+    items = sorted(value.items()) if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield from _csv_leaves(child, f"{path}.{key}" if path else str(key))
 
 
 # --- commands ---------------------------------------------------------------

@@ -373,13 +373,13 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     return u
 
 
-def cayley_gamma(b: np.ndarray, rtol: float = linalg.RTOL) -> np.ndarray:
+def cayley_gamma(b: np.ndarray) -> np.ndarray:
     """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined."""
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
     shifted = np.eye(n) + b
     try:
-        return linalg.solve_linear(shifted, np.eye(n) - b, rtol=rtol)
+        return linalg.solve_linear(shifted, np.eye(n) - b)
     except SingularMatrix as exc:
         raise SingularShift("1 + b is singular") from exc
 

@@ -3,8 +3,9 @@
 Everything downstream works with small (dim <= 12) dense complex matrices,
 so the kernels here favor reproducibility and explicit tolerances over
 asymptotic speed.  Eigenvalues, solves and determinants are delegated to
-LAPACK via numpy.linalg; eigenvalue clustering, spectral projectors, the
-matrix exponential and companion-matrix root finding are built on top.
+LAPACK via numpy.linalg; clustering, spectral projectors, the matrix
+exponential and companion-matrix root finding are built on top.  Eigenvalues
+and polynomial roots share one transitive clustering rule (dedup_roots).
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateInput, SingularMatrix
 
-# Default relative tolerance for solves/condition estimates.
+# Relative tolerance for solves: a condition number above 1/RTOL is singular.
 RTOL = 1e-9
 # Default tolerance for merging nearby eigenvalues into one cluster.
 CLUSTER_TOL = 1e-6
 # Absolute tolerance for declaring two polished polynomial roots equal.
 ROOT_DEDUP_TOL = 1e-7
+# Trailing polynomial coefficients below this fraction of the largest are dropped.
+POLY_TRIM_TOL = 1e-12
+# Taylor terms of the scaled matrix exponential.
+EXP_TERMS = 24
 
 Matrix = np.ndarray
 
@@ -65,7 +70,7 @@ def complex_normal(rng: np.random.Generator, size=None, scale: float = 1.0):
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
-def solve_linear(a: Matrix, b: Matrix, rtol: float = RTOL) -> Matrix:
+def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     """Solve a @ x = b with partial pivoting; raise SingularMatrix if ill-conditioned."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -77,7 +82,7 @@ def solve_linear(a: Matrix, b: Matrix, rtol: float = RTOL) -> Matrix:
         cond = np.linalg.cond(a)
     except np.linalg.LinAlgError as exc:  # SVD failure on garbage input
         raise SingularMatrix("condition estimate failed") from exc
-    if not np.isfinite(cond) or cond > 1.0 / rtol:
+    if not np.isfinite(cond) or cond > 1.0 / RTOL:
         raise SingularMatrix(f"condition number {cond:.3e} exceeds 1/rtol")
     return np.linalg.solve(a, b)
 
@@ -90,7 +95,7 @@ def determinant(a: Matrix) -> complex:
     return complex(np.linalg.det(a))
 
 
-def matrix_exp(a: Matrix, terms: int = 24) -> Matrix:
+def matrix_exp(a: Matrix) -> Matrix:
     """Matrix exponential by scaling-and-squaring a truncated Taylor series."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -101,7 +106,7 @@ def matrix_exp(a: Matrix, terms: int = 24) -> Matrix:
     scaled = a / (2.0**squarings)
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
-    for k in range(1, terms + 1):
+    for k in range(1, EXP_TERMS + 1):
         term = term @ scaled / k
         result = result + term
         if np.linalg.norm(term, ord=np.inf) < 1e-18 * max(1.0, np.linalg.norm(result, ord=np.inf)):
@@ -114,12 +119,12 @@ def matrix_exp(a: Matrix, terms: int = 24) -> Matrix:
 class Polynomial:
     """Complex polynomial stored as ascending coefficients.
 
-    Trailing coefficients below tol * max|coeff| are stripped on
+    Trailing coefficients below POLY_TRIM_TOL * max|coeff| are stripped on
     construction, so the leading coefficient of a nonzero polynomial is
     genuinely nonzero.
     """
 
-    def __init__(self, coeffs, tol: float = 1e-12):
+    def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
@@ -128,7 +133,7 @@ class Polynomial:
             self.coeffs = np.zeros(1, dtype=complex)
         else:
             keep = c.size
-            while keep > 1 and abs(c[keep - 1]) <= tol * scale:
+            while keep > 1 and abs(c[keep - 1]) <= POLY_TRIM_TOL * scale:
                 keep -= 1
             self.coeffs = c[:keep].copy()
 
@@ -136,8 +141,8 @@ class Polynomial:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
+    def is_zero(self) -> bool:
+        return bool(np.all(self.coeffs == 0))
 
     def __call__(self, t):
         out = np.zeros_like(np.asarray(t, dtype=complex))
@@ -155,11 +160,11 @@ class Polynomial:
         return f"Polynomial({self.coeffs.tolist()})"
 
 
-def poly_roots(p: Polynomial, polish: bool = True) -> np.ndarray:
+def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots (with multiplicity) via companion-matrix eigenvalues.
 
-    polish=True runs a couple of Newton steps per root, which matters when
-    roots are later deduplicated at tight absolute tolerance.
+    Each root is polished by three Newton steps, which matters when roots
+    are later deduplicated at tight absolute tolerance.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -176,29 +181,37 @@ def poly_roots(p: Polynomial, polish: bool = True) -> np.ndarray:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("companion eigensolver stalled") from exc
-    if polish:
-        dp = p.derivative()
-        for _ in range(3):
-            slope = dp(roots)
-            safe = np.abs(slope) > 1e-14
-            roots = np.where(safe, roots - np.where(safe, p(roots), 0.0) / np.where(safe, slope, 1.0), roots)
+    dp = p.derivative()
+    for _ in range(3):
+        slope = dp(roots)
+        safe = np.abs(slope) > 1e-14
+        roots = np.where(safe, roots - np.where(safe, p(roots), 0.0) / np.where(safe, slope, 1.0), roots)
     return roots
 
 
-def dedup_roots(roots, tol: float = ROOT_DEDUP_TOL):
-    """Greedy-merge roots closer than tol; returns (representatives, multiplicities)."""
-    reps: list[complex] = []
-    groups: list[list[complex]] = []
-    for r in np.asarray(roots, dtype=complex):
-        for k, rep in enumerate(reps):
-            if abs(r - rep) < tol:
-                groups[k].append(r)
-                reps[k] = complex(np.mean(groups[k]))
-                break
-        else:
-            reps.append(complex(r))
-            groups.append([complex(r)])
-    return np.array(reps, dtype=complex), [len(g) for g in groups]
+def dedup_roots(values, tol: float = ROOT_DEDUP_TOL):
+    """Cluster complex values transitively at absolute tolerance tol.
+
+    Two values share a cluster when a chain of values, each closer than tol
+    to the next, joins them, so the clusters do not depend on input order.
+    Clusters are numbered by their first member.  Returns (representatives,
+    multiplicities): a cluster's representative is the mean of its members
+    in index order, a singleton's is its value unchanged.
+    """
+    v = np.asarray(values, dtype=complex).ravel()
+    points = v.tolist()
+    # label[i] is the index of the first member of i's cluster so far
+    label = list(range(len(points)))
+    for i, z in enumerate(points):
+        for j in range(i):
+            if label[j] != label[i] and abs(z - points[j]) < tol:
+                keep, drop = sorted((label[i], label[j]))
+                label = [keep if lab == drop else lab for lab in label]
+    members: dict[int, list[int]] = {}
+    for i, lab in enumerate(label):
+        members.setdefault(lab, []).append(i)
+    reps = [points[idx[0]] if len(idx) == 1 else np.mean(v[idx]) for idx in members.values()]
+    return np.array(reps, dtype=complex), [len(idx) for idx in members.values()]
 
 
 @dataclass
@@ -220,27 +233,6 @@ class SpectralDecomposition:
         for lam, proj in zip(self.eigenvalues, self.projectors):
             out += lam * proj
         return out
-
-
-def _cluster_values(values: np.ndarray, tol: float):
-    """Transitive clustering of complex values at absolute tolerance tol."""
-    n = values.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in groups.values()]
 
 
 def _projector_polynomial(nodes, mults, which):
@@ -293,9 +285,7 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
     tol = cluster_tol * (1.0 + np.linalg.norm(a))
-    clusters = _cluster_values(raw, tol)
-    reps = np.array([np.mean(raw[idx]) for idx in clusters])
-    mults = [len(idx) for idx in clusters]
+    reps, mults = dedup_roots(raw, tol)
     order = np.lexsort((reps.imag, reps.real))
     reps = reps[order]
     mults = [mults[i] for i in order]

@@ -153,6 +153,16 @@ def test_csv_format(capsys):
     assert len(lines) == 3
 
 
+def test_csv_format_flattens_nested_fields(capsys):
+    argv = ("psi", "--group", "sl", "--n", "2", "--element", "diag(2,0.5)")
+    _, payload = run_json(capsys, *argv)
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+    assert [float(rows["psi.0"]), float(rows["psi.1"])] == payload["psi"]
+    assert rows["group"] == payload["group"]
+
+
 def test_exit_code_usage_errors(capsys):
     assert cli.main(["map", "--group", "sl", "--n", "2", "--element", "diag(bogus)"]) == 2
     capsys.readouterr()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleymap import linalg
 from cayleymap.errors import DegenerateInput, SingularMatrix
@@ -135,6 +137,78 @@ def test_min_intercluster_gap_two_clusters():
     raw = np.array([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
     dec = linalg.SpectralDecomposition(np.array([1.25, 4.5 + 1j]), [], [], raw)
     assert linalg.min_intercluster_gap(dec) == np.hypot(2.5, 1.0)
+
+
+# --- clustering -------------------------------------------------------------
+
+
+def _components_oracle(values, tol):
+    """Breadth-first connected components of the graph |z_i - z_j| < tol,
+    numbered by first member; means in index order, singletons unchanged."""
+    n = len(values)
+    seen = [False] * n
+    reps, mults = [], []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = [start], []
+        while queue:
+            i = queue.pop(0)
+            members.append(i)
+            for j in range(n):
+                if not seen[j] and abs(values[i] - values[j]) < tol:
+                    seen[j] = True
+                    queue.append(j)
+        members.sort()
+        reps.append(values[start] if len(members) == 1 else np.mean(values[members]))
+        mults.append(len(members))
+    return np.array(reps, dtype=complex), mults
+
+
+def test_dedup_roots_chain_is_one_cluster_in_any_order():
+    # each neighbour is closer than tol = 1e-7, the ends are not: a greedy
+    # merge against a running mean splits this chain, and differently per order
+    values = np.array([0.0, 0.9e-7, 1.8e-7], dtype=complex)
+    for order in (values, values[::-1]):
+        reps, mults = linalg.dedup_roots(order)
+        assert mults == [3]
+        assert reps[0] == pytest.approx(0.9e-7, abs=1e-22)
+
+
+def test_dedup_roots_numbers_clusters_by_first_member():
+    reps, mults = linalg.dedup_roots([5.0, 1.0, 5.0 + 1e-9, 1.0], tol=1e-6)
+    assert reps.tolist() == [complex(np.mean([5.0, 5.0 + 1e-9])), 1.0]
+    assert mults == [2, 2]
+    assert all(type(m) is int for m in mults)
+    empty, none = linalg.dedup_roots([])
+    assert empty.size == 0 and none == []
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_centres=st.integers(1, 5),
+    size=st.integers(1, 10),
+)
+def test_dedup_roots_transitive_and_order_free(seed, n_centres, size):
+    # values planted around grid centres, each within 0.6 tol of its centre:
+    # two of them may be farther than tol apart yet chained through a third
+    rng = _rng(seed)
+    tol = 1e-3
+    centres = rng.integers(-3, 4, n_centres) + 1j * rng.integers(-3, 4, n_centres)
+    radius = 0.6 * tol * np.sqrt(rng.uniform(size=size))
+    values = centres[rng.integers(0, n_centres, size)] + radius * np.exp(2j * np.pi * rng.uniform(size=size))
+    reps, mults = linalg.dedup_roots(values, tol)
+    oracle_reps, oracle_mults = _components_oracle(values, tol)
+    assert mults == oracle_mults
+    assert np.array_equal(reps, oracle_reps)
+    perm_reps, perm_mults = linalg.dedup_roots(values[rng.permutation(size)], tol)
+    assert sorted(perm_mults) == sorted(mults)
+    for rep, mult in zip(reps, mults):
+        k = int(np.argmin(np.abs(perm_reps - rep)))
+        assert perm_mults[k] == mult
+        assert abs(perm_reps[k] - rep) <= 1e-15 * (1.0 + abs(rep))
 
 
 # --- polynomial roots -------------------------------------------------------
