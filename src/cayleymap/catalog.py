@@ -141,9 +141,9 @@ def torus_element(rep: Representation, a: complex) -> GroupElement:
     family = rep.metadata.get("family")
     if family == "sl2_irrep":
         m = rep.metadata["m"]
-        return GroupElement(np.diag([a ** (m - 2 * p) for p in range(m + 1)]), f"torus({a})")
+        return GroupElement(np.diag([a ** (m - 2 * p) for p in range(m + 1)]))
     if family == "sl" and rep.metadata.get("n") == 2:
-        return GroupElement(np.diag([a, 1.0 / a]), f"torus({a})")
+        return GroupElement(np.diag([a, 1.0 / a]))
     raise ValueError(f"no torus parametrization for {rep.name}")
 
 
@@ -227,9 +227,9 @@ def dynkin_ratio(rep: Representation, reference: Representation) -> float:
 # --- element construction and sampling ----------------------------------------
 
 
-def realize(rep: Representation, coords, provenance: str = "realize") -> GroupElement:
+def realize(rep: Representation, coords) -> GroupElement:
     """Group element exp(sum coords_i B_i) in the given representation."""
-    return GroupElement(linalg.matrix_exp(rep.materialize(coords)), provenance)
+    return GroupElement(linalg.matrix_exp(rep.materialize(coords)))
 
 
 def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
@@ -283,11 +283,10 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     if kind not in SAMPLE_KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; choose from {SAMPLE_KINDS}")
     rng = _rng_for(rep, kind, seed)
-    tag = f"{rep.name}:{kind}:{seed}"
     family = rep.metadata.get("family")
 
     if kind == "generic":
-        return GroupElement(linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.4))), tag)
+        return GroupElement(linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.4))))
 
     if kind in ("hyperbolic", "elliptic"):
         cartan = rep.metadata.get("cartan_indices")
@@ -300,11 +299,11 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
         coords = np.zeros(rep.g_dim, dtype=complex)
         coords[list(cartan)] = unit * rng.uniform(-0.8, 0.8, len(cartan))
         m = linalg.matrix_exp(rep.materialize(coords))
-        return GroupElement(_conjugate(rep, m, rng), tag)
+        return GroupElement(_conjugate(rep, m, rng))
 
     if kind == "unipotent":
         m = linalg.matrix_exp(_nilpotent_direction(rep, rng))
-        return GroupElement(_conjugate(rep, m, rng), tag)
+        return GroupElement(_conjugate(rep, m, rng))
 
     if kind == "cartan":
         cartan = rep.metadata.get("cartan_indices")
@@ -312,7 +311,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
             raise ValueError(f"{rep.name} has no Cartan bookkeeping")
         coords = np.zeros(rep.g_dim, dtype=complex)
         coords[list(cartan)] = linalg.complex_normal(rng, len(cartan), 0.6)
-        return GroupElement(linalg.matrix_exp(rep.materialize(coords)), tag)
+        return GroupElement(linalg.matrix_exp(rep.materialize(coords)))
 
     # trace_free: group elements whose representing matrix is itself
     # trace-free, hence lies in the algebra image; only meaningful for sl
@@ -323,7 +322,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     q = np.linalg.qr(linalg.complex_normal(rng, (n, n)))[0]
     m = q @ np.diag(lams) @ q.conj().T
     m = m - (np.trace(m) / n) * np.eye(n)  # pin the trace to exactly 0
-    return GroupElement(m, tag)
+    return GroupElement(m)
 
 
 # --- descriptors ---------------------------------------------------------------

@@ -73,7 +73,7 @@ def _element_for(args, rep):
         m = parse_matrix_arg(args.element)
         if m.shape[0] != rep.v_dim:
             raise UsageError(f"element is {m.shape[0]}x{m.shape[0]}, representation needs {rep.v_dim}")
-        return rm.GroupElement(m, provenance="cli")
+        return rm.GroupElement(m)
     if args.sample is not None:
         return catalog.sample_element(rep, args.sample, args.seed)
     raise UsageError("provide --element or --sample KIND")

@@ -27,6 +27,10 @@ from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularMatrix, Singu
 
 # Tables grow as 4^n; the library targets desk scale (2^10 coefficients).
 MAX_N = 10
+# Standard deviation of each coefficient of random_bivector.
+BIVECTOR_SCALE = 0.4
+# Relative residual allowed outside the required degree of an argument.
+DEGREE_TOL = 1e-10
 
 
 class _Tables:
@@ -187,13 +191,13 @@ def from_vector(n: int, x) -> CliffordElement:
     return out
 
 
-def random_bivector(n: int, rng: np.random.Generator, scale: float = 0.4) -> CliffordElement:
-    """Bivector with circular Gaussian coefficients (E|c|^2 = scale^2), drawn
+def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
+    """Bivector with circular Gaussian coefficients (E|c|^2 = BIVECTOR_SCALE^2), drawn
     pair by pair in the order (1,2), (1,3), ..., (n-1,n)."""
     u = CliffordElement(n)
     for a in range(n):
         for b in range(a + 1, n):
-            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), scale)
+            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), BIVECTOR_SCALE)
     return u
 
 
@@ -252,9 +256,9 @@ def pairing(u: CliffordElement, v: CliffordElement) -> complex:
     return complex(np.sum(u.coeffs * v.coeffs))
 
 
-def _require_degree(u: CliffordElement, k: int, what: str, tol: float = 1e-10):
+def _require_degree(u: CliffordElement, k: int, what: str):
     resid = (u - u.grade(k)).norm()
-    if resid > tol * max(1.0, u.norm()):
+    if resid > DEGREE_TOL * max(1.0, u.norm()):
         raise ValueError(f"{what} must be pure degree {k} (residual {resid:.2e})")
 
 

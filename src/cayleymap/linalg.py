@@ -3,9 +3,11 @@
 Everything downstream works with small (dim <= 12) dense complex matrices,
 so the kernels here favor reproducibility and explicit tolerances over
 asymptotic speed.  Eigenvalues, solves and determinants are delegated to
-LAPACK via numpy.linalg; clustering, spectral projectors, the matrix
-exponential and companion-matrix root finding are built on top.  Eigenvalues
-and polynomial roots share one transitive clustering rule (dedup_roots).
+LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
+on its eigenvalue clusters, the matrix exponential and companion-matrix root
+finding are built on top.  Eigenvalues and polynomial roots share one
+transitive clustering rule (dedup_roots), and every Jordan-type factor is one
+SpectralDecomposition.apply call.
 """
 
 from __future__ import annotations
@@ -195,8 +197,9 @@ def dedup_roots(values, tol: float = ROOT_DEDUP_TOL):
     Two values share a cluster when a chain of values, each closer than tol
     to the next, joins them, so the clusters do not depend on input order.
     Clusters are numbered by their first member.  Returns (representatives,
-    multiplicities): a cluster's representative is the mean of its members
-    in index order, a singleton's is its value unchanged.
+    labels): the list labels[i] is the cluster number of values[i], a cluster's
+    representative is the mean of its members in index order, and a
+    singleton's is its value unchanged.
     """
     v = np.asarray(values, dtype=complex).ravel()
     points = v.tolist()
@@ -210,72 +213,65 @@ def dedup_roots(values, tol: float = ROOT_DEDUP_TOL):
     members: dict[int, list[int]] = {}
     for i, lab in enumerate(label):
         members.setdefault(lab, []).append(i)
+    number = {first: k for k, first in enumerate(members)}
     reps = [points[idx[0]] if len(idx) == 1 else np.mean(v[idx]) for idx in members.values()]
-    return np.array(reps, dtype=complex), [len(idx) for idx in members.values()]
+    return np.array(reps, dtype=complex), [number[lab] for lab in label]
 
 
 @dataclass
 class SpectralDecomposition:
-    """Clustered eigenvalues with projectors onto generalized eigenspaces.
+    """Eigenvalues of `matrix` clustered by dedup_roots, sorted by real then
+    imaginary part.
 
-    raw_eigenvalues keeps the unclustered solver output; Jordan-type callers
-    use it to detect gap/tolerance ambiguity without re-solving.
+    raw_eigenvalues keeps the unclustered solver output, and labels[i] is the
+    index in eigenvalues of the cluster holding raw_eigenvalues[i]; Jordan-type
+    callers use both to detect gap/tolerance ambiguity without re-solving.
     """
 
+    matrix: np.ndarray
     eigenvalues: np.ndarray
-    projectors: list
-    multiplicities: list
     raw_eigenvalues: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def multiplicities(self) -> list[int]:
+        return np.bincount(self.labels, minlength=self.eigenvalues.size).tolist()
+
+    def apply(self, values) -> Matrix:
+        """f(matrix) for the f equal to values[k] on cluster k, with every
+        derivative zero there.
+
+        f is the confluent Hermite interpolant on the clustered spectrum, built
+        by Newton divided differences: each cluster is a node repeated to its
+        multiplicity, and a repeated node takes the derivative, 0.  So f(matrix)
+        is a polynomial in matrix and commutes with it; values = e_k gives the
+        spectral projector of cluster k (Higham 2008, Functions of Matrices,
+        ch. 1).
+        """
+        mults = self.multiplicities
+        nodes = np.repeat(self.eigenvalues, mults)
+        coeff = np.repeat(np.asarray(values, dtype=complex), mults)
+        for order in range(1, nodes.size):
+            step = nodes[order:] - nodes[:-order]
+            diff = coeff[order:] - coeff[order - 1 : -1]
+            coeff[order:] = np.divide(diff, step, out=np.zeros_like(diff), where=step != 0)
+        eye = np.eye(nodes.size, dtype=complex)
+        result = coeff[0] * eye
+        factor = eye
+        for k in range(1, nodes.size):
+            factor = factor @ (self.matrix - nodes[k - 1] * eye)
+            result = result + coeff[k] * factor
+        return result
 
     def semisimple_part(self) -> Matrix:
-        n = self.projectors[0].shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
-
-
-def _projector_polynomial(nodes, mults, which):
-    """Newton coefficients of the polynomial that is 1 to full multiplicity
-    at nodes[which] and 0 to full multiplicity at every other node.
-
-    Confluent divided differences: repeated abscissae take the derivative
-    value, which is 0 for these indicator data, so equal-node entries of the
-    table vanish identically.
-    """
-    xs = []
-    fs = []
-    for k, (x, m) in enumerate(zip(nodes, mults)):
-        xs.extend([x] * m)
-        fs.extend([1.0 if k == which else 0.0] * m)
-    xs = np.asarray(xs, dtype=complex)
-    coeff = np.asarray(fs, dtype=complex)
-    n = xs.size
-    for order in range(1, n):
-        for k in range(n - 1, order - 1, -1):
-            if xs[k] == xs[k - order]:
-                coeff[k] = 0.0
-            else:
-                coeff[k] = (coeff[k] - coeff[k - 1]) / (xs[k] - xs[k - order])
-    return xs, coeff
-
-
-def _evaluate_newton(a: Matrix, xs: np.ndarray, coeff: np.ndarray) -> Matrix:
-    n = a.shape[0]
-    result = coeff[0] * np.eye(n, dtype=complex)
-    factor = np.eye(n, dtype=complex)
-    for k in range(1, coeff.size):
-        factor = factor @ (a - xs[k - 1] * np.eye(n, dtype=complex))
-        result = result + coeff[k] * factor
-    return result
+        return self.apply(self.eigenvalues)
 
 
 def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Eigenvalues clustered at cluster_tol * (1 + ||a||) with spectral projectors.
+    """Eigenvalues of a clustered at cluster_tol * (1 + ||a||).
 
-    The projector for each cluster is a polynomial in `a` (confluent Newton
-    interpolation of the cluster indicator), so projectors commute with `a`
-    exactly and reconstruct its semisimple part as sum(lambda_i * P_i).
+    Only the eigenvalues are computed here; SpectralDecomposition.apply
+    evaluates a function of a that is constant on each cluster when asked.
     """
     a = np.asarray(a, dtype=complex)
     if cluster_tol <= 0:
@@ -285,30 +281,17 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
     tol = cluster_tol * (1.0 + np.linalg.norm(a))
-    reps, mults = dedup_roots(raw, tol)
+    reps, labels = dedup_roots(raw, tol)
     order = np.lexsort((reps.imag, reps.real))
-    reps = reps[order]
-    mults = [mults[i] for i in order]
-    projectors = []
-    for which in range(reps.size):
-        xs, coeff = _projector_polynomial(reps, mults, which)
-        projectors.append(_evaluate_newton(a, xs, coeff))
-    return SpectralDecomposition(
-        eigenvalues=reps,
-        projectors=projectors,
-        multiplicities=mults,
-        raw_eigenvalues=raw,
-    )
+    return SpectralDecomposition(a, reps[order], raw, labels=np.argsort(order)[labels])
 
 
 def min_intercluster_gap(dec: SpectralDecomposition) -> float:
-    """Smallest distance between raw eigenvalues assigned to different clusters."""
+    """Smallest distance between raw eigenvalues in different clusters."""
     raw = dec.raw_eigenvalues
-    # Membership by nearest representative; ties are irrelevant for the gap.
-    labels = np.argmin(np.abs(raw[:, None] - dec.eigenvalues[None, :]), axis=1)
     diff = raw[:, None] - raw[None, :]
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on
     # complex arrays can differ in the last ulp
     gaps = np.hypot(diff.real, diff.imag)
-    gaps[labels[:, None] == labels[None, :]] = np.inf
+    gaps[dec.labels[:, None] == dec.labels[None, :]] = np.inf
     return float(gaps.min(initial=np.inf))

@@ -39,7 +39,6 @@ class GroupElement:
     """A group element realized as its representing matrix."""
 
     matrix: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         self.matrix = linalg.as_square_matrix(self.matrix, "group element")
@@ -49,7 +48,7 @@ class GroupElement:
         return self.matrix.shape[0]
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix), provenance=self.provenance + ".inv")
+        return GroupElement(np.linalg.inv(self.matrix))
 
 
 def _mat(g) -> np.ndarray:
@@ -242,7 +241,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 
 def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecomposition:
     dec = linalg.spectral(m, cluster_tol)
-    if len(dec.multiplicities) > 1:
+    if dec.eigenvalues.size > 1:
         threshold = cluster_tol * (1.0 + np.linalg.norm(m))
         gap = linalg.min_intercluster_gap(dec)
         if gap < 2.0 * threshold:
@@ -252,46 +251,39 @@ def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecom
     return dec
 
 
-def multiplicative_jordan(g, cluster_tol: float = linalg.CLUSTER_TOL):
-    """Split g = g_s g_u into commuting semisimple and unipotent parts."""
+def _unipotent_split(g, cluster_tol: float):
+    """Checked spectrum of the invertible g with its factors g_s, g_u = g_s^-1 g."""
     m = _mat(g)
     dec = _spectral_checked(m, cluster_tol)
     if np.min(np.abs(dec.eigenvalues)) < 1e-12:
         raise ValueError("element is numerically singular; no unipotent part")
     gs = dec.semisimple_part()
-    gu = np.linalg.solve(gs, m)
+    return dec, gs, np.linalg.solve(gs, m)
+
+
+def multiplicative_jordan(g, cluster_tol: float = linalg.CLUSTER_TOL):
+    """Split g = g_s g_u into commuting semisimple and unipotent parts."""
+    _, gs, gu = _unipotent_split(g, cluster_tol)
     return gs, gu
 
 
 def additive_jordan(x, cluster_tol: float = linalg.CLUSTER_TOL):
     """Split x = x_s + x_n into commuting semisimple and nilpotent parts."""
     m = x.matrix() if isinstance(x, AlgebraVector) else _mat(x)
-    dec = _spectral_checked(m, cluster_tol)
-    xs = dec.semisimple_part()
+    xs = _spectral_checked(m, cluster_tol).semisimple_part()
     return xs, m - xs
 
 
 def ehu_decomposition(g, cluster_tol: float = linalg.CLUSTER_TOL):
     """Split g = g_e g_h g_u with unit-modulus, positive-real and unipotent parts.
 
-    The elliptic and hyperbolic factors carry the phases e^{i arg(lambda)}
-    and moduli |lambda| of the clustered eigenvalues on shared projectors,
-    so all three factors commute.
+    g_e and g_h are the functions of g equal to the phase lambda/|lambda| and
+    the modulus |lambda| on each eigenvalue cluster; like g_s they are
+    polynomials in g, so all three factors commute.
     """
-    m = _mat(g)
-    dec = _spectral_checked(m, cluster_tol)
-    if np.min(np.abs(dec.eigenvalues)) < 1e-12:
-        raise ValueError("element is numerically singular")
-    n = m.shape[0]
-    ge = np.zeros((n, n), dtype=complex)
-    gh = np.zeros((n, n), dtype=complex)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        r = abs(lam)
-        ge += (lam / r) * proj
-        gh += r * proj
-    gs = dec.semisimple_part()
-    gu = np.linalg.solve(gs, m)
-    return ge, gh, gu
+    dec, _, gu = _unipotent_split(g, cluster_tol)
+    r = np.abs(dec.eigenvalues)
+    return dec.apply(dec.eigenvalues / r), dec.apply(r), gu
 
 
 # --- centralizers and restriction --------------------------------------------

@@ -196,8 +196,7 @@ def _jordan_sample(rng, n, rep):
     u[0, 1] = rng.normal() + 1j * rng.normal()
     if n >= 4 and rng.uniform() < 0.5:
         u[1, 2] = rng.normal() + 1j * rng.normal()
-    q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
-    return q @ (s @ u) @ np.linalg.inv(q)
+    return catalog._conjugate(rep, s @ u, rng)
 
 
 def _jordan_semisimple(rng, trial) -> float:
@@ -482,12 +481,13 @@ SUMTENSOR = [
 # --- clifford suite ---------------------------------------------------------------------------
 
 
-def _random_element(n, rng, scale=0.7):
-    return cl.CliffordElement(n, linalg.complex_normal(rng, 1 << n, scale))
+def _random_element(n, rng):
+    return cl.CliffordElement(n, linalg.complex_normal(rng, 1 << n, 0.7))
 
 
-def _cl_n(trial, lo=2, hi=6):
-    return lo + trial % (hi - lo + 1)
+def _cl_n(trial):
+    """Algebra dimension n = 2..6, cycling with the trial."""
+    return 2 + trial % 5
 
 
 def _clifford_associativity(rng, trial) -> float:

@@ -91,8 +91,8 @@ def test_spectral_clusters_repeated_diagonal():
 
 def test_spectral_jordan_block_single_projector():
     dec = linalg.spectral(np.array([[1.0, 1.0], [0.0, 1.0]]), cluster_tol=1e-6)
-    assert len(dec.projectors) == 1
-    assert np.allclose(dec.projectors[0], np.eye(2), atol=1e-8)
+    assert dec.multiplicities == [2]
+    assert np.allclose(dec.apply([1.0]), np.eye(2), atol=1e-8)
     assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-7)
 
 
@@ -111,12 +111,13 @@ def test_spectral_projector_invariants():
     rng = _rng(5)
     a = _random_complex(rng, (6, 6))
     dec = linalg.spectral(a)
-    total = sum(dec.projectors)
+    projectors = [dec.apply(e) for e in np.eye(dec.eigenvalues.size)]
+    total = sum(projectors)
     assert np.allclose(total, np.eye(6), atol=1e-8)
     assert sum(dec.multiplicities) == 6
-    for i, p in enumerate(dec.projectors):
+    for i, p in enumerate(projectors):
         assert np.linalg.norm(p @ p - p) < 1e-8
-        for j, q in enumerate(dec.projectors):
+        for j, q in enumerate(projectors):
             if i != j:
                 assert np.linalg.norm(p @ q) < 1e-8
     # remainder (nilpotent part) commutes with the semisimple part
@@ -133,10 +134,51 @@ def test_min_intercluster_gap_single_cluster_is_inf():
 
 def test_min_intercluster_gap_two_clusters():
     assert linalg.min_intercluster_gap(linalg.spectral(np.diag([1.0, 1.0, 3.0]))) == 2.0
-    # raw values join the nearest representative: {1, 1.5} and {4+i, 5+i}
+    # clusters {1, 1.5} and {4+i, 5+i}, given by labels
     raw = np.array([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
-    dec = linalg.SpectralDecomposition(np.array([1.25, 4.5 + 1j]), [], [], raw)
+    dec = linalg.SpectralDecomposition(np.diag(raw), np.array([1.25, 4.5 + 1j]), raw, np.array([0, 1, 0, 1]))
     assert linalg.min_intercluster_gap(dec) == np.hypot(2.5, 1.0)
+
+
+def test_min_intercluster_gap_follows_chained_clusters():
+    # the chain 0..5.4e-3 (steps 0.9e-3 < tol = 1e-3) is one cluster, 2.1e-3
+    # from 7.5e-3; its end 5.4e-3 lies nearer 7.5e-3 than the chain's mean
+    # 2.7e-3, so membership by nearest mean would report 0.9e-3 as the gap
+    m = np.diag([0.0, 0.9, 1.8, 2.7, 3.6, 4.5, 5.4, 7.5]) * 1e-3
+    dec = linalg.spectral(m, cluster_tol=1e-3 / (1.0 + np.linalg.norm(m)))
+    assert dec.multiplicities == [7, 1]
+    assert all(type(m) is int for m in dec.multiplicities)
+    assert linalg.min_intercluster_gap(dec) == pytest.approx(2.1e-3, rel=1e-12)
+
+
+def _jordan_block_matrix(rng):
+    """Conjugated Jordan form with blocks of sizes 2 and 1 at lam, 3 at mu."""
+    lam, mu = _random_complex(rng, 2)
+    j = np.diag([lam, lam, lam, mu, mu, mu])
+    j[0, 1] = j[3, 4] = j[4, 5] = 1.0
+    v = _random_complex(rng, (6, 6)) + 3.0 * np.eye(6)
+    return v @ j @ np.linalg.inv(v)
+
+
+@pytest.mark.parametrize("kind", ["random", "jordan"])
+def test_apply_is_linear_in_values_and_commutes(kind):
+    rng = _rng(9)
+    for _ in range(5):
+        a = _random_complex(rng, (6, 6)) if kind == "random" else _jordan_block_matrix(rng)
+        # a 3x3 Jordan block's eigenvalues scatter like eps^(1/3) ~ 1e-5
+        dec = linalg.spectral(a, cluster_tol=1e-4)
+        assert dec.eigenvalues.size == (6 if kind == "random" else 2)
+        values = _random_complex(rng, dec.eigenvalues.size)
+        f = dec.apply(values)
+        by_parts = sum(v * dec.apply(e) for v, e in zip(values, np.eye(values.size)))
+        scale = 1.0 + np.linalg.norm(f)
+        assert np.linalg.norm(f - by_parts) < 1e-8 * scale
+        assert np.linalg.norm(f @ a - a @ f) < 1e-8 * scale * (1.0 + np.linalg.norm(a))
+        if kind == "random":
+            # distinct eigenvalues: f(a) = V diag(f(lambda_i)) V^-1
+            lams, v = np.linalg.eig(a)
+            k = np.argmin(np.abs(lams[:, None] - dec.eigenvalues[None, :]), axis=1)
+            assert np.linalg.norm(f - v @ np.diag(values[k]) @ np.linalg.inv(v)) < 1e-8 * scale
 
 
 # --- clustering -------------------------------------------------------------
@@ -171,16 +213,17 @@ def test_dedup_roots_chain_is_one_cluster_in_any_order():
     # merge against a running mean splits this chain, and differently per order
     values = np.array([0.0, 0.9e-7, 1.8e-7], dtype=complex)
     for order in (values, values[::-1]):
-        reps, mults = linalg.dedup_roots(order)
-        assert mults == [3]
+        reps, labels = linalg.dedup_roots(order)
+        assert np.bincount(labels).tolist() == [3]
         assert reps[0] == pytest.approx(0.9e-7, abs=1e-22)
 
 
 def test_dedup_roots_numbers_clusters_by_first_member():
-    reps, mults = linalg.dedup_roots([5.0, 1.0, 5.0 + 1e-9, 1.0], tol=1e-6)
+    reps, labels = linalg.dedup_roots([5.0, 1.0, 5.0 + 1e-9, 1.0], tol=1e-6)
     assert reps.tolist() == [complex(np.mean([5.0, 5.0 + 1e-9])), 1.0]
-    assert mults == [2, 2]
-    assert all(type(m) is int for m in mults)
+    assert labels == [0, 1, 0, 1]
+    assert np.bincount(labels).tolist() == [2, 2]
+    assert all(type(k) is int for k in labels)
     empty, none = linalg.dedup_roots([])
     assert empty.size == 0 and none == []
 
@@ -199,11 +242,13 @@ def test_dedup_roots_transitive_and_order_free(seed, n_centres, size):
     centres = rng.integers(-3, 4, n_centres) + 1j * rng.integers(-3, 4, n_centres)
     radius = 0.6 * tol * np.sqrt(rng.uniform(size=size))
     values = centres[rng.integers(0, n_centres, size)] + radius * np.exp(2j * np.pi * rng.uniform(size=size))
-    reps, mults = linalg.dedup_roots(values, tol)
+    reps, labels = linalg.dedup_roots(values, tol)
+    mults = np.bincount(labels).tolist()
     oracle_reps, oracle_mults = _components_oracle(values, tol)
     assert mults == oracle_mults
     assert np.array_equal(reps, oracle_reps)
-    perm_reps, perm_mults = linalg.dedup_roots(values[rng.permutation(size)], tol)
+    perm_reps, perm_labels = linalg.dedup_roots(values[rng.permutation(size)], tol)
+    perm_mults = np.bincount(perm_labels).tolist()
     assert sorted(perm_mults) == sorted(mults)
     for rep, mult in zip(reps, mults):
         k = int(np.argmin(np.abs(perm_reps - rep)))
@@ -230,8 +275,8 @@ def test_poly_roots_sqrt2_by_substitution():
 def test_poly_roots_triple_multiplicity():
     # (t-1)^3 expanded
     roots = linalg.poly_roots(linalg.Polynomial([-1.0, 3.0, -3.0, 1.0]))
-    reps, mults = linalg.dedup_roots(roots, tol=1e-4)
-    assert mults == [3]
+    reps, labels = linalg.dedup_roots(roots, tol=1e-4)
+    assert np.bincount(labels).tolist() == [3]
     assert reps[0] == pytest.approx(1.0, abs=1e-4)
 
 

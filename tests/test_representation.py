@@ -294,6 +294,18 @@ def test_cluster_ambiguity_raised():
         rm.multiplicative_jordan(g, cluster_tol=1e-6)
 
 
+def test_chained_cluster_is_not_ambiguous():
+    # clusters {0..5.4e-3} (a chain of 0.9e-3 steps) and {7.5e-3} lie 2.1e-3
+    # apart, above twice the threshold 1e-3, so the split is unambiguous
+    m = np.diag([0.0, 0.9, 1.8, 2.7, 3.6, 4.5, 5.4, 7.5]) * 1e-3
+    xs, xn = rm.additive_jordan(m, cluster_tol=1e-3 / (1.0 + np.linalg.norm(m)))
+    # xs is a polynomial in the diagonal m, within one threshold of the
+    # cluster values 2.7e-3 (the chain's mean) and 7.5e-3
+    assert np.array_equal(xs, np.diag(np.diag(xs)))
+    assert np.max(np.abs(np.diag(xs) - np.array([2.7e-3] * 7 + [7.5e-3]))) < 1e-3
+    assert np.allclose(xs + xn, m, rtol=0, atol=1e-15)
+
+
 def test_jordan_semisimple_compatibility():
     # projection commutes with taking semisimple parts
     rng = _rng(7)
