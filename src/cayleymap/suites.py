@@ -37,6 +37,8 @@ class ClaimRecord:
     residual: float
     tolerance: float
     passed: bool
+    # "<exception type>: <message>" when the trial raised instead of returning
+    error: str | None = None
 
 
 @dataclass
@@ -64,6 +66,7 @@ class SuiteResult:
                     "residual": r.residual,
                     "tolerance": r.tolerance,
                     "pass": r.passed,
+                    **({} if r.error is None else {"error": r.error}),
                 }
                 for r in self.records
             ],
@@ -740,12 +743,13 @@ def run_suite(name: str, trials: int = 50, seed: int = 0, tol_scale: float = 1.0
         tol = claim.tolerance * tol_scale
         for trial in range(trials):
             rng = _trial_rng(seed, name, claim.id, trial)
+            error = None
             try:
                 residual = float(claim.run(rng, trial))
-            except Exception:
+            except Exception as exc:
                 # a blown-up trial is a failure, never an abort
-                residual = float("inf")
-            records.append(ClaimRecord(claim.id, trial, residual, tol, residual <= tol))
+                residual, error = float("inf"), f"{type(exc).__name__}: {exc}"
+            records.append(ClaimRecord(claim.id, trial, residual, tol, residual <= tol, error))
     records.sort(key=lambda r: (r.claim, r.trial))
     failures = sum(1 for r in records if not r.passed)
     worst = max((r.residual for r in records), default=0.0)

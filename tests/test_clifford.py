@@ -321,6 +321,47 @@ def test_spin_exp_rejects_non_bivector():
         cl.spin_exp(cl.basis_vector(3, 0))
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), log_scale=st.floats(-6.0, np.log10(20.0)), seed=st.integers(0, 2**32 - 1))
+def test_spin_exp_matches_dense_exponential(n, log_scale, seed):
+    u = 10.0**log_scale * cl.random_bivector(n, _rng(seed))
+    dense = linalg.matrix_exp(cl.gamma_matrix(u))[:, 0]
+    got = cl.spin_exp(u).value.coeffs
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_spin_exp_on_singular_set_of_closed_form(n):
+    # exp(theta z1 z2) = cos(theta) + sin(theta) z1 z2; at theta = pi/2 it acts
+    # on V as a half turn, where 1 + T is singular and the closed form has no answer
+    th = np.pi / 2
+    g = cl.spin_exp(th * cl.basis_blade(n, 0b11))
+    want = np.cos(th) * cl.scalar(n, 1.0) + np.sin(th) * cl.basis_blade(n, 0b11)
+    assert np.abs(g.value.coeffs - want.coeffs).max() <= 1e-14
+    assert abs(np.linalg.det(np.eye(n) + cl.vector_action(g))) <= 1e-14
+
+
+def test_spin_exp_n10_against_rotation_oracles():
+    n = 10
+    u = cl.random_bivector(n, _rng(19))
+    g = cl.spin_exp(u)
+    rot = linalg.matrix_exp(cl.tau(u))
+    assert np.linalg.norm(cl.vector_action(g) - rot) <= 1e-10 * np.linalg.norm(rot)
+    rhs = np.linalg.det(np.eye(n) + rot) / 2**n
+    assert abs(cl.spin_scalar(g) ** 2 - rhs) <= 1e-10 * (1 + abs(rhs))
+
+
+def test_spin_exp_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("spin_exp must not build the 2^n x 2^n matrix")
+
+    monkeypatch.setattr(cl, "gamma_matrix", refuse)
+    monkeypatch.setattr(linalg, "matrix_exp", refuse)
+    g = cl.spin_exp(cl.random_bivector(10, _rng(20)))
+    assert isinstance(g, cl.SpinElement)
+    cl.SpinElement(g.value)
+
+
 def test_vector_action_identity():
     g = cl.SpinElement(cl.scalar(4, 1.0))
     assert np.allclose(cl.vector_action(g), np.eye(4))
@@ -371,6 +412,44 @@ def test_tau_inverse_pair():
         assert np.linalg.norm(cl.tau(cl.tau_inv(s)) - s) < 1e-10
         u = cl.random_bivector(n, rng)
         assert (cl.tau_inv(cl.tau(u)) - u).norm() < 1e-10
+
+
+def _tau_loop(u):
+    s = np.zeros((u.n, u.n), dtype=complex)
+    for a in range(u.n):
+        for b in range(a + 1, u.n):
+            c = u.coeffs[(1 << a) | (1 << b)]
+            s[a, b] = 2.0 * c
+            s[b, a] = -2.0 * c
+    return s
+
+
+def _tau_inv_loop(s):
+    u = cl.CliffordElement(s.shape[0])
+    for a in range(u.n):
+        for b in range(a + 1, u.n):
+            u.coeffs[(1 << a) | (1 << b)] = 0.5 * s[a, b]
+    return u
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_tau_and_inverse_match_pairwise_loops_bitwise(n):
+    rng = _rng(100 + n)
+    zeros = np.array([0.0, -0.0])
+    for trial in range(6):
+        u = cl.random_bivector(n, rng)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s = m - m.T
+        if trial % 2:
+            # signed zeros must come out exactly as the loops write them
+            pick = rng.random(u.coeffs.shape) < 0.5
+            u.coeffs[pick] = rng.choice(zeros, pick.sum()) + 1j * rng.choice(zeros, pick.sum())
+            rows, cols = np.triu_indices(n, 1)
+            hit = rng.random(rows.size) < 0.5
+            s[rows[hit], cols[hit]] = complex(-0.0, 0.0)
+            s[cols[hit], rows[hit]] = complex(0.0, -0.0)
+        assert cl.tau(u).tobytes() == _tau_loop(u).tobytes()
+        assert cl.tau_inv(s).coeffs.tobytes() == _tau_inv_loop(s).coeffs.tobytes()
 
 
 def test_tau_rejects_non_skew():

@@ -90,6 +90,26 @@ def test_raising_claim_becomes_failure_not_abort(monkeypatch):
     assert all(r.passed for r in good)
 
 
+def test_raising_claim_records_its_error(monkeypatch):
+    def explode(rng, trial):
+        raise ZeroDivisionError(f"trial {trial}")
+
+    claims = list(suites.SUITES["clifford"])
+    broken = claims[1]
+    claims[1] = suites.Claim(broken.id, broken.statement, broken.tolerance, explode)
+    monkeypatch.setitem(suites.SUITES, "clifford", claims)
+    result = suites.run_suite("clifford", trials=2, seed=0)
+    assert len(result.records) == 2 * len(claims)
+    for r, rec in zip(result.records, result.to_json()["records"]):
+        if r.claim == broken.id:
+            assert r.error == rec["error"] == f"ZeroDivisionError: trial {r.trial}"
+            assert not r.passed and not rec["pass"] and r.residual == float("inf")
+        else:
+            # every other claim still ran, passed, and reports no error key
+            assert r.error is None and "error" not in rec and r.passed
+    assert result.failures == 2
+
+
 def test_claim_statements_cover_all_ids():
     statements = suites.claim_statements()
     for claims in suites.SUITES.values():
