@@ -239,7 +239,7 @@ def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
 
 def _conjugate(rep: Representation, m: np.ndarray, rng) -> np.ndarray:
     q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
-    return q @ m @ np.linalg.inv(q)
+    return q @ m @ linalg.inverse(q, "conjugator")
 
 
 def _nilpotent_direction(rep: Representation, rng) -> np.ndarray:

@@ -139,7 +139,7 @@ def cmd_psi(args) -> int:
     g = _element_for(args, rep)
     m = g.matrix
     if args.inverse:
-        m = np.linalg.inv(m)
+        m = linalg.inverse(m, "element")
     value = rm.psi(rep, m)
     payload = {"command": "psi", "group": rep.name, "inverse": bool(args.inverse), "psi": linalg.complex_to_json(value)}
     _emit(payload, args)
@@ -318,8 +318,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    # numpy's LinAlgError (a singular element, say) subclasses ValueError but
-    # is a failed mathematical precondition, not a usage error
+    # numpy's LinAlgError (from a numpy call that raises it untyped)
+    # subclasses ValueError but is a failed mathematical precondition,
+    # not a usage error
     except (CayleyMapError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return MATH_ERROR

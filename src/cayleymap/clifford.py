@@ -7,13 +7,25 @@ permutation of the blades,
 
     z_I z_J = c_{I,J} z_{I xor J},   c_{I,J} = (-1)^{#{(i,j) in IxJ : i > j}}
 
-with z_i^2 = 1, so every product is one matrix built from a cached table per
-n: left multiplication by u has L(u)[K, J] = c_{K xor J, J} u[K xor J], and
-the wedge product keeps the entries with J a subset of K (disjoint blades).
-A bivector u needs only the n(n-1)/2 rows B = {a, b} of that table: its
-product u v = sum_B u_B c_{B, K xor B} v[K xor B] is one gather, O(n^2 2^n)
-instead of O(4^n), and the spin exponential exp(u) is computed as its
-action on 1 through that product, with no 2^n x 2^n matrix.
+with z_i^2 = 1.  A cached table per n gives the regular representation:
+left multiplication by u has L(u)[K, J] = c_{K xor J, J} u[K xor J], the
+wedge product keeps the entries with J a subset of K (disjoint blades), and
+the contraction is the transpose of the wedge.  Building L(u) costs O(4^n).
+
+The Clifford product itself uses the spinor image instead.  Over C,
+Cl_{2m} is the matrix algebra M_{2^m}(C) (Lounesto, Clifford Algebras and
+Spinors, ch. 16): the Jordan-Wigner generators
+
+    z_{2q+1} = Z..Z X 1..1,   z_{2q+2} = Z..Z Y 1..1   (q factors Z, q < m)
+
+make every blade a phase times a Pauli string, z_I = w_I X^x Z^z, and u maps
+to the D x D matrix Gamma(u) = sum_I u_I w_I X^x Z^z with D = 2^ceil(n/2);
+odd n is embedded in Cl_{n+1}, whose product keeps Cl_n.  Gamma(u) is one
+gather of u w into a D x D array by (x, z), one product with the +-1
+Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
+the inverse map is the same steps in reverse.  So u v = Gamma^{-1}(Gamma(u) Gamma(v)),
+a D x D matmul, and the spin exponential is a Taylor series of D x D
+matmuls; neither builds a 2^n x 2^n matrix.
 On top of that sit the grade involutions, the contraction/wedge
 derivations, the spin group (even elements g with g alpha(g) = 1 whose
 twisted conjugation preserves V), its vector action, the bivector/skew
@@ -61,6 +73,60 @@ def _tables(n: int) -> _Tables:
     if n < 1 or n > MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     return _Tables(n)
+
+
+class _Spinor:
+    """The spinor image Gamma for fixed n, on m = ceil(n/2) qubits, D = 2^m.
+
+    Blade z_I is w_I X^x Z^z with x, z bitmasks over the qubits.  The table
+    grows one generator at a time, z_{I + 2^k} = z_I z_{k+1} for I < 2^k:
+    with q, y = divmod(k, 2), z_{k+1} is Z on every qubit below q times X on
+    qubit q (times Z there and the phase i when y = 1, as Y = i X Z), and
+    Z^z X^(2^q) = (-1)^(bit q of z) X^(2^q) Z^z.  For odd n only the first
+    2^n of the 4^m blades of Cl_{n+1} belong to Cl_n.
+    """
+
+    def __init__(self, n: int):
+        m = (n + 1) // 2
+        d = 1 << m
+        w = np.ones(1, dtype=complex)
+        x = z = np.zeros(1, dtype=np.int64)
+        for k in range(2 * m):
+            q, y = divmod(k, 2)
+            gx, gz = 1 << q, (1 << (q + y)) - 1
+            w = np.concatenate([w, w * (1j if y else 1.0) * np.where(z & gx, -1.0, 1.0)])
+            x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
+        self.d = d
+        # position of each blade in the (x, z) array, and the blade at each
+        # position; positions of blades outside Cl_n get phase 0
+        self.pos = (x * d + z)[: 1 << n]
+        src = np.argsort(x * d + z)
+        kept = src < (1 << n)
+        self.src = np.where(kept, src, 0)
+        self.phase = np.where(kept, w[src], 0.0)
+        self.unphase = np.conj(w[: 1 << n]) / d
+        r = np.arange(d)
+        # complex, so that matmuls against it need no cast
+        self.hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0).astype(complex)
+        # X^x Z^z has entry (-1)^{c . z} at [x xor c, c]
+        self.gather = ((r[:, None] ^ r[None, :]) * d + r[None, :]).ravel()
+
+    def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
+        """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""
+        k, d = len(coeffs), self.d
+        p = (coeffs.take(self.src, axis=1) * self.phase).reshape(k, d, d) @ self.hadamard
+        return p.reshape(k, d * d).take(self.gather, axis=1).reshape(k, d, d)
+
+    def from_spinor(self, gamma: np.ndarray) -> np.ndarray:
+        """The 2^n coefficients u with Gamma(u) = gamma, for gamma in the image."""
+        d = self.d
+        p = gamma.reshape(d * d).take(self.gather).reshape(d, d) @ self.hadamard
+        return p.reshape(d * d).take(self.pos) * self.unphase
+
+
+@functools.cache
+def _spinor(n: int) -> _Spinor:
+    return _Spinor(n)
 
 
 def _left(u: CliffordElement, wedge: bool = False) -> np.ndarray:
@@ -133,7 +199,7 @@ class CliffordElement:
         return complex(self.coeffs[0])
 
     def vector_part(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << i] for i in range(self.n)])
+        return self.coeffs[1 << np.arange(self.n)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -191,7 +257,7 @@ def from_vector(n: int, x) -> CliffordElement:
     if x.shape != (n,):
         raise ValueError(f"expected vector of length {n}")
     out = CliffordElement(n)
-    out.coeffs[[1 << i for i in range(n)]] = x
+    out.coeffs[1 << np.arange(n)] = x
     return out
 
 
@@ -211,7 +277,9 @@ def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    return CliffordElement(u.n, _left(u) @ v.coeffs)
+    spinor = _spinor(u.n)
+    gu, gv = spinor.to_spinor(np.array([u.coeffs, v.coeffs]))
+    return CliffordElement(u.n, spinor.from_spinor(gu @ gv))
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
@@ -224,17 +292,6 @@ def _bivector_blades(n: int):
     """Generator pairs a < b in np.triu_indices order and the masks of z_{a+1} z_{b+1}."""
     a, b = np.triu_indices(n, 1)
     return a, b, (1 << a) | (1 << b)
-
-
-def _bivector_left(n: int, coeffs: np.ndarray):
-    """Left multiplication by the bivector u = sum_B coeffs[B] z_B (B over the
-    _bivector_blades masks) as p = n(n-1)/2 signed permutations:
-    (u v)[K] = sum_B coef[B, K] v[cols[B, K]] with cols[B, K] = K xor B and
-    coef[B, K] = coeffs[B] c_{B, K xor B}; returns (cols, coef), both (p, 2^n)."""
-    t = _tables(n)
-    _, _, masks = _bivector_blades(n)
-    cols = t.xor[masks]
-    return cols, coeffs[:, None] * t.sign[np.arange(1 << n), cols]
 
 
 # --- grade involutions and derivations ------------------------------------
@@ -344,31 +401,33 @@ class SpinElement:
 
 
 def spin_exp(u: CliffordElement) -> SpinElement:
-    """Clifford exponential exp(u) of a bivector, computed as its action on 1.
+    """Clifford exponential exp(u) of a bivector, through the spinor image.
 
-    Left multiplication by u has 1-norm at most sum |u_B| (each blade acts as
-    a signed permutation), so with s = max(1, ceil(sum |u_B|)) the vector 1
-    is multiplied s times by exp(u/s), each a Taylor series in the
-    blade-sparse product of _bivector_left.  A series stops once two
-    consecutive terms fall below 1e-18 of the sum, as in linalg.matrix_exp,
-    or after linalg.EXP_TERMS terms (Al-Mohy & Higham 2011, SIAM J. Sci.
-    Comput. 33(2)).  Each term costs O(n^2 2^n); the number of terms grows
-    linearly with sum |u_B|.
+    Each Gamma(z_B) is a unitary Pauli string, so Gamma(u) has 2-norm at most
+    sum |u_B|.  With s = max(1, ceil(sum |u_B|)), exp(Gamma(u/s)) is a Taylor
+    series of D x D matmuls that stops once two consecutive terms fall below
+    1e-18 of the sum, as in linalg.matrix_exp, or after linalg.EXP_TERMS
+    terms (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33(2)); it is raised
+    to the s-th power by repeated squaring and mapped back once.  The cost is
+    two transforms of 2^n coefficients plus one D x D matmul per term and
+    O(log s) for the power, each D^3 = 2^(3n/2) flops for even n, against
+    O(4^n) to build one regular-representation matrix; the number of terms
+    grows with sum |u_B|.
     """
     _require_degree(u, 2, "spin_exp argument")
     _, _, masks = _bivector_blades(u.n)
     steps = max(1, int(np.ceil(np.abs(u.coeffs[masks]).sum())))
-    cols, coef = _bivector_left(u.n, u.coeffs[masks] / steps)
-    v = scalar(u.n, 1.0).coeffs
-    for _ in range(steps):
-        term, small = v, 0
-        for k in range(1, linalg.EXP_TERMS + 1):
-            term = (coef * term[cols]).sum(axis=0) / k
-            v = v + term
-            small = small + 1 if np.abs(term).max() < 1e-18 * max(1.0, np.abs(v).max()) else 0
-            if small == 2:
-                break
-    return SpinElement(CliffordElement(u.n, v))
+    spinor = _spinor(u.n)
+    (x,) = spinor.to_spinor(u.coeffs[None] / steps)
+    e = term = np.eye(spinor.d, dtype=complex)
+    small = 0
+    for k in range(1, linalg.EXP_TERMS + 1):
+        term = term @ x / k
+        e = e + term
+        small = small + 1 if np.abs(term).max() < 1e-18 * max(1.0, np.abs(e).max()) else 0
+        if small == 2:
+            break
+    return SpinElement(CliffordElement(u.n, spinor.from_spinor(np.linalg.matrix_power(e, steps))))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:

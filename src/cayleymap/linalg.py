@@ -89,6 +89,18 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     return np.linalg.solve(a, b)
 
 
+def inverse(a: Matrix, what: str) -> Matrix:
+    """np.linalg.inv, with SingularMatrix where LU meets an exactly zero pivot.
+
+    No condition check: callers invert group elements, which may be badly
+    conditioned yet are used as they stand.
+    """
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"{what} is singular") from exc
+
+
 def determinant(a: Matrix) -> complex:
     """Determinant via pivoted elimination (LAPACK LU); 0 for singular input."""
     a = np.asarray(a, dtype=complex)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant
+from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix
 
 # Gram matrices with smaller relative singular values count as degenerate.
 GRAM_SINGULAR_TOL = 1e-12
@@ -48,7 +48,7 @@ class GroupElement:
         return self.matrix.shape[0]
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix))
+        return GroupElement(linalg.inverse(self.matrix, "group element"))
 
 
 def _mat(g) -> np.ndarray:
@@ -230,8 +230,9 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     representation.
     """
     bm = _mat(b)
+    conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
     try:
-        return rep.coords_of(bm @ rep.stack @ np.linalg.inv(bm), residual_tol=ADJOINT_RESIDUAL_TOL).T
+        return rep.coords_of(conj, residual_tol=ADJOINT_RESIDUAL_TOL).T
     except NotASubalgebra as exc:
         raise NotEquivariant(f"conjugation leaves the algebra span: {exc}") from exc
 
@@ -258,7 +259,10 @@ def _unipotent_split(g, cluster_tol: float):
     if np.min(np.abs(dec.eigenvalues)) < 1e-12:
         raise ValueError("element is numerically singular; no unipotent part")
     gs = dec.semisimple_part()
-    return dec, gs, np.linalg.solve(gs, m)
+    try:
+        return dec, gs, np.linalg.solve(gs, m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("semisimple part is singular") from exc
 
 
 def multiplicative_jordan(g, cluster_tol: float = linalg.CLUSTER_TOL):

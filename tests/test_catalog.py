@@ -5,7 +5,7 @@ import pytest
 
 from cayleymap import catalog, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import IncompatibleAlgebras, NotProportional
+from cayleymap.errors import IncompatibleAlgebras, NotProportional, SingularMatrix
 
 
 def _rng(seed):
@@ -92,6 +92,14 @@ def test_dual_of_dual_gram():
     rep = catalog.make_sl2_irrep(2)
     dd = catalog.dual(catalog.dual(rep))
     assert np.allclose(dd.gram, rep.gram)
+
+
+def test_conjugate_by_singular_matrix_raises_singular_matrix(monkeypatch):
+    # exp(x) is invertible; an exponential that underflowed to zero stands in
+    # for an exactly singular conjugator
+    monkeypatch.setattr(linalg, "matrix_exp", np.zeros_like)
+    with pytest.raises(SingularMatrix, match="conjugator is singular"):
+        catalog._conjugate(catalog.make_sl(2), np.eye(2), _rng(0))
 
 
 def test_incompatible_algebras_rejected():

@@ -177,10 +177,9 @@ def test_exit_code_math_errors(capsys):
     capsys.readouterr()
     assert cli.main(["fiber", "--family", "sl", "--n", "2", "--target", "diag(1,1)"]) == 3
     capsys.readouterr()
-    # numpy's LinAlgError subclasses ValueError, yet inverting a singular
-    # element is a failed precondition, not a usage error
+    # inverting a singular element is a failed precondition, not a usage error
     assert cli.main(["psi", "--group", "sl", "--n", "2", "--element", "diag(0,1)", "--inverse"]) == 3
-    assert "error: LinAlgError: Singular matrix" in capsys.readouterr().err
+    assert "error: SingularMatrix: element is singular" in capsys.readouterr().err
 
 
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):

@@ -99,20 +99,26 @@ def _reduce(word):
 
 
 @functools.cache
+def _blade_product(i, j):
+    """_reduce of z_I z_J; it does not depend on n."""
+    return _reduce(_word(i) + _word(j))
+
+
+@functools.cache
 def _word_table(n):
     """_reduce of z_I z_J for every blade pair (I, J)."""
-    return [[_reduce(_word(i) + _word(j)) for j in range(1 << n)] for i in range(1 << n)]
+    return [[_blade_product(i, j) for j in range(1 << n)] for i in range(1 << n)]
 
 
 def _oracle_mul(u, v, wedge=False):
-    """Clifford (or exterior) product expanded bilinearly over blade pairs."""
-    table = _word_table(u.n)
+    """Clifford (or exterior) product expanded bilinearly over the pairs of
+    nonzero blades."""
     out = np.zeros(1 << u.n, dtype=complex)
-    for i, ui in enumerate(u.coeffs):
-        for j, vj in enumerate(v.coeffs):
+    for i in np.flatnonzero(u.coeffs):
+        for j in np.flatnonzero(v.coeffs):
             if not (wedge and i & j):
-                sign, k = table[i][j]
-                out[k] += sign * ui * vj
+                sign, k = _blade_product(int(i), int(j))
+                out[k] += sign * u.coeffs[i] * v.coeffs[j]
     return out
 
 
@@ -164,6 +170,41 @@ def test_products_match_word_oracle_by_bilinearity(n, seed):
     assert np.abs(cl.gamma_matrix(u) @ v.coeffs - _oracle_mul(u, v)).max() <= tol
     assert np.abs(cl.epsilon(x, v).coeffs - _oracle_mul(x, v, wedge=True)).max() <= tol
     assert np.abs(cl.iota(x, v).coeffs - _oracle_iota(x, v)).max() <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(blades=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_clifford_mul_matches_word_oracle_and_regular_representation(n, blades, seed):
+    # the word oracle costs one reduction per pair of nonzero blades, so at
+    # n = 10 it takes a dense u against a v with a few blades
+    rng = _rng(seed)
+    u, w = random_element(n, rng), random_element(n, rng)
+    v = cl.CliffordElement(n)
+    v.coeffs[rng.choice(1 << n, min(blades, 1 << n), replace=False)] = random_element(n, rng).coeffs[:blades]
+    want = _oracle_mul(u, v)
+    assert np.abs((u * v).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+    want = cl.gamma_matrix(u) @ w.coeffs
+    assert np.abs((u * w).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spinor_image_round_trip(n):
+    s = cl._spinor(n)
+    u = random_element(n, _rng(21 + n))
+    (gamma,) = s.to_spinor(u.coeffs[None])
+    assert gamma.shape == (1 << (n + 1) // 2,) * 2
+    assert np.abs(s.from_spinor(gamma) - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spinor_generator_images_square_to_one_and_anticommute(n):
+    s = cl._spinor(n)
+    z = s.to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
+    eye = np.eye(s.d)
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(z[i] @ z[j] + z[j] @ z[i], 2.0 * eye if i == j else 0 * eye)
 
 
 def test_dimension_mismatch_rejected():
@@ -352,14 +393,17 @@ def test_spin_exp_n10_against_rotation_oracles():
 
 
 def test_spin_exp_builds_no_dense_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("spin_exp must not build the 2^n x 2^n matrix")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spin chain must not build a 2^n x 2^n matrix")
 
+    monkeypatch.setattr(cl, "_left", refuse)
     monkeypatch.setattr(cl, "gamma_matrix", refuse)
     monkeypatch.setattr(linalg, "matrix_exp", refuse)
     g = cl.spin_exp(cl.random_bivector(10, _rng(20)))
     assert isinstance(g, cl.SpinElement)
     cl.SpinElement(g.value)
+    t = cl.vector_action(g)
+    assert np.linalg.norm(t.T @ t - np.eye(10)) < 1e-8
 
 
 def test_vector_action_identity():

@@ -5,7 +5,7 @@ import pytest
 
 from cayleymap import catalog, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra
+from cayleymap.errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, SingularMatrix
 
 
 def _rng(seed):
@@ -279,6 +279,27 @@ def test_ehu_reconstruction_mixed():
 def test_multiplicative_jordan_rejects_singular():
     with pytest.raises(ValueError):
         rm.multiplicative_jordan(np.diag([1.0, 0.0]))
+
+
+# --- exactly singular inputs raise the typed error ------------------------------
+
+
+def test_inverse_of_singular_element_raises_singular_matrix():
+    with pytest.raises(SingularMatrix, match="group element is singular"):
+        rm.GroupElement(np.diag([0.0, 1.0])).inverse()
+
+
+def test_adjoint_matrix_of_singular_element_raises_singular_matrix():
+    with pytest.raises(SingularMatrix, match="conjugating element is singular"):
+        rm.adjoint_matrix(SL2, np.diag([0.0, 1.0]))
+
+
+def test_unipotent_split_with_singular_semisimple_part_raises_singular_matrix(monkeypatch):
+    # a singular g fails the eigenvalue check before the solve, so make the
+    # semisimple part of an invertible g exactly singular instead
+    monkeypatch.setattr(linalg.SpectralDecomposition, "semisimple_part", lambda dec: np.zeros((2, 2), complex))
+    with pytest.raises(SingularMatrix, match="semisimple part is singular"):
+        rm.multiplicative_jordan(np.diag([1.0, 2.0]))
 
 
 def test_coords_of_rejects_out_of_span():
