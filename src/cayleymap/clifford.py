@@ -2,19 +2,12 @@
 
 Multivectors hold 2^n coefficients indexed by subset bitmask (bit i set
 means the generator z_{i+1} occurs), with basis blades written in increasing
-generator order.  Each blade acts by left multiplication as a signed
-permutation of the blades,
+generator order, so z_I z_J = c_{I,J} z_{I xor J} with z_i^2 = 1 and
+c_{I,J} = (-1)^{#{(i,j) in IxJ : i > j}}.
 
-    z_I z_J = c_{I,J} z_{I xor J},   c_{I,J} = (-1)^{#{(i,j) in IxJ : i > j}}
-
-with z_i^2 = 1.  A cached table per n gives the regular representation:
-left multiplication by u has L(u)[K, J] = c_{K xor J, J} u[K xor J], the
-wedge product keeps the entries with J a subset of K (disjoint blades), and
-the contraction is the transpose of the wedge.  Building L(u) costs O(4^n).
-
-The Clifford product itself uses the spinor image instead.  Over C,
-Cl_{2m} is the matrix algebra M_{2^m}(C) (Lounesto, Clifford Algebras and
-Spinors, ch. 16): the Jordan-Wigner generators
+Every product goes through the spinor image.  Over C, Cl_{2m} is the matrix
+algebra M_{2^m}(C) (Lounesto, Clifford Algebras and Spinors, ch. 16): the
+Jordan-Wigner generators
 
     z_{2q+1} = Z..Z X 1..1,   z_{2q+2} = Z..Z Y 1..1   (q factors Z, q < m)
 
@@ -25,11 +18,15 @@ gather of u w into a D x D array by (x, z), one product with the +-1
 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
 the inverse map is the same steps in reverse.  So u v = Gamma^{-1}(Gamma(u) Gamma(v)),
 a D x D matmul, and the spin exponential is a Taylor series of D x D
-matmuls; neither builds a 2^n x 2^n matrix.
-On top of that sit the grade involutions, the contraction/wedge
-derivations, the spin group (even elements g with g alpha(g) = 1 whose
-twisted conjugation preserves V), its vector action, the bivector/skew
-isomorphism, and the classical Cayley transform b -> (1-b)(1+b)^{-1}.
+matmuls.  The wedge and the contraction are grade projections of the product
+(Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
+A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
+Only gamma_matrix, the regular representation kept as an independent
+reference for the product, builds a 2^n x 2^n array.
+On top of that sit the grade involutions, the spin group (even elements g
+with g alpha(g) = 1 whose twisted conjugation preserves V), its vector
+action, the bivector/skew isomorphism, and the classical Cayley transform
+b -> (1-b)(1+b)^{-1}.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularMatrix, SingularShift
 
-# Tables grow as 4^n; the library targets desk scale (2^10 coefficients).
+# Desk scale (2^10 coefficients); the O(2^n + D^2) tables allow more once benchmarked.
 MAX_N = 10
 # Standard deviation of each coefficient of random_bivector.
 BIVECTOR_SCALE = 0.4
@@ -50,33 +47,7 @@ DEGREE_TOL = 1e-10
 
 
 class _Tables:
-    """Cached product structure for fixed n, indexed [K, J] like L(u):
-    grades, xor = K xor J, sign = c_{K xor J, J}, and wedge = (J subset of K)."""
-
-    def __init__(self, n: int):
-        d = 1 << n
-        idx = np.arange(d, dtype=np.int64)
-        self.grades = np.bitwise_count(idx).astype(np.int64)
-        self.xor = idx[:, None] ^ idx[None, :]
-        # c_{I,J} = (-1)^(number of i in I above an odd number of j in J);
-        # bit i of below[J] is set when J has an odd number of bits under i
-        below = np.zeros(d, dtype=np.int64)
-        for k in range(1, n):
-            below ^= idx << k
-        parity = np.bitwise_count(self.xor & (below & (d - 1))[None, :]) & 1
-        self.sign = np.where(parity, -1.0, 1.0)
-        self.wedge = (self.xor & idx[None, :]) == 0
-
-
-@functools.cache
-def _tables(n: int) -> _Tables:
-    if n < 1 or n > MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    return _Tables(n)
-
-
-class _Spinor:
-    """The spinor image Gamma for fixed n, on m = ceil(n/2) qubits, D = 2^m.
+    """Grades and the spinor image Gamma for fixed n, on m = ceil(n/2) qubits, D = 2^m.
 
     Blade z_I is w_I X^x Z^z with x, z bitmasks over the qubits.  The table
     grows one generator at a time, z_{I + 2^k} = z_I z_{k+1} for I < 2^k:
@@ -87,6 +58,7 @@ class _Spinor:
     """
 
     def __init__(self, n: int):
+        self.grades = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
         m = (n + 1) // 2
         d = 1 << m
         w = np.ones(1, dtype=complex)
@@ -118,25 +90,17 @@ class _Spinor:
         return p.reshape(k, d * d).take(self.gather, axis=1).reshape(k, d, d)
 
     def from_spinor(self, gamma: np.ndarray) -> np.ndarray:
-        """The 2^n coefficients u with Gamma(u) = gamma, for gamma in the image."""
-        d = self.d
-        p = gamma.reshape(d * d).take(self.gather).reshape(d, d) @ self.hadamard
-        return p.reshape(d * d).take(self.pos) * self.unphase
+        """The (k, 2^n) coefficients u with Gamma(u) = gamma, for (k, D, D) gamma in the image."""
+        k, d = len(gamma), self.d
+        p = gamma.reshape(k, d * d).take(self.gather, axis=1).reshape(k, d, d) @ self.hadamard
+        return p.reshape(k, d * d).take(self.pos, axis=1) * self.unphase
 
 
 @functools.cache
-def _spinor(n: int) -> _Spinor:
-    return _Spinor(n)
-
-
-def _left(u: CliffordElement, wedge: bool = False) -> np.ndarray:
-    """Matrix of left Clifford (or, with wedge, exterior) multiplication by u."""
-    t = _tables(u.n)
-    m = u.coeffs[t.xor]
-    np.multiply(t.sign, m, out=m)
-    if wedge:
-        np.copyto(m, 0.0, where=~t.wedge)
-    return m
+def _tables(n: int) -> _Tables:
+    if n < 1 or n > MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    return _Tables(n)
 
 
 class CliffordElement:
@@ -277,15 +241,24 @@ def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    spinor = _spinor(u.n)
-    gu, gv = spinor.to_spinor(np.array([u.coeffs, v.coeffs]))
-    return CliffordElement(u.n, spinor.from_spinor(gu @ gv))
+    t = _tables(u.n)
+    gu, gv = t.to_spinor(np.array([u.coeffs, v.coeffs]))
+    return CliffordElement(u.n, t.from_spinor((gu @ gv)[None])[0])
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
+    """u ^ v = sum_r <sum_{p+q=r} u_p v_q>_r over the grade slices u_p, v_q;
+    row r of total sums the spinor products of total grade r."""
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    return CliffordElement(u.n, _left(u, wedge=True) @ v.coeffs)
+    t = _tables(u.n)
+    n1 = u.n + 1
+    slices = t.grades == np.arange(n1)[:, None]
+    gu, gv = np.split(t.to_spinor(np.concatenate([slices * u.coeffs, slices * v.coeffs])), 2)
+    total = np.zeros_like(gu)
+    for p in range(n1):
+        total[p:] += gu[p] @ gv[: n1 - p]
+    return CliffordElement(u.n, t.from_spinor(total)[t.grades, np.arange(1 << u.n)])
 
 
 def _bivector_blades(n: int):
@@ -312,19 +285,26 @@ def kappa(u: CliffordElement) -> CliffordElement:
     return CliffordElement(u.n, signs * u.coeffs)
 
 
+def _vector_split(x: CliffordElement, u: CliffordElement, sign: float) -> CliffordElement:
+    """(x u + sign kappa(u) x) / 2 for a vector x, in one spinor round trip."""
+    t = _tables(u.n)
+    gx, gu, gk = t.to_spinor(np.array([x.coeffs, u.coeffs, kappa(u).coeffs]))
+    return CliffordElement(u.n, t.from_spinor((gx @ gu + sign * (gk @ gx))[None])[0] / 2)
+
+
 def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
-    """Left wedge by the degree-1 element x."""
+    """Left wedge by the degree-1 element x: x ^ u = (x u + kappa(u) x) / 2."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "epsilon direction")
-    return exterior_mul(x, u)
+    return _vector_split(x, u, 1.0)
 
 
 def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
-    """Contraction by the degree-1 element x: the transpose of epsilon(x),
-    a degree -1 super-derivation with iota(x) y = (x, y) on vectors."""
+    """Contraction (x u - kappa(u) x) / 2 by the degree-1 element x: the transpose of
+    epsilon(x), a degree -1 super-derivation with iota(x) y = (x, y) on vectors."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "iota direction")
-    return CliffordElement(u.n, _left(x, wedge=True).T @ u.coeffs)
+    return _vector_split(x, u, -1.0)
 
 
 def pairing(u: CliffordElement, v: CliffordElement) -> complex:
@@ -343,9 +323,25 @@ def _require_degree(u: CliffordElement, k: int, what: str):
 # --- regular representation -------------------------------------------------
 
 
+@functools.cache
+def _regular(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """[K, J] = (K xor J, c_{K xor J, J}): 4^n tables, independent of the spinor image."""
+    d = 1 << n
+    idx = np.arange(d, dtype=np.int64)
+    xor = idx[:, None] ^ idx[None, :]
+    # c_{I,J} = (-1)^(number of i in I above an odd number of j in J);
+    # bit i of below[J] is set when J has an odd number of bits under i
+    below = np.zeros(d, dtype=np.int64)
+    for k in range(1, n):
+        below ^= idx << k
+    parity = np.bitwise_count(xor & (below & (d - 1))[None, :]) & 1
+    return xor, np.where(parity, -1.0, 1.0)
+
+
 def gamma_matrix(u: CliffordElement) -> np.ndarray:
-    """Matrix of left Clifford multiplication by u in the blade basis."""
-    return _left(u)
+    """Matrix L(u)[K, J] = c_{K xor J, J} u[K xor J] of left Clifford multiplication by u."""
+    xor, sign = _regular(u.n)
+    return sign * u.coeffs[xor]
 
 
 def volume_idempotents(n: int):
@@ -417,9 +413,9 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     _require_degree(u, 2, "spin_exp argument")
     _, _, masks = _bivector_blades(u.n)
     steps = max(1, int(np.ceil(np.abs(u.coeffs[masks]).sum())))
-    spinor = _spinor(u.n)
-    (x,) = spinor.to_spinor(u.coeffs[None] / steps)
-    e = term = np.eye(spinor.d, dtype=complex)
+    t = _tables(u.n)
+    (x,) = t.to_spinor(u.coeffs[None] / steps)
+    e = term = np.eye(t.d, dtype=complex)
     small = 0
     for k in range(1, linalg.EXP_TERMS + 1):
         term = term @ x / k
@@ -427,7 +423,7 @@ def spin_exp(u: CliffordElement) -> SpinElement:
         small = small + 1 if np.abs(term).max() < 1e-18 * max(1.0, np.abs(e).max()) else 0
         if small == 2:
             break
-    return SpinElement(CliffordElement(u.n, spinor.from_spinor(np.linalg.matrix_power(e, steps))))
+    return SpinElement(CliffordElement(u.n, t.from_spinor(np.linalg.matrix_power(e, steps)[None])[0]))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
@@ -476,26 +472,27 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
 
 
 def cayley_gamma(b: np.ndarray) -> np.ndarray:
-    """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined."""
+    """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined.
+    SingularShift also when the transform exceeds (1 + |b|)/linalg.RTOL, as at
+    the n = 2 half turn, where 1 + b is a tiny rotation of condition number 1."""
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    shifted = np.eye(n) + b
     try:
-        return linalg.solve_linear(shifted, np.eye(n) - b)
+        out = linalg.solve_linear(np.eye(n) + b, np.eye(n) - b)
     except SingularMatrix as exc:
         raise SingularShift("1 + b is singular") from exc
+    if np.linalg.norm(out) > (1.0 + np.linalg.norm(b)) / linalg.RTOL:
+        raise SingularShift(f"1 + b is singular (transform norm {np.linalg.norm(out):.3e})")
+    return out
 
 
 def exterior_exp(u: CliffordElement) -> CliffordElement:
     """Exponential with respect to the (commutative on even grades) wedge product;
-    the series terminates after n//2 wedge powers of a bivector."""
+    the series terminates after n//2 wedge powers <term u>_{2k} / k of a bivector."""
     _require_degree(u, 2, "exterior_exp argument")
-    result = scalar(u.n, 1.0)
-    term = scalar(u.n, 1.0)
+    result = term = scalar(u.n, 1.0)
     for k in range(1, u.n // 2 + 1):
-        term = exterior_mul(term, u) * (1.0 / k)
-        if term.norm() == 0.0:
-            break
+        term = (term * u).grade(2 * k) * (1.0 / k)
         result = result + term
     return result
 

@@ -257,7 +257,7 @@ def _unipotent_split(g, cluster_tol: float):
     m = _mat(g)
     dec = _spectral_checked(m, cluster_tol)
     if np.min(np.abs(dec.eigenvalues)) < 1e-12:
-        raise ValueError("element is numerically singular; no unipotent part")
+        raise SingularMatrix("element is numerically singular; no unipotent part")
     gs = dec.semisimple_part()
     try:
         return dec, gs, np.linalg.solve(gs, m)

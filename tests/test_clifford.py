@@ -124,13 +124,12 @@ def _oracle_mul(u, v, wedge=False):
 
 def _oracle_iota(x, v):
     """iota(z_i) z_J = c z_{J - i} where z_i z_{J - i} = c z_J, zero if i is not in J."""
-    table = _word_table(v.n)
     out = np.zeros(1 << v.n, dtype=complex)
     for i in range(v.n):
-        for j, vj in enumerate(v.coeffs):
+        for j in np.flatnonzero(v.coeffs):
             if j >> i & 1:
-                sign, _ = table[1 << i][j ^ (1 << i)]
-                out[j ^ (1 << i)] += sign * x.coeffs[1 << i] * vj
+                sign, _ = _blade_product(1 << i, int(j) ^ (1 << i))
+                out[j ^ (1 << i)] += sign * x.coeffs[1 << i] * v.coeffs[j]
     return out
 
 
@@ -189,17 +188,34 @@ def test_clifford_mul_matches_word_oracle_and_regular_representation(n, blades, 
 
 
 @pytest.mark.parametrize("n", range(1, 11))
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(blades=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_wedge_and_derivations_match_word_oracle(n, blades, seed):
+    # a dense u wedged with a v of a few blades, in both orders, and the
+    # derivations of a dense u, which cost n oracle reductions per blade
+    rng = _rng(seed)
+    u, x = random_element(n, rng), random_vector(n, rng)
+    v = cl.CliffordElement(n)
+    v.coeffs[rng.choice(1 << n, min(blades, 1 << n), replace=False)] = random_element(n, rng).coeffs[:blades]
+    for got, a, b in (((u ^ v), u, v), ((v ^ u), v, u)):
+        assert np.abs(got.coeffs - _oracle_mul(a, b, wedge=True)).max() <= 1e-13 * a.norm() * b.norm()
+    tol = 1e-13 * x.norm() * u.norm()
+    assert np.abs(cl.epsilon(x, u).coeffs - _oracle_mul(x, u, wedge=True)).max() <= tol
+    assert np.abs(cl.iota(x, u).coeffs - _oracle_iota(x, u)).max() <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_spinor_image_round_trip(n):
-    s = cl._spinor(n)
+    s = cl._tables(n)
     u = random_element(n, _rng(21 + n))
-    (gamma,) = s.to_spinor(u.coeffs[None])
-    assert gamma.shape == (1 << (n + 1) // 2,) * 2
-    assert np.abs(s.from_spinor(gamma) - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+    gamma = s.to_spinor(u.coeffs[None])
+    assert gamma.shape == (1,) + (1 << (n + 1) // 2,) * 2
+    assert np.abs(s.from_spinor(gamma)[0] - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spinor_generator_images_square_to_one_and_anticommute(n):
-    s = cl._spinor(n)
+    s = cl._tables(n)
     z = s.to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
     eye = np.eye(s.d)
     for i in range(n):
@@ -371,15 +387,19 @@ def test_spin_exp_matches_dense_exponential(n, log_scale, seed):
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_spin_exp_on_singular_set_of_closed_form(n):
     # exp(theta z1 z2) = cos(theta) + sin(theta) z1 z2; at theta = pi/2 it acts
-    # on V as a half turn, where 1 + T is singular and the closed form has no answer
+    # on V as a half turn, where 1 + T is singular and the closed form has no
+    # answer; at n = 2, 1 + T is a tiny multiple of a rotation (condition number 1)
     th = np.pi / 2
     g = cl.spin_exp(th * cl.basis_blade(n, 0b11))
     want = np.cos(th) * cl.scalar(n, 1.0) + np.sin(th) * cl.basis_blade(n, 0b11)
     assert np.abs(g.value.coeffs - want.coeffs).max() <= 1e-14
-    assert abs(np.linalg.det(np.eye(n) + cl.vector_action(g))) <= 1e-14
+    t = cl.vector_action(g)
+    assert abs(np.linalg.det(np.eye(n) + t)) <= 1e-14
+    with pytest.raises(SingularShift):
+        cl.lift_rotation(t)
 
 
 def test_spin_exp_n10_against_rotation_oracles():
@@ -396,7 +416,7 @@ def test_spin_exp_builds_no_dense_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the spin chain must not build a 2^n x 2^n matrix")
 
-    monkeypatch.setattr(cl, "_left", refuse)
+    monkeypatch.setattr(cl, "_regular", refuse)
     monkeypatch.setattr(cl, "gamma_matrix", refuse)
     monkeypatch.setattr(linalg, "matrix_exp", refuse)
     g = cl.spin_exp(cl.random_bivector(10, _rng(20)))
@@ -404,6 +424,25 @@ def test_spin_exp_builds_no_dense_matrix(monkeypatch):
     cl.SpinElement(g.value)
     t = cl.vector_action(g)
     assert np.linalg.norm(t.T @ t - np.eye(10)) < 1e-8
+
+
+def test_exterior_products_and_lift_build_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("only gamma_matrix may build a 2^n x 2^n matrix")
+
+    monkeypatch.setattr(cl, "_regular", refuse)
+    n = 10
+    cl.CliffordElement(n)
+    assert max(a.size for a in vars(cl._tables(n)).values() if isinstance(a, np.ndarray)) <= 1 << n
+    rng = _rng(22)
+    b, x = cl.random_bivector(n, rng), random_vector(n, rng)
+    assert (b ^ b).grade(4).norm() > 0.0
+    assert (x ^ b).grade(3).norm() > 0.0
+    assert cl.iota(x, b).grade(1).norm() > 0.0
+    assert cl.exterior_exp(b).grade(n).norm() > 0.0
+    g = cl.spin_exp(b)
+    plus, minus = cl.lift_rotation(cl.vector_action(g))
+    assert min((plus.value - g.value).norm(), (minus.value - g.value).norm()) <= 1e-10 * g.value.norm()
 
 
 def test_vector_action_identity():
@@ -541,6 +580,16 @@ def test_exterior_exp_truncates():
     t = 0.8
     e = cl.exterior_exp(t * cl.basis_blade(2, 0b11))
     assert e.coeffs[0] == pytest.approx(1.0) and e.coeffs[3] == pytest.approx(t)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_exterior_exp_matches_iterated_oracle_wedges(n):
+    b = cl.random_bivector(n, _rng(30 + n))
+    want = term = cl.scalar(n, 1.0).coeffs
+    for k in range(1, n // 2 + 1):
+        term = _oracle_mul(cl.CliffordElement(n, term), b, wedge=True) / k
+        want = want + term
+    assert np.abs(cl.exterior_exp(b).coeffs - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_exterior_exp_two_plane_example():

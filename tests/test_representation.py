@@ -277,8 +277,10 @@ def test_ehu_reconstruction_mixed():
 
 
 def test_multiplicative_jordan_rejects_singular():
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMatrix, match="element is numerically singular"):
         rm.multiplicative_jordan(np.diag([1.0, 0.0]))
+    with pytest.raises(SingularMatrix, match="element is numerically singular"):
+        rm.ehu_decomposition(np.diag([1.0, 0.0]))
 
 
 # --- exactly singular inputs raise the typed error ------------------------------
