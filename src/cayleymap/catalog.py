@@ -238,7 +238,7 @@ def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
 
 
 def _conjugate(rep: Representation, m: np.ndarray, rng) -> np.ndarray:
-    q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
+    q = realize(rep, linalg.complex_normal(rng, rep.g_dim, 0.3)).matrix
     return q @ m @ linalg.inverse(q, "conjugator")
 
 
@@ -286,7 +286,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     family = rep.metadata.get("family")
 
     if kind == "generic":
-        return GroupElement(linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.4))))
+        return realize(rep, linalg.complex_normal(rng, rep.g_dim, 0.4))
 
     if kind in ("hyperbolic", "elliptic"):
         cartan = rep.metadata.get("cartan_indices")
@@ -298,8 +298,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
             unit = unit * 1j
         coords = np.zeros(rep.g_dim, dtype=complex)
         coords[list(cartan)] = unit * rng.uniform(-0.8, 0.8, len(cartan))
-        m = linalg.matrix_exp(rep.materialize(coords))
-        return GroupElement(_conjugate(rep, m, rng))
+        return GroupElement(_conjugate(rep, realize(rep, coords).matrix, rng))
 
     if kind == "unipotent":
         m = linalg.matrix_exp(_nilpotent_direction(rep, rng))
@@ -311,7 +310,7 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
             raise ValueError(f"{rep.name} has no Cartan bookkeeping")
         coords = np.zeros(rep.g_dim, dtype=complex)
         coords[list(cartan)] = linalg.complex_normal(rng, len(cartan), 0.6)
-        return GroupElement(linalg.matrix_exp(rep.materialize(coords)))
+        return realize(rep, coords)
 
     # trace_free: group elements whose representing matrix is itself
     # trace-free, hence lies in the algebra image; only meaningful for sl

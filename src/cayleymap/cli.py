@@ -184,10 +184,10 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
-    if args.suite != "all" and args.suite not in suites.SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(suites.SUITES)} or 'all'")
-    results = [suites.run_suite(n, trials=args.trials, seed=args.seed, tol_scale=args.tol) for n in names]
+    if args.suite == "all":
+        results = suites.run_all(trials=args.trials, seed=args.seed, tol_scale=args.tol)
+    else:
+        results = [suites.run_suite(args.suite, trials=args.trials, seed=args.seed, tol_scale=args.tol)]
     failures = sum(r.failures for r in results)
     payload = {
         "command": "verify",
@@ -251,7 +251,6 @@ def cmd_spin_cayley(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
-    common.add_argument("--tol", type=float, default=1.0, help="multiplicative scale on verification tolerances")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--report", metavar="PATH", help="also write the output to PATH")
 
@@ -288,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a property-verification suite")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--tol", type=float, default=1.0, help="multiplicative scale on verification tolerances")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("spin", help="Clifford-algebra spin operations")

@@ -16,10 +16,12 @@ to the D x D matrix Gamma(u) = sum_I u_I w_I X^x Z^z with D = 2^ceil(n/2);
 odd n is embedded in Cl_{n+1}, whose product keeps Cl_n.  Gamma(u) is one
 gather of u w into a D x D array by (x, z), one product with the +-1
 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
-the inverse map is the same steps in reverse.  So u v = Gamma^{-1}(Gamma(u) Gamma(v)),
-a D x D matmul, and the spin exponential is a Taylor series of D x D
-matmuls.  The wedge and the contraction are grade projections of the product
-(Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
+the inverse map is the same steps in reverse.  So the product is one D x D
+matmul, u v = Gamma^{-1}(Gamma(u) Gamma(v)), and the spin exponential is the
+package's one matrix exponential on a D x D matrix,
+exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))).  The wedge and the
+contraction are grade projections of the product (Dorst, Fontijne & Mann,
+Geometric Algebra for Computer Science, 2007):
 A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
 Only gamma_matrix, the regular representation kept as an independent
 reference for the product, builds a 2^n x 2^n array.
@@ -397,33 +399,19 @@ class SpinElement:
 
 
 def spin_exp(u: CliffordElement) -> SpinElement:
-    """Clifford exponential exp(u) of a bivector, through the spinor image.
+    """Clifford exponential exp(u) of a bivector: linalg.matrix_exp of the
+    D x D spinor image Gamma(u), mapped back to coefficients.
 
-    Each Gamma(z_B) is a unitary Pauli string, so Gamma(u) has 2-norm at most
-    sum |u_B|.  With s = max(1, ceil(sum |u_B|)), exp(Gamma(u/s)) is a Taylor
-    series of D x D matmuls that stops once two consecutive terms fall below
-    1e-18 of the sum, as in linalg.matrix_exp, or after linalg.EXP_TERMS
-    terms (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33(2)); it is raised
-    to the s-th power by repeated squaring and mapped back once.  The cost is
-    two transforms of 2^n coefficients plus one D x D matmul per term and
-    O(log s) for the power, each D^3 = 2^(3n/2) flops for even n, against
-    O(4^n) to build one regular-representation matrix; the number of terms
-    grows with sum |u_B|.
+    Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
+    exp(Gamma(u)), and the scaling-and-squaring series of matrix_exp
+    (Higham, Functions of Matrices, 2008, ch. 10) applies to Gamma(u) as
+    written.  The cost is two transforms of 2^n coefficients plus the D x D
+    matmuls of one matrix_exp, each D^3 = 2^(3n/2) flops for even n.
     """
     _require_degree(u, 2, "spin_exp argument")
-    _, _, masks = _bivector_blades(u.n)
-    steps = max(1, int(np.ceil(np.abs(u.coeffs[masks]).sum())))
     t = _tables(u.n)
-    (x,) = t.to_spinor(u.coeffs[None] / steps)
-    e = term = np.eye(t.d, dtype=complex)
-    small = 0
-    for k in range(1, linalg.EXP_TERMS + 1):
-        term = term @ x / k
-        e = e + term
-        small = small + 1 if np.abs(term).max() < 1e-18 * max(1.0, np.abs(e).max()) else 0
-        if small == 2:
-            break
-    return SpinElement(CliffordElement(u.n, t.from_spinor(np.linalg.matrix_power(e, steps)[None])[0]))
+    gamma = linalg.matrix_exp(t.to_spinor(u.coeffs[None])[0])
+    return SpinElement(CliffordElement(u.n, t.from_spinor(gamma[None])[0]))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:

@@ -25,8 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix
 
-# Gram matrices with smaller relative singular values count as degenerate.
-GRAM_SINGULAR_TOL = 1e-12
 # Residual allowed when re-expressing commutators / conjugates in the basis.
 CLOSURE_TOL = 1e-8
 ADJOINT_RESIDUAL_TOL = 1e-6
@@ -153,11 +151,12 @@ def _commutators(stack: np.ndarray) -> np.ndarray:
 
 
 def build_gram(stack: np.ndarray) -> np.ndarray:
-    """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack."""
+    """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack;
+    DegenerateForm above condition number 1/linalg.RTOL, where every coords_of solve fails."""
     g = np.einsum("iab,jba->ij", stack, stack)
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < GRAM_SINGULAR_TOL * sv[0]:
+    if sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]:
         raise DegenerateForm(
             f"trace form singular on the basis span "
             f"(singular value ratio {sv[-1] / max(sv[0], 1e-300):.2e})"

@@ -172,6 +172,27 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_tol_is_a_verify_option(capsys):
+    # only verify reads --tol; elsewhere it is an unknown option
+    assert cli.main(["map", "--group", "sl", "--n", "2", "--element", "identity 2", "--tol", "2"]) == 2
+    assert "unrecognized arguments: --tol 2" in capsys.readouterr().err
+    assert cli.main(["verify", "--suite", "nope", "--tol", "2"]) == 2
+    assert "error: unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_map_and_jacobian_accept_singular_matrices(capsys):
+    # the projection is linear in M(g), so any square matrix has an image;
+    # only psi --inverse needs an invertible element
+    code, payload = run_json(capsys, "map", "--group", "sl", "--n", "2", "--element", "diag(0,0)")
+    assert code == 0
+    assert payload["coords"]["coords_re"] == payload["coords"]["coords_im"] == [0.0] * 3
+    assert not np.any(linalg.matrix_from_json(payload["matrix"]))
+    code, payload = run_json(capsys, "jacobian", "--group", "sl", "--n", "2", "--element", "diag(0,0)")
+    assert code == 0
+    assert cli.main(["psi", "--group", "sl", "--n", "2", "--element", "diag(0,0)", "--inverse"]) == 3
+    assert "error: SingularMatrix" in capsys.readouterr().err
+
+
 def test_exit_code_math_errors(capsys):
     assert cli.main(["fiber", "--family", "spin", "--n", "3", "--target", "identity 3"]) == 3
     capsys.readouterr()

@@ -47,6 +47,16 @@ def test_degenerate_form_raises():
         rm.Representation("nilline", [e], check_closure=False)
 
 
+@pytest.mark.parametrize("delta", [1e-10, 1e-11])
+@pytest.mark.parametrize("check_closure", [True, False])
+def test_ill_conditioned_gram_is_degenerate_at_construction(delta, check_closure):
+    # Gram of (H, E, delta F) has singular values 2, delta, delta: past the
+    # 1/linalg.RTOL condition bound that every coords_of solve enforces
+    h, e, f = SL2.basis
+    with pytest.raises(DegenerateForm):
+        rm.Representation("sl2-squeezed", [h, e, delta * f], check_closure=check_closure)
+
+
 def test_not_closed_raises():
     # span{H, E} is a subalgebra, span{E12, E21} of sl3 is not
     e12 = np.zeros((3, 3))
