@@ -18,10 +18,11 @@ gather of u w into a D x D array by (x, z), one product with the +-1
 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
 the inverse map is the same steps in reverse.  So the product is one D x D
 matmul, u v = Gamma^{-1}(Gamma(u) Gamma(v)), and the spin exponential is the
-package's one matrix exponential on a D x D matrix,
-exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))).  The wedge and the
-contraction are grade projections of the product (Dorst, Fontijne & Mann,
-Geometric Algebra for Computer Science, 2007):
+package's one matrix exponential, Pade scaling and squaring, on a D x D
+matrix, exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))): at most six D x D
+products, one D x D solve and s squarings, s growing as log2 of the 1-norm of
+Gamma(u).  The wedge and the contraction are grade projections of the
+product (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
 A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
 Only gamma_matrix, the regular representation kept as an independent
 reference for the product, builds a 2^n x 2^n array.
@@ -403,10 +404,11 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     D x D spinor image Gamma(u), mapped back to coefficients.
 
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
-    exp(Gamma(u)), and the scaling-and-squaring series of matrix_exp
-    (Higham, Functions of Matrices, 2008, ch. 10) applies to Gamma(u) as
-    written.  The cost is two transforms of 2^n coefficients plus the D x D
-    matmuls of one matrix_exp, each D^3 = 2^(3n/2) flops for even n.
+    exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
+    2005) applies to Gamma(u) as written.  The cost is two transforms of 2^n
+    coefficients plus one matrix_exp: at most six D x D products, one D x D
+    solve and s = max(0, ceil(log2(||Gamma(u)||_1 / theta_13))) squarings,
+    each product D^3 = 2^(3n/2) flops for even n.
     """
     _require_degree(u, 2, "spin_exp argument")
     t = _tables(u.n)
@@ -446,12 +448,16 @@ def tau(u: CliffordElement) -> np.ndarray:
 
 
 def tau_inv(s: np.ndarray) -> CliffordElement:
-    """Bivector with tau(u) = s, read off coefficientwise from the skew matrix."""
+    """Bivector with tau(u) = s, read off coefficientwise from the skew matrix.
+
+    NotSkew when ||s + s^T|| > 1e-10 ||s||, a test relative to the scale of s;
+    the zero matrix passes (0 > 0 is false) and gives the zero bivector.
+    """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError("tau_inv expects a square matrix")
-    if np.linalg.norm(s + s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
+    if np.linalg.norm(s + s.T) > 1e-10 * np.linalg.norm(s):
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     a, b, masks = _bivector_blades(n)
     u = CliffordElement(n)

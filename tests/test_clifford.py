@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -387,7 +388,7 @@ def test_spin_exp_rejects_non_bivector():
 @given(n=st.integers(1, 8), log_scale=st.floats(-6.0, np.log10(20.0)), seed=st.integers(0, 2**32 - 1))
 def test_spin_exp_matches_dense_exponential(n, log_scale, seed):
     u = 10.0**log_scale * cl.random_bivector(n, _rng(seed))
-    dense = linalg.matrix_exp(cl.gamma_matrix(u))[:, 0]
+    dense = scipy.linalg.expm(cl.gamma_matrix(u))[:, 0]
     got = cl.spin_exp(u).value.coeffs
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -569,6 +570,21 @@ def test_tau_and_inverse_match_pairwise_loops_bitwise(n):
 def test_tau_rejects_non_skew():
     with pytest.raises(NotSkew):
         cl.tau_inv(np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(-12, 9)])
+def test_tau_inv_skew_test_is_relative_to_scale(scale):
+    with pytest.raises(NotSkew):
+        cl.tau_inv(scale * np.eye(4))
+    rng = _rng(12)
+    for n in (2, 4, 7):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s = scale * (m - m.T)
+        assert np.linalg.norm(cl.tau(cl.tau_inv(s)) - s) <= 1e-15 * np.linalg.norm(s)
+
+
+def test_tau_inv_of_zero_matrix_is_zero_bivector():
+    assert not cl.tau_inv(np.zeros((4, 4))).coeffs.any()
 
 
 def test_tau_is_vector_action_differential():

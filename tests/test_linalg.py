@@ -1,7 +1,9 @@
 """Matrix-core contracts: solves, determinants, spectra, roots, exponentials."""
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,6 +339,81 @@ def test_matrix_exp_commuting_homomorphism():
     lhs = linalg.matrix_exp(a + b)
     rhs = linalg.matrix_exp(a) @ linalg.matrix_exp(b)
     assert np.linalg.norm(lhs - rhs) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_matrix_exp_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="exponent contains non-finite entries"):
+        linalg.matrix_exp(np.full((2, 2), bad))
+
+
+# Oracle tolerance: the relative error max|X - E| / max|E| against the oracle E
+# is at most EXP_RTOL * max(1, scale), times cond(V) when E = V diag(e^lam) V^-1;
+# scale is the 1-norm of the exponent (the largest |lam| for V diag(lam) V^-1),
+# and the condition of exp grows with it.  Measured on these inputs over 20
+# seeds: at most 2.5e-15 up to scale 10 (4.9e-15 divided by cond(V)) and
+# 2.5e-13 at scale 1e3.
+EXP_RTOL = 1e-14
+EXP_SCALES = [10.0**k for k in range(-8, 4)]
+
+
+def _exp_rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _norm1_scaled(a, scale):
+    norm = np.abs(a).sum(axis=0).max()
+    return a * (scale / norm) if norm else a
+
+
+@pytest.mark.parametrize("scale", EXP_SCALES)
+def test_matrix_exp_matches_scipy_on_random_complex(scale):
+    rng = _rng(round(np.log10(scale)) + 100)
+    for n in range(1, 33):
+        a = _norm1_scaled(_random_complex(rng, (n, n)), scale)
+        # shift the rightmost eigenvalue onto the imaginary axis, which keeps
+        # e^a finite at scale 1e3 and changes e^a only by the factor e^-c
+        a -= np.linalg.eigvals(a).real.max() * np.eye(n)
+        assert _exp_rel_err(linalg.matrix_exp(a), scipy.linalg.expm(a)) <= EXP_RTOL * max(1.0, scale)
+
+
+@pytest.mark.parametrize("scale", EXP_SCALES)
+def test_matrix_exp_nilpotent_matches_finite_series(scale):
+    rng = _rng(round(np.log10(scale)) + 200)
+    for n in range(1, 33):
+        a = _norm1_scaled(np.triu(_random_complex(rng, (n, n)), 1), scale)
+        # a^n = 0, so e^a = sum_{k < n} a^k / k! exactly
+        want = term = np.eye(n, dtype=complex)
+        for k in range(1, n):
+            term = term @ a / k
+            want = want + term
+        assert _exp_rel_err(linalg.matrix_exp(a), want) <= EXP_RTOL * max(1.0, scale)
+
+
+@pytest.mark.parametrize("scale", EXP_SCALES)
+def test_matrix_exp_diagonalizable_matches_eigen_oracle(scale):
+    rng = _rng(round(np.log10(scale)) + 300)
+    for n in range(1, 33):
+        v = _random_complex(rng, (n, n))
+        v_inv = np.linalg.inv(v)
+        lam = _random_complex(rng, n)
+        lam *= scale / np.abs(lam).max()
+        lam -= lam.real.max()  # e^lam stays finite at every scale
+        want = v @ np.diag(np.exp(lam)) @ v_inv
+        got = linalg.matrix_exp(v @ np.diag(lam) @ v_inv)
+        assert _exp_rel_err(got, want) <= EXP_RTOL * max(1.0, scale) * np.linalg.cond(v)
+
+
+@pytest.mark.parametrize(
+    "n, scale, seed",
+    [(3, 0.2, 1), (5, 8.0, 2), (8, 40.0, 3)],  # m = 5; m = 13 with one and with three squarings
+)
+def test_matrix_exp_matches_mpmath_at_30_digits(n, scale, seed):
+    a = _norm1_scaled(_random_complex(_rng(seed), (n, n)), scale)
+    with mpmath.workdps(30):
+        want = mpmath.expm(mpmath.matrix(a.tolist()))
+        want = np.array([[complex(want[i, j]) for j in range(n)] for i in range(n)])
+    assert _exp_rel_err(linalg.matrix_exp(a), want) <= EXP_RTOL * max(1.0, scale)
 
 
 # --- JSON round trip --------------------------------------------------------
