@@ -19,7 +19,7 @@ Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
 the inverse map is the same steps in reverse.  So the product is one D x D
 matmul, u v = Gamma^{-1}(Gamma(u) Gamma(v)), and the spin exponential is the
 package's one matrix exponential, Pade scaling and squaring, on a D x D
-matrix, exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))): at most six D x D
+matrix, exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))): six D x D
 products, one D x D solve and s squarings, s growing as log2 of the 1-norm of
 Gamma(u).  The wedge and the contraction are grade projections of the
 product (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
@@ -406,8 +406,8 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
     2005) applies to Gamma(u) as written.  The cost is two transforms of 2^n
-    coefficients plus one matrix_exp: at most six D x D products, one D x D
-    solve and s = max(0, ceil(log2(||Gamma(u)||_1 / theta_13))) squarings,
+    coefficients plus one matrix_exp: six D x D products, one D x D solve
+    and s = max(0, ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings,
     each product D^3 = 2^(3n/2) flops for even n.
     """
     _require_degree(u, 2, "spin_exp argument")
@@ -450,14 +450,18 @@ def tau(u: CliffordElement) -> np.ndarray:
 def tau_inv(s: np.ndarray) -> CliffordElement:
     """Bivector with tau(u) = s, read off coefficientwise from the skew matrix.
 
-    NotSkew when ||s + s^T|| > 1e-10 ||s||, a test relative to the scale of s;
-    the zero matrix passes (0 > 0 is false) and gives the zero bivector.
+    NotSkew when ||s + s^T|| > 1e-10 ||s|| + 64 n eps: relative to the scale
+    of s, plus a floor of a few ulps per row.  The callers pass the Cayley
+    image (1-t)(1+t)^{-1} of a computed rotation t, whose symmetric part is
+    rounding of t's unit-size entries however small s is (up to 18 eps at
+    n = 10 for t near 1); I at scale 1e-12 is still far above the floor.
+    The zero matrix passes and gives the zero bivector.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError("tau_inv expects a square matrix")
-    if np.linalg.norm(s + s.T) > 1e-10 * np.linalg.norm(s):
+    if np.linalg.norm(s + s.T) > 1e-10 * np.linalg.norm(s) + 64 * n * np.finfo(float).eps:
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     a, b, masks = _bivector_blades(n)
     u = CliffordElement(n)

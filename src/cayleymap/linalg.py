@@ -8,8 +8,8 @@ on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots), and every Jordan-type factor is one
 SpectralDecomposition.apply call.  The exponential is Pade scaling and
-squaring (Higham 2005): a fixed number of products chosen from the 1-norm,
-one LU solve and the squarings, with no per-term convergence test.
+squaring (Higham 2005): six products, one LU solve and the squarings the
+1-norm asks for, with no per-term convergence test.
 """
 
 from __future__ import annotations
@@ -29,21 +29,12 @@ CLUSTER_TOL = 1e-6
 ROOT_DEDUP_TOL = 1e-7
 # Trailing polynomial coefficients below this fraction of the largest are dropped.
 POLY_TRIM_TOL = 1e-12
-# Largest 1-norm at which the [m/m] Pade approximant of exp meets double
-# precision (Higham 2005, Table 2.3); above theta_13 the exponent is scaled.
-PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-# [m/m] Pade numerator coefficients b_j = (2m-j)! m! / (j! (m-j)!); the
+# Largest 1-norm at which the [13/13] Pade approximant of exp meets double
+# precision (Higham 2005, Table 2.3); above it the exponent is scaled.
+PADE_THETA = 5.371920351148152
+# [13/13] Pade numerator coefficients b_j = (26-j)! 13! / (j! (13-j)!); the
 # denominator has coefficients (-1)^j b_j.
-PADE_COEFFS = {
-    m: [float(factorial(2 * m - j) // factorial(m - j) * (factorial(m) // factorial(j))) for j in range(m + 1)]
-    for m in PADE_THETA
-}
+PADE_COEFFS = [float(factorial(26 - j) // factorial(13 - j) * (factorial(13) // factorial(j))) for j in range(14)]
 
 Matrix = np.ndarray
 
@@ -126,36 +117,28 @@ def determinant(a: Matrix) -> complex:
 
 
 def matrix_exp(a: Matrix) -> Matrix:
-    """Matrix exponential by [m/m] Pade scaling and squaring (Higham 2005,
-    SIAM J. Matrix Anal. Appl. 26:1179, Algorithm 2.3).
+    """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26:1179, Algorithm 2.3, with m fixed at 13).
 
-    The smallest m in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm of a
-    is taken; past theta_13, a is scaled by 2^-s so that its norm is at most
-    theta_13.  With U the odd and V the even part of the numerator, evaluated
-    from the even powers of a, r = (V - U)^-1 (V + U) is one LU solve and
-    exp(a) = r^(2^s).  That is at most six products, one solve and s
-    squarings.  ValueError (from as_square_matrix) for non-square or
-    non-finite input.
+    a is scaled by 2^-s so that its 1-norm is at most PADE_THETA.  With U
+    the odd and V the even part of the numerator, evaluated from a^2, a^4
+    and a^6, r = (V - U)^-1 (V + U) is one LU solve and exp(a) = r^(2^s):
+    six products, one solve and s squarings.  The smaller degrees of
+    Higham's algorithm would save up to four products below the norm 2.1;
+    one degree keeps one evaluation.  ValueError (from as_square_matrix) for
+    non-square or non-finite input.
     """
     a = as_square_matrix(a, "exponent")
     norm = np.abs(a).sum(axis=0).max(initial=0.0)
-    m = next((m for m in (3, 5, 7, 9) if norm <= PADE_THETA[m]), 13)
-    squarings = max(0, int(np.ceil(np.log2(norm / PADE_THETA[13])))) if m == 13 else 0
+    squarings = int(np.ceil(np.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
     a = a * 0.5**squarings
-    b = PADE_COEFFS[m]
+    b = PADE_COEFFS
     eye = np.eye(a.shape[0], dtype=complex)
     a2 = a @ a
-    if m < 13:
-        powers = [eye, a2]
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     result = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         result = result @ result

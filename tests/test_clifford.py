@@ -587,6 +587,21 @@ def test_tau_inv_of_zero_matrix_is_zero_bivector():
     assert not cl.tau_inv(np.zeros((4, 4))).coeffs.any()
 
 
+@pytest.mark.parametrize("eps", [10.0**-k for k in range(4, 11)])
+def test_closed_form_and_lift_near_identity(eps):
+    # The Cayley image of a computed rotation near 1 is skew only up to the
+    # rounding of the rotation's unit-size entries, not up to eps times it.
+    rng = _rng(17)
+    for n in (2, 4, 6, 8, 10):
+        u = cl.random_bivector(n, rng)
+        g = cl.spin_exp(u * (eps / u.norm()))
+        t = cl.vector_action(g)
+        closed = -2.0 * cl.spin_scalar(g) * cl.tau_inv(cl.cayley_gamma(t))
+        assert (closed - cl.spin_cayley(g)).norm() <= 1e-13
+        plus, minus = cl.lift_rotation(t)
+        assert min((plus.value - g.value).norm(), (minus.value - g.value).norm()) <= 1e-13
+
+
 def test_tau_is_vector_action_differential():
     rng = _rng(11)
     eps = 1e-6

@@ -406,7 +406,7 @@ def test_matrix_exp_diagonalizable_matches_eigen_oracle(scale):
 
 @pytest.mark.parametrize(
     "n, scale, seed",
-    [(3, 0.2, 1), (5, 8.0, 2), (8, 40.0, 3)],  # m = 5; m = 13 with one and with three squarings
+    [(3, 0.2, 1), (5, 8.0, 2), (8, 40.0, 3)],  # no squaring; one and three squarings
 )
 def test_matrix_exp_matches_mpmath_at_30_digits(n, scale, seed):
     a = _norm1_scaled(_random_complex(_rng(seed), (n, n)), scale)
