@@ -16,10 +16,16 @@ import numpy as np
 
 from . import catalog, clifford as cl, degree, linalg, suites
 from . import representation as rm
-from .errors import CayleyMapError
+from .errors import CayleyMapError, SingularShift
 
 USAGE_ERROR = 2
 MATH_ERROR = 3
+
+# --family choice -> (random target sampler, fiber solver)
+FIBER_FAMILIES = {
+    "sl": (degree.random_trace_free, degree.sl_fiber),
+    "spin": (degree.random_skew, degree.spin_fiber),
+}
 
 
 class UsageError(Exception):
@@ -163,21 +169,14 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    sample, solve = FIBER_FAMILIES[args.family]
     if args.target is not None:
         target = parse_matrix_arg(args.target)
     elif args.random:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xF1BE7]))
-        if args.family == "sl":
-            target = degree.random_trace_free(args.n, rng)
-        else:
-            target = degree.random_skew(args.n, rng)
+        target = sample(args.n, np.random.default_rng(np.random.SeedSequence([args.seed, 0xF1BE7])))
     else:
         raise UsageError("provide --target or --random")
-    if args.family == "sl":
-        report = degree.sl_fiber(args.n, target)
-    else:
-        report = degree.spin_fiber(args.n, target)
-    payload = report.to_json()
+    payload = solve(args.n, target).to_json()
     payload["command"] = "fiber"
     _emit(payload, args)
     return 0
@@ -237,10 +236,13 @@ def cmd_spin_cayley(args) -> int:
         "pr0": linalg.complex_to_json(pr0),
         "pr2": pr2.to_json(),
     }
-    t = cl.vector_action(g)
-    if abs(np.linalg.det(np.eye(g.n) + t)) > 1e-9:
-        closed = -2.0 * pr0 * cl.tau_inv(cl.cayley_gamma(t))
-        payload["closed_form"] = closed.to_json()
+    # the closed form is emitted exactly where cayley_gamma accepts 1 + T(g)
+    try:
+        gamma = cl.cayley_gamma(cl.vector_action(g))
+    except SingularShift:
+        pass
+    else:
+        payload["closed_form"] = (-2.0 * pr0 * cl.tau_inv(gamma)).to_json()
     _emit(payload, args)
     return 0
 
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_jacobian)
 
     p = sub.add_parser("fiber", parents=[common], help="fiber polynomial, roots and elements over a target")
-    p.add_argument("--family", required=True, choices=("sl", "spin"))
+    p.add_argument("--family", required=True, choices=tuple(FIBER_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", help="matrix JSON path or diag(...) shorthand")
     p.add_argument("--random", action="store_true", help="draw a random generic target")

@@ -39,7 +39,7 @@ import functools
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularMatrix, SingularShift
+from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularShift
 
 # Desk scale (2^10 coefficients); the O(2^n + D^2) tables allow more once benchmarked.
 MAX_N = 10
@@ -455,12 +455,11 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     image (1-t)(1+t)^{-1} of a computed rotation t, whose symmetric part is
     rounding of t's unit-size entries however small s is (up to 18 eps at
     n = 10 for t near 1); I at scale 1e-12 is still far above the floor.
-    The zero matrix passes and gives the zero bivector.
+    The zero matrix passes and gives the zero bivector; non-square or
+    non-finite s raise ValueError.
     """
-    s = np.asarray(s, dtype=complex)
+    s = linalg.as_square_matrix(s, "tau_inv argument")
     n = s.shape[0]
-    if s.shape != (n, n):
-        raise ValueError("tau_inv expects a square matrix")
     if np.linalg.norm(s + s.T) > 1e-10 * np.linalg.norm(s) + 64 * n * np.finfo(float).eps:
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     a, b, masks = _bivector_blades(n)
@@ -471,14 +470,18 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
 
 def cayley_gamma(b: np.ndarray) -> np.ndarray:
     """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined.
-    SingularShift also when the transform exceeds (1 + |b|)/linalg.RTOL, as at
-    the n = 2 half turn, where 1 + b is a tiny rotation of condition number 1."""
-    b = np.asarray(b, dtype=complex)
-    n = b.shape[0]
-    try:
-        out = linalg.solve_linear(np.eye(n) + b, np.eye(n) - b)
-    except SingularMatrix as exc:
-        raise SingularShift("1 + b is singular") from exc
+
+    The one conditioning decision on 1 + b: SingularShift when its condition
+    number exceeds 1/linalg.RTOL or the transform exceeds (1 + |b|)/linalg.RTOL
+    (the n = 2 half turn, where 1 + b is a tiny rotation of condition number
+    1).  ValueError for non-square or non-finite b.
+    """
+    b = linalg.as_square_matrix(b, "cayley_gamma argument")
+    shift = np.eye(b.shape[0]) + b
+    cond = np.linalg.cond(shift)
+    if cond > 1.0 / linalg.RTOL:
+        raise SingularShift(f"1 + b is singular (condition number {cond:.3e})")
+    out = linalg.solve_linear(shift, np.eye(b.shape[0]) - b, "1 + b")
     if np.linalg.norm(out) > (1.0 + np.linalg.norm(b)) / linalg.RTOL:
         raise SingularShift(f"1 + b is singular (transform norm {np.linalg.norm(out):.3e})")
     return out

@@ -11,7 +11,7 @@ class CayleyMapError(Exception):
 
 
 class SingularMatrix(CayleyMapError):
-    """Linear solve refused: matrix singular or condition number too large."""
+    """Matrix singular: a solve or inverse met a zero pivot, or an eigenvalue vanishes."""
 
 
 class ConvergenceFailure(CayleyMapError):

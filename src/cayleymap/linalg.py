@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateInput, SingularMatrix
 
-# Relative tolerance for solves: a condition number above 1/RTOL is singular.
+# A matrix whose condition number exceeds 1/RTOL counts as singular.
 RTOL = 1e-9
 # Default tolerance for merging nearby eigenvalues into one cluster.
 CLUSTER_TOL = 1e-6
@@ -79,21 +79,16 @@ def complex_normal(rng: np.random.Generator, size=None, scale: float = 1.0):
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
-def solve_linear(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b with partial pivoting; raise SingularMatrix if ill-conditioned."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"coefficient matrix not square: {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"row count mismatch: {a.shape} vs {b.shape}")
+def solve_linear(a: Matrix, b: Matrix, what: str = "matrix") -> Matrix:
+    """np.linalg.solve(a, b); SingularMatrix where LU meets an exactly zero pivot.
+
+    No condition check and no SVD: a caller that needs one decides once,
+    where its matrix is made (build_gram for G, cayley_gamma for 1 + b).
+    """
     try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError as exc:  # SVD failure on garbage input
-        raise SingularMatrix("condition estimate failed") from exc
-    if not np.isfinite(cond) or cond > 1.0 / RTOL:
-        raise SingularMatrix(f"condition number {cond:.3e} exceeds 1/rtol")
-    return np.linalg.solve(a, b)
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"{what} is singular") from exc
 
 
 def inverse(a: Matrix, what: str) -> Matrix:

@@ -59,8 +59,9 @@ class Representation:
     """Algebra basis matrices with cached trace-form Gram matrix.
 
     coords_of is the single trace-form projection: every coordinate
-    computation of this module goes through it.  Raises DegenerateForm when
-    the basis is linearly dependent or the trace form is singular on its span
+    computation of this module goes through it.  The Gram matrix is checked
+    once, here, by build_gram: DegenerateForm when the basis is linearly
+    dependent or the trace form is singular or ill-conditioned on its span
     (then no projection map exists), and NotASubalgebra when the span is not
     closed under commutators; check_closure=False defers that check to the
     first structure_constants call.  Instances are immutable in practice:
@@ -106,22 +107,15 @@ class Representation:
         t = m.reshape(-1, self.v_dim * self.v_dim) @ self._pairing
         return t.reshape(m.shape[:-2] + (self.g_dim,))
 
-    def coords_of(self, m, residual_tol: float | None = None) -> np.ndarray:
+    def coords_of(self, m) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
 
         m has shape (..., v, v); the result has shape (..., g), from one Gram
-        solve whatever the leading axes.  With residual_tol set, raises
-        NotASubalgebra if some matrix of m is not actually in the span to
-        that relative accuracy.
+        solve whatever the leading axes.  The solve makes no conditioning
+        decision of its own: build_gram made it when the Gram matrix was built.
         """
         t = self.trace_pair(m)
-        c = linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T).T.reshape(t.shape)
-        if residual_tol is not None:
-            res = np.linalg.norm(m - self.materialize(c), axis=(-2, -1))
-            worst = float(np.max(res / (1.0 + np.linalg.norm(m, axis=(-2, -1)))))
-            if worst > residual_tol:
-                raise NotASubalgebra(f"element leaves the basis span (residual {worst:.2e})")
-        return c
+        return linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T, "Gram matrix").T.reshape(t.shape)
 
     def structure_constants(self) -> np.ndarray:
         """c[i, j, :] = coordinates of [B_i, B_j]; cached.
@@ -152,7 +146,8 @@ def _commutators(stack: np.ndarray) -> np.ndarray:
 
 def build_gram(stack: np.ndarray) -> np.ndarray:
     """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack;
-    DegenerateForm above condition number 1/linalg.RTOL, where every coords_of solve fails."""
+    DegenerateForm above condition number 1/linalg.RTOL, G's only conditioning
+    decision (coords_of solves against G without one)."""
     g = np.einsum("iab,jba->ij", stack, stack)
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
@@ -225,15 +220,17 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """Matrix of conjugation by b acting on algebra coordinates.
 
     Column i = coordinates of M(b) B_i M(b)^{-1}.  Raises NotEquivariant if
-    conjugation leaves the basis span, which signals a malformed
-    representation.
+    some conjugate leaves the basis span by more than ADJOINT_RESIDUAL_TOL
+    relative to (1 + its norm), which signals a malformed representation.
     """
     bm = _mat(b)
     conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
-    try:
-        return rep.coords_of(conj, residual_tol=ADJOINT_RESIDUAL_TOL).T
-    except NotASubalgebra as exc:
-        raise NotEquivariant(f"conjugation leaves the algebra span: {exc}") from exc
+    c = rep.coords_of(conj)
+    res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
+    worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=(-2, -1)))))
+    if worst > ADJOINT_RESIDUAL_TOL:
+        raise NotEquivariant(f"conjugation leaves the algebra span (residual {worst:.2e})")
+    return c.T
 
 
 # --- Jordan-type decompositions ----------------------------------------------
@@ -258,10 +255,7 @@ def _unipotent_split(g, cluster_tol: float):
     if np.min(np.abs(dec.eigenvalues)) < 1e-12:
         raise SingularMatrix("element is numerically singular; no unipotent part")
     gs = dec.semisimple_part()
-    try:
-        return dec, gs, np.linalg.solve(gs, m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("semisimple part is singular") from exc
+    return dec, gs, linalg.solve_linear(gs, m, "semisimple part")
 
 
 def multiplicative_jordan(g, cluster_tol: float = linalg.CLUSTER_TOL):

@@ -109,6 +109,31 @@ def test_spin_exp_action_cayley(tmp_path, capsys):
     assert (pr2 - closed).norm() < 1e-10
 
 
+def _spin_cayley_at(tmp_path, capsys, c12, c34):
+    """spin cayley --element on exp(c12 z1 z2 + c34 z3 z4) at n = 4."""
+    from cayleymap import clifford as cl
+
+    u = c12 * cl.basis_blade(4, 0b0011) + c34 * cl.basis_blade(4, 0b1100)
+    spin_file = tmp_path / "spin.json"
+    spin_file.write_text(json.dumps(cl.spin_exp(u).value.to_json()))
+    return run_json(capsys, "spin", "cayley", "--element", str(spin_file))
+
+
+def test_spin_cayley_closed_form_follows_cayley_gamma(tmp_path, capsys):
+    from cayleymap import clifford as cl
+
+    # det(1 + T) = 1.4e-6 but 1 + T has condition number 8.9e15: no closed form
+    code, payload = _spin_cayley_at(tmp_path, capsys, (np.pi - 1e-8) / 2, 10j)
+    assert code == 0
+    assert "closed_form" not in payload
+    # det(1 + T) = 1e-12 with condition number 1: the closed form is well defined
+    theta = (np.pi - 1e-3) / 2
+    code, payload = _spin_cayley_at(tmp_path, capsys, theta, theta)
+    assert code == 0
+    closed = cl.CliffordElement.from_json(payload["closed_form"])
+    assert (closed - cl.CliffordElement.from_json(payload["pr2"])).norm() <= 1e-11
+
+
 def test_verify_suite_passes(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "inequality", "--trials", "200", "--seed", "3")
     assert code == 0

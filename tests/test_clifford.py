@@ -634,6 +634,29 @@ def test_cayley_gamma_singular_shift():
         cl.cayley_gamma(-np.eye(2))
 
 
+def test_cayley_gamma_det_consistency_random():
+    # 1 + b = a: SingularShift exactly when det a vanishes within tolerance
+    rng = _rng(2)
+    for trial in range(20):
+        a = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(2)
+        if trial % 4 == 0:
+            a[:, 0] = a[:, 1]  # force singularity
+        det = linalg.determinant(a)
+        try:
+            cl.cayley_gamma(a - np.eye(6))
+            solved = True
+        except SingularShift:
+            solved = False
+        assert solved == (abs(det) > 1e-10)
+
+
+def test_cayley_gamma_and_tau_inv_reject_non_finite_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        cl.cayley_gamma(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        cl.tau_inv(np.full((3, 3), np.inf))
+
+
 # --- exterior exponential and the closed form -------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cayleymap import catalog, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, SingularMatrix
+from cayleymap.errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix
 
 
 def _rng(seed):
@@ -314,10 +314,29 @@ def test_unipotent_split_with_singular_semisimple_part_raises_singular_matrix(mo
         rm.multiplicative_jordan(np.diag([1.0, 2.0]))
 
 
-def test_coords_of_rejects_out_of_span():
-    # a matrix with nonzero trace cannot lie in the trace-free span
-    with pytest.raises(NotASubalgebra):
-        SL2.coords_of(np.eye(2), residual_tol=1e-8)
+def test_adjoint_matrix_rejects_conjugates_outside_the_span():
+    # the diagonal subalgebra of sl3 is fixed by diagonal conjugation only
+    cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
+    with pytest.raises(NotEquivariant, match="residual 4.49e-01"):
+        rm.adjoint_matrix(cartan, catalog.sample_element(SL3, "generic", 0))
+    assert np.allclose(rm.adjoint_matrix(cartan, np.diag([2.0, 0.5, 1.0])), np.eye(2), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rep", [SL3, SO4, catalog.make_gl(3)], ids=lambda r: r.name)
+def test_no_svd_after_construction(rep, monkeypatch):
+    # build_gram makes the Gram matrix's one conditioning decision; the
+    # projection, the Jacobian, psi and the adjoint solve against G without one
+    g = catalog.sample_element(rep, "generic", 3)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD after construction")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert rm.cayley(rep, g).coords.shape == (rep.g_dim,)
+    assert np.isfinite(rm.psi(rep, g))
+    assert rm.cayley_jacobian(rep, g).shape == (rep.g_dim, rep.g_dim)
+    assert rm.adjoint_matrix(rep, g).shape == (rep.g_dim, rep.g_dim)
 
 
 def test_cluster_ambiguity_raised():
