@@ -119,8 +119,8 @@ def make_sl2_irrep(m: int) -> Representation:
     return Representation(f"sl2irrep{m}", basis=[h, e, f], metadata=meta)
 
 
-# family -> (maker, size key of its descriptor).  make() looks the maker up on
-# this module when called, so a rebound catalog.make_* reaches every caller.
+# family -> (maker, its size argument: n, or m for sl2_irrep).  make() looks the
+# maker up on this module when called, so a rebound catalog.make_* reaches every caller.
 FAMILIES = {
     "sl": ("make_sl", "n"),
     "so": ("make_so", "n"),
@@ -163,7 +163,7 @@ def _require_same_algebra(r1: Representation, r2: Representation):
 
 
 def _combined_meta(r1: Representation, family: str) -> dict:
-    meta = {"family": family, "parents": r1.metadata.get("family")}
+    meta = {"family": family}
     for key in ("rank", "cartan_indices", "hyperbolic_unit", "nilpotent_index", "m", "n"):
         if key in r1.metadata:
             meta[key] = r1.metadata[key]
@@ -323,28 +323,3 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     m = m - (np.trace(m) / n) * np.eye(n)  # pin the trace to exactly 0
     return GroupElement(m)
 
-
-# --- descriptors ---------------------------------------------------------------
-
-
-def from_descriptor(d: dict) -> Representation:
-    """Build a representation from the JSON descriptor form."""
-    family = d.get("family")
-    if family == "custom":
-        basis = [linalg.matrix_from_json(b) for b in d["basis"]]
-        return Representation(d.get("name", "custom"), basis, metadata={"family": "custom"})
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return make(family, int(d[FAMILIES[family][1]]))
-
-
-def to_descriptor(rep: Representation) -> dict:
-    family = rep.metadata.get("family", "custom")
-    if family in FAMILIES:
-        key = FAMILIES[family][1]
-        return {"family": family, key: rep.metadata[key]}
-    return {
-        "family": "custom",
-        "name": rep.name,
-        "basis": [linalg.matrix_to_json(b) for b in rep.basis],
-    }

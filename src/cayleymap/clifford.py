@@ -183,6 +183,8 @@ class CliffordElement:
         n = int(d["n"])
         re = np.asarray(d["coeffs_re"], dtype=float)
         im = np.asarray(d.get("coeffs_im", np.zeros_like(re)), dtype=float)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("Clifford coefficients contain non-finite entries")
         return cls(n, re + 1j * im)
 
     def __repr__(self) -> str:
@@ -378,6 +380,9 @@ class SpinElement:
 
     def _validate(self):
         g = self.value
+        # every residual test below is false for NaN
+        if not np.isfinite(g.coeffs).all():
+            raise NotInSpin("coefficients contain non-finite entries")
         scale = max(1.0, g.norm())
         odd = sum(g.grade(k).norm() for k in range(1, g.n + 1, 2))
         if odd > 1e-10 * scale:
@@ -432,8 +437,7 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
 
 def vector_action(g: SpinElement) -> np.ndarray:
     """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
-    gv = g.value if isinstance(g, SpinElement) else g
-    return _twisted_images(gv, alpha(gv))
+    return _twisted_images(g.value, alpha(g.value))
 
 
 def tau(u: CliffordElement) -> np.ndarray:
@@ -501,14 +505,12 @@ def exterior_exp(u: CliffordElement) -> CliffordElement:
 def spin_cayley(g: SpinElement) -> CliffordElement:
     """Degree-2 part of the spin element: the trace-form projection of the
     spin representation lands on the bivector component."""
-    gv = g.value if isinstance(g, SpinElement) else g
-    return gv.grade(2)
+    return g.value.grade(2)
 
 
 def spin_scalar(g: SpinElement) -> complex:
     """Degree-0 part; squares to det(1 + T(g)) / 2^n."""
-    gv = g.value if isinstance(g, SpinElement) else g
-    return gv.scalar_part()
+    return g.value.scalar_part()
 
 
 def lift_rotation(a: np.ndarray) -> tuple[SpinElement, SpinElement]:

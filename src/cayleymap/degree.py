@@ -75,9 +75,11 @@ def minimal_poly_coeffs(family: str, n: int, x) -> linalg.Polynomial:
     x = linalg.as_square_matrix(x, "fiber target")
     if x.shape[0] != n:
         raise ValueError(f"target is {x.shape[0]}x{x.shape[0]}, expected n={n}")
-    scale = 1.0 + np.linalg.norm(x)
+    norm = np.linalg.norm(x)
+    scale = 1.0 + norm
     if family == "sl":
-        if abs(np.trace(x)) > 1e-8 * scale:
+        # relative to ||X|| alone, so the test means the same at every scale
+        if abs(np.trace(x)) > 1e-8 * norm:
             raise DegenerateInput(f"sl fiber target must be trace-free, tr = {np.trace(x):.2e}")
         coeffs = _char_poly(x).coeffs.copy()
         coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])

@@ -190,8 +190,6 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     Each root is polished by three Newton steps, which matters when roots
     are later deduplicated at tight absolute tolerance.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
@@ -246,14 +244,16 @@ class SpectralDecomposition:
     imaginary part.
 
     raw_eigenvalues keeps the unclustered solver output, and labels[i] is the
-    index in eigenvalues of the cluster holding raw_eigenvalues[i]; Jordan-type
-    callers use both to detect gap/tolerance ambiguity without re-solving.
+    index in eigenvalues of the cluster holding raw_eigenvalues[i]; threshold
+    is the clustering distance spectral used.  Jordan-type callers use all
+    three to detect gap/threshold ambiguity without re-solving.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     raw_eigenvalues: np.ndarray
     labels: np.ndarray
+    threshold: float
 
     @property
     def multiplicities(self) -> list[int]:
@@ -290,7 +290,8 @@ class SpectralDecomposition:
 
 
 def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Eigenvalues of a clustered at cluster_tol * (1 + ||a||).
+    """Eigenvalues of a clustered at threshold cluster_tol * (1 + ||a||), kept
+    on the result as its threshold.
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
@@ -302,10 +303,10 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    tol = cluster_tol * (1.0 + np.linalg.norm(a))
-    reps, labels = dedup_roots(raw, tol)
+    threshold = cluster_tol * (1.0 + np.linalg.norm(a))
+    reps, labels = dedup_roots(raw, threshold)
     order = np.lexsort((reps.imag, reps.real))
-    return SpectralDecomposition(a, reps[order], raw, labels=np.argsort(order)[labels])
+    return SpectralDecomposition(a, reps[order], raw, np.argsort(order)[labels], threshold)
 
 
 def min_intercluster_gap(dec: SpectralDecomposition) -> float:

@@ -41,18 +41,15 @@ class GroupElement:
     def __post_init__(self):
         self.matrix = linalg.as_square_matrix(self.matrix, "group element")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def inverse(self) -> "GroupElement":
         return GroupElement(linalg.inverse(self.matrix, "group element"))
 
 
 def _mat(g) -> np.ndarray:
+    """g's matrix; a raw array gets GroupElement's check (ValueError if non-square or non-finite)."""
     if isinstance(g, GroupElement):
         return g.matrix
-    return np.asarray(g, dtype=complex)
+    return linalg.as_square_matrix(g, "group element")
 
 
 class Representation:
@@ -179,12 +176,6 @@ class AlgebraVector:
     def to_json(self) -> dict:
         return {"coords_re": self.coords.real.tolist(), "coords_im": self.coords.imag.tolist()}
 
-    @classmethod
-    def from_json(cls, rep: Representation, d: dict) -> "AlgebraVector":
-        re = np.asarray(d["coords_re"], dtype=float)
-        im = np.asarray(d.get("coords_im", np.zeros_like(re)), dtype=float)
-        return cls(rep, re + 1j * im)
-
 
 # --- the projection map and its Jacobian -------------------------------------
 
@@ -239,11 +230,10 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecomposition:
     dec = linalg.spectral(m, cluster_tol)
     if dec.eigenvalues.size > 1:
-        threshold = cluster_tol * (1.0 + np.linalg.norm(m))
         gap = linalg.min_intercluster_gap(dec)
-        if gap < 2.0 * threshold:
+        if gap < 2.0 * dec.threshold:
             raise ClusterAmbiguity(
-                f"eigenvalue gap {gap:.2e} straddles clustering threshold {threshold:.2e}"
+                f"eigenvalue gap {gap:.2e} straddles clustering threshold {dec.threshold:.2e}"
             )
     return dec
 
@@ -314,7 +304,5 @@ def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:
         raise ValueError(f"invalid index subset {idx}")
     sub = [rep.basis[i] for i in idx]
     meta = dict(rep.metadata)
-    meta["restricted_from"] = rep.name
-    meta["restricted_indices"] = idx
     meta.pop("cartan_indices", None)
     return Representation(f"{rep.name}|{idx}", sub, metadata=meta)

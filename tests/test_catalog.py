@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cayleymap import catalog, linalg
+from cayleymap import catalog, cli, linalg
 from cayleymap import representation as rm
 from cayleymap.errors import IncompatibleAlgebras, NotProportional, SingularMatrix
 
@@ -272,21 +272,7 @@ def test_sampler_group_membership():
         assert abs(np.linalg.det(g.matrix) - 1) < 1e-8
 
 
-# --- descriptors -------------------------------------------------------------------
-
-
-def test_descriptor_roundtrip_families():
-    for rep in (catalog.make_sl(3), catalog.make_so(4), catalog.make_gl(2), catalog.make_sl2_irrep(3)):
-        back = catalog.from_descriptor(catalog.to_descriptor(rep))
-        assert back.g_dim == rep.g_dim
-        assert all(np.allclose(a, b) for a, b in zip(back.basis, rep.basis))
-
-
-def test_descriptor_custom_basis():
-    rep = catalog.make_sl(2)
-    d = {"family": "custom", "basis": [linalg.matrix_to_json(b) for b in rep.basis]}
-    back = catalog.from_descriptor(d)
-    assert np.allclose(back.gram, rep.gram)
+# --- family registry ---------------------------------------------------------------
 
 
 def test_family_registry_calls_makers_by_module_attribute(monkeypatch):
@@ -295,7 +281,8 @@ def test_family_registry_calls_makers_by_module_attribute(monkeypatch):
     real = catalog.make_sl2_irrep
     monkeypatch.setattr(catalog, "make_sl2_irrep", lambda m: calls.append(m) or real(m))
     assert catalog.make("sl2_irrep", 2).name == "sl2irrep2"
-    assert catalog.from_descriptor({"family": "sl2_irrep", "m": 3}).g_dim == 3
+    args = cli.build_parser().parse_args(["map", "--group", "sl2_irrep", "--m", "3"])
+    assert cli._build_rep(args).g_dim == 3
     assert calls == [2, 3]
     with pytest.raises(ValueError):
         catalog.make("sp", 4)

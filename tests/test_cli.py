@@ -237,6 +237,24 @@ def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["exp", "action", "cayley"])
+def test_spin_commands_reject_non_finite_files(tmp_path, capsys, command, bad):
+    # json reads NaN and Infinity; a non-finite coefficient is a usage error,
+    # not a NaN rotation
+    from cayleymap import clifford as cl
+
+    u = 0.3 * cl.basis_blade(2, 0b11)
+    value = u if command == "exp" else cl.spin_exp(u).value
+    payload = value.to_json()
+    payload["coeffs_re"][3 if command == "exp" else 0] = bad
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["spin", command, "--element", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "non-finite" in out.err
+
+
 def test_element_dimension_mismatch(capsys):
     assert cli.main(["map", "--group", "sl", "--n", "3", "--element", "identity 2"]) == 2
     capsys.readouterr()

@@ -511,6 +511,17 @@ def test_not_in_spin_rejected():
         cl.SpinElement(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_elements_rejected(bad):
+    # the residual tests of SpinElement are all false for NaN
+    with pytest.raises(NotInSpin):
+        cl.SpinElement(cl.CliffordElement(2, [bad, 0, 0, 0]))
+    payload = cl.scalar(2, 1.0).to_json()
+    payload["coeffs_im"][3] = bad
+    with pytest.raises(ValueError):
+        cl.CliffordElement.from_json(payload)
+
+
 # --- tau and the classical Cayley transform -------------------------------------------
 
 

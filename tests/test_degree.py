@@ -54,6 +54,23 @@ def test_sl_fiber_requires_traceless():
         degree.sl_fiber(2, np.eye(2))
 
 
+def test_sl_trace_free_check_is_relative_to_the_target():
+    # diag(1, 2, 3) has trace 6 at every scale, so the relative test rejects it at every scale
+    for s in 10.0 ** np.arange(-9, 4):
+        with pytest.raises(DegenerateInput, match="must be trace-free"):
+            degree.sl_fiber(3, s * np.diag([1.0, 2.0, 3.0]))
+    assert degree.sl_fiber(3, np.zeros((3, 3))).count == 3
+    rng = np.random.default_rng(4)
+    for n in (3, 4, 6):
+        for s in 10.0 ** np.arange(-6, 7):
+            # the trace-free test passes; far from unit scale the coefficient
+            # normalization check may still raise (a known fiber defect)
+            try:
+                degree.minimal_poly_coeffs("sl", n, s * degree.random_trace_free(n, rng))
+            except DegenerateInput as exc:
+                assert "must be trace-free" not in str(exc)
+
+
 def test_principal_nilpotent_fiber_counts():
     for n in (2, 3, 4):
         report = degree.sl_principal_nilpotent_fiber(n)

@@ -119,10 +119,13 @@ def test_min_intercluster_gap_single_cluster_is_inf():
 
 
 def test_min_intercluster_gap_two_clusters():
-    assert linalg.min_intercluster_gap(linalg.spectral(np.diag([1.0, 1.0, 3.0]))) == 2.0
+    m = np.diag([1.0, 1.0, 3.0])
+    dec = linalg.spectral(m)
+    assert linalg.min_intercluster_gap(dec) == 2.0
+    assert dec.threshold == linalg.CLUSTER_TOL * (1.0 + np.linalg.norm(m))
     # clusters {1, 1.5} and {4+i, 5+i}, given by labels
     raw = np.array([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
-    dec = linalg.SpectralDecomposition(np.diag(raw), np.array([1.25, 4.5 + 1j]), raw, np.array([0, 1, 0, 1]))
+    dec = linalg.SpectralDecomposition(np.diag(raw), np.array([1.25, 4.5 + 1j]), raw, np.array([0, 1, 0, 1]), 0.6)
     assert linalg.min_intercluster_gap(dec) == np.hypot(2.5, 1.0)
 
 

@@ -599,11 +599,13 @@ def test_zero_sum_exponential_inequality():
         assert slack >= -1e-12
 
 
-# --- serialization -------------------------------------------------------------------
+# --- raw-array input ----------------------------------------------------------------
 
 
-def test_algebra_vector_json_roundtrip():
-    v = rm.cayley(SL2, np.diag([2.0, 0.5]))
-    d = v.to_json()
-    back = rm.AlgebraVector.from_json(SL2, d)
-    assert np.allclose(back.coords, v.coords)
+@pytest.mark.parametrize("fn", [rm.psi, rm.adjoint_matrix, rm.cayley, rm.cayley_jacobian], ids=lambda f: f.__name__)
+def test_raw_arrays_are_checked_like_group_elements(fn):
+    # a raw array gets the GroupElement check, so NaN cannot reach a result
+    # and a 4-vector is not read as a 2x2 matrix
+    for bad in (np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.ones(4)):
+        with pytest.raises(ValueError):
+            fn(SL2, bad)
