@@ -274,7 +274,7 @@ def _traceless_spectrum(n: int, rng) -> np.ndarray:
     free = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 2)) * rng.uniform(0.7, 1.4, n - 2)
     s = -np.sum(free)
     p = 1.0 / np.prod(free)
-    last = linalg.poly_roots(linalg.Polynomial([p, -s, 1.0]))
+    last = linalg.poly_roots([p, -s, 1.0])
     return np.concatenate([free, last])
 
 

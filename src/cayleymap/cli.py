@@ -21,13 +21,6 @@ from .errors import CayleyMapError, SingularShift
 USAGE_ERROR = 2
 MATH_ERROR = 3
 
-# --family choice -> (random target sampler, fiber solver)
-FIBER_FAMILIES = {
-    "sl": (degree.random_trace_free, degree.sl_fiber),
-    "spin": (degree.random_skew, degree.spin_fiber),
-}
-
-
 class UsageError(Exception):
     """Malformed input: bad expression, unreadable file, wrong shape."""
 
@@ -169,13 +162,16 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    sample, solve = FIBER_FAMILIES[args.family]
+    smallest, sample = degree.FAMILIES[args.family]
+    if args.n < smallest:
+        raise UsageError(f"--family {args.family} needs --n >= {smallest}")
     if args.target is not None:
         target = parse_matrix_arg(args.target)
     elif args.random:
         target = sample(args.n, np.random.default_rng(np.random.SeedSequence([args.seed, 0xF1BE7])))
     else:
         raise UsageError("provide --target or --random")
+    solve = degree.sl_fiber if args.family == "sl" else degree.spin_fiber
     payload = solve(args.n, target).to_json()
     payload["command"] = "fiber"
     _emit(payload, args)
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_jacobian)
 
     p = sub.add_parser("fiber", parents=[common], help="fiber polynomial, roots and elements over a target")
-    p.add_argument("--family", required=True, choices=tuple(FIBER_FAMILIES))
+    p.add_argument("--family", required=True, choices=tuple(degree.FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", help="matrix JSON path or diag(...) shorthand")
     p.add_argument("--random", action="store_true", help="draw a random generic target")

@@ -7,8 +7,12 @@ governed by det(t*1 + X) - 2^n t^(n-2) = 0, each nonzero root t giving the
 rotation (1 - X/t)(1 + X/t)^{-1}.  Counting distinct admissible roots over
 generic targets exhibits the mapping degree.
 
-Polynomials are built by evaluating the determinant at n+1 nodes on a
-scaled circle and interpolating, rather than by symbolic expansion.
+Polynomials are ascending complex coefficient arrays, built by evaluating
+the determinant at n+1 nodes on a scaled circle and interpolating, rather
+than by symbolic expansion.  Both families share one pipeline,
+minimal_poly_coeffs -> linalg.poly_roots -> linalg.dedup_roots; only the
+reconstruction of fiber elements from the roots differs.  FAMILIES gives
+each family's smallest n and its random generic target.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ ZERO_ROOT_TOL = 1e-7
 
 @dataclass
 class FiberReport:
-    """Roots of the fiber polynomial and the reconstructed fiber elements.
+    """Roots of the fiber polynomial (ascending coefficients) and the
+    reconstructed fiber elements.
 
     element_roots runs parallel to valid_elements; it differs from roots
     only when a reconstruction was skipped (recorded in skipped_roots).
@@ -35,8 +40,7 @@ class FiberReport:
 
     family: str
     n: int
-    target: np.ndarray
-    polynomial: linalg.Polynomial
+    polynomial: np.ndarray
     roots: np.ndarray
     valid_elements: list
     element_roots: list
@@ -47,7 +51,7 @@ class FiberReport:
         return {
             "family": self.family,
             "n": self.n,
-            "polynomial": linalg.complex_to_json(self.polynomial.coeffs),
+            "polynomial": linalg.complex_to_json(self.polynomial),
             "roots": linalg.complex_to_json(self.roots),
             "count": self.count,
             "elements": [linalg.matrix_to_json(e) for e in self.valid_elements],
@@ -56,96 +60,86 @@ class FiberReport:
         }
 
 
-def _char_poly(x: np.ndarray) -> linalg.Polynomial:
-    """Coefficients of t -> det(t*1 + x) by node evaluation and interpolation."""
+def _char_poly(x: np.ndarray) -> np.ndarray:
+    """Trimmed coefficients of t -> det(t*1 + x) by node evaluation and interpolation."""
     n = x.shape[0]
     radius = 1.0 + np.linalg.norm(x)
     nodes = radius * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     values = np.array([linalg.determinant(t * np.eye(n) + x) for t in nodes])
     vander = np.vander(nodes, n + 1, increasing=True)
-    return linalg.Polynomial(np.linalg.solve(vander, values))
+    return linalg.trim_poly(np.linalg.solve(vander, values))
 
 
-def minimal_poly_coeffs(family: str, n: int, x) -> linalg.Polynomial:
-    """Fiber polynomial for the given family ('sl' or 'spin').
+def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
+    """Ascending coefficients of the fiber polynomial of a family in FAMILIES.
 
     sl:   det(t*1 + X) - 1, with p_{n-1} = tr X required to vanish and p_n = 1
     spin: det(t*1 + X) - 2^n t^(n-2), X skew
+
+    The target is checked first (DegenerateInput if an sl target has a
+    trace, NotSkew if a spin target is not skew), then n against the
+    family's smallest, then the sl normalization.
     """
     x = linalg.as_square_matrix(x, "fiber target")
     if x.shape[0] != n:
         raise ValueError(f"target is {x.shape[0]}x{x.shape[0]}, expected n={n}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown fiber family {family!r}")
     norm = np.linalg.norm(x)
     scale = 1.0 + norm
     if family == "sl":
         # relative to ||X|| alone, so the test means the same at every scale
         if abs(np.trace(x)) > 1e-8 * norm:
             raise DegenerateInput(f"sl fiber target must be trace-free, tr = {np.trace(x):.2e}")
-        coeffs = _char_poly(x).coeffs.copy()
-        coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])
+    elif np.linalg.norm(x + x.T) > 1e-10 * scale:
+        raise NotSkew("spin fiber target must be skew-symmetric")
+    smallest = FAMILIES[family][0]
+    if n < smallest:
+        raise ValueError(f"{family} fibers need n >= {smallest}")
+    coeffs = _char_poly(x)
+    coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])
+    if family == "sl":
         coeffs[0] -= 1.0
         if abs(coeffs[n] - 1.0) > 1e-8 or abs(coeffs[n - 1]) > 1e-6 * scale**n:
             raise DegenerateInput("characteristic coefficients violate the trace-free normalization")
-        return linalg.Polynomial(coeffs)
-    if family == "spin":
-        if np.linalg.norm(x + x.T) > 1e-10 * scale:
-            raise NotSkew("spin fiber target must be skew-symmetric")
-        if n < 3:
-            raise ValueError("spin fibers need n >= 3")
-        coeffs = _char_poly(x).coeffs.copy()
-        coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])
+    else:
         coeffs[n - 2] -= 2.0**n
-        return linalg.Polynomial(coeffs)
-    raise ValueError(f"unknown fiber family {family!r}")
+    return linalg.trim_poly(coeffs)
 
 
-def sl_fiber(n: int, x, dedup_tol: float = linalg.ROOT_DEDUP_TOL) -> FiberReport:
-    """All shifts X + t*1 with unit determinant; count = distinct roots."""
+def _fiber_roots(family: str, n: int, x):
+    """(target, fiber polynomial, its distinct roots): the part every fiber shares."""
     x = linalg.as_square_matrix(x, "fiber target")
-    poly = minimal_poly_coeffs("sl", n, x)
-    roots = linalg.poly_roots(poly)
-    distinct, _ = linalg.dedup_roots(roots, tol=dedup_tol)
+    poly = minimal_poly_coeffs(family, n, x)
+    distinct, _ = linalg.dedup_roots(linalg.poly_roots(poly))
+    return x, poly, distinct
+
+
+def sl_fiber(n: int, x) -> FiberReport:
+    """All shifts X + t*1 with unit determinant; count = distinct roots."""
+    x, poly, distinct = _fiber_roots("sl", n, x)
     elements = [x + t * np.eye(n) for t in distinct]
-    return FiberReport(
-        family="sl",
-        n=n,
-        target=x,
-        polynomial=poly,
-        roots=distinct,
-        valid_elements=elements,
-        element_roots=list(distinct),
-        count=len(distinct),
-    )
+    return FiberReport("sl", n, poly, distinct, elements, list(distinct), len(distinct))
 
 
 def principal_nilpotent(n: int) -> np.ndarray:
-    """The single regular nilpotent Jordan block (ones on the superdiagonal)."""
+    """The regular nilpotent Jordan block (ones on the superdiagonal); its sl fiber is t^n = 1."""
     x = np.zeros((n, n), dtype=complex)
     for i in range(n - 1):
         x[i, i + 1] = 1.0
     return x
 
 
-def sl_principal_nilpotent_fiber(n: int, dedup_tol: float = linalg.ROOT_DEDUP_TOL) -> FiberReport:
-    """Fiber over the regular nilpotent: t^n = 1, one element per central root."""
-    return sl_fiber(n, principal_nilpotent(n), dedup_tol=dedup_tol)
-
-
-def spin_fiber(n: int, x, dedup_tol: float = linalg.ROOT_DEDUP_TOL) -> FiberReport:
+def spin_fiber(n: int, x) -> FiberReport:
     """Rotations T = (1 - X/t)(1 + X/t)^{-1} over the distinct nonzero roots.
 
     Each reconstruction is checked to be special orthogonal with
     det(1 + T) = t^2; roots where 1 + X/t is singular are skipped and
     recorded, not raised.
     """
-    x = linalg.as_square_matrix(x, "fiber target")
-    poly = minimal_poly_coeffs("spin", n, x)
-    roots = linalg.poly_roots(poly)
-    distinct, _ = linalg.dedup_roots(roots, tol=dedup_tol)
+    x, poly, distinct = _fiber_roots("spin", n, x)
     admissible = [t for t in distinct if abs(t) > ZERO_ROOT_TOL]
-    elements = []
-    element_roots = []
-    skipped = []
+    elements, element_roots, skipped = [], [], []
     for t in admissible:
         try:
             rot = cayley_gamma(x / t)
@@ -159,17 +153,7 @@ def spin_fiber(n: int, x, dedup_tol: float = linalg.ROOT_DEDUP_TOL) -> FiberRepo
             continue
         elements.append(rot)
         element_roots.append(t)
-    return FiberReport(
-        family="spin",
-        n=n,
-        target=x,
-        polynomial=poly,
-        roots=np.asarray(admissible),
-        valid_elements=elements,
-        element_roots=element_roots,
-        count=len(admissible),
-        skipped_roots=skipped,
-    )
+    return FiberReport("spin", n, poly, np.asarray(admissible), elements, element_roots, len(admissible), skipped)
 
 
 def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -180,3 +164,7 @@ def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     m = linalg.complex_normal(rng, (n, n))
     return 0.5 * (m - m.T)
+
+
+# fiber family -> (smallest n, random generic target sampler)
+FAMILIES = {"sl": (2, random_trace_free), "spin": (3, random_skew)}

@@ -7,9 +7,11 @@ LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
 on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots), and every Jordan-type factor is one
-SpectralDecomposition.apply call.  The exponential is Pade scaling and
-squaring (Higham 2005): six products, one LU solve and the squarings the
-1-norm asks for, with no per-term convergence test.
+SpectralDecomposition.apply call.  A polynomial is a plain array of
+ascending complex coefficients; trim_poly is its one normalization, and
+poly_roots polishes with numpy's polyval and polyder.  The exponential is
+Pade scaling and squaring (Higham 2005): six products, one LU solve and the
+squarings the 1-norm asks for, with no per-term convergence test.
 """
 
 from __future__ import annotations
@@ -140,62 +142,37 @@ def matrix_exp(a: Matrix) -> Matrix:
     return result
 
 
-class Polynomial:
-    """Complex polynomial stored as ascending coefficients.
-
-    Trailing coefficients below POLY_TRIM_TOL * max|coeff| are stripped on
-    construction, so the leading coefficient of a nonzero polynomial is
-    genuinely nonzero.
-    """
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D sequence")
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0:
-            self.coeffs = np.zeros(1, dtype=complex)
-        else:
-            keep = c.size
-            while keep > 1 and abs(c[keep - 1]) <= POLY_TRIM_TOL * scale:
-                keep -= 1
-            self.coeffs = c[:keep].copy()
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
-
-    def __call__(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=complex))
-        for c in self.coeffs[::-1]:
-            out = out * t + c
-        return out if out.shape else complex(out)
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.coeffs.tolist()})"
+def trim_poly(coeffs) -> np.ndarray:
+    """Ascending complex coefficients with trailing ones <= POLY_TRIM_TOL *
+    max|c| dropped, so a nonzero polynomial's leading coefficient is genuinely
+    nonzero; an all-zero input becomes [0]."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a nonempty 1-D sequence")
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return np.zeros(1, dtype=complex)
+    keep = c.size
+    while keep > 1 and abs(c[keep - 1]) <= POLY_TRIM_TOL * scale:
+        keep -= 1
+    return c[:keep].copy()
 
 
-def poly_roots(p: Polynomial) -> np.ndarray:
-    """All roots (with multiplicity) via companion-matrix eigenvalues.
+def poly_roots(coeffs) -> np.ndarray:
+    """All roots (with multiplicity) of the polynomial with ascending
+    coefficients coeffs (trimmed by trim_poly), via companion-matrix
+    eigenvalues.
 
     Each root is polished by three Newton steps, which matters when roots
     are later deduplicated at tight absolute tolerance.
     """
-    if p.is_zero():
+    c = trim_poly(coeffs)
+    if not c.any():
         raise DegenerateInput("zero polynomial has no well-defined roots")
-    if p.degree < 1:
+    deg = c.size - 1
+    if deg < 1:
         raise DegenerateInput("constant polynomial has no roots")
-    monic = p.coeffs / p.coeffs[-1]
-    deg = p.degree
+    monic = c / c[-1]
     companion = np.zeros((deg, deg), dtype=complex)
     companion[1:, :-1] = np.eye(deg - 1)
     companion[:, -1] = -monic[:-1]
@@ -203,11 +180,14 @@ def poly_roots(p: Polynomial) -> np.ndarray:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("companion eigensolver stalled") from exc
-    dp = p.derivative()
+    # np.polyval and np.polyder take descending coefficients
+    desc = c[::-1]
+    slope_coeffs = np.polyder(desc)
     for _ in range(3):
-        slope = dp(roots)
+        slope = np.polyval(slope_coeffs, roots)
         safe = np.abs(slope) > 1e-14
-        roots = np.where(safe, roots - np.where(safe, p(roots), 0.0) / np.where(safe, slope, 1.0), roots)
+        step = np.where(safe, np.polyval(desc, roots), 0.0) / np.where(safe, slope, 1.0)
+        roots = np.where(safe, roots - step, roots)
     return roots
 
 

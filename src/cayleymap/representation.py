@@ -60,13 +60,12 @@ class Representation:
     once, here, by build_gram: DegenerateForm when the basis is linearly
     dependent or the trace form is singular or ill-conditioned on its span
     (then no projection map exists), and NotASubalgebra when the span is not
-    closed under commutators; check_closure=False defers that check to the
-    first structure_constants call.  Instances are immutable in practice:
-    nothing mutates basis or gram after construction, so values are safe to
-    share across threads.
+    closed under commutators, found while the structure constants are
+    computed.  Instances are immutable in practice: nothing mutates basis or
+    gram after construction, so values are safe to share across threads.
     """
 
-    def __init__(self, name: str, basis, metadata: dict | None = None, check_closure: bool = True):
+    def __init__(self, name: str, basis, metadata: dict | None = None):
         if len(basis) == 0:
             raise ValueError("basis must be nonempty")
         mats = [linalg.as_square_matrix(b, f"basis[{i}]") for i, b in enumerate(basis)]
@@ -80,9 +79,14 @@ class Representation:
         self.gram = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
-        self._structure: np.ndarray | None = None
-        if check_closure:
-            self.structure_constants()
+        comm = _commutators(self.stack)
+        c = self.coords_of(comm)
+        recon = self.materialize(c)
+        recon -= comm  # in place: the commutator stack is the largest array here
+        res = np.abs(recon).reshape(self.g_dim**2, -1).sum(axis=1).max()
+        if res > CLOSURE_TOL * (1.0 + np.abs(comm).max()):
+            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
+        self._structure = c
 
     @property
     def v_dim(self) -> int:
@@ -115,19 +119,7 @@ class Representation:
         return linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T, "Gram matrix").T.reshape(t.shape)
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j]; cached.
-
-        Raises NotASubalgebra when some commutator leaves the basis span.
-        """
-        if self._structure is None:
-            comm = _commutators(self.stack)
-            c = self.coords_of(comm)
-            recon = self.materialize(c)
-            recon -= comm  # in place: the commutator stack is the largest array here
-            res = np.abs(recon).reshape(self.g_dim**2, -1).sum(axis=1).max()
-            if res > CLOSURE_TOL * (1.0 + np.abs(comm).max()):
-                raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
-            self._structure = c
+        """c[i, j, :] = coordinates of [B_i, B_j], computed at construction."""
         return self._structure
 
     def __repr__(self) -> str:

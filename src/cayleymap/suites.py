@@ -10,6 +10,7 @@ with the same seed reproduce every record bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -159,7 +160,7 @@ def _psi_basis_invariance(rng, trial) -> float:
     q = np.linalg.qr(linalg.complex_normal(rng, (rep.g_dim, rep.g_dim)))[0]
     q = q @ np.diag(rng.uniform(0.5, 2.0, rep.g_dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, rep.g_dim)))
     new_basis = [rep.materialize(q[:, j]) for j in range(rep.g_dim)]
-    rep2 = rm.Representation(f"{rep.name}-recoord", new_basis, check_closure=False)
+    rep2 = rm.Representation(f"{rep.name}-recoord", new_basis)
     p2 = rm.psi(rep2, g)
     return float(abs(p1 - p2) / max(abs(p1), TINY))
 
@@ -268,7 +269,7 @@ def _unipotent_image(rng, trial) -> float:
 
 def _principal_fiber_count(rng, trial) -> float:
     n = 2 + trial % 3
-    report = degree.sl_principal_nilpotent_fiber(n)
+    report = degree.sl_fiber(n, degree.principal_nilpotent(n))
     return float(abs(report.count - n))
 
 
@@ -276,7 +277,7 @@ def _principal_fiber_elements(rng, trial) -> float:
     n = 2 + trial % 3
     rep = _rep(("sl", n))
     x = degree.principal_nilpotent(n)
-    report = degree.sl_principal_nilpotent_fiber(n)
+    report = degree.sl_fiber(n, x)
     worst = 0.0
     for el in report.valid_elements:
         worst = max(worst, float(np.linalg.norm(rm.cayley(rep, el).matrix() - x)))
@@ -738,6 +739,10 @@ def run_suite(name: str, trials: int = 50, seed: int = 0, tol_scale: float = 1.0
     """Run one named suite; a failed trial never aborts the remaining claims."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale}")
     records = []
     for claim in SUITES[name]:
         tol = claim.tolerance * tol_scale

@@ -139,7 +139,7 @@ def test_criterion_06_unipotent_and_central_fiber():
             phi = rm.cayley(rep, u).matrix()
             dec = linalg.spectral(phi, cluster_tol=1e-3)
             worst = max(worst, float(np.max(np.abs(dec.eigenvalues))))
-        report = degree.sl_principal_nilpotent_fiber(n)
+        report = degree.sl_fiber(n, degree.principal_nilpotent(n))
         count_errors += abs(report.count - n)
         x = degree.principal_nilpotent(n)
         for el in report.valid_elements:
@@ -153,12 +153,12 @@ def test_criterion_07_degree_counts():
     mismatches = 0
     for n in (2, 3, 4, 5):
         for _ in range(20):
-            if degree.sl_fiber(n, degree.random_trace_free(n, rng), dedup_tol=1e-7).count != n:
+            if degree.sl_fiber(n, degree.random_trace_free(n, rng)).count != n:
                 mismatches += 1
     for n in (4, 5, 6, 7, 8):
         expected = n if n % 2 == 0 else n - 1
         for _ in range(20):
-            if degree.spin_fiber(n, degree.random_skew(n, rng), dedup_tol=1e-7).count != expected:
+            if degree.spin_fiber(n, degree.random_skew(n, rng)).count != expected:
                 mismatches += 1
     _report("criterion-07 mapping-degree fiber counts", float(mismatches), 0.0)
 

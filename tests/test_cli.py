@@ -73,6 +73,17 @@ def test_fiber_counts(capsys):
     assert code == 0 and payload["count"] == 6
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_sl_fiber_below_smallest_n_is_a_usage_error(capsys, n):
+    # sl needs n >= 2, as make_sl does; checked before a target is drawn
+    assert cli.main(["fiber", "--family", "sl", "--n", str(n), "--random"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --family sl needs --n >= 2" in captured.err
+    assert cli.main(["fiber", "--family", "spin", "--n", "2", "--random"]) == 2
+    assert "error: --family spin needs --n >= 3" in capsys.readouterr().err
+
+
 def test_fiber_from_file(tmp_path, capsys):
     target = tmp_path / "target.json"
     target.write_text(json.dumps(linalg.matrix_to_json(np.diag([1.0, -1.0]))))
@@ -203,6 +214,18 @@ def test_tol_is_a_verify_option(capsys):
     assert "unrecognized arguments: --tol 2" in capsys.readouterr().err
     assert cli.main(["verify", "--suite", "nope", "--tol", "2"]) == 2
     assert "error: unknown suite 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--trials", "-3"), ("--trials", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")]
+)
+def test_verify_rejects_bad_trials_and_tol(capsys, option, value):
+    # run_suite's ValueError: exit 2 before any suite runs, for one suite or all
+    for suite in ("inequality", "all"):
+        assert cli.main(["verify", "--suite", suite, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
 
 
 def test_map_and_jacobian_accept_singular_matrices(capsys):

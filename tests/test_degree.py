@@ -73,7 +73,7 @@ def test_sl_trace_free_check_is_relative_to_the_target():
 
 def test_principal_nilpotent_fiber_counts():
     for n in (2, 3, 4):
-        report = degree.sl_principal_nilpotent_fiber(n)
+        report = degree.sl_fiber(n, degree.principal_nilpotent(n))
         assert report.count == n
         # roots are the n-th roots of unity
         assert np.allclose(np.sort(np.abs(report.roots)), np.ones(n), atol=1e-10)
@@ -85,8 +85,8 @@ def test_principal_nilpotent_fiber_counts():
 
 
 def test_sl2_principal_nilpotent_elements():
-    report = degree.sl_principal_nilpotent_fiber(2)
     x = degree.principal_nilpotent(2)
+    report = degree.sl_fiber(2, x)
     got = sorted(report.valid_elements, key=lambda e: e[0, 0].real)
     assert np.allclose(got[0], x - np.eye(2), atol=1e-10)
     assert np.allclose(got[1], x + np.eye(2), atol=1e-10)
@@ -97,31 +97,44 @@ def test_sl2_principal_nilpotent_elements():
 
 def test_minimal_poly_sl2_diag():
     p = degree.minimal_poly_coeffs("sl", 2, np.diag([1.0, -1.0]))
-    assert np.allclose(p.coeffs, [-2.0, 0.0, 1.0], atol=1e-10)
+    assert np.allclose(p, [-2.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_minimal_poly_sl3_tracefree_coefficient():
     rng = _rng(2)
     p = degree.minimal_poly_coeffs("sl", 3, degree.random_trace_free(3, rng))
-    assert abs(p.coeffs[2]) < 1e-9
+    assert abs(p[2]) < 1e-9
 
 
 def test_minimal_poly_spin_shift():
     rng = _rng(3)
     x = degree.random_skew(4, rng)
     p = degree.minimal_poly_coeffs("spin", 4, x)
-    assert p.coeffs[4] == pytest.approx(1.0, abs=1e-9)
+    assert p[4] == pytest.approx(1.0, abs=1e-9)
     # sampling oracle: the degree-2 coefficient carries the -2^n shift
     plain = degree.minimal_poly_coeffs("sl", 4, x - np.trace(x) / 4 * np.eye(4))
+    # sl subtracts 1 from p_0, spin subtracts 2^4 from p_2
+    assert np.allclose(p - plain, [1.0, 0.0, -(2.0**4), 0.0, 0.0], atol=1e-9)
     # compare by evaluating both at sample points
     for t in (0.7, -1.3, 2.1 + 0.5j):
         det_val = np.linalg.det(t * np.eye(4) + x)
-        assert p(t) == pytest.approx(det_val - 2**4 * t**2, rel=1e-8)
+        assert np.polyval(p[::-1], t) == pytest.approx(det_val - 2**4 * t**2, rel=1e-8)
 
 
 def test_minimal_poly_rejects_nonskew_spin_target():
     with pytest.raises(NotSkew):
         degree.minimal_poly_coeffs("spin", 3, np.eye(3))
+
+
+def test_fibers_need_the_family_smallest_n():
+    # the target is checked before n: a non-skew spin target is NotSkew at any n
+    with pytest.raises(NotSkew):
+        degree.spin_fiber(2, np.eye(2))
+    with pytest.raises(ValueError, match="spin fibers need n >= 3"):
+        degree.spin_fiber(2, np.zeros((2, 2)))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="sl fibers need n >= 2"):
+            degree.sl_fiber(n, np.zeros((n, n)))
 
 
 # --- spin fibers -------------------------------------------------------------------

@@ -44,17 +44,16 @@ def test_gram_orthonormalized_basis_is_identity():
 def test_degenerate_form_raises():
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DegenerateForm):
-        rm.Representation("nilline", [e], check_closure=False)
+        rm.Representation("nilline", [e])
 
 
 @pytest.mark.parametrize("delta", [1e-10, 1e-11])
-@pytest.mark.parametrize("check_closure", [True, False])
-def test_ill_conditioned_gram_is_degenerate_at_construction(delta, check_closure):
+def test_ill_conditioned_gram_is_degenerate_at_construction(delta):
     # Gram of (H, E, delta F) has singular values 2, delta, delta: past the
     # 1/linalg.RTOL condition bound that every coords_of solve enforces
     h, e, f = SL2.basis
     with pytest.raises(DegenerateForm):
-        rm.Representation("sl2-squeezed", [h, e, delta * f], check_closure=check_closure)
+        rm.Representation("sl2-squeezed", [h, e, delta * f])
 
 
 def test_not_closed_raises():
@@ -519,10 +518,10 @@ def test_pullback_pairings_linearly_independent():
 
 def _recoordinated_sl3():
     # a well-conditioned complex change of basis of sl3; the span is a
-    # subalgebra, but the closure check is left to structure_constants
+    # subalgebra, so construction's closure check passes
     rng = _rng(11)
     q = np.linalg.qr(_cgauss(rng, (SL3.g_dim, SL3.g_dim)))[0] @ np.diag(rng.uniform(0.5, 2.0, SL3.g_dim))
-    return rm.Representation("sl3-recoord", [SL3.materialize(q[:, j]) for j in range(SL3.g_dim)], check_closure=False)
+    return rm.Representation("sl3-recoord", [SL3.materialize(q[:, j]) for j in range(SL3.g_dim)])
 
 
 ORACLE_REPS = [SL3, SO4, catalog.make_gl(3), catalog.make_sl2_irrep(3), _recoordinated_sl3()]

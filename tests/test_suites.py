@@ -77,6 +77,20 @@ def test_unknown_suite_rejected():
         suites.run_suite("nonesuch", trials=1, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        suites.run_suite("inequality", trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("tol_scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_run_suite_rejects_tol_scale_that_is_not_finite_and_positive(tol_scale):
+    with pytest.raises(ValueError, match="tol_scale must be finite and positive"):
+        suites.run_suite("inequality", trials=1, seed=0, tol_scale=tol_scale)
+    with pytest.raises(ValueError, match="tol_scale must be finite and positive"):
+        suites.run_all(trials=1, seed=0, tol_scale=tol_scale)
+
+
 def test_raising_claim_becomes_failure_not_abort(monkeypatch):
     def explode(rng, trial):
         raise RuntimeError("boom")
