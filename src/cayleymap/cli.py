@@ -69,10 +69,7 @@ def _build_rep(args):
 
 def _element_for(args, rep):
     if args.element is not None:
-        m = parse_matrix_arg(args.element)
-        if m.shape[0] != rep.v_dim:
-            raise UsageError(f"element is {m.shape[0]}x{m.shape[0]}, representation needs {rep.v_dim}")
-        return rm.GroupElement(m)
+        return rm.GroupElement(parse_matrix_arg(args.element))
     if args.sample is not None:
         return catalog.sample_element(rep, args.sample, args.seed)
     raise UsageError("provide --element or --sample KIND")
@@ -136,7 +133,7 @@ def cmd_map(args) -> int:
 def cmd_psi(args) -> int:
     rep = _build_rep(args)
     g = _element_for(args, rep)
-    m = g.matrix
+    m = rep.element_matrix(g)  # before inverting: a wrong size is a usage error, even if singular
     if args.inverse:
         m = linalg.inverse(m, "element")
     value = rm.psi(rep, m)

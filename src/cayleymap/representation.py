@@ -13,11 +13,13 @@ one place that forms this pairing and solves the Gram system, for a single
 matrix or a stack of them.  The map itself projects M(g); the Jacobian in
 the left-invariant frame, adjoint matrices, centralizer operators and
 structure constants project the stacks M(g) B_i, b B_i b^-1, [x, B_i] and
-[B_i, B_j].
+[B_i, B_j].  Of the commutators only the g(g-1)/2 pairs i < j are formed and
+projected; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +81,17 @@ class Representation:
         self.gram = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
-        comm = _commutators(self.stack)
+        i, j, comm = _commutators(self.stack)
         c = self.coords_of(comm)
         recon = self.materialize(c)
         recon -= comm  # in place: the commutator stack is the largest array here
-        res = np.abs(recon).reshape(self.g_dim**2, -1).sum(axis=1).max()
-        if res > CLOSURE_TOL * (1.0 + np.abs(comm).max()):
+        # initial=0.0: gl(1) has no pairs
+        res = np.abs(recon).reshape(len(comm), v * v).sum(axis=1).max(initial=0.0)
+        if res > CLOSURE_TOL * (1.0 + np.abs(comm).max(initial=0.0)):
             raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
-        self._structure = c
+        self._structure = np.zeros((self.g_dim,) * 3, dtype=complex)
+        self._structure[i, j] = c
+        self._structure[j, i] = -c
 
     @property
     def v_dim(self) -> int:
@@ -95,6 +100,13 @@ class Representation:
     @property
     def g_dim(self) -> int:
         return self.stack.shape[0]
+
+    def element_matrix(self, g) -> np.ndarray:
+        """g's matrix (ValueError if non-square, non-finite or not v_dim x v_dim)."""
+        m = _mat(g)
+        if m.shape[0] != self.v_dim:
+            raise ValueError(f"element is {m.shape[0]}x{m.shape[0]}, representation needs {self.v_dim}")
+        return m
 
     def materialize(self, coords) -> np.ndarray:
         """Matrices sum_i c_i B_i for coordinates of shape (..., g)."""
@@ -119,25 +131,47 @@ class Representation:
         return linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T, "Gram matrix").T.reshape(t.shape)
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j], computed at construction."""
+        """c[i, j, :] = coordinates of [B_i, B_j], computed at construction.
+
+        Only the pairs i < j are projected; c[j, i] = -c[i, j] and c[i, i] = 0
+        hold exactly.
+        """
         return self._structure
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, v_dim={self.v_dim}, g_dim={self.g_dim})"
 
 
-def _commutators(stack: np.ndarray) -> np.ndarray:
-    """[B_i, B_j] as a (g, g, v, v) array, from one (g v) x (g v) product."""
+@functools.cache
+def _pairs(g: int):
+    """Read-only index arrays (i, j) of the pairs i < j, in row-major order.
+
+    Cached per g: at small g building them takes a third to a half as long as
+    projecting the commutators, and the suites build small representations on
+    every trial.
+    """
+    # the comparison and np.nonzero: np.triu_indices takes several times longer
+    i, j = np.nonzero(np.arange(g)[:, None] < np.arange(g))
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _commutators(stack: np.ndarray):
+    """Pairs (i, j) with i < j and their [B_i, B_j] as a (g(g-1)/2, v, v) stack,
+    from one (g v) x (g v) product; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0
+    give the rest."""
     g, v = stack.shape[:2]
+    i, j = _pairs(g)
     prod = (stack.reshape(g * v, v) @ stack.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
-    return prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)
+    return i, j, prod[i, :, j] - prod[j, :, i]
 
 
 def build_gram(stack: np.ndarray) -> np.ndarray:
-    """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack;
+    """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack,
+    as one GEMM of the flattened B_i against the flattened B_j^T;
     DegenerateForm above condition number 1/linalg.RTOL, G's only conditioning
     decision (coords_of solves against G without one)."""
-    g = np.einsum("iab,jba->ij", stack, stack)
+    g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]:
@@ -174,7 +208,7 @@ class AlgebraVector:
 
 def cayley(rep: Representation, g) -> AlgebraVector:
     """Project the group element onto the algebra in the trace form."""
-    return AlgebraVector(rep, rep.coords_of(_mat(g)))
+    return AlgebraVector(rep, rep.coords_of(rep.element_matrix(g)))
 
 
 def cayley_jacobian(rep: Representation, g) -> np.ndarray:
@@ -183,7 +217,7 @@ def cayley_jacobian(rep: Representation, g) -> np.ndarray:
     Column i holds the image coordinates of the i-th left-invariant
     direction, the projection of M(g) B_i.
     """
-    return rep.coords_of(_mat(g) @ rep.stack).T
+    return rep.coords_of(rep.element_matrix(g) @ rep.stack).T
 
 
 def psi(rep: Representation, g) -> complex:
@@ -196,7 +230,7 @@ def psi(rep: Representation, g) -> complex:
 
 
 def character(rep: Representation, g) -> complex:
-    return complex(np.trace(_mat(g)))
+    return complex(np.trace(rep.element_matrix(g)))
 
 
 def adjoint_matrix(rep: Representation, b) -> np.ndarray:
@@ -206,7 +240,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     some conjugate leaves the basis span by more than ADJOINT_RESIDUAL_TOL
     relative to (1 + its norm), which signals a malformed representation.
     """
-    bm = _mat(b)
+    bm = rep.element_matrix(b)
     conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
     c = rep.coords_of(conj)
     res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
@@ -277,7 +311,7 @@ def centralizer_dim(rep: Representation, x) -> int:
     if isinstance(x, GroupElement):
         op = adjoint_matrix(rep, x) - np.eye(rep.g_dim)
     elif isinstance(x, AlgebraVector):
-        xm = x.matrix()
+        xm = rep.element_matrix(x.matrix())
         op = rep.coords_of(xm @ rep.stack - rep.stack @ xm).T
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")

@@ -281,3 +281,15 @@ def test_spin_commands_reject_non_finite_files(tmp_path, capsys, command, bad):
 def test_element_dimension_mismatch(capsys):
     assert cli.main(["map", "--group", "sl", "--n", "3", "--element", "identity 2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["map"], ["psi"], ["jacobian"], ["psi", "--inverse"]],
+    ids=["map", "psi", "jacobian", "psi-inverse"],
+)
+def test_element_size_is_checked_before_any_math(capsys, argv):
+    # a singular element of the wrong size: the size is reported before --inverse inverts it
+    assert cli.main([*argv, "--group", "sl", "--n", "3", "--element", "diag(0,1)"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: element is 2x2, representation needs 3\n"

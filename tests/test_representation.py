@@ -66,6 +66,58 @@ def test_not_closed_raises():
         rm.Representation("open", [e12 + e21, e12 - e21])
 
 
+def _conjugated_sl4():
+    # sl4 in a random complex basis P B_i P^-1: commutators with no exact zeros
+    rng = _rng(21)
+    p = _cgauss(rng, (4, 4))
+    pinv = np.linalg.inv(p)
+    return rm.Representation("sl4-conj", [p @ b @ pinv for b in catalog.make_sl(4).basis])
+
+
+STRUCTURE_REPS = [catalog.make_sl(6), catalog.make_so(8), catalog.make_gl(5), _conjugated_sl4()]
+
+
+@pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
+def test_gram_is_the_trace_form(rep):
+    # one GEMM against the transposed stack: tr(B_i B_j) summed in another
+    # order than the einsum reference, equal on the catalog's exact entries
+    want = np.einsum("iab,jba->ij", rep.stack, rep.stack)
+    want = 0.5 * (want + want.T)
+    if rep.name == "sl4-conj":
+        # both sides sum v^2 products whose moduli add up to at most |B_i| |B_j|
+        norms = np.linalg.norm(rep.stack, axis=(1, 2))
+        bound = 2 * rep.v_dim**2 * np.finfo(float).eps * np.outer(norms, norms)
+        assert np.all(np.abs(rep.gram - want) <= bound)
+    else:
+        assert np.array_equal(rep.gram, want)
+
+
+@pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
+def test_structure_constants_equal_the_full_commutator_projection(rep):
+    # only the pairs i < j are projected; the g x g stack of every [B_i, B_j],
+    # from the same one (g v) x (g v) product, projects to the same bits
+    g, v = rep.g_dim, rep.v_dim
+    b = rep.stack
+    prod = (b.reshape(g * v, v) @ b.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
+    comm = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)
+    c = rep.structure_constants()
+    assert np.array_equal(c, rep.coords_of(comm))
+    assert np.array_equal(c, -c.transpose(1, 0, 2))
+    assert not np.any(c[np.arange(g), np.arange(g)])
+
+
+def test_gl1_has_no_pairs():
+    assert np.array_equal(catalog.make_gl(1).structure_constants(), np.zeros((1, 1, 1)))
+
+
+def test_construction_projects_each_pair_once(monkeypatch):
+    shapes = []
+    coords_of = rm.Representation.coords_of
+    monkeypatch.setattr(rm.Representation, "coords_of", lambda self, m: shapes.append(np.shape(m)) or coords_of(self, m))
+    g = catalog.make_sl(4).g_dim
+    assert shapes == [(g * (g - 1) // 2, 4, 4)]
+
+
 # --- projection closed forms ---------------------------------------------------
 
 
@@ -608,3 +660,12 @@ def test_raw_arrays_are_checked_like_group_elements(fn):
     for bad in (np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.ones(4)):
         with pytest.raises(ValueError):
             fn(SL2, bad)
+
+
+@pytest.mark.parametrize(
+    "fn", [rm.cayley, rm.psi, rm.cayley_jacobian, rm.adjoint_matrix, rm.centralizer_dim], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_wrong_size_element_is_a_library_error(fn, n):
+    with pytest.raises(ValueError, match=f"^element is {n}x{n}, representation needs 2$"):
+        fn(SL2, rm.GroupElement(2.0 * np.eye(n)))
