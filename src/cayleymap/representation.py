@@ -14,12 +14,14 @@ matrix or a stack of them.  The map itself projects M(g); the Jacobian in
 the left-invariant frame, adjoint matrices, centralizer operators and
 structure constants project the stacks M(g) B_i, b B_i b^-1, [x, B_i] and
 [B_i, B_j].  Of the commutators only the g(g-1)/2 pairs i < j are formed and
-projected; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.
+projected; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They
+are formed in row tiles of about _TILE_ENTRIES entries per product, so the
+closure check at construction holds a bounded slice of them at a time, and
+the dense (g, g, g) structure constants exist only once asked for.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,10 @@ CLOSURE_TOL = 1e-8
 ADJOINT_RESIDUAL_TOL = 1e-6
 # Singular values below this fraction of the largest count as kernel.
 KERNEL_CUTOFF = 1e-7
+# Complex entries of one commutator product tile; a tile takes as many basis
+# rows as fit, at least one.  Smaller tiles lower the closure check's peak
+# memory and add BLAS calls: at 2^17, gl12's peak is ~14 MB in 24 tiles.
+_TILE_ENTRIES = 2**17
 
 
 @dataclass
@@ -61,10 +67,15 @@ class Representation:
     computation of this module goes through it.  The Gram matrix is checked
     once, here, by build_gram: DegenerateForm when the basis is linearly
     dependent or the trace form is singular or ill-conditioned on its span
-    (then no projection map exists), and NotASubalgebra when the span is not
-    closed under commutators, found while the structure constants are
-    computed.  Instances are immutable in practice: nothing mutates basis or
-    gram after construction, so values are safe to share across threads.
+    (then no projection map exists).  NotASubalgebra when the span is not
+    closed under commutators, checked here tile by tile by
+    _project_commutators, which keeps nothing; structure_constants() runs it
+    again on its first call and keeps the result.
+
+    Instances are immutable: stack is read-only and basis is the list of its
+    rows, so values are safe to share across threads.  Two threads making the
+    first structure_constants() call at once may both compute the array; each
+    stores an equal one, so the race is idempotent.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None):
@@ -75,23 +86,15 @@ class Representation:
         if any(m.shape != (v, v) for m in mats):
             raise ValueError("basis matrices must share one size")
         self.name = name
-        self.basis = mats
         self.stack = np.stack(mats)
+        self.stack.flags.writeable = False
+        self.basis = list(self.stack)
         self.metadata = dict(metadata or {})
         self.gram = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
-        i, j, comm = _commutators(self.stack)
-        c = self.coords_of(comm)
-        recon = self.materialize(c)
-        recon -= comm  # in place: the commutator stack is the largest array here
-        # initial=0.0: gl(1) has no pairs
-        res = np.abs(recon).reshape(len(comm), v * v).sum(axis=1).max(initial=0.0)
-        if res > CLOSURE_TOL * (1.0 + np.abs(comm).max(initial=0.0)):
-            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
-        self._structure = np.zeros((self.g_dim,) * 3, dtype=complex)
-        self._structure[i, j] = c
-        self._structure[j, i] = -c
+        self._structure = None
+        self._project_commutators()
 
     @property
     def v_dim(self) -> int:
@@ -131,39 +134,66 @@ class Representation:
         return linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T, "Gram matrix").T.reshape(t.shape)
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j], computed at construction.
+        """c[i, j, :] = coordinates of [B_i, B_j], as a read-only (g, g, g) array.
 
-        Only the pairs i < j are projected; c[j, i] = -c[i, j] and c[i, i] = 0
-        hold exactly.
+        Computed on the first call by the tiled projection that checked
+        closure at construction, then kept on the instance.  Only the pairs
+        i < j are projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
+        if self._structure is None:
+            c = np.zeros((self.g_dim,) * 3, dtype=complex)
+            self._project_commutators(c)
+            c.flags.writeable = False
+            self._structure = c
         return self._structure
+
+    def _project_commutators(self, out: np.ndarray | None = None) -> None:
+        """Project every [B_i, B_j] with i < j; NotASubalgebra unless the span
+        is closed.  With out, write the coordinates to out[i, j] and their
+        negatives to out[j, i].
+
+        The pairs are walked in row tiles [a, b) of basis indices.  Each tile
+        takes two products, B_[a,b) B_[a,g) and B_[b,g) B_[a,b); with the
+        first's own [a, b) block they give every B_j B_i with j >= a.  Over
+        all tiles that is the work of one (g v) x (g v) product, and a basis
+        that fits in one tile takes only the first.  A tile that would end
+        within two rows of g takes them too: a tile from row g - 2 would hold
+        the single pair (g - 2, g - 1), whose projection numpy computes by
+        matrix-vector products, which can round differently in the last bit,
+        so the constants would depend on the tiling.  The residual test runs
+        on the largest residual and |[B_i, B_j]| over all tiles, so the tiling
+        changes neither its outcome nor its message.
+        """
+        g, v = self.stack.shape[:2]
+        rows = max(1, _TILE_ENTRIES // (g * v * v))
+        right = self.stack.transpose(1, 0, 2)  # right[:, j] = B_j
+        res = scale = 0.0  # stay 0 for gl(1), which has no pairs
+        a = 0
+        while a < g:
+            b = a + rows if a + rows < g - 2 else g
+            fwd = (self.stack[a:b].reshape(-1, v) @ right[:, a:].reshape(v, -1)).reshape(b - a, v, g - a, v)
+            back = fwd  # back[j - a, :, i - a] = B_j B_i
+            if b < g:
+                back = np.empty((g - a, v, b - a, v), dtype=complex)
+                back[: b - a] = fwd[:, :, : b - a]
+                rest = back[b - a :].reshape(-1, (b - a) * v)
+                np.matmul(self.stack[b:].reshape(-1, v), right[:, a:b].reshape(v, -1), out=rest)
+            i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(g))  # pairs (a + i, j)
+            comm = fwd[i, :, j - a] - back[j - a, :, i]
+            c = self.coords_of(comm)
+            recon = self.materialize(c)
+            recon -= comm  # in place: the commutator tile is the largest array here
+            res = max(res, np.abs(recon).reshape(len(comm), v * v).sum(axis=1).max(initial=0.0))
+            scale = max(scale, np.abs(comm).max(initial=0.0))
+            if out is not None:
+                out[i + a, j] = c
+                out[j, i + a] = -c
+            a = b
+        if res > CLOSURE_TOL * (1.0 + scale):
+            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, v_dim={self.v_dim}, g_dim={self.g_dim})"
-
-
-@functools.cache
-def _pairs(g: int):
-    """Read-only index arrays (i, j) of the pairs i < j, in row-major order.
-
-    Cached per g: at small g building them takes a third to a half as long as
-    projecting the commutators, and the suites build small representations on
-    every trial.
-    """
-    # the comparison and np.nonzero: np.triu_indices takes several times longer
-    i, j = np.nonzero(np.arange(g)[:, None] < np.arange(g))
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-def _commutators(stack: np.ndarray):
-    """Pairs (i, j) with i < j and their [B_i, B_j] as a (g(g-1)/2, v, v) stack,
-    from one (g v) x (g v) product; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0
-    give the rest."""
-    g, v = stack.shape[:2]
-    i, j = _pairs(g)
-    prod = (stack.reshape(g * v, v) @ stack.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
-    return i, j, prod[i, :, j] - prod[j, :, i]
 
 
 def build_gram(stack: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Projection map, Jacobian, adjoint, Jordan and centralizer contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,12 +112,81 @@ def test_gl1_has_no_pairs():
     assert np.array_equal(catalog.make_gl(1).structure_constants(), np.zeros((1, 1, 1)))
 
 
-def test_construction_projects_each_pair_once(monkeypatch):
+def _coords_of_shapes(monkeypatch):
     shapes = []
     coords_of = rm.Representation.coords_of
     monkeypatch.setattr(rm.Representation, "coords_of", lambda self, m: shapes.append(np.shape(m)) or coords_of(self, m))
+    return shapes
+
+
+def test_construction_projects_each_pair_once(monkeypatch):
+    shapes = _coords_of_shapes(monkeypatch)
     g = catalog.make_sl(4).g_dim
     assert shapes == [(g * (g - 1) // 2, 4, 4)]
+
+
+def test_one_row_tiles_project_each_pair_once(monkeypatch):
+    # tile k holds the pairs (k, j > k); the last tile takes rows g - 3..g - 1,
+    # so no tile holds a single pair
+    monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
+    shapes = _coords_of_shapes(monkeypatch)
+    g = catalog.make_sl(4).g_dim
+    assert shapes == [(g - 1 - k, 4, 4) for k in range(g - 3)] + [(3, 4, 4)]
+
+
+@pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
+def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
+    # every tile is projected by its own products and Gram solve
+    monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
+    one_row_tiles = rm.Representation(rep.name, rep.stack).structure_constants()
+    monkeypatch.setattr(rm, "_TILE_ENTRIES", (rep.g_dim * rep.v_dim) ** 2)
+    one_tile = rm.Representation(rep.name, rep.stack).structure_constants()
+    assert np.array_equal(one_row_tiles, one_tile)
+    assert np.array_equal(one_tile, rep.structure_constants())
+
+
+def test_closure_failure_past_the_first_tile(monkeypatch):
+    # I, E33 and E44 commute with everything here, so with one row per tile
+    # only [X, Y] = -2 (E11 - E22), in the third and last tile, leaves the span
+    unit = np.eye(4)
+    e12 = np.outer(unit[0], unit[1])
+    basis = [unit, np.outer(unit[2], unit[2]), np.outer(unit[3], unit[3]), e12 + e12.T, e12 - e12.T]
+    messages = []
+    for entries in (1, rm._TILE_ENTRIES):
+        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
+        with pytest.raises(NotASubalgebra) as err:
+            rm.Representation("open", basis)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_construction_memory_is_bounded():
+    # gl12 (g = 144): one (g v) x (g v) commutator product and a dense (g, g, g)
+    # structure array took a 137.5 MB peak and kept 47 MB; tiles of
+    # _TILE_ENTRIES entries and lazy structure constants take ~14 MB and keep ~1 MB
+    tracemalloc.start()
+    try:
+        rep = catalog.make_gl(12)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert retained < 4 * 2**20
+    assert rep._structure is None
+    small = catalog.make_sl(3)
+    assert small._structure is None
+    c = small.structure_constants()
+    assert small.structure_constants() is c
+    assert not c.flags.writeable
+
+
+def test_basis_is_a_read_only_view_of_the_stack():
+    rep = catalog.make_sl(3)
+    assert all(np.shares_memory(b, rep.stack) for b in rep.basis)
+    with pytest.raises(ValueError):
+        rep.basis[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rep.stack[0, 0, 0] = 1.0
 
 
 # --- projection closed forms ---------------------------------------------------
