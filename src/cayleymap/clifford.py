@@ -472,23 +472,36 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     return u
 
 
+def _cayley_stack(b: np.ndarray):
+    """Cayley transforms (1-b)(1+b)^{-1} of a finite (k, n, n) stack and the one
+    conditioning decision on 1 + b: a row is defined unless cond(1 + b) exceeds
+    1/linalg.RTOL or the transform exceeds (1 + |b|)/linalg.RTOL (the n = 2 half
+    turn, where 1 + b is a tiny rotation of condition number 1).  Only rows that
+    pass the cond test are solved, so one singular shift cannot fail the stack.
+    Returns (transforms, defined, cond, transform norms).
+    """
+    eye = np.eye(b.shape[-1])
+    shift = eye + b
+    cond = np.linalg.cond(shift)
+    solvable = cond <= 1.0 / linalg.RTOL
+    out = np.zeros_like(shift)
+    out[solvable] = linalg.solve_linear(shift[solvable], eye - b[solvable], "1 + b")
+    norm = np.linalg.norm(out, axis=(-2, -1))
+    return out, solvable & (norm <= (1.0 + np.linalg.norm(b, axis=(-2, -1))) / linalg.RTOL), cond, norm
+
+
 def cayley_gamma(b: np.ndarray) -> np.ndarray:
     """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined.
 
-    The one conditioning decision on 1 + b: SingularShift when its condition
-    number exceeds 1/linalg.RTOL or the transform exceeds (1 + |b|)/linalg.RTOL
-    (the n = 2 half turn, where 1 + b is a tiny rotation of condition number
-    1).  ValueError for non-square or non-finite b.
+    _cayley_stack of one matrix; SingularShift names the test it failed.
+    ValueError for non-square or non-finite b.
     """
     b = linalg.as_square_matrix(b, "cayley_gamma argument")
-    shift = np.eye(b.shape[0]) + b
-    cond = np.linalg.cond(shift)
-    if cond > 1.0 / linalg.RTOL:
-        raise SingularShift(f"1 + b is singular (condition number {cond:.3e})")
-    out = linalg.solve_linear(shift, np.eye(b.shape[0]) - b, "1 + b")
-    if np.linalg.norm(out) > (1.0 + np.linalg.norm(b)) / linalg.RTOL:
-        raise SingularShift(f"1 + b is singular (transform norm {np.linalg.norm(out):.3e})")
-    return out
+    out, defined, cond, norm = _cayley_stack(b[None])
+    if not defined[0]:
+        failed = f"condition number {cond[0]:.3e}" if cond[0] > 1.0 / linalg.RTOL else f"transform norm {norm[0]:.3e}"
+        raise SingularShift(f"1 + b is singular ({failed})")
+    return out[0]
 
 
 def exterior_exp(u: CliffordElement) -> CliffordElement:

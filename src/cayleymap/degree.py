@@ -11,8 +11,9 @@ Polynomials are ascending complex coefficient arrays, built by evaluating
 the determinant at n+1 nodes on a scaled circle and interpolating, rather
 than by symbolic expansion.  Both families share one pipeline,
 minimal_poly_coeffs -> linalg.poly_roots -> linalg.dedup_roots; only the
-reconstruction of fiber elements from the roots differs.  FAMILIES gives
-each family's smallest n and its random generic target.
+reconstruction of fiber elements from the roots differs, one broadcast
+shift for sl and one stacked Cayley transform over the roots for spin.
+FAMILIES gives each family's smallest n and its random generic target.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .clifford import cayley_gamma
-from .errors import DegenerateInput, NotSkew, SingularShift
+from .clifford import _cayley_stack
+from .errors import DegenerateInput, NotSkew
 
 # |root| below this counts as the zero root (excluded from spin fibers).
 ZERO_ROOT_TOL = 1e-7
@@ -65,7 +66,8 @@ def _char_poly(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     radius = 1.0 + np.linalg.norm(x)
     nodes = radius * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    values = np.array([linalg.determinant(t * np.eye(n) + x) for t in nodes])
+    eye = np.eye(n)
+    values = np.array([linalg.determinant(t * eye + x) for t in nodes])
     vander = np.vander(nodes, n + 1, increasing=True)
     return linalg.trim_poly(np.linalg.solve(vander, values))
 
@@ -118,7 +120,7 @@ def _fiber_roots(family: str, n: int, x):
 def sl_fiber(n: int, x) -> FiberReport:
     """All shifts X + t*1 with unit determinant; count = distinct roots."""
     x, poly, distinct = _fiber_roots("sl", n, x)
-    elements = [x + t * np.eye(n) for t in distinct]
+    elements = list(x + distinct[:, None, None] * np.eye(n))
     return FiberReport("sl", n, poly, distinct, elements, list(distinct), len(distinct))
 
 
@@ -133,27 +135,18 @@ def principal_nilpotent(n: int) -> np.ndarray:
 def spin_fiber(n: int, x) -> FiberReport:
     """Rotations T = (1 - X/t)(1 + X/t)^{-1} over the distinct nonzero roots.
 
-    Each reconstruction is checked to be special orthogonal with
-    det(1 + T) = t^2; roots where 1 + X/t is singular are skipped and
-    recorded, not raised.
+    All roots share one stacked transform, clifford._cayley_stack, and each
+    rotation is checked to be special orthogonal with det(1 + T) = t^2; roots
+    where 1 + X/t is singular or a check fails are skipped, not raised.
     """
     x, poly, distinct = _fiber_roots("spin", n, x)
-    admissible = [t for t in distinct if abs(t) > ZERO_ROOT_TOL]
-    elements, element_roots, skipped = [], [], []
-    for t in admissible:
-        try:
-            rot = cayley_gamma(x / t)
-        except SingularShift:
-            skipped.append(t)
-            continue
-        ortho = np.linalg.norm(rot.T @ rot - np.eye(n))
-        det_shift = linalg.determinant(np.eye(n) + rot)
-        if ortho > 1e-6 or abs(det_shift - t * t) > 1e-6 * (1.0 + abs(t) ** 2):
-            skipped.append(t)
-            continue
-        elements.append(rot)
-        element_roots.append(t)
-    return FiberReport("spin", n, poly, np.asarray(admissible), elements, element_roots, len(admissible), skipped)
+    roots = distinct[np.abs(distinct) > ZERO_ROOT_TOL]
+    rots, ok, _, _ = _cayley_stack(x[None] / roots[:, None, None])
+    eye = np.eye(n)
+    ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
+    det_shift = np.linalg.det(eye + rots)
+    ok &= (ortho <= 1e-6) & (np.abs(det_shift - roots * roots) <= 1e-6 * (1.0 + np.abs(roots) ** 2))
+    return FiberReport("spin", n, poly, roots, list(rots[ok]), list(roots[ok]), len(roots), list(roots[~ok]))
 
 
 def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -645,6 +645,27 @@ def test_cayley_gamma_singular_shift():
         cl.cayley_gamma(-np.eye(2))
 
 
+def test_cayley_stack_matches_cayley_gamma_row_by_row():
+    # generic skew rows, -1 (1 + b = 0, condition number inf) and a half turn
+    # short by 1e-10 (1 + b a tiny rotation of condition number 1, rejected by
+    # the transform norm) in one stack: the mask is false exactly where
+    # cayley_gamma raises, and no undefined row fails the others
+    rng = _rng(21)
+    eps = 1e-10
+    half_turn = np.array([[np.cos(np.pi - eps), -np.sin(np.pi - eps)], [np.sin(np.pi - eps), np.cos(np.pi - eps)]])
+    skew = [0.5 * (m - m.T) for m in linalg.complex_normal(rng, (4, 2, 2))]
+    rows = [skew[0], -np.eye(2), skew[1], half_turn, skew[2], skew[3]]
+    expected = {1: "condition number inf", 3: "transform norm"}
+    out, defined, _, _ = cl._cayley_stack(np.array(rows, dtype=complex))
+    assert defined.tolist() == [k not in expected for k in range(len(rows))]
+    for k, b in enumerate(rows):
+        if k in expected:
+            with pytest.raises(SingularShift, match=expected[k]):
+                cl.cayley_gamma(b)
+        else:
+            assert np.array_equal(out[k], cl.cayley_gamma(b))
+
+
 def test_cayley_gamma_det_consistency_random():
     # 1 + b = a: SingularShift exactly when det a vanishes within tolerance
     rng = _rng(2)

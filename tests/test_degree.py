@@ -5,7 +5,7 @@ import pytest
 
 from cayleymap import catalog, clifford as cl, degree, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import DegenerateInput, NotSkew
+from cayleymap.errors import DegenerateInput, NotSkew, SingularShift
 
 
 def _rng(seed):
@@ -176,6 +176,59 @@ def test_spin_fiber_det_consistency():
             assert np.linalg.norm(rot.T @ rot - np.eye(n)) < 1e-6
             det_shift = np.linalg.det(np.eye(n) + rot)
             assert abs(det_shift - t * t) <= 1e-6 * (1 + abs(t) ** 2)
+
+
+def _spin_fiber_loop(n, x):
+    """spin_fiber as one cayley_gamma call and one check per root: the
+    reference for the stacked reconstruction."""
+    x, poly, distinct = degree._fiber_roots("spin", n, x)
+    admissible = [t for t in distinct if abs(t) > degree.ZERO_ROOT_TOL]
+    elements, element_roots, skipped = [], [], []
+    for t in admissible:
+        try:
+            rot = cl.cayley_gamma(x / t)
+        except SingularShift:
+            skipped.append(t)
+            continue
+        ortho = np.linalg.norm(rot.T @ rot - np.eye(n))
+        det_shift = linalg.determinant(np.eye(n) + rot)
+        if ortho > 1e-6 or abs(det_shift - t * t) > 1e-6 * (1.0 + abs(t) ** 2):
+            skipped.append(t)
+            continue
+        elements.append(rot)
+        element_roots.append(t)
+    return admissible, elements, element_roots, skipped
+
+
+def test_spin_fiber_matches_the_per_root_loop():
+    # the target of `cayleymap fiber --family spin --n 10 --random --seed 1`
+    # skips 2 of its 10 roots, so the skip path runs through the stack
+    cli_target = degree.random_skew(10, np.random.default_rng(np.random.SeedSequence([1, 0xF1BE7])))
+    rng = _rng(19)
+    targets = [(10, cli_target)]
+    targets += [(n, s * degree.random_skew(n, rng)) for n in range(3, 13) for s in 10.0 ** np.arange(-4, 5, 2)]
+    skipped_any = 0
+    for n, x in targets:
+        report = degree.spin_fiber(n, x)
+        admissible, elements, element_roots, skipped = _spin_fiber_loop(n, x)
+        assert report.count == len(admissible)
+        assert report.roots.dtype == complex and np.array_equal(report.roots, admissible)
+        assert report.element_roots == element_roots and report.skipped_roots == skipped
+        assert len(report.valid_elements) == len(elements)
+        assert all(np.array_equal(a, b) for a, b in zip(report.valid_elements, elements))
+        skipped_any += bool(skipped)
+    assert len(degree.spin_fiber(10, cli_target).skipped_roots) == 2
+    assert skipped_any > 1
+
+
+def test_spin_fiber_with_no_admissible_root(monkeypatch):
+    # every root filtered as zero: the empty stack goes through the Cayley core
+    monkeypatch.setattr(degree, "ZERO_ROOT_TOL", np.inf)
+    report = degree.spin_fiber(4, degree.random_skew(4, _rng(20)))
+    assert report.count == 0
+    assert report.valid_elements == [] and report.element_roots == [] and report.skipped_roots == []
+    assert report.roots.shape == (0,) and report.roots.dtype == complex
+    assert report.to_json()["roots"] == []
 
 
 def test_spin_fiber_elements_reproduce_target():
