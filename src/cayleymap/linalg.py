@@ -85,7 +85,7 @@ def solve_linear(a: Matrix, b: Matrix, what: str = "matrix") -> Matrix:
     """np.linalg.solve(a, b); SingularMatrix where LU meets an exactly zero pivot.
 
     No condition check and no SVD: a caller that needs one decides once,
-    where its matrix is made (build_gram for G, cayley_gamma for 1 + b).
+    where its matrix is made (build_gram for G, clifford._cayley_stack for 1 + b).
     """
     try:
         return np.linalg.solve(a, b)
