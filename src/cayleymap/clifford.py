@@ -476,16 +476,18 @@ def _cayley_stack(b: np.ndarray):
     """Cayley transforms (1-b)(1+b)^{-1} of a finite (k, n, n) stack and the one
     conditioning decision on 1 + b: a row is defined unless cond(1 + b) exceeds
     1/linalg.RTOL or the transform exceeds (1 + |b|)/linalg.RTOL (the n = 2 half
-    turn, where 1 + b is a tiny rotation of condition number 1).  Only rows that
-    pass the cond test are solved, so one singular shift cannot fail the stack.
+    turn, where 1 + b is a tiny rotation of condition number 1).  Rows that fail
+    the cond test are solved against 1 instead and then zeroed, so one singular
+    shift cannot fail the stack; numpy solves a stack one matrix at a time, so
+    the other rows are bitwise what a solve of their own gives.
     Returns (transforms, defined, cond, transform norms).
     """
     eye = np.eye(b.shape[-1])
     shift = eye + b
     cond = np.linalg.cond(shift)
     solvable = cond <= 1.0 / linalg.RTOL
-    out = np.zeros_like(shift)
-    out[solvable] = linalg.solve_linear(shift[solvable], eye - b[solvable], "1 + b")
+    keep = solvable[:, None, None]
+    out = np.where(keep, linalg.solve_linear(np.where(keep, shift, eye), eye - b, "1 + b"), 0.0)
     norm = np.linalg.norm(out, axis=(-2, -1))
     return out, solvable & (norm <= (1.0 + np.linalg.norm(b, axis=(-2, -1))) / linalg.RTOL), cond, norm
 

@@ -9,15 +9,18 @@ projection of a matrix M solves
 
 so c are the coordinates of the unique algebra element whose trace pairing
 with every basis vector matches that of M.  Representation.coords_of is the
-one place that forms this pairing and solves the Gram system, for a single
-matrix or a stack of them.  The map itself projects M(g); the Jacobian in
-the left-invariant frame, adjoint matrices, centralizer operators and
-structure constants project the stacks M(g) B_i, b B_i b^-1, [x, B_i] and
-[B_i, B_j].  Of the commutators only the g(g-1)/2 pairs i < j are formed and
-projected; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They
-are formed in row tiles of about _TILE_ENTRIES entries per product, so the
-closure check at construction holds a bounded slice of them at a time, and
-the dense (g, g, g) structure constants exist only once asked for.
+one place that forms this pairing and solves the Gram system for
+coordinates, for a single matrix or a stack of them.  The map itself
+projects M(g); the Jacobian in the left-invariant frame, adjoint matrices,
+centralizer operators and structure constants project the stacks M(g) B_i,
+b B_i b^-1, [x, B_i] and [B_i, B_j].  Of the commutators only the g(g-1)/2
+pairs i < j are formed; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give
+the rest.  They are formed in row tiles of about _TILE_ENTRIES entries per
+product, so at most a bounded slice of them exists at a time.  The closure
+check at construction needs a verdict, not coordinates: it projects each
+tile through the dual basis, the coordinates of the v^2 unit matrices from
+one Gram solve, by two GEMMs.  The structure constants project each tile
+by coords_of, and the dense (g, g, g) array exists only once asked for.
 """
 
 from __future__ import annotations
@@ -63,14 +66,15 @@ def _mat(g) -> np.ndarray:
 class Representation:
     """Algebra basis matrices with cached trace-form Gram matrix.
 
-    coords_of is the single trace-form projection: every coordinate
-    computation of this module goes through it.  The Gram matrix is checked
-    once, here, by build_gram: DegenerateForm when the basis is linearly
-    dependent or the trace form is singular or ill-conditioned on its span
-    (then no projection map exists).  NotASubalgebra when the span is not
-    closed under commutators, checked here tile by tile by
-    _project_commutators, which keeps nothing; structure_constants() runs it
-    again on its first call and keeps the result.
+    coords_of is the single trace-form projection to coordinates: every
+    coordinate computation of this module goes through it.  The Gram matrix
+    is checked once, here, by build_gram: DegenerateForm when the basis is
+    linearly dependent or the trace form is singular or ill-conditioned on
+    its span (then no projection map exists); gram_cond keeps its condition
+    number.  NotASubalgebra when the span is not closed under commutators,
+    checked here by _check_closure through the dual basis, which keeps
+    nothing; structure_constants() projects the commutators by coords_of on
+    its first call and keeps the result.
 
     Instances are immutable: stack is read-only and basis is the list of its
     rows, so values are safe to share across threads.  Two threads making the
@@ -90,11 +94,11 @@ class Representation:
         self.stack.flags.writeable = False
         self.basis = list(self.stack)
         self.metadata = dict(metadata or {})
-        self.gram = build_gram(self.stack)
+        self.gram, self.gram_cond = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
         self._structure = None
-        self._project_commutators()
+        self._check_closure()
 
     @property
     def v_dim(self) -> int:
@@ -136,21 +140,47 @@ class Representation:
     def structure_constants(self) -> np.ndarray:
         """c[i, j, :] = coordinates of [B_i, B_j], as a read-only (g, g, g) array.
 
-        Computed on the first call by the tiled projection that checked
-        closure at construction, then kept on the instance.  Only the pairs
-        i < j are projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
+        Computed on the first call, one coords_of per commutator tile, then
+        kept on the instance.  Only the pairs i < j are projected;
+        c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
         if self._structure is None:
             c = np.zeros((self.g_dim,) * 3, dtype=complex)
-            self._project_commutators(c)
+            for i, j, comm in self._commutator_tiles():
+                coords = self.coords_of(comm)
+                c[i, j] = coords
+                c[j, i] = -coords
             c.flags.writeable = False
             self._structure = c
         return self._structure
 
-    def _project_commutators(self, out: np.ndarray | None = None) -> None:
-        """Project every [B_i, B_j] with i < j; NotASubalgebra unless the span
-        is closed.  With out, write the coordinates to out[i, j] and their
-        negatives to out[j, i].
+    def _check_closure(self) -> None:
+        """NotASubalgebra unless every [B_i, B_j] lies in the basis span.
+
+        One Gram solve with v^2 right-hand sides gives the dual basis, the
+        coordinates of the v^2 unit matrices, so each tile's projection is
+        two GEMMs and no solve.  The test runs on the largest L1 residual
+        of one commutator and the largest |[B_i, B_j]| over all tiles, so
+        the tiling changes neither its outcome nor its message.  Nothing is
+        kept.
+        """
+        g, v = self.stack.shape[:2]
+        dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T  # (v^2, g)
+        flat_basis = self.stack.reshape(g, v * v)
+        res = scale = 0.0  # stay 0 for gl(1), which has no pairs
+        for _, _, comm in self._commutator_tiles():
+            flat = comm.reshape(len(comm), v * v)
+            recon = (flat @ dual) @ flat_basis
+            recon -= flat  # in place: the commutator tile is the largest array here
+            res = max(res, np.abs(recon).sum(axis=1).max(initial=0.0))
+            scale = max(scale, np.abs(flat).max(initial=0.0))
+        threshold = CLOSURE_TOL * (1.0 + scale)
+        if res > threshold:
+            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e} > threshold {threshold:.2e})")
+
+    def _commutator_tiles(self):
+        """Yield (i, j, [B_i, B_j]) for all pairs i < j, one row tile at a time:
+        index arrays i, j and the (pairs, v, v) commutator stack.
 
         The pairs are walked in row tiles [a, b) of basis indices.  Each tile
         takes two products, B_[a,b) B_[a,g) and B_[b,g) B_[a,b); with the
@@ -160,14 +190,11 @@ class Representation:
         within two rows of g takes them too: a tile from row g - 2 would hold
         the single pair (g - 2, g - 1), whose projection numpy computes by
         matrix-vector products, which can round differently in the last bit,
-        so the constants would depend on the tiling.  The residual test runs
-        on the largest residual and |[B_i, B_j]| over all tiles, so the tiling
-        changes neither its outcome nor its message.
+        so the structure constants would depend on the tiling.
         """
         g, v = self.stack.shape[:2]
         rows = max(1, _TILE_ENTRIES // (g * v * v))
         right = self.stack.transpose(1, 0, 2)  # right[:, j] = B_j
-        res = scale = 0.0  # stay 0 for gl(1), which has no pairs
         a = 0
         while a < g:
             b = a + rows if a + rows < g - 2 else g
@@ -179,28 +206,18 @@ class Representation:
                 rest = back[b - a :].reshape(-1, (b - a) * v)
                 np.matmul(self.stack[b:].reshape(-1, v), right[:, a:b].reshape(v, -1), out=rest)
             i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(g))  # pairs (a + i, j)
-            comm = fwd[i, :, j - a] - back[j - a, :, i]
-            c = self.coords_of(comm)
-            recon = self.materialize(c)
-            recon -= comm  # in place: the commutator tile is the largest array here
-            res = max(res, np.abs(recon).reshape(len(comm), v * v).sum(axis=1).max(initial=0.0))
-            scale = max(scale, np.abs(comm).max(initial=0.0))
-            if out is not None:
-                out[i + a, j] = c
-                out[j, i + a] = -c
+            yield i + a, j, fwd[i, :, j - a] - back[j - a, :, i]
             a = b
-        if res > CLOSURE_TOL * (1.0 + scale):
-            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e})")
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, v_dim={self.v_dim}, g_dim={self.g_dim})"
 
 
-def build_gram(stack: np.ndarray) -> np.ndarray:
+def build_gram(stack: np.ndarray) -> tuple[np.ndarray, float]:
     """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack,
-    as one GEMM of the flattened B_i against the flattened B_j^T;
-    DegenerateForm above condition number 1/linalg.RTOL, G's only conditioning
-    decision (coords_of solves against G without one)."""
+    as one GEMM of the flattened B_i against the flattened B_j^T, and its
+    condition number sv[0]/sv[-1]; DegenerateForm above 1/linalg.RTOL, G's only
+    conditioning decision (coords_of solves against G without one)."""
     g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
@@ -209,7 +226,7 @@ def build_gram(stack: np.ndarray) -> np.ndarray:
             f"trace form singular on the basis span "
             f"(singular value ratio {sv[-1] / max(sv[0], 1e-300):.2e})"
         )
-    return g
+    return g, float(sv[0] / sv[-1])
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Projection map, Jacobian, adjoint, Jordan and centralizer contracts."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,9 +120,11 @@ def _coords_of_shapes(monkeypatch):
     return shapes
 
 
-def test_construction_projects_each_pair_once(monkeypatch):
+def test_structure_constants_project_each_pair_once(monkeypatch):
+    rep = catalog.make_sl(4)
     shapes = _coords_of_shapes(monkeypatch)
-    g = catalog.make_sl(4).g_dim
+    rep.structure_constants()
+    g = rep.g_dim
     assert shapes == [(g * (g - 1) // 2, 4, 4)]
 
 
@@ -129,9 +132,25 @@ def test_one_row_tiles_project_each_pair_once(monkeypatch):
     # tile k holds the pairs (k, j > k); the last tile takes rows g - 3..g - 1,
     # so no tile holds a single pair
     monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
+    rep = catalog.make_sl(4)
     shapes = _coords_of_shapes(monkeypatch)
-    g = catalog.make_sl(4).g_dim
+    rep.structure_constants()
+    g = rep.g_dim
     assert shapes == [(g - 1 - k, 4, 4) for k in range(g - 3)] + [(3, 4, 4)]
+
+
+@pytest.mark.parametrize("entries", [1, rm._TILE_ENTRIES])
+def test_construction_solves_the_gram_system_once(monkeypatch, entries):
+    # the closure check projects through the dual basis: one solve with v^2
+    # right-hand sides, whatever the tiling, and no coords_of call
+    monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
+    shapes = _coords_of_shapes(monkeypatch)
+    solves = []
+    solve_linear = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what="matrix": solves.append(np.shape(b)) or solve_linear(a, b, what))
+    rep = catalog.make_sl(4)
+    assert shapes == []
+    assert solves == [(rep.g_dim, 16)]
 
 
 @pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
@@ -178,6 +197,66 @@ def test_construction_memory_is_bounded():
     c = small.structure_constants()
     assert small.structure_constants() is c
     assert not c.flags.writeable
+
+
+def _recoordinated(rep, cond, rng):
+    # B'_k = sum_i A_ki B_i with A = U diag(s) V W: W G W^T = 1, V real
+    # orthogonal, U complex unitary, so G' = U diag(s^2) U^T has condition
+    # number (s_max / s_min)^2 = cond
+    g = rep.g_dim
+    lam, q = np.linalg.eigh(rep.gram.real)
+    w = (q / np.sqrt(lam.astype(complex))).T
+    u = np.linalg.qr(_cgauss(rng, (g, g)))[0]
+    v = np.linalg.qr(rng.standard_normal((g, g)))[0]
+    a = u @ np.diag(np.geomspace(1.0, np.sqrt(cond), g)) @ v @ w
+    return np.einsum("ki,iab->kab", a, rep.stack)
+
+
+CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)] for cond in (1.0, 1e3, 1e5, 1e7)]
+
+
+@pytest.mark.parametrize("fam, n, cond", CLOSURE_PROBES + [("sl", 4, "open"), ("so", 6, "open")])
+def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n, cond):
+    # the construction's residual, read from NotASubalgebra at CLOSURE_TOL = 0,
+    # against the L1 residual of each commutator projected by coords_of; an
+    # "open" basis shifts one element by 1e-6 I, off the algebra
+    stack = _recoordinated(catalog.make(fam, n), 1e3 if cond == "open" else cond, _rng(23))
+    if cond == "open":
+        stack[0] += 1e-6 * np.eye(n)
+    monkeypatch.setattr(rm, "CLOSURE_TOL", 0.0)
+    with pytest.raises(NotASubalgebra) as err:
+        rm.Representation("probe", stack)
+    dual = float(re.search(r"residual (\S+) ", str(err.value)).group(1))
+    monkeypatch.setattr(rm, "CLOSURE_TOL", np.inf)
+    rep = rm.Representation("probe", stack)
+    if cond != "open":
+        assert rep.gram_cond == pytest.approx(cond, rel=1e-6)
+    i, j = np.triu_indices(rep.g_dim, 1)
+    comm = stack[i] @ stack[j] - stack[j] @ stack[i]
+    recon = rep.materialize(rep.structure_constants()[i, j]) - comm
+    want = np.abs(recon).reshape(len(comm), -1).sum(axis=1).max()
+    assert want / 2 <= dual <= 2 * want
+    monkeypatch.undo()
+    closed = want <= rm.CLOSURE_TOL * (1.0 + np.abs(comm).max())
+    assert closed == (cond != "open")
+    if closed:
+        rm.Representation("probe", stack)
+    else:
+        with pytest.raises(NotASubalgebra, match="threshold"):
+            rm.Representation("probe", stack)
+
+
+def test_tensor_cube_closure_memory_is_bounded():
+    # v = 27: the dual basis is (v^2, g); a v^2 x v^2 projector would be 8.5 MB
+    rep = catalog.make_sl2_irrep(2)
+    tracemalloc.start()
+    try:
+        cube = catalog.tensor_power(rep, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube.v_dim == 27
+    assert peak < 2**20
 
 
 def test_basis_is_a_read_only_view_of_the_stack():
