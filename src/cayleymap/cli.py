@@ -37,10 +37,10 @@ def parse_matrix_arg(text: str) -> np.ndarray:
     """diag(...) or identity N shorthand, else a path to a matrix JSON file."""
     s = text.strip()
     if s.startswith("diag(") and s.endswith(")"):
-        values = [_parse_scalar(v) for v in s[5:-1].split(",") if v.strip()]
-        if not values:
-            raise UsageError("diag() needs at least one entry")
-        return np.diag(np.array(values, dtype=complex))
+        entries = s[5:-1].split(",")
+        if not all(v.strip() for v in entries):  # diag() too
+            raise UsageError(f"empty entry in {text!r}")
+        return np.diag(np.array([_parse_scalar(v) for v in entries], dtype=complex))
     if s.startswith("identity"):
         rest = s[len("identity"):].strip(" ()")
         try:
@@ -243,9 +243,20 @@ def cmd_spin_cayley(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy seeds its generators from non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
+    common.add_argument("--seed", type=_seed, default=0, help="deterministic sampling seed (>= 0)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--report", metavar="PATH", help="also write the output to PATH")
 

@@ -17,10 +17,12 @@ b B_i b^-1, [x, B_i] and [B_i, B_j].  Of the commutators only the g(g-1)/2
 pairs i < j are formed; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give
 the rest.  They are formed in row tiles of about _TILE_ENTRIES entries per
 product, so at most a bounded slice of them exists at a time.  The closure
-check at construction needs a verdict, not coordinates: it projects each
-tile through the dual basis, the coordinates of the v^2 unit matrices from
-one Gram solve, by two GEMMs.  The structure constants project each tile
-by coords_of, and the dense (g, g, g) array exists only once asked for.
+check at construction needs a verdict, not coordinates.  A full basis,
+g = v^2, is closed by dimension count: its independent matrices span all
+of gl(v).  Any other basis projects each tile through the dual basis, the
+coordinates of the v^2 unit matrices from one Gram solve, by two GEMMs.
+The structure constants project each tile by coords_of, and the dense
+(g, g, g) array exists only once asked for.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ class Representation:
     linearly dependent or the trace form is singular or ill-conditioned on
     its span (then no projection map exists); gram_cond keeps its condition
     number.  NotASubalgebra when the span is not closed under commutators,
-    checked here by _check_closure through the dual basis, which keeps
-    nothing; structure_constants() projects the commutators by coords_of on
-    its first call and keeps the result.
+    checked here by _check_closure, which keeps nothing: a full basis
+    (g = v^2) spans gl(v) and is closed by dimension count, any other is
+    checked through the dual basis.  structure_constants() projects the
+    commutators by coords_of on its first call and keeps the result.
 
     Instances are immutable: stack is read-only and basis is the list of its
     rows, so values are safe to share across threads.  Two threads making the
@@ -157,7 +160,11 @@ class Representation:
     def _check_closure(self) -> None:
         """NotASubalgebra unless every [B_i, B_j] lies in the basis span.
 
-        One Gram solve with v^2 right-hand sides gives the dual basis, the
+        A full basis, g = v^2, is closed by dimension count: build_gram has
+        already certified its matrices independent, so they span all of
+        gl(v), and it forms no commutator and makes no solve.  (g > v^2
+        cannot get here: its Gram matrix has rank at most v^2.)  Otherwise
+        one Gram solve with v^2 right-hand sides gives the dual basis, the
         coordinates of the v^2 unit matrices, so each tile's projection is
         two GEMMs and no solve.  The test runs on the largest L1 residual
         of one commutator and the largest |[B_i, B_j]| over all tiles, so
@@ -165,9 +172,11 @@ class Representation:
         kept.
         """
         g, v = self.stack.shape[:2]
+        if g == v * v:
+            return
         dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T  # (v^2, g)
         flat_basis = self.stack.reshape(g, v * v)
-        res = scale = 0.0  # stay 0 for gl(1), which has no pairs
+        res = scale = 0.0  # stay 0 for a one-element basis, which has no pairs
         for _, _, comm in self._commutator_tiles():
             flat = comm.reshape(len(comm), v * v)
             recon = (flat @ dual) @ flat_basis

@@ -202,10 +202,28 @@ def test_csv_format_flattens_nested_fields(capsys):
 def test_exit_code_usage_errors(capsys):
     assert cli.main(["map", "--group", "sl", "--n", "2", "--element", "diag(bogus)"]) == 2
     capsys.readouterr()
+    for text in ("diag(1,,2)", "diag(1, 2,)", "diag(,1)", "diag()"):
+        # an empty entry is an error, not a dropped entry
+        assert cli.main(["map", "--group", "sl", "--n", "2", "--element", text]) == 2
+        assert f"error: empty entry in {text!r}" in capsys.readouterr().err
     assert cli.main(["map", "--group", "sl", "--n", "2"]) == 2
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--group", "sl", "--n", "2", "--sample", "generic"],
+        ["fiber", "--family", "sl", "--n", "3", "--random"],
+        ["verify", "--suite", "clifford", "--trials", "1"],
+        ["spin", "cayley", "--random", "--n", "4"],
+    ],
+)
+def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_tol_is_a_verify_option(capsys):

@@ -153,6 +153,55 @@ def test_construction_solves_the_gram_system_once(monkeypatch, entries):
     assert solves == [(rep.g_dim, 16)]
 
 
+def _closure_work(monkeypatch):
+    # tile walks entered, commutator pairs they yield and linalg.solve_linear calls
+    work = {"pairs": 0, "walks": 0, "solves": 0}
+    tiles = rm.Representation._commutator_tiles
+
+    def counted_tiles(self):
+        work["walks"] += 1
+        for i, j, comm in tiles(self):
+            work["pairs"] += len(comm)
+            yield i, j, comm
+
+    solve_linear = linalg.solve_linear
+
+    def counted_solve(a, b, what="matrix"):
+        work["solves"] += 1
+        return solve_linear(a, b, what)
+
+    monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
+    monkeypatch.setattr(linalg, "solve_linear", counted_solve)
+    return work
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_full_basis_is_closed_without_the_commutator_walk(monkeypatch, n):
+    # g = v^2 independent matrices span gl(v), which is closed
+    work = _closure_work(monkeypatch)
+    rep = catalog.make_gl(n)
+    assert rep.g_dim == rep.v_dim**2
+    assert work == {"pairs": 0, "walks": 0, "solves": 0}
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 4), ("so", 6)])
+def test_proper_subalgebra_walks_every_commutator(monkeypatch, fam, n):
+    work = _closure_work(monkeypatch)
+    rep = catalog.make(fam, n)
+    g = rep.g_dim
+    assert work == {"pairs": g * (g - 1) // 2, "walks": 1, "solves": 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ill_conditioned_full_basis_is_closed(seed):
+    # cond(G) = 5e8 is inside the DegenerateForm bound 1/linalg.RTOL; on these
+    # bases the commutator walk's residual, rounding amplified by cond(G), is
+    # 0.31-1.56 against thresholds of 0.14-0.25, so gl must not take it
+    stack = _recoordinated(catalog.make_gl(4), 5e8, _rng(seed))
+    rep = rm.Representation("gl4-recoordinated", stack)
+    assert rep.gram_cond == pytest.approx(5e8, rel=1e-4)
+
+
 @pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
 def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
     # every tile is projected by its own products and Gram solve
@@ -219,23 +268,29 @@ CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]
 def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n, cond):
     # the construction's residual, read from NotASubalgebra at CLOSURE_TOL = 0,
     # against the L1 residual of each commutator projected by coords_of; an
-    # "open" basis shifts one element by 1e-6 I, off the algebra
+    # "open" basis shifts one element by 1e-6 I, off the algebra.  A gl basis
+    # is full, so it is closed by dimension count and constructs even at
+    # CLOSURE_TOL = 0
     stack = _recoordinated(catalog.make(fam, n), 1e3 if cond == "open" else cond, _rng(23))
     if cond == "open":
         stack[0] += 1e-6 * np.eye(n)
     monkeypatch.setattr(rm, "CLOSURE_TOL", 0.0)
-    with pytest.raises(NotASubalgebra) as err:
-        rm.Representation("probe", stack)
-    dual = float(re.search(r"residual (\S+) ", str(err.value)).group(1))
-    monkeypatch.setattr(rm, "CLOSURE_TOL", np.inf)
-    rep = rm.Representation("probe", stack)
+    if fam == "gl":
+        rep = rm.Representation("probe", stack)
+    else:
+        with pytest.raises(NotASubalgebra) as err:
+            rm.Representation("probe", stack)
+        dual = float(re.search(r"residual (\S+) ", str(err.value)).group(1))
+        monkeypatch.setattr(rm, "CLOSURE_TOL", np.inf)
+        rep = rm.Representation("probe", stack)
     if cond != "open":
         assert rep.gram_cond == pytest.approx(cond, rel=1e-6)
     i, j = np.triu_indices(rep.g_dim, 1)
     comm = stack[i] @ stack[j] - stack[j] @ stack[i]
     recon = rep.materialize(rep.structure_constants()[i, j]) - comm
     want = np.abs(recon).reshape(len(comm), -1).sum(axis=1).max()
-    assert want / 2 <= dual <= 2 * want
+    if fam != "gl":
+        assert want / 2 <= dual <= 2 * want
     monkeypatch.undo()
     closed = want <= rm.CLOSURE_TOL * (1.0 + np.abs(comm).max())
     assert closed == (cond != "open")
