@@ -159,7 +159,7 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    smallest, sample = degree.FAMILIES[args.family]
+    smallest, sample, solve = degree.FAMILIES[args.family]
     if args.n < smallest:
         raise UsageError(f"--family {args.family} needs --n >= {smallest}")
     if args.target is not None:
@@ -168,7 +168,6 @@ def cmd_fiber(args) -> int:
         target = sample(args.n, np.random.default_rng(np.random.SeedSequence([args.seed, 0xF1BE7])))
     else:
         raise UsageError("provide --target or --random")
-    solve = degree.sl_fiber if args.family == "sl" else degree.spin_fiber
     payload = solve(args.n, target).to_json()
     payload["command"] = "fiber"
     _emit(payload, args)

@@ -1,6 +1,6 @@
 """Clifford and exterior algebra over C^n with an orthonormal basis.
 
-Multivectors hold 2^n coefficients indexed by subset bitmask (bit i set
+Multivectors have 2^n coefficients indexed by subset bitmask (bit i set
 means the generator z_{i+1} occurs), with basis blades written in increasing
 generator order, so z_I z_J = c_{I,J} z_{I xor J} with z_i^2 = 1 and
 c_{I,J} = (-1)^{#{(i,j) in IxJ : i > j}}.
@@ -16,13 +16,20 @@ to the D x D matrix Gamma(u) = sum_I u_I w_I X^x Z^z with D = 2^ceil(n/2);
 odd n is embedded in Cl_{n+1}, whose product keeps Cl_n.  Gamma(u) is one
 gather of u w into a D x D array by (x, z), one product with the +-1
 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
-the inverse map is the same steps in reverse.  So the product is one D x D
-matmul, u v = Gamma^{-1}(Gamma(u) Gamma(v)), and the spin exponential is the
-package's one matrix exponential, Pade scaling and squaring, on a D x D
-matrix, exp(u) = Gamma^{-1}(linalg.matrix_exp(Gamma(u))): six D x D
-products, one D x D solve and s squarings, s growing as log2 of the 1-norm of
-Gamma(u).  The wedge and the contraction are grade projections of the
-product (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
+the inverse map is the same steps in reverse.
+
+A CliffordElement holds its coefficients, its image Gamma, or both, each
+formed from the other on first need and then kept (the class docstring has
+the rules).  A product is one D x D matmul of the kept images, Gamma(u v) =
+Gamma(u) Gamma(v), whose coefficients are mapped back only when read, so a
+chain of products maps each operand forward once and each result back at
+most once.  At odd n a kept image carries the rounding on blades outside
+Cl_n into the next product; the inverse map drops it.  The spin
+exponential is the package's one matrix exponential, Pade scaling and
+squaring, on the image: Gamma(exp(u)) = linalg.matrix_exp(Gamma(u)), six
+D x D products, one D x D solve and s squarings, s growing as log2 of the
+1-norm of Gamma(u).  The wedge and the contraction are grade projections of
+the product (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
 A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
 Only gamma_matrix, the regular representation kept as an independent
 reference for the product, builds a 2^n x 2^n array.
@@ -107,24 +114,64 @@ def _tables(n: int) -> _Tables:
 
 
 class CliffordElement:
-    """2^n complex coefficients in bitmask blade order.
+    """A multivector: its 2^n complex coefficients in bitmask blade order, its
+    D x D spinor image Gamma, or both.
+
+    Built from coefficients, an element has no image until its first product
+    (or spin_exp) forms Gamma with one to_spinor row.  Made by a product or by
+    spin_exp, it holds only its image until coeffs is first read, which costs
+    one from_spinor row.  Each representation is kept once formed.  From the
+    moment an element has an image, its coefficient array is read-only, so an
+    in-place write raises ValueError instead of leaving Gamma stale; a fresh
+    element can be filled in place until it is first multiplied.  Assigning
+    coeffs replaces the coefficients and drops the image.
+
+    Two threads making the first read of a missing representation at once may
+    both compute it; each stores an equal array, so the race is idempotent.
 
     Supports + - and scalar scaling; u * v is the Clifford product and
     u ^ v the exterior (wedge) product.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_coeffs", "_gamma")
 
     def __init__(self, n: int, coeffs=None):
         _tables(n)
         self.n = n
         if coeffs is None:
-            self.coeffs = np.zeros(1 << n, dtype=complex)
+            self._coeffs, self._gamma = np.zeros(1 << n, dtype=complex), None
         else:
-            c = np.asarray(coeffs, dtype=complex)
-            if c.shape != (1 << n,):
-                raise ValueError(f"expected {1 << n} coefficients, got {c.shape}")
-            self.coeffs = c.copy()
+            self.coeffs = coeffs
+
+    @classmethod
+    def _of_image(cls, n: int, gamma: np.ndarray) -> "CliffordElement":
+        """The element whose spinor image is gamma, kept as given."""
+        out = cls.__new__(cls)
+        out.n, out._coeffs, out._gamma = n, None, gamma
+        return out
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            c = _tables(self.n).from_spinor(self._gamma[None])[0]
+            c.flags.writeable = False
+            self._coeffs = c
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, value):
+        # also the last step of `u.coeffs *= c`, which assigns back the array it scaled
+        c = np.asarray(value, dtype=complex)
+        if c.shape != (1 << self.n,):
+            raise ValueError(f"expected {1 << self.n} coefficients, got {c.shape}")
+        self._coeffs, self._gamma = c.copy(), None
+
+    def _image(self) -> np.ndarray:
+        """Gamma of this element; formed from the coefficients on first need, which freezes them."""
+        if self._gamma is None:
+            self._coeffs.flags.writeable = False
+            self._gamma = _tables(self.n).to_spinor(self._coeffs[None])[0]
+        return self._gamma
 
     # -- ring structure --------------------------------------------------
 
@@ -244,11 +291,13 @@ def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
 
 
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
+    """The Clifford product u v: the element whose image is Gamma(u) Gamma(v),
+    one D x D matmul of the operands' kept images (an operand without one forms
+    it first, freezing its coefficients).  Its coefficients are one from_spinor
+    row, formed when first read."""
     if u.n != v.n:
         raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
-    t = _tables(u.n)
-    gu, gv = t.to_spinor(np.array([u.coeffs, v.coeffs]))
-    return CliffordElement(u.n, t.from_spinor((gu @ gv)[None])[0])
+    return CliffordElement._of_image(u.n, u._image() @ v._image())
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
@@ -405,29 +454,34 @@ class SpinElement:
 
 
 def spin_exp(u: CliffordElement) -> SpinElement:
-    """Clifford exponential exp(u) of a bivector: linalg.matrix_exp of the
-    D x D spinor image Gamma(u), mapped back to coefficients.
+    """Clifford exponential exp(u) of a bivector: the element whose image is
+    linalg.matrix_exp of the D x D spinor image Gamma(u).
 
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
-    2005) applies to Gamma(u) as written.  The cost is two transforms of 2^n
-    coefficients plus one matrix_exp: six D x D products, one D x D solve
+    2005) applies to Gamma(u) as written.  The cost is Gamma(u), unless u
+    already holds it, plus one matrix_exp: six D x D products, one D x D solve
     and s = max(0, ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings,
     each product D^3 = 2^(3n/2) flops for even n.
     """
     _require_degree(u, 2, "spin_exp argument")
-    t = _tables(u.n)
-    gamma = linalg.matrix_exp(t.to_spinor(u.coeffs[None])[0])
-    return SpinElement(CliffordElement(u.n, t.from_spinor(gamma[None])[0]))
+    return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
-    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin if one leaves V."""
+    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin if one leaves V.
+
+    g and ag keep their images across all n products, and the n generator
+    images come from one to_spinor of n unit rows.
+    """
     n = g.n
     scale = max(1.0, g.norm()) ** 2
+    units = np.zeros((n, 1 << n))
+    units[np.arange(n), 1 << np.arange(n)] = 1.0
+    gens = _tables(n).to_spinor(units)
     t = np.empty((n, n), dtype=complex)
     for j in range(n):
-        w = g * basis_vector(n, j) * ag
+        w = g * CliffordElement._of_image(n, gens[j]) * ag
         resid = (w - w.grade(1)).norm()
         if resid > 1e-8 * scale:
             raise NotInSpin(f"twisted conjugation leaves V (residual {resid:.2e})")

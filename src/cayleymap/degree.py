@@ -13,7 +13,8 @@ than by symbolic expansion.  Both families share one pipeline,
 minimal_poly_coeffs -> linalg.poly_roots -> linalg.dedup_roots; only the
 reconstruction of fiber elements from the roots differs, one broadcast
 shift for sl and one stacked Cayley transform over the roots for spin.
-FAMILIES gives each family's smallest n and its random generic target.
+FAMILIES gives each family's smallest n, its random generic target and its
+fiber function.
 """
 
 from __future__ import annotations
@@ -159,5 +160,5 @@ def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-# fiber family -> (smallest n, random generic target sampler)
-FAMILIES = {"sl": (2, random_trace_free), "spin": (3, random_skew)}
+# fiber family -> (smallest n, random generic target sampler, fiber function)
+FAMILIES = {"sl": (2, random_trace_free, sl_fiber), "spin": (3, random_skew, spin_fiber)}

@@ -191,6 +191,11 @@ def test_clifford_mul_matches_word_oracle_and_regular_representation(n, blades, 
     assert np.abs((u * v).coeffs - want).max() <= 1e-13 * np.abs(want).max()
     want = cl.gamma_matrix(u) @ w.coeffs
     assert np.abs((u * w).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+    # a chained product of elements that already carry images: u v keeps only
+    # Gamma(u) Gamma(v), so at odd n the rounding it holds on blades outside
+    # Cl_n reaches the next product
+    want = cl.gamma_matrix(u) @ (cl.gamma_matrix(v) @ w.coeffs)
+    assert np.abs(((u * v) * w).coeffs - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -227,6 +232,53 @@ def test_spinor_generator_images_square_to_one_and_anticommute(n):
     for i in range(n):
         for j in range(n):
             assert np.array_equal(z[i] @ z[j] + z[j] @ z[i], 2.0 * eye if i == j else 0 * eye)
+
+
+def test_coefficients_freeze_once_an_element_has_an_image():
+    rng = _rng(23)
+    n = 5
+    u, v = random_element(n, rng), random_element(n, rng)
+    uv = u * v
+    for x in (u, v, uv, cl.spin_exp(cl.random_bivector(n, rng)).value):
+        with pytest.raises(ValueError):
+            x.coeffs[0] = 1.0
+    # a fresh element is filled in place and then multiplied, as if built filled
+    filled = cl.CliffordElement(n)
+    filled.coeffs[[0, 3, 17]] = [1.0, 2j, -0.5]
+    filled.coeffs *= 2.0
+    want = np.zeros(1 << n, dtype=complex)
+    want[[0, 3, 17]] = [2.0, 4j, -1.0]
+    assert np.array_equal((filled * u).coeffs, (cl.CliffordElement(n, want) * u).coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_spin_chain_maps_each_operand_once(monkeypatch, n):
+    # kept images; a round trip through coefficients per product would map
+    # 8n+3 rows forward and 4n+2 back
+    tables = cl._Tables
+    to_spinor, from_spinor, mul = tables.to_spinor, tables.from_spinor, cl.clifford_mul
+    rows = {"to": 0, "from": 0, "mul": 0}
+
+    def count_to(self, coeffs):
+        rows["to"] += len(coeffs)
+        return to_spinor(self, coeffs)
+
+    def count_from(self, gamma):
+        rows["from"] += len(gamma)
+        return from_spinor(self, gamma)
+
+    def count_mul(u, v):
+        rows["mul"] += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(tables, "to_spinor", count_to)
+    monkeypatch.setattr(tables, "from_spinor", count_from)
+    monkeypatch.setattr(cl, "clifford_mul", count_mul)
+    t = cl.vector_action(cl.spin_exp(cl.random_bivector(n, _rng(24))))
+    assert np.linalg.norm(t.T @ t - np.eye(n)) < 1e-10
+    assert rows["mul"] == 4 * n + 1
+    assert rows["to"] <= 2 * n + 3
+    assert rows["from"] <= 2 * n + 2
 
 
 def test_dimension_mismatch_rejected():
