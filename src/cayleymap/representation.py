@@ -8,21 +8,25 @@ projection of a matrix M solves
     G c = t,   t_i = tr(M B_i),
 
 so c are the coordinates of the unique algebra element whose trace pairing
-with every basis vector matches that of M.  Representation.coords_of is the
-one place that forms this pairing and solves the Gram system for
-coordinates, for a single matrix or a stack of them.  The map itself
-projects M(g); the Jacobian in the left-invariant frame, adjoint matrices,
-centralizer operators and structure constants project the stacks M(g) B_i,
-b B_i b^-1, [x, B_i] and [B_i, B_j].  Of the commutators only the g(g-1)/2
-pairs i < j are formed; [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give
-the rest.  They are formed in row tiles of about _TILE_ENTRIES entries per
-product, so at most a bounded slice of them exists at a time.  The closure
-check at construction needs a verdict, not coordinates.  A full basis,
-g = v^2, is closed by dimension count: its independent matrices span all
-of gl(v).  Any other basis projects each tile through the dual basis, the
-coordinates of the v^2 unit matrices from one Gram solve, by two GEMMs.
-The structure constants project each tile by coords_of, and the dense
-(g, g, g) array exists only once asked for.
+with every basis vector matches that of M.  Coordinates come one of two ways.
+The dual basis D, the (v^2, g) coordinates of the v^2 unit matrices from one
+Gram solve, is kept on the Representation, and projects m by one GEMM,
+m.ravel() @ D: the closure check, adjoint matrices (the stack b B_i b^-1) and
+centralizer operators (the stacks x B_i and B_i x) take this route.
+Representation.coords_of forms the pairing and solves the Gram system, for a
+single matrix or a stack of them.  It is kept where the benchmark's call-shape
+rules (bench/spans.py) count one solve per call, the map itself (M(g)) and
+the Jacobian in the left-invariant frame behind psi (M(g) B_i), and for the
+structure constants ([B_i, B_j]), which tests pin bitwise across tilings.
+Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
+-[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
+of about _TILE_ENTRIES entries per product, so at most a bounded slice of
+them exists at a time.  The closure check at construction needs a verdict,
+not coordinates.  A full basis, g = v^2, is closed by dimension count: its
+independent matrices span all of gl(v), and it forms D on its first adjoint
+or centralizer call.  Any other basis forms D in the closure check and
+projects each tile through it by two GEMMs.  The dense (g, g, g) structure
+array exists only once asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivar
 # Residual allowed when re-expressing commutators / conjugates in the basis.
 CLOSURE_TOL = 1e-8
 ADJOINT_RESIDUAL_TOL = 1e-6
-# Singular values below this fraction of the largest count as kernel.
+# Singular values below this fraction of the largest count as kernel, as do
+# those below centralizer_dim's rounding floor.
 KERNEL_CUTOFF = 1e-7
 # Complex entries of one commutator product tile; a tile takes as many basis
 # rows as fit, at least one.  Smaller tiles lower the closure check's peak
@@ -68,21 +73,23 @@ def _mat(g) -> np.ndarray:
 class Representation:
     """Algebra basis matrices with cached trace-form Gram matrix.
 
-    coords_of is the single trace-form projection to coordinates: every
-    coordinate computation of this module goes through it.  The Gram matrix
-    is checked once, here, by build_gram: DegenerateForm when the basis is
-    linearly dependent or the trace form is singular or ill-conditioned on
-    its span (then no projection map exists); gram_cond keeps its condition
-    number.  NotASubalgebra when the span is not closed under commutators,
-    checked here by _check_closure, which keeps nothing: a full basis
+    Two projections to coordinates share the Gram matrix: the kept dual basis
+    (_dual), one GEMM per call, for the closure check, adjoint_matrix and
+    centralizer_dim; and coords_of, one Gram solve per call, for cayley,
+    cayley_jacobian/psi and structure_constants().  The Gram matrix is checked
+    once, here, by build_gram: DegenerateForm when the basis is linearly
+    dependent or the trace form is singular or ill-conditioned on its span
+    (then no projection map exists); gram_cond keeps its condition number.
+    NotASubalgebra when the span is not closed under commutators, checked
+    here by _check_closure, which keeps only the dual basis: a full basis
     (g = v^2) spans gl(v) and is closed by dimension count, any other is
     checked through the dual basis.  structure_constants() projects the
     commutators by coords_of on its first call and keeps the result.
 
     Instances are immutable: stack is read-only and basis is the list of its
     rows, so values are safe to share across threads.  Two threads making the
-    first structure_constants() call at once may both compute the array; each
-    stores an equal one, so the race is idempotent.
+    first structure_constants() or _dual() call at once may both compute the
+    array; each stores an equal one, so the race is idempotent.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None):
@@ -101,6 +108,7 @@ class Representation:
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
         self._structure = None
+        self._dual_basis = None
         self._check_closure()
 
     @property
@@ -157,6 +165,21 @@ class Representation:
             self._structure = c
         return self._structure
 
+    def _dual(self) -> np.ndarray:
+        """Dual basis D, the (v^2, g) coordinates of the v^2 unit matrices, so
+        that m.ravel() @ D are the coordinates of m's projection.
+
+        Formed by one Gram solve with v^2 right-hand sides on the first call,
+        then kept read-only on the instance.  Like structure_constants(), two
+        threads making the first call at once may both solve; each stores an
+        equal array.
+        """
+        if self._dual_basis is None:
+            d = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
+            d.flags.writeable = False
+            self._dual_basis = d
+        return self._dual_basis
+
     def _check_closure(self) -> None:
         """NotASubalgebra unless every [B_i, B_j] lies in the basis span.
 
@@ -164,17 +187,16 @@ class Representation:
         already certified its matrices independent, so they span all of
         gl(v), and it forms no commutator and makes no solve.  (g > v^2
         cannot get here: its Gram matrix has rank at most v^2.)  Otherwise
-        one Gram solve with v^2 right-hand sides gives the dual basis, the
-        coordinates of the v^2 unit matrices, so each tile's projection is
-        two GEMMs and no solve.  The test runs on the largest L1 residual
-        of one commutator and the largest |[B_i, B_j]| over all tiles, so
-        the tiling changes neither its outcome nor its message.  Nothing is
-        kept.
+        it forms the dual basis (_dual), so each tile's projection is two
+        GEMMs and no solve.  The test runs on the largest L1 residual of one
+        commutator and the largest |[B_i, B_j]| over all tiles, so the
+        tiling changes neither its outcome nor its message.  Only the dual
+        basis is kept.
         """
         g, v = self.stack.shape[:2]
         if g == v * v:
             return
-        dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T  # (v^2, g)
+        dual = self._dual()
         flat_basis = self.stack.reshape(g, v * v)
         res = scale = 0.0  # stay 0 for a one-element basis, which has no pairs
         for _, _, comm in self._commutator_tiles():
@@ -292,17 +314,20 @@ def character(rep: Representation, g) -> complex:
 def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """Matrix of conjugation by b acting on algebra coordinates.
 
-    Column i = coordinates of M(b) B_i M(b)^{-1}.  Raises NotEquivariant if
-    some conjugate leaves the basis span by more than ADJOINT_RESIDUAL_TOL
-    relative to (1 + its norm), which signals a malformed representation.
+    Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
+    dual basis by one GEMM.  Raises NotEquivariant if some conjugate leaves
+    the basis span by more than ADJOINT_RESIDUAL_TOL relative to (1 + its
+    norm), which signals a malformed representation.
     """
     bm = rep.element_matrix(b)
     conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
-    c = rep.coords_of(conj)
+    c = conj.reshape(rep.g_dim, -1) @ rep._dual()
     res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
     worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=(-2, -1)))))
     if worst > ADJOINT_RESIDUAL_TOL:
-        raise NotEquivariant(f"conjugation leaves the algebra span (residual {worst:.2e})")
+        raise NotEquivariant(
+            f"conjugation leaves the algebra span (residual {worst:.2e} > threshold {ADJOINT_RESIDUAL_TOL:.2e})"
+        )
     return c.T
 
 
@@ -361,20 +386,29 @@ def ehu_decomposition(g, cluster_tol: float = linalg.CLUSTER_TOL):
 def centralizer_dim(rep: Representation, x) -> int:
     """Dimension of the centralizer of x in the algebra, via numeric kernels.
 
-    Group elements use ker(Ad - 1), algebra vectors use ker(ad), both on
-    coordinates; singular values below KERNEL_CUTOFF * sigma_max count as 0.
+    Group elements use ker(Ad - 1), algebra vectors use ker(ad) = ker(L - R),
+    where L and R are left and right multiplication by x; all are operators on
+    coordinates, projected through the dual basis.  One rule counts the kernel
+    of the operator a - s in both cases: singular values below
+    max(KERNEL_CUTOFF * sigma_max, 64 g eps cond(G) (|a|_F + |s|_F)).  The
+    floor is a few ulps of the operator's inputs, amplified by the Gram
+    condition number; without it a central x, where a - s is pure rounding,
+    would have its rounding judged relative to itself.  An exactly zero
+    operator has the whole algebra as kernel.
     """
     if isinstance(x, GroupElement):
-        op = adjoint_matrix(rep, x) - np.eye(rep.g_dim)
+        a, s = adjoint_matrix(rep, x), np.eye(rep.g_dim)
     elif isinstance(x, AlgebraVector):
         xm = rep.element_matrix(x.matrix())
-        op = rep.coords_of(xm @ rep.stack - rep.stack @ xm).T
+        products = np.stack([xm @ rep.stack, rep.stack @ xm]).reshape(2, rep.g_dim, -1)
+        a, s = (products @ rep._dual()).transpose(0, 2, 1)
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
-    sv = np.linalg.svd(op, compute_uv=False)
+    sv = np.linalg.svd(a - s, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return rep.g_dim
-    return int(np.sum(sv < KERNEL_CUTOFF * sv[0]))
+    floor = 64 * rep.g_dim * np.finfo(float).eps * rep.gram_cond * (np.linalg.norm(a) + np.linalg.norm(s))
+    return int(np.sum(sv < max(KERNEL_CUTOFF * sv[0], floor)))
 
 
 def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:

@@ -192,6 +192,41 @@ def test_proper_subalgebra_walks_every_commutator(monkeypatch, fam, n):
     assert work == {"pairs": g * (g - 1) // 2, "walks": 1, "solves": 1}
 
 
+def _solve_count(monkeypatch):
+    solves = []
+    solve_linear = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what="matrix": solves.append(np.shape(b)) or solve_linear(a, b, what))
+    return solves
+
+
+@pytest.mark.parametrize("first", [rm.adjoint_matrix, rm.centralizer_dim], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fam, n", [("sl", 4), ("so", 6), ("gl", 4)])
+def test_adjoint_and_centralizer_reuse_the_dual_basis(monkeypatch, fam, n, first):
+    # a proper subalgebra forms the dual basis in its closure check; a full
+    # basis skips that check and forms it on its first adjoint or centralizer
+    # call.  From then on the adjoint and both centralizer operators make no
+    # solve, while cayley and psi still make one each
+    solves = _solve_count(monkeypatch)
+    rep = catalog.make(fam, n)
+    g = catalog.sample_element(rep, "generic", 7)
+    x = rm.AlgebraVector(rep, _cgauss(_rng(7), rep.g_dim))
+    full = rep.g_dim == rep.v_dim**2
+    assert len(solves) == (0 if full else 1)
+    first(rep, g)
+    assert solves == [(rep.g_dim, rep.v_dim**2)]
+    d = rep._dual()
+    assert rep._dual() is d and not d.flags.writeable
+    del solves[:]
+    rm.adjoint_matrix(rep, g)
+    rm.centralizer_dim(rep, g)
+    rm.centralizer_dim(rep, x)
+    assert solves == []
+    rm.cayley(rep, g)
+    assert len(solves) == 1
+    rm.psi(rep, g)
+    assert len(solves) == 2
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_ill_conditioned_full_basis_is_closed(seed):
     # cond(G) = 5e8 is inside the DegenerateForm bound 1/linalg.RTOL; on these
@@ -299,6 +334,22 @@ def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n
     else:
         with pytest.raises(NotASubalgebra, match="threshold"):
             rm.Representation("probe", stack)
+
+
+@pytest.mark.parametrize("fam, n, cond", CLOSURE_PROBES)
+def test_adjoint_dual_projection_accuracy(fam, n, cond):
+    # the adjoint projects through the kept dual basis, coords_of by a Gram
+    # solve; both are rounding amplified by cond(G), and agree with the
+    # least-squares oracle within one multiple of cond(G) eps (measured at
+    # most 2.7 here, 2.8 over seeds 0-4)
+    base = catalog.make(fam, n)
+    rep = rm.Representation("probe", _recoordinated(base, cond, _rng(29)))
+    b = catalog.sample_element(base, "generic", 29).matrix
+    got = rm.adjoint_matrix(rep, b)
+    conj = b @ rep.stack @ np.linalg.inv(b)
+    for want in (_oracle_coords(rep, conj).T, rep.coords_of(conj).T):
+        bound = 16 * rep.gram_cond * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
 
 
 def test_tensor_cube_closure_memory_is_bounded():
@@ -578,6 +629,13 @@ def test_adjoint_matrix_rejects_conjugates_outside_the_span():
     assert np.allclose(rm.adjoint_matrix(cartan, np.diag([2.0, 0.5, 1.0])), np.eye(2), rtol=0, atol=1e-15)
 
 
+def test_not_equivariant_names_its_threshold():
+    cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
+    with pytest.raises(NotEquivariant) as err:
+        rm.adjoint_matrix(cartan, catalog.sample_element(SL3, "generic", 0))
+    assert str(err.value) == "conjugation leaves the algebra span (residual 4.49e-01 > threshold 1.00e-06)"
+
+
 @pytest.mark.parametrize("rep", [SL3, SO4, catalog.make_gl(3)], ids=lambda r: r.name)
 def test_no_svd_after_construction(rep, monkeypatch):
     # build_gram makes the Gram matrix's one conditioning decision; the
@@ -700,6 +758,50 @@ def test_centralizer_equality_when_nonsingular():
             dim_g = rm.centralizer_dim(SL3, g)
             dim_phi = rm.centralizer_dim(SL3, rm.cayley(SL3, g))
             assert dim_g == dim_phi
+
+
+def _scalar_root_of_unity(n):
+    return rm.GroupElement(np.exp(2j * np.pi / n) * np.eye(n))
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 3), ("sl", 6), ("sl", 10), ("gl", 3), ("gl", 12)])
+def test_central_element_centralizes_the_whole_algebra(fam, n):
+    # Ad(w I) - 1 is pure rounding; a cutoff relative to it alone counted
+    # a kernel of 0 here
+    rep = catalog.make(fam, n)
+    assert rm.centralizer_dim(rep, _scalar_root_of_unity(n)) == rep.g_dim
+
+
+def test_centralizers_match_at_the_center_of_sl3():
+    w = _scalar_root_of_unity(3)
+    assert abs(rm.psi(SL3, w)) > 0.5
+    assert rm.centralizer_dim(SL3, w) == rm.centralizer_dim(SL3, rm.cayley(SL3, w)) == SL3.g_dim
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("fam, n", [("sl", 3), ("so", 4), ("gl", 3), ("sl", 4)])
+def test_identity_centralizes_every_recoordinated_basis(fam, n, cond):
+    # on gl the image of the identity is the identity, central too, so the
+    # algebra branch is checked on the same rule
+    for seed in range(3):
+        rep = rm.Representation("probe", _recoordinated(catalog.make(fam, n), cond, _rng(seed)))
+        assert rm.centralizer_dim(rep, rm.GroupElement(np.eye(n))) == rep.g_dim
+        if fam == "gl":
+            assert rm.centralizer_dim(rep, rm.cayley(rep, np.eye(n))) == rep.g_dim
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 3), ("sl", 6), ("so", 6), ("gl", 4)])
+def test_centralizer_floor_keeps_regular_elements_regular(fam, n):
+    # the rounding floor must not swallow a small but real Ad - 1: exp(e A)
+    # for a generic A is regular down to e = 1e-8, as are generic samples
+    rep = catalog.make(fam, n)
+    rank = rep.metadata["rank"]
+    a = rep.materialize(_cgauss(_rng(31), rep.g_dim))
+    for e in (1e-2, 1e-4, 1e-6, 1e-8):
+        assert rm.centralizer_dim(rep, rm.GroupElement(linalg.matrix_exp(e * a))) == rank
+        assert rm.centralizer_dim(rep, rm.AlgebraVector(rep, e * rm.cayley(rep, linalg.matrix_exp(a)).coords)) == rank
+    for seed in range(4):
+        assert rm.centralizer_dim(rep, catalog.sample_element(rep, "generic", seed)) == rank
 
 
 # --- restriction -------------------------------------------------------------------
