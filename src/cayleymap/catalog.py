@@ -24,10 +24,14 @@ import zlib
 import numpy as np
 
 from . import linalg
-from .errors import IncompatibleAlgebras, NotProportional
+from .errors import IncompatibleAlgebras, NotProportional, raise_if
 from .representation import GroupElement, Representation
 
 SAMPLE_KINDS = ("generic", "hyperbolic", "elliptic", "unipotent", "cartan", "trace_free")
+# Relative bounds on structure-constant disagreement, dynkin_ratio's fit residual and Im of its ratio.
+STRUCTURE_TOL = 1e-8
+PROPORTION_TOL = 1e-6
+REAL_RATIO_TOL = 1e-8
 
 
 def _unit(i: int, j: int, n: int) -> np.ndarray:
@@ -155,11 +159,9 @@ def _require_same_algebra(r1: Representation, r2: Representation):
         raise IncompatibleAlgebras(f"{r1.name} and {r2.name} have different algebra dimensions")
     c1 = r1.structure_constants()
     c2 = r2.structure_constants()
-    scale = 1.0 + max(np.abs(c1).max(), np.abs(c2).max())
-    if np.abs(c1 - c2).max() > 1e-8 * scale:
-        raise IncompatibleAlgebras(
-            f"structure constants of {r1.name} and {r2.name} disagree"
-        )
+    diff = np.abs(c1 - c2).max()
+    threshold = STRUCTURE_TOL * (1.0 + max(np.abs(c1).max(), np.abs(c2).max()))
+    raise_if(diff > threshold, IncompatibleAlgebras, "structure constants disagree: max difference", diff, threshold)
 
 
 def _combined_meta(r1: Representation, family: str) -> dict:
@@ -209,18 +211,20 @@ def dynkin_ratio(rep: Representation, reference: Representation) -> float:
     """Least-squares scalar j with gram(rep) = j * gram(reference).
 
     Only ratios are meaningful, so a reference representation is always
-    required; raises NotProportional when the fit residual exceeds 1e-6
-    (non-simple algebra or mismatched bases).
+    required; raises NotProportional when the relative fit residual exceeds
+    PROPORTION_TOL (non-simple algebra or mismatched bases) or j is not
+    real.  Both Gram matrices are nonzero, as build_gram certified them.
     """
     _require_same_algebra(rep, reference)
     gref = reference.gram
     grep = rep.gram
     j = np.vdot(gref, grep) / np.vdot(gref, gref)
-    residual = np.linalg.norm(grep - j * gref) / max(np.linalg.norm(grep), 1e-300)
-    if residual > 1e-6:
-        raise NotProportional(f"trace forms not proportional (residual {residual:.2e})")
-    if abs(j.imag) > 1e-8 * (1 + abs(j.real)):
-        raise NotProportional(f"fitted ratio is not real: {j}")
+    residual = np.linalg.norm(grep - j * gref) / np.linalg.norm(grep)
+    raise_if(
+        residual > PROPORTION_TOL, NotProportional, "trace forms not proportional: residual", residual, PROPORTION_TOL
+    )
+    bound = REAL_RATIO_TOL * (1 + abs(j.real))
+    raise_if(abs(j.imag) > bound, NotProportional, "fitted ratio is not real: |Im j|", abs(j.imag), bound)
     return float(j.real)
 
 

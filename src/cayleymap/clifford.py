@@ -46,14 +46,18 @@ import functools
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularShift
+from .errors import DimensionMismatch, NotInSpin, NotSkew, SingularShift, raise_if
 
 # Desk scale (2^10 coefficients); the O(2^n + D^2) tables allow more once benchmarked.
 MAX_N = 10
 # Standard deviation of each coefficient of random_bivector.
 BIVECTOR_SCALE = 0.4
-# Relative residual allowed outside the required degree of an argument.
+# Relative residual allowed outside the required degree of an argument (even degrees for a spin element).
 DEGREE_TOL = 1e-10
+# Relative residual allowed in g alpha(g) = 1 and in g z_j alpha(g) lying in V.
+SPIN_TOL = 1e-8
+# Relative ||s + s^T|| allowed for a skew matrix s.
+SKEW_TOL = 1e-10
 
 
 class _Tables:
@@ -349,7 +353,7 @@ def _vector_split(x: CliffordElement, u: CliffordElement, sign: float) -> Cliffo
 def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     """Left wedge by the degree-1 element x: x ^ u = (x u + kappa(u) x) / 2."""
     x = _coerce(u.n, x)
-    _require_degree(x, 1, "epsilon direction")
+    _require_degree(x, 1, "epsilon direction must be pure degree 1: residual")
     return _vector_split(x, u, 1.0)
 
 
@@ -357,7 +361,7 @@ def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     """Contraction (x u - kappa(u) x) / 2 by the degree-1 element x: the transpose of
     epsilon(x), a degree -1 super-derivation with iota(x) y = (x, y) on vectors."""
     x = _coerce(u.n, x)
-    _require_degree(x, 1, "iota direction")
+    _require_degree(x, 1, "iota direction must be pure degree 1: residual")
     return _vector_split(x, u, -1.0)
 
 
@@ -369,9 +373,9 @@ def pairing(u: CliffordElement, v: CliffordElement) -> complex:
 
 
 def _require_degree(u: CliffordElement, k: int, what: str):
-    resid = (u - u.grade(k)).norm()
-    if resid > DEGREE_TOL * max(1.0, u.norm()):
-        raise ValueError(f"{what} must be pure degree {k} (residual {resid:.2e})")
+    """ValueError unless u is of pure degree k; what is the message head, naming the argument."""
+    resid, threshold = (u - u.grade(k)).norm(), DEGREE_TOL * max(1.0, u.norm())
+    raise_if(resid > threshold, ValueError, what, resid, threshold)
 
 
 # --- regular representation -------------------------------------------------
@@ -434,12 +438,10 @@ class SpinElement:
             raise NotInSpin("coefficients contain non-finite entries")
         scale = max(1.0, g.norm())
         odd = sum(g.grade(k).norm() for k in range(1, g.n + 1, 2))
-        if odd > 1e-10 * scale:
-            raise NotInSpin(f"odd-degree residue {odd:.2e}")
+        raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
         ag = alpha(g)
-        unit = g * ag - scalar(g.n, 1.0)
-        if unit.norm() > 1e-8 * scale * scale:
-            raise NotInSpin(f"g alpha(g) != 1 (residual {unit.norm():.2e})")
+        unit, threshold = (g * ag - scalar(g.n, 1.0)).norm(), SPIN_TOL * scale * scale
+        raise_if(unit > threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
         _twisted_images(g, ag)
 
     @property
@@ -464,7 +466,7 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     and s = max(0, ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings,
     each product D^3 = 2^(3n/2) flops for even n.
     """
-    _require_degree(u, 2, "spin_exp argument")
+    _require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
     return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
 
 
@@ -475,7 +477,7 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
     images come from one to_spinor of n unit rows.
     """
     n = g.n
-    scale = max(1.0, g.norm()) ** 2
+    threshold = SPIN_TOL * max(1.0, g.norm()) ** 2
     units = np.zeros((n, 1 << n))
     units[np.arange(n), 1 << np.arange(n)] = 1.0
     gens = _tables(n).to_spinor(units)
@@ -483,8 +485,7 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
     for j in range(n):
         w = g * CliffordElement._of_image(n, gens[j]) * ag
         resid = (w - w.grade(1)).norm()
-        if resid > 1e-8 * scale:
-            raise NotInSpin(f"twisted conjugation leaves V (residual {resid:.2e})")
+        raise_if(resid > threshold, NotInSpin, "twisted conjugation leaves V: residual", resid, threshold)
         t[:, j] = w.vector_part()
     return t
 
@@ -496,7 +497,7 @@ def vector_action(g: SpinElement) -> np.ndarray:
 
 def tau(u: CliffordElement) -> np.ndarray:
     """Skew matrix of the bivector u acting on V by x -> -2 iota(x) u."""
-    _require_degree(u, 2, "tau argument")
+    _require_degree(u, 2, "tau argument must be pure degree 2: residual")
     a, b, masks = _bivector_blades(u.n)
     c = u.coeffs[masks]
     s = np.zeros((u.n, u.n), dtype=complex)
@@ -508,18 +509,19 @@ def tau(u: CliffordElement) -> np.ndarray:
 def tau_inv(s: np.ndarray) -> CliffordElement:
     """Bivector with tau(u) = s, read off coefficientwise from the skew matrix.
 
-    NotSkew when ||s + s^T|| > 1e-10 ||s|| + 64 n eps: relative to the scale
-    of s, plus a floor of a few ulps per row.  The callers pass the Cayley
-    image (1-t)(1+t)^{-1} of a computed rotation t, whose symmetric part is
-    rounding of t's unit-size entries however small s is (up to 18 eps at
-    n = 10 for t near 1); I at scale 1e-12 is still far above the floor.
+    NotSkew when ||s + s^T|| > SKEW_TOL ||s|| + n linalg.ROUNDING_FLOOR:
+    relative to the scale of s, plus a floor of a few ulps per row.  The
+    callers pass the Cayley image (1-t)(1+t)^{-1} of a computed rotation t,
+    whose symmetric part is rounding of t's unit-size entries however small
+    s is (up to 18 eps at n = 10 for t near 1); I at scale 1e-12 is still
+    far above the floor.
     The zero matrix passes and gives the zero bivector; non-square or
     non-finite s raise ValueError.
     """
     s = linalg.as_square_matrix(s, "tau_inv argument")
     n = s.shape[0]
-    if np.linalg.norm(s + s.T) > 1e-10 * np.linalg.norm(s) + 64 * n * np.finfo(float).eps:
-        raise NotSkew("matrix is not skew-symmetric within tolerance")
+    sym, threshold = np.linalg.norm(s + s.T), SKEW_TOL * np.linalg.norm(s) + linalg.ROUNDING_FLOOR * n
+    raise_if(sym > threshold, NotSkew, "matrix is not skew-symmetric: |s + s^T|", sym, threshold)
     a, b, masks = _bivector_blades(n)
     u = CliffordElement(n)
     u.coeffs[masks] = 0.5 * s[a, b]
@@ -554,16 +556,16 @@ def cayley_gamma(b: np.ndarray) -> np.ndarray:
     """
     b = linalg.as_square_matrix(b, "cayley_gamma argument")
     out, defined, cond, norm = _cayley_stack(b[None])
-    if not defined[0]:
-        failed = f"condition number {cond[0]:.3e}" if cond[0] > 1.0 / linalg.RTOL else f"transform norm {norm[0]:.3e}"
-        raise SingularShift(f"1 + b is singular ({failed})")
+    max_cond, max_norm = 1.0 / linalg.RTOL, (1.0 + np.linalg.norm(b)) / linalg.RTOL
+    raise_if(cond[0] > max_cond, SingularShift, "1 + b is singular: condition number", cond[0], max_cond)
+    raise_if(not defined[0], SingularShift, "1 + b is singular: transform norm", norm[0], max_norm)
     return out[0]
 
 
 def exterior_exp(u: CliffordElement) -> CliffordElement:
     """Exponential with respect to the (commutative on even grades) wedge product;
     the series terminates after n//2 wedge powers <term u>_{2k} / k of a bivector."""
-    _require_degree(u, 2, "exterior_exp argument")
+    _require_degree(u, 2, "exterior_exp argument must be pure degree 2: residual")
     result = term = scalar(u.n, 1.0)
     for k in range(1, u.n // 2 + 1):
         term = (term * u).grade(2 * k) * (1.0 / k)

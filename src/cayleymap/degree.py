@@ -24,11 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .clifford import _cayley_stack
-from .errors import DegenerateInput, NotSkew
+from .clifford import SKEW_TOL, _cayley_stack
+from .errors import DegenerateInput, NotSkew, raise_if
 
 # |root| below this counts as the zero root (excluded from spin fibers).
 ZERO_ROOT_TOL = 1e-7
+# Bounds on an sl target's relative trace and on its polynomial's |p_n - 1| and relative |p_{n-1}|.
+TRACE_FREE_TOL = 1e-8
+MONIC_TOL = 1e-8
+TRACE_COEFF_TOL = 1e-6
+# Bound on each spin fiber rotation's ||T^T T - 1|| and relative |det(1 + T) - t^2|.
+FIBER_CHECK_TOL = 1e-6
 
 
 @dataclass
@@ -92,10 +98,11 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     scale = 1.0 + norm
     if family == "sl":
         # relative to ||X|| alone, so the test means the same at every scale
-        if abs(np.trace(x)) > 1e-8 * norm:
-            raise DegenerateInput(f"sl fiber target must be trace-free, tr = {np.trace(x):.2e}")
-    elif np.linalg.norm(x + x.T) > 1e-10 * scale:
-        raise NotSkew("spin fiber target must be skew-symmetric")
+        trace, threshold = abs(np.trace(x)), TRACE_FREE_TOL * norm
+        raise_if(trace > threshold, DegenerateInput, "sl fiber target must be trace-free: |tr X|", trace, threshold)
+    else:
+        sym, threshold = np.linalg.norm(x + x.T), SKEW_TOL * scale
+        raise_if(sym > threshold, NotSkew, "spin fiber target must be skew-symmetric: |X + X^T|", sym, threshold)
     smallest = FAMILIES[family][0]
     if n < smallest:
         raise ValueError(f"{family} fibers need n >= {smallest}")
@@ -103,8 +110,9 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])
     if family == "sl":
         coeffs[0] -= 1.0
-        if abs(coeffs[n] - 1.0) > 1e-8 or abs(coeffs[n - 1]) > 1e-6 * scale**n:
-            raise DegenerateInput("characteristic coefficients violate the trace-free normalization")
+        lead, sub, threshold = abs(coeffs[n] - 1.0), abs(coeffs[n - 1]), TRACE_COEFF_TOL * scale**n
+        raise_if(lead > MONIC_TOL, DegenerateInput, "fiber polynomial not normalized: |p_n - 1|", lead, MONIC_TOL)
+        raise_if(sub > threshold, DegenerateInput, "fiber polynomial not normalized: |p_(n-1)|", sub, threshold)
     else:
         coeffs[n - 2] -= 2.0**n
     return linalg.trim_poly(coeffs)
@@ -145,8 +153,8 @@ def spin_fiber(n: int, x) -> FiberReport:
     rots, ok, _, _ = _cayley_stack(x[None] / roots[:, None, None])
     eye = np.eye(n)
     ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
-    det_shift = np.linalg.det(eye + rots)
-    ok &= (ortho <= 1e-6) & (np.abs(det_shift - roots * roots) <= 1e-6 * (1.0 + np.abs(roots) ** 2))
+    det_err = np.abs(np.linalg.det(eye + rots) - roots * roots)
+    ok &= (ortho <= FIBER_CHECK_TOL) & (det_err <= FIBER_CHECK_TOL * (1.0 + np.abs(roots) ** 2))
     return FiberReport("spin", n, poly, roots, list(rots[ok]), list(roots[ok]), len(roots), list(roots[~ok]))
 
 

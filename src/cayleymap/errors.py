@@ -1,4 +1,5 @@
-"""Exception types raised by the numerical kernels.
+"""Exception types raised by the numerical kernels, and raise_if, the one
+compare-and-raise step of every numerical decision that fails loudly.
 
 Everything derives from CayleyMapError so callers (and the CLI, which maps
 these to exit code 3) can catch mathematical precondition failures without
@@ -7,7 +8,21 @@ swallowing programming errors.
 
 
 class CayleyMapError(Exception):
-    """Base class for mathematical precondition / degeneracy failures."""
+    """Base class for mathematical precondition / degeneracy failures; value and
+    threshold are the numbers compared when raise_if raised it, else None."""
+
+    value = threshold = None
+
+
+def raise_if(failed, error, what: str, value, threshold) -> None:
+    """If failed, the caller's own test (so NaN decides as it does there), raise
+    error("<what> <value> > threshold <threshold>"), with < where value is below,
+    carrying both numbers as floats; what ends with the compared quantity."""
+    if failed:
+        value, threshold = float(value), float(threshold)
+        exc = error(f"{what} {value:.2e} {'<' if value < threshold else '>'} threshold {threshold:.2e}")
+        exc.value, exc.threshold = value, threshold
+        raise exc
 
 
 class SingularMatrix(CayleyMapError):

@@ -31,6 +31,10 @@ CLUSTER_TOL = 1e-6
 ROOT_DEDUP_TOL = 1e-7
 # Trailing polynomial coefficients below this fraction of the largest are dropped.
 POLY_TRIM_TOL = 1e-12
+# poly_roots takes no Newton step where |p'| is at most this.
+NEWTON_SLOPE_TOL = 1e-14
+# A few ulps per dimension: the floor, times dimension and input scale, of relative tests that rounding must pass.
+ROUNDING_FLOOR = 64 * np.finfo(float).eps
 # Largest 1-norm at which the [13/13] Pade approximant of exp meets double
 # precision (Higham 2005, Table 2.3); above it the exponent is scaled.
 PADE_THETA = 5.371920351148152
@@ -185,7 +189,7 @@ def poly_roots(coeffs) -> np.ndarray:
     slope_coeffs = np.polyder(desc)
     for _ in range(3):
         slope = np.polyval(slope_coeffs, roots)
-        safe = np.abs(slope) > 1e-14
+        safe = np.abs(slope) > NEWTON_SLOPE_TOL
         step = np.where(safe, np.polyval(desc, roots), 0.0) / np.where(safe, slope, 1.0)
         roots = np.where(safe, roots - step, roots)
     return roots

@@ -36,14 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix
+from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix, raise_if
 
 # Residual allowed when re-expressing commutators / conjugates in the basis.
 CLOSURE_TOL = 1e-8
 ADJOINT_RESIDUAL_TOL = 1e-6
 # Singular values below this fraction of the largest count as kernel, as do
-# those below centralizer_dim's rounding floor.
+# those below the rounding floor.
 KERNEL_CUTOFF = 1e-7
+# An element with an eigenvalue of modulus below this has no unipotent part.
+SINGULAR_TOL = 1e-12
 # Complex entries of one commutator product tile; a tile takes as many basis
 # rows as fit, at least one.  Smaller tiles lower the closure check's peak
 # memory and add BLAS calls: at 2^17, gl12's peak is ~14 MB in 24 tiles.
@@ -180,6 +182,10 @@ class Representation:
             self._dual_basis = d
         return self._dual_basis
 
+    def _rounding_floor(self, scale) -> float:
+        """linalg.ROUNDING_FLOOR g cond(G) scale: rounding of a projection of inputs of that scale."""
+        return linalg.ROUNDING_FLOOR * self.g_dim * self.gram_cond * scale
+
     def _check_closure(self) -> None:
         """NotASubalgebra unless every [B_i, B_j] lies in the basis span.
 
@@ -191,7 +197,10 @@ class Representation:
         GEMMs and no solve.  The test runs on the largest L1 residual of one
         commutator and the largest |[B_i, B_j]| over all tiles, so the
         tiling changes neither its outcome nor its message.  Only the dual
-        basis is kept.
+        basis is kept.  The threshold is CLOSURE_TOL (1 + max |[B_i, B_j]|)
+        or, if larger, the rounding floor at that scale: the residual is
+        rounding amplified by cond(G), and a closed basis near the
+        DegenerateForm bound would otherwise read as open.
         """
         g, v = self.stack.shape[:2]
         if g == v * v:
@@ -205,9 +214,8 @@ class Representation:
             recon -= flat  # in place: the commutator tile is the largest array here
             res = max(res, np.abs(recon).sum(axis=1).max(initial=0.0))
             scale = max(scale, np.abs(flat).max(initial=0.0))
-        threshold = CLOSURE_TOL * (1.0 + scale)
-        if res > threshold:
-            raise NotASubalgebra(f"basis not closed under commutator (residual {res:.2e} > threshold {threshold:.2e})")
+        threshold = max(CLOSURE_TOL * (1.0 + scale), self._rounding_floor(scale))
+        raise_if(res > threshold, NotASubalgebra, "basis not closed under commutator: residual", res, threshold)
 
     def _commutator_tiles(self):
         """Yield (i, j, [B_i, B_j]) for all pairs i < j, one row tile at a time:
@@ -252,11 +260,9 @@ def build_gram(stack: np.ndarray) -> tuple[np.ndarray, float]:
     g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
     g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]:
-        raise DegenerateForm(
-            f"trace form singular on the basis span "
-            f"(singular value ratio {sv[-1] / max(sv[0], 1e-300):.2e})"
-        )
+    singular = sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]
+    ratio = sv[-1] / sv[0] if sv[0] else 0.0
+    raise_if(singular, DegenerateForm, "trace form singular on the basis span: sv_min/sv_max", ratio, linalg.RTOL)
     return g, float(sv[0] / sv[-1])
 
 
@@ -324,10 +330,8 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     c = conj.reshape(rep.g_dim, -1) @ rep._dual()
     res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
     worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=(-2, -1)))))
-    if worst > ADJOINT_RESIDUAL_TOL:
-        raise NotEquivariant(
-            f"conjugation leaves the algebra span (residual {worst:.2e} > threshold {ADJOINT_RESIDUAL_TOL:.2e})"
-        )
+    outside = worst > ADJOINT_RESIDUAL_TOL
+    raise_if(outside, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
     return c.T
 
 
@@ -335,13 +339,10 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 
 
 def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecomposition:
+    """spectral(m); ClusterAmbiguity if clusters lie within twice its threshold (one cluster: gap inf)."""
     dec = linalg.spectral(m, cluster_tol)
-    if dec.eigenvalues.size > 1:
-        gap = linalg.min_intercluster_gap(dec)
-        if gap < 2.0 * dec.threshold:
-            raise ClusterAmbiguity(
-                f"eigenvalue gap {gap:.2e} straddles clustering threshold {dec.threshold:.2e}"
-            )
+    gap, threshold = linalg.min_intercluster_gap(dec), 2.0 * dec.threshold
+    raise_if(gap < threshold, ClusterAmbiguity, "eigenvalue clusters too close to separate: gap", gap, threshold)
     return dec
 
 
@@ -349,8 +350,10 @@ def _unipotent_split(g, cluster_tol: float):
     """Checked spectrum of the invertible g with its factors g_s, g_u = g_s^-1 g."""
     m = _mat(g)
     dec = _spectral_checked(m, cluster_tol)
-    if np.min(np.abs(dec.eigenvalues)) < 1e-12:
-        raise SingularMatrix("element is numerically singular; no unipotent part")
+    smallest = np.min(np.abs(dec.eigenvalues))
+    raise_if(
+        smallest < SINGULAR_TOL, SingularMatrix, "element is numerically singular: |eigenvalue|", smallest, SINGULAR_TOL
+    )
     gs = dec.semisimple_part()
     return dec, gs, linalg.solve_linear(gs, m, "semisimple part")
 
@@ -391,9 +394,10 @@ def centralizer_dim(rep: Representation, x) -> int:
     coordinates, projected through the dual basis.  One rule counts the kernel
     of the operator a - s in both cases: singular values below
     max(KERNEL_CUTOFF * sigma_max, 64 g eps cond(G) (|a|_F + |s|_F)).  The
-    floor is a few ulps of the operator's inputs, amplified by the Gram
-    condition number; without it a central x, where a - s is pure rounding,
-    would have its rounding judged relative to itself.  An exactly zero
+    floor (_rounding_floor, shared with the closure check) is a few ulps of
+    the operator's inputs, amplified by the Gram condition number; without
+    it a central x, where a - s is pure rounding, would have its rounding
+    judged relative to itself.  An exactly zero
     operator has the whole algebra as kernel.
     """
     if isinstance(x, GroupElement):
@@ -407,7 +411,7 @@ def centralizer_dim(rep: Representation, x) -> int:
     sv = np.linalg.svd(a - s, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return rep.g_dim
-    floor = 64 * rep.g_dim * np.finfo(float).eps * rep.gram_cond * (np.linalg.norm(a) + np.linalg.norm(s))
+    floor = rep._rounding_floor(np.linalg.norm(a) + np.linalg.norm(s))
     return int(np.sum(sv < max(KERNEL_CUTOFF * sv[0], floor)))
 
 

@@ -269,6 +269,13 @@ def test_exit_code_math_errors(capsys):
     assert "error: SingularMatrix: element is singular" in capsys.readouterr().err
 
 
+def test_math_errors_print_the_value_and_its_threshold(capsys):
+    assert cli.main(["fiber", "--family", "spin", "--n", "3", "--target", "diag(1,2,3)"]) == 3
+    assert capsys.readouterr().err == (
+        "error: NotSkew: spin fiber target must be skew-symmetric: |X + X^T| 7.48e+00 > threshold 4.74e-10\n"
+    )
+
+
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):
     from cayleymap import clifford as cl
 

@@ -1,6 +1,5 @@
 """Projection map, Jacobian, adjoint, Jordan and centralizer contracts."""
 
-import re
 import tracemalloc
 
 import numpy as np
@@ -237,6 +236,25 @@ def test_ill_conditioned_full_basis_is_closed(seed):
     assert rep.gram_cond == pytest.approx(5e8, rel=1e-4)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("fam, n, cond", [("sl", 4, 5e8), ("so", 6, 1e8)])
+def test_ill_conditioned_subalgebra_basis_is_closed(fam, n, cond, seed):
+    # inside the DegenerateForm bound the dual-basis residual is rounding
+    # amplified by cond(G): on these bases 0.21-0.52 (sl4) and 0.009-0.046
+    # (so6) against CLOSURE_TOL (1 + max |[B_i, B_j]|) = 0.20-0.23 and
+    # 0.022-0.025, so only the rounding floor keeps them closed
+    stack = _recoordinated(catalog.make(fam, n), cond, _rng(seed))
+    rep = rm.Representation("closed", stack)
+    assert rep.gram_cond == pytest.approx(cond, rel=1e-4)
+    # the same basis with one element shifted by 1e-6 |B_0| I, off the algebra,
+    # at the same cond(G): its residual is still far above the floor
+    stack[0] += 1e-6 * np.linalg.norm(stack[0]) * np.eye(n)
+    assert rm.build_gram(stack)[1] == pytest.approx(cond, rel=1e-3)
+    with pytest.raises(NotASubalgebra) as err:
+        rm.Representation("open", stack)
+    assert err.value.value > 10 * err.value.threshold
+
+
 @pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
 def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
     # every tile is projected by its own products and Gram solve
@@ -301,21 +319,22 @@ CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]
 
 @pytest.mark.parametrize("fam, n, cond", CLOSURE_PROBES + [("sl", 4, "open"), ("so", 6, "open")])
 def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n, cond):
-    # the construction's residual, read from NotASubalgebra at CLOSURE_TOL = 0,
-    # against the L1 residual of each commutator projected by coords_of; an
-    # "open" basis shifts one element by 1e-6 I, off the algebra.  A gl basis
-    # is full, so it is closed by dimension count and constructs even at
-    # CLOSURE_TOL = 0
+    # the construction's residual, read from NotASubalgebra at a zero threshold
+    # (CLOSURE_TOL and the rounding floor both 0), against the L1 residual of
+    # each commutator projected by coords_of; an "open" basis shifts one
+    # element by 1e-6 I, off the algebra.  A gl basis is full, so it is closed
+    # by dimension count and constructs even at a zero threshold
     stack = _recoordinated(catalog.make(fam, n), 1e3 if cond == "open" else cond, _rng(23))
     if cond == "open":
         stack[0] += 1e-6 * np.eye(n)
     monkeypatch.setattr(rm, "CLOSURE_TOL", 0.0)
+    monkeypatch.setattr(linalg, "ROUNDING_FLOOR", 0.0)
     if fam == "gl":
         rep = rm.Representation("probe", stack)
     else:
         with pytest.raises(NotASubalgebra) as err:
             rm.Representation("probe", stack)
-        dual = float(re.search(r"residual (\S+) ", str(err.value)).group(1))
+        dual = err.value.value
         monkeypatch.setattr(rm, "CLOSURE_TOL", np.inf)
         rep = rm.Representation("probe", stack)
     if cond != "open":
@@ -327,7 +346,8 @@ def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n
     if fam != "gl":
         assert want / 2 <= dual <= 2 * want
     monkeypatch.undo()
-    closed = want <= rm.CLOSURE_TOL * (1.0 + np.abs(comm).max())
+    scale = np.abs(comm).max()
+    closed = want <= max(rm.CLOSURE_TOL * (1.0 + scale), rep._rounding_floor(scale))
     assert closed == (cond != "open")
     if closed:
         rm.Representation("probe", stack)
@@ -633,7 +653,8 @@ def test_not_equivariant_names_its_threshold():
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
     with pytest.raises(NotEquivariant) as err:
         rm.adjoint_matrix(cartan, catalog.sample_element(SL3, "generic", 0))
-    assert str(err.value) == "conjugation leaves the algebra span (residual 4.49e-01 > threshold 1.00e-06)"
+    assert str(err.value) == "conjugation leaves the algebra span: residual 4.49e-01 > threshold 1.00e-06"
+    assert err.value.threshold == rm.ADJOINT_RESIDUAL_TOL < err.value.value
 
 
 @pytest.mark.parametrize("rep", [SL3, SO4, catalog.make_gl(3)], ids=lambda r: r.name)
