@@ -14,9 +14,11 @@ Jordan-Wigner generators
 make every blade a phase times a Pauli string, z_I = w_I X^x Z^z, and u maps
 to the D x D matrix Gamma(u) = sum_I u_I w_I X^x Z^z with D = 2^ceil(n/2);
 odd n is embedded in Cl_{n+1}, whose product keeps Cl_n.  Gamma(u) is one
-gather of u w into a D x D array by (x, z), one product with the +-1
-Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3) flops;
-the inverse map is the same steps in reverse.
+gather of u w into a D x D array by (z, x), one product from the left with
+the real +-1 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and
+O(D^3) flops; the inverse map is the same steps in reverse.  The Hadamard
+product is one real GEMM on the float view of the complex array, whose
+interleaved real and imaginary parts are 2D real columns.
 
 A CliffordElement holds its coefficients, its image Gamma, or both, each
 formed from the other on first need and then kept (the class docstring has
@@ -69,6 +71,10 @@ class _Tables:
     qubit q (times Z there and the phase i when y = 1, as Y = i X Z), and
     Z^z X^(2^q) = (-1)^(bit q of z) X^(2^q) Z^z.  For odd n only the first
     2^n of the 4^m blades of Cl_{n+1} belong to Cl_n.
+
+    Both transforms hold their D x D arrays in the transposed (z, x) layout,
+    so the symmetric Hadamard matrix H acts from the left: H times the
+    (D, 2D) float view of each complex row is one real GEMM.
     """
 
     def __init__(self, n: int):
@@ -83,30 +89,37 @@ class _Tables:
             w = np.concatenate([w, w * (1j if y else 1.0) * np.where(z & gx, -1.0, 1.0)])
             x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
         self.d = d
-        # position of each blade in the (x, z) array, and the blade at each
+        # position of each blade in the (z, x) array, and the blade at each
         # position; positions of blades outside Cl_n get phase 0
-        self.pos = (x * d + z)[: 1 << n]
-        src = np.argsort(x * d + z)
+        self.pos = (z * d + x)[: 1 << n]
+        src = np.argsort(z * d + x)
         kept = src < (1 << n)
         self.src = np.where(kept, src, 0)
         self.phase = np.where(kept, w[src], 0.0)
         self.unphase = np.conj(w[: 1 << n]) / d
         r = np.arange(d)
-        # complex, so that matmuls against it need no cast
-        self.hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0).astype(complex)
-        # X^x Z^z has entry (-1)^{c . z} at [x xor c, c]
-        self.gather = ((r[:, None] ^ r[None, :]) * d + r[None, :]).ravel()
+        self.hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0)
+        # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[r, c] is
+        # entry [c, r xor c] of H times the (z, x) array, and the array that
+        # from_spinor transforms holds gamma[x xor c, c] at [c, x]
+        xor = r[:, None] ^ r[None, :]
+        self.to_gather = (r[None, :] * d + xor).ravel()
+        self.from_gather = (xor * d + r[:, None]).ravel()
+
+    def _hadamard_rows(self, a: np.ndarray) -> np.ndarray:
+        """H a for each (D, D) complex row of the C-contiguous (k, D, D) a."""
+        return (self.hadamard @ a.view(np.float64)).view(complex)
 
     def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
         """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""
         k, d = len(coeffs), self.d
-        p = (coeffs.take(self.src, axis=1) * self.phase).reshape(k, d, d) @ self.hadamard
-        return p.reshape(k, d * d).take(self.gather, axis=1).reshape(k, d, d)
+        p = self._hadamard_rows((coeffs.take(self.src, axis=1) * self.phase).reshape(k, d, d))
+        return p.reshape(k, d * d).take(self.to_gather, axis=1).reshape(k, d, d)
 
     def from_spinor(self, gamma: np.ndarray) -> np.ndarray:
         """The (k, 2^n) coefficients u with Gamma(u) = gamma, for (k, D, D) gamma in the image."""
         k, d = len(gamma), self.d
-        p = gamma.reshape(k, d * d).take(self.gather, axis=1).reshape(k, d, d) @ self.hadamard
+        p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.from_gather, axis=1).reshape(k, d, d))
         return p.reshape(k, d * d).take(self.pos, axis=1) * self.unphase
 
 
@@ -374,7 +387,8 @@ def pairing(u: CliffordElement, v: CliffordElement) -> complex:
 
 def _require_degree(u: CliffordElement, k: int, what: str):
     """ValueError unless u is of pure degree k; what is the message head, naming the argument."""
-    resid, threshold = (u - u.grade(k)).norm(), DEGREE_TOL * max(1.0, u.norm())
+    resid = np.linalg.norm(np.where(_tables(u.n).grades == k, 0.0, u.coeffs))
+    threshold = DEGREE_TOL * max(1.0, u.norm())
     raise_if(resid > threshold, ValueError, what, resid, threshold)
 
 
@@ -422,25 +436,34 @@ def volume_idempotents(n: int):
 
 class SpinElement:
     """Even Clifford element g with g alpha(g) = 1 preserving V under
-    twisted conjugation x -> g x alpha(g)."""
+    twisted conjugation x -> g x alpha(g).
 
-    __slots__ = ("value",)
+    value is fixed at construction.  alpha(g), with its spinor image, is
+    formed once, by validation or else by the first vector_action, and kept.
+    """
+
+    __slots__ = ("value", "_alpha")
 
     def __init__(self, value: CliffordElement, validate: bool = True):
-        self.value = value
+        self.value, self._alpha = value, None
         if validate:
             self._validate()
 
     def _validate(self):
         g = self.value
+        c = g.coeffs
         # every residual test below is false for NaN
-        if not np.isfinite(g.coeffs).all():
+        if not np.isfinite(c).all():
             raise NotInSpin("coefficients contain non-finite entries")
+        grades = _tables(g.n).grades
         scale = max(1.0, g.norm())
-        odd = sum(g.grade(k).norm() for k in range(1, g.n + 1, 2))
+        odd = sum(np.linalg.norm(np.where(grades == k, c, 0.0)) for k in range(1, g.n + 1, 2))
         raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
-        ag = alpha(g)
-        unit, threshold = (g * ag - scalar(g.n, 1.0)).norm(), SPIN_TOL * scale * scale
+        self._alpha = ag = alpha(g)
+        # g alpha(g) - 1
+        diff = (g * ag).coeffs.copy()
+        diff[0] -= 1.0
+        unit, threshold = np.linalg.norm(diff), SPIN_TOL * scale * scale
         raise_if(unit > threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
         _twisted_images(g, ag)
 
@@ -471,28 +494,30 @@ def spin_exp(u: CliffordElement) -> SpinElement:
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
-    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin if one leaves V.
+    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V.
 
-    g and ag keep their images across all n products, and the n generator
-    images come from one to_spinor of n unit rows.
+    g and ag keep their images across all 2n products, and the n generator
+    images come from one to_spinor of n unit rows.  The n product images go
+    back by one from_spinor of n rows: the residuals are the row norms of
+    its non-vector coefficients, and the columns are its vector ones.
     """
     n = g.n
+    t = _tables(n)
     threshold = SPIN_TOL * max(1.0, g.norm()) ** 2
     units = np.zeros((n, 1 << n))
     units[np.arange(n), 1 << np.arange(n)] = 1.0
-    gens = _tables(n).to_spinor(units)
-    t = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        w = g * CliffordElement._of_image(n, gens[j]) * ag
-        resid = (w - w.grade(1)).norm()
-        raise_if(resid > threshold, NotInSpin, "twisted conjugation leaves V: residual", resid, threshold)
-        t[:, j] = w.vector_part()
-    return t
+    w = t.from_spinor(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.to_spinor(units)]))
+    resid = np.linalg.norm(np.where(t.grades == 1, 0.0, w), axis=1)
+    j = int(np.argmax(resid > threshold))
+    raise_if(resid[j] > threshold, NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
+    return w[:, 1 << np.arange(n)].T.copy()
 
 
 def vector_action(g: SpinElement) -> np.ndarray:
     """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
-    return _twisted_images(g.value, alpha(g.value))
+    if g._alpha is None:
+        g._alpha = alpha(g.value)
+    return _twisted_images(g.value, g._alpha)
 
 
 def tau(u: CliffordElement) -> np.ndarray:

@@ -224,6 +224,60 @@ def test_spinor_image_round_trip(n):
     assert np.abs(s.from_spinor(gamma)[0] - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
 
 
+def _complex_transforms(n):
+    """The spinor transforms in the (x, z) layout with a complex Hadamard matrix
+    acting from the right: the reference for the real left product."""
+    m = (n + 1) // 2
+    d = 1 << m
+    w = np.ones(1, dtype=complex)
+    x = z = np.zeros(1, dtype=np.int64)
+    for k in range(2 * m):
+        q, y = divmod(k, 2)
+        gx, gz = 1 << q, (1 << (q + y)) - 1
+        w = np.concatenate([w, w * (1j if y else 1.0) * np.where(z & gx, -1.0, 1.0)])
+        x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
+    pos = (x * d + z)[: 1 << n]
+    src = np.argsort(x * d + z)
+    kept = src < (1 << n)
+    src, phase = np.where(kept, src, 0), np.where(kept, w[src], 0.0)
+    unphase = np.conj(w[: 1 << n]) / d
+    r = np.arange(d)
+    hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0).astype(complex)
+    gather = ((r[:, None] ^ r[None, :]) * d + r[None, :]).ravel()
+
+    def to_spinor(coeffs):
+        k = len(coeffs)
+        p = (coeffs.take(src, axis=1) * phase).reshape(k, d, d) @ hadamard
+        return p.reshape(k, d * d).take(gather, axis=1).reshape(k, d, d)
+
+    def from_spinor(gamma):
+        k = len(gamma)
+        p = gamma.reshape(k, d * d).take(gather, axis=1).reshape(k, d, d) @ hadamard
+        return p.reshape(k, d * d).take(pos, axis=1) * unphase
+
+    return to_spinor, from_spinor
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_real_transforms_match_the_complex_formulation(n):
+    s = cl._tables(n)
+    to_spinor, from_spinor = _complex_transforms(n)
+    rng = _rng(25 + n)
+    for k in (1, n):
+        u = (rng.standard_normal((k, 1 << n)) + 1j * rng.standard_normal((k, 1 << n))) / np.sqrt(2)
+        gamma = s.to_spinor(u)
+        # an arbitrary D x D stack too: both transforms are linear maps on all of it
+        a = (rng.standard_normal(gamma.shape) + 1j * rng.standard_normal(gamma.shape)) / np.sqrt(2)
+        for got, want, arg in (
+            (gamma, to_spinor(u), u),
+            (s.from_spinor(gamma), from_spinor(gamma), gamma),
+            (s.from_spinor(a), from_spinor(a), a),
+        ):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 4 * s.d * np.finfo(float).eps * np.abs(arg).max()
+        assert np.abs(s.from_spinor(gamma) - u).max() <= 1e-14 * np.abs(u).max()
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spinor_generator_images_square_to_one_and_anticommute(n):
     s = cl._tables(n)
@@ -256,8 +310,8 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # kept images; a round trip through coefficients per product would map
     # 8n+3 rows forward and 4n+2 back
     tables = cl._Tables
-    to_spinor, from_spinor, mul = tables.to_spinor, tables.from_spinor, cl.clifford_mul
-    rows = {"to": 0, "from": 0, "mul": 0}
+    to_spinor, from_spinor, mul, alpha = tables.to_spinor, tables.from_spinor, cl.clifford_mul, cl.alpha
+    rows = {"to": 0, "from": 0, "mul": 0, "alpha": 0}
 
     def count_to(self, coeffs):
         rows["to"] += len(coeffs)
@@ -271,14 +325,66 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
         rows["mul"] += 1
         return mul(u, v)
 
+    def count_alpha(u):
+        rows["alpha"] += 1
+        return alpha(u)
+
     monkeypatch.setattr(tables, "to_spinor", count_to)
     monkeypatch.setattr(tables, "from_spinor", count_from)
     monkeypatch.setattr(cl, "clifford_mul", count_mul)
-    t = cl.vector_action(cl.spin_exp(cl.random_bivector(n, _rng(24))))
+    monkeypatch.setattr(cl, "alpha", count_alpha)
+    g = cl.spin_exp(cl.random_bivector(n, _rng(24)))
+    t = cl.vector_action(g)
     assert np.linalg.norm(t.T @ t - np.eye(n)) < 1e-10
     assert rows["mul"] == 4 * n + 1
     assert rows["to"] <= 2 * n + 3
     assert rows["from"] <= 2 * n + 2
+    # validation keeps alpha(g) for vector_action
+    assert rows["alpha"] == 1
+    # -g is not validated, so its action forms alpha(-g) = -alpha(g) itself
+    assert np.abs(cl.vector_action(-g) - t).max() <= 1e-12
+    assert rows["alpha"] == 2
+
+
+def _loop_twisted_images(g, ag):
+    """g z_j ag one generator at a time, each read back by its own from_spinor
+    row: the columns and, if one leaves V, the first residual above threshold."""
+    n = g.n
+    threshold = cl.SPIN_TOL * max(1.0, g.norm()) ** 2
+    gens = cl._tables(n).to_spinor(np.eye(1 << n)[1 << np.arange(n)])
+    t = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        w = g * cl.CliffordElement._of_image(n, gens[j]) * ag
+        resid = (w - w.grade(1)).norm()
+        if resid > threshold:
+            return t, resid, threshold
+        t[:, j] = w.vector_part()
+    return t, None, threshold
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_twisted_images_match_the_loop(n):
+    g = cl.spin_exp(cl.random_bivector(n, _rng(26 + n)))
+    want, resid, _ = _loop_twisted_images(g.value, cl.alpha(g.value))
+    assert resid is None
+    assert np.array_equal(cl.vector_action(g), want)
+
+
+@pytest.mark.parametrize(
+    "n, mask",
+    [
+        # the volume rotor that trips _twisted_images in test_thresholds.py
+        (6, 0b111111),
+        # a degree-6 rotor at n = 8: z_1 and z_2 commute with it and stay in V
+        (8, 0b11111100),
+    ],
+)
+def test_batched_twisted_images_raise_the_first_failing_residual(n, mask):
+    g = cl.scalar(n, np.cos(0.3)) + cl.basis_blade(n, mask) * np.sin(0.3)
+    _, resid, threshold = _loop_twisted_images(g, cl.alpha(g))
+    with pytest.raises(NotInSpin, match="twisted conjugation leaves V") as err:
+        cl.SpinElement(g)
+    assert err.value.value == resid and err.value.threshold == threshold
 
 
 def test_dimension_mismatch_rejected():
