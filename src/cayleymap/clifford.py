@@ -439,15 +439,14 @@ class SpinElement:
     twisted conjugation x -> g x alpha(g).
 
     value is fixed at construction.  alpha(g), with its spinor image, is
-    formed once, by validation or else by the first vector_action, and kept.
+    formed once, by validation, and kept.
     """
 
     __slots__ = ("value", "_alpha")
 
-    def __init__(self, value: CliffordElement, validate: bool = True):
-        self.value, self._alpha = value, None
-        if validate:
-            self._validate()
+    def __init__(self, value: CliffordElement):
+        self.value = value
+        self._validate()
 
     def _validate(self):
         g = self.value
@@ -472,7 +471,11 @@ class SpinElement:
         return self.value.n
 
     def __neg__(self) -> "SpinElement":
-        return SpinElement(-self.value, validate=False)
+        # negation commutes with alpha's sign flips and with the spinor
+        # transforms, so alpha(-g) = -alpha(g) exactly and -g needs no check
+        out = SpinElement.__new__(SpinElement)
+        out.value, out._alpha = -self.value, -self._alpha
+        return out
 
     def __repr__(self) -> str:
         return f"SpinElement(n={self.n})"
@@ -515,8 +518,6 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
 
 def vector_action(g: SpinElement) -> np.ndarray:
     """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
-    if g._alpha is None:
-        g._alpha = alpha(g.value)
     return _twisted_images(g.value, g._alpha)
 
 
@@ -621,4 +622,4 @@ def lift_rotation(a: np.ndarray) -> tuple[SpinElement, SpinElement]:
     c = np.sqrt(complex(np.linalg.det(np.eye(n) + a))) / 2 ** (n / 2.0)
     g = exterior_exp(-2.0 * w) * c
     plus = SpinElement(g)
-    return plus, SpinElement(-g, validate=False)
+    return plus, -plus

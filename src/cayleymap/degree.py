@@ -69,25 +69,29 @@ class FiberReport:
 
 
 def _char_poly(x: np.ndarray) -> np.ndarray:
-    """Trimmed coefficients of t -> det(t*1 + x) by node evaluation and interpolation."""
+    """The n + 1 coefficients of t -> det(t*1 + x) by node evaluation and interpolation."""
     n = x.shape[0]
     radius = 1.0 + np.linalg.norm(x)
     nodes = radius * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     eye = np.eye(n)
     values = np.array([linalg.determinant(t * eye + x) for t in nodes])
     vander = np.vander(nodes, n + 1, increasing=True)
-    return linalg.trim_poly(np.linalg.solve(vander, values))
+    return np.linalg.solve(vander, values)
 
 
+# an overflow of ||X||, of a node's power or of det(t*1 + X) is caught by the finiteness check, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     """Ascending coefficients of the fiber polynomial of a family in FAMILIES.
 
     sl:   det(t*1 + X) - 1, with p_{n-1} = tr X required to vanish and p_n = 1
     spin: det(t*1 + X) - 2^n t^(n-2), X skew
 
-    The target is checked first (DegenerateInput if an sl target has a
-    trace, NotSkew if a spin target is not skew), then n against the
-    family's smallest, then the sl normalization.
+    Always n + 1 coefficients.  The target is checked first
+    (DegenerateInput if an sl target has a trace, NotSkew if a spin target
+    is not skew), then n against the family's smallest, then that the
+    polynomial is finite (DegenerateInput where det(t*1 + X) overflows),
+    then the sl normalization.
     """
     x = linalg.as_square_matrix(x, "fiber target")
     if x.shape[0] != n:
@@ -107,7 +111,8 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     if n < smallest:
         raise ValueError(f"{family} fibers need n >= {smallest}")
     coeffs = _char_poly(x)
-    coeffs = np.concatenate([coeffs, np.zeros(max(0, n + 1 - coeffs.size), dtype=complex)])
+    if not np.isfinite(coeffs).all():
+        raise DegenerateInput(f"fiber polynomial det(t*1 + X) is not finite: it overflows at |X| {norm:.2e}")
     if family == "sl":
         coeffs[0] -= 1.0
         lead, sub, threshold = abs(coeffs[n] - 1.0), abs(coeffs[n - 1]), TRACE_COEFF_TOL * scale**n
@@ -115,7 +120,7 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
         raise_if(sub > threshold, DegenerateInput, "fiber polynomial not normalized: |p_(n-1)|", sub, threshold)
     else:
         coeffs[n - 2] -= 2.0**n
-    return linalg.trim_poly(coeffs)
+    return coeffs
 
 
 def _fiber_roots(family: str, n: int, x):

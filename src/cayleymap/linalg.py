@@ -8,10 +8,10 @@ on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots), and every Jordan-type factor is one
 SpectralDecomposition.apply call.  A polynomial is a plain array of
-ascending complex coefficients; trim_poly is its one normalization, and
-poly_roots polishes with numpy's polyval and polyder.  The exponential is
-Pade scaling and squaring (Higham 2005): six products, one LU solve and the
-squarings the 1-norm asks for, with no per-term convergence test.
+ascending complex coefficients, and poly_roots polishes with numpy's
+polyval and polyder.  The exponential is Pade scaling and squaring (Higham
+2005): six products, one LU solve and the squarings the 1-norm asks for,
+with no per-term convergence test.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ RTOL = 1e-9
 CLUSTER_TOL = 1e-6
 # Absolute tolerance for declaring two polished polynomial roots equal.
 ROOT_DEDUP_TOL = 1e-7
-# Trailing polynomial coefficients below this fraction of the largest are dropped.
-POLY_TRIM_TOL = 1e-12
 # poly_roots takes no Newton step where |p'| is at most this.
 NEWTON_SLOPE_TOL = 1e-14
 # A few ulps per dimension: the floor, times dimension and input scale, of relative tests that rounding must pass.
@@ -146,32 +144,20 @@ def matrix_exp(a: Matrix) -> Matrix:
     return result
 
 
-def trim_poly(coeffs) -> np.ndarray:
-    """Ascending complex coefficients with trailing ones <= POLY_TRIM_TOL *
-    max|c| dropped, so a nonzero polynomial's leading coefficient is genuinely
-    nonzero; an all-zero input becomes [0]."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a nonempty 1-D sequence")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= POLY_TRIM_TOL * scale:
-        keep -= 1
-    return c[:keep].copy()
-
-
 def poly_roots(coeffs) -> np.ndarray:
     """All roots (with multiplicity) of the polynomial with ascending
-    coefficients coeffs (trimmed by trim_poly), via companion-matrix
-    eigenvalues.
+    coefficients coeffs, via companion-matrix eigenvalues.  Only exactly-zero
+    trailing coefficients are stripped; ValueError for input that is not a
+    nonempty 1-D sequence.
 
     Each root is polished by three Newton steps, which matters when roots
     are later deduplicated at tight absolute tolerance.
     """
-    c = trim_poly(coeffs)
-    if not c.any():
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a nonempty 1-D sequence")
+    c = np.trim_zeros(c, "b")
+    if c.size == 0:
         raise DegenerateInput("zero polynomial has no well-defined roots")
     deg = c.size - 1
     if deg < 1:

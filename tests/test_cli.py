@@ -84,6 +84,15 @@ def test_sl_fiber_below_smallest_n_is_a_usage_error(capsys, n):
     assert "error: --family spin needs --n >= 3" in capsys.readouterr().err
 
 
+def test_sl_fiber_at_scale_and_past_overflow(capsys):
+    code, payload = run_json(capsys, "fiber", "--family", "sl", "--n", "2", "--target", "diag(1e6,-1e6)")
+    assert code == 0 and payload["count"] == 2 and len(payload["polynomial"]) == 3
+    assert cli.main(["fiber", "--family", "sl", "--n", "2", "--target", "diag(1e160,-1e160)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DegenerateInput: fiber polynomial det(t*1 + X) is not finite")
+
+
 def test_fiber_from_file(tmp_path, capsys):
     target = tmp_path / "target.json"
     target.write_text(json.dumps(linalg.matrix_to_json(np.diag([1.0, -1.0]))))

@@ -341,9 +341,14 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     assert rows["from"] <= 2 * n + 2
     # validation keeps alpha(g) for vector_action
     assert rows["alpha"] == 1
-    # -g is not validated, so its action forms alpha(-g) = -alpha(g) itself
-    assert np.abs(cl.vector_action(-g) - t).max() <= 1e-12
-    assert rows["alpha"] == 2
+    # -g keeps alpha(-g) = -alpha(g), exact since negation commutes with the
+    # sign flips, so its action forms no alpha of its own
+    neg = -g
+    t_neg = cl.vector_action(neg)
+    assert rows["alpha"] == 1
+    assert np.array_equal(t_neg, cl._twisted_images(neg.value, alpha(neg.value)))
+    # -g starts from g's coefficients, one round trip from g's exponential image
+    assert np.abs(t_neg - t).max() <= 1e-12
 
 
 def _loop_twisted_images(g, ag):

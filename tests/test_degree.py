@@ -1,5 +1,7 @@
 """Fiber polynomials, root counting and fiber-element reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,36 @@ def test_sl_trace_free_check_is_relative_to_the_target():
     rng = np.random.default_rng(4)
     for n in (3, 4, 6):
         for s in 10.0 ** np.arange(-6, 7):
-            # the trace-free test passes; far from unit scale the coefficient
-            # normalization check may still raise (a known fiber defect)
-            try:
-                degree.minimal_poly_coeffs("sl", n, s * degree.random_trace_free(n, rng))
-            except DegenerateInput as exc:
-                assert "must be trace-free" not in str(exc)
+            # the trace-free test passes and the polynomial is monic at every scale
+            assert degree.minimal_poly_coeffs("sl", n, s * degree.random_trace_free(n, rng)).size == n + 1
+
+
+def test_sl2_fiber_keeps_its_unit_leading_coefficient_at_scale():
+    # det(t + X) - 1 = t^2 - (1e12 + 1): the large constant term must not drop the leading 1
+    report = degree.sl_fiber(2, 1e6 * np.diag([1.0, -1.0]))
+    assert report.count == 2
+    exact = np.sqrt(1e12 + 1)
+    for root, want in zip(sorted(report.roots, key=lambda r: r.real), (-exact, exact)):
+        assert abs(root - want) <= 1e-12 * exact
+
+
+def test_sl_fiber_counts_n_at_every_scale():
+    rng = _rng(0)
+    for n in range(3, 13):
+        for s in 10.0 ** np.arange(-6, 7, 2):
+            for _ in range(20):
+                assert degree.sl_fiber(n, s * degree.random_trace_free(n, rng)).count == n
+
+
+@pytest.mark.parametrize(
+    "family, target",
+    [("sl", np.diag([1e160, -1e160])), ("spin", 1e45 * degree.random_skew(8, np.random.default_rng(0)))],
+)
+def test_overflowing_fiber_polynomial_is_degenerate_without_warnings(family, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match=r"fiber polynomial det\(t\*1 \+ X\) is not finite"):
+            degree.FAMILIES[family][2](len(target), target)
 
 
 def test_principal_nilpotent_fiber_counts():

@@ -272,28 +272,32 @@ def test_poly_roots_triple_multiplicity():
 def test_poly_roots_residual_bound():
     rng = _rng(6)
     for _ in range(10):
-        p = linalg.trim_poly(_random_complex(rng, 7))
-        degree = p.size - 1
-        if degree < 1:
-            continue
+        # seven Gaussian coefficients: degree 6, the leading one nonzero
+        p = _random_complex(rng, 7)
         scale = np.max(np.abs(p))
-        for r in linalg.poly_roots(p):
-            assert abs(np.polyval(p[::-1], r)) <= 1e-8 * scale * (1 + abs(r)) ** degree
+        roots = linalg.poly_roots(p)
+        assert roots.size == 6
+        for r in roots:
+            assert abs(np.polyval(p[::-1], r)) <= 1e-8 * scale * (1 + abs(r)) ** 6
 
 
 def test_poly_roots_zero_polynomial_raises():
     with pytest.raises(DegenerateInput, match="zero polynomial"):
         linalg.poly_roots([0.0, 0.0])
     with pytest.raises(DegenerateInput, match="constant polynomial"):
-        linalg.poly_roots([2.0, 1e-18])
+        linalg.poly_roots([2.0, 0.0])
+    with pytest.raises(ValueError, match="1-D"):
+        linalg.poly_roots(np.eye(2))
 
 
 def test_polynomial_strips_trailing_zeros():
-    assert linalg.trim_poly([1.0, 2.0, 0.0, 1e-18]).tolist() == [1.0, 2.0]
-    assert linalg.trim_poly([0.0, 0.0]).tolist() == [0.0]
-    # the rule is relative to the largest coefficient, not absolute
-    assert linalg.trim_poly([1e-20, 1e-30]).size == 2
-    assert linalg.trim_poly([1.0, 1e-12]).size == 1
+    # only exactly-zero trailing coefficients go: 1 + 2t has the root -1/2
+    assert linalg.poly_roots([1.0, 2.0, 0.0, 0.0]).tolist() == [-0.5]
+    # a small leading coefficient is a genuine one, however large the others
+    assert linalg.poly_roots([1.0, 1e-12]) == pytest.approx([-1e12], rel=1e-15)
+    assert linalg.poly_roots([1e-20, 1e-30]) == pytest.approx([-1e10], rel=1e-15)
+    # t^2 - 1e12 keeps its unit leading coefficient
+    assert np.sort(linalg.poly_roots([-1e12, 0.0, 1.0]).real) == pytest.approx([-1e6, 1e6], rel=1e-15)
 
 
 @pytest.mark.parametrize("degree", range(2, 13))

@@ -51,6 +51,13 @@ def _trace_term(monkeypatch):
     degree.minimal_poly_coeffs("sl", 2, np.diag([1.0, -1.0]))
 
 
+def _not_monic(monkeypatch):
+    # a characteristic polynomial whose t^n coefficient is not 1; det(t + X)
+    # is monic by construction, so no natural target reaches the check
+    monkeypatch.setattr(degree, "_char_poly", lambda x: np.array([1.0, 0.0, 2.0], dtype=complex))
+    degree.minimal_poly_coeffs("sl", 2, np.diag([1.0, -1.0]))
+
+
 # (function holding the raise_if call, trigger, error, side of the threshold the value falls on)
 SITES = {
     "build_gram": (lambda _: rm.build_gram(np.array([np.eye(2), np.eye(2)])), DegenerateForm, "<"),
@@ -101,12 +108,7 @@ SITES = {
         NotSkew,
         ">",
     ),
-    # at scale 1e6 the unit coefficient of t^2 - 1e12 is trimmed away: the polynomial is not monic
-    "minimal_poly_coeffs/monic": (
-        lambda _: degree.minimal_poly_coeffs("sl", 2, 1e6 * np.diag([1.0, -1.0])),
-        DegenerateInput,
-        ">",
-    ),
+    "minimal_poly_coeffs/monic": (_not_monic, DegenerateInput, ">"),
     "minimal_poly_coeffs/trace_coeff": (_trace_term, DegenerateInput, ">"),
 }
 
