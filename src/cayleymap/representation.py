@@ -8,25 +8,26 @@ projection of a matrix M solves
     G c = t,   t_i = tr(M B_i),
 
 so c are the coordinates of the unique algebra element whose trace pairing
-with every basis vector matches that of M.  Coordinates come one of two ways.
-The dual basis D, the (v^2, g) coordinates of the v^2 unit matrices from one
-Gram solve, is kept on the Representation, and projects m by one GEMM,
-m.ravel() @ D: the closure check, adjoint matrices (the stack b B_i b^-1) and
-centralizer operators (the stacks x B_i and B_i x) take this route.
-Representation.coords_of forms the pairing and solves the Gram system, for a
-single matrix or a stack of them.  It is kept where the benchmark's call-shape
-rules (bench/spans.py) count one solve per call, the map itself (M(g)) and
-the Jacobian in the left-invariant frame behind psi (M(g) B_i), and for the
-structure constants ([B_i, B_j]), which tests pin bitwise across tilings.
+with every basis vector matches that of M.  The dual basis D, the (v^2, g)
+coordinates of the v^2 unit matrices, comes from one Gram solve with v^2
+right-hand sides at construction, for every basis, and is kept as
+Representation.dual.  It projects m by one GEMM, m.ravel() @ D: the closure
+check and the structure constants ([B_i, B_j]), adjoint matrices (the stack
+b B_i b^-1) and centralizer operators (the stacks x B_i and B_i x) all take
+this route.  Representation.coords_of forms the pairing and solves the Gram
+system, for a single matrix or a stack of them.  It has two callers, the map
+itself (cayley, M(g)) and the Jacobian in the left-invariant frame behind psi
+(cayley_jacobian, M(g) B_i), whose one solve per call the benchmark's
+call-shape rules (bench/spans.py COVERAGE_RULES) pin.
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
 of about _TILE_ENTRIES entries per product, so at most a bounded slice of
-them exists at a time.  The closure check at construction needs a verdict,
-not coordinates.  A full basis, g = v^2, is closed by dimension count: its
-independent matrices span all of gl(v), and it forms D on its first adjoint
-or centralizer call.  Any other basis forms D in the closure check and
-projects each tile through it by two GEMMs.  The dense (g, g, g) structure
-array exists only once asked for.
+them exists at a time, and each tile is projected through D by one GEMM
+(_projected_tiles).  The closure check at construction needs a verdict, not
+coordinates.  A full basis, g = v^2, is closed by dimension count: its
+independent matrices span all of gl(v).  Any other basis maps each projected
+tile back by one more GEMM.  The dense (g, g, g) structure array exists only
+once asked for.
 """
 
 from __future__ import annotations
@@ -73,25 +74,25 @@ def _mat(g) -> np.ndarray:
 
 
 class Representation:
-    """Algebra basis matrices with cached trace-form Gram matrix.
+    """Algebra basis matrices with cached trace-form Gram matrix and dual basis.
 
-    Two projections to coordinates share the Gram matrix: the kept dual basis
-    (_dual), one GEMM per call, for the closure check, adjoint_matrix and
-    centralizer_dim; and coords_of, one Gram solve per call, for cayley,
-    cayley_jacobian/psi and structure_constants().  The Gram matrix is checked
-    once, here, by build_gram: DegenerateForm when the basis is linearly
-    dependent or the trace form is singular or ill-conditioned on its span
-    (then no projection map exists); gram_cond keeps its condition number.
+    The Gram matrix is checked once, here, by build_gram: DegenerateForm when
+    the basis is linearly dependent or the trace form is singular or
+    ill-conditioned on its span (then no projection map exists); gram_cond
+    keeps its condition number.  The dual basis, dual, comes next from one
+    Gram solve; the closure check, structure_constants(), adjoint_matrix and
+    centralizer_dim project through it by GEMMs and solve nothing.
+    coords_of, one Gram solve per call, serves cayley and cayley_jacobian/psi.
     NotASubalgebra when the span is not closed under commutators, checked
-    here by _check_closure, which keeps only the dual basis: a full basis
-    (g = v^2) spans gl(v) and is closed by dimension count, any other is
-    checked through the dual basis.  structure_constants() projects the
-    commutators by coords_of on its first call and keeps the result.
+    here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
+    by dimension count, any other is checked through the dual basis.
+    structure_constants() projects the commutators on its first call and
+    keeps the result.
 
-    Instances are immutable: stack is read-only and basis is the list of its
-    rows, so values are safe to share across threads.  Two threads making the
-    first structure_constants() or _dual() call at once may both compute the
-    array; each stores an equal one, so the race is idempotent.
+    Instances are immutable: stack and dual are read-only and basis is the
+    list of the stack's rows, so values are safe to share across threads.
+    Two threads making the first structure_constants() call at once may both
+    compute the array; each stores an equal one, so the race is idempotent.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None):
@@ -109,8 +110,10 @@ class Representation:
         self.gram, self.gram_cond = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
+        # dual[a*v + b] = coordinates of the unit matrix E_ab, so m.ravel() @ dual projects m
+        self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
+        self.dual.flags.writeable = False
         self._structure = None
-        self._dual_basis = None
         self._check_closure()
 
     @property
@@ -153,34 +156,18 @@ class Representation:
     def structure_constants(self) -> np.ndarray:
         """c[i, j, :] = coordinates of [B_i, B_j], as a read-only (g, g, g) array.
 
-        Computed on the first call, one coords_of per commutator tile, then
-        kept on the instance.  Only the pairs i < j are projected;
-        c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
+        Computed on the first call, one GEMM against the dual basis per
+        commutator tile, then kept on the instance.  Only the pairs i < j are
+        projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
         if self._structure is None:
             c = np.zeros((self.g_dim,) * 3, dtype=complex)
-            for i, j, comm in self._commutator_tiles():
-                coords = self.coords_of(comm)
+            for i, j, _, coords in self._projected_tiles():
                 c[i, j] = coords
                 c[j, i] = -coords
             c.flags.writeable = False
             self._structure = c
         return self._structure
-
-    def _dual(self) -> np.ndarray:
-        """Dual basis D, the (v^2, g) coordinates of the v^2 unit matrices, so
-        that m.ravel() @ D are the coordinates of m's projection.
-
-        Formed by one Gram solve with v^2 right-hand sides on the first call,
-        then kept read-only on the instance.  Like structure_constants(), two
-        threads making the first call at once may both solve; each stores an
-        equal array.
-        """
-        if self._dual_basis is None:
-            d = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
-            d.flags.writeable = False
-            self._dual_basis = d
-        return self._dual_basis
 
     def _rounding_floor(self, scale) -> float:
         """linalg.ROUNDING_FLOOR g cond(G) scale: rounding of a projection of inputs of that scale."""
@@ -191,31 +178,36 @@ class Representation:
 
         A full basis, g = v^2, is closed by dimension count: build_gram has
         already certified its matrices independent, so they span all of
-        gl(v), and it forms no commutator and makes no solve.  (g > v^2
-        cannot get here: its Gram matrix has rank at most v^2.)  Otherwise
-        it forms the dual basis (_dual), so each tile's projection is two
-        GEMMs and no solve.  The test runs on the largest L1 residual of one
-        commutator and the largest |[B_i, B_j]| over all tiles, so the
-        tiling changes neither its outcome nor its message.  Only the dual
-        basis is kept.  The threshold is CLOSURE_TOL (1 + max |[B_i, B_j]|)
-        or, if larger, the rounding floor at that scale: the residual is
-        rounding amplified by cond(G), and a closed basis near the
-        DegenerateForm bound would otherwise read as open.
+        gl(v), and it forms no commutator.  (g > v^2 cannot get here: its
+        Gram matrix has rank at most v^2.)  Otherwise each projected tile is
+        mapped back by one more GEMM.  The test runs on the largest L1
+        residual of one commutator and the largest |[B_i, B_j]| over all
+        tiles, so the tiling changes neither its outcome nor its message.
+        The threshold is CLOSURE_TOL (1 + max |[B_i, B_j]|) or, if larger,
+        the rounding floor at that scale: the residual is rounding amplified
+        by cond(G), and a closed basis near the DegenerateForm bound would
+        otherwise read as open.
         """
         g, v = self.stack.shape[:2]
         if g == v * v:
             return
-        dual = self._dual()
         flat_basis = self.stack.reshape(g, v * v)
         res = scale = 0.0  # stay 0 for a one-element basis, which has no pairs
-        for _, _, comm in self._commutator_tiles():
-            flat = comm.reshape(len(comm), v * v)
-            recon = (flat @ dual) @ flat_basis
+        for _, _, flat, coords in self._projected_tiles():
+            recon = coords @ flat_basis
             recon -= flat  # in place: the commutator tile is the largest array here
             res = max(res, np.abs(recon).sum(axis=1).max(initial=0.0))
             scale = max(scale, np.abs(flat).max(initial=0.0))
         threshold = max(CLOSURE_TOL * (1.0 + scale), self._rounding_floor(scale))
         raise_if(res > threshold, NotASubalgebra, "basis not closed under commutator: residual", res, threshold)
+
+    def _projected_tiles(self):
+        """Yield (i, j, flat, coords) per commutator tile: flat holds the
+        [B_i, B_j] of _commutator_tiles as rows of v^2 entries, and
+        coords = flat @ dual their coordinates, one GEMM per tile."""
+        for i, j, comm in self._commutator_tiles():
+            flat = comm.reshape(len(comm), self.v_dim * self.v_dim)
+            yield i, j, flat, flat @ self.dual
 
     def _commutator_tiles(self):
         """Yield (i, j, [B_i, B_j]) for all pairs i < j, one row tile at a time:
@@ -327,7 +319,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """
     bm = rep.element_matrix(b)
     conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
-    c = conj.reshape(rep.g_dim, -1) @ rep._dual()
+    c = conj.reshape(rep.g_dim, -1) @ rep.dual
     res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
     worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=(-2, -1)))))
     outside = worst > ADJOINT_RESIDUAL_TOL
@@ -405,7 +397,7 @@ def centralizer_dim(rep: Representation, x) -> int:
     elif isinstance(x, AlgebraVector):
         xm = rep.element_matrix(x.matrix())
         products = np.stack([xm @ rep.stack, rep.stack @ xm]).reshape(2, rep.g_dim, -1)
-        a, s = (products @ rep._dual()).transpose(0, 2, 1)
+        a, s = (products @ rep.dual).transpose(0, 2, 1)
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
     sv = np.linalg.svd(a - s, compute_uv=False)

@@ -97,13 +97,14 @@ def test_gram_is_the_trace_form(rep):
 @pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
 def test_structure_constants_equal_the_full_commutator_projection(rep):
     # only the pairs i < j are projected; the g x g stack of every [B_i, B_j],
-    # from the same one (g v) x (g v) product, projects to the same bits
+    # from the same one (g v) x (g v) product, projected through the dual
+    # basis by one GEMM, gives the same bits
     g, v = rep.g_dim, rep.v_dim
     b = rep.stack
     prod = (b.reshape(g * v, v) @ b.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
     comm = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)
     c = rep.structure_constants()
-    assert np.array_equal(c, rep.coords_of(comm))
+    assert np.array_equal(c, (comm.reshape(g * g, v * v) @ rep.dual).reshape(g, g, g))
     assert np.array_equal(c, -c.transpose(1, 0, 2))
     assert not np.any(c[np.arange(g), np.arange(g)])
 
@@ -119,12 +120,28 @@ def _coords_of_shapes(monkeypatch):
     return shapes
 
 
+def _projected_rows(monkeypatch):
+    # (pairs, g) shape of the coordinates of every projected commutator tile
+    rows = []
+    tiles = rm.Representation._projected_tiles
+
+    def counted_tiles(self):
+        for i, j, flat, coords in tiles(self):
+            rows.append(coords.shape)
+            yield i, j, flat, coords
+
+    monkeypatch.setattr(rm.Representation, "_projected_tiles", counted_tiles)
+    return rows
+
+
 def test_structure_constants_project_each_pair_once(monkeypatch):
     rep = catalog.make_sl(4)
+    rows = _projected_rows(monkeypatch)
     shapes = _coords_of_shapes(monkeypatch)
     rep.structure_constants()
     g = rep.g_dim
-    assert shapes == [(g * (g - 1) // 2, 4, 4)]
+    assert rows == [(g * (g - 1) // 2, g)]
+    assert shapes == []
 
 
 def test_one_row_tiles_project_each_pair_once(monkeypatch):
@@ -132,24 +149,26 @@ def test_one_row_tiles_project_each_pair_once(monkeypatch):
     # so no tile holds a single pair
     monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
     rep = catalog.make_sl(4)
+    rows = _projected_rows(monkeypatch)
     shapes = _coords_of_shapes(monkeypatch)
     rep.structure_constants()
     g = rep.g_dim
-    assert shapes == [(g - 1 - k, 4, 4) for k in range(g - 3)] + [(3, 4, 4)]
+    assert rows == [(g - 1 - k, g) for k in range(g - 3)] + [(3, g)]
+    assert shapes == []
 
 
 @pytest.mark.parametrize("entries", [1, rm._TILE_ENTRIES])
 def test_construction_solves_the_gram_system_once(monkeypatch, entries):
-    # the closure check projects through the dual basis: one solve with v^2
-    # right-hand sides, whatever the tiling, and no coords_of call
+    # construction forms the dual basis, one solve with v^2 right-hand sides,
+    # for every family and whatever the tiling, and makes no coords_of call
     monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
     shapes = _coords_of_shapes(monkeypatch)
-    solves = []
-    solve_linear = linalg.solve_linear
-    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what="matrix": solves.append(np.shape(b)) or solve_linear(a, b, what))
-    rep = catalog.make_sl(4)
+    solves = _solve_count(monkeypatch)
+    for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]:
+        rep = catalog.make(fam, n)
+        assert solves == [(rep.g_dim, n * n)]
+        del solves[:]
     assert shapes == []
-    assert solves == [(rep.g_dim, 16)]
 
 
 def _closure_work(monkeypatch):
@@ -176,11 +195,12 @@ def _closure_work(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_full_basis_is_closed_without_the_commutator_walk(monkeypatch, n):
-    # g = v^2 independent matrices span gl(v), which is closed
+    # g = v^2 independent matrices span gl(v), which is closed; the one solve
+    # forms the dual basis
     work = _closure_work(monkeypatch)
     rep = catalog.make_gl(n)
     assert rep.g_dim == rep.v_dim**2
-    assert work == {"pairs": 0, "walks": 0, "solves": 0}
+    assert work == {"pairs": 0, "walks": 0, "solves": 1}
 
 
 @pytest.mark.parametrize("fam, n", [("sl", 4), ("so", 6)])
@@ -201,25 +221,24 @@ def _solve_count(monkeypatch):
 @pytest.mark.parametrize("first", [rm.adjoint_matrix, rm.centralizer_dim], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("fam, n", [("sl", 4), ("so", 6), ("gl", 4)])
 def test_adjoint_and_centralizer_reuse_the_dual_basis(monkeypatch, fam, n, first):
-    # a proper subalgebra forms the dual basis in its closure check; a full
-    # basis skips that check and forms it on its first adjoint or centralizer
-    # call.  From then on the adjoint and both centralizer operators make no
-    # solve, while cayley and psi still make one each
+    # every family, the full gl basis included, forms the dual basis at
+    # construction by one solve with v^2 right-hand sides.  Whichever comes
+    # first, the adjoint, both centralizer operators and the structure
+    # constants make no solve, while cayley and psi still make one each
     solves = _solve_count(monkeypatch)
     rep = catalog.make(fam, n)
     g = catalog.sample_element(rep, "generic", 7)
     x = rm.AlgebraVector(rep, _cgauss(_rng(7), rep.g_dim))
-    full = rep.g_dim == rep.v_dim**2
-    assert len(solves) == (0 if full else 1)
-    first(rep, g)
     assert solves == [(rep.g_dim, rep.v_dim**2)]
-    d = rep._dual()
-    assert rep._dual() is d and not d.flags.writeable
+    d = rep.dual
+    assert d.shape == (rep.v_dim**2, rep.g_dim) and not d.flags.writeable
     del solves[:]
+    first(rep, g)
     rm.adjoint_matrix(rep, g)
     rm.centralizer_dim(rep, g)
     rm.centralizer_dim(rep, x)
-    assert solves == []
+    rep.structure_constants()
+    assert solves == [] and rep.dual is d
     rm.cayley(rep, g)
     assert len(solves) == 1
     rm.psi(rep, g)
@@ -257,13 +276,15 @@ def test_ill_conditioned_subalgebra_basis_is_closed(fam, n, cond, seed):
 
 @pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
 def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
-    # every tile is projected by its own products and Gram solve
-    monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
-    one_row_tiles = rm.Representation(rep.name, rep.stack).structure_constants()
-    monkeypatch.setattr(rm, "_TILE_ENTRIES", (rep.g_dim * rep.v_dim) ** 2)
-    one_tile = rm.Representation(rep.name, rep.stack).structure_constants()
-    assert np.array_equal(one_row_tiles, one_tile)
-    assert np.array_equal(one_tile, rep.structure_constants())
+    # every tile is projected by its own products and one GEMM against the
+    # dual basis, whose row count changes with the tile: one-row tiles, the
+    # intermediate budgets (2^12 takes 2, 3 and 6 basis rows per tile on so8,
+    # sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the default and one
+    # whole tile give the same bits
+    want = rep.structure_constants()
+    for entries in (1, 2**8, 2**12, 2**14, rm._TILE_ENTRIES, (rep.g_dim * rep.v_dim) ** 2):
+        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
+        assert np.array_equal(rm.Representation(rep.name, rep.stack).structure_constants(), want)
 
 
 def test_closure_failure_past_the_first_tile(monkeypatch):
@@ -321,7 +342,8 @@ CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]
 def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n, cond):
     # the construction's residual, read from NotASubalgebra at a zero threshold
     # (CLOSURE_TOL and the rounding floor both 0), against the L1 residual of
-    # each commutator projected by coords_of; an "open" basis shifts one
+    # each commutator projected by coords_of, a Gram solve that does not go
+    # through the dual basis; an "open" basis shifts one
     # element by 1e-6 I, off the algebra.  A gl basis is full, so it is closed
     # by dimension count and constructs even at a zero threshold
     stack = _recoordinated(catalog.make(fam, n), 1e3 if cond == "open" else cond, _rng(23))
@@ -341,7 +363,7 @@ def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n
         assert rep.gram_cond == pytest.approx(cond, rel=1e-6)
     i, j = np.triu_indices(rep.g_dim, 1)
     comm = stack[i] @ stack[j] - stack[j] @ stack[i]
-    recon = rep.materialize(rep.structure_constants()[i, j]) - comm
+    recon = rep.materialize(rep.coords_of(comm)) - comm
     want = np.abs(recon).reshape(len(comm), -1).sum(axis=1).max()
     if fam != "gl":
         assert want / 2 <= dual <= 2 * want
@@ -358,18 +380,20 @@ def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n
 
 @pytest.mark.parametrize("fam, n, cond", CLOSURE_PROBES)
 def test_adjoint_dual_projection_accuracy(fam, n, cond):
-    # the adjoint projects through the kept dual basis, coords_of by a Gram
-    # solve; both are rounding amplified by cond(G), and agree with the
-    # least-squares oracle within one multiple of cond(G) eps (measured at
-    # most 2.7 here, 2.8 over seeds 0-4)
+    # the adjoint and the structure constants project through the kept dual
+    # basis, coords_of by a Gram solve; all are rounding amplified by cond(G),
+    # and agree with the least-squares oracle within one multiple of
+    # cond(G) eps (measured at most 2.7 here, 2.8 over seeds 0-4, for the
+    # adjoint; at most 1.9 for the structure constants)
     base = catalog.make(fam, n)
     rep = rm.Representation("probe", _recoordinated(base, cond, _rng(29)))
     b = catalog.sample_element(base, "generic", 29).matrix
-    got = rm.adjoint_matrix(rep, b)
     conj = b @ rep.stack @ np.linalg.inv(b)
-    for want in (_oracle_coords(rep, conj).T, rep.coords_of(conj).T):
-        bound = 16 * rep.gram_cond * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) <= bound
+    comm = rep.stack[:, None] @ rep.stack[None, :] - rep.stack[None, :] @ rep.stack[:, None]
+    for got, mats in ((rm.adjoint_matrix(rep, b).T, conj), (rep.structure_constants(), comm)):
+        for want in (_oracle_coords(rep, mats), rep.coords_of(mats)):
+            bound = 16 * rep.gram_cond * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound
 
 
 def test_tensor_cube_closure_memory_is_bounded():
