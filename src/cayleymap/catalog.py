@@ -140,17 +140,6 @@ def make(family: str, size: int) -> Representation:
     return globals()[FAMILIES[family][0]](size)
 
 
-def torus_element(rep: Representation, a: complex) -> GroupElement:
-    """diag(a, 1/a) realized in an sl2-type representation."""
-    family = rep.metadata.get("family")
-    if family == "sl2_irrep":
-        m = rep.metadata["m"]
-        return GroupElement(np.diag([a ** (m - 2 * p) for p in range(m + 1)]))
-    if family == "sl" and rep.metadata.get("n") == 2:
-        return GroupElement(np.diag([a, 1.0 / a]))
-    raise ValueError(f"no torus parametrization for {rep.name}")
-
-
 # --- combinators --------------------------------------------------------------
 
 

@@ -38,7 +38,9 @@ reference for the product, builds a 2^n x 2^n array.
 On top of that sit the grade involutions, the spin group (even elements g
 with g alpha(g) = 1 whose twisted conjugation preserves V), its vector
 action, the bivector/skew isomorphism, and the classical Cayley transform
-b -> (1-b)(1+b)^{-1}.
+b -> (1-b)(1+b)^{-1}; the lifts of a rotation T are composed from them,
++-sqrt(det(1 + T)) 2^(-n/2) exterior_exp(-2 tau_inv(cayley_gamma(T))).  Binary
+operations take their second operand through _coerce (DimensionMismatch).
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class CliffordElement:
         return CliffordElement(self.n, self.coeffs * complex(other))
 
     def __xor__(self, other):
-        return exterior_mul(self, _coerce(self.n, other))
+        return exterior_mul(self, other)
 
     # -- views -----------------------------------------------------------
 
@@ -270,15 +272,6 @@ def scalar(n: int, c=1.0) -> CliffordElement:
     return _coerce(n, c)
 
 
-def basis_vector(n: int, i: int) -> CliffordElement:
-    """The generator z_{i+1} (0-based index i)."""
-    if not 0 <= i < n:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    out = CliffordElement(n)
-    out.coeffs[1 << i] = 1.0
-    return out
-
-
 def basis_blade(n: int, mask: int) -> CliffordElement:
     out = CliffordElement(n)
     out.coeffs[mask] = 1.0
@@ -312,16 +305,14 @@ def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     one D x D matmul of the operands' kept images (an operand without one forms
     it first, freezing its coefficients).  Its coefficients are one from_spinor
     row, formed when first read."""
-    if u.n != v.n:
-        raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
+    v = _coerce(u.n, v)
     return CliffordElement._of_image(u.n, u._image() @ v._image())
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     """u ^ v = sum_r <sum_{p+q=r} u_p v_q>_r over the grade slices u_p, v_q;
     row r of total sums the spinor products of total grade r."""
-    if u.n != v.n:
-        raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
+    v = _coerce(u.n, v)
     t = _tables(u.n)
     n1 = u.n + 1
     slices = t.grades == np.arange(n1)[:, None]
@@ -380,8 +371,7 @@ def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
 
 def pairing(u: CliffordElement, v: CliffordElement) -> complex:
     """The bilinear (not Hermitian) pairing in which the blades z_I are orthonormal."""
-    if u.n != v.n:
-        raise DimensionMismatch(f"mixing algebras over C^{u.n} and C^{v.n}")
+    v = _coerce(u.n, v)
     return complex(np.sum(u.coeffs * v.coeffs))
 
 
@@ -454,9 +444,8 @@ class SpinElement:
         # every residual test below is false for NaN
         if not np.isfinite(c).all():
             raise NotInSpin("coefficients contain non-finite entries")
-        grades = _tables(g.n).grades
         scale = max(1.0, g.norm())
-        odd = sum(np.linalg.norm(np.where(grades == k, c, 0.0)) for k in range(1, g.n + 1, 2))
+        odd = np.linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
         raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
         self._alpha = ag = alpha(g)
         # g alpha(g) - 1
@@ -608,18 +597,3 @@ def spin_cayley(g: SpinElement) -> CliffordElement:
 def spin_scalar(g: SpinElement) -> complex:
     """Degree-0 part; squares to det(1 + T(g)) / 2^n."""
     return g.value.scalar_part()
-
-
-def lift_rotation(a: np.ndarray) -> tuple[SpinElement, SpinElement]:
-    """The two spin elements over a rotation a with det(1+a) != 0.
-
-    Reconstructs c * exterior_exp(-2 w) with w = tau_inv((1-a)/(1+a)) and
-    c = sqrt(det(1+a))/2^(n/2); both square-root signs are returned.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    w = tau_inv(cayley_gamma(a))
-    c = np.sqrt(complex(np.linalg.det(np.eye(n) + a))) / 2 ** (n / 2.0)
-    g = exterior_exp(-2.0 * w) * c
-    plus = SpinElement(g)
-    return plus, -plus

@@ -124,16 +124,15 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
 
 
 def _fiber_roots(family: str, n: int, x):
-    """(target, fiber polynomial, its distinct roots): the part every fiber shares."""
-    x = linalg.as_square_matrix(x, "fiber target")
+    """(fiber polynomial, its distinct roots): the part every fiber shares.  The
+    polynomial's checks coerce x; the reconstructions broadcast x as given."""
     poly = minimal_poly_coeffs(family, n, x)
-    distinct, _ = linalg.dedup_roots(linalg.poly_roots(poly))
-    return x, poly, distinct
+    return poly, linalg.dedup_roots(linalg.poly_roots(poly))[0]
 
 
 def sl_fiber(n: int, x) -> FiberReport:
     """All shifts X + t*1 with unit determinant; count = distinct roots."""
-    x, poly, distinct = _fiber_roots("sl", n, x)
+    poly, distinct = _fiber_roots("sl", n, x)
     elements = list(x + distinct[:, None, None] * np.eye(n))
     return FiberReport("sl", n, poly, distinct, elements, list(distinct), len(distinct))
 
@@ -153,9 +152,9 @@ def spin_fiber(n: int, x) -> FiberReport:
     rotation is checked to be special orthogonal with det(1 + T) = t^2; roots
     where 1 + X/t is singular or a check fails are skipped, not raised.
     """
-    x, poly, distinct = _fiber_roots("spin", n, x)
+    poly, distinct = _fiber_roots("spin", n, x)
     roots = distinct[np.abs(distinct) > ZERO_ROOT_TOL]
-    rots, ok, _, _ = _cayley_stack(x[None] / roots[:, None, None])
+    rots, ok, _, _ = _cayley_stack(x / roots[:, None, None])
     eye = np.eye(n)
     ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
     det_err = np.abs(np.linalg.det(eye + rots) - roots * roots)

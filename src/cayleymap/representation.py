@@ -14,11 +14,12 @@ right-hand sides at construction, for every basis, and is kept as
 Representation.dual.  It projects m by one GEMM, m.ravel() @ D: the closure
 check and the structure constants ([B_i, B_j]), adjoint matrices (the stack
 b B_i b^-1) and centralizer operators (the stacks x B_i and B_i x) all take
-this route.  Representation.coords_of forms the pairing and solves the Gram
-system, for a single matrix or a stack of them.  It has two callers, the map
-itself (cayley, M(g)) and the Jacobian in the left-invariant frame behind psi
-(cayley_jacobian, M(g) B_i), whose one solve per call the benchmark's
-call-shape rules (bench/spans.py COVERAGE_RULES) pin.
+this route.  Representation.coords_of forms the pairing t by one GEMM against
+the kept (v^2, g) pairing matrix, which also gave D its right-hand sides, and
+solves the Gram system once, for a single matrix or a stack of them.  It has
+two callers, the map itself (cayley, M(g)) and the Jacobian in the
+left-invariant frame behind psi (cayley_jacobian, M(g) B_i), whose one solve
+per call the benchmark's call-shape rules (bench/spans.py COVERAGE_RULES) pin.
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
 of about _TILE_ENTRIES entries per product, so at most a bounded slice of
@@ -62,15 +63,10 @@ class GroupElement:
     def __post_init__(self):
         self.matrix = linalg.as_square_matrix(self.matrix, "group element")
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(linalg.inverse(self.matrix, "group element"))
-
 
 def _mat(g) -> np.ndarray:
-    """g's matrix; a raw array gets GroupElement's check (ValueError if non-square or non-finite)."""
-    if isinstance(g, GroupElement):
-        return g.matrix
-    return linalg.as_square_matrix(g, "group element")
+    """g's matrix; a raw array is checked by wrapping it (ValueError if non-square or non-finite)."""
+    return (g if isinstance(g, GroupElement) else GroupElement(g)).matrix
 
 
 class Representation:
@@ -82,7 +78,8 @@ class Representation:
     keeps its condition number.  The dual basis, dual, comes next from one
     Gram solve; the closure check, structure_constants(), adjoint_matrix and
     centralizer_dim project through it by GEMMs and solve nothing.
-    coords_of, one Gram solve per call, serves cayley and cayley_jacobian/psi.
+    coords_of, one pairing GEMM and one Gram solve per call, serves cayley
+    and cayley_jacobian/psi.
     NotASubalgebra when the span is not closed under commutators, checked
     here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
     by dimension count, any other is checked through the dual basis.
@@ -137,21 +134,18 @@ class Representation:
         flat = coords @ self.stack.reshape(self.g_dim, -1)
         return flat.reshape(coords.shape[:-1] + (self.v_dim, self.v_dim))
 
-    def trace_pair(self, m) -> np.ndarray:
-        """Trace pairings t_i = tr(m B_i) for matrices of shape (..., v, v)."""
-        m = np.asarray(m, dtype=complex)
-        t = m.reshape(-1, self.v_dim * self.v_dim) @ self._pairing
-        return t.reshape(m.shape[:-2] + (self.g_dim,))
-
     def coords_of(self, m) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
 
-        m has shape (..., v, v); the result has shape (..., g), from one Gram
-        solve whatever the leading axes.  The solve makes no conditioning
-        decision of its own: build_gram made it when the Gram matrix was built.
+        m has shape (..., v, v); the result has shape (..., g).  The trace
+        pairings t_i = tr(m B_i) of all matrices are one GEMM against the
+        kept pairing, and their coordinates one Gram solve, whatever the
+        leading axes.  The solve makes no conditioning decision of its own:
+        build_gram made it when the Gram matrix was built.
         """
-        t = self.trace_pair(m)
-        return linalg.solve_linear(self.gram, t.reshape(-1, self.g_dim).T, "Gram matrix").T.reshape(t.shape)
+        m = np.asarray(m, dtype=complex)
+        t = m.reshape(-1, self.v_dim * self.v_dim) @ self._pairing
+        return linalg.solve_linear(self.gram, t.T, "Gram matrix").T.reshape(m.shape[:-2] + (self.g_dim,))
 
     def structure_constants(self) -> np.ndarray:
         """c[i, j, :] = coordinates of [B_i, B_j], as a read-only (g, g, g) array.
@@ -408,13 +402,12 @@ def centralizer_dim(rep: Representation, x) -> int:
 
 
 def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:
-    """New representation on a basis subset; the subset must span a subalgebra."""
+    """New representation on a basis subset; the subset must span a subalgebra.
+    It keeps none of the parent's metadata, whose family and Cartan bookkeeping
+    describe the parent: every sampler but "generic" raises ValueError on it."""
     idx = list(index_subset)
     if len(idx) == 0:
         raise ValueError("index subset must be nonempty")
     if len(set(idx)) != len(idx) or not all(0 <= i < rep.g_dim for i in idx):
         raise ValueError(f"invalid index subset {idx}")
-    sub = [rep.basis[i] for i in idx]
-    meta = dict(rep.metadata)
-    meta.pop("cartan_indices", None)
-    return Representation(f"{rep.name}|{idx}", sub, metadata=meta)
+    return Representation(f"{rep.name}|{idx}", [rep.basis[i] for i in idx])

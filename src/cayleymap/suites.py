@@ -77,14 +77,9 @@ class SuiteResult:
 # --- shared helpers -----------------------------------------------------------
 
 @functools.cache
-def _rep(key):
-    """Catalog representations by (family, size), built once."""
-    return catalog.make(*key)
-
-
-@functools.cache
 def _built(combinator, *args):
-    """combinator(*args) (a catalog direct sum, tensor, tensor power or dual), built once."""
+    """combinator(*args), built once: the suites' one cache of representations,
+    from catalog.make(family, size), a catalog combinator or _so4_ideal_rep."""
     return combinator(*args)
 
 
@@ -119,7 +114,7 @@ def _rel(err: float, scale: float) -> float:
 def _equivariance(rng, trial) -> float:
     worst = 0.0
     for key in FAMILY_KEYS:
-        rep = _rep(key)
+        rep = _built(catalog.make, *key)
         b = _sample(rep, "generic", rng)
         g = _sample(rep, "generic", rng)
         conj = b.matrix @ g.matrix @ np.linalg.inv(b.matrix)
@@ -132,7 +127,7 @@ def _equivariance(rng, trial) -> float:
 def _cartan_stability(rng, trial) -> float:
     worst = 0.0
     for key in FAMILY_KEYS:
-        rep = _rep(key)
+        rep = _built(catalog.make, *key)
         cartan = rep.metadata["cartan_indices"]
         g = _sample(rep, "cartan", rng)
         coords = rm.cayley(rep, g).coords
@@ -145,7 +140,7 @@ def _cartan_stability(rng, trial) -> float:
 def _jacobian_identity(rng, trial) -> float:
     worst = 0.0
     for key in FAMILY_KEYS:
-        rep = _rep(key)
+        rep = _built(catalog.make, *key)
         m = rm.cayley_jacobian(rep, np.eye(rep.v_dim))
         worst = max(worst, float(np.linalg.norm(m - np.eye(rep.g_dim))))
     return worst
@@ -153,7 +148,7 @@ def _jacobian_identity(rng, trial) -> float:
 
 def _psi_basis_invariance(rng, trial) -> float:
     key = FAMILY_KEYS[trial % len(FAMILY_KEYS)]
-    rep = _rep(key)
+    rep = _built(catalog.make, *key)
     g = _sample(rep, "generic", rng)
     p1 = rm.psi(rep, g)
     # well-conditioned random change of basis: unitary times bounded diagonal
@@ -167,7 +162,7 @@ def _psi_basis_invariance(rng, trial) -> float:
 
 def _centralizer_match(rng, trial) -> float:
     key = [("sl", 2), ("sl", 3), ("so", 4)][trial % 3]
-    rep = _rep(key)
+    rep = _built(catalog.make, *key)
     kind = ("generic", "hyperbolic", "cartan")[trial % 3]
     g = _sample(rep, kind, rng)
     if abs(rm.psi(rep, g)) <= 1e-6:
@@ -205,7 +200,7 @@ def _jordan_sample(rng, n, rep):
 
 def _jordan_semisimple(rng, trial) -> float:
     n = 3 if trial % 2 == 0 else 4
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     g = _jordan_sample(rng, n, rep)
     gs, _ = rm.multiplicative_jordan(g, cluster_tol=1e-4)
     phi_of_gs = rm.cayley(rep, gs).matrix()
@@ -225,7 +220,7 @@ def _additive_commute(rng, trial) -> float:
 
 def _ehu_reconstruction(rng, trial) -> float:
     n = 3
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     g = _jordan_sample(rng, n, rep)
     ge, gh, gu = rm.ehu_decomposition(g, cluster_tol=1e-4)
     resid = _rel(np.linalg.norm(ge @ gh @ gu - g), np.linalg.norm(g))
@@ -237,7 +232,7 @@ def _ehu_reconstruction(rng, trial) -> float:
 
 def _shifted_unipotent(rng, trial) -> float:
     # semisimple b times commuting unipotent w: the image difference is nilpotent
-    rep = _rep(("sl", 3))
+    rep = _built(catalog.make, "sl", 3)
     a = np.exp(rng.normal(0, 0.3) + 1j * rng.uniform(0, 2 * np.pi))
     b = np.diag([a, a, 1 / a**2])
     w = np.eye(3, dtype=complex)
@@ -260,7 +255,7 @@ JORDAN = [
 
 def _unipotent_image(rng, trial) -> float:
     n = 2 + trial % 3
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     u = _sample(rep, "unipotent", rng)
     phi = rm.cayley(rep, u).matrix()
     dec = linalg.spectral(phi, cluster_tol=1e-3)
@@ -275,7 +270,7 @@ def _principal_fiber_count(rng, trial) -> float:
 
 def _principal_fiber_elements(rng, trial) -> float:
     n = 2 + trial % 3
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     x = degree.principal_nilpotent(n)
     report = degree.sl_fiber(n, x)
     worst = 0.0
@@ -300,7 +295,7 @@ HYPERBOLIC_KEYS = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4), ("sl2_
 def _hyperbolic_nonsingular(rng, trial) -> float:
     worst = 0.0
     for key in HYPERBOLIC_KEYS:
-        rep = _rep(key)
+        rep = _built(catalog.make, *key)
         g = _sample(rep, "hyperbolic", rng)
         # residual below 1.0 certifies |psi| > 1e-6
         worst = max(worst, 1e-6 / max(abs(rm.psi(rep, g)), TINY))
@@ -309,7 +304,7 @@ def _hyperbolic_nonsingular(rng, trial) -> float:
 
 def _hyperbolic_image_real(rng, trial) -> float:
     key = HYPERBOLIC_KEYS[trial % len(HYPERBOLIC_KEYS)]
-    rep = _rep(key)
+    rep = _built(catalog.make, *key)
     g = _sample(rep, "hyperbolic", rng)
     lams = np.linalg.eigvals(rm.cayley(rep, g).matrix())
     return float(np.max(np.abs(lams.imag)) / (1.0 + np.max(np.abs(lams))))
@@ -317,7 +312,7 @@ def _hyperbolic_image_real(rng, trial) -> float:
 
 def _traceless_inverse_singular(rng, trial) -> float:
     n = 2 + trial % 3
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     a = _sample(rep, "trace_free", rng)
     return float(abs(rm.psi(rep, np.linalg.inv(a.matrix))))
 
@@ -334,7 +329,7 @@ HYPERBOLIC = [
 
 def _cartan_restriction(rng, trial) -> float:
     n = 3 if trial % 2 == 0 else 4
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     sub = rm.restrict_to_subalgebra(rep, range(n - 1))
     g = _sample(rep, "cartan", rng)
     full = rm.cayley(rep, g).matrix()
@@ -342,9 +337,8 @@ def _cartan_restriction(rng, trial) -> float:
     return _rel(np.linalg.norm(full - restricted), np.linalg.norm(full))
 
 
-@functools.cache
 def _so4_ideal_rep():
-    so4 = _rep(("so", 4))
+    so4 = _built(catalog.make, "so", 4)
     order = [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
     x = {pair: so4.basis[k] for k, pair in enumerate(order)}
     left = [x[(0, 1)] + x[(2, 3)], x[(0, 2)] - x[(1, 3)], x[(0, 3)] + x[(1, 2)]]
@@ -353,7 +347,7 @@ def _so4_ideal_rep():
 
 
 def _ideal_restriction(rng, trial) -> float:
-    rep = _so4_ideal_rep()
+    rep = _built(_so4_ideal_rep)
     side = trial % 2
     idx = [0, 1, 2] if side == 0 else [3, 4, 5]
     sub = rm.restrict_to_subalgebra(rep, idx)
@@ -369,7 +363,7 @@ def _ideal_restriction(rng, trial) -> float:
 
 def _full_restriction(rng, trial) -> float:
     key = FAMILY_KEYS[trial % len(FAMILY_KEYS)]
-    rep = _rep(key)
+    rep = _built(catalog.make, *key)
     sub = rm.restrict_to_subalgebra(rep, range(rep.g_dim))
     g = _sample(rep, "generic", rng)
     d1 = np.linalg.norm(sub.gram - rep.gram)
@@ -392,8 +386,8 @@ IRREP_PAIRS = [(1, 2), (2, 3), (1, 4), (2, 2), (3, 4), (1, 3)]
 
 def _sum_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
-    ref = _rep(("sl2_irrep", 1))
+    r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
+    ref = _built(catalog.make, "sl2_irrep", 1)
     both = _built(catalog.direct_sum, r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jsum = catalog.dynkin_ratio(both, ref)
@@ -407,8 +401,8 @@ def _sum_mix(rng, trial) -> float:
 
 def _tensor_mix(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
-    ref = _rep(("sl2_irrep", 1))
+    r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
+    ref = _built(catalog.make, "sl2_irrep", 1)
     prod = _built(catalog.tensor, r1, r2)
     j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
     jprod = catalog.dynkin_ratio(prod, ref)
@@ -425,7 +419,7 @@ def _tensor_mix(rng, trial) -> float:
 def _tensor_power_scaling(rng, trial) -> float:
     m = (1, 2)[trial % 2]
     k = (2, 3)[(trial // 2) % 2]
-    rep = _rep(("sl2_irrep", m))
+    rep = _built(catalog.make, "sl2_irrep", m)
     power = _built(catalog.tensor_power, rep, k)
     coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
@@ -436,7 +430,7 @@ def _tensor_power_scaling(rng, trial) -> float:
 
 def _dual_negation(rng, trial) -> float:
     m = 1 + trial % 4
-    rep = _rep(("sl2_irrep", m))
+    rep = _built(catalog.make, "sl2_irrep", m)
     d = _built(catalog.dual, rep)
     coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
@@ -448,24 +442,24 @@ def _dual_negation(rng, trial) -> float:
 
 def _gram_additivity(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
+    r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     both = _built(catalog.direct_sum, r1, r2)
     return float(np.max(np.abs(both.gram - (r1.gram + r2.gram))))
 
 
 def _gram_tensor_rule(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
-    r1, r2 = _rep(("sl2_irrep", m1)), _rep(("sl2_irrep", m2))
+    r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     prod = _built(catalog.tensor, r1, r2)
     expected = r2.v_dim * r1.gram + r1.v_dim * r2.gram
     return float(np.max(np.abs(prod.gram - expected)) / (1.0 + np.max(np.abs(expected))))
 
 
 def _index_ratio_series(rng, trial) -> float:
-    ref = _rep(("sl2_irrep", 1))
+    ref = _built(catalog.make, "sl2_irrep", 1)
     worst = 0.0
     for m in range(1, 6):
-        got = catalog.dynkin_ratio(_rep(("sl2_irrep", m)), ref)
+        got = catalog.dynkin_ratio(_built(catalog.make, "sl2_irrep", m), ref)
         expected = m * (m + 1) * (m + 2) / 6.0
         worst = max(worst, abs(got - expected) / expected)
     return worst
@@ -663,7 +657,7 @@ def _spin_fiber_counts(rng, trial) -> float:
 
 def _sl_fiber_elements(rng, trial) -> float:
     n = 2 + trial % 4
-    rep = _rep(("sl", n))
+    rep = _built(catalog.make, "sl", n)
     x = degree.random_trace_free(n, rng)
     worst = 0.0
     for el in degree.sl_fiber(n, x).valid_elements:

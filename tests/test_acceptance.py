@@ -79,7 +79,7 @@ def test_criterion_03_irrep_torus_series():
         rep = catalog.make_sl2_irrep(m)
         for _ in range(20):
             a = np.exp(_cgauss(rng, (), 0.4))
-            g = catalog.torus_element(rep, a)
+            g = catalog.realize(rep, [np.log(a), 0.0, 0.0])  # exp(log(a) H) = diag(a^(m - 2p))
             coords = rm.cayley(rep, g).coords
             series = sum((m - 2 * p) * a ** (m - 2 * p) for p in range(m + 1))
             expected = 3.0 / (m**3 + 3 * m**2 + 2 * m) * series

@@ -62,7 +62,7 @@ def test_irrep_torus_coefficient_series():
         rep = catalog.make_sl2_irrep(m)
         for _ in range(5):
             a = np.exp(_cgauss(rng, (), 0.3))
-            g = catalog.torus_element(rep, a)
+            g = catalog.realize(rep, [np.log(a), 0.0, 0.0])  # exp(log(a) H) = diag(a^(m - 2p))
             coords = rm.cayley(rep, g).coords
             series = sum((m - 2 * p) * a ** (m - 2 * p) for p in range(m + 1))
             expected = 3.0 / (m**3 + 3 * m**2 + 2 * m) * series

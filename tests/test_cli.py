@@ -289,7 +289,7 @@ def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):
     from cayleymap import clifford as cl
 
     bad = tmp_path / "vector.json"
-    bad.write_text(json.dumps(cl.basis_vector(3, 0).to_json()))
+    bad.write_text(json.dumps(cl.basis_blade(3, 0b1).to_json()))
     assert cli.main(["spin", "exp", "--element", str(bad)]) == 2
     capsys.readouterr()
 

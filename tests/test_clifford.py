@@ -31,16 +31,25 @@ def random_vector(n, rng):
     return cl.from_vector(n, (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2))
 
 
+def _lifts(a):
+    """The two spin elements over a rotation a with det(1 + a) != 0:
+    +-sqrt(det(1 + a)) 2^(-n/2) exterior_exp(-2 tau_inv(cayley_gamma(a)))."""
+    n = a.shape[0]
+    c = np.sqrt(complex(np.linalg.det(np.eye(n) + a))) / 2 ** (n / 2.0)
+    plus = cl.SpinElement(cl.exterior_exp(-2.0 * cl.tau_inv(cl.cayley_gamma(a))) * c)
+    return plus, -plus
+
+
 # --- products -----------------------------------------------------------------
 
 
 def test_generator_squares_to_one():
-    z1 = cl.basis_vector(3, 0)
+    z1 = cl.basis_blade(3, 0b1)
     assert np.allclose((z1 * z1).coeffs, cl.scalar(3, 1.0).coeffs)
 
 
 def test_generators_anticommute():
-    z1, z2 = cl.basis_vector(2, 0), cl.basis_vector(2, 1)
+    z1, z2 = cl.basis_blade(2, 0b1), cl.basis_blade(2, 0b10)
     assert ((z2 * z1) + (z1 * z2)).norm() < 1e-15
 
 
@@ -50,12 +59,12 @@ def test_bivector_squares_to_minus_one():
 
 
 def test_wedge_matches_clifford_on_disjoint():
-    z1, z2 = cl.basis_vector(2, 0), cl.basis_vector(2, 1)
+    z1, z2 = cl.basis_blade(2, 0b1), cl.basis_blade(2, 0b10)
     assert ((z1 ^ z2) - (z1 * z2)).norm() < 1e-15
 
 
 def test_wedge_nilpotent_on_repeats():
-    z1 = cl.basis_vector(2, 0)
+    z1 = cl.basis_blade(2, 0b1)
     assert (z1 ^ z1).norm() == 0.0
 
 
@@ -156,7 +165,7 @@ def test_products_match_word_oracle_on_blades(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_derivations_match_word_oracle_on_blades(n):
     for i in range(n):
-        x = cl.basis_vector(n, i)
+        x = cl.basis_blade(n, 1 << i)
         for j in range(1 << n):
             v = cl.basis_blade(n, j)
             assert np.array_equal(cl.epsilon(x, v).coeffs, _oracle_mul(x, v, wedge=True))
@@ -393,8 +402,11 @@ def test_batched_twisted_images_raise_the_first_failing_residual(n, mask):
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionMismatch):
-        cl.basis_vector(2, 0) * cl.basis_vector(3, 0)
+    # one check, in _coerce, serves every binary operation with one type and message
+    ops = [cl.clifford_mul, cl.exterior_mul, cl.pairing, lambda u, v: u * v, lambda u, v: u ^ v, lambda u, v: u + v]
+    for op in ops:
+        with pytest.raises(DimensionMismatch, match=r"mixing algebras over C\^2 and C\^3"):
+            op(cl.basis_blade(2, 0b1), cl.basis_blade(3, 0b1))
 
 
 # --- involutions and derivations -------------------------------------------------
@@ -439,7 +451,7 @@ def test_kappa_parity():
 
 
 def test_iota_derivation_example():
-    z1, z2 = cl.basis_vector(2, 0), cl.basis_vector(2, 1)
+    z1, z2 = cl.basis_blade(2, 0b1), cl.basis_blade(2, 0b10)
     r = cl.iota(z2, z1 ^ z2)
     assert np.allclose(r.coeffs, (-z1).coeffs)
 
@@ -544,7 +556,7 @@ def test_spin_exp_group_membership():
 
 def test_spin_exp_rejects_non_bivector():
     with pytest.raises(ValueError):
-        cl.spin_exp(cl.basis_vector(3, 0))
+        cl.spin_exp(cl.basis_blade(3, 0b1))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -586,7 +598,7 @@ def test_spin_exp_on_singular_set_of_closed_form(n):
     t = cl.vector_action(g)
     assert abs(np.linalg.det(np.eye(n) + t)) <= 1e-14
     with pytest.raises(SingularShift):
-        cl.lift_rotation(t)
+        cl.cayley_gamma(t)
 
 
 def test_spin_exp_n10_against_rotation_oracles():
@@ -636,7 +648,7 @@ def test_exterior_products_and_lift_build_no_dense_matrix(monkeypatch):
     assert cl.iota(x, b).grade(1).norm() > 0.0
     assert cl.exterior_exp(b).grade(n).norm() > 0.0
     g = cl.spin_exp(b)
-    plus, minus = cl.lift_rotation(cl.vector_action(g))
+    plus, minus = _lifts(cl.vector_action(g))
     assert min((plus.value - g.value).norm(), (minus.value - g.value).norm()) <= 1e-10 * g.value.norm()
 
 
@@ -669,9 +681,18 @@ def test_vector_action_kernel_is_sign():
 
 
 def test_not_in_spin_rejected():
-    bad = cl.scalar(3, 1.0) + 0.5 * cl.basis_vector(3, 0)
+    bad = cl.scalar(3, 1.0) + 0.5 * cl.basis_blade(3, 0b1)
     with pytest.raises(NotInSpin):
         cl.SpinElement(bad)
+
+
+def test_odd_degree_residue_is_the_norm_of_the_odd_part():
+    # the odd part 0.1 z1 + 0.1 z1z2z3 has norm sqrt(0.02) ~ 0.141, not the
+    # per-grade sum 0.1 + 0.1
+    bad = cl.scalar(3, 1.0) + 0.1 * cl.basis_blade(3, 0b001) + 0.1 * cl.basis_blade(3, 0b111)
+    with pytest.raises(NotInSpin, match="odd-degree residue") as exc:
+        cl.SpinElement(bad)
+    assert exc.value.value == pytest.approx(np.sqrt(0.02), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -772,7 +793,7 @@ def test_closed_form_and_lift_near_identity(eps):
         t = cl.vector_action(g)
         closed = -2.0 * cl.spin_scalar(g) * cl.tau_inv(cl.cayley_gamma(t))
         assert (closed - cl.spin_cayley(g)).norm() <= 1e-13
-        plus, minus = cl.lift_rotation(t)
+        plus, minus = _lifts(t)
         assert min((plus.value - g.value).norm(), (minus.value - g.value).norm()) <= 1e-13
 
 
@@ -945,7 +966,7 @@ def test_double_cover_signs():
     rng = _rng(16)
     g = cl.spin_exp(cl.random_bivector(5, rng))
     assert cl.spin_scalar(-g) == pytest.approx(-cl.spin_scalar(g))
-    plus, minus = cl.lift_rotation(cl.vector_action(g))
+    plus, minus = _lifts(cl.vector_action(g))
     vals = sorted([cl.spin_scalar(plus), cl.spin_scalar(minus)], key=lambda z: z.real)
     ref = sorted([cl.spin_scalar(g), -cl.spin_scalar(g)], key=lambda z: z.real)
     assert np.allclose(vals, ref, atol=1e-8)

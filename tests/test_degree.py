@@ -207,7 +207,7 @@ def test_spin_fiber_det_consistency():
 def _spin_fiber_loop(n, x):
     """spin_fiber as one cayley_gamma call and one check per root: the
     reference for the stacked reconstruction."""
-    x, poly, distinct = degree._fiber_roots("spin", n, x)
+    poly, distinct = degree._fiber_roots("spin", n, x)
     admissible = [t for t in distinct if abs(t) > degree.ZERO_ROOT_TOL]
     elements, element_roots, skipped = [], [], []
     for t in admissible:
@@ -267,7 +267,10 @@ def test_spin_fiber_elements_reproduce_target():
         report = degree.spin_fiber(n, x)
         for t, rot in zip(report.element_roots, report.valid_elements):
             matched = 0
-            for g in cl.lift_rotation(rot):
+            # the two lifts +-sqrt(det(1 + T)) 2^(-n/2) exterior_exp(-2 tau_inv(cayley_gamma(T)))
+            c = np.sqrt(complex(np.linalg.det(np.eye(n) + rot))) / 2 ** (n / 2.0)
+            plus = cl.SpinElement(cl.exterior_exp(-2.0 * cl.tau_inv(cl.cayley_gamma(rot))) * c)
+            for g in (plus, -plus):
                 pr0 = cl.spin_scalar(g)
                 if abs(2 ** (n / 2.0) * pr0 - t) > 1e-6 * (1 + abs(t)):
                     continue  # the other sign of the lift

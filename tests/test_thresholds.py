@@ -90,8 +90,8 @@ SITES = {
         NotProportional,
         ">",
     ),
-    "_require_degree": (lambda _: cl.spin_exp(cl.basis_vector(3, 0)), ValueError, ">"),
-    "_validate/odd": (lambda _: cl.SpinElement(cl.basis_vector(3, 0)), NotInSpin, ">"),
+    "_require_degree": (lambda _: cl.spin_exp(cl.basis_blade(3, 0b1)), ValueError, ">"),
+    "_validate/odd": (lambda _: cl.SpinElement(cl.basis_blade(3, 0b1)), NotInSpin, ">"),
     "_validate/unit": (lambda _: cl.SpinElement(cl.scalar(3, 2.0)), NotInSpin, ">"),
     "_twisted_images": (_spin6_volume_rotor, NotInSpin, ">"),
     "tau_inv": (lambda _: cl.tau_inv(np.eye(3)), NotSkew, ">"),
