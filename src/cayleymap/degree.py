@@ -7,9 +7,10 @@ governed by det(t*1 + X) - 2^n t^(n-2) = 0, each nonzero root t giving the
 rotation (1 - X/t)(1 + X/t)^{-1}.  Counting distinct admissible roots over
 generic targets exhibits the mapping degree.
 
-Polynomials are ascending complex coefficient arrays, built by evaluating
-the determinant at n+1 nodes on a scaled circle and interpolating, rather
-than by symbolic expansion.  Both families share one pipeline,
+Polynomials are ascending complex coefficient arrays: det(t*1 + X) at n+1
+nodes on a scaled circle, interpolated, with the coefficients it fixes
+written in exactly (the leading 1, sl's tr X, and for skew X the zeros at
+the powers of the other parity from n).  Both families share one pipeline,
 minimal_poly_coeffs -> linalg.poly_roots -> linalg.dedup_roots; only the
 reconstruction of fiber elements from the roots differs, one broadcast
 shift for sl and one stacked Cayley transform over the roots for spin.
@@ -29,10 +30,8 @@ from .errors import DegenerateInput, NotSkew, raise_if
 
 # |root| below this counts as the zero root (excluded from spin fibers).
 ZERO_ROOT_TOL = 1e-7
-# Bounds on an sl target's relative trace and on its polynomial's |p_n - 1| and relative |p_{n-1}|.
+# Bound on an sl target's relative trace.
 TRACE_FREE_TOL = 1e-8
-MONIC_TOL = 1e-8
-TRACE_COEFF_TOL = 1e-6
 # Bound on each spin fiber rotation's ||T^T T - 1|| and relative |det(1 + T) - t^2|.
 FIBER_CHECK_TOL = 1e-6
 
@@ -84,14 +83,15 @@ def _char_poly(x: np.ndarray) -> np.ndarray:
 def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     """Ascending coefficients of the fiber polynomial of a family in FAMILIES.
 
-    sl:   det(t*1 + X) - 1, with p_{n-1} = tr X required to vanish and p_n = 1
+    sl:   det(t*1 + X) - 1, X trace-free
     spin: det(t*1 + X) - 2^n t^(n-2), X skew
 
-    Always n + 1 coefficients.  The target is checked first
-    (DegenerateInput if an sl target has a trace, NotSkew if a spin target
-    is not skew), then n against the family's smallest, then that the
-    polynomial is finite (DegenerateInput where det(t*1 + X) overflows),
-    then the sl normalization.
+    Always n + 1 interpolated coefficients, with those det(t*1 + X) fixes
+    written exactly: p_n = 1; for sl p_{n-1} = tr X; for spin 0 at each power
+    of the other parity from n, as det(t*1 + X) = (-1)^n det(-t*1 + X).  The
+    target is checked first, relative to |X| (DegenerateInput for an sl trace,
+    NotSkew for a non-skew spin target), then n against the family's smallest,
+    then that det(t*1 + X) is finite (DegenerateInput where it overflows).
     """
     x = linalg.as_square_matrix(x, "fiber target")
     if x.shape[0] != n:
@@ -99,13 +99,11 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     if family not in FAMILIES:
         raise ValueError(f"unknown fiber family {family!r}")
     norm = np.linalg.norm(x)
-    scale = 1.0 + norm
     if family == "sl":
-        # relative to ||X|| alone, so the test means the same at every scale
         trace, threshold = abs(np.trace(x)), TRACE_FREE_TOL * norm
         raise_if(trace > threshold, DegenerateInput, "sl fiber target must be trace-free: |tr X|", trace, threshold)
     else:
-        sym, threshold = np.linalg.norm(x + x.T), SKEW_TOL * scale
+        sym, threshold = np.linalg.norm(x + x.T), SKEW_TOL * norm
         raise_if(sym > threshold, NotSkew, "spin fiber target must be skew-symmetric: |X + X^T|", sym, threshold)
     smallest = FAMILIES[family][0]
     if n < smallest:
@@ -113,12 +111,12 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     coeffs = _char_poly(x)
     if not np.isfinite(coeffs).all():
         raise DegenerateInput(f"fiber polynomial det(t*1 + X) is not finite: it overflows at |X| {norm:.2e}")
+    coeffs[n] = 1.0
     if family == "sl":
+        coeffs[n - 1] = np.trace(x)
         coeffs[0] -= 1.0
-        lead, sub, threshold = abs(coeffs[n] - 1.0), abs(coeffs[n - 1]), TRACE_COEFF_TOL * scale**n
-        raise_if(lead > MONIC_TOL, DegenerateInput, "fiber polynomial not normalized: |p_n - 1|", lead, MONIC_TOL)
-        raise_if(sub > threshold, DegenerateInput, "fiber polynomial not normalized: |p_(n-1)|", sub, threshold)
     else:
+        coeffs[1 - n % 2 :: 2] = 0.0
         coeffs[n - 2] -= 2.0**n
     return coeffs
 

@@ -281,7 +281,7 @@ def test_exit_code_math_errors(capsys):
 def test_math_errors_print_the_value_and_its_threshold(capsys):
     assert cli.main(["fiber", "--family", "spin", "--n", "3", "--target", "diag(1,2,3)"]) == 3
     assert capsys.readouterr().err == (
-        "error: NotSkew: spin fiber target must be skew-symmetric: |X + X^T| 7.48e+00 > threshold 4.74e-10\n"
+        "error: NotSkew: spin fiber target must be skew-symmetric: |X + X^T| 7.48e+00 > threshold 3.74e-10\n"
     )
 
 

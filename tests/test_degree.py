@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleymap import catalog, clifford as cl, degree, linalg
 from cayleymap import representation as rm
@@ -65,7 +67,7 @@ def test_sl_trace_free_check_is_relative_to_the_target():
     rng = np.random.default_rng(4)
     for n in (3, 4, 6):
         for s in 10.0 ** np.arange(-6, 7):
-            # the trace-free test passes and the polynomial is monic at every scale
+            # the trace-free test passes at every scale
             assert degree.minimal_poly_coeffs("sl", n, s * degree.random_trace_free(n, rng)).size == n + 1
 
 
@@ -147,6 +149,41 @@ def test_minimal_poly_spin_shift():
         assert np.polyval(p[::-1], t) == pytest.approx(det_val - 2**4 * t**2, rel=1e-8)
 
 
+@pytest.mark.parametrize("family", degree.FAMILIES)
+def test_minimal_poly_writes_the_coefficients_det_fixes(family):
+    # det(t + X) is monic with t^(n-1) coefficient tr X, and for skew X
+    # det(t + X) = (-1)^n det(-t + X): those coefficients are exact, not interpolated
+    smallest, sample, _ = degree.FAMILIES[family]
+    rng = _rng(9)
+    for n in range(smallest, 13):
+        for s in 10.0 ** np.arange(-6, 7, 2):
+            x = s * sample(n, rng)
+            p = degree.minimal_poly_coeffs(family, n, x)
+            assert p.size == n + 1 and p[n] == 1.0
+            if family == "sl":
+                assert p[n - 1] == np.trace(x)
+            else:
+                assert np.all(p[n - 1 :: -2] == 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(degree.FAMILIES)),
+    n=st.integers(3, 8),
+    log_scale=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fiber_preconditions_raise_at_every_scale_or_at_none(family, n, log_scale, seed):
+    # an exactly skew or trace-free c X passes; a defect of 1e-6 |X| (a multiple
+    # of 1, symmetric with a trace) fails, whatever the scale c
+    _, sample, fiber = degree.FAMILIES[family]
+    c, x = 10.0**log_scale, sample(n, _rng(seed))
+    fiber(n, c * x)
+    defect = 1e-6 * np.linalg.norm(x) / np.sqrt(n) * np.eye(n)
+    with pytest.raises(DegenerateInput if family == "sl" else NotSkew):
+        fiber(n, c * (x + defect))
+
+
 def test_minimal_poly_rejects_nonskew_spin_target():
     with pytest.raises(NotSkew):
         degree.minimal_poly_coeffs("spin", 3, np.eye(3))
@@ -180,6 +217,18 @@ def test_spin_degree_counts_odd():
         for _ in range(5):
             report = degree.spin_fiber(n, degree.random_skew(n, rng))
             assert report.count == n - 1
+
+
+def test_spin_counts_at_every_scale_from_1e_2():
+    # even n has n roots; odd n has n - 1 beside the zero root, which stays at 0
+    # only because the constant term is exact: at 1e6 an interpolated one moves
+    # it past ZERO_ROOT_TOL
+    rng = _rng(10)
+    scales = 10.0 ** np.arange(-2, 7, 2)
+    targets = [(n, s * degree.random_skew(n, rng)) for n in range(3, 13) for s in scales for _ in range(5)]
+    targets += [(7, 1e6 * degree.random_skew(7, _rng(seed))) for seed in range(6)]
+    for n, x in targets:
+        assert degree.spin_fiber(n, x).count == n - n % 2
 
 
 def test_spin_odd_single_zero_root():
