@@ -7,13 +7,13 @@ governed by det(t*1 + X) - 2^n t^(n-2) = 0, each nonzero root t giving the
 rotation (1 - X/t)(1 + X/t)^{-1}.  Counting distinct admissible roots over
 generic targets exhibits the mapping degree.
 
-Polynomials are ascending complex coefficient arrays: det(t*1 + X) at n+1
-nodes on a scaled circle, interpolated, with the coefficients it fixes
-written in exactly (the leading 1, sl's tr X, and for skew X the zeros at
-the powers of the other parity from n).  Both families share one pipeline,
-minimal_poly_coeffs -> linalg.poly_roots -> linalg.dedup_roots; only the
-reconstruction of fiber elements from the roots differs, one broadcast
-shift for sl and one stacked Cayley transform over the roots for spin.
+Polynomials are ascending complex coefficient arrays of n + 1 entries, with
+the coefficients det(t*1 + X) fixes written in exactly (the leading 1, sl's
+tr X, and for skew X the zeros at the powers of the other parity from n).
+sl interpolates det(t*1 + X) at n + 1 nodes and shifts X by each distinct
+root.  spin multiplies det(t*1 + X) out of one eigendecomposition
+X = V diag(lambda) V^-1, solves in s = t^2 (skew X has eigenvalues +-mu) and
+builds every rotation in one broadcast V diag((t - lambda)/(t + lambda)) V^-1.
 FAMILIES gives each family's smallest n, its random generic target and its
 fiber function.
 """
@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .clifford import SKEW_TOL, _cayley_stack
+from .clifford import SKEW_TOL
 from .errors import DegenerateInput, NotSkew, raise_if
 
-# |root| below this counts as the zero root (excluded from spin fibers).
-ZERO_ROOT_TOL = 1e-7
 # Bound on an sl target's relative trace.
 TRACE_FREE_TOL = 1e-8
 # Bound on each spin fiber rotation's ||T^T T - 1|| and relative |det(1 + T) - t^2|.
@@ -80,19 +78,10 @@ def _char_poly(x: np.ndarray) -> np.ndarray:
 
 # an overflow of ||X||, of a node's power or of det(t*1 + X) is caught by the finiteness check, not warned
 @np.errstate(over="ignore", invalid="ignore")
-def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
-    """Ascending coefficients of the fiber polynomial of a family in FAMILIES.
-
-    sl:   det(t*1 + X) - 1, X trace-free
-    spin: det(t*1 + X) - 2^n t^(n-2), X skew
-
-    Always n + 1 interpolated coefficients, with those det(t*1 + X) fixes
-    written exactly: p_n = 1; for sl p_{n-1} = tr X; for spin 0 at each power
-    of the other parity from n, as det(t*1 + X) = (-1)^n det(-t*1 + X).  The
-    target is checked first, relative to |X| (DegenerateInput for an sl trace,
-    NotSkew for a non-skew spin target), then n against the family's smallest,
-    then that det(t*1 + X) is finite (DegenerateInput where it overflows).
-    """
+def _fiber_poly(family: str, n: int, x):
+    """(minimal_poly_coeffs(family, n, x), X's eigenpairs (lambda, V) for spin
+    or None for sl): the checks and the polynomial in one place, so that
+    spin_fiber decomposes X once."""
     x = linalg.as_square_matrix(x, "fiber target")
     if x.shape[0] != n:
         raise ValueError(f"target is {x.shape[0]}x{x.shape[0]}, expected n={n}")
@@ -108,7 +97,11 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     smallest = FAMILIES[family][0]
     if n < smallest:
         raise ValueError(f"{family} fibers need n >= {smallest}")
-    coeffs = _char_poly(x)
+    if family == "sl":
+        eig, coeffs = None, _char_poly(x)
+    else:
+        eig = np.linalg.eig(x)
+        coeffs = np.poly(-eig.eigenvalues)[::-1].astype(complex)
     if not np.isfinite(coeffs).all():
         raise DegenerateInput(f"fiber polynomial det(t*1 + X) is not finite: it overflows at |X| {norm:.2e}")
     coeffs[n] = 1.0
@@ -118,19 +111,31 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     else:
         coeffs[1 - n % 2 :: 2] = 0.0
         coeffs[n - 2] -= 2.0**n
-    return coeffs
+    return coeffs, eig
 
 
-def _fiber_roots(family: str, n: int, x):
-    """(fiber polynomial, its distinct roots): the part every fiber shares.  The
-    polynomial's checks coerce x; the reconstructions broadcast x as given."""
-    poly = minimal_poly_coeffs(family, n, x)
-    return poly, linalg.dedup_roots(linalg.poly_roots(poly))[0]
+def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
+    """Ascending coefficients of the fiber polynomial of a family in FAMILIES.
+
+    sl:   det(t*1 + X) - 1, X trace-free
+    spin: det(t*1 + X) - 2^n t^(n-2), X skew
+
+    Always n + 1 coefficients of det(t*1 + X), interpolated for sl and
+    multiplied out from the eigenvalues, prod(t + lambda_i), for spin, with
+    those det(t*1 + X) fixes written exactly: p_n = 1; for sl p_{n-1} = tr X;
+    for spin 0 at each power of the other parity from n, as
+    det(t*1 + X) = (-1)^n det(-t*1 + X).  The target is checked first,
+    relative to |X| (DegenerateInput for an sl trace, NotSkew for a non-skew
+    spin target), then n against the family's smallest, then that
+    det(t*1 + X) is finite (DegenerateInput where it overflows).
+    """
+    return _fiber_poly(family, n, x)[0]
 
 
 def sl_fiber(n: int, x) -> FiberReport:
     """All shifts X + t*1 with unit determinant; count = distinct roots."""
-    poly, distinct = _fiber_roots("sl", n, x)
+    poly = minimal_poly_coeffs("sl", n, x)
+    distinct = linalg.dedup_roots(linalg.poly_roots(poly))[0]
     elements = list(x + distinct[:, None, None] * np.eye(n))
     return FiberReport("sl", n, poly, distinct, elements, list(distinct), len(distinct))
 
@@ -146,17 +151,28 @@ def principal_nilpotent(n: int) -> np.ndarray:
 def spin_fiber(n: int, x) -> FiberReport:
     """Rotations T = (1 - X/t)(1 + X/t)^{-1} over the distinct nonzero roots.
 
-    All roots share one stacked transform, clifford._cayley_stack, and each
-    rotation is checked to be special orthogonal with det(1 + T) = t^2; roots
-    where 1 + X/t is singular or a check fails are skipped, not raised.
+    The coefficients of the parity of n are a polynomial in s = t^2, which
+    divides the odd-n zero root out exactly; its nonzero roots cluster at
+    linalg.ROOT_DEDUP_TOL relative to |s| and give t = +-sqrt(s).  Each
+    T = V diag((t - lambda)/(t + lambda)) V^-1 comes from X's one
+    eigendecomposition and is checked to be special orthogonal with
+    det(1 + T) = t^2; roots where a check fails are skipped, not raised.
     """
-    poly, distinct = _fiber_roots("spin", n, x)
-    roots = distinct[np.abs(distinct) > ZERO_ROOT_TOL]
-    rots, ok, _, _ = _cayley_stack(x / roots[:, None, None])
+    poly, (lam, vecs) = _fiber_poly("spin", n, x)
+    s = linalg.poly_roots(poly[n % 2 :: 2])
+    # a zero constant term (X singular) gives an exactly zero s: the companion matrix isolates it
+    s = s[s != 0.0]
+    s = linalg.dedup_roots(s, linalg.ROOT_DEDUP_TOL * np.abs(s))[0]
+    roots = np.stack([np.sqrt(s), -np.sqrt(s)], axis=-1).ravel()
     eye = np.eye(n)
-    ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
-    det_err = np.abs(np.linalg.det(eye + rots) - roots * roots)
-    ok &= (ortho <= FIBER_CHECK_TOL) & (det_err <= FIBER_CHECK_TOL * (1.0 + np.abs(roots) ** 2))
+    # far above unit scale a root can equal -lambda to the last bit (2^n t^(n-2) is
+    # below the rounding of det(t*1 + X)): its rotation is not finite and fails the checks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (roots[:, None] - lam) / (roots[:, None] + lam)
+        rots = (vecs * ratio[:, None, :]) @ linalg.inverse(vecs, "eigenvector matrix of X")
+        ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
+        det_err = np.abs(np.linalg.det(eye + rots) - roots * roots)
+    ok = (ortho <= FIBER_CHECK_TOL) & (det_err <= FIBER_CHECK_TOL * (1.0 + np.abs(roots) ** 2))
     return FiberReport("spin", n, poly, roots, list(rots[ok]), list(roots[ok]), len(roots), list(roots[~ok]))
 
 

@@ -181,8 +181,9 @@ def poly_roots(coeffs) -> np.ndarray:
     return roots
 
 
-def dedup_roots(values, tol: float = ROOT_DEDUP_TOL):
-    """Cluster complex values transitively at absolute tolerance tol.
+def dedup_roots(values, tol=ROOT_DEDUP_TOL):
+    """Cluster complex values transitively at absolute tolerance tol, or at
+    tol[i] per value (a pair joins below the larger of its two).
 
     Two values share a cluster when a chain of values, each closer than tol
     to the next, joins them, so the clusters do not depend on input order.
@@ -193,11 +194,12 @@ def dedup_roots(values, tol: float = ROOT_DEDUP_TOL):
     """
     v = np.asarray(values, dtype=complex).ravel()
     points = v.tolist()
+    tols = np.broadcast_to(tol, v.shape).tolist()
     # label[i] is the index of the first member of i's cluster so far
     label = list(range(len(points)))
     for i, z in enumerate(points):
         for j in range(i):
-            if label[j] != label[i] and abs(z - points[j]) < tol:
+            if label[j] != label[i] and abs(z - points[j]) < max(tols[i], tols[j]):
                 keep, drop = sorted((label[i], label[j]))
                 label = [keep if lab == drop else lab for lab in label]
     members: dict[int, list[int]] = {}

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cayleymap import catalog, clifford as cl, degree, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import DegenerateInput, NotSkew, SingularShift
+from cayleymap.errors import DegenerateInput, NotSkew
 
 
 def _rng(seed):
@@ -219,16 +220,41 @@ def test_spin_degree_counts_odd():
             assert report.count == n - 1
 
 
-def test_spin_counts_at_every_scale_from_1e_2():
-    # even n has n roots; odd n has n - 1 beside the zero root, which stays at 0
-    # only because the constant term is exact: at 1e6 an interpolated one moves
-    # it past ZERO_ROOT_TOL
+def test_spin_counts_at_every_scale_from_1e_6():
+    # even n has n roots; odd n has n - 1 beside the zero root, which the
+    # polynomial in s = t^2 divides out exactly; the small pair of n = 4, 5
+    # below unit scale (|t| ~ 1e-13 at 1e-6) must not merge or vanish
     rng = _rng(10)
-    scales = 10.0 ** np.arange(-2, 7, 2)
+    scales = 10.0 ** np.arange(-6, 7, 2)
     targets = [(n, s * degree.random_skew(n, rng)) for n in range(3, 13) for s in scales for _ in range(5)]
     targets += [(7, 1e6 * degree.random_skew(7, _rng(seed))) for seed in range(6)]
     for n, x in targets:
         assert degree.spin_fiber(n, x).count == n - n % 2
+
+
+def _mp_fiber_count(n, x):
+    """Distinct nonzero roots of det(t + X) - 2^n t^(n-2), X's entries taken
+    exactly, at 80 digits: the coefficients by Faddeev-LeVerrier on A = -X
+    (det(t + X) = det(t - A)), the roots by mpmath.polyroots."""
+    with mpmath.workdps(80):
+        a = -mpmath.matrix(x.tolist())
+        coeffs, m = [mpmath.mpf(1)], mpmath.zeros(n)
+        for k in range(1, n + 1):
+            m = a * m + coeffs[-1] * mpmath.eye(n)
+            am = a * m
+            coeffs.append(-sum(am[i, i] for i in range(n)) / k)
+        coeffs[2] -= 2**n
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        # the zero root of odd n reads ~1e-80 |X|; the smallest genuine root at |X| ~ 1e-6 is ~1e-14
+        nonzero = [r for r in roots if abs(r) > 1e-40]
+        return sum(all(abs(r - q) > 1e-30 * abs(r) for q in nonzero[:i]) for i, r in enumerate(nonzero))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(3, 8), log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_spin_count_matches_a_high_precision_root_count(n, log_scale, seed):
+    x = 10.0**log_scale * degree.random_skew(n, _rng(seed))
+    assert degree.spin_fiber(n, x).count == _mp_fiber_count(n, x)
 
 
 def test_spin_odd_single_zero_root():
@@ -253,31 +279,11 @@ def test_spin_fiber_det_consistency():
             assert abs(det_shift - t * t) <= 1e-6 * (1 + abs(t) ** 2)
 
 
-def _spin_fiber_loop(n, x):
-    """spin_fiber as one cayley_gamma call and one check per root: the
-    reference for the stacked reconstruction."""
-    poly, distinct = degree._fiber_roots("spin", n, x)
-    admissible = [t for t in distinct if abs(t) > degree.ZERO_ROOT_TOL]
-    elements, element_roots, skipped = [], [], []
-    for t in admissible:
-        try:
-            rot = cl.cayley_gamma(x / t)
-        except SingularShift:
-            skipped.append(t)
-            continue
-        ortho = np.linalg.norm(rot.T @ rot - np.eye(n))
-        det_shift = linalg.determinant(np.eye(n) + rot)
-        if ortho > 1e-6 or abs(det_shift - t * t) > 1e-6 * (1.0 + abs(t) ** 2):
-            skipped.append(t)
-            continue
-        elements.append(rot)
-        element_roots.append(t)
-    return admissible, elements, element_roots, skipped
-
-
 def test_spin_fiber_matches_the_per_root_loop():
-    # the target of `cayleymap fiber --family spin --n 10 --random --seed 1`
-    # skips 2 of its 10 roots, so the skip path runs through the stack
+    # every root is an element or a skipped root, and each element
+    # is cayley_gamma(X/t) to within rounding amplified by cond(1 + X/t);
+    # the 1e4 targets skip roots (|T^T T - 1| grows with |T|^2), the target
+    # of `cayleymap fiber --family spin --n 10 --random --seed 1` skips none
     cli_target = degree.random_skew(10, np.random.default_rng(np.random.SeedSequence([1, 0xF1BE7])))
     rng = _rng(19)
     targets = [(10, cli_target)]
@@ -285,25 +291,66 @@ def test_spin_fiber_matches_the_per_root_loop():
     skipped_any = 0
     for n, x in targets:
         report = degree.spin_fiber(n, x)
-        admissible, elements, element_roots, skipped = _spin_fiber_loop(n, x)
-        assert report.count == len(admissible)
-        assert report.roots.dtype == complex and np.array_equal(report.roots, admissible)
-        assert report.element_roots == element_roots and report.skipped_roots == skipped
-        assert len(report.valid_elements) == len(elements)
-        assert all(np.array_equal(a, b) for a, b in zip(report.valid_elements, elements))
-        skipped_any += bool(skipped)
-    assert len(degree.spin_fiber(10, cli_target).skipped_roots) == 2
+        assert report.roots.dtype == complex and report.count == len(report.roots)
+        assert len(report.element_roots) + len(report.skipped_roots) == report.count
+        assert set(report.element_roots) | set(report.skipped_roots) == set(report.roots.tolist())
+        for t, rot in zip(report.element_roots, report.valid_elements):
+            b = x / t
+            want = cl.cayley_gamma(b)
+            bound = linalg.ROUNDING_FLOOR * n * np.linalg.cond(np.eye(n) + b) * (1.0 + np.linalg.norm(want))
+            assert np.linalg.norm(rot - want) <= bound
+        skipped_any += bool(report.skipped_roots)
+    assert degree.spin_fiber(10, cli_target).skipped_roots == []
     assert skipped_any > 1
 
 
 def test_spin_fiber_with_no_admissible_root(monkeypatch):
-    # every root filtered as zero: the empty stack goes through the Cayley core
-    monkeypatch.setattr(degree, "ZERO_ROOT_TOL", np.inf)
+    # every s-root rounded to exactly 0: the empty root set still makes a report
+    monkeypatch.setattr(linalg, "poly_roots", lambda coeffs: np.zeros(len(coeffs) - 1, dtype=complex))
     report = degree.spin_fiber(4, degree.random_skew(4, _rng(20)))
     assert report.count == 0
     assert report.valid_elements == [] and report.element_roots == [] and report.skipped_roots == []
     assert report.roots.shape == (0,) and report.roots.dtype == complex
     assert report.to_json()["roots"] == []
+
+
+def test_singular_even_target_excludes_the_zero_root():
+    # blockdiag(a J, 0): det(t + X) - 16 t^2 = t^2 (t^2 + a^2 - 16), so s = 0 is
+    # a root of the polynomial in s and only t = +-sqrt(16 - a^2) count
+    x = np.zeros((4, 4))
+    x[0, 1], x[1, 0] = 1.3, -1.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = degree.spin_fiber(4, x)
+    assert report.count == 2 and report.skipped_roots == []
+    want = np.sqrt(16.0 - 1.3**2)
+    assert np.allclose(sorted(report.roots, key=lambda r: r.real), [-want, want], rtol=1e-14, atol=0.0)
+
+
+def test_an_exactly_zero_s_root_is_excluded_without_warnings():
+    # at 1e-8 the companion eigensolver returns the small s-roots of this n = 6
+    # target as exactly 0 (too small for its absolute Newton slope test): they
+    # are left out like the zero root, not divided by or logged
+    n, x = 6, 1e-8 * degree.random_skew(6, _rng(0))
+    s = linalg.poly_roots(degree.minimal_poly_coeffs("spin", n, x)[n % 2 :: 2])
+    assert np.any(s == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = degree.spin_fiber(n, x)
+    assert report.count % 2 == 0 and np.all(report.roots != 0.0)
+
+
+def test_a_root_at_minus_an_eigenvalue_is_skipped_without_warnings():
+    # at 1e20, 2^8 t^6 is below the rounding of det(t + X): two roots equal -lambda
+    # to the last bit, so t + lambda = 0 and their rotations are not finite
+    x = 1e20 * degree.random_skew(8, _rng(0))
+    lam = np.linalg.eig(x).eigenvalues
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = degree.spin_fiber(8, x)
+    hit = [t for t in report.roots if np.any(t + lam == 0.0)]
+    assert report.count == 8 and hit
+    assert all(t in report.skipped_roots for t in hit)
 
 
 def test_spin_fiber_elements_reproduce_target():

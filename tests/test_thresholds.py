@@ -84,12 +84,12 @@ SITES = {
     # 1 + b = diag(1, 1e-12): condition number 1e12
     "cayley_gamma/cond": (lambda _: cl.cayley_gamma(np.diag([0.0, 1e-12 - 1.0])), SingularShift, ">"),
     "cayley_gamma/norm": (_half_turn_shift, SingularShift, ">"),
-    "minimal_poly_coeffs/trace": (
+    "_fiber_poly/trace": (
         lambda _: degree.minimal_poly_coeffs("sl", 3, np.diag([1.0, 2.0, 3.0])),
         DegenerateInput,
         ">",
     ),
-    "minimal_poly_coeffs/skew": (
+    "_fiber_poly/skew": (
         lambda _: degree.minimal_poly_coeffs("spin", 3, np.diag([1.0, 2.0, 3.0])),
         NotSkew,
         ">",
