@@ -543,38 +543,22 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     return u
 
 
-def _cayley_stack(b: np.ndarray):
-    """Cayley transforms (1-b)(1+b)^{-1} of a finite (k, n, n) stack and the one
-    conditioning decision on 1 + b: a row is defined unless cond(1 + b) exceeds
-    1/linalg.RTOL or the transform exceeds (1 + |b|)/linalg.RTOL (the n = 2 half
-    turn, where 1 + b is a tiny rotation of condition number 1).  Rows that fail
-    the cond test are solved against 1 instead and then zeroed, so one singular
-    shift cannot fail the stack; numpy solves a stack one matrix at a time, so
-    the other rows are bitwise what a solve of their own gives.
-    Returns (transforms, defined, cond, transform norms).
-    """
-    eye = np.eye(b.shape[-1])
-    shift = eye + b
-    cond = np.linalg.cond(shift)
-    solvable = cond <= 1.0 / linalg.RTOL
-    keep = solvable[:, None, None]
-    out = np.where(keep, linalg.solve_linear(np.where(keep, shift, eye), eye - b, "1 + b"), 0.0)
-    norm = np.linalg.norm(out, axis=(-2, -1))
-    return out, solvable & (norm <= (1.0 + np.linalg.norm(b, axis=(-2, -1))) / linalg.RTOL), cond, norm
-
-
 def cayley_gamma(b: np.ndarray) -> np.ndarray:
     """Classical Cayley transform (1-b)(1+b)^{-1}; involutive where defined.
 
-    _cayley_stack of one matrix; SingularShift names the test it failed.
+    Defined unless cond(1 + b) exceeds 1/linalg.RTOL or the transform exceeds
+    (1 + |b|)/linalg.RTOL (the n = 2 half turn, where 1 + b is a tiny rotation
+    of condition number 1); SingularShift names the test it failed.
     ValueError for non-square or non-finite b.
     """
     b = linalg.as_square_matrix(b, "cayley_gamma argument")
-    out, defined, cond, norm = _cayley_stack(b[None])
-    max_cond, max_norm = 1.0 / linalg.RTOL, (1.0 + np.linalg.norm(b)) / linalg.RTOL
-    raise_if(cond[0] > max_cond, SingularShift, "1 + b is singular: condition number", cond[0], max_cond)
-    raise_if(not defined[0], SingularShift, "1 + b is singular: transform norm", norm[0], max_norm)
-    return out[0]
+    eye = np.eye(b.shape[0])
+    cond, max_cond = np.linalg.cond(eye + b), 1.0 / linalg.RTOL
+    raise_if(cond > max_cond, SingularShift, "1 + b is singular: condition number", cond, max_cond)
+    out = linalg.solve_linear(eye + b, eye - b, "1 + b")
+    norm, max_norm = np.linalg.norm(out), (1.0 + np.linalg.norm(b)) / linalg.RTOL
+    raise_if(not norm <= max_norm, SingularShift, "1 + b is singular: transform norm", norm, max_norm)
+    return out
 
 
 def exterior_exp(u: CliffordElement) -> CliffordElement:

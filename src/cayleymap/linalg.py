@@ -8,10 +8,11 @@ on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots), and every Jordan-type factor is one
 SpectralDecomposition.apply call.  A polynomial is a plain array of
-ascending complex coefficients, and poly_roots polishes with numpy's
-polyval and polyder.  The exponential is Pade scaling and squaring (Higham
-2005): six products, one LU solve and the squarings the 1-norm asks for,
-with no per-term convergence test.
+ascending complex coefficients, and poly_roots polishes every root at once:
+each Newton step is one Vandermonde matrix of the roots and two products.
+The exponential is Pade scaling and squaring (Higham 2005): six products,
+one LU solve and the squarings the 1-norm asks for, with no per-term
+convergence test.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def solve_linear(a: Matrix, b: Matrix, what: str = "matrix") -> Matrix:
     """np.linalg.solve(a, b); SingularMatrix where LU meets an exactly zero pivot.
 
     No condition check and no SVD: a caller that needs one decides once,
-    where its matrix is made (build_gram for G, clifford._cayley_stack for 1 + b).
+    where its matrix is made (build_gram for G, clifford.cayley_gamma for 1 + b).
     """
     try:
         return np.linalg.solve(a, b)
@@ -151,14 +152,17 @@ def poly_roots(coeffs) -> np.ndarray:
     nonempty 1-D sequence.
 
     Each root is polished by three Newton steps, which matters when roots
-    are later deduplicated at tight absolute tolerance.
+    are later deduplicated at tight absolute tolerance.  A step evaluates p
+    and p' at all roots as two products with one Vandermonde matrix of the
+    roots, and leaves a root where |p'| is at most NEWTON_SLOPE_TOL.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-D sequence")
-    c = np.trim_zeros(c, "b")
-    if c.size == 0:
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
         raise DegenerateInput("zero polynomial has no well-defined roots")
+    c = c[: nonzero[-1] + 1]
     deg = c.size - 1
     if deg < 1:
         raise DegenerateInput("constant polynomial has no roots")
@@ -170,13 +174,13 @@ def poly_roots(coeffs) -> np.ndarray:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("companion eigensolver stalled") from exc
-    # np.polyval and np.polyder take descending coefficients
-    desc = c[::-1]
-    slope_coeffs = np.polyder(desc)
+    slope_coeffs = c[1:] * np.arange(1, deg + 1)
     for _ in range(3):
-        slope = np.polyval(slope_coeffs, roots)
+        # powers[i, k] = roots[i]**k: p and p' at every root are one product each
+        powers = np.vander(roots, deg + 1, increasing=True)
+        slope = powers[:, :-1] @ slope_coeffs
         safe = np.abs(slope) > NEWTON_SLOPE_TOL
-        step = np.where(safe, np.polyval(desc, roots), 0.0) / np.where(safe, slope, 1.0)
+        step = np.where(safe, powers @ c, 0.0) / np.where(safe, slope, 1.0)
         roots = np.where(safe, roots - step, roots)
     return roots
 

@@ -829,25 +829,24 @@ def test_cayley_gamma_singular_shift():
         cl.cayley_gamma(-np.eye(2))
 
 
-def test_cayley_stack_matches_cayley_gamma_row_by_row():
+def test_cayley_gamma_refuses_exactly_the_singular_shifts():
     # generic skew rows, -1 (1 + b = 0, condition number inf) and a half turn
     # short by 1e-10 (1 + b a tiny rotation of condition number 1, rejected by
-    # the transform norm) in one stack: the mask is false exactly where
-    # cayley_gamma raises, and no undefined row fails the others
+    # the transform norm): each refused row names the test it failed, and every
+    # other row is (1 - b)(1 + b)^-1
     rng = _rng(21)
     eps = 1e-10
     half_turn = np.array([[np.cos(np.pi - eps), -np.sin(np.pi - eps)], [np.sin(np.pi - eps), np.cos(np.pi - eps)]])
     skew = [0.5 * (m - m.T) for m in linalg.complex_normal(rng, (4, 2, 2))]
     rows = [skew[0], -np.eye(2), skew[1], half_turn, skew[2], skew[3]]
     expected = {1: "condition number inf", 3: "transform norm"}
-    out, defined, _, _ = cl._cayley_stack(np.array(rows, dtype=complex))
-    assert defined.tolist() == [k not in expected for k in range(len(rows))]
     for k, b in enumerate(rows):
         if k in expected:
             with pytest.raises(SingularShift, match=expected[k]):
                 cl.cayley_gamma(b)
         else:
-            assert np.array_equal(out[k], cl.cayley_gamma(b))
+            want = (np.eye(2) - b) @ np.linalg.inv(np.eye(2) + b)
+            assert np.linalg.norm(cl.cayley_gamma(b) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_cayley_gamma_det_consistency_random():

@@ -300,17 +300,22 @@ def test_polynomial_strips_trailing_zeros():
     assert np.sort(linalg.poly_roots([-1e12, 0.0, 1.0]).real) == pytest.approx([-1e6, 1e6], rel=1e-15)
 
 
-@pytest.mark.parametrize("degree", range(2, 13))
-def test_poly_roots_match_mpmath_oracle(degree):
-    # roots drawn in an annulus and kept at least 0.3 apart, so the roots are
-    # well conditioned; the oracle solves the same float coefficients at 30 digits
-    rng = _rng(100 + degree)
+def _separated_roots(rng, degree):
+    # roots drawn in an annulus and kept at least 0.3 apart, so they are well conditioned
     roots = []
     while len(roots) < degree:
         z = complex(*rng.uniform(-1.5, 1.5, 2))
         if 0.3 <= abs(z) and all(abs(z - w) >= 0.3 for w in roots):
             roots.append(z)
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_poly_roots_match_mpmath_oracle(degree):
+    rng = _rng(100 + degree)
+    roots = _separated_roots(rng, degree)
     coeffs = np.poly(roots)[::-1] * complex(*rng.uniform(0.5, 2.0, 2))
+    # the oracle solves the same float coefficients at 30 digits
     with mpmath.workdps(30):
         oracle = mpmath.polyroots([mpmath.mpc(c) for c in coeffs[::-1]], maxsteps=200, extraprec=60)
         oracle = np.array([complex(r) for r in oracle])
@@ -320,6 +325,50 @@ def test_poly_roots_match_mpmath_oracle(degree):
         assert np.min(np.abs(oracle - r)) <= 1e-12 * (1 + abs(r))
     for r in oracle:
         assert np.min(np.abs(got - r)) <= 1e-12 * (1 + abs(r))
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_poly_roots_relative_accuracy_across_fiber_scales(degree):
+    # the fiber workload scales its targets by 1e-4..1e4: the same well-separated
+    # roots times 10^k keep their relative accuracy (worst 5.4e-12 here; the
+    # bound leaves a factor of ~20).  The oracle is 30-digit Newton on the same
+    # float coefficients from the drawn roots, which agrees with mpmath.polyroots
+    # on every case here at a small fraction of its cost
+    for k in range(-4, 5):
+        rng = _rng(100 + degree)
+        roots = _separated_roots(rng, degree) * 10.0**k
+        coeffs = np.poly(roots)[::-1] * complex(*rng.uniform(0.5, 2.0, 2))
+        with mpmath.workdps(30):
+            desc = [mpmath.mpc(c) for c in coeffs[::-1]]
+            oracle = []
+            for z in map(mpmath.mpc, roots):
+                for _ in range(6):
+                    p, slope = mpmath.polyval(desc, z, derivative=True)
+                    z -= p / slope
+                oracle.append(complex(z))
+        oracle = np.array(oracle)
+        got = linalg.poly_roots(coeffs)
+        assert got.size == degree
+        for r in got:
+            assert np.min(np.abs(oracle - r)) <= 1e-10 * abs(r)
+        for r in oracle:
+            assert np.min(np.abs(got - r)) <= 1e-10 * abs(r)
+
+
+def test_poly_roots_polish_reaches_rounding_backward_error():
+    # roots spread over six decades in one polynomial: companion eigenvalues
+    # alone leave |p(r)| at ~4e4 eps of sum |c_k| |r|^k, and the three
+    # polished steps reach ~1 eps
+    eps = np.finfo(float).eps
+    for seed in range(40):
+        rng = _rng(seed)
+        degree = int(rng.integers(4, 13))
+        roots = 10.0 ** rng.uniform(-3, 3, degree) * np.exp(2j * np.pi * rng.uniform(size=degree))
+        coeffs = np.poly(roots)[::-1]
+        got = linalg.poly_roots(coeffs)
+        residual = np.abs(np.vander(got, degree + 1, increasing=True) @ coeffs)
+        scale = (np.abs(got)[:, None] ** np.arange(degree + 1)) @ np.abs(coeffs)
+        assert np.all(residual <= 16 * eps * scale)
 
 
 # --- matrix exponential -----------------------------------------------------
