@@ -556,7 +556,9 @@ def cayley_gamma(b: np.ndarray) -> np.ndarray:
     cond, max_cond = np.linalg.cond(eye + b), 1.0 / linalg.RTOL
     raise_if(cond > max_cond, SingularShift, "1 + b is singular: condition number", cond, max_cond)
     out = linalg.solve_linear(eye + b, eye - b, "1 + b")
-    norm, max_norm = np.linalg.norm(out), (1.0 + np.linalg.norm(b)) / linalg.RTOL
+    # |b| beyond ~1e154 overflows the bound to inf, which passes every finite transform: not warned
+    with np.errstate(over="ignore"):
+        norm, max_norm = np.linalg.norm(out), (1.0 + np.linalg.norm(b)) / linalg.RTOL
     raise_if(not norm <= max_norm, SingularShift, "1 + b is singular: transform norm", norm, max_norm)
     return out
 

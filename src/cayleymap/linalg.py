@@ -6,8 +6,9 @@ asymptotic speed.  Eigenvalues, solves and determinants are delegated to
 LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
 on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
-transitive clustering rule (dedup_roots), and every Jordan-type factor is one
-SpectralDecomposition.apply call.  A polynomial is a plain array of
+transitive clustering rule (dedup_roots); spectral measures the gap between
+eigenvalue clusters in the pass that forms them, and every Jordan-type factor
+is one SpectralDecomposition.apply call.  A polynomial is a plain array of
 ascending complex coefficients, and poly_roots polishes every root at once:
 each Newton step is one Vandermonde matrix of the roots and two products.
 The exponential is Pade scaling and squaring (Higham 2005): six products,
@@ -217,23 +218,19 @@ def dedup_roots(values, tol=ROOT_DEDUP_TOL):
 @dataclass
 class SpectralDecomposition:
     """Eigenvalues of `matrix` clustered by dedup_roots, sorted by real then
-    imaginary part.
+    imaginary part, with multiplicities[k] the number of eigenvalues in
+    cluster k.
 
-    raw_eigenvalues keeps the unclustered solver output, and labels[i] is the
-    index in eigenvalues of the cluster holding raw_eigenvalues[i]; threshold
-    is the clustering distance spectral used.  Jordan-type callers use all
-    three to detect gap/threshold ambiguity without re-solving.
+    threshold is the clustering distance spectral used, and gap the smallest
+    distance between eigenvalues of different clusters (inf for one cluster):
+    Jordan-type callers compare the two to detect ambiguity without re-solving.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    raw_eigenvalues: np.ndarray
-    labels: np.ndarray
+    multiplicities: list[int]
     threshold: float
-
-    @property
-    def multiplicities(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.eigenvalues.size).tolist()
+    gap: float
 
     def apply(self, values) -> Matrix:
         """f(matrix) for the f equal to values[k] on cluster k, with every
@@ -267,7 +264,7 @@ class SpectralDecomposition:
 
 def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Eigenvalues of a clustered at threshold cluster_tol * (1 + ||a||), kept
-    on the result as its threshold.
+    on the result as its threshold beside the gap between its clusters.
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
@@ -281,16 +278,9 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
     threshold = cluster_tol * (1.0 + np.linalg.norm(a))
     reps, labels = dedup_roots(raw, threshold)
-    order = np.lexsort((reps.imag, reps.real))
-    return SpectralDecomposition(a, reps[order], raw, np.argsort(order)[labels], threshold)
-
-
-def min_intercluster_gap(dec: SpectralDecomposition) -> float:
-    """Smallest distance between raw eigenvalues in different clusters."""
-    raw = dec.raw_eigenvalues
-    diff = raw[:, None] - raw[None, :]
+    diff = raw[:, None] - raw
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on
     # complex arrays can differ in the last ulp
-    gaps = np.hypot(diff.real, diff.imag)
-    gaps[dec.labels[:, None] == dec.labels[None, :]] = np.inf
-    return float(gaps.min(initial=np.inf))
+    gap = np.hypot(diff.real, diff.imag)[np.not_equal.outer(labels, labels)].min(initial=np.inf)
+    order = np.lexsort((reps.imag, reps.real))
+    return SpectralDecomposition(a, reps[order], np.bincount(labels)[order].tolist(), threshold, float(gap))

@@ -50,7 +50,10 @@ KERNEL_CUTOFF = 1e-7
 SINGULAR_TOL = 1e-12
 # Complex entries of one commutator product tile; a tile takes as many basis
 # rows as fit, at least one.  Smaller tiles lower the closure check's peak
-# memory and add BLAS calls: at 2^17, gl12's peak is ~14 MB in 24 tiles.
+# memory and add BLAS calls: at 2^17 (tracemalloc, one BLAS thread) sl10's
+# construction peaks at 12.9 MiB in 8 tiles and so12's at 10.5 MiB in 5;
+# gl12, closed by dimension count, peaks at 1.6 MiB and tiles (24) only in
+# structure_constants(), at 56.5 MiB, 45.6 MiB of it the dense (g, g, g) array.
 _TILE_ENTRIES = 2**17
 
 
@@ -325,9 +328,9 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 
 
 def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecomposition:
-    """spectral(m); ClusterAmbiguity if clusters lie within twice its threshold (one cluster: gap inf)."""
+    """spectral(m); ClusterAmbiguity if its gap is below twice its threshold (one cluster: gap inf)."""
     dec = linalg.spectral(m, cluster_tol)
-    gap, threshold = linalg.min_intercluster_gap(dec), 2.0 * dec.threshold
+    gap, threshold = dec.gap, 2.0 * dec.threshold
     raise_if(gap < threshold, ClusterAmbiguity, "eigenvalue clusters too close to separate: gap", gap, threshold)
     return dec
 

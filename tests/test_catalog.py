@@ -238,6 +238,21 @@ def test_sampler_unipotent_class():
     assert np.linalg.norm(np.linalg.matrix_power(u.matrix - np.eye(3), 3)) < 1e-10
 
 
+def test_sampler_unipotent_class_through_the_nilpotent_index():
+    # sl2 irreps, and a sum that copies their key, draw along the basis vector
+    # metadata["nilpotent_index"]: u - 1 and the image X = cayley(rep, u) vanish
+    # at the k-th power, k = max m + 1 the largest block's size
+    irrep = catalog.make_sl2_irrep
+    power = np.linalg.matrix_power
+    cases = [(irrep(m), m + 1) for m in (1, 2, 3, 4)] + [(catalog.direct_sum(irrep(1), irrep(3)), 4)]
+    for rep, k in cases:
+        u = catalog.sample_element(rep, "unipotent", 7)
+        n = u.matrix - np.eye(rep.v_dim)
+        x = rm.cayley(rep, u).matrix()
+        assert np.linalg.norm(power(n, k)) <= 1e-12 * np.linalg.norm(n) ** k
+        assert np.linalg.norm(power(x, k)) <= 1e-12 * np.linalg.norm(x) ** k
+
+
 def test_sampler_hyperbolic_class():
     for rep in (catalog.make_sl(2), catalog.make_so(4), catalog.make_sl2_irrep(3)):
         g = catalog.sample_element(rep, "hyperbolic", 5)

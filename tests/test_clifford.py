@@ -1,6 +1,7 @@
 """Clifford/exterior products, spin group, vector action and Cayley transform."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -870,6 +871,17 @@ def test_cayley_gamma_and_tau_inv_reject_non_finite_input():
         cl.cayley_gamma(np.full((3, 3), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         cl.tau_inv(np.full((3, 3), np.inf))
+
+
+def test_cayley_gamma_accepts_huge_finite_input_without_warnings():
+    # |b| beyond ~1e154 overflows the transform-norm bound to inf; the transform, ~ -1, is kept
+    rng = _rng(22)
+    m = rng.standard_normal((4, 4))
+    for b in (1e200 * np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e200 * (m - m.T)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cl.cayley_gamma(b)
+        assert np.linalg.norm(out + np.eye(len(b))) < 1e-12
 
 
 # --- exterior exponential and the closed form -------------------------------------------

@@ -353,6 +353,22 @@ def test_a_root_at_minus_an_eigenvalue_is_skipped_without_warnings():
     assert all(t in report.skipped_roots for t in hit)
 
 
+def test_a_forced_root_at_minus_an_eigenvalue_is_skipped_without_warnings(monkeypatch):
+    # poly_roots returns s = lambda^2 for X's eigenvalues lambda = iy, y > 0, so
+    # t = -sqrt(s) = -iy and t + lambda = 0 exactly (sqrt of a rounded square is
+    # exact), whatever the rounding of the eigensolver or of a real root solve
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    x = np.block([[2.0 * j, np.zeros((2, 2))], [np.zeros((2, 2)), 3.0 * j]])
+    lam = np.linalg.eig(x).eigenvalues
+    monkeypatch.setattr(linalg, "poly_roots", lambda coeffs: lam[lam.imag > 0] ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = degree.spin_fiber(4, x)
+    hit = [t for t in report.roots if np.any(t + lam == 0.0)]
+    assert report.count == 4 and len(hit) >= 2
+    assert all(t in report.skipped_roots for t in hit)
+
+
 def test_spin_fiber_elements_reproduce_target():
     # chain check: lift each rotation to the double cover and confirm the
     # degree-2 part matches the target under the fiber normalization

@@ -112,24 +112,26 @@ def test_spectral_projector_invariants():
     assert np.linalg.norm(s @ n - n @ s) < 1e-8
 
 
-def test_min_intercluster_gap_single_cluster_is_inf():
+def test_spectral_gap_single_cluster_is_inf():
     dec = linalg.spectral(2.0 * np.eye(3))
     assert len(dec.eigenvalues) == 1
-    assert linalg.min_intercluster_gap(dec) == np.inf
+    assert dec.gap == np.inf
 
 
-def test_min_intercluster_gap_two_clusters():
+def test_spectral_gap_two_clusters():
     m = np.diag([1.0, 1.0, 3.0])
     dec = linalg.spectral(m)
-    assert linalg.min_intercluster_gap(dec) == 2.0
+    assert dec.gap == 2.0
     assert dec.threshold == linalg.CLUSTER_TOL * (1.0 + np.linalg.norm(m))
-    # clusters {1, 1.5} and {4+i, 5+i}, given by labels
-    raw = np.array([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
-    dec = linalg.SpectralDecomposition(np.diag(raw), np.array([1.25, 4.5 + 1j]), raw, np.array([0, 1, 0, 1]), 0.6)
-    assert linalg.min_intercluster_gap(dec) == np.hypot(2.5, 1.0)
+    # clusters {1, 1.5} and {4+i, 5+i} at threshold 2, between 1 and hypot(2.5, 1) = 2.69
+    m = np.diag([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
+    dec = linalg.spectral(m, cluster_tol=2.0 / (1.0 + np.linalg.norm(m)))
+    assert dec.multiplicities == [2, 2]
+    assert np.allclose(dec.eigenvalues, [1.25, 4.5 + 1j])
+    assert dec.gap == np.hypot(2.5, 1.0)
 
 
-def test_min_intercluster_gap_follows_chained_clusters():
+def test_spectral_gap_follows_chained_clusters():
     # the chain 0..5.4e-3 (steps 0.9e-3 < tol = 1e-3) is one cluster, 2.1e-3
     # from 7.5e-3; its end 5.4e-3 lies nearer 7.5e-3 than the chain's mean
     # 2.7e-3, so membership by nearest mean would report 0.9e-3 as the gap
@@ -137,7 +139,7 @@ def test_min_intercluster_gap_follows_chained_clusters():
     dec = linalg.spectral(m, cluster_tol=1e-3 / (1.0 + np.linalg.norm(m)))
     assert dec.multiplicities == [7, 1]
     assert all(type(m) is int for m in dec.multiplicities)
-    assert linalg.min_intercluster_gap(dec) == pytest.approx(2.1e-3, rel=1e-12)
+    assert dec.gap == pytest.approx(2.1e-3, rel=1e-12)
 
 
 def _jordan_block_matrix(rng):

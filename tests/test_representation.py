@@ -304,8 +304,8 @@ def test_closure_failure_past_the_first_tile(monkeypatch):
 
 def test_construction_memory_is_bounded():
     # gl12 (g = 144): one (g v) x (g v) commutator product and a dense (g, g, g)
-    # structure array took a 137.5 MB peak and kept 47 MB; tiles of
-    # _TILE_ENTRIES entries and lazy structure constants take ~14 MB and keep ~1 MB
+    # structure array took a 137.5 MB peak and kept 47 MB; closed by dimension
+    # count, with lazy structure constants, it takes ~1.6 MB and keeps ~1.3 MB
     tracemalloc.start()
     try:
         rep = catalog.make_gl(12)
