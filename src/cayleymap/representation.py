@@ -27,8 +27,8 @@ them exists at a time, and each tile is projected through D by one GEMM
 (_projected_tiles).  The closure check at construction needs a verdict, not
 coordinates.  A full basis, g = v^2, is closed by dimension count: its
 independent matrices span all of gl(v).  Any other basis maps each projected
-tile back by one more GEMM.  The dense (g, g, g) structure array exists only
-once asked for.
+tile back by one more GEMM.  Nothing is formed after construction:
+structure_constants() builds its dense (g, g, g) array anew on each call.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ SINGULAR_TOL = 1e-12
 # memory and add BLAS calls: at 2^17 (tracemalloc, one BLAS thread) sl10's
 # construction peaks at 12.9 MiB in 8 tiles and so12's at 10.5 MiB in 5;
 # gl12, closed by dimension count, peaks at 1.6 MiB and tiles (24) only in
-# structure_constants(), at 56.5 MiB, 45.6 MiB of it the dense (g, g, g) array.
+# structure_constants(), at 56.5 MiB, 45.6 MiB of it the (g, g, g) array it
+# returns; the instance retains none of it.
 _TILE_ENTRIES = 2**17
 
 
@@ -86,13 +87,10 @@ class Representation:
     NotASubalgebra when the span is not closed under commutators, checked
     here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
     by dimension count, any other is checked through the dual basis.
-    structure_constants() projects the commutators on its first call and
-    keeps the result.
 
-    Instances are immutable: stack and dual are read-only and basis is the
-    list of the stack's rows, so values are safe to share across threads.
-    Two threads making the first structure_constants() call at once may both
-    compute the array; each stores an equal one, so the race is idempotent.
+    Instances are immutable and form no state after construction: stack,
+    gram, dual and the pairing are read-only and basis is the list of the
+    stack's rows, so values are safe to share across threads.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None):
@@ -112,8 +110,8 @@ class Representation:
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
         # dual[a*v + b] = coordinates of the unit matrix E_ab, so m.ravel() @ dual projects m
         self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
-        self.dual.flags.writeable = False
-        self._structure = None
+        for kept in (self.gram, self._pairing, self.dual):
+            kept.flags.writeable = False
         self._check_closure()
 
     @property
@@ -151,20 +149,17 @@ class Representation:
         return linalg.solve_linear(self.gram, t.T, "Gram matrix").T.reshape(m.shape[:-2] + (self.g_dim,))
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j], as a read-only (g, g, g) array.
+        """c[i, j, :] = coordinates of [B_i, B_j], as a new (g, g, g) array.
 
-        Computed on the first call, one GEMM against the dual basis per
-        commutator tile, then kept on the instance.  Only the pairs i < j are
+        Computed on every call, one GEMM against the dual basis per commutator
+        tile; the instance keeps none of it.  Only the pairs i < j are
         projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
-        if self._structure is None:
-            c = np.zeros((self.g_dim,) * 3, dtype=complex)
-            for i, j, _, coords in self._projected_tiles():
-                c[i, j] = coords
-                c[j, i] = -coords
-            c.flags.writeable = False
-            self._structure = c
-        return self._structure
+        c = np.zeros((self.g_dim,) * 3, dtype=complex)
+        for i, j, _, coords in self._projected_tiles():
+            c[i, j] = coords
+            c[j, i] = -coords
+        return c
 
     def _rounding_floor(self, scale) -> float:
         """linalg.ROUNDING_FLOOR g cond(G) scale: rounding of a projection of inputs of that scale."""

@@ -78,8 +78,9 @@ class SuiteResult:
 
 @functools.cache
 def _built(combinator, *args):
-    """combinator(*args), built once: the suites' one cache of representations,
-    from catalog.make(family, size), a catalog combinator or _so4_ideal_rep."""
+    """combinator(*args), built once: the suites' one cache, of every representation
+    they build (catalog.make(family, size), a catalog combinator or _so4_ideal_rep)
+    and of the index ratios catalog.dynkin_ratio takes of them."""
     return combinator(*args)
 
 
@@ -389,8 +390,8 @@ def _sum_mix(rng, trial) -> float:
     r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     ref = _built(catalog.make, "sl2_irrep", 1)
     both = _built(catalog.direct_sum, r1, r2)
-    j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
-    jsum = catalog.dynkin_ratio(both, ref)
+    j1, j2 = _built(catalog.dynkin_ratio, r1, ref), _built(catalog.dynkin_ratio, r2, ref)
+    jsum = _built(catalog.dynkin_ratio, both, ref)
     coords = linalg.complex_normal(rng, 3, 0.4)
     c1 = rm.cayley(r1, catalog.realize(r1, coords)).coords
     c2 = rm.cayley(r2, catalog.realize(r2, coords)).coords
@@ -404,8 +405,8 @@ def _tensor_mix(rng, trial) -> float:
     r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     ref = _built(catalog.make, "sl2_irrep", 1)
     prod = _built(catalog.tensor, r1, r2)
-    j1, j2 = catalog.dynkin_ratio(r1, ref), catalog.dynkin_ratio(r2, ref)
-    jprod = catalog.dynkin_ratio(prod, ref)
+    j1, j2 = _built(catalog.dynkin_ratio, r1, ref), _built(catalog.dynkin_ratio, r2, ref)
+    jprod = _built(catalog.dynkin_ratio, prod, ref)
     coords = linalg.complex_normal(rng, 3, 0.4)
     g1, g2 = catalog.realize(r1, coords), catalog.realize(r2, coords)
     gp = catalog.realize(prod, coords)
@@ -459,7 +460,7 @@ def _index_ratio_series(rng, trial) -> float:
     ref = _built(catalog.make, "sl2_irrep", 1)
     worst = 0.0
     for m in range(1, 6):
-        got = catalog.dynkin_ratio(_built(catalog.make, "sl2_irrep", m), ref)
+        got = _built(catalog.dynkin_ratio, _built(catalog.make, "sl2_irrep", m), ref)
         expected = m * (m + 1) * (m + 2) / 6.0
         worst = max(worst, abs(got - expected) / expected)
     return worst

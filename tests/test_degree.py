@@ -257,6 +257,31 @@ def test_spin_count_matches_a_high_precision_root_count(n, log_scale, seed):
     assert degree.spin_fiber(n, x).count == _mp_fiber_count(n, x)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 15: below ~3e-7 the companion eigensolver returns the small s-roots as 0 and the count is 2",
+)
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_spin_count_at_1e_8_matches_a_high_precision_root_count(n):
+    # the first wrong seed ends the test, so a failing run pays for one mpmath count
+    for seed in range(5):
+        x = 1e-8 * degree.random_skew(n, _rng(seed))
+        assert degree.spin_fiber(n, x).count == _mp_fiber_count(n, x)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: the absolute rotation check reads rounding of size eps |T|^2 and skips every root at 1e4",
+)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_spin_fiber_at_1e4_builds_every_element(n):
+    report = degree.spin_fiber(n, 1e4 * degree.random_skew(n, _rng(0)))
+    assert report.count == n - n % 2
+    assert len(report.valid_elements) == report.count and report.skipped_roots == []
+
+
 def test_spin_odd_single_zero_root():
     rng = _rng(6)
     for n in (5, 7):
