@@ -9,8 +9,10 @@ Families
                acting on monomials x^(m-p) y^p, ordered basis (H, E, F)
 
 Combinators build block-diagonal sums, Kronecker tensor products, duals
-(B -> -B^T) and tensor powers, and check numerically (via structure
-constants) that both operands represent the same abstract algebra.
+(B -> -B^T) and tensor powers.  Sums and products check numerically (via
+structure constants) that both operands represent the same abstract
+algebra; a tensor power, whose factors are all one representation, needs
+no check.
 
 Samplers return deterministic group elements per (kind, seed, rep) in the
 classes generic / hyperbolic / elliptic / unipotent / cartan / trace_free,
@@ -173,12 +175,17 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(f"({r1.name})+({r2.name})", basis, metadata=_combined_meta(r1, "sum"))
 
 
-def tensor(r1: Representation, r2: Representation) -> Representation:
-    _require_same_algebra(r1, r2)
+def _kronecker_sum(r1: Representation, r2: Representation) -> Representation:
+    """The tensor product, B_i -> B1_i x 1 + 1 x B2_i, without the same-algebra check."""
     i1 = np.eye(r1.v_dim, dtype=complex)
     i2 = np.eye(r2.v_dim, dtype=complex)
     basis = [np.kron(b1, i2) + np.kron(i1, b2) for b1, b2 in zip(r1.basis, r2.basis)]
     return Representation(f"({r1.name})x({r2.name})", basis, metadata=_combined_meta(r1, "tensor"))
+
+
+def tensor(r1: Representation, r2: Representation) -> Representation:
+    _require_same_algebra(r1, r2)
+    return _kronecker_sum(r1, r2)
 
 
 def dual(rep: Representation) -> Representation:
@@ -188,11 +195,13 @@ def dual(rep: Representation) -> Representation:
 
 
 def tensor_power(rep: Representation, k: int) -> Representation:
+    """rep tensored with itself k times.  Every factor is rep, so the powers
+    share its algebra by construction and no same-algebra check runs."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
     out = rep
     for _ in range(k - 1):
-        out = tensor(out, rep)
+        out = _kronecker_sum(out, rep)
     return out
 
 

@@ -109,8 +109,8 @@ class _Tables:
         self.from_gather = (xor * d + r[:, None]).ravel()
 
     def _hadamard_rows(self, a: np.ndarray) -> np.ndarray:
-        """H a for each (D, D) complex row of the C-contiguous (k, D, D) a."""
-        return (self.hadamard @ a.view(np.float64)).view(complex)
+        """H a for each (D, D) complex row of the (k, D, D) a, as one real GEMM."""
+        return linalg.left_product(self.hadamard, a)
 
     def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
         """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""

@@ -2,7 +2,7 @@
 
 A Representation bundles the algebra basis matrices B_i (images of a chosen
 basis of the algebra under the differential of the representation) together
-with the cached Gram matrix of the trace form, G_ij = tr(B_i B_j).  The
+with the kept Gram matrix of the trace form, G_ij = tr(B_i B_j).  The
 projection of a matrix M solves
 
     G c = t,   t_i = tr(M B_i),
@@ -12,14 +12,20 @@ with every basis vector matches that of M.  The dual basis D, the (v^2, g)
 coordinates of the v^2 unit matrices, comes from one Gram solve with v^2
 right-hand sides at construction, for every basis, and is kept as
 Representation.dual.  It projects m by one GEMM, m.ravel() @ D: the closure
-check and the structure constants ([B_i, B_j]), adjoint matrices (the stack
-b B_i b^-1) and centralizer operators (the stacks x B_i and B_i x) all take
-this route.  Representation.coords_of forms the pairing t by one GEMM against
-the kept (v^2, g) pairing matrix, which also gave D its right-hand sides, and
-solves the Gram system once, for a single matrix or a stack of them.  It has
-two callers, the map itself (cayley, M(g)) and the Jacobian in the
-left-invariant frame behind psi (cayley_jacobian, M(g) B_i), whose one solve
-per call the benchmark's call-shape rules (bench/spans.py COVERAGE_RULES) pin.
+check and the structure constants ([B_i, B_j]), adjoint matrices (b B_i b^-1,
+as columns D^T conj) and centralizer operators (x B_i and B_i x) all take
+this route.  Representation._column_coords takes matrices held row-major as
+the columns m^T of a (v^2, k) array, forms their pairings t^T = P^T m^T by
+one GEMM against the kept (v^2, g) pairing matrix P, which also gave D its
+right-hand sides, and solves G c^T = t^T once.  Its two callers are the map
+itself (cayley, M(g), through coords_of, which takes any stack of matrices)
+and the Jacobian in the left-invariant frame behind psi (cayley_jacobian,
+M(g) B_i, whose coordinate columns c^T are the Jacobian), and the
+benchmark's call-shape rules (bench/spans.py COVERAGE_RULES) pin their one
+solve per call.  The products M B_i for all i are one GEMM against the
+kept (v, v g) interleaved basis, and the B_i M of centralizer_dim one GEMM
+against the stack.
+
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
 of about _TILE_ENTRIES entries per product, so at most a bounded slice of
@@ -29,6 +35,16 @@ coordinates.  A full basis, g = v^2, is closed by dimension count: its
 independent matrices span all of gl(v).  Any other basis maps each projected
 tile back by one more GEMM.  Nothing is formed after construction:
 structure_constants() builds its dense (g, g, g) array anew on each call.
+
+Every catalog basis is real, and a basis with no nonzero imaginary part
+keeps stack, gram, the pairing, the interleaved basis and dual as float64; a
+complex basis keeps them complex128 and takes the same call sites.  Group
+elements and coordinates stay complex: linalg.left_product multiplies a kept
+real matrix into a complex operand as one real GEMM on its float view, and
+linalg.solve_linear solves the real G against complex right-hand sides by
+one real LU, each exact per component.  Construction (build_gram's GEMM and
+SVD, the dual solve and the commutator tiles) runs in the basis's own
+arithmetic, and structure_constants() has its dtype.
 """
 
 from __future__ import annotations
@@ -48,12 +64,12 @@ ADJOINT_RESIDUAL_TOL = 1e-6
 KERNEL_CUTOFF = 1e-7
 # An element with an eigenvalue of modulus below this has no unipotent part.
 SINGULAR_TOL = 1e-12
-# Complex entries of one commutator product tile; a tile takes as many basis
-# rows as fit, at least one.  Smaller tiles lower the closure check's peak
-# memory and add BLAS calls: at 2^17 (tracemalloc, one BLAS thread) sl10's
-# construction peaks at 12.9 MiB in 8 tiles and so12's at 10.5 MiB in 5;
-# gl12, closed by dimension count, peaks at 1.6 MiB and tiles (24) only in
-# structure_constants(), at 56.5 MiB, 45.6 MiB of it the (g, g, g) array it
+# Entries of one commutator product tile; a tile takes as many basis rows as
+# fit, at least one.  Smaller tiles lower the closure check's peak memory and
+# add BLAS calls: at 2^17 (tracemalloc, one BLAS thread, real bases) sl10's
+# construction peaks at 6.8 MiB in 8 tiles and so12's at 5.6 MiB in 5; gl12,
+# closed by dimension count, peaks at 1.5 MiB and tiles (24) only in
+# structure_constants(), at 28.3 MiB, 22.8 MiB of it the (g, g, g) array it
 # returns; the instance retains none of it.
 _TILE_ENTRIES = 2**17
 
@@ -89,8 +105,10 @@ class Representation:
     by dimension count, any other is checked through the dual basis.
 
     Instances are immutable and form no state after construction: stack,
-    gram, dual and the pairing are read-only and basis is the list of the
-    stack's rows, so values are safe to share across threads.
+    gram, dual, the pairing and the interleaved basis are read-only, and
+    basis is the list of the stack's rows, so values are safe to share
+    across threads.  All of them are float64 when the basis has no nonzero
+    imaginary part, and complex128 otherwise; see the module docstring.
     """
 
     def __init__(self, name: str, basis, metadata: dict | None = None):
@@ -101,16 +119,19 @@ class Representation:
         if any(m.shape != (v, v) for m in mats):
             raise ValueError("basis matrices must share one size")
         self.name = name
-        self.stack = np.stack(mats)
+        stack = np.stack(mats)
+        self.stack = stack if stack.imag.any() else np.ascontiguousarray(stack.real)
         self.stack.flags.writeable = False
         self.basis = list(self.stack)
         self.metadata = dict(metadata or {})
         self.gram, self.gram_cond = build_gram(self.stack)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
+        # interleaved[c, b*g + i] = (B_i)[c, b], so (m @ interleaved)[a, b*g + i] = (m B_i)[a, b]
+        self._interleaved = self.stack.transpose(1, 2, 0).reshape(v, -1)
         # dual[a*v + b] = coordinates of the unit matrix E_ab, so m.ravel() @ dual projects m
         self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
-        for kept in (self.gram, self._pairing, self.dual):
+        for kept in (self.gram, self._pairing, self._interleaved, self.dual):
             kept.flags.writeable = False
         self._check_closure()
 
@@ -132,30 +153,47 @@ class Representation:
     def materialize(self, coords) -> np.ndarray:
         """Matrices sum_i c_i B_i for coordinates of shape (..., g)."""
         coords = np.asarray(coords, dtype=complex)
-        flat = coords @ self.stack.reshape(self.g_dim, -1)
+        flat = self._span_columns(coords.reshape(-1, self.g_dim).T).T
         return flat.reshape(coords.shape[:-1] + (self.v_dim, self.v_dim))
+
+    def _span_columns(self, coords) -> np.ndarray:
+        """(v^2, k) columns: column j holds sum_i coords[i, j] B_i row-major, one GEMM."""
+        return linalg.left_product(self.stack.reshape(self.g_dim, -1).T, coords)
 
     def coords_of(self, m) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
 
-        m has shape (..., v, v); the result has shape (..., g).  The trace
-        pairings t_i = tr(m B_i) of all matrices are one GEMM against the
-        kept pairing, and their coordinates one Gram solve, whatever the
-        leading axes.  The solve makes no conditioning decision of its own:
-        build_gram made it when the Gram matrix was built.
+        m has shape (..., v, v); the result has shape (..., g), whatever the
+        leading axes, from one _column_coords call.
         """
         m = np.asarray(m, dtype=complex)
-        t = m.reshape(-1, self.v_dim * self.v_dim) @ self._pairing
-        return linalg.solve_linear(self.gram, t.T, "Gram matrix").T.reshape(m.shape[:-2] + (self.g_dim,))
+        cols = m.reshape(-1, self.v_dim * self.v_dim).T
+        return self._column_coords(cols).T.reshape(m.shape[:-2] + (self.g_dim,))
+
+    def _column_coords(self, cols) -> np.ndarray:
+        """(g, k) coordinates of the k matrices held row-major in the columns of the (v^2, k) cols.
+
+        The trace pairings t = P^T cols are one GEMM against the kept
+        pairing P, and the coordinates one Gram solve G c = t.  The solve
+        makes no conditioning decision of its own: build_gram made it when
+        the Gram matrix was built.
+        """
+        t = linalg.left_product(self._pairing.T, cols)
+        return linalg.solve_linear(self.gram, t, "Gram matrix")
+
+    def _left_products(self, m) -> np.ndarray:
+        """(v^2, g) columns: column i holds m B_i row-major, one GEMM against the interleaved basis."""
+        v = self.v_dim
+        return linalg.left_product(self._interleaved.T, m.T).T.reshape(v * v, self.g_dim)
 
     def structure_constants(self) -> np.ndarray:
-        """c[i, j, :] = coordinates of [B_i, B_j], as a new (g, g, g) array.
+        """c[i, j, :] = coordinates of [B_i, B_j], as a new (g, g, g) array, real for a real basis.
 
         Computed on every call, one GEMM against the dual basis per commutator
         tile; the instance keeps none of it.  Only the pairs i < j are
         projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
-        c = np.zeros((self.g_dim,) * 3, dtype=complex)
+        c = np.zeros((self.g_dim,) * 3, dtype=self.stack.dtype)
         for i, j, _, coords in self._projected_tiles():
             c[i, j] = coords
             c[j, i] = -coords
@@ -224,7 +262,7 @@ class Representation:
             fwd = (self.stack[a:b].reshape(-1, v) @ right[:, a:].reshape(v, -1)).reshape(b - a, v, g - a, v)
             back = fwd  # back[j - a, :, i - a] = B_j B_i
             if b < g:
-                back = np.empty((g - a, v, b - a, v), dtype=complex)
+                back = np.empty((g - a, v, b - a, v), dtype=self.stack.dtype)
                 back[: b - a] = fwd[:, :, : b - a]
                 rest = back[b - a :].reshape(-1, (b - a) * v)
                 np.matmul(self.stack[b:].reshape(-1, v), right[:, a:b].reshape(v, -1), out=rest)
@@ -285,7 +323,7 @@ def cayley_jacobian(rep: Representation, g) -> np.ndarray:
     Column i holds the image coordinates of the i-th left-invariant
     direction, the projection of M(g) B_i.
     """
-    return rep.coords_of(rep.element_matrix(g) @ rep.stack).T
+    return rep._column_coords(rep._left_products(rep.element_matrix(g)))
 
 
 def psi(rep: Representation, g) -> complex:
@@ -310,13 +348,16 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     norm), which signals a malformed representation.
     """
     bm = rep.element_matrix(b)
-    conj = bm @ rep.stack @ linalg.inverse(bm, "conjugating element")
-    c = conj.reshape(rep.g_dim, -1) @ rep.dual
-    res = np.linalg.norm(conj - rep.materialize(c), axis=(-2, -1))
-    worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=(-2, -1)))))
+    v, g = rep.v_dim, rep.g_dim
+    # row block a of b B_i, times b^-1: conj[a*v + d, i] = (b B_i b^-1)[a, d]
+    left = rep._left_products(bm).reshape(v, v, g)
+    conj = (linalg.inverse(bm, "conjugating element").T @ left).reshape(v * v, g)
+    ad = linalg.left_product(rep.dual.T, conj)
+    res = np.linalg.norm(conj - rep._span_columns(ad), axis=0)
+    worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=0))))
     outside = worst > ADJOINT_RESIDUAL_TOL
     raise_if(outside, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
-    return c.T
+    return ad
 
 
 # --- Jordan-type decompositions ----------------------------------------------
@@ -388,8 +429,10 @@ def centralizer_dim(rep: Representation, x) -> int:
         a, s = adjoint_matrix(rep, x), np.eye(rep.g_dim)
     elif isinstance(x, AlgebraVector):
         xm = rep.element_matrix(x.matrix())
-        products = np.stack([xm @ rep.stack, rep.stack @ xm]).reshape(2, rep.g_dim, -1)
-        a, s = (products @ rep.dual).transpose(0, 2, 1)
+        v, g = rep.v_dim, rep.g_dim
+        right = linalg.left_product(rep.stack.reshape(g * v, v), xm).reshape(g, v * v).T  # column i: B_i x
+        ops = linalg.left_product(rep.dual.T, np.hstack([rep._left_products(xm), right]))
+        a, s = ops[:, :g], ops[:, g:]
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
     sv = np.linalg.svd(a - s, compute_uv=False)

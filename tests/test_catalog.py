@@ -168,6 +168,18 @@ def test_tensor_power_identity():
             assert np.linalg.norm(ck - mix) <= 1e-7 * (1 + np.linalg.norm(mix))
 
 
+def test_tensor_power_forms_no_structure_constants(monkeypatch):
+    rep = catalog.make_sl(3)
+    want = catalog.tensor(catalog.tensor(rep, rep), rep)
+    calls = []
+    formed = rm.Representation.structure_constants
+    monkeypatch.setattr(rm.Representation, "structure_constants", lambda self: calls.append(self.name) or formed(self))
+    cube = catalog.tensor_power(rep, 3)
+    assert calls == []
+    assert cube.name == want.name and cube.metadata == want.metadata
+    assert cube.stack.dtype == want.stack.dtype and cube.stack.tobytes() == want.stack.tobytes()
+
+
 def test_dual_identity():
     rng = _rng(4)
     for m in (1, 2, 3):

@@ -47,6 +47,60 @@ def test_solve_raises_on_singular():
         linalg.solve_linear(a, np.eye(2))
 
 
+@pytest.mark.parametrize("layout_c", ["contiguous", "strided"])
+@pytest.mark.parametrize("layout_a", ["contiguous", "transposed"])
+def test_left_product_of_a_real_and_a_complex_matrix(layout_a, layout_c):
+    rng = _rng(2)
+    a = rng.standard_normal((5, 4)) if layout_a == "contiguous" else rng.standard_normal((4, 5)).T
+    c = _random_complex(rng, (4, 3)) if layout_c == "contiguous" else _random_complex(rng, (3, 8)).T[::2]
+    assert a.flags.c_contiguous == (layout_a == "contiguous")
+    assert c.flags.c_contiguous == (layout_c == "contiguous")
+    want = a.astype(complex) @ c
+    # each part of an entry is a sum of 4 real products
+    bound = 4 * np.finfo(float).eps * (np.abs(a) @ (np.abs(c.real) + np.abs(c.imag)))
+    got = linalg.left_product(a, c)
+    assert got.dtype == complex
+    assert np.all(np.abs(got.real - want.real) <= bound)
+    assert np.all(np.abs(got.imag - want.imag) <= bound)
+
+
+def test_left_product_takes_stacked_operands():
+    rng = _rng(3)
+    a = rng.standard_normal((4, 4))
+    c = _random_complex(rng, (2, 4, 3))
+    got = linalg.left_product(a, c)
+    assert got.shape == (2, 4, 3)
+    assert np.allclose(got, a @ c, rtol=1e-14, atol=1e-14)
+
+
+def test_left_product_passes_other_pairs_through():
+    rng = _rng(4)
+    a = _random_complex(rng, (3, 3))
+    c = _random_complex(rng, (3, 2))
+    assert np.array_equal(linalg.left_product(a, c), a @ c)
+    r = rng.standard_normal((3, 2))
+    assert np.array_equal(linalg.left_product(a, r), a @ r)
+    assert np.array_equal(linalg.left_product(r.T, r), r.T @ r)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 3)])
+def test_solve_real_matrix_complex_rhs_matches_the_complex_solve(shape):
+    rng = _rng(5)
+    a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
+    b = _random_complex(rng, shape)[::-1]  # a strided view
+    x = linalg.solve_linear(a, b)
+    want = np.linalg.solve(a.astype(complex), b)
+    assert x.dtype == complex and x.shape == shape
+    bound = 16 * np.linalg.cond(a) * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+    assert np.max(np.abs(x - want)) <= bound
+
+
+def test_solve_real_singular_matrix_complex_rhs_raises():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularMatrix):
+        linalg.solve_linear(a, _random_complex(_rng(6), (2, 3)))
+
+
 # --- determinant ------------------------------------------------------------
 
 

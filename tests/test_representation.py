@@ -1048,6 +1048,46 @@ def test_centralizer_operator_matches_lstsq_oracle(rep, monkeypatch):
     assert dim == int(np.sum(sv < rm.KERNEL_CUTOFF * sv[0]))
 
 
+# --- real and complex bases ----------------------------------------------------------
+
+PHASE = np.exp(1j * np.pi / 5)
+REAL_REPS = [SL3, SO4, catalog.make_gl(3), catalog.make_sl2_irrep(3)]
+
+
+@pytest.mark.parametrize("rep", REAL_REPS, ids=lambda r: r.name)
+def test_real_and_complex_bases_of_one_span_agree(rep):
+    # the basis times e^{i pi/5} spans the same algebra; only its arithmetic is complex
+    rot = rm.Representation(f"{rep.name}-phase", [PHASE * b for b in rep.basis])
+    assert rep.stack.dtype == np.float64 and rot.stack.dtype == complex
+
+    def close(got, want):
+        bound = 16 * rot.gram_cond * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
+
+    for kind in ("generic", "hyperbolic", "unipotent", "cartan"):
+        for seed in range(3):
+            g = catalog.sample_element(rep, kind, seed)
+            close(rm.cayley(rot, g).matrix(), rm.cayley(rep, g).matrix())
+            close(np.array(rm.psi(rot, g)), np.array(rm.psi(rep, g)))
+            close(rm.adjoint_matrix(rot, g), rm.adjoint_matrix(rep, g))
+            assert rm.centralizer_dim(rot, g) == rm.centralizer_dim(rep, g)
+            x = rm.cayley(rep, g)
+            assert rm.centralizer_dim(rot, rm.AlgebraVector(rot, x.coords / PHASE)) == rm.centralizer_dim(rep, x)
+    # [w B_i, w B_j] = w^2 c_ijk B_k = w c_ijk (w B_k)
+    close(rot.structure_constants(), PHASE * rep.structure_constants())
+
+
+def test_kept_arrays_are_real_for_a_real_basis_and_read_only():
+    r1, r2 = catalog.make_sl2_irrep(1), catalog.make_sl2_irrep(2)
+    reps = REAL_REPS + [catalog.make_so(5), catalog.direct_sum(r1, r2), catalog.tensor(r1, r2), catalog.dual(r2)]
+    complex_reps = [_recoordinated_sl3(), rm.Representation("sl3-phase", [PHASE * b for b in SL3.basis])]
+    for rep in reps + complex_reps:
+        want = np.float64 if rep in reps else np.complex128
+        for kept in (rep.stack, rep.gram, rep._pairing, rep.dual):
+            assert kept.dtype == want
+            assert not kept.flags.writeable
+
+
 # --- zero-sum exponential inequality ------------------------------------------------
 
 
