@@ -62,6 +62,8 @@ DEGREE_TOL = 1e-10
 SPIN_TOL = 1e-8
 # Relative ||s + s^T|| allowed for a skew matrix s.
 SKEW_TOL = 1e-10
+# Largest norm of g whose membership threshold SPIN_TOL |g|^2 is finite (derived, reported on refusal).
+_MAX_SPIN_NORM = float(np.sqrt(np.finfo(float).max) / np.sqrt(SPIN_TOL))
 
 
 class _Tables:
@@ -235,7 +237,7 @@ class CliffordElement:
         return self.coeffs[1 << np.arange(self.n)]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return linalg.norm(self.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -377,7 +379,7 @@ def pairing(u: CliffordElement, v: CliffordElement) -> complex:
 
 def _require_degree(u: CliffordElement, k: int, what: str):
     """ValueError unless u is of pure degree k; what is the message head, naming the argument."""
-    resid = np.linalg.norm(np.where(_tables(u.n).grades == k, 0.0, u.coeffs))
+    resid = linalg.norm(np.where(_tables(u.n).grades == k, 0.0, u.coeffs))
     threshold = DEGREE_TOL * max(1.0, u.norm())
     raise_if(resid > threshold, ValueError, what, resid, threshold)
 
@@ -441,18 +443,21 @@ class SpinElement:
     def _validate(self):
         g = self.value
         c = g.coeffs
-        # every residual test below is false for NaN
+        # the odd-degree test below is false for NaN
         if not np.isfinite(c).all():
             raise NotInSpin("coefficients contain non-finite entries")
         scale = max(1.0, g.norm())
-        odd = np.linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
+        odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
         raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
+        threshold = SPIN_TOL * scale * scale
+        raise_if(threshold == np.inf, NotInSpin, "membership threshold overflows: norm", scale, _MAX_SPIN_NORM)
         self._alpha = ag = alpha(g)
-        # g alpha(g) - 1
-        diff = (g * ag).coeffs.copy()
+        # g alpha(g) - 1; entries that overflow (norms from ~1e154) fail the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (g * ag).coeffs.copy()
         diff[0] -= 1.0
-        unit, threshold = np.linalg.norm(diff), SPIN_TOL * scale * scale
-        raise_if(unit > threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
+        unit = linalg.norm(diff)
+        raise_if(not unit <= threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
         _twisted_images(g, ag)
 
     @property
@@ -495,13 +500,18 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
     """
     n = g.n
     t = _tables(n)
-    threshold = SPIN_TOL * max(1.0, g.norm()) ** 2
+    scale = max(1.0, g.norm())
+    # _validate's threshold, finite for every element it accepts (scale ** 2 would raise OverflowError)
+    threshold = SPIN_TOL * scale * scale
     units = np.zeros((n, 1 << n))
     units[np.arange(n), 1 << np.arange(n)] = 1.0
-    w = t.from_spinor(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.to_spinor(units)]))
-    resid = np.linalg.norm(np.where(t.grades == 1, 0.0, w), axis=1)
-    j = int(np.argmax(resid > threshold))
-    raise_if(resid[j] > threshold, NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
+    # entries or residuals that overflow (norms from ~1e150) fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = t.from_spinor(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.to_spinor(units)]))
+        resid = np.linalg.norm(np.where(t.grades == 1, 0.0, w), axis=1)
+    failed = ~(resid <= threshold)
+    j = int(np.argmax(failed))
+    raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
     return w[:, 1 << np.arange(n)].T.copy()
 
 
@@ -535,7 +545,7 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     """
     s = linalg.as_square_matrix(s, "tau_inv argument")
     n = s.shape[0]
-    sym, threshold = np.linalg.norm(s + s.T), SKEW_TOL * np.linalg.norm(s) + linalg.ROUNDING_FLOOR * n
+    sym, threshold = linalg.norm(s + s.T), SKEW_TOL * linalg.norm(s) + linalg.ROUNDING_FLOOR * n
     raise_if(sym > threshold, NotSkew, "matrix is not skew-symmetric: |s + s^T|", sym, threshold)
     a, b, masks = _bivector_blades(n)
     u = CliffordElement(n)

@@ -85,6 +85,22 @@ def complex_normal(rng: np.random.Generator, size=None, scale: float = 1.0):
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
+def norm(a) -> float:
+    """The Frobenius norm of an array: np.linalg.norm(a) bit for bit wherever that
+    is finite.  np.linalg.norm sums squares, which overflows from entries of
+    about 1e154; there the norm of a divided by its largest component is scaled
+    back, so the result is inf only for non-finite input or a norm above the
+    largest float.  Thresholds take their scale from it.
+    """
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(a)
+        if out == np.inf and np.isfinite(a).all():
+            top = np.abs([a.real, a.imag]).max()
+            out = np.linalg.norm(a / top) * top
+    return float(out)
+
+
 def left_product(a: Matrix, c: Matrix) -> Matrix:
     """a @ c for arrays a and c, c of two or more axes.  A real a and a
     complex c multiply as one real GEMM on c's float view, which holds the
@@ -295,7 +311,7 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    threshold = cluster_tol * (1.0 + np.linalg.norm(a))
+    threshold = cluster_tol * (1.0 + norm(a))
     reps, labels = dedup_roots(raw, threshold)
     diff = raw[:, None] - raw
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on

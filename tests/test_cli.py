@@ -285,6 +285,17 @@ def test_math_errors_print_the_value_and_its_threshold(capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["action", "cayley", "exp"])
+def test_spin_commands_refuse_a_file_whose_norm_overflows(tmp_path, capsys, command):
+    # one z1z2 coefficient of 1e300: exit 3 naming NotInSpin, with no numpy warning
+    coeffs = [0.0] * 16
+    coeffs[0b11] = 1e300
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 4, "coeffs_re": coeffs}))
+    assert cli.main(["spin", command, "--element", str(path)]) == 3
+    assert "error: NotInSpin: " in capsys.readouterr().err
+
+
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):
     from cayleymap import clifford as cl
 

@@ -696,6 +696,33 @@ def test_odd_degree_residue_is_the_norm_of_the_odd_part():
     assert exc.value.value == pytest.approx(np.sqrt(0.02), rel=1e-15)
 
 
+def test_spin_element_whose_threshold_overflows_is_refused_before_multiplying(monkeypatch):
+    # one z1z2 coefficient of 1e300: SPIN_TOL |g|^2 is not finite, so no membership test can fail
+    products = []
+    monkeypatch.setattr(cl, "clifford_mul", lambda u, v: products.append(1))
+    with pytest.raises(NotInSpin, match="membership threshold overflows") as exc:
+        cl.SpinElement(cl.basis_blade(4, 0b11) * 1e300)
+    assert exc.value.value == 1e300 and products == []
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_spin_element_whose_products_overflow_is_refused(n):
+    # exp(345i (z1z2 + 0.3 z1z3)) has norm ~1e155: its threshold is finite, but
+    # g alpha(g) overflows, and the NaN it leaves fails the test instead of passing it
+    u = cl.CliffordElement(n)
+    u.coeffs[0b011], u.coeffs[0b101] = 345j, 0.3 * 345j
+    with pytest.raises(NotInSpin, match="residual nan"):
+        cl.spin_exp(u)
+
+
+def test_tau_inv_rejects_a_symmetric_matrix_whose_norm_overflows():
+    # |s|^2 overflows: a threshold SKEW_TOL |s| from np.linalg.norm would be inf and pass a symmetric s
+    with pytest.raises(NotSkew) as exc:
+        cl.tau_inv(1e200 * np.ones((3, 3)))
+    assert exc.value.value == pytest.approx(6e200, rel=1e-15)
+    assert exc.value.threshold == pytest.approx(3e190, rel=1e-15)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_elements_rejected(bad):
     # the residual tests of SpinElement are all false for NaN

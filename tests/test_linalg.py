@@ -104,6 +104,28 @@ def test_solve_real_singular_matrix_complex_rhs_raises():
 # --- determinant ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 3), (2, 4, 4)])
+def test_norm_is_numpys_wherever_that_is_finite(shape):
+    # bit for bit, so no threshold built from it moves below the overflow scale
+    rng = np.random.default_rng(0)
+    for a in (rng.standard_normal(shape), linalg.complex_normal(rng, shape)):
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+            assert linalg.norm(scale * a) == np.linalg.norm(scale * a)
+
+
+def test_norm_does_not_overflow_for_finite_input():
+    # np.linalg.norm sums squares, which overflow (with a RuntimeWarning) from ~1e154
+    x = np.zeros(16, dtype=complex)
+    x[3] = 1e300
+    assert linalg.norm(x) == 1e300
+    assert linalg.norm(1e200 * np.ones((3, 3))) == pytest.approx(3e200, rel=1e-15)
+    assert linalg.norm(np.array([1e308, 1e308j, -1e308])) == pytest.approx(np.sqrt(3) * 1e308, rel=1e-15)
+    # inf only where the norm itself exceeds the largest float, or for non-finite input
+    assert linalg.norm(np.array([1.5e308, 1.5e308])) == np.inf
+    assert linalg.norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(linalg.norm(np.array([1.0, np.nan])))
+
+
 def test_determinant_identity():
     assert linalg.determinant(np.eye(4)) == pytest.approx(1.0)
 

@@ -43,6 +43,21 @@ def test_gram_orthonormalized_basis_is_identity():
     assert np.allclose(rep.gram, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([], "basis must be nonempty"),
+        ([np.ones((2, 3))], r"basis\[0\] must be square, got shape \(2, 3\)"),
+        ([np.eye(2), np.eye(3)], "basis matrices must share one size"),
+        ([np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]])], r"basis\[1\] contains non-finite entries"),
+    ],
+    ids=["empty", "non-square", "mixed-sizes", "nan-entry"],
+)
+def test_malformed_basis_is_rejected(basis, message):
+    with pytest.raises(ValueError, match=message):
+        rm.Representation("malformed", basis)
+
+
 def test_degenerate_form_raises():
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DegenerateForm):
@@ -340,6 +355,24 @@ def _recoordinated(rep, cond, rng):
     v = np.linalg.qr(rng.standard_normal((g, g)))[0]
     a = u @ np.diag(np.geomspace(1.0, np.sqrt(cond), g)) @ v @ w
     return np.einsum("ki,iab->kab", a, rep.stack)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: cayley(I) on a re-coordinated basis is rounding noise, which centralizer_dim reads as a regular element",
+)
+def test_centralizer_of_the_identity_image_is_the_whole_algebra_on_recoordinated_bases():
+    # cayley(I) = 0 on every basis, and the centralizer of 0 is all of sl_n
+    wrong = []
+    for n in (3, 4):
+        for cond in (1.0, 1e4):
+            for seed in range(3):
+                rep = rm.Representation("recoordinated", _recoordinated(catalog.make_sl(n), cond, _rng(seed)))
+                dim = rm.centralizer_dim(rep, rm.cayley(rep, np.eye(n)))
+                if dim != rep.g_dim:
+                    wrong.append((n, cond, seed, dim))
+    assert wrong == []
 
 
 CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)] for cond in (1.0, 1e3, 1e5, 1e7)]
@@ -645,6 +678,14 @@ def test_additive_jordan_of_a_small_diagonalizable_matrix_has_no_nilpotent_part(
         x = 1e-8 * linalg.complex_normal(rng, (5, 5))
         _, xn = rm.additive_jordan(x)
         assert np.linalg.norm(xn) <= 1e-6 * np.linalg.norm(x)
+
+
+def test_additive_jordan_at_scale_1e160_keeps_distinct_eigenvalues_apart():
+    # |x|^2 overflows here: the cluster threshold must still be relative to |x|, not inf
+    x = 1e160 * np.diag([1.0, 2.0])
+    assert linalg.spectral(x).multiplicities == [1, 1]
+    xs, xn = rm.additive_jordan(x)
+    assert np.array_equal(xs, x) and not xn.any()
 
 
 def test_additive_jordan_commutation():

@@ -1,8 +1,12 @@
 """Suite machinery: determinism, record bookkeeping, failure accounting."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 
+from cayleymap import representation as rm
 from cayleymap import suites
 
 
@@ -122,6 +126,40 @@ def test_raising_claim_records_its_error(monkeypatch):
             # every other claim still ran, passed, and reports no error key
             assert r.error is None and "error" not in rec and r.passed
     assert result.failures == 2
+
+
+def test_nan_family_fails_a_claim_over_families(monkeypatch):
+    # one family's NaN residual among nine finite ones fails the claim, and
+    # the suite's worst residual is NaN, not the largest finite one
+    adjoint = rm.adjoint_matrix
+
+    def nan_on_so4(rep, b):
+        m = adjoint(rep, b)
+        return np.full_like(m, np.nan) if rep.name == "so4" else m
+
+    monkeypatch.setattr(rm, "adjoint_matrix", nan_on_so4)
+    result = suites.run_suite("equivariance", trials=2, seed=0)
+    bad = [r for r in result.records if r.claim == "conjugation-equivariance"]
+    assert len(bad) == 2 and all(math.isnan(r.residual) and not r.passed for r in bad)
+    assert result.failures == 2
+    assert math.isnan(result.worst_residual)
+
+
+def test_nan_term_fails_a_pairwise_claim(monkeypatch):
+    # full-restriction folds the Gram and the image differences: a NaN image
+    # on the restricted representation fails it beside a finite Gram term
+    cayley = rm.cayley
+
+    def nan_on_restriction(rep, g):
+        if "|" not in rep.name:
+            return cayley(rep, g)
+        return types.SimpleNamespace(coords=np.full(rep.g_dim, np.nan, dtype=complex))
+
+    monkeypatch.setattr(rm, "cayley", nan_on_restriction)
+    result = suites.run_suite("restriction", trials=2, seed=0)
+    bad = [r for r in result.records if r.claim == "full-restriction"]
+    assert len(bad) == 2 and all(math.isnan(r.residual) and not r.passed for r in bad)
+    assert math.isnan(result.worst_residual)
 
 
 def test_claim_statements_cover_all_ids():

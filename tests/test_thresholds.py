@@ -79,6 +79,8 @@ SITES = {
     "_require_degree": (lambda _: cl.spin_exp(cl.basis_blade(3, 0b1)), ValueError, ">"),
     "_validate/odd": (lambda _: cl.SpinElement(cl.basis_blade(3, 0b1)), NotInSpin, ">"),
     "_validate/unit": (lambda _: cl.SpinElement(cl.scalar(3, 2.0)), NotInSpin, ">"),
+    # SPIN_TOL |g|^2 overflows at |g| = 1e300: refused on the norm against the largest that does not
+    "_validate/overflow": (lambda _: cl.SpinElement(cl.basis_blade(4, 0b11) * 1e300), NotInSpin, ">"),
     "_twisted_images": (_spin6_volume_rotor, NotInSpin, ">"),
     "tau_inv": (lambda _: cl.tau_inv(np.eye(3)), NotSkew, ">"),
     # 1 + b = diag(1, 1e-12): condition number 1e12
