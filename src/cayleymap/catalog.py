@@ -217,7 +217,7 @@ def dynkin_ratio(rep: Representation, reference: Representation) -> float:
     gref = reference.gram
     grep = rep.gram
     j = np.vdot(gref, grep) / np.vdot(gref, gref)
-    residual = np.linalg.norm(grep - j * gref) / np.linalg.norm(grep)
+    residual = linalg.norm(grep - j * gref) / linalg.norm(grep)
     raise_if(
         residual > PROPORTION_TOL, NotProportional, "trace forms not proportional: residual", residual, PROPORTION_TOL
     )

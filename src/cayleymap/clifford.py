@@ -430,11 +430,11 @@ class SpinElement:
     """Even Clifford element g with g alpha(g) = 1 preserving V under
     twisted conjugation x -> g x alpha(g).
 
-    value is fixed at construction.  alpha(g), with its spinor image, is
-    formed once, by validation, and kept.
+    value is fixed at construction; validation forms alpha(g), with its spinor
+    image, and the threshold SPIN_TOL max(1, |g|)^2 once, and keeps both.
     """
 
-    __slots__ = ("value", "_alpha")
+    __slots__ = ("value", "_alpha", "_threshold")
 
     def __init__(self, value: CliffordElement):
         self.value = value
@@ -449,7 +449,7 @@ class SpinElement:
         scale = max(1.0, g.norm())
         odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
         raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
-        threshold = SPIN_TOL * scale * scale
+        self._threshold = threshold = SPIN_TOL * scale * scale
         raise_if(threshold == np.inf, NotInSpin, "membership threshold overflows: norm", scale, _MAX_SPIN_NORM)
         self._alpha = ag = alpha(g)
         # g alpha(g) - 1; entries that overflow (norms from ~1e154) fail the test
@@ -458,7 +458,7 @@ class SpinElement:
         diff[0] -= 1.0
         unit = linalg.norm(diff)
         raise_if(not unit <= threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
-        _twisted_images(g, ag)
+        _twisted_images(g, ag, threshold)
 
     @property
     def n(self) -> int:
@@ -468,7 +468,7 @@ class SpinElement:
         # negation commutes with alpha's sign flips and with the spinor
         # transforms, so alpha(-g) = -alpha(g) exactly and -g needs no check
         out = SpinElement.__new__(SpinElement)
-        out.value, out._alpha = -self.value, -self._alpha
+        out.value, out._alpha, out._threshold = -self.value, -self._alpha, self._threshold
         return out
 
     def __repr__(self) -> str:
@@ -490,8 +490,8 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
 
 
-def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
-    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V.
+def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
+    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
     images come from one to_spinor of n unit rows.  The n product images go
@@ -500,9 +500,6 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
     """
     n = g.n
     t = _tables(n)
-    scale = max(1.0, g.norm())
-    # _validate's threshold, finite for every element it accepts (scale ** 2 would raise OverflowError)
-    threshold = SPIN_TOL * scale * scale
     units = np.zeros((n, 1 << n))
     units[np.arange(n), 1 << np.arange(n)] = 1.0
     # entries or residuals that overflow (norms from ~1e150) fail the test
@@ -517,7 +514,7 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
 
 def vector_action(g: SpinElement) -> np.ndarray:
     """The rotation T(g) in SO(n): column j holds g z_j alpha(g)."""
-    return _twisted_images(g.value, g._alpha)
+    return _twisted_images(g.value, g._alpha, g._threshold)
 
 
 def tau(u: CliffordElement) -> np.ndarray:
@@ -531,22 +528,29 @@ def tau(u: CliffordElement) -> np.ndarray:
     return s
 
 
+def require_skew(s: np.ndarray, what: str) -> None:
+    """NotSkew, its message headed by what, when |s + s^T| > SKEW_TOL |s| + n linalg.ROUNDING_FLOOR
+    for the finite n x n s: relative to s, plus a floor of a few ulps per row, as tau_inv's callers
+    pass the Cayley image (1-t)(1+t)^{-1} of a computed rotation t, whose symmetric part is rounding
+    of t's unit-size entries however small s is (up to 18 eps at n = 10 for t near 1).  The norms
+    are of s 2^-e, 2^e the largest power of two up to its largest component (e >= 0), scaled back:
+    exact, so no term overflows (|s + s^T| reads inf only above the largest float)."""
+    e = max(0, int(np.frexp(np.abs([s.real, s.imag]).max(initial=0.0))[1]) - 1)
+    r = s * 0.5**e
+    sym = linalg.norm(r + r.T) * 2.0**e
+    threshold = SKEW_TOL * linalg.norm(r) * 2.0**e + linalg.ROUNDING_FLOOR * s.shape[0]
+    raise_if(sym > threshold, NotSkew, what, sym, threshold)
+
+
 def tau_inv(s: np.ndarray) -> CliffordElement:
     """Bivector with tau(u) = s, read off coefficientwise from the skew matrix.
 
-    NotSkew when ||s + s^T|| > SKEW_TOL ||s|| + n linalg.ROUNDING_FLOOR:
-    relative to the scale of s, plus a floor of a few ulps per row.  The
-    callers pass the Cayley image (1-t)(1+t)^{-1} of a computed rotation t,
-    whose symmetric part is rounding of t's unit-size entries however small
-    s is (up to 18 eps at n = 10 for t near 1); I at scale 1e-12 is still
-    far above the floor.
-    The zero matrix passes and gives the zero bivector; non-square or
-    non-finite s raise ValueError.
+    NotSkew where require_skew refuses s.  The zero matrix passes and gives
+    the zero bivector; non-square or non-finite s raise ValueError.
     """
     s = linalg.as_square_matrix(s, "tau_inv argument")
     n = s.shape[0]
-    sym, threshold = linalg.norm(s + s.T), SKEW_TOL * linalg.norm(s) + linalg.ROUNDING_FLOOR * n
-    raise_if(sym > threshold, NotSkew, "matrix is not skew-symmetric: |s + s^T|", sym, threshold)
+    require_skew(s, "matrix is not skew-symmetric: |s + s^T|")
     a, b, masks = _bivector_blades(n)
     u = CliffordElement(n)
     u.coeffs[masks] = 0.5 * s[a, b]
@@ -566,9 +570,7 @@ def cayley_gamma(b: np.ndarray) -> np.ndarray:
     cond, max_cond = np.linalg.cond(eye + b), 1.0 / linalg.RTOL
     raise_if(cond > max_cond, SingularShift, "1 + b is singular: condition number", cond, max_cond)
     out = linalg.solve_linear(eye + b, eye - b, "1 + b")
-    # |b| beyond ~1e154 overflows the bound to inf, which passes every finite transform: not warned
-    with np.errstate(over="ignore"):
-        norm, max_norm = np.linalg.norm(out), (1.0 + np.linalg.norm(b)) / linalg.RTOL
+    norm, max_norm = linalg.norm(out), (1.0 + linalg.norm(b)) / linalg.RTOL
     raise_if(not norm <= max_norm, SingularShift, "1 + b is singular: transform norm", norm, max_norm)
     return out
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .clifford import SKEW_TOL
-from .errors import DegenerateInput, NotSkew, raise_if
+from .clifford import require_skew
+from .errors import DegenerateInput, raise_if
 
 # Bound on an sl target's relative trace.
 TRACE_FREE_TOL = 1e-8
@@ -65,18 +65,17 @@ class FiberReport:
         }
 
 
-def _char_poly(x: np.ndarray) -> np.ndarray:
-    """The n + 1 coefficients of t -> det(t*1 + x) by node evaluation and interpolation."""
+def _char_poly(x: np.ndarray, norm: float) -> np.ndarray:
+    """The n + 1 coefficients of t -> det(t*1 + x), interpolated at n + 1 nodes of radius 1 + |x| (norm)."""
     n = x.shape[0]
-    radius = 1.0 + np.linalg.norm(x)
-    nodes = radius * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    nodes = (1.0 + norm) * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     eye = np.eye(n)
     values = np.array([linalg.determinant(t * eye + x) for t in nodes])
     vander = np.vander(nodes, n + 1, increasing=True)
     return np.linalg.solve(vander, values)
 
 
-# an overflow of ||X||, of a node's power or of det(t*1 + X) is caught by the finiteness check, not warned
+# an overflow of tr X, of a node's power or of det(t*1 + X) is caught by a test, not warned
 @np.errstate(over="ignore", invalid="ignore")
 def _fiber_poly(family: str, n: int, x):
     """(minimal_poly_coeffs(family, n, x), X's eigenpairs (lambda, V) for spin
@@ -87,18 +86,17 @@ def _fiber_poly(family: str, n: int, x):
         raise ValueError(f"target is {x.shape[0]}x{x.shape[0]}, expected n={n}")
     if family not in FAMILIES:
         raise ValueError(f"unknown fiber family {family!r}")
-    norm = np.linalg.norm(x)
+    norm = linalg.norm(x)
     if family == "sl":
         trace, threshold = abs(np.trace(x)), TRACE_FREE_TOL * norm
         raise_if(trace > threshold, DegenerateInput, "sl fiber target must be trace-free: |tr X|", trace, threshold)
     else:
-        sym, threshold = np.linalg.norm(x + x.T), SKEW_TOL * norm
-        raise_if(sym > threshold, NotSkew, "spin fiber target must be skew-symmetric: |X + X^T|", sym, threshold)
+        require_skew(x, "spin fiber target must be skew-symmetric: |X + X^T|")
     smallest = FAMILIES[family][0]
     if n < smallest:
         raise ValueError(f"{family} fibers need n >= {smallest}")
     if family == "sl":
-        eig, coeffs = None, _char_poly(x)
+        eig, coeffs = None, _char_poly(x, norm)
     else:
         eig = np.linalg.eig(x)
         coeffs = np.poly(-eig.eigenvalues)[::-1].astype(complex)
@@ -124,9 +122,9 @@ def minimal_poly_coeffs(family: str, n: int, x) -> np.ndarray:
     multiplied out from the eigenvalues, prod(t + lambda_i), for spin, with
     those det(t*1 + X) fixes written exactly: p_n = 1; for sl p_{n-1} = tr X;
     for spin 0 at each power of the other parity from n, as
-    det(t*1 + X) = (-1)^n det(-t*1 + X).  The target is checked first,
-    relative to |X| (DegenerateInput for an sl trace, NotSkew for a non-skew
-    spin target), then n against the family's smallest, then that
+    det(t*1 + X) = (-1)^n det(-t*1 + X).  The target is checked first
+    (DegenerateInput for an sl trace above TRACE_FREE_TOL |X|, NotSkew where
+    clifford.require_skew refuses a spin target), then n against the family's smallest, then that
     det(t*1 + X) is finite (DegenerateInput where it overflows).
     """
     return _fiber_poly(family, n, x)[0]

@@ -162,10 +162,14 @@ def matrix_exp(a: Matrix) -> Matrix:
     six products, one solve and s squarings.  The smaller degrees of
     Higham's algorithm would save up to four products below the norm 2.1;
     one degree keeps one evaluation.  ValueError (from as_square_matrix) for
-    non-square or non-finite input.
+    non-square or non-finite input; DegenerateInput where the 1-norm of the
+    finite a overflows, so that no scaling is defined.
     """
     a = as_square_matrix(a, "exponent")
-    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    with np.errstate(over="ignore"):
+        norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    if norm == np.inf:
+        raise DegenerateInput("exponent 1-norm overflows: no scaling 2^-s brings it to PADE_THETA")
     squarings = int(np.ceil(np.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
     a = a * 0.5**squarings
     b = PADE_COEFFS

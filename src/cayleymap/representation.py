@@ -54,7 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix, raise_if
+from .errors import (
+    ClusterAmbiguity,
+    DegenerateForm,
+    DegenerateInput,
+    NotASubalgebra,
+    NotEquivariant,
+    SingularMatrix,
+    raise_if,
+)
 
 # Residual allowed when re-expressing commutators / conjugates in the basis.
 CLOSURE_TOL = 1e-8
@@ -312,9 +320,18 @@ class AlgebraVector:
 # --- the projection map and its Jacobian -------------------------------------
 
 
+def _require_finite(value, what: str, g):
+    """value, unless an entry overflowed: then DegenerateInput naming the scale |M(g)|."""
+    if not np.isfinite(value).all():
+        raise DegenerateInput(f"{what} is not finite: it overflows at |M(g)| {linalg.norm(_mat(g)):.2e}")
+    return value
+
+
 def cayley(rep: Representation, g) -> AlgebraVector:
-    """Project the group element onto the algebra in the trace form."""
-    return AlgebraVector(rep, rep.coords_of(rep.element_matrix(g)))
+    """Project the group element onto the algebra in the trace form; DegenerateInput where a coordinate overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = rep.coords_of(rep.element_matrix(g))
+    return AlgebraVector(rep, _require_finite(coords, "projection", g))
 
 
 def cayley_jacobian(rep: Representation, g) -> np.ndarray:
@@ -330,9 +347,11 @@ def psi(rep: Representation, g) -> complex:
     """Jacobian determinant of the projection map in the left-invariant frame.
 
     Independent of the basis choice; its zero set is where the map's
-    differential degenerates.
+    differential degenerates.  DegenerateInput where it overflows.
     """
-    return linalg.determinant(cayley_jacobian(rep, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = linalg.determinant(cayley_jacobian(rep, g))
+    return _require_finite(value, "Jacobian determinant", g)
 
 
 def character(rep: Representation, g) -> complex:
@@ -438,7 +457,7 @@ def centralizer_dim(rep: Representation, x) -> int:
     sv = np.linalg.svd(a - s, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return rep.g_dim
-    floor = rep._rounding_floor(np.linalg.norm(a) + np.linalg.norm(s))
+    floor = rep._rounding_floor(linalg.norm(a) + linalg.norm(s))
     return int(np.sum(sv < max(KERNEL_CUTOFF * sv[0], floor)))
 
 

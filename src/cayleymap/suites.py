@@ -124,7 +124,7 @@ def _equivariance(rng, trial) -> float:
         g = _sample(rep, "generic", rng)
         lhs = rm.cayley(rep, b.matrix @ g.matrix @ np.linalg.inv(b.matrix)).coords
         rhs = rm.adjoint_matrix(rep, b) @ rm.cayley(rep, g).coords
-        return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
+        return _rel(linalg.norm(lhs - rhs), linalg.norm(rhs))
 
     return _worst(residual(_built(catalog.make, *key)) for key in FAMILY_KEYS)
 
@@ -137,7 +137,7 @@ def _cartan_stability(rng, trial) -> float:
 
 def _jacobian_identity(rng, trial) -> float:
     reps = [_built(catalog.make, *key) for key in FAMILY_KEYS]
-    return _worst(np.linalg.norm(rm.cayley_jacobian(rep, np.eye(rep.v_dim)) - np.eye(rep.g_dim)) for rep in reps)
+    return _worst(linalg.norm(rm.cayley_jacobian(rep, np.eye(rep.v_dim)) - np.eye(rep.g_dim)) for rep in reps)
 
 
 def _psi_basis_invariance(rng, trial) -> float:
@@ -199,7 +199,7 @@ def _jordan_semisimple(rng, trial) -> float:
     gs, _ = rm.multiplicative_jordan(g, cluster_tol=1e-4)
     phi_of_gs = rm.cayley(rep, gs).matrix()
     phi_s, _ = rm.additive_jordan(rm.cayley(rep, g).matrix(), cluster_tol=1e-4)
-    return float(np.linalg.norm(phi_of_gs - phi_s))
+    return linalg.norm(phi_of_gs - phi_s)
 
 
 def _additive_commute(rng, trial) -> float:
@@ -209,7 +209,7 @@ def _additive_commute(rng, trial) -> float:
     v = linalg.complex_normal(rng, (3, 3)) + 2 * np.eye(3)
     x = v @ block @ np.linalg.inv(v)
     xs, xn = rm.additive_jordan(x, cluster_tol=1e-4)
-    return float(np.linalg.norm(xs @ xn - xn @ xs))
+    return linalg.norm(xs @ xn - xn @ xs)
 
 
 def _ehu_reconstruction(rng, trial) -> float:
@@ -217,7 +217,7 @@ def _ehu_reconstruction(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     g = _jordan_sample(rng, n, rep)
     ge, gh, gu = rm.ehu_decomposition(g, cluster_tol=1e-4)
-    recombined = _rel(np.linalg.norm(ge @ gh @ gu - g), np.linalg.norm(g))
+    recombined = _rel(linalg.norm(ge @ gh @ gu - g), linalg.norm(g))
     return _worst([recombined, *np.abs(np.abs(np.linalg.eigvals(ge)) - 1), *np.abs(np.linalg.eigvals(gh).imag)])
 
 
@@ -263,7 +263,7 @@ def _principal_fiber_elements(rng, trial) -> float:
     n = 2 + trial % 3
     rep = _built(catalog.make, "sl", n)
     x = degree.principal_nilpotent(n)
-    return _worst(np.linalg.norm(rm.cayley(rep, el).matrix() - x) for el in degree.sl_fiber(n, x).valid_elements)
+    return _worst(linalg.norm(rm.cayley(rep, el).matrix() - x) for el in degree.sl_fiber(n, x).valid_elements)
 
 
 UNIPOTENT = [
@@ -317,7 +317,7 @@ def _cartan_restriction(rng, trial) -> float:
     g = _sample(rep, "cartan", rng)
     full = rm.cayley(rep, g).matrix()
     restricted = rm.cayley(sub, g).matrix()
-    return _rel(np.linalg.norm(full - restricted), np.linalg.norm(full))
+    return _rel(linalg.norm(full - restricted), linalg.norm(full))
 
 
 def _so4_ideal_rep():
@@ -339,8 +339,8 @@ def _ideal_restriction(rng, trial) -> float:
     g = catalog.realize(rep, coords)
     full = rm.cayley(rep, g).coords
     restricted = rm.cayley(sub, g).coords
-    err = _worst([np.linalg.norm(full[idx] - restricted), np.linalg.norm(np.delete(full, idx))])
-    return _rel(err, np.linalg.norm(full))
+    err = _worst([linalg.norm(full[idx] - restricted), linalg.norm(np.delete(full, idx))])
+    return _rel(err, linalg.norm(full))
 
 
 def _full_restriction(rng, trial) -> float:
@@ -349,7 +349,7 @@ def _full_restriction(rng, trial) -> float:
     sub = rm.restrict_to_subalgebra(rep, range(rep.g_dim))
     g = _sample(rep, "generic", rng)
     d_coords = rm.cayley(sub, g).coords - rm.cayley(rep, g).coords
-    return _worst([np.linalg.norm(sub.gram - rep.gram), np.linalg.norm(d_coords)])
+    return _worst([linalg.norm(sub.gram - rep.gram), linalg.norm(d_coords)])
 
 
 RESTRICTION = [
@@ -377,7 +377,7 @@ def _sum_mix(rng, trial) -> float:
     c2 = rm.cayley(r2, catalog.realize(r2, coords)).coords
     cs = rm.cayley(both, catalog.realize(both, coords)).coords
     mix = (j1 / jsum) * c1 + (j2 / jsum) * c2
-    return _rel(np.linalg.norm(cs - mix), np.linalg.norm(mix))
+    return _rel(linalg.norm(cs - mix), linalg.norm(mix))
 
 
 def _tensor_mix(rng, trial) -> float:
@@ -394,7 +394,7 @@ def _tensor_mix(rng, trial) -> float:
         j1 * rm.character(r2, g2) * rm.cayley(r1, g1).coords
         + rm.character(r1, g1) * j2 * rm.cayley(r2, g2).coords
     ) / jprod
-    return _rel(np.linalg.norm(rm.cayley(prod, gp).coords - mix), np.linalg.norm(mix))
+    return _rel(linalg.norm(rm.cayley(prod, gp).coords - mix), linalg.norm(mix))
 
 
 def _tensor_power_scaling(rng, trial) -> float:
@@ -406,7 +406,7 @@ def _tensor_power_scaling(rng, trial) -> float:
     g = catalog.realize(rep, coords)
     gk = catalog.realize(power, coords)
     mix = (rm.character(rep, g) / rep.v_dim) ** (k - 1) * rm.cayley(rep, g).coords
-    return _rel(np.linalg.norm(rm.cayley(power, gk).coords - mix), np.linalg.norm(mix))
+    return _rel(linalg.norm(rm.cayley(power, gk).coords - mix), linalg.norm(mix))
 
 
 def _dual_negation(rng, trial) -> float:
@@ -418,7 +418,7 @@ def _dual_negation(rng, trial) -> float:
     gd = catalog.realize(d, coords)
     lhs = rm.cayley(d, gd).coords
     rhs = -rm.cayley(rep, np.linalg.inv(g.matrix)).coords
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
+    return _rel(linalg.norm(lhs - rhs), linalg.norm(rhs))
 
 
 def _gram_additivity(rng, trial) -> float:
@@ -480,7 +480,7 @@ def _gamma_homomorphism(rng, trial) -> float:
     u, v = _random_element(n, rng), _random_element(n, rng)
     lhs = cl.gamma_matrix(u) @ cl.gamma_matrix(v)
     rhs = cl.gamma_matrix(u * v)
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs))
+    return _rel(linalg.norm(lhs - rhs), linalg.norm(lhs))
 
 
 def _scalar_trace_law(rng, trial) -> float:
@@ -524,7 +524,7 @@ def _tau_differential(rng, trial) -> float:
     u = cl.random_bivector(n, rng)
     eps = 1e-6
     fd = (cl.vector_action(cl.spin_exp(eps * u)) - cl.vector_action(cl.spin_exp(-eps * u))) / (2 * eps)
-    return float(np.linalg.norm(fd - cl.tau(u)))
+    return linalg.norm(fd - cl.tau(u))
 
 
 CLIFFORD = [
@@ -579,7 +579,7 @@ def _spin_factorization(rng, trial) -> float:
     g, t = _spin_sample_nonsingular(rng, n)
     w = cl.tau_inv(cl.cayley_gamma(t))
     recon = cl.spin_scalar(g) * cl.exterior_exp(-2.0 * w)
-    return float((g.value - recon).norm())
+    return (g.value - recon).norm()
 
 
 def _spin_closed_form(rng, trial) -> float:
@@ -587,13 +587,13 @@ def _spin_closed_form(rng, trial) -> float:
     g, t = _spin_sample_nonsingular(rng, n)
     w = cl.tau_inv(cl.cayley_gamma(t))
     closed = -2.0 * cl.spin_scalar(g) * w
-    return float((cl.spin_cayley(g) - closed).norm())
+    return (cl.spin_cayley(g) - closed).norm()
 
 
 def _double_cover_sign(rng, trial) -> float:
     n = _spin_n(trial)
     g = cl.spin_exp(cl.random_bivector(n, rng))
-    rotation = np.linalg.norm(cl.vector_action(-g) - cl.vector_action(g))
+    rotation = linalg.norm(cl.vector_action(-g) - cl.vector_action(g))
     return _worst([rotation, abs(cl.spin_scalar(-g) + cl.spin_scalar(g))])
 
 
@@ -623,7 +623,7 @@ def _sl_fiber_elements(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     x = degree.random_trace_free(n, rng)
     elements = degree.sl_fiber(n, x).valid_elements
-    return _worst(_rel(np.linalg.norm(rm.cayley(rep, el).matrix() - x), np.linalg.norm(x)) for el in elements)
+    return _worst(_rel(linalg.norm(rm.cayley(rep, el).matrix() - x), linalg.norm(x)) for el in elements)
 
 
 def _spin_det_consistency(rng, trial) -> float:

@@ -154,6 +154,33 @@ def test_spin_cayley_closed_form_follows_cayley_gamma(tmp_path, capsys):
     assert (closed - cl.CliffordElement.from_json(payload["pr2"])).norm() <= 1e-11
 
 
+@pytest.mark.parametrize("n", [7, 9, 10])
+def test_spin_cayley_random_closed_form_matches_pr2(capsys, n):
+    # odd n runs the chain of kept images in the padded Cl_{n+1}; n = 10 is the largest algebra
+    from cayleymap import clifford as cl
+
+    code, payload = run_json(capsys, "spin", "cayley", "--random", "--n", str(n), "--seed", "2")
+    assert code == 0
+    pr2 = cl.CliffordElement.from_json(payload["pr2"])
+    assert (cl.CliffordElement.from_json(payload["closed_form"]) - pr2).norm() <= 1e-8 * pr2.norm()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spin", "cayley", "--random"], "--random needs --n"),
+        (["spin", "action", "--random"], "--random needs --n"),
+        (["spin", "cayley"], "provide --element FILE or --random"),
+        (["spin", "action", "--n", "4"], "provide --element FILE or --random"),
+        (["spin", "exp"], "spin exp needs --element FILE"),
+    ],
+)
+def test_spin_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_verify_suite_passes(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "inequality", "--trials", "200", "--seed", "3")
     assert code == 0
@@ -294,6 +321,28 @@ def test_spin_commands_refuse_a_file_whose_norm_overflows(tmp_path, capsys, comm
     path.write_text(json.dumps({"n": 4, "coeffs_re": coeffs}))
     assert cli.main(["spin", command, "--element", str(path)]) == 3
     assert "error: NotInSpin: " in capsys.readouterr().err
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_finite_inputs_whose_results_overflow_are_refused(tmp_path, capsys):
+    # each exits 3 with a typed error and no numpy warning (warnings are errors here)
+    biv = [0.0] * 16
+    biv[0b011] = biv[0b101] = 1e308
+    so2 = {"n": 2, "re": [[0.0, 1.5e308], [-1.5e308, 0.0]]}
+    cases = [
+        (["spin", "exp", "--element", _write(tmp_path / "b.json", {"n": 4, "coeffs_re": biv})], "DegenerateInput"),
+        (["map", "--group", "so", "--n", "2", "--element", _write(tmp_path / "so2.json", so2)], "DegenerateInput"),
+        (["psi", "--group", "gl", "--n", "2", "--element", "diag(1e200,1e200)"], "DegenerateInput"),
+        (["fiber", "--family", "spin", "--n", "3", "--target", "diag(1e160,2e160,3e160)"], "NotSkew"),
+    ]
+    for argv, error in cases:
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {error}: ")
 
 
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     neg = -g
     t_neg = cl.vector_action(neg)
     assert rows["alpha"] == 1
-    assert np.array_equal(t_neg, cl._twisted_images(neg.value, alpha(neg.value)))
+    assert np.array_equal(t_neg, cl._twisted_images(neg.value, alpha(neg.value), neg._threshold))
     # -g starts from g's coefficients, one round trip from g's exponential image
     assert np.abs(t_neg - t).max() <= 1e-12
 
@@ -721,6 +721,43 @@ def test_tau_inv_rejects_a_symmetric_matrix_whose_norm_overflows():
         cl.tau_inv(1e200 * np.ones((3, 3)))
     assert exc.value.value == pytest.approx(6e200, rel=1e-15)
     assert exc.value.threshold == pytest.approx(3e190, rel=1e-15)
+
+
+def test_tau_inv_rejects_a_symmetric_matrix_whose_sum_overflows():
+    # s + s^T and |s| both overflow at 1e308: the rule runs on s 2^-1023, so its threshold stays finite
+    with pytest.raises(NotSkew) as exc:
+        cl.tau_inv(1e308 * np.ones((2, 2)))
+    assert exc.value.threshold == pytest.approx(2e298, rel=1e-15)
+    # an exactly skew s at that scale passes, with its coefficients read off as they stand
+    s = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    assert cl.tau_inv(s).coeffs[0b11] == 0.75e308
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1.5, 3e5, 1e100])
+def test_skew_rule_equals_its_formula_bit_for_bit(scale):
+    # the power-of-two scaling inside require_skew is exact: value and threshold
+    # are |s + s^T| and SKEW_TOL |s| + n ROUNDING_FLOOR as np.linalg.norm gives them
+    rng = _rng(40)
+    for n in (2, 5, 9):
+        s = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        with pytest.raises(NotSkew) as exc:
+            cl.require_skew(s, "probe")
+        assert exc.value.value == np.linalg.norm(s + s.T)
+        assert exc.value.threshold == cl.SKEW_TOL * np.linalg.norm(s) + linalg.ROUNDING_FLOOR * n
+
+
+def test_vector_action_reads_the_threshold_validation_kept(monkeypatch):
+    # |g| is read once, by SpinElement's validation; -g copies its threshold
+    g = cl.spin_exp(cl.random_bivector(5, _rng(41)))
+    want = cl.vector_action(g)
+    assert (-g)._threshold == g._threshold == cl.SPIN_TOL * max(1.0, g.value.norm()) ** 2
+    reads = []
+    monkeypatch.setattr(cl.CliffordElement, "norm", lambda u: reads.append(u) or 0.0)
+    monkeypatch.setattr(cl.linalg, "norm", lambda a: reads.append(a) or 0.0)
+    assert np.array_equal(cl.vector_action(g), want)
+    # -g is built from g's coefficients, one round trip from g's exponential image
+    assert np.abs(cl.vector_action(-g) - want).max() <= 1e-12
+    assert reads == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -100,6 +100,22 @@ def test_overflowing_fiber_polynomial_is_degenerate_without_warnings(family, tar
             degree.FAMILIES[family][2](len(target), target)
 
 
+def test_overflowing_fiber_polynomial_names_the_finite_scale():
+    # |X| is linalg.norm's 1.41e+160, not np.linalg.norm's overflowed inf
+    with pytest.raises(DegenerateInput, match=r"overflows at \|X\| 1\.41e\+160$"):
+        degree.sl_fiber(2, np.diag([1e160, -1e160]))
+
+
+def test_non_skew_spin_target_whose_norm_overflows_is_not_skew():
+    # |X|^2 overflows at 1e160: the skew rule still compares finite numbers
+    x = 1e160 * np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NotSkew) as err:
+        degree.spin_fiber(3, x)
+    assert np.isfinite(err.value.value) and np.isfinite(err.value.threshold)
+    assert err.value.value == pytest.approx(2 * np.sqrt(14) * 1e160, rel=1e-15)
+    assert err.value.threshold == pytest.approx(cl.SKEW_TOL * np.sqrt(14) * 1e160, rel=1e-15)
+
+
 def test_principal_nilpotent_fiber_counts():
     for n in (2, 3, 4):
         report = degree.sl_fiber(n, degree.principal_nilpotent(n))
@@ -176,7 +192,8 @@ def test_minimal_poly_writes_the_coefficients_det_fixes(family):
 )
 def test_fiber_preconditions_raise_at_every_scale_or_at_none(family, n, log_scale, seed):
     # an exactly skew or trace-free c X passes; a defect of 1e-6 |X| (a multiple
-    # of 1, symmetric with a trace) fails, whatever the scale c
+    # of 1, symmetric with a trace) fails, whatever the scale c down to ~1.3e-8
+    # (below it, the skew rule's floor n ROUNDING_FLOOR passes a spin defect this small)
     _, sample, fiber = degree.FAMILIES[family]
     c, x = 10.0**log_scale, sample(n, _rng(seed))
     fiber(n, c * x)

@@ -492,6 +492,13 @@ def test_matrix_exp_rejects_non_finite_input(bad):
         linalg.matrix_exp(np.full((2, 2), bad))
 
 
+def test_matrix_exp_refuses_an_exponent_whose_1_norm_overflows():
+    # finite entries whose column sum is not: no scaling 2^-s is defined (warnings are errors here)
+    with pytest.raises(DegenerateInput, match="exponent 1-norm overflows"):
+        linalg.matrix_exp(np.array([[1e308, 0.0], [1e308j, 0.0]]))
+    assert np.isfinite(linalg.matrix_exp(np.array([[0.0, 1e308], [-1e308, 0.0]]) * 1e-300)).all()
+
+
 # Oracle tolerance: the relative error max|X - E| / max|E| against the oracle E
 # is at most EXP_RTOL * max(1, scale), times cond(V) when E = V diag(e^lam) V^-1;
 # scale is the 1-norm of the exponent (the largest |lam| for V diag(lam) V^-1),

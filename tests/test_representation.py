@@ -7,7 +7,14 @@ import pytest
 
 from cayleymap import catalog, linalg
 from cayleymap import representation as rm
-from cayleymap.errors import ClusterAmbiguity, DegenerateForm, NotASubalgebra, NotEquivariant, SingularMatrix
+from cayleymap.errors import (
+    ClusterAmbiguity,
+    DegenerateForm,
+    DegenerateInput,
+    NotASubalgebra,
+    NotEquivariant,
+    SingularMatrix,
+)
 
 
 def _rng(seed):
@@ -510,6 +517,22 @@ def test_jacobian_at_identity():
         assert np.linalg.norm(m - np.eye(rep.g_dim)) < 1e-10
 
 
+def test_projection_and_psi_refuse_a_finite_element_whose_result_overflows():
+    # the trace pairing of this so2 element, 3e308, overflows, as does psi's
+    # det(J) = 1e800 of gl2 at 1e200; both name the scale (warnings are errors here)
+    so2 = catalog.make_so(2)
+    with pytest.raises(DegenerateInput, match=r"projection is not finite: it overflows at \|M\(g\)\| inf"):
+        rm.cayley(so2, np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+    gl2 = catalog.make_gl(2)
+    with pytest.raises(DegenerateInput, match=r"Jacobian determinant is not finite: it overflows at \|M\(g\)\| 1\.41e\+200"):
+        rm.psi(gl2, np.diag([1e200, 1e200]))
+    # below the overflow both stand as before, and coordinates a caller passes keep their ValueError
+    assert rm.cayley(so2, np.array([[0.0, 1e300], [-1e300, 0.0]])).coords[0] == pytest.approx(1e300)
+    assert rm.psi(gl2, np.diag([1e50, 1e50])) == pytest.approx(1e200, rel=1e-12)
+    with pytest.raises(ValueError, match="coordinates contain non-finite entries"):
+        rm.AlgebraVector(so2, [np.inf])
+
+
 def test_psi_sl2_is_half_trace():
     rng = _rng(1)
     for trial in range(20):
@@ -918,6 +941,14 @@ def test_identity_centralizes_every_recoordinated_basis(fam, n, cond):
         assert rm.centralizer_dim(rep, rm.GroupElement(np.eye(n))) == rep.g_dim
         if fam == "gl":
             assert rm.centralizer_dim(rep, rm.cayley(rep, np.eye(n))) == rep.g_dim
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e155, 1e200])
+def test_centralizer_of_a_regular_element_at_a_scale_whose_norm_overflows(scale):
+    # |a|^2 overflows from ~1e154: a floor from np.linalg.norm would be inf and count every direction
+    x = np.zeros(SL3.g_dim)
+    x[:2] = 1.0, 0.3
+    assert rm.centralizer_dim(SL3, rm.AlgebraVector(SL3, scale * x)) == 2
 
 
 @pytest.mark.parametrize("fam, n", [("sl", 3), ("sl", 6), ("so", 6), ("gl", 4)])

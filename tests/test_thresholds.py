@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cayleymap
-from cayleymap import catalog, clifford as cl, degree, errors
+from cayleymap import catalog, clifford as cl, degree, errors, linalg
 from cayleymap import representation as rm
 from cayleymap.errors import (
     ClusterAmbiguity,
@@ -82,18 +82,14 @@ SITES = {
     # SPIN_TOL |g|^2 overflows at |g| = 1e300: refused on the norm against the largest that does not
     "_validate/overflow": (lambda _: cl.SpinElement(cl.basis_blade(4, 0b11) * 1e300), NotInSpin, ">"),
     "_twisted_images": (_spin6_volume_rotor, NotInSpin, ">"),
-    "tau_inv": (lambda _: cl.tau_inv(np.eye(3)), NotSkew, ">"),
+    # tau_inv and the spin fiber target check share this rule; test_skew_rule_refuses_for_each_caller triggers both
+    "require_skew": (lambda _: cl.tau_inv(np.eye(3)), NotSkew, ">"),
     # 1 + b = diag(1, 1e-12): condition number 1e12
     "cayley_gamma/cond": (lambda _: cl.cayley_gamma(np.diag([0.0, 1e-12 - 1.0])), SingularShift, ">"),
     "cayley_gamma/norm": (_half_turn_shift, SingularShift, ">"),
     "_fiber_poly/trace": (
         lambda _: degree.minimal_poly_coeffs("sl", 3, np.diag([1.0, 2.0, 3.0])),
         DegenerateInput,
-        ">",
-    ),
-    "_fiber_poly/skew": (
-        lambda _: degree.minimal_poly_coeffs("spin", 3, np.diag([1.0, 2.0, 3.0])),
-        NotSkew,
         ">",
     ),
 }
@@ -126,6 +122,21 @@ def _raise_if_callers(source: str) -> list:
 def test_every_raise_if_call_is_triggered():
     calls = Counter(name for path in SRC.glob("*.py") for name in _raise_if_callers(path.read_text(encoding="utf-8")))
     assert calls == Counter(site.split("/")[0] for site in SITES)
+
+
+def test_skew_rule_refuses_for_each_caller():
+    # one raise_if call, clifford.require_skew, states the rule for tau_inv and the spin fiber target
+    s = np.diag([1.0, 2.0, 3.0])
+    callers = {
+        "matrix is not skew-symmetric: |s + s^T|": cl.tau_inv,
+        "spin fiber target must be skew-symmetric: |X + X^T|": lambda x: degree.minimal_poly_coeffs("spin", 3, x),
+    }
+    for head, caller in callers.items():
+        with pytest.raises(NotSkew) as err:
+            caller(s)
+        assert err.value.value == np.linalg.norm(s + s.T)
+        assert err.value.threshold == cl.SKEW_TOL * np.linalg.norm(s) + 3 * linalg.ROUNDING_FLOOR
+        assert str(err.value).startswith(f"{head} 7.48e+00 > threshold 3.74e-10")
 
 
 def test_raise_if_is_silent_when_the_test_passes():
