@@ -145,13 +145,13 @@ def cmd_psi(args) -> int:
 def cmd_jacobian(args) -> int:
     rep = _build_rep(args)
     g = _element_for(args, rep)
-    jac = rm.cayley_jacobian(rep, g)
+    det = rm.psi(rep, g)  # the one guarded determinant: DegenerateInput where it overflows
     _emit(
         {
             "command": "jacobian",
             "group": rep.name,
-            "matrix": linalg.matrix_to_json(jac),
-            "det": linalg.complex_to_json(linalg.determinant(jac)),
+            "matrix": linalg.matrix_to_json(rm.cayley_jacobian(rep, g)),
+            "det": linalg.complex_to_json(det),
         },
         args,
     )

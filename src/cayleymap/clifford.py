@@ -380,7 +380,7 @@ def pairing(u: CliffordElement, v: CliffordElement) -> complex:
 def _require_degree(u: CliffordElement, k: int, what: str):
     """ValueError unless u is of pure degree k; what is the message head, naming the argument."""
     resid = linalg.norm(np.where(_tables(u.n).grades == k, 0.0, u.coeffs))
-    threshold = DEGREE_TOL * max(1.0, u.norm())
+    threshold = DEGREE_TOL * u.norm()
     raise_if(resid > threshold, ValueError, what, resid, threshold)
 
 
@@ -446,9 +446,10 @@ class SpinElement:
         # the odd-degree test below is false for NaN
         if not np.isfinite(c).all():
             raise NotInSpin("coefficients contain non-finite entries")
-        scale = max(1.0, g.norm())
+        norm = g.norm()
         odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
-        raise_if(odd > DEGREE_TOL * scale, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * scale)
+        raise_if(odd > DEGREE_TOL * norm, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * norm)
+        scale = max(1.0, norm)
         self._threshold = threshold = SPIN_TOL * scale * scale
         raise_if(threshold == np.inf, NotInSpin, "membership threshold overflows: norm", scale, _MAX_SPIN_NORM)
         self._alpha = ag = alpha(g)

@@ -302,8 +302,9 @@ class SpectralDecomposition:
 
 
 def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Eigenvalues of a clustered at threshold cluster_tol * (1 + ||a||), kept
-    on the result as its threshold beside the gap between its clusters.
+    """Eigenvalues of a clustered at threshold cluster_tol * ||a|| (the zero
+    matrix's threshold is 0: its n zero eigenvalues are one cluster), kept on
+    the result as its threshold beside the gap between its clusters.
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
@@ -315,8 +316,8 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    threshold = cluster_tol * (1.0 + norm(a))
-    reps, labels = dedup_roots(raw, threshold)
+    threshold = cluster_tol * norm(a)
+    reps, labels = dedup_roots(raw, threshold if a.any() else np.inf)
     diff = raw[:, None] - raw
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on
     # complex arrays can differ in the last ulp

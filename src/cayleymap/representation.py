@@ -70,7 +70,7 @@ ADJOINT_RESIDUAL_TOL = 1e-6
 # Singular values below this fraction of the largest count as kernel, as do
 # those below the rounding floor.
 KERNEL_CUTOFF = 1e-7
-# An element with an eigenvalue of modulus below this has no unipotent part.
+# An element with an eigenvalue of modulus below this fraction of the largest has no unipotent part.
 SINGULAR_TOL = 1e-12
 # Entries of one commutator product tile; a tile takes as many basis rows as
 # fit, at least one.  Smaller tiles lower the closure check's peak memory and
@@ -363,8 +363,8 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 
     Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
     dual basis by one GEMM.  Raises NotEquivariant if some conjugate leaves
-    the basis span by more than ADJOINT_RESIDUAL_TOL relative to (1 + its
-    norm), which signals a malformed representation.
+    the basis span by more than ADJOINT_RESIDUAL_TOL relative to its norm,
+    which signals a malformed representation.
     """
     bm = rep.element_matrix(b)
     v, g = rep.v_dim, rep.g_dim
@@ -373,7 +373,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     conj = (linalg.inverse(bm, "conjugating element").T @ left).reshape(v * v, g)
     ad = linalg.left_product(rep.dual.T, conj)
     res = np.linalg.norm(conj - rep._span_columns(ad), axis=0)
-    worst = float(np.max(res / (1.0 + np.linalg.norm(conj, axis=0))))
+    worst = float(np.max(res / np.linalg.norm(conj, axis=0)))
     outside = worst > ADJOINT_RESIDUAL_TOL
     raise_if(outside, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
     return ad
@@ -394,10 +394,11 @@ def _unipotent_split(g, cluster_tol: float):
     """Checked spectrum of the invertible g with its factors g_s, g_u = g_s^-1 g."""
     m = _mat(g)
     dec = _spectral_checked(m, cluster_tol)
-    smallest = np.min(np.abs(dec.eigenvalues))
-    raise_if(
-        smallest < SINGULAR_TOL, SingularMatrix, "element is numerically singular: |eigenvalue|", smallest, SINGULAR_TOL
-    )
+    moduli = np.abs(dec.eigenvalues)
+    if not moduli.any():
+        raise SingularMatrix("element is zero: every eigenvalue vanishes")
+    smallest, threshold = moduli.min(), SINGULAR_TOL * moduli.max()
+    raise_if(smallest < threshold, SingularMatrix, "element is numerically singular: |eigenvalue|", smallest, threshold)
     gs = dec.semisimple_part()
     return dec, gs, linalg.solve_linear(gs, m, "semisimple part")
 

@@ -1,6 +1,7 @@
 """CLI surface: commands, shorthand parsing, exit codes, report determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,19 @@ def test_finite_inputs_whose_results_overflow_are_refused(tmp_path, capsys):
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {error}: ")
+
+
+def test_jacobian_det_is_psis_guarded_determinant(capsys):
+    # one determinant path: "det" equals psi where finite, and exits 3 where it overflows, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["jacobian", "--group", "gl", "--n", "2", "--element", "diag(1e200,1e200)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DegenerateInput: Jacobian determinant is not finite: it overflows")
+    args = ["--group", "sl", "--n", "3", "--sample", "generic", "--seed", "1"]
+    code, jacobian = run_json(capsys, "jacobian", *args)
+    assert code == 0 and jacobian["det"] == run_json(capsys, "psi", *args)[1]["psi"]
 
 
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cayleymap import clifford as cl
@@ -558,6 +558,20 @@ def test_spin_exp_group_membership():
 def test_spin_exp_rejects_non_bivector():
     with pytest.raises(ValueError):
         cl.spin_exp(cl.basis_blade(3, 0b1))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), log_scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+@example(n=4, log_scale=-8.0, seed=0)
+def test_degree_tests_refuse_an_odd_part_at_every_scale(n, log_scale, seed):
+    # both bounds are DEGREE_TOL times the norm of the tested element, so an odd part of
+    # 1e-3 relative is refused at every c: c (b + 1e-3 z_1) by spin_exp, c (g + 1e-3 z_1) by SpinElement
+    c, b = 10.0**log_scale, cl.random_bivector(n, _rng(seed))
+    odd = cl.basis_blade(n, 0b1) * 1e-3
+    with pytest.raises(ValueError, match="spin_exp argument must be pure degree 2"):
+        cl.spin_exp((b + odd) * c)
+    with pytest.raises(NotInSpin, match="odd-degree residue"):
+        cl.SpinElement((cl.spin_exp(b).value + odd) * c)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

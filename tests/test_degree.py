@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleymap import catalog, clifford as cl, degree, linalg
@@ -190,16 +190,22 @@ def test_minimal_poly_writes_the_coefficients_det_fixes(family):
     log_scale=st.floats(-8.0, 8.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(family="spin", n=3, log_scale=-8.0, seed=0)
 def test_fiber_preconditions_raise_at_every_scale_or_at_none(family, n, log_scale, seed):
-    # an exactly skew or trace-free c X passes; a defect of 1e-6 |X| (a multiple
-    # of 1, symmetric with a trace) fails, whatever the scale c down to ~1.3e-8
-    # (below it, the skew rule's floor n ROUNDING_FLOOR passes a spin defect this small)
+    # an exactly skew or trace-free c X passes.  A defect of 1e-6 |X| (a multiple
+    # of 1, symmetric with a trace) fails at every scale for sl, whose test is
+    # relative; for spin it fails exactly where |D + D^T| exceeds the skew rule's
+    # SKEW_TOL |D| + n ROUNDING_FLOOR, whose floor passes it below c ~ 1.3e-8
     _, sample, fiber = degree.FAMILIES[family]
     c, x = 10.0**log_scale, sample(n, _rng(seed))
     fiber(n, c * x)
-    defect = 1e-6 * np.linalg.norm(x) / np.sqrt(n) * np.eye(n)
+    d = c * (x + 1e-6 * np.linalg.norm(x) / np.sqrt(n) * np.eye(n))
+    bound = cl.SKEW_TOL * np.linalg.norm(d) + n * linalg.ROUNDING_FLOOR
+    if family == "spin" and np.linalg.norm(d + d.T) <= bound:
+        fiber(n, d)
+        return
     with pytest.raises(DegenerateInput if family == "sl" else NotSkew):
-        fiber(n, c * (x + defect))
+        fiber(n, d)
 
 
 def test_minimal_poly_rejects_nonskew_spin_target():

@@ -198,13 +198,20 @@ def test_spectral_gap_two_clusters():
     m = np.diag([1.0, 1.0, 3.0])
     dec = linalg.spectral(m)
     assert dec.gap == 2.0
-    assert dec.threshold == linalg.CLUSTER_TOL * (1.0 + np.linalg.norm(m))
+    assert dec.threshold == linalg.CLUSTER_TOL * np.linalg.norm(m)
     # clusters {1, 1.5} and {4+i, 5+i} at threshold 2, between 1 and hypot(2.5, 1) = 2.69
     m = np.diag([1.0, 4.0 + 1j, 1.5, 5.0 + 1j])
-    dec = linalg.spectral(m, cluster_tol=2.0 / (1.0 + np.linalg.norm(m)))
+    dec = linalg.spectral(m, cluster_tol=2.0 / np.linalg.norm(m))
     assert dec.multiplicities == [2, 2]
     assert np.allclose(dec.eigenvalues, [1.25, 4.5 + 1j])
     assert dec.gap == np.hypot(2.5, 1.0)
+
+
+def test_spectral_of_zero_is_one_cluster():
+    # the relative threshold of the zero matrix is 0; its eigenvalues, all exactly 0, stay one cluster
+    dec = linalg.spectral(np.zeros((4, 4)))
+    assert dec.multiplicities == [4] and dec.gap == np.inf and dec.threshold == 0.0
+    assert not dec.eigenvalues.any() and not dec.semisimple_part().any()
 
 
 def test_spectral_gap_follows_chained_clusters():
@@ -212,7 +219,7 @@ def test_spectral_gap_follows_chained_clusters():
     # from 7.5e-3; its end 5.4e-3 lies nearer 7.5e-3 than the chain's mean
     # 2.7e-3, so membership by nearest mean would report 0.9e-3 as the gap
     m = np.diag([0.0, 0.9, 1.8, 2.7, 3.6, 4.5, 5.4, 7.5]) * 1e-3
-    dec = linalg.spectral(m, cluster_tol=1e-3 / (1.0 + np.linalg.norm(m)))
+    dec = linalg.spectral(m, cluster_tol=1e-3 / np.linalg.norm(m))
     assert dec.multiplicities == [7, 1]
     assert all(type(m) is int for m in dec.multiplicities)
     assert dec.gap == pytest.approx(2.1e-3, rel=1e-12)

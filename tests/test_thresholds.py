@@ -57,8 +57,8 @@ SITES = {
         NotEquivariant,
         ">",
     ),
-    # clusters 1.5e-6 apart at threshold ~1e-6: separate, but within twice the threshold
-    "_spectral_checked": (lambda _: rm.additive_jordan(np.diag([0.0, 1.5e-6])), ClusterAmbiguity, "<"),
+    # clusters 1.5e-6 apart at threshold 1e-6 |a| = 1.41e-6: separate, but within twice the threshold
+    "_spectral_checked": (lambda _: rm.additive_jordan(np.diag([1.0, 1.0 + 1.5e-6])), ClusterAmbiguity, "<"),
     "_unipotent_split": (lambda _: rm.multiplicative_jordan(np.diag([1.0, 0.0])), SingularMatrix, "<"),
     "_require_same_algebra": (
         lambda _: catalog.direct_sum(catalog.make_sl(2), catalog.make_so(3)),
