@@ -291,11 +291,10 @@ def from_vector(n: int, x) -> CliffordElement:
 
 def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
     """Bivector with circular Gaussian coefficients (E|c|^2 = BIVECTOR_SCALE^2), drawn
-    pair by pair in the order (1,2), (1,3), ..., (n-1,n)."""
+    pair by pair in the order (1,2), (1,3), ..., (n-1,n), real part first, by one generator call."""
+    masks = _bivector_blades(n)[2]
     u = CliffordElement(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            u.coeffs[(1 << a) | (1 << b)] = linalg.complex_normal(rng, (), BIVECTOR_SCALE)
+    u.coeffs[masks] = linalg._complex_from_parts(rng.standard_normal((masks.size, 2)).T, BIVECTOR_SCALE)
     return u
 
 
@@ -536,7 +535,7 @@ def require_skew(s: np.ndarray, what: str) -> None:
     of t's unit-size entries however small s is (up to 18 eps at n = 10 for t near 1).  The norms
     are of s 2^-e, 2^e the largest power of two up to its largest component (e >= 0), scaled back:
     exact, so no term overflows (|s + s^T| reads inf only above the largest float)."""
-    e = max(0, int(np.frexp(np.abs([s.real, s.imag]).max(initial=0.0))[1]) - 1)
+    e = linalg._binary_exponent(s)
     r = s * 0.5**e
     sym = linalg.norm(r + r.T) * 2.0**e
     threshold = SKEW_TOL * linalg.norm(r) * 2.0**e + linalg.ROUNDING_FLOOR * s.shape[0]

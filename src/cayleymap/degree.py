@@ -176,7 +176,8 @@ def spin_fiber(n: int, x) -> FiberReport:
 
 def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:
     m = linalg.complex_normal(rng, (n, n))
-    return m - (np.trace(m) / n) * np.eye(n)
+    m.flat[:: n + 1] -= np.trace(m) / n
+    return m
 
 
 def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ convergence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -81,8 +81,21 @@ def matrix_from_json(d: dict) -> Matrix:
 
 
 def complex_normal(rng: np.random.Generator, size=None, scale: float = 1.0):
-    """Circular complex Gaussian samples with E|z|^2 = scale^2."""
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+    """Circular complex Gaussian samples with E|z|^2 = scale^2, real parts then imaginary parts in one draw."""
+    shape = () if size is None else tuple(size) if np.iterable(size) else (size,)
+    return _complex_from_parts(rng.standard_normal((2, *shape)), scale)
+
+
+def _complex_from_parts(parts: np.ndarray, scale: float):
+    """scale * (parts[0] + 1j*parts[1]) / sqrt(2) bit for bit (numpy divides by a real as a product
+    with its reciprocal), scaling the float array parts in place; a 0-d result is a numpy scalar."""
+    if scale != 1.0:
+        parts *= scale
+    parts *= 1.0 / sqrt(2)
+    z = np.empty(parts.shape[1:], dtype=complex)
+    z.real = parts[0]
+    z.imag = parts[1]
+    return z[()]
 
 
 def norm(a) -> float:
@@ -99,6 +112,11 @@ def norm(a) -> float:
             top = np.abs([a.real, a.imag]).max()
             out = np.linalg.norm(a / top) * top
     return float(out)
+
+
+def _binary_exponent(a) -> int:
+    """e >= 0 with 2^e the largest power of two up to the array a's largest component (0 below 2)."""
+    return max(0, int(np.frexp(np.abs([a.real, a.imag]).max(initial=0.0))[1]) - 1)
 
 
 def left_product(a: Matrix, c: Matrix) -> Matrix:
@@ -280,10 +298,13 @@ class SpectralDecomposition:
         multiplicity, and a repeated node takes the derivative, 0.  So f(matrix)
         is a polynomial in matrix and commutes with it; values = e_k gives the
         spectral projector of cluster k (Higham 2008, Functions of Matrices,
-        ch. 1).
+        ch. 1).  It is evaluated exactly on matrix 2^-e at nodes 2^-e (_binary_exponent),
+        so that the Newton factors cannot overflow at |matrix|^(n-1).
         """
         mults = self.multiplicities
-        nodes = np.repeat(self.eigenvalues, mults)
+        shrink = 0.5 ** _binary_exponent(self.matrix)
+        a = self.matrix * shrink
+        nodes = np.repeat(self.eigenvalues, mults) * shrink
         coeff = np.repeat(np.asarray(values, dtype=complex), mults)
         for order in range(1, nodes.size):
             step = nodes[order:] - nodes[:-order]
@@ -293,7 +314,7 @@ class SpectralDecomposition:
         result = coeff[0] * eye
         factor = eye
         for k in range(1, nodes.size):
-            factor = factor @ (self.matrix - nodes[k - 1] * eye)
+            factor = factor @ (a - nodes[k - 1] * eye)
             result = result + coeff[k] * factor
         return result
 

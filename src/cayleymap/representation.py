@@ -104,8 +104,9 @@ class Representation:
     the basis is linearly dependent or the trace form is singular or
     ill-conditioned on its span (then no projection map exists); gram_cond
     keeps its condition number.  The dual basis, dual, comes next from one
-    Gram solve; the closure check, structure_constants(), adjoint_matrix and
-    centralizer_dim project through it by GEMMs and solve nothing.
+    Gram solve (DegenerateInput where it is not finite: subnormal Gram entries
+    pass build_gram); the closure check, structure_constants(), adjoint_matrix
+    and centralizer_dim project through it by GEMMs and solve nothing.
     coords_of, one pairing GEMM and one Gram solve per call, serves cayley
     and cayley_jacobian/psi.
     NotASubalgebra when the span is not closed under commutators, checked
@@ -139,6 +140,8 @@ class Representation:
         self._interleaved = self.stack.transpose(1, 2, 0).reshape(v, -1)
         # dual[a*v + b] = coordinates of the unit matrix E_ab, so m.ravel() @ dual projects m
         self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
+        if not np.isfinite(self.dual).all():
+            raise DegenerateInput(f"dual basis is not finite: Gram solve overflows at max |G_ij| {abs(self.gram).max():.2e}")
         for kept in (self.gram, self._pairing, self._interleaved, self.dual):
             kept.flags.writeable = False
         self._check_closure()

@@ -78,9 +78,10 @@ class SuiteResult:
 
 @functools.cache
 def _built(combinator, *args):
-    """combinator(*args), built once: the suites' one cache, of every representation
-    they build (catalog.make(family, size), a catalog combinator or _so4_ideal_rep)
-    and of the index ratios catalog.dynkin_ratio takes of them."""
+    """combinator(*args), built once: the suites' one cache, of every representation they build
+    (catalog.make(family, size), a catalog combinator, _so4_ideal_rep or rm.restrict_to_subalgebra
+    of a range or tuple) but psi-basis-invariance's, on a random basis per trial, and of the index
+    ratios catalog.dynkin_ratio takes of them."""
     return combinator(*args)
 
 
@@ -313,7 +314,7 @@ HYPERBOLIC = [
 def _cartan_restriction(rng, trial) -> float:
     n = 3 if trial % 2 == 0 else 4
     rep = _built(catalog.make, "sl", n)
-    sub = rm.restrict_to_subalgebra(rep, range(n - 1))
+    sub = _built(rm.restrict_to_subalgebra, rep, range(n - 1))
     g = _sample(rep, "cartan", rng)
     full = rm.cayley(rep, g).matrix()
     restricted = rm.cayley(sub, g).matrix()
@@ -333,7 +334,7 @@ def _ideal_restriction(rng, trial) -> float:
     rep = _built(_so4_ideal_rep)
     side = trial % 2
     idx = [0, 1, 2] if side == 0 else [3, 4, 5]
-    sub = rm.restrict_to_subalgebra(rep, idx)
+    sub = _built(rm.restrict_to_subalgebra, rep, tuple(idx))
     coords = np.zeros(6, dtype=complex)
     coords[idx] = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
@@ -346,7 +347,7 @@ def _ideal_restriction(rng, trial) -> float:
 def _full_restriction(rng, trial) -> float:
     key = FAMILY_KEYS[trial % len(FAMILY_KEYS)]
     rep = _built(catalog.make, *key)
-    sub = rm.restrict_to_subalgebra(rep, range(rep.g_dim))
+    sub = _built(rm.restrict_to_subalgebra, rep, range(rep.g_dim))
     g = _sample(rep, "generic", rng)
     d_coords = rm.cayley(sub, g).coords - rm.cayley(rep, g).coords
     return _worst([linalg.norm(sub.gram - rep.gram), linalg.norm(d_coords)])

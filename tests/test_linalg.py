@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleymap import linalg
+from cayleymap import clifford, degree, linalg
 from cayleymap.errors import DegenerateInput, SingularMatrix
 
 
@@ -593,3 +593,55 @@ def test_matrix_json_omits_zero_imaginary():
 def test_matrix_json_rejects_nan():
     with pytest.raises(ValueError):
         linalg.matrix_from_json({"n": 1, "re": [[float("nan")]]})
+
+
+# --- random draws -----------------------------------------------------------
+# Each sampler draws its array by one generator call; the oracles are the
+# per-part expressions the samplers replaced, whose every bit and whose
+# generator state afterwards must be matched.
+
+DRAW_SEEDS = range(8)
+
+
+def _same_draw(draw, oracle):
+    """draw(rng) and oracle(rng) from two generators of each seed: one type and
+    shape, the same bits, and the same next draw."""
+    for seed in DRAW_SEEDS:
+        mine, theirs = _rng(seed), _rng(seed)
+        a, b = draw(mine), oracle(theirs)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.array_equal(np.atleast_1d(a).view(np.uint64), np.atleast_1d(b).view(np.uint64))
+        assert mine.standard_normal() == theirs.standard_normal()
+
+
+@pytest.mark.parametrize("size", [(), 1, 3, 64, (8, 8), (4, 2, 2)])
+@pytest.mark.parametrize("scale", [1.0, 0.3, 0.4, 0.6, 0.7, clifford.BIVECTOR_SCALE])
+def test_complex_normal_is_the_per_part_expression_bit_for_bit(size, scale):
+    _same_draw(lambda rng: linalg.complex_normal(rng, size, scale), lambda rng: _random_complex(rng, size, scale))
+    assert type(linalg.complex_normal(_rng(0), (), scale)) is np.complex128
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fiber_targets_are_the_per_part_expressions_bit_for_bit(n):
+    def trace_free(rng):
+        m = _random_complex(rng, (n, n))
+        return m - (np.trace(m) / n) * np.eye(n)
+
+    def skew(rng):
+        m = _random_complex(rng, (n, n))
+        return 0.5 * (m - m.T)
+
+    _same_draw(lambda rng: degree.random_trace_free(n, rng), trace_free)
+    _same_draw(lambda rng: degree.random_skew(n, rng), skew)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_random_bivector_is_the_pair_by_pair_draw_bit_for_bit(n):
+    def pair_by_pair(rng):
+        coeffs = np.zeros(1 << n, dtype=complex)
+        for a in range(n):
+            for b in range(a + 1, n):
+                coeffs[(1 << a) | (1 << b)] = _random_complex(rng, (), clifford.BIVECTOR_SCALE)
+        return coeffs
+
+    _same_draw(lambda rng: clifford.random_bivector(n, rng).coeffs, pair_by_pair)

@@ -82,6 +82,15 @@ def test_ill_conditioned_gram_is_degenerate_at_construction(delta):
         rm.Representation("sl2-squeezed", [h, e, delta * f])
 
 
+@pytest.mark.parametrize("scale", [1e-155, 1e-160])
+def test_basis_with_subnormal_gram_is_refused_before_the_closure_check(scale):
+    # sl3's Cartan pair at 1e-155 has Gram entries ~2e-310: build_gram's ratio passes,
+    # the solve's subnormal pivots overflow, and the closure check would warn on the inf dual
+    with pytest.raises(DegenerateInput, match=r"^dual basis is not finite: Gram solve overflows at max \|G_ij\| "):
+        rm.Representation("tiny", [scale * SL3.basis[0], scale * SL3.basis[1]])
+    assert np.isfinite(rm.Representation("small", [1e-150 * SL3.basis[0], 1e-150 * SL3.basis[1]]).dual).all()
+
+
 def test_not_closed_raises():
     # span{H, E} is a subalgebra, span{E12, E21} of sl3 is not
     e12 = np.zeros((3, 3))
@@ -800,6 +809,22 @@ def test_multiplicative_jordan_is_homogeneous(log_scale, seed):
         gs, gu = rm.multiplicative_jordan(g)
         cgs, cgu = rm.multiplicative_jordan(c * g)
         assert _rel(cgs, c * gs) <= 1e-12 and _rel(cgu, gu) <= 1e-12
+
+
+@SCALE_LAW
+@given(log_scale=st.floats(100.0, 300.0), seed=SEEDS)
+@example(log_scale=160.0, seed=0)
+@example(log_scale=300.0, seed=0)
+def test_jordan_splits_are_homogeneous_far_above_unit_scale(log_scale, seed):
+    # SpectralDecomposition.apply evaluates on x 2^-e, so its Newton factors do not overflow at |x|^(n-1)
+    c = 10.0**log_scale
+    for g in (catalog.sample_element(SL3, "generic", seed).matrix, _jordan_element(seed)):
+        gs, gu = rm.multiplicative_jordan(g)
+        cgs, cgu = rm.multiplicative_jordan(c * g)
+        assert _rel(cgs / c, gs) <= 1e-12 and _rel(cgu, gu) <= 1e-12
+        xs, xn = rm.additive_jordan(g)
+        cxs, cxn = rm.additive_jordan(c * g)
+        assert _rel(cxs / c, xs) <= 1e-12 and np.linalg.norm(cxn / c - xn) <= 1e-12 * np.linalg.norm(g)
 
 
 @SCALE_LAW
