@@ -505,7 +505,7 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -
     # entries or residuals that overflow (norms from ~1e150) fail the test
     with np.errstate(over="ignore", invalid="ignore"):
         w = t.from_spinor(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.to_spinor(units)]))
-        resid = np.linalg.norm(np.where(t.grades == 1, 0.0, w), axis=1)
+        resid = linalg.norms(np.where(t.grades == 1, 0.0, w), axis=1)
     failed = ~(resid <= threshold)
     j = int(np.argmax(failed))
     raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
@@ -535,10 +535,10 @@ def require_skew(s: np.ndarray, what: str) -> None:
     of t's unit-size entries however small s is (up to 18 eps at n = 10 for t near 1).  The norms
     are of s 2^-e, 2^e the largest power of two up to its largest component (e >= 0), scaled back:
     exact, so no term overflows (|s + s^T| reads inf only above the largest float)."""
-    e = linalg._binary_exponent(s)
-    r = s * 0.5**e
-    sym = linalg.norm(r + r.T) * 2.0**e
-    threshold = SKEW_TOL * linalg.norm(r) * 2.0**e + linalg.ROUNDING_FLOOR * s.shape[0]
+    shrink = min(1.0, linalg._shrink(s))
+    r = s * shrink
+    sym = linalg.norm(r + r.T) / shrink
+    threshold = SKEW_TOL * linalg.norm(r) / shrink + linalg.ROUNDING_FLOOR * s.shape[0]
     raise_if(sym > threshold, NotSkew, what, sym, threshold)
 
 

@@ -168,7 +168,7 @@ def spin_fiber(n: int, x) -> FiberReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (roots[:, None] - lam) / (roots[:, None] + lam)
         rots = (vecs * ratio[:, None, :]) @ linalg.inverse(vecs, "eigenvector matrix of X")
-        ortho = np.linalg.norm(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
+        ortho = linalg.norms(np.swapaxes(rots, -1, -2) @ rots - eye, axis=(-2, -1))
         det_err = np.abs(np.linalg.det(eye + rots) - roots * roots)
     ok = (ortho <= FIBER_CHECK_TOL) & (det_err <= FIBER_CHECK_TOL * (1.0 + np.abs(roots) ** 2))
     return FiberReport("spin", n, poly, roots, list(rots[ok]), list(roots[ok]), len(roots), list(roots[~ok]))

@@ -19,7 +19,7 @@ convergence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import factorial, frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -98,25 +98,41 @@ def _complex_from_parts(parts: np.ndarray, scale: float):
     return z[()]
 
 
-def norm(a) -> float:
-    """The Frobenius norm of an array: np.linalg.norm(a) bit for bit wherever that
-    is finite.  np.linalg.norm sums squares, which overflows from entries of
-    about 1e154; there the norm of a divided by its largest component is scaled
-    back, so the result is inf only for non-finite input or a norm above the
-    largest float.  Thresholds take their scale from it.
+def norms(a, axis=None):
+    """The Frobenius norms of the array a's slices along axis (an int or a pair, as
+    np.linalg.norm takes it; None for all of a): np.linalg.norm(a, axis=axis) bit for
+    bit wherever that is finite.  np.linalg.norm sums squares, which overflows from
+    entries of about 1e154; there the norm of the slice divided by its largest
+    component is scaled back, so a norm is inf only for a non-finite slice or a norm
+    above the largest float.
     """
     a = np.asarray(a)
-    with np.errstate(over="ignore"):
-        out = np.linalg.norm(a)
-        if out == np.inf and np.isfinite(a).all():
-            top = np.abs([a.real, a.imag]).max()
-            out = np.linalg.norm(a / top) * top
-    return float(out)
+    # along an axis numpy squares a complex inf as inf * conj(inf), whose imaginary part is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.norm(a, axis=axis)
+        redo = out == np.inf
+        if np.count_nonzero(redo):
+            redo &= np.isfinite(a).all(axis=axis)
+            top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=axis, keepdims=True)
+            top = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+            out = np.where(redo, np.linalg.norm(a / top, axis=axis) * np.squeeze(top, axis), out)
+    return out
 
 
-def _binary_exponent(a) -> int:
-    """e >= 0 with 2^e the largest power of two up to the array a's largest component (0 below 2)."""
-    return max(0, int(np.frexp(np.abs([a.real, a.imag]).max(initial=0.0))[1]) - 1)
+def norm(a) -> float:
+    """The Frobenius norm of an array, norms(a) as a float.  Thresholds take their scale from it."""
+    return float(norms(a))
+
+
+def _shrink(a, axis=None):
+    """2^-e, 2^e the largest power of two up to the largest modulus in the array a (in each of its
+    slices along axis) and at least 2^-1022, so that 2^-e is a finite float (e <= 1023 where that
+    modulus is finite): a times it is exact and has its largest modulus in [1, 2) wherever that
+    modulus is normal; a zero slice takes the largest factor, 2^1022."""
+    top = np.abs(a).max(axis=axis, initial=2.0**-1022)
+    if axis is None:  # the scalar case on math's frexp, several times faster than numpy's
+        return ldexp(1.0, 1 - frexp(top)[1])
+    return np.ldexp(1.0, 1 - np.frexp(top)[1])
 
 
 def left_product(a: Matrix, c: Matrix) -> Matrix:
@@ -298,11 +314,12 @@ class SpectralDecomposition:
         multiplicity, and a repeated node takes the derivative, 0.  So f(matrix)
         is a polynomial in matrix and commutes with it; values = e_k gives the
         spectral projector of cluster k (Higham 2008, Functions of Matrices,
-        ch. 1).  It is evaluated exactly on matrix 2^-e at nodes 2^-e (_binary_exponent),
-        so that the Newton factors cannot overflow at |matrix|^(n-1).
+        ch. 1).  It is evaluated exactly on matrix 2^-e at nodes 2^-e (_shrink, e of
+        either sign), so that neither the Newton factors overflow at |matrix|^(n-1)
+        nor the divided differences at |matrix|^(1-n).
         """
         mults = self.multiplicities
-        shrink = 0.5 ** _binary_exponent(self.matrix)
+        shrink = _shrink(self.matrix)
         a = self.matrix * shrink
         nodes = np.repeat(self.eigenvalues, mults) * shrink
         coeff = np.repeat(np.asarray(values, dtype=complex), mults)
@@ -337,7 +354,9 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    threshold = cluster_tol * norm(a)
+    # |a| taken on a 2^-e and scaled back: numpy's bits, also where its squares would underflow
+    shrink = _shrink(a)
+    threshold = cluster_tol * norm(a * shrink) / shrink
     reps, labels = dedup_roots(raw, threshold if a.any() else np.inf)
     diff = raw[:, None] - raw
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on

@@ -367,17 +367,24 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
     dual basis by one GEMM.  Raises NotEquivariant if some conjugate leaves
     the basis span by more than ADJOINT_RESIDUAL_TOL relative to its norm,
-    which signals a malformed representation.
+    which signals a malformed representation, and DegenerateInput where a
+    conjugate or its coordinates overflow.
     """
     bm = rep.element_matrix(b)
     v, g = rep.v_dim, rep.g_dim
     # row block a of b B_i, times b^-1: conj[a*v + d, i] = (b B_i b^-1)[a, d]
     left = rep._left_products(bm).reshape(v, v, g)
-    conj = (linalg.inverse(bm, "conjugating element").T @ left).reshape(v * v, g)
-    ad = linalg.left_product(rep.dual.T, conj)
-    res = np.linalg.norm(conj - rep._span_columns(ad), axis=0)
-    worst = float(np.max(res / np.linalg.norm(conj, axis=0)))
-    outside = worst > ADJOINT_RESIDUAL_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        conj = (linalg.inverse(bm, "conjugating element").T @ left).reshape(v * v, g)
+        ad = linalg.left_product(rep.dual.T, conj)
+        # conjugates can span 1e-200..1e200: each column is taken at a power-of-two scale of its
+        # own, which leaves the ratio exact and keeps its squares from underflowing
+        shrink = linalg._shrink(conj, axis=0)
+        res = linalg.norms((conj - rep._span_columns(ad)) * shrink, axis=0)
+        worst = float(np.max(res / linalg.norms(conj * shrink, axis=0)))
+    outside = not worst <= ADJOINT_RESIDUAL_TOL
+    if outside:  # a conjugate that overflows leaves NaN in ad and in worst: named first
+        _require_finite(ad, "adjoint matrix", b)
     raise_if(outside, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
     return ad
 

@@ -20,8 +20,6 @@ import numpy as np
 from . import catalog, clifford as cl, degree, linalg
 from . import representation as rm
 
-TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -107,7 +105,35 @@ def _sample(rep, kind, rng):
 
 
 def _rel(err: float, scale: float) -> float:
-    return float(err / (1.0 + scale))
+    """The one residual rule: err over scale, the norm of what the claim compares (the product of
+    the operands' norms for a multilinear law whose reference can vanish).  A zero scale is a case
+    of its own, 0.0 for an exact match and inf otherwise; NaN stays NaN.  Absolute by nature: the
+    counts, the unit references (alpha-involution's signs, volume-idempotency, ehu's |lambda| - 1),
+    the inequality's slack, and the |psi| of traceless-inverse-singular and hyperbolic-nonsingular
+    (whose residual 1e-6/|psi| < 1 certifies |psi| > 1e-6), as a scale for psi needs the Jacobian."""
+    err, scale = float(err), float(scale)
+    if scale == 0.0:  # err > 0 is false for an exact match and for NaN, which pass through
+        return math.inf if err > 0 else err
+    return err / scale
+
+
+def _mismatch(got, want) -> float:
+    """got against the reference want: _rel(|got - want|, |want|), both taken on got and want times
+    one power-of-two scale (linalg._shrink of the larger), which leaves the ratio exact at any scale."""
+    shrink = min(linalg._shrink(got), linalg._shrink(want))
+    got, want = np.multiply(got, shrink), np.multiply(want, shrink)
+    return _rel(linalg.norm(got - want), linalg.norm(want))
+
+
+def _imaginary_part(m) -> float:
+    """max |Im lambda| over the eigenvalues of m, relative to their largest modulus: 0 for a real spectrum."""
+    lams = np.linalg.eigvals(m)
+    return _rel(np.max(np.abs(lams.imag)), np.max(np.abs(lams)))
+
+
+def _nilpotency(m) -> float:
+    """max |lambda| over the clustered eigenvalues of m, relative to |m|: 0 for a nilpotent m."""
+    return _rel(np.max(np.abs(linalg.spectral(m, cluster_tol=1e-3).eigenvalues)), linalg.norm(m))
 
 
 def _worst(residuals) -> float:
@@ -124,21 +150,20 @@ def _equivariance(rng, trial) -> float:
         b = _sample(rep, "generic", rng)
         g = _sample(rep, "generic", rng)
         lhs = rm.cayley(rep, b.matrix @ g.matrix @ np.linalg.inv(b.matrix)).coords
-        rhs = rm.adjoint_matrix(rep, b) @ rm.cayley(rep, g).coords
-        return _rel(linalg.norm(lhs - rhs), linalg.norm(rhs))
+        return _mismatch(lhs, rm.adjoint_matrix(rep, b) @ rm.cayley(rep, g).coords)
 
     return _worst(residual(_built(catalog.make, *key)) for key in FAMILY_KEYS)
 
 
 def _cartan_stability(rng, trial) -> float:
     reps = [_built(catalog.make, *key) for key in FAMILY_KEYS]
-    off = [np.delete(rm.cayley(rep, _sample(rep, "cartan", rng)).coords, rep.metadata["cartan_indices"]) for rep in reps]
-    return _worst(x for coords in off for x in np.abs(coords))
+    images = [(rm.cayley(rep, _sample(rep, "cartan", rng)).coords, rep.metadata["cartan_indices"]) for rep in reps]
+    return _worst(_rel(linalg.norm(np.delete(coords, idx)), linalg.norm(coords)) for coords, idx in images)
 
 
 def _jacobian_identity(rng, trial) -> float:
     reps = [_built(catalog.make, *key) for key in FAMILY_KEYS]
-    return _worst(linalg.norm(rm.cayley_jacobian(rep, np.eye(rep.v_dim)) - np.eye(rep.g_dim)) for rep in reps)
+    return _worst(_mismatch(rm.cayley_jacobian(rep, np.eye(rep.v_dim)), np.eye(rep.g_dim)) for rep in reps)
 
 
 def _psi_basis_invariance(rng, trial) -> float:
@@ -152,7 +177,7 @@ def _psi_basis_invariance(rng, trial) -> float:
     new_basis = [rep.materialize(q[:, j]) for j in range(rep.g_dim)]
     rep2 = rm.Representation(f"{rep.name}-recoord", new_basis)
     p2 = rm.psi(rep2, g)
-    return float(abs(p1 - p2) / max(abs(p1), TINY))
+    return _mismatch(p2, p1)
 
 
 def _centralizer_match(rng, trial) -> float:
@@ -198,9 +223,8 @@ def _jordan_semisimple(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     g = _jordan_sample(rng, n, rep)
     gs, _ = rm.multiplicative_jordan(g, cluster_tol=1e-4)
-    phi_of_gs = rm.cayley(rep, gs).matrix()
     phi_s, _ = rm.additive_jordan(rm.cayley(rep, g).matrix(), cluster_tol=1e-4)
-    return linalg.norm(phi_of_gs - phi_s)
+    return _mismatch(rm.cayley(rep, gs).matrix(), phi_s)
 
 
 def _additive_commute(rng, trial) -> float:
@@ -210,7 +234,7 @@ def _additive_commute(rng, trial) -> float:
     v = linalg.complex_normal(rng, (3, 3)) + 2 * np.eye(3)
     x = v @ block @ np.linalg.inv(v)
     xs, xn = rm.additive_jordan(x, cluster_tol=1e-4)
-    return linalg.norm(xs @ xn - xn @ xs)
+    return _rel(linalg.norm(xs @ xn - xn @ xs), linalg.norm(xs) * linalg.norm(xn))
 
 
 def _ehu_reconstruction(rng, trial) -> float:
@@ -218,8 +242,7 @@ def _ehu_reconstruction(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     g = _jordan_sample(rng, n, rep)
     ge, gh, gu = rm.ehu_decomposition(g, cluster_tol=1e-4)
-    recombined = _rel(linalg.norm(ge @ gh @ gu - g), linalg.norm(g))
-    return _worst([recombined, *np.abs(np.abs(np.linalg.eigvals(ge)) - 1), *np.abs(np.linalg.eigvals(gh).imag)])
+    return _worst([_mismatch(ge @ gh @ gu, g), *np.abs(np.abs(np.linalg.eigvals(ge)) - 1), _imaginary_part(gh)])
 
 
 def _shifted_unipotent(rng, trial) -> float:
@@ -229,9 +252,7 @@ def _shifted_unipotent(rng, trial) -> float:
     b = np.diag([a, a, 1 / a**2])
     w = np.eye(3, dtype=complex)
     w[0, 1] = rng.normal() + 1j * rng.normal()
-    diff = rm.cayley(rep, b @ w).matrix() - rm.cayley(rep, b).matrix()
-    dec = linalg.spectral(diff, cluster_tol=1e-3)
-    return float(np.max(np.abs(dec.eigenvalues)))
+    return _nilpotency(rm.cayley(rep, b @ w).matrix() - rm.cayley(rep, b).matrix())
 
 
 JORDAN = [
@@ -248,10 +269,7 @@ JORDAN = [
 def _unipotent_image(rng, trial) -> float:
     n = 2 + trial % 3
     rep = _built(catalog.make, "sl", n)
-    u = _sample(rep, "unipotent", rng)
-    phi = rm.cayley(rep, u).matrix()
-    dec = linalg.spectral(phi, cluster_tol=1e-3)
-    return float(np.max(np.abs(dec.eigenvalues)))
+    return _nilpotency(rm.cayley(rep, _sample(rep, "unipotent", rng)).matrix())
 
 
 def _principal_fiber_count(rng, trial) -> float:
@@ -264,7 +282,7 @@ def _principal_fiber_elements(rng, trial) -> float:
     n = 2 + trial % 3
     rep = _built(catalog.make, "sl", n)
     x = degree.principal_nilpotent(n)
-    return _worst(linalg.norm(rm.cayley(rep, el).matrix() - x) for el in degree.sl_fiber(n, x).valid_elements)
+    return _worst(_mismatch(rm.cayley(rep, el).matrix(), x) for el in degree.sl_fiber(n, x).valid_elements)
 
 
 UNIPOTENT = [
@@ -283,15 +301,13 @@ HYPERBOLIC_KEYS = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4), ("sl2_
 def _hyperbolic_nonsingular(rng, trial) -> float:
     reps = [_built(catalog.make, *key) for key in HYPERBOLIC_KEYS]
     # residual below 1.0 certifies |psi| > 1e-6
-    return _worst(1e-6 / max(abs(rm.psi(rep, _sample(rep, "hyperbolic", rng))), TINY) for rep in reps)
+    return _worst(_rel(1e-6, abs(rm.psi(rep, _sample(rep, "hyperbolic", rng)))) for rep in reps)
 
 
 def _hyperbolic_image_real(rng, trial) -> float:
     key = HYPERBOLIC_KEYS[trial % len(HYPERBOLIC_KEYS)]
     rep = _built(catalog.make, *key)
-    g = _sample(rep, "hyperbolic", rng)
-    lams = np.linalg.eigvals(rm.cayley(rep, g).matrix())
-    return float(np.max(np.abs(lams.imag)) / (1.0 + np.max(np.abs(lams))))
+    return _imaginary_part(rm.cayley(rep, _sample(rep, "hyperbolic", rng)).matrix())
 
 
 def _traceless_inverse_singular(rng, trial) -> float:
@@ -316,9 +332,7 @@ def _cartan_restriction(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     sub = _built(rm.restrict_to_subalgebra, rep, range(n - 1))
     g = _sample(rep, "cartan", rng)
-    full = rm.cayley(rep, g).matrix()
-    restricted = rm.cayley(sub, g).matrix()
-    return _rel(linalg.norm(full - restricted), linalg.norm(full))
+    return _mismatch(rm.cayley(sub, g).matrix(), rm.cayley(rep, g).matrix())
 
 
 def _so4_ideal_rep():
@@ -349,8 +363,7 @@ def _full_restriction(rng, trial) -> float:
     rep = _built(catalog.make, *key)
     sub = _built(rm.restrict_to_subalgebra, rep, range(rep.g_dim))
     g = _sample(rep, "generic", rng)
-    d_coords = rm.cayley(sub, g).coords - rm.cayley(rep, g).coords
-    return _worst([linalg.norm(sub.gram - rep.gram), linalg.norm(d_coords)])
+    return _worst([_mismatch(sub.gram, rep.gram), _mismatch(rm.cayley(sub, g).coords, rm.cayley(rep, g).coords)])
 
 
 RESTRICTION = [
@@ -378,7 +391,7 @@ def _sum_mix(rng, trial) -> float:
     c2 = rm.cayley(r2, catalog.realize(r2, coords)).coords
     cs = rm.cayley(both, catalog.realize(both, coords)).coords
     mix = (j1 / jsum) * c1 + (j2 / jsum) * c2
-    return _rel(linalg.norm(cs - mix), linalg.norm(mix))
+    return _mismatch(cs, mix)
 
 
 def _tensor_mix(rng, trial) -> float:
@@ -395,7 +408,7 @@ def _tensor_mix(rng, trial) -> float:
         j1 * rm.character(r2, g2) * rm.cayley(r1, g1).coords
         + rm.character(r1, g1) * j2 * rm.cayley(r2, g2).coords
     ) / jprod
-    return _rel(linalg.norm(rm.cayley(prod, gp).coords - mix), linalg.norm(mix))
+    return _mismatch(rm.cayley(prod, gp).coords, mix)
 
 
 def _tensor_power_scaling(rng, trial) -> float:
@@ -407,7 +420,7 @@ def _tensor_power_scaling(rng, trial) -> float:
     g = catalog.realize(rep, coords)
     gk = catalog.realize(power, coords)
     mix = (rm.character(rep, g) / rep.v_dim) ** (k - 1) * rm.cayley(rep, g).coords
-    return _rel(linalg.norm(rm.cayley(power, gk).coords - mix), linalg.norm(mix))
+    return _mismatch(rm.cayley(power, gk).coords, mix)
 
 
 def _dual_negation(rng, trial) -> float:
@@ -417,16 +430,14 @@ def _dual_negation(rng, trial) -> float:
     coords = linalg.complex_normal(rng, 3, 0.4)
     g = catalog.realize(rep, coords)
     gd = catalog.realize(d, coords)
-    lhs = rm.cayley(d, gd).coords
-    rhs = -rm.cayley(rep, np.linalg.inv(g.matrix)).coords
-    return _rel(linalg.norm(lhs - rhs), linalg.norm(rhs))
+    return _mismatch(rm.cayley(d, gd).coords, -rm.cayley(rep, np.linalg.inv(g.matrix)).coords)
 
 
 def _gram_additivity(rng, trial) -> float:
     m1, m2 = IRREP_PAIRS[trial % len(IRREP_PAIRS)]
     r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     both = _built(catalog.direct_sum, r1, r2)
-    return float(np.max(np.abs(both.gram - (r1.gram + r2.gram))))
+    return _mismatch(both.gram, r1.gram + r2.gram)
 
 
 def _gram_tensor_rule(rng, trial) -> float:
@@ -434,14 +445,14 @@ def _gram_tensor_rule(rng, trial) -> float:
     r1, r2 = _built(catalog.make, "sl2_irrep", m1), _built(catalog.make, "sl2_irrep", m2)
     prod = _built(catalog.tensor, r1, r2)
     expected = r2.v_dim * r1.gram + r1.v_dim * r2.gram
-    return float(np.max(np.abs(prod.gram - expected)) / (1.0 + np.max(np.abs(expected))))
+    return _mismatch(prod.gram, expected)
 
 
 def _index_ratio_series(rng, trial) -> float:
     ref = _built(catalog.make, "sl2_irrep", 1)
     got = [_built(catalog.dynkin_ratio, _built(catalog.make, "sl2_irrep", m), ref) for m in range(1, 6)]
     expected = [m * (m + 1) * (m + 2) / 6.0 for m in range(1, 6)]
-    return _worst(abs(a - b) / b for a, b in zip(got, expected))
+    return _worst(_mismatch(a, b) for a, b in zip(got, expected))
 
 
 SUMTENSOR = [
@@ -470,30 +481,26 @@ def _cl_n(trial):
 def _clifford_associativity(rng, trial) -> float:
     n = _cl_n(trial)
     u, v, w = (_random_element(n, rng) for _ in range(3))
-    scale = 1.0 + u.norm() * v.norm() * w.norm()
-    d1 = ((u * v) * w - u * (v * w)).norm() / scale
-    d2 = (((u ^ v) ^ w) - (u ^ (v ^ w))).norm() / scale
-    return _worst([d1, d2])
+    scale = u.norm() * v.norm() * w.norm()
+    return _worst([_rel(((u * v) * w - u * (v * w)).norm(), scale), _rel((((u ^ v) ^ w) - (u ^ (v ^ w))).norm(), scale)])
 
 
 def _gamma_homomorphism(rng, trial) -> float:
     n = _cl_n(trial)
     u, v = _random_element(n, rng), _random_element(n, rng)
-    lhs = cl.gamma_matrix(u) @ cl.gamma_matrix(v)
-    rhs = cl.gamma_matrix(u * v)
-    return _rel(linalg.norm(lhs - rhs), linalg.norm(lhs))
+    return _mismatch(cl.gamma_matrix(u * v), cl.gamma_matrix(u) @ cl.gamma_matrix(v))
 
 
 def _scalar_trace_law(rng, trial) -> float:
     n = _cl_n(trial)
     w = _random_element(n, rng)
-    return float(abs(w.scalar_part() - np.trace(cl.gamma_matrix(w)) / 2**n))
+    return _rel(abs(w.scalar_part() - np.trace(cl.gamma_matrix(w)) / 2**n), w.norm())
 
 
 def _pairing_law(rng, trial) -> float:
     n = _cl_n(trial)
     u, w = _random_element(n, rng), _random_element(n, rng)
-    return float(abs((u * w).scalar_part() - cl.pairing(u, cl.alpha(w))))
+    return _rel(abs((u * w).scalar_part() - cl.pairing(u, cl.alpha(w))), u.norm() * w.norm())
 
 
 def _contraction_anticommutator(rng, trial) -> float:
@@ -503,7 +510,7 @@ def _contraction_anticommutator(rng, trial) -> float:
     u = _random_element(n, rng)
     lhs = cl.epsilon(x, cl.iota(y, u)) + cl.iota(y, cl.epsilon(x, u))
     xy = complex(np.sum(x.vector_part() * y.vector_part()))
-    return _rel((lhs - xy * u).norm(), u.norm())
+    return _rel((lhs - xy * u).norm(), x.norm() * y.norm() * u.norm())
 
 
 def _volume_idempotency(rng, trial) -> float:
@@ -525,7 +532,7 @@ def _tau_differential(rng, trial) -> float:
     u = cl.random_bivector(n, rng)
     eps = 1e-6
     fd = (cl.vector_action(cl.spin_exp(eps * u)) - cl.vector_action(cl.spin_exp(-eps * u))) / (2 * eps)
-    return linalg.norm(fd - cl.tau(u))
+    return _mismatch(fd, cl.tau(u))
 
 
 CLIFFORD = [
@@ -550,9 +557,7 @@ def _spin_n(trial):
 def _spin_square_law(rng, trial) -> float:
     n = _spin_n(trial)
     g = cl.spin_exp(cl.random_bivector(n, rng))
-    t = cl.vector_action(g)
-    rhs = np.linalg.det(np.eye(n) + t) / 2**n
-    return _rel(abs(cl.spin_scalar(g) ** 2 - rhs), abs(rhs))
+    return _mismatch(cl.spin_scalar(g) ** 2, np.linalg.det(np.eye(n) + cl.vector_action(g)) / 2**n)
 
 
 def _spin_commutation(rng, trial) -> float:
@@ -561,9 +566,7 @@ def _spin_commutation(rng, trial) -> float:
     x = cl.from_vector(n, linalg.complex_normal(rng, n))
     e2w = cl.exterior_exp(2.0 * w)
     br = w * x - x * w
-    lhs = e2w * (x - br)
-    rhs = (x + br) * e2w
-    return _rel((lhs - rhs).norm(), lhs.norm())
+    return _mismatch(((x + br) * e2w).coeffs, (e2w * (x - br)).coeffs)
 
 
 def _spin_sample_nonsingular(rng, n):
@@ -579,23 +582,20 @@ def _spin_factorization(rng, trial) -> float:
     n = _spin_n(trial)
     g, t = _spin_sample_nonsingular(rng, n)
     w = cl.tau_inv(cl.cayley_gamma(t))
-    recon = cl.spin_scalar(g) * cl.exterior_exp(-2.0 * w)
-    return (g.value - recon).norm()
+    return _mismatch((cl.spin_scalar(g) * cl.exterior_exp(-2.0 * w)).coeffs, g.value.coeffs)
 
 
 def _spin_closed_form(rng, trial) -> float:
     n = _spin_n(trial)
     g, t = _spin_sample_nonsingular(rng, n)
     w = cl.tau_inv(cl.cayley_gamma(t))
-    closed = -2.0 * cl.spin_scalar(g) * w
-    return (cl.spin_cayley(g) - closed).norm()
+    return _mismatch((-2.0 * cl.spin_scalar(g) * w).coeffs, cl.spin_cayley(g).coeffs)
 
 
 def _double_cover_sign(rng, trial) -> float:
     n = _spin_n(trial)
     g = cl.spin_exp(cl.random_bivector(n, rng))
-    rotation = linalg.norm(cl.vector_action(-g) - cl.vector_action(g))
-    return _worst([rotation, abs(cl.spin_scalar(-g) + cl.spin_scalar(g))])
+    return _worst([_mismatch(cl.vector_action(-g), cl.vector_action(g)), _mismatch(-cl.spin_scalar(-g), cl.spin_scalar(g))])
 
 
 SPIN_CAYLEY = [
@@ -624,7 +624,7 @@ def _sl_fiber_elements(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     x = degree.random_trace_free(n, rng)
     elements = degree.sl_fiber(n, x).valid_elements
-    return _worst(_rel(linalg.norm(rm.cayley(rep, el).matrix() - x), linalg.norm(x)) for el in elements)
+    return _worst(_mismatch(rm.cayley(rep, el).matrix(), x) for el in elements)
 
 
 def _spin_det_consistency(rng, trial) -> float:
@@ -632,14 +632,14 @@ def _spin_det_consistency(rng, trial) -> float:
     x = degree.random_skew(n, rng)
     report = degree.spin_fiber(n, x)
     pairs = zip(report.element_roots, report.valid_elements)
-    return _worst(abs(np.linalg.det(np.eye(n) + rot) - t * t) / (1.0 + abs(t) ** 2) for t, rot in pairs)
+    return _worst(_mismatch(np.linalg.det(np.eye(n) + rot), t * t) for t, rot in pairs)
 
 
 def _spin_odd_zero_root(rng, trial) -> float:
     n = (5, 7)[trial % 2]
     x = degree.random_skew(n, rng)
     roots = linalg.poly_roots(degree.minimal_poly_coeffs("spin", n, x))
-    zeros = int(np.sum(np.abs(roots) <= 1e-8 * (1 + np.max(np.abs(roots)))))
+    zeros = int(np.sum(np.abs(roots) <= 1e-8 * np.max(np.abs(roots))))
     return float(abs(zeros - 1))
 
 

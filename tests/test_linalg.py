@@ -126,6 +126,25 @@ def test_norm_does_not_overflow_for_finite_input():
     assert np.isnan(linalg.norm(np.array([1.0, np.nan])))
 
 
+@pytest.mark.parametrize("shape, axis", [((7, 3), 0), ((7, 3), 1), ((2, 4, 4), (-2, -1)), ((3, 2, 5), 2)])
+def test_norms_along_an_axis_are_numpys_wherever_that_is_finite(shape, axis):
+    rng = np.random.default_rng(0)
+    for a in (rng.standard_normal(shape), linalg.complex_normal(rng, shape)):
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+            assert np.array_equal(linalg.norms(scale * a, axis=axis), np.linalg.norm(scale * a, axis=axis))
+
+
+def test_norms_along_an_axis_rescale_only_the_slices_that_overflow():
+    # one column of 1e200 entries, one of unit entries, one with an inf and one with a NaN
+    a = np.array([[1e200, 1.0, np.inf, np.nan], [1e200j, 1.0, 0.0, 1.0]])
+    got = linalg.norms(a, axis=0)
+    assert got[0] == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15) and got[1] == np.sqrt(2)
+    assert got[2] == np.inf and np.isnan(got[3])
+    # a slice equals the flat norm of that slice
+    stack = np.stack([1e300 * np.ones((3, 3)), np.eye(3)])
+    assert list(linalg.norms(stack, axis=(-2, -1))) == [linalg.norm(stack[0]), linalg.norm(stack[1])]
+
+
 def test_determinant_identity():
     assert linalg.determinant(np.eye(4)) == pytest.approx(1.0)
 

@@ -828,6 +828,28 @@ def test_jordan_splits_are_homogeneous_far_above_unit_scale(log_scale, seed):
 
 
 @SCALE_LAW
+@given(log_scale=st.floats(-300.0, -8.0), seed=SEEDS)
+@example(log_scale=-150.0, seed=0)
+@example(log_scale=-200.0, seed=0)
+@example(log_scale=-300.0, seed=0)
+def test_jordan_splits_are_homogeneous_far_below_unit_scale(log_scale, seed):
+    # apply evaluates on x 2^-e with e < 0 as well, so its divided differences do not overflow
+    # at c^(1-k), and spectral's threshold is |x| taken at that scale, so it does not underflow to 0
+    c = 10.0**log_scale
+    x = linalg.complex_normal(_rng(seed), (5, 5))
+    xs, _ = rm.additive_jordan(x)
+    cxs, cxn = rm.additive_jordan(c * x)
+    assert _rel(cxs / c, xs) <= 1e-12 and np.linalg.norm(cxn / c) <= 1e-12 * np.linalg.norm(x)
+    for g in (catalog.sample_element(SL3, "generic", seed).matrix, _jordan_element(seed)):
+        gs, gu = rm.multiplicative_jordan(g)
+        cgs, cgu = rm.multiplicative_jordan(c * g)
+        assert _rel(cgs / c, gs) <= 1e-12 and _rel(cgu, gu) <= 1e-12
+        xs, xn = rm.additive_jordan(g)
+        cxs, cxn = rm.additive_jordan(c * g)
+        assert _rel(cxs / c, xs) <= 1e-12 and np.linalg.norm(cxn / c - xn) <= 1e-12 * np.linalg.norm(g)
+
+
+@SCALE_LAW
 @given(log_scale=LOG_SCALES, phase=st.floats(0.0, 2 * np.pi), seed=SEEDS)
 @example(log_scale=-8.0, phase=1.0, seed=0)
 def test_ehu_factors_of_a_multiple(log_scale, phase, seed):
@@ -864,6 +886,21 @@ def test_map_and_psi_are_homogeneous(log_scale, seed):
         g = catalog.sample_element(rep, "generic", seed)
         assert _rel(rm.cayley(rep, c * g.matrix).coords, c * rm.cayley(rep, g).coords) <= 1e-12
         assert rm.psi(rep, c * g.matrix) == pytest.approx(c**rep.g_dim * rm.psi(rep, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e100, 1e150])
+def test_adjoint_matrix_of_a_conjugate_far_from_unit_scale(s):
+    # b = diag(s, 1, 1/s) scales E_ij by b_i / b_j, up to s^2: the columns' norms span
+    # s^-2..s^2, and each column's residual is taken at its own power-of-two scale
+    ad = rm.adjoint_matrix(SL3, np.diag([s, 1.0, 1 / s]))
+    want = np.diag([1.0, 1.0, s, s**2, 1 / s, s, s**-2, 1 / s])
+    assert np.all(np.abs(ad - want) <= 1e-15 * np.abs(np.diag(want)))
+
+
+def test_adjoint_matrix_of_an_overflowing_conjugate_is_degenerate_input():
+    # b E_13 b^-1 = 1e320 E_13 is not finite: named by the scale of b, with no numpy warning
+    with pytest.raises(DegenerateInput, match="adjoint matrix is not finite: it overflows at .M.g.. 1.00e.160"):
+        rm.adjoint_matrix(SL3, np.diag([1e160, 1.0, 1e-160]))
 
 
 # --- exactly singular inputs raise the typed error ------------------------------

@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleymap import representation as rm
 from cayleymap import suites
@@ -177,3 +179,41 @@ def test_result_json_shape():
     assert d["seed"] == 5
     assert d["trials"] == 2
     assert {"claim", "trial", "residual", "tolerance", "pass"} == set(d["records"][0])
+
+
+# --- the one residual rule -------------------------------------------------------
+
+
+def test_rel_is_err_over_scale_at_every_scale():
+    # a 100 % mismatch reads 1 at scale 1e-9; a unit offset would read it as 1e-9 and pass
+    assert suites._rel(1e-9, 1e-9) == 1.0
+    assert suites._mismatch(2e-9, 1e-9) == 1.0
+    assert suites._rel(3.0, 2.0) == 1.5
+
+
+def test_rel_takes_a_zero_reference_by_name():
+    # 0.0 for an exact match, inf for any other err, however small
+    assert suites._rel(0.0, 0.0) == 0.0 and suites._mismatch(np.zeros(3), np.zeros(3)) == 0.0
+    assert suites._rel(1e-300, 0.0) == math.inf and suites._mismatch(1e-150, 0.0) == math.inf
+    # also where the square of err underflows: |1e-300| is not read as 0
+    assert suites._mismatch(1e-300, 0.0) == math.inf and suites._mismatch(np.full(4, 1e-170), np.zeros(4)) == math.inf
+
+
+def test_rel_propagates_nan():
+    for err, scale in ((math.nan, 1.0), (math.nan, 0.0), (1.0, math.nan), (0.0, math.nan)):
+        assert math.isnan(suites._rel(err, scale))
+    assert math.isnan(suites._worst([0.5, suites._mismatch(np.array([math.nan]), np.array([1.0]))]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(log_scale=st.floats(-300.0, 300.0), seed=st.integers(0, 10**6))
+@example(log_scale=-300.0, seed=0)
+@example(log_scale=-170.0, seed=0)
+@example(log_scale=-9.0, seed=0)
+def test_mismatch_is_invariant_under_a_common_scale(log_scale, seed):
+    rng = np.random.default_rng(seed)
+    want = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    got = want + 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    c = 10.0**log_scale
+    assert suites._mismatch(c * got, c * want) == pytest.approx(suites._mismatch(got, want), rel=1e-14)
+    assert suites._mismatch(c * want, c * want) == 0.0
