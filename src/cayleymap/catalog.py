@@ -229,9 +229,15 @@ def dynkin_ratio(rep: Representation, reference: Representation) -> float:
 # --- element construction and sampling ----------------------------------------
 
 
-def realize(rep: Representation, coords) -> GroupElement:
-    """Group element exp(sum coords_i B_i) in the given representation."""
-    return GroupElement(linalg.matrix_exp(rep.materialize(coords)))
+def realize(rep: Representation, coords) -> GroupElement | np.ndarray:
+    """Group element exp(sum coords_i B_i) in the given representation.
+
+    Coordinates with leading axes, (..., g), give the (..., v, v) array of
+    their elements, from one materialize and one matrix_exp; each matrix is
+    checked as a GroupElement checks its own.
+    """
+    m = linalg.matrix_exp(rep.materialize(coords))
+    return GroupElement(m) if m.ndim == 2 else linalg._square_matrices(m, "group element")
 
 
 def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
@@ -239,8 +245,19 @@ def _rng_for(rep: Representation, kind: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _conjugate(rep: Representation, m: np.ndarray, rng) -> np.ndarray:
-    q = realize(rep, linalg.complex_normal(rng, rep.g_dim, 0.3)).matrix
+def _generic_coords(rep: Representation, seed: int) -> np.ndarray:
+    """The coordinates that sample_element(rep, "generic", seed) exponentiates."""
+    return linalg.complex_normal(_rng_for(rep, "generic", seed), rep.g_dim, 0.4)
+
+
+def _conjugate(rep: Representation, m: np.ndarray, rng, exponent: bool = False) -> np.ndarray:
+    """q m q^-1 for q = exp(sum c_i B_i), c drawn from rng; with exponent, exp(m) in place of m,
+    the two exponentials one (2, v, v) matrix_exp stack."""
+    x = rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3))
+    if exponent:
+        m, q = linalg.matrix_exp(np.array([m, x]))
+    else:
+        q = linalg.matrix_exp(x)
     return q @ m @ linalg.inverse(q, "conjugator")
 
 
@@ -284,11 +301,10 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
     """Deterministic group element of the requested eigenvalue class."""
     if kind not in SAMPLE_KINDS:
         raise ValueError(f"unknown sample kind {kind!r}; choose from {SAMPLE_KINDS}")
+    if kind == "generic":
+        return realize(rep, _generic_coords(rep, seed))
     rng = _rng_for(rep, kind, seed)
     family = rep.metadata.get("family")
-
-    if kind == "generic":
-        return realize(rep, linalg.complex_normal(rng, rep.g_dim, 0.4))
 
     if kind in ("hyperbolic", "elliptic"):
         cartan = rep.metadata.get("cartan_indices")
@@ -300,11 +316,10 @@ def sample_element(rep: Representation, kind: str, seed: int) -> GroupElement:
             unit = unit * 1j
         coords = np.zeros(rep.g_dim, dtype=complex)
         coords[list(cartan)] = unit * rng.uniform(-0.8, 0.8, len(cartan))
-        return GroupElement(_conjugate(rep, realize(rep, coords).matrix, rng))
+        return GroupElement(_conjugate(rep, rep.materialize(coords), rng, exponent=True))
 
     if kind == "unipotent":
-        m = linalg.matrix_exp(_nilpotent_direction(rep, rng))
-        return GroupElement(_conjugate(rep, m, rng))
+        return GroupElement(_conjugate(rep, _nilpotent_direction(rep, rng), rng, exponent=True))
 
     if kind == "cartan":
         cartan = rep.metadata.get("cartan_indices")

@@ -48,7 +48,16 @@ Matrix = np.ndarray
 def as_square_matrix(a, name: str = "matrix") -> Matrix:
     """Coerce to a square complex array, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return _square_matrices(m, name)
+
+
+def _square_matrices(a, name: str) -> np.ndarray:
+    """Coerce to a complex array of square matrices along its last two axes, (..., n, n), with the
+    ValueError as_square_matrix raises for one matrix: each matrix of a stack is checked as one."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -104,9 +113,20 @@ def norms(a, axis=None):
     bit wherever that is finite.  np.linalg.norm sums squares, which overflows from
     entries of about 1e154; there the norm of the slice divided by its largest
     component is scaled back, so a norm is inf only for a non-finite slice or a norm
-    above the largest float.
+    above the largest float.  The norm of a whole float64 or complex128 array is
+    numpy's sum of squares taken with no numpy warning: np.vdot, unlike the np.dot
+    numpy takes, warns of no overflow, and the real and imaginary sums add as Python
+    floats; only where that sum is not finite does np.errstate enter.
     """
     a = np.asarray(a)
+    if axis is None and a.dtype.char in "dD":
+        x = a.ravel(order="K")
+        if x.dtype.char == "d":
+            sq = float(np.vdot(x, x))
+        else:
+            sq = float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag))
+        if sq < np.inf:
+            return sqrt(sq)
     # along an axis numpy squares a complex inf as inf * conj(inf), whose imaginary part is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.linalg.norm(a, axis=axis)
@@ -195,28 +215,45 @@ def matrix_exp(a: Matrix) -> Matrix:
     and a^6, r = (V - U)^-1 (V + U) is one LU solve and exp(a) = r^(2^s):
     six products, one solve and s squarings.  The smaller degrees of
     Higham's algorithm would save up to four products below the norm 2.1;
-    one degree keeps one evaluation.  ValueError (from as_square_matrix) for
-    non-square or non-finite input; DegenerateInput where the 1-norm of the
-    finite a overflows, so that no scaling is defined.
+    one degree keeps one evaluation.  ValueError for input that is not
+    square or not finite, as as_square_matrix words it; DegenerateInput where
+    the 1-norm of the finite a overflows, so that no scaling is defined.
+
+    a may carry leading axes, (..., n, n): each matrix keeps its own s and
+    its own refusal, the products and the one solve run over the stack, and a
+    matrix that needs fewer squarings than the stack's most keeps its power
+    from there on, so every matrix of the result is its exponential alone,
+    bit for bit.  One matrix takes no step a stack needs.
     """
-    a = as_square_matrix(a, "exponent")
+    a = _square_matrices(a, "exponent")
     with np.errstate(over="ignore"):
-        norm = np.abs(a).sum(axis=0).max(initial=0.0)
-    if norm == np.inf:
-        raise DegenerateInput("exponent 1-norm overflows: no scaling 2^-s brings it to PADE_THETA")
-    squarings = int(np.ceil(np.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
+        norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if a.ndim == 2:
+        squarings = fewest = most = _squarings(norm)
+    else:
+        squarings = np.array([_squarings(x) for x in norm.ravel().tolist()], dtype=int).reshape(norm.shape + (1, 1))
+        most = squarings.max(initial=0)
+        fewest = squarings.min(initial=most)
     a = a * 0.5**squarings
     b = PADE_COEFFS
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
+    for step in range(most):
+        square = result @ result
+        result = square if step < fewest else np.where(squarings > step, square, result)
     return result
+
+
+def _squarings(norm: float) -> int:
+    """The s with 2^-s norm at most PADE_THETA for an exponent of 1-norm norm; DegenerateInput where it overflows."""
+    if norm == np.inf:
+        raise DegenerateInput("exponent 1-norm overflows: no scaling 2^-s brings it to PADE_THETA")
+    return int(np.ceil(np.log2(norm / PADE_THETA))) if norm > PADE_THETA else 0
 
 
 def poly_roots(coeffs) -> np.ndarray:
@@ -346,10 +383,15 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
+    DegenerateInput, before any eigen work, for a finite a with an entry whose
+    modulus overflows: the power-of-two scale (_shrink) that the threshold
+    and apply take a at is not defined there.
     """
     a = np.asarray(a, dtype=complex)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
+    if np.abs(a).max(initial=0.0) == np.inf and np.isfinite(a).all():
+        raise DegenerateInput("entry modulus overflows: no power-of-two scale 2^-e brings the matrix to unit size")
     try:
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

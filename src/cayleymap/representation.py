@@ -18,13 +18,14 @@ this route.  Representation._column_coords takes matrices held row-major as
 the columns m^T of a (v^2, k) array, forms their pairings t^T = P^T m^T by
 one GEMM against the kept (v^2, g) pairing matrix P, which also gave D its
 right-hand sides, and solves G c^T = t^T once.  Its two callers are the map
-itself (cayley, M(g), through coords_of, which takes any stack of matrices)
-and the Jacobian in the left-invariant frame behind psi (cayley_jacobian,
-M(g) B_i, whose coordinate columns c^T are the Jacobian), and the
-benchmark's call-shape rules (bench/spans.py COVERAGE_RULES) pin their one
-solve per call.  The products M B_i for all i are one GEMM against the
-kept (v, v g) interleaved basis, and the B_i M of centralizer_dim one GEMM
-against the stack.
+itself (cayley, M(g), through coords_of, which takes any stack of matrices,
+so cayley of a raw (..., v, v) stack of elements is one solve too) and the
+Jacobian in the left-invariant frame behind psi (cayley_jacobian, M(g) B_i,
+whose coordinate columns c^T are the Jacobian), and the benchmark's
+call-shape rules (bench/spans.py COVERAGE_RULES) pin their one solve per
+call, a stacked one included.  The products M B_i for all i are one GEMM
+against the kept (v, v g) interleaved basis, and the B_i M of
+centralizer_dim one GEMM against the stack.
 
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
@@ -92,9 +93,12 @@ class GroupElement:
         self.matrix = linalg.as_square_matrix(self.matrix, "group element")
 
 
-def _mat(g) -> np.ndarray:
-    """g's matrix; a raw array is checked by wrapping it (ValueError if non-square or non-finite)."""
-    return (g if isinstance(g, GroupElement) else GroupElement(g)).matrix
+def _mat(g, stack: bool = False) -> np.ndarray:
+    """g's matrix; a raw array is checked by wrapping it (ValueError if non-square or non-finite),
+    or with stack, as an array of such matrices (..., v, v), each checked as one."""
+    if isinstance(g, GroupElement):
+        return g.matrix
+    return linalg._square_matrices(g, "group element") if stack else GroupElement(g).matrix
 
 
 class Representation:
@@ -156,9 +160,13 @@ class Representation:
 
     def element_matrix(self, g) -> np.ndarray:
         """g's matrix (ValueError if non-square, non-finite or not v_dim x v_dim)."""
-        m = _mat(g)
-        if m.shape[0] != self.v_dim:
-            raise ValueError(f"element is {m.shape[0]}x{m.shape[0]}, representation needs {self.v_dim}")
+        return self._sized(_mat(g))
+
+    def _sized(self, m) -> np.ndarray:
+        """m, a matrix or a stack of them (..., n, n); ValueError unless n is v_dim."""
+        n = m.shape[-1]
+        if n != self.v_dim:
+            raise ValueError(f"element is {n}x{n}, representation needs {self.v_dim}")
         return m
 
     def materialize(self, coords) -> np.ndarray:
@@ -301,17 +309,25 @@ def build_gram(stack: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class AlgebraVector:
-    """Coordinates of an algebra element relative to a representation basis."""
+    """Coordinates of an algebra element relative to a representation basis,
+    shape (g,), or (..., g) for a stack of elements."""
 
     rep: Representation
     coords: np.ndarray
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=complex)
-        if self.coords.shape != (self.rep.g_dim,):
+        if self.coords.shape[-1:] != (self.rep.g_dim,):
             raise ValueError(f"expected {self.rep.g_dim} coordinates, got {self.coords.shape}")
-        if not np.all(np.isfinite(self.coords.real) & np.isfinite(self.coords.imag)):
+        if not np.isfinite(self.coords).all():
             raise ValueError("coordinates contain non-finite entries")
+
+    @classmethod
+    def _of_checked(cls, rep: Representation, coords: np.ndarray) -> AlgebraVector:
+        """The vector of coordinates its caller has checked: complex, (..., g) and finite."""
+        out = cls.__new__(cls)
+        out.rep, out.coords = rep, coords
+        return out
 
     def matrix(self) -> np.ndarray:
         return self.rep.materialize(self.coords)
@@ -324,17 +340,23 @@ class AlgebraVector:
 
 
 def _require_finite(value, what: str, g):
-    """value, unless an entry overflowed: then DegenerateInput naming the scale |M(g)|."""
+    """value, unless an entry overflowed: then DegenerateInput naming the scale |M(g)| (of a whole stack g)."""
     if not np.isfinite(value).all():
-        raise DegenerateInput(f"{what} is not finite: it overflows at |M(g)| {linalg.norm(_mat(g)):.2e}")
+        raise DegenerateInput(f"{what} is not finite: it overflows at |M(g)| {linalg.norm(_mat(g, stack=True)):.2e}")
     return value
 
 
 def cayley(rep: Representation, g) -> AlgebraVector:
-    """Project the group element onto the algebra in the trace form; DegenerateInput where a coordinate overflows."""
+    """Project the group element onto the algebra in the trace form; DegenerateInput where a coordinate overflows.
+
+    g may also be a raw (..., v, v) stack of matrices, each checked as a
+    GroupElement checks its own: their (..., g) coordinates come from one
+    coords_of, so one Gram solve, as for one element.
+    """
+    m = rep._sized(_mat(g, stack=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = rep.coords_of(rep.element_matrix(g))
-    return AlgebraVector(rep, _require_finite(coords, "projection", g))
+        coords = rep.coords_of(m)
+    return AlgebraVector._of_checked(rep, _require_finite(coords, "projection", m))
 
 
 def cayley_jacobian(rep: Representation, g) -> np.ndarray:
@@ -377,11 +399,15 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         conj = (linalg.inverse(bm, "conjugating element").T @ left).reshape(v * v, g)
         ad = linalg.left_product(rep.dual.T, conj)
-        # conjugates can span 1e-200..1e200: each column is taken at a power-of-two scale of its
-        # own, which leaves the ratio exact and keeps its squares from underflowing
+        # conjugates can span 1e-200..1e200: each column, and its residual, is taken at a power-of-two
+        # scale of its own, which leaves the ratio exact and keeps its squares from underflowing; both
+        # are scaled in place, as a (2, v^2, g) stack for one norms call doubles the memory it touches
         shrink = linalg._shrink(conj, axis=0)
-        res = linalg.norms((conj - rep._span_columns(ad)) * shrink, axis=0)
-        worst = float(np.max(res / linalg.norms(conj * shrink, axis=0)))
+        res = rep._span_columns(ad)
+        np.subtract(conj, res, out=res)
+        res *= shrink
+        conj *= shrink
+        worst = float(np.max(linalg.norms(res, axis=0) / linalg.norms(conj, axis=0)))
     outside = not worst <= ADJOINT_RESIDUAL_TOL
     if outside:  # a conjugate that overflows leaves NaN in ad and in worst: named first
         _require_finite(ad, "adjoint matrix", b)

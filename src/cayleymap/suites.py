@@ -119,8 +119,8 @@ def _rel(err: float, scale: float) -> float:
 
 def _mismatch(got, want) -> float:
     """got against the reference want: _rel(|got - want|, |want|), both taken on got and want times
-    one power-of-two scale (linalg._shrink of the larger), which leaves the ratio exact at any scale."""
-    shrink = min(linalg._shrink(got), linalg._shrink(want))
+    one power-of-two scale (linalg._shrink of the pair), which leaves the ratio exact at any scale."""
+    shrink = linalg._shrink((got, want))
     got, want = np.multiply(got, shrink), np.multiply(want, shrink)
     return _rel(linalg.norm(got - want), linalg.norm(want))
 
@@ -147,10 +147,10 @@ def _worst(residuals) -> float:
 
 def _equivariance(rng, trial) -> float:
     def residual(rep):
-        b = _sample(rep, "generic", rng)
-        g = _sample(rep, "generic", rng)
-        lhs = rm.cayley(rep, b.matrix @ g.matrix @ np.linalg.inv(b.matrix)).coords
-        return _mismatch(lhs, rm.adjoint_matrix(rep, b) @ rm.cayley(rep, g).coords)
+        # b, then g, generic samples of seeds drawn from rng: one stack of exponentials, one projection
+        b, g = catalog.realize(rep, np.array([catalog._generic_coords(rep, _seed_int(rng)) for _ in range(2)]))
+        lhs, rhs = rm.cayley(rep, np.array([b @ g @ np.linalg.inv(b), g])).coords
+        return _mismatch(lhs, rm.adjoint_matrix(rep, b) @ rhs)
 
     return _worst(residual(_built(catalog.make, *key)) for key in FAMILY_KEYS)
 

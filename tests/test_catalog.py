@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cayleymap import catalog, cli, linalg
+from cayleymap import catalog, cli, linalg, suites
 from cayleymap import representation as rm
 from cayleymap.errors import IncompatibleAlgebras, NotProportional, SingularMatrix
 
@@ -297,6 +297,40 @@ def test_sampler_group_membership():
     for kind in ("generic", "hyperbolic", "elliptic", "unipotent", "cartan", "trace_free"):
         g = catalog.sample_element(sl3, kind, 12)
         assert abs(np.linalg.det(g.matrix) - 1) < 1e-8
+
+
+STACK_KEYS = [*suites.FAMILY_KEYS, ("sl", 10), ("gl", 12)]
+
+
+@pytest.mark.parametrize("key", STACK_KEYS)
+def test_realize_of_a_stack_is_each_element_bit_for_bit(key):
+    rep = catalog.make(*key)
+    coords = _cgauss(_rng(60), (4, rep.g_dim), 0.4)
+    got = catalog.realize(rep, coords)
+    assert got.shape == (4, rep.v_dim, rep.v_dim)
+    assert all(np.array_equal(got[k], catalog.realize(rep, coords[k]).matrix) for k in range(4))
+    with pytest.raises(ValueError, match="exponent contains non-finite entries"):
+        catalog.realize(rep, np.where(np.arange(4)[:, None] == 2, np.nan, coords))
+
+
+@pytest.mark.parametrize("key", STACK_KEYS)
+@pytest.mark.parametrize("kind", ["hyperbolic", "unipotent"])
+def test_conjugated_samples_are_the_per_matrix_exponentials_bit_for_bit(key, kind):
+    # the element's exponent, then the conjugator's coordinates, drawn in that order from one
+    # stream, each exponentiated alone: the sampler's one (2, v, v) stack gives the same bits
+    rep = catalog.make(*key)
+    cartan = rep.metadata["cartan_indices"]
+    for seed in range(3):
+        rng = catalog._rng_for(rep, kind, seed)
+        if kind == "hyperbolic":
+            coords = np.zeros(rep.g_dim, dtype=complex)
+            coords[cartan] = rep.metadata["hyperbolic_unit"] * rng.uniform(-0.8, 0.8, len(cartan))
+            x = rep.materialize(coords)
+        else:
+            x = catalog._nilpotent_direction(rep, rng)
+        q = linalg.matrix_exp(rep.materialize(linalg.complex_normal(rng, rep.g_dim, 0.3)))
+        want = q @ linalg.matrix_exp(x) @ np.linalg.inv(q)
+        assert np.array_equal(catalog.sample_element(rep, kind, seed).matrix, want)
 
 
 # --- family registry ---------------------------------------------------------------

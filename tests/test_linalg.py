@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleymap import clifford, degree, linalg
+from cayleymap import catalog, clifford, degree, linalg, suites
 from cayleymap.errors import DegenerateInput, SingularMatrix
 
 
@@ -145,6 +145,16 @@ def test_norms_along_an_axis_rescale_only_the_slices_that_overflow():
     assert list(linalg.norms(stack, axis=(-2, -1))) == [linalg.norm(stack[0]), linalg.norm(stack[1])]
 
 
+def test_norm_whose_squares_overflow_is_warning_free():
+    # np.linalg.norm of this entry warns "overflow encountered in scalar add" (its real and imaginary
+    # sums of squares are finite, their sum is not); warnings are errors here
+    z = np.array([1.3e154 + 1.3e154j])
+    assert linalg.norm(z) == 1.8384776310850235e154
+    # along an axis: the first column's squares overflow, the second's do not
+    got = linalg.norms(np.array([[1.3e154 + 1.3e154j, 1.0], [0.0, 1.0]]), axis=0)
+    assert got.tolist() == [1.8384776310850235e154, np.sqrt(2)]
+
+
 def test_determinant_identity():
     assert linalg.determinant(np.eye(4)) == pytest.approx(1.0)
 
@@ -231,6 +241,19 @@ def test_spectral_of_zero_is_one_cluster():
     dec = linalg.spectral(np.zeros((4, 4)))
     assert dec.multiplicities == [4] and dec.gap == np.inf and dec.threshold == 0.0
     assert not dec.eigenvalues.any() and not dec.semisimple_part().any()
+
+
+def test_spectral_refuses_an_entry_whose_modulus_overflows(monkeypatch):
+    # finite parts, modulus 2.1e308: no power-of-two scale is defined (warnings are errors here)
+    a = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+    assert linalg.spectral(a / 2).multiplicities == [1, 1]
+
+    def refuse(m):
+        raise AssertionError("refused after eigen work")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    with pytest.raises(DegenerateInput, match="entry modulus overflows"):
+        linalg.spectral(a)
 
 
 def test_spectral_gap_follows_chained_clusters():
@@ -523,6 +546,42 @@ def test_matrix_exp_refuses_an_exponent_whose_1_norm_overflows():
     with pytest.raises(DegenerateInput, match="exponent 1-norm overflows"):
         linalg.matrix_exp(np.array([[1e308, 0.0], [1e308j, 0.0]]))
     assert np.isfinite(linalg.matrix_exp(np.array([[0.0, 1e308], [-1e308, 0.0]]) * 1e-300)).all()
+
+
+@pytest.mark.parametrize("key", [*suites.FAMILY_KEYS, ("sl", 10), ("gl", 12)])
+def test_matrix_exp_of_a_stack_is_each_exponential_bit_for_bit(key):
+    rep = catalog.make(*key)
+    rng = _rng(40)
+    for scale in (0.05, 0.4, 3.0):
+        stack = rep.materialize(linalg.complex_normal(rng, (5, rep.g_dim), scale))
+        got = linalg.matrix_exp(stack)
+        assert all(np.array_equal(got[k], linalg.matrix_exp(stack[k])) for k in range(5))
+    # leading axes beyond one
+    assert np.array_equal(linalg.matrix_exp(stack.reshape(1, 5, rep.v_dim, rep.v_dim))[0], got)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_matrix_exp_of_spinor_images_that_square_differently_is_each_bit_for_bit(n):
+    # one stack of 0, 0 or 1, 1..3 and 4..6 squarings: the matrices that need fewer keep their power
+    u = clifford.random_bivector(n, _rng(50 + n))._image()
+    stack = np.array([s * u for s in (0.01, 1.0, 4.0, 30.0)])
+    counts = [linalg._squarings(float(np.abs(a).sum(axis=0).max())) for a in stack]
+    assert counts[0] == 0 and len(set(counts)) >= 3
+    got = linalg.matrix_exp(stack)
+    for k in range(len(stack)):
+        assert np.array_equal(got[k], linalg.matrix_exp(stack[k]))
+
+
+def test_matrix_exp_of_a_stack_checks_each_member():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="exponent contains non-finite entries"):
+        linalg.matrix_exp(stack)
+    stack[1] = [[1e308, 0.0], [1e308j, 0.0]]
+    with pytest.raises(DegenerateInput, match="exponent 1-norm overflows"):
+        linalg.matrix_exp(stack)
+    with pytest.raises(ValueError, match=r"exponent must be square, got shape \(3, 2, 3\)"):
+        linalg.matrix_exp(np.zeros((3, 2, 3)))
 
 
 # Oracle tolerance: the relative error max|X - E| / max|E| against the oracle E

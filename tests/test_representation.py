@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayleymap import catalog, linalg
+from cayleymap import catalog, linalg, suites
 from cayleymap import representation as rm
 from cayleymap.errors import (
     ClusterAmbiguity,
@@ -519,6 +519,35 @@ def test_cayley_identity_is_zero():
         assert np.linalg.norm(v.coords) < 1e-12
 
 
+@pytest.mark.parametrize("key", [*suites.FAMILY_KEYS, ("sl", 10), ("gl", 12)])
+def test_cayley_of_a_stack_is_each_projection_bit_for_bit_from_one_solve(key, monkeypatch):
+    rep = catalog.make(*key)
+    stack = catalog.realize(rep, _cgauss(_rng(70), (3, rep.g_dim), 0.4))
+    singles = [rm.cayley(rep, rm.GroupElement(m)).coords for m in stack]
+    solves = []
+    solve = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda *args: solves.append(1) or solve(*args))
+    got = rm.cayley(rep, stack)
+    assert len(solves) == 1 and got.coords.shape == (3, rep.g_dim)
+    assert all(np.array_equal(got.coords[k], singles[k]) for k in range(3))
+    assert np.array_equal(got.matrix(), rep.materialize(got.coords))
+
+
+def test_cayley_of_a_stack_checks_each_member():
+    so2 = catalog.make_so(2)
+    stack = np.array([np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match="group element contains non-finite entries"):
+        rm.cayley(so2, np.where(np.arange(2)[:, None, None] == 1, np.nan, stack))
+    with pytest.raises(ValueError, match=r"group element must be square, got shape \(2, 2, 3\)"):
+        rm.cayley(so2, np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="^element is 3x3, representation needs 2$"):
+        rm.cayley(so2, np.zeros((2, 3, 3)))
+    # one member's trace pairing overflows (warnings are errors here)
+    stack[1] = [[0.0, 1.5e308], [-1.5e308, 0.0]]
+    with pytest.raises(DegenerateInput, match=r"projection is not finite: it overflows at \|M\(g\)\| inf"):
+        rm.cayley(so2, stack)
+
+
 # --- Jacobian and determinant --------------------------------------------------
 
 
@@ -763,6 +792,13 @@ def test_zero_element_is_singular_outright():
     for split in (rm.multiplicative_jordan, rm.ehu_decomposition):
         with pytest.raises(SingularMatrix, match="^element is zero: every eigenvalue vanishes$"):
             split(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("split", [rm.multiplicative_jordan, rm.additive_jordan, rm.ehu_decomposition], ids=lambda f: f.__name__)
+def test_jordan_splits_refuse_an_entry_whose_modulus_overflows(split):
+    # spectral's refusal, by name and with no numpy warning (warnings are errors here)
+    with pytest.raises(DegenerateInput, match="entry modulus overflows"):
+        split(np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]]))
 
 
 # --- scale laws: each decision's bound is relative to what it compares ------------
