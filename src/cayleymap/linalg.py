@@ -8,7 +8,8 @@ on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots); spectral measures the gap between
 eigenvalue clusters in the pass that forms them, and every Jordan-type factor
-is one SpectralDecomposition.apply call.  A polynomial is a plain array of
+is one SpectralDecomposition.apply call (a simple spectrum is its own
+semisimple part, which takes none).  A polynomial is a plain array of
 ascending complex coefficients, and poly_roots polishes every root at once:
 each Newton step is one Vandermonde matrix of the roots and two products.
 The exponential is Pade scaling and squaring (Higham 2005): six products,
@@ -144,15 +145,14 @@ def norm(a) -> float:
     return float(norms(a))
 
 
-def _shrink(a, axis=None):
-    """2^-e, 2^e the largest power of two up to the largest modulus in the array a (in each of its
-    slices along axis) and at least 2^-1022, so that 2^-e is a finite float (e <= 1023 where that
-    modulus is finite): a times it is exact and has its largest modulus in [1, 2) wherever that
-    modulus is normal; a zero slice takes the largest factor, 2^1022."""
-    top = np.abs(a).max(axis=axis, initial=2.0**-1022)
-    if axis is None:  # the scalar case on math's frexp, several times faster than numpy's
-        return ldexp(1.0, 1 - frexp(top)[1])
-    return np.ldexp(1.0, 1 - np.frexp(top)[1])
+def _shrink(a, top=None):
+    """2^-e, 2^e the largest power of two up to top, the largest modulus in the array a unless given,
+    and at least 2^-1022, so that 2^-e is a finite float (e <= 1023 where top is finite): a times it
+    is exact and has its largest modulus in [1, 2) wherever that modulus is normal; a zero array
+    takes the largest factor, 2^1022."""
+    if top is None:
+        top = np.abs(a).max(initial=0.0)
+    return ldexp(1.0, 1 - frexp(max(top, 2.0**-1022))[1])
 
 
 def left_product(a: Matrix, c: Matrix) -> Matrix:
@@ -373,6 +373,11 @@ class SpectralDecomposition:
         return result
 
     def semisimple_part(self) -> Matrix:
+        """apply(eigenvalues), or a copy of matrix where every cluster is one eigenvalue: the
+        interpolant of f(lambda) = lambda on n distinct nodes is lambda itself, so a simple
+        spectrum is its own semisimple part (Higham 2008, ch. 1), with no Newton product."""
+        if max(self.multiplicities) == 1:
+            return self.matrix.copy()
         return self.apply(self.eigenvalues)
 
 
@@ -383,21 +388,23 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
-    DegenerateInput, before any eigen work, for a finite a with an entry whose
-    modulus overflows: the power-of-two scale (_shrink) that the threshold
-    and apply take a at is not defined there.
+    Before any eigen work: ValueError, as as_square_matrix words it, for a
+    that is not square or not finite, and DegenerateInput for an entry whose
+    modulus overflows, as the power-of-two scale (_shrink) that the
+    threshold and apply take a at is not defined there.
     """
-    a = np.asarray(a, dtype=complex)
+    a = as_square_matrix(a)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    if np.abs(a).max(initial=0.0) == np.inf and np.isfinite(a).all():
+    top = np.abs(a).max(initial=0.0)
+    if top == np.inf:
         raise DegenerateInput("entry modulus overflows: no power-of-two scale 2^-e brings the matrix to unit size")
     try:
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
     # |a| taken on a 2^-e and scaled back: numpy's bits, also where its squares would underflow
-    shrink = _shrink(a)
+    shrink = _shrink(a, top)
     threshold = cluster_tol * norm(a * shrink) / shrink
     reps, labels = dedup_roots(raw, threshold if a.any() else np.inf)
     diff = raw[:, None] - raw

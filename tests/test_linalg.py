@@ -256,6 +256,30 @@ def test_spectral_refuses_an_entry_whose_modulus_overflows(monkeypatch):
         linalg.spectral(a)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)], ids=["inf", "-inf", "nan", "inf-imag"])
+def test_spectral_refuses_a_non_finite_entry_before_eigen_work(monkeypatch, bad):
+    # in as_square_matrix's words, not as an eigenvalue iteration that stalled on it
+    def refuse(m):
+        raise AssertionError("refused after eigen work")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        linalg.spectral(a)
+
+
+def test_semisimple_part_of_a_simple_spectrum_is_a_copy_of_the_matrix():
+    # every cluster one eigenvalue: the interpolant of f(lambda) = lambda is lambda, so no product is formed
+    a = _random_complex(_rng(12), (6, 6))
+    dec = linalg.spectral(a.copy())
+    assert dec.multiplicities == [1] * 6
+    s = dec.semisimple_part()
+    assert np.array_equal(s, a)
+    s[0, 0] += 1.0  # a copy: the decomposition's matrix stays as it was
+    assert np.array_equal(dec.matrix, a)
+
+
 def test_spectral_gap_follows_chained_clusters():
     # the chain 0..5.4e-3 (steps 0.9e-3 < tol = 1e-3) is one cluster, 2.1e-3
     # from 7.5e-3; its end 5.4e-3 lies nearer 7.5e-3 than the chain's mean

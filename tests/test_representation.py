@@ -801,6 +801,37 @@ def test_jordan_splits_refuse_an_entry_whose_modulus_overflows(split):
         split(np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]]))
 
 
+PROJECT_REPS = [catalog.make_sl(6), catalog.make_so(12), catalog.make_gl(12)]
+
+
+@pytest.mark.parametrize("kind", ["generic", "hyperbolic", "cartan"])
+@pytest.mark.parametrize("rep", PROJECT_REPS, ids=lambda r: r.name)
+def test_a_simple_spectrum_is_its_own_semisimple_part(rep, kind):
+    # every cluster one eigenvalue: g_s is g bit for bit and g_u the one solve g^-1 g
+    for seed in range(3):
+        g = catalog.sample_element(rep, kind, seed).matrix
+        assert max(linalg.spectral(g).multiplicities) == 1
+        gs, gu = rm.multiplicative_jordan(g)
+        assert np.array_equal(gs, g)
+        assert np.linalg.norm(gs @ gu - g) <= 1e-14 * np.linalg.norm(g)
+    x = rm.AlgebraVector(rep, linalg.complex_normal(_rng(3), rep.g_dim))
+    xs, xn = rm.additive_jordan(x)
+    assert np.array_equal(xs, x.matrix()) and not xn.any()
+
+
+def test_a_clustered_spectrum_keeps_its_interpolant():
+    # the sl3 Jordan element's double eigenvalue is one cluster: g_s is the Hermite interpolant, not g
+    g = _jordan_element(0)
+    dec = linalg.spectral(g)
+    assert sorted(dec.multiplicities) == [1, 2]
+    interpolant = dec.apply(dec.eigenvalues)
+    assert np.array_equal(dec.semisimple_part(), interpolant)
+    gs, gu = rm.multiplicative_jordan(g)
+    assert np.array_equal(gs, interpolant) and np.linalg.norm(gu - np.eye(3)) > 0.1
+    xs, xn = rm.additive_jordan(g)
+    assert np.array_equal(xs, interpolant) and np.array_equal(xn, g - interpolant)
+
+
 # --- scale laws: each decision's bound is relative to what it compares ------------
 
 SCALE_LAW = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -937,6 +968,45 @@ def test_adjoint_matrix_of_an_overflowing_conjugate_is_degenerate_input():
     # b E_13 b^-1 = 1e320 E_13 is not finite: named by the scale of b, with no numpy warning
     with pytest.raises(DegenerateInput, match="adjoint matrix is not finite: it overflows at .M.g.. 1.00e.160"):
         rm.adjoint_matrix(SL3, np.diag([1e160, 1.0, 1e-160]))
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_adjoint_matrix_of_a_full_basis_is_the_dual_projection_with_no_residual(monkeypatch, n):
+    # g = v^2 spans gl(v), so no conjugate can leave it: the dual projection of the conjugates, bit
+    # for bit, with no span product and no residual; a conjugate that overflows is still refused
+    rep = catalog.make_gl(n)
+    v, g = rep.v_dim, rep.g_dim
+    b = catalog.sample_element(rep, "generic", 5).matrix
+    conj = (np.linalg.inv(b).T @ rep._left_products(b).reshape(v, v, g)).reshape(v * v, g)
+    want = linalg.left_product(rep.dual.T, conj)
+
+    def refuse(*args):
+        raise AssertionError("residual taken on a full basis")
+
+    monkeypatch.setattr(rm.Representation, "_span_columns", refuse)
+    assert np.array_equal(rm.adjoint_matrix(rep, b), want)
+    scales = np.ones(n)
+    scales[0], scales[-1] = 1e160, 1e-160
+    with pytest.raises(DegenerateInput, match="adjoint matrix is not finite: it overflows at .M.g.. 1.00e.160"):
+        rm.adjoint_matrix(rep, np.diag(scales))
+
+
+@SCALE_LAW
+@given(log_scale=st.floats(-150.0, 150.0), seed=SEEDS)
+@example(log_scale=-150.0, seed=0)
+@example(log_scale=150.0, seed=0)
+def test_adjoint_matrix_decides_so4_alike_at_every_scale(log_scale, seed):
+    # conjugation by c b is conjugation by b: c diag(2, 1, 1, 1/2), outside SO(4), takes so4 off
+    # itself at the residual of c = 1, and c times a rotation keeps it, with the adjoint of c = 1
+    c, stretch = 10.0**log_scale, np.diag([2.0, 1.0, 1.0, 0.5])
+    residuals = []
+    for scale in (1.0, c):
+        with pytest.raises(NotEquivariant) as err:
+            rm.adjoint_matrix(SO4, scale * stretch)
+        residuals.append(err.value.value)
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
+    rotation = linalg.matrix_exp(SO4.materialize(_rng(seed).standard_normal(SO4.g_dim)))
+    assert _rel(rm.adjoint_matrix(SO4, c * rotation), rm.adjoint_matrix(SO4, rotation)) <= 1e-12
 
 
 # --- exactly singular inputs raise the typed error ------------------------------
