@@ -69,8 +69,8 @@ def _char_poly(x: np.ndarray, norm: float) -> np.ndarray:
     """The n + 1 coefficients of t -> det(t*1 + x), interpolated at n + 1 nodes of radius 1 + |x| (norm)."""
     n = x.shape[0]
     nodes = (1.0 + norm) * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    eye = np.eye(n)
-    values = np.array([linalg.determinant(t * eye + x) for t in nodes])
+    shifted = nodes[:, None, None] * np.eye(n) + x
+    values = np.array([linalg.determinant(a) for a in shifted])
     vander = np.vander(nodes, n + 1, increasing=True)
     return np.linalg.solve(vander, values)
 
@@ -88,8 +88,10 @@ def _fiber_poly(family: str, n: int, x):
         raise ValueError(f"unknown fiber family {family!r}")
     norm = linalg.norm(x)
     if family == "sl":
-        trace, threshold = abs(np.trace(x)), TRACE_FREE_TOL * norm
-        raise_if(trace > threshold, DegenerateInput, "sl fiber target must be trace-free: |tr X|", trace, threshold)
+        trace, threshold = np.trace(x), TRACE_FREE_TOL * norm
+        raise_if(
+            abs(trace) > threshold, DegenerateInput, "sl fiber target must be trace-free: |tr X|", abs(trace), threshold
+        )
     else:
         require_skew(x, "spin fiber target must be skew-symmetric: |X + X^T|")
     smallest = FAMILIES[family][0]
@@ -104,7 +106,7 @@ def _fiber_poly(family: str, n: int, x):
         raise DegenerateInput(f"fiber polynomial det(t*1 + X) is not finite: it overflows at |X| {norm:.2e}")
     coeffs[n] = 1.0
     if family == "sl":
-        coeffs[n - 1] = np.trace(x)
+        coeffs[n - 1] = trace
         coeffs[0] -= 1.0
     else:
         coeffs[1 - n % 2 :: 2] = 0.0
@@ -161,7 +163,8 @@ def spin_fiber(n: int, x) -> FiberReport:
     # a zero constant term (X singular) gives an exactly zero s: the companion matrix isolates it
     s = s[s != 0.0]
     s = linalg.dedup_roots(s, linalg.ROOT_DEDUP_TOL * np.abs(s))[0]
-    roots = np.stack([np.sqrt(s), -np.sqrt(s)], axis=-1).ravel()
+    root = np.sqrt(s)
+    roots = np.array([root, -root]).T.ravel()
     eye = np.eye(n)
     # far above unit scale a root can equal -lambda to the last bit (2^n t^(n-2) is
     # below the rounding of det(t*1 + X)): its rotation is not finite and fails the checks

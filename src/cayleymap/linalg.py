@@ -11,7 +11,8 @@ eigenvalue clusters in the pass that forms them, and every Jordan-type factor
 is one SpectralDecomposition.apply call (a simple spectrum is its own
 semisimple part, which takes none).  A polynomial is a plain array of
 ascending complex coefficients, and poly_roots polishes every root at once:
-each Newton step is one Vandermonde matrix of the roots and two products.
+one power table of the roots, refilled in place at each Newton step, gives p
+and p' as two products, and a root where |p'| is too small moves by exactly 0.
 The exponential is Pade scaling and squaring (Higham 2005): six products,
 one LU solve and the squarings the 1-norm asks for, with no per-term
 convergence test.
@@ -263,9 +264,11 @@ def poly_roots(coeffs) -> np.ndarray:
     nonempty 1-D sequence.
 
     Each root is polished by three Newton steps, which matters when roots
-    are later deduplicated at tight absolute tolerance.  A step evaluates p
-    and p' at all roots as two products with one Vandermonde matrix of the
-    roots, and leaves a root where |p'| is at most NEWTON_SLOPE_TOL.
+    are later deduplicated at tight absolute tolerance.  One table of the
+    roots' powers, refilled in place at each step by np.vander's own running
+    product (so with np.vander's bits), gives p and p' as two products; the
+    step p/p' is 0 where |p'| is at most NEWTON_SLOPE_TOL, so a masked root
+    moves by exactly 0.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.ndim != 1 or c.size == 0:
@@ -279,20 +282,22 @@ def poly_roots(coeffs) -> np.ndarray:
         raise DegenerateInput("constant polynomial has no roots")
     monic = c / c[-1]
     companion = np.zeros((deg, deg), dtype=complex)
-    companion[1:, :-1] = np.eye(deg - 1)
+    companion.flat[deg :: deg + 1] = 1.0
     companion[:, -1] = -monic[:-1]
     try:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("companion eigensolver stalled") from exc
     slope_coeffs = c[1:] * np.arange(1, deg + 1)
+    # powers[i, k] = roots[i]**k: column 0 stays 1, the rest is refilled at each step
+    powers = np.ones((deg, deg + 1), dtype=complex)
+    tail = powers[:, 1:]
     for _ in range(3):
-        # powers[i, k] = roots[i]**k: p and p' at every root are one product each
-        powers = np.vander(roots, deg + 1, increasing=True)
+        tail[...] = roots[:, None]
+        np.multiply.accumulate(tail, out=tail, axis=1)
         slope = powers[:, :-1] @ slope_coeffs
-        safe = np.abs(slope) > NEWTON_SLOPE_TOL
-        step = np.where(safe, powers @ c, 0.0) / np.where(safe, slope, 1.0)
-        roots = np.where(safe, roots - step, roots)
+        step = np.divide(powers @ c, slope, out=np.zeros(deg, dtype=complex), where=np.abs(slope) > NEWTON_SLOPE_TOL)
+        roots -= step
     return roots
 
 

@@ -166,6 +166,22 @@ def test_minimal_poly_spin_shift():
         assert np.polyval(p[::-1], t) == pytest.approx(det_val - 2**4 * t**2, rel=1e-8)
 
 
+def test_char_poly_keeps_the_bits_of_the_per_node_loop():
+    # the n + 1 shifted matrices formed as one broadcast, against t * 1 + X formed node by node;
+    # the principal nilpotent and its negative carry exactly-zero entries of both signs
+    rng = _rng(42)
+    targets = [10.0**k * degree.random_trace_free(n, rng) for n in range(2, 13) for k in range(-4, 5)]
+    targets += [10.0**k * degree.random_skew(n, rng) for n in range(3, 13) for k in (-4, 0, 4)]
+    targets += [sign * degree.principal_nilpotent(n) for n in (2, 5, 12) for sign in (1.0, -1.0)]
+    targets += [np.diag([1e6, -1e6]).astype(complex)]
+    for x in targets:
+        n, norm = x.shape[0], linalg.norm(x)
+        nodes = (1.0 + norm) * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+        values = np.array([linalg.determinant(t * np.eye(n) + x) for t in nodes])
+        expected = np.linalg.solve(np.vander(nodes, n + 1, increasing=True), values)
+        assert np.array_equal(degree._char_poly(x, norm).view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("family", degree.FAMILIES)
 def test_minimal_poly_writes_the_coefficients_det_fixes(family):
     # det(t + X) is monic with t^(n-1) coefficient tr X, and for skew X

@@ -522,6 +522,70 @@ def test_poly_roots_polish_reaches_rounding_backward_error():
         assert np.all(residual <= 16 * eps * scale)
 
 
+def _vander_polished_roots(coeffs):
+    """poly_roots with one np.vander and three np.where masks per Newton step, and the companion
+    sub-diagonal from np.eye: the reference whose bits the in-place power table keeps.  Returns
+    the roots and the number of (root, step) pairs the mask held still."""
+    c = np.asarray(coeffs, dtype=complex)
+    c = c[: np.flatnonzero(c)[-1] + 1]
+    deg = c.size - 1
+    companion = np.zeros((deg, deg), dtype=complex)
+    companion[1:, :-1] = np.eye(deg - 1)
+    companion[:, -1] = -(c / c[-1])[:-1]
+    roots = np.linalg.eigvals(companion)
+    slope_coeffs = c[1:] * np.arange(1, deg + 1)
+    masked = 0
+    for _ in range(3):
+        powers = np.vander(roots, deg + 1, increasing=True)
+        slope = powers[:, :-1] @ slope_coeffs
+        safe = np.abs(slope) > linalg.NEWTON_SLOPE_TOL
+        masked += np.count_nonzero(~safe)
+        step = np.where(safe, powers @ c, 0.0) / np.where(safe, slope, 1.0)
+        roots = np.where(safe, roots - step, roots)
+    return roots, masked
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _fiber_polynomials():
+    rng = _rng(41)
+    for n in range(2, 13):
+        for k in range(-4, 5):
+            yield degree.minimal_poly_coeffs("sl", n, 10.0**k * degree.random_trace_free(n, rng))
+            if n >= 3:
+                poly = degree.minimal_poly_coeffs("spin", n, 10.0**k * degree.random_skew(n, rng))
+                yield poly[n % 2 :: 2]
+
+
+def test_poly_roots_keeps_the_bits_of_the_vander_polish():
+    rng = _rng(40)
+    cases = [10.0 ** rng.uniform(-4.0, 4.0) * _random_complex(rng, deg + 1) for deg in range(1, 13) for _ in range(20)]
+    # one scale per coefficient, and the leading one at each end of the range
+    cases += [_random_complex(rng, deg + 1) * 10.0 ** rng.uniform(-4.0, 4.0, deg + 1) for deg in range(1, 13)]
+    cases += [np.append(_random_complex(rng, deg), lead) for deg in range(1, 13) for lead in (1e-4, 1e4)]
+    cases += list(_fiber_polynomials())
+    # exactly-zero trailing coefficients are stripped before the companion matrix is formed
+    cases += [[1.0, 2.0, 0.0, 0.0], np.append(_random_complex(rng, 6), np.zeros(3))]
+    for coeffs in cases:
+        assert _same_bits(linalg.poly_roots(coeffs), _vander_polished_roots(coeffs)[0])
+
+
+def test_poly_roots_masked_step_keeps_the_bits_of_the_vander_polish():
+    # roots where |p'| is at most NEWTON_SLOPE_TOL take no step: the double root 0 of t^2 (t - 2), a
+    # double root of 1e-8 beside 3 (companion roots 1e-8 (1 +- 1.8e-7), |p'| 1.05e-14 there, held
+    # still from the second step), and the small s-roots of a spin target at 1e-7, which the
+    # companion eigensolver returns as 0
+    x = 1e-7 * degree.random_skew(6, _rng(0))
+    cases = [[0.0, 0.0, -2.0, 1.0], np.poly([1e-8, 1e-8, 3.0])[::-1], degree.minimal_poly_coeffs("spin", 6, x)[::2]]
+    for coeffs in cases:
+        expected, masked = _vander_polished_roots(coeffs)
+        assert masked > 0
+        assert _same_bits(linalg.poly_roots(coeffs), expected)
+
+
 # --- matrix exponential -----------------------------------------------------
 
 

@@ -712,6 +712,36 @@ def test_multiplicative_jordan_unipotent():
     assert np.allclose(gu, g, atol=1e-7)
 
 
+UNIPOTENT_SPLIT_CASES = [("sl", 3, 1), ("sl", 6, 0), ("sl", 6, 1), ("gl", 12, 0), ("gl", 12, 1)]
+
+
+@pytest.mark.parametrize("fam, n, seed", UNIPOTENT_SPLIT_CASES)
+def test_catalog_unipotent_samples_are_unipotent(fam, n, seed):
+    g = catalog.sample_element(catalog.make(fam, n), "unipotent", seed).matrix
+    m = g - np.eye(n)
+    assert linalg.norm(np.linalg.matrix_power(m, n)) <= 1e-15 * linalg.norm(m) ** n
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: the conjugated unipotent block's eigenvalues scatter by ~eps^(1/n) |g - 1|, far above "
+    "the cluster threshold, so spectral reads a simple spectrum and returns g_s = g, g_u = 1",
+)
+def test_catalog_unipotent_samples_have_unit_semisimple_parts_or_are_refused():
+    # g_s = 1 within 1e-6 |g|, or ClusterAmbiguity: a split this code cannot resolve is refused, not guessed
+    wrong = []
+    for fam, n, seed in UNIPOTENT_SPLIT_CASES:
+        g = catalog.sample_element(catalog.make(fam, n), "unipotent", seed).matrix
+        try:
+            gs, _ = rm.multiplicative_jordan(g)
+        except ClusterAmbiguity:
+            continue
+        if linalg.norm(gs - np.eye(n)) > 1e-6 * linalg.norm(g):
+            wrong.append((fam, n, seed))
+    assert wrong == []
+
+
 def test_multiplicative_jordan_reconstruction():
     g = np.array([[2.0, 1.0], [0.0, 0.5]])
     gs, gu = rm.multiplicative_jordan(g)
