@@ -67,7 +67,8 @@ _MAX_SPIN_NORM = float(np.sqrt(np.finfo(float).max) / np.sqrt(SPIN_TOL))
 
 
 class _Tables:
-    """Grades and the spinor image Gamma for fixed n, on m = ceil(n/2) qubits, D = 2^m.
+    """Grades and the spinor image Gamma for fixed n, on m = ceil(n/2) qubits, D = 2^m, and the
+    per-n constants of the grade involutions and of bivectors, formed once per n (_tables caches it).
 
     Blade z_I is w_I X^x Z^z with x, z bitmasks over the qubits.  The table
     grows one generator at a time, z_{I + 2^k} = z_I z_{k+1} for I < 2^k:
@@ -82,7 +83,13 @@ class _Tables:
     """
 
     def __init__(self, n: int):
-        self.grades = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+        self.grades = g = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+        # the grade involutions' signs: alpha is (-1)^(k(k-1)/2) and kappa (-1)^k on grade k
+        self.alpha_signs = np.where((g * (g - 1) // 2) & 1, -1.0, 1.0)
+        self.kappa_signs = np.where(g & 1, -1.0, 1.0)
+        # generator pairs a < b in np.triu_indices order and the masks of their bivectors z_{a+1} z_{b+1}
+        self.bivector_pairs = a, b = np.triu_indices(n, 1)
+        self.bivector_masks = (1 << a) | (1 << b)
         m = (n + 1) // 2
         d = 1 << m
         w = np.ones(1, dtype=complex)
@@ -292,7 +299,7 @@ def from_vector(n: int, x) -> CliffordElement:
 def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
     """Bivector with circular Gaussian coefficients (E|c|^2 = BIVECTOR_SCALE^2), drawn
     pair by pair in the order (1,2), (1,3), ..., (n-1,n), real part first, by one generator call."""
-    masks = _bivector_blades(n)[2]
+    masks = _tables(n).bivector_masks
     u = CliffordElement(n)
     u.coeffs[masks] = linalg._complex_from_parts(rng.standard_normal((masks.size, 2)).T, BIVECTOR_SCALE)
     return u
@@ -324,28 +331,17 @@ def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     return CliffordElement(u.n, t.from_spinor(total)[t.grades, np.arange(1 << u.n)])
 
 
-def _bivector_blades(n: int):
-    """Generator pairs a < b in np.triu_indices order and the masks of z_{a+1} z_{b+1}."""
-    a, b = np.triu_indices(n, 1)
-    return a, b, (1 << a) | (1 << b)
-
-
 # --- grade involutions and derivations ------------------------------------
 
 
 def alpha(u: CliffordElement) -> CliffordElement:
     """Principal antiautomorphism: (-1)^(k(k-1)/2) on grade k."""
-    t = _tables(u.n)
-    k = t.grades
-    signs = np.where((k * (k - 1) // 2) & 1, -1.0, 1.0)
-    return CliffordElement(u.n, signs * u.coeffs)
+    return CliffordElement(u.n, _tables(u.n).alpha_signs * u.coeffs)
 
 
 def kappa(u: CliffordElement) -> CliffordElement:
     """Parity automorphism: (-1)^k on grade k."""
-    t = _tables(u.n)
-    signs = np.where(t.grades & 1, -1.0, 1.0)
-    return CliffordElement(u.n, signs * u.coeffs)
+    return CliffordElement(u.n, _tables(u.n).kappa_signs * u.coeffs)
 
 
 def _vector_split(x: CliffordElement, u: CliffordElement, sign: float) -> CliffordElement:
@@ -520,8 +516,9 @@ def vector_action(g: SpinElement) -> np.ndarray:
 def tau(u: CliffordElement) -> np.ndarray:
     """Skew matrix of the bivector u acting on V by x -> -2 iota(x) u."""
     _require_degree(u, 2, "tau argument must be pure degree 2: residual")
-    a, b, masks = _bivector_blades(u.n)
-    c = u.coeffs[masks]
+    t = _tables(u.n)
+    a, b = t.bivector_pairs
+    c = u.coeffs[t.bivector_masks]
     s = np.zeros((u.n, u.n), dtype=complex)
     s[a, b] = 2.0 * c
     s[b, a] = -2.0 * c
@@ -551,9 +548,9 @@ def tau_inv(s: np.ndarray) -> CliffordElement:
     s = linalg.as_square_matrix(s, "tau_inv argument")
     n = s.shape[0]
     require_skew(s, "matrix is not skew-symmetric: |s + s^T|")
-    a, b, masks = _bivector_blades(n)
+    t = _tables(n)
     u = CliffordElement(n)
-    u.coeffs[masks] = 0.5 * s[a, b]
+    u.coeffs[t.bivector_masks] = 0.5 * s[t.bivector_pairs]
     return u
 
 
@@ -563,13 +560,21 @@ def cayley_gamma(b: np.ndarray) -> np.ndarray:
     Defined unless cond(1 + b) exceeds 1/linalg.RTOL or the transform exceeds
     (1 + |b|)/linalg.RTOL (the n = 2 half turn, where 1 + b is a tiny rotation
     of condition number 1); SingularShift names the test it failed.
-    ValueError for non-square or non-finite b.
+    ValueError for non-square or non-finite b, and np.linalg.cond's
+    LinAlgError for the empty one.
     """
     b = linalg.as_square_matrix(b, "cayley_gamma argument")
+    if not b.size:
+        raise np.linalg.LinAlgError("cond is not defined on empty arrays")
     eye = np.eye(b.shape[0])
-    cond, max_cond = np.linalg.cond(eye + b), 1.0 / linalg.RTOL
+    shift = eye + b
+    # np.linalg.cond's rule on one SVD: sigma_max / sigma_min, with NaN (0 / 0 at 1 + b = 0) read as inf
+    sigma = np.linalg.svd(shift, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sigma[0] / sigma[-1]
+    cond, max_cond = (np.inf if np.isnan(cond) else cond), 1.0 / linalg.RTOL
     raise_if(cond > max_cond, SingularShift, "1 + b is singular: condition number", cond, max_cond)
-    out = linalg.solve_linear(eye + b, eye - b, "1 + b")
+    out = linalg.solve_linear(shift, eye - b, "1 + b")
     norm, max_norm = linalg.norm(out), (1.0 + linalg.norm(b)) / linalg.RTOL
     raise_if(not norm <= max_norm, SingularShift, "1 + b is singular: transform norm", norm, max_norm)
     return out

@@ -146,13 +146,23 @@ def _worst(residuals) -> float:
 
 
 def _equivariance(rng, trial) -> float:
-    def residual(rep):
-        # b, then g, generic samples of seeds drawn from rng: one stack of exponentials, one projection
-        b, g = catalog.realize(rep, np.array([catalog._generic_coords(rep, _seed_int(rng)) for _ in range(2)]))
-        lhs, rhs = rm.cayley(rep, np.array([b @ g @ np.linalg.inv(b), g])).coords
+    # per representation b, then g, generic samples of seeds drawn from rng; the representations of one
+    # matrix size share one stack of exponentials (realize's check once per stack) and one of inverses
+    reps = [_built(catalog.make, *key) for key in FAMILY_KEYS]
+    pairs = [rep.materialize([catalog._generic_coords(rep, _seed_int(rng)) for _ in range(2)]) for rep in reps]
+    items = [None] * len(reps)
+    for v in dict.fromkeys(rep.v_dim for rep in reps):
+        idx = [i for i, rep in enumerate(reps) if rep.v_dim == v]
+        bg = linalg._square_matrices(linalg.matrix_exp(np.array([pairs[i] for i in idx])), "group element")
+        b, g = bg[:, 0], bg[:, 1]
+        for i, bi, gi, conj in zip(idx, b, g, b @ g @ np.linalg.inv(b)):
+            items[i] = reps[i], bi, gi, conj
+
+    def residual(rep, b, g, conj):
+        lhs, rhs = rm.cayley(rep, np.array([conj, g])).coords
         return _mismatch(lhs, rm.adjoint_matrix(rep, b) @ rhs)
 
-    return _worst(residual(_built(catalog.make, *key)) for key in FAMILY_KEYS)
+    return _worst(residual(*item) for item in items)
 
 
 def _cartan_stability(rng, trial) -> float:
@@ -522,9 +532,10 @@ def _volume_idempotency(rng, trial) -> float:
 def _alpha_involution(rng, trial) -> float:
     n = _cl_n(trial)
     blades = [cl.basis_blade(n, mask) for mask in range(1 << n)]
+    alphas = [cl.alpha(b) for b in blades]
     signs = [(-1.0) ** (k * (k - 1) // 2) for k in map(int.bit_count, range(1 << n))]
-    sign_err = [abs(cl.alpha(b).coeffs[mask] - sign) for mask, (b, sign) in enumerate(zip(blades, signs))]
-    return _worst(sign_err + [abs((b * cl.alpha(b)).scalar_part() - 1.0) for b in blades])
+    sign_err = [abs(a.coeffs[mask] - sign) for mask, (a, sign) in enumerate(zip(alphas, signs))]
+    return _worst(sign_err + [abs((b * a).scalar_part() - 1.0) for b, a in zip(blades, alphas)])
 
 
 def _tau_differential(rng, trial) -> float:

@@ -451,6 +451,60 @@ def test_kappa_parity():
     assert k.coeffs[0b101] == 1.0 and k.coeffs[0b001] == -1.0
 
 
+def _signed_zero_element(n, rng):
+    """A random element with about half its real and imaginary parts set to +0.0 or -0.0."""
+    u = random_element(n, rng)
+    c = u.coeffs.copy()
+    zeros = np.array([0.0, -0.0])
+    for part in (c.real, c.imag):
+        pick = rng.random(part.shape) < 0.5
+        part[pick] = rng.choice(zeros, pick.sum())
+    return cl.CliffordElement(n, c)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tables_hold_the_grade_signs_and_bivector_blades(n):
+    # the per-n constants against their formulas, each array at most 2^n entries
+    t = cl._tables(n)
+    grades = [mask.bit_count() for mask in range(1 << n)]
+    alpha_signs = np.array([(-1.0) ** (k * (k - 1) // 2) for k in grades])
+    kappa_signs = np.array([(-1.0) ** k for k in grades])
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert t.alpha_signs.view(np.uint64).tolist() == alpha_signs.view(np.uint64).tolist()
+    assert t.kappa_signs.view(np.uint64).tolist() == kappa_signs.view(np.uint64).tolist()
+    assert list(zip(*(p.tolist() for p in t.bivector_pairs))) == pairs
+    assert t.bivector_masks.tolist() == [(1 << a) | (1 << b) for a, b in pairs]
+    assert max(a.size for a in (t.alpha_signs, t.kappa_signs, *t.bivector_pairs, t.bivector_masks)) <= 1 << n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_grade_involutions_match_their_formulas_bitwise(n):
+    rng = _rng(200 + n)
+    for u in (random_element(n, rng), _signed_zero_element(n, rng)):
+        grades = [mask.bit_count() for mask in range(1 << n)]
+        for got, signs in (
+            (cl.alpha(u), np.array([(-1.0) ** (k * (k - 1) // 2) for k in grades])),
+            (cl.kappa(u), np.array([(-1.0) ** k for k in grades])),
+        ):
+            assert got.coeffs.tobytes() == (signs * u.coeffs).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_random_bivector_draws_pair_by_pair_bitwise(n):
+    # one (pairs, 2) draw, real part first, placed on the pairs (1,2), (1,3), ..., (n-1,n) in order
+    drawn, rng = _rng(300 + n), _rng(300 + n)
+    u = cl.random_bivector(n, drawn)
+    draws = rng.standard_normal((n * (n - 1) // 2, 2))
+    assert drawn.bit_generator.state == rng.bit_generator.state
+    want = np.zeros(1 << n, dtype=complex)
+    k = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            want[(1 << a) | (1 << b)] = cl.BIVECTOR_SCALE * (draws[k, 0] + 1j * draws[k, 1]) / np.sqrt(2)
+            k += 1
+    assert u.coeffs.tobytes() == want.tobytes()
+
+
 def test_iota_derivation_example():
     z1, z2 = cl.basis_blade(2, 0b1), cl.basis_blade(2, 0b10)
     r = cl.iota(z2, z1 ^ z2)
@@ -906,6 +960,29 @@ def test_cayley_gamma_involution_and_shift_identity():
 def test_cayley_gamma_singular_shift():
     with pytest.raises(SingularShift):
         cl.cayley_gamma(-np.eye(2))
+
+
+def test_cayley_gamma_condition_number_is_numpys():
+    # near-singular 1 + b (condition numbers 1e10..1e15), 1 + b with a zero column and 1 + b = 0:
+    # each refusal carries np.linalg.cond(1 + b) as its value, inf where the ratio is 0 / 0
+    rng = _rng(27)
+    rows = []
+    for n in (2, 3, 4, 6):
+        q1, q2 = (np.linalg.qr(linalg.complex_normal(rng, (n, n)))[0] for _ in range(2))
+        for smallest in (1e-10, 1e-12, 1e-15):
+            a = q1 @ np.diag(np.geomspace(1.0, smallest, n)) @ q2
+            rows.append(a - np.eye(n))
+        a = linalg.complex_normal(rng, (n, n))
+        a[:, 0] = 0.0
+        rows += [a - np.eye(n), -np.eye(n)]
+    for b in rows:
+        with pytest.raises(SingularShift, match="condition number") as info:
+            cl.cayley_gamma(b)
+        assert info.value.value == np.linalg.cond(np.eye(b.shape[0]) + b)
+    assert info.value.value == np.inf
+    # the empty matrix keeps np.linalg.cond's refusal
+    with pytest.raises(np.linalg.LinAlgError, match="cond is not defined on empty arrays"):
+        cl.cayley_gamma(np.zeros((0, 0)))
 
 
 def test_cayley_gamma_refuses_exactly_the_singular_shifts():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cayleymap import catalog
 from cayleymap import representation as rm
 from cayleymap import suites
 
@@ -145,6 +146,40 @@ def test_nan_family_fails_a_claim_over_families(monkeypatch):
     assert len(bad) == 2 and all(math.isnan(r.residual) and not r.passed for r in bad)
     assert result.failures == 2
     assert math.isnan(result.worst_residual)
+
+
+def _equivariance_per_representation(rng, trial):
+    """conjugation-equivariance one representation at a time, the reference for its stacks:
+    per representation, b then g, one realize, one inverse and one product."""
+
+    def residual(rep):
+        b, g = catalog.realize(rep, np.array([catalog._generic_coords(rep, suites._seed_int(rng)) for _ in range(2)]))
+        lhs, rhs = rm.cayley(rep, np.array([b @ g @ np.linalg.inv(b), g])).coords
+        return suites._mismatch(lhs, rm.adjoint_matrix(rep, b) @ rhs)
+
+    return suites._worst(residual(suites._built(catalog.make, *key)) for key in suites.FAMILY_KEYS)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_equivariance_keeps_every_representations_bits(monkeypatch, seed):
+    # the stacks per matrix size give each representation's two sides, in FAMILY_KEYS order,
+    # with the bits of the representation-at-a-time body, and so the same residual
+    sides = []
+    mismatch = suites._mismatch
+
+    def record(got, want):
+        sides.append(np.concatenate([np.ravel(got), np.ravel(want)]).view(np.uint64).tolist())
+        return mismatch(got, want)
+
+    monkeypatch.setattr(suites, "_mismatch", record)
+    for trial in range(40):
+        rngs = [suites._trial_rng(seed, "equivariance", "conjugation-equivariance", trial) for _ in range(2)]
+        got = suites._equivariance(rngs[0], trial)
+        stacked, sides[:] = sides[:], []
+        want = _equivariance_per_representation(rngs[1], trial)
+        assert len(stacked) == len(suites.FAMILY_KEYS) and stacked == sides, trial
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), trial
+        sides.clear()
 
 
 def test_nan_term_fails_a_pairwise_claim(monkeypatch):
