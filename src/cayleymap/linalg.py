@@ -3,9 +3,11 @@
 Everything downstream works with small (dim <= 12) dense complex matrices,
 so the kernels here favor reproducibility and explicit tolerances over
 asymptotic speed.  Eigenvalues, solves and determinants are delegated to
-LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
-on its eigenvalue clusters, the matrix exponential and companion-matrix root
-finding are built on top.  Eigenvalues and polynomial roots share one
+LAPACK via numpy.linalg (a solve against a kept equation_split takes an LU
+only of the equations that do not hold one unknown alone); clustering,
+functions of a matrix that are constant on its eigenvalue clusters, the
+matrix exponential and companion-matrix root finding are built on top.
+Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots); spectral measures the gap between
 eigenvalue clusters in the pass that forms them, and every Jordan-type factor
 is one SpectralDecomposition.apply call (a simple spectrum is its own
@@ -168,16 +170,74 @@ def left_product(a: Matrix, c: Matrix) -> Matrix:
     return (a @ np.ascontiguousarray(c).view(np.float64)).view(complex)
 
 
-def solve_linear(a: Matrix, b: Matrix, what: str = "matrix") -> Matrix:
+@dataclass(frozen=True)
+class EquationSplit:
+    """The equations of a real square system a x = b that each hold one unknown alone, and the rest.
+
+    The first m = len(pivots) equations rows[:m] each have one nonzero, pivots[k] = a[rows[k],
+    cols[k]], in a column that has no other: x[cols[k]] follows from b[rows[k]] alone, ordered by
+    that unknown.  The other equations rows[m:] on the other unknowns cols[m:] form the square
+    block rest = a[rows[m:]][:, cols[m:]], None when m is all of a; back = argsort(cols) puts
+    unknowns taken in the order cols back in place.  Made once per matrix by equation_split;
+    every array is read-only.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    back: np.ndarray
+    pivots: np.ndarray
+    recips: np.ndarray
+    rest: np.ndarray | None
+
+
+def equation_split(a: Matrix) -> EquationSplit | None:
+    """The EquationSplit of the real square a, read from its exact zero pattern; None for a
+    complex or non-square a, or one where no equation holds an unknown alone."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c" or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    nonzero = a != 0
+    first = nonzero.argmax(axis=1)  # the column of each row's first nonzero
+    lone = (np.count_nonzero(nonzero, axis=1) == 1) & (np.count_nonzero(nonzero, axis=0)[first] == 1)
+    if not lone.any():
+        return None
+    lone_rows = np.flatnonzero(lone)
+    lone_rows = lone_rows[np.argsort(first[lone_rows])]
+    lone_cols = first[lone_rows]
+    rows = np.concatenate((lone_rows, np.flatnonzero(~lone)))
+    cols = np.concatenate((lone_cols, np.setdiff1d(np.arange(len(a)), lone_cols)))
+    m = len(lone_rows)
+    pivots = a[rows[:m], cols[:m]]
+    with np.errstate(divide="ignore", over="ignore"):  # 1 / a subnormal pivot is inf, as LAPACK forms it
+        recips = 1.0 / pivots
+    rest = a[np.ix_(rows[m:], cols[m:])] if m < len(a) else None
+    split = EquationSplit(rows, cols, np.argsort(cols), pivots, recips, rest)
+    for kept in vars(split).values():
+        if kept is not None:
+            kept.flags.writeable = False
+    return split
+
+
+def solve_linear(a: Matrix, b: Matrix, what: str = "matrix", split: EquationSplit | None = None) -> Matrix:
     """np.linalg.solve(a, b); SingularMatrix where LU meets an exactly zero pivot.
 
     A real a and a complex b take one real LU over b's float view, whose
     columns hold the real and imaginary parts of b's side by side.  No
     condition check and no SVD: a caller that needs one decides once, where
     its matrix is made (build_gram for G, clifford.cayley_gamma for 1 + b).
+
+    split, equation_split(a) formed once by a caller that solves against one a
+    many times, takes no LU for the equations that hold one unknown alone:
+    each sets its unknown by the arithmetic OpenBLAS's LU and triangular solve
+    perform on such a row, b / pivot for one float column (its trsv) and
+    b * (1 / pivot) for more (its trsm), so those unknowns keep
+    np.linalg.solve's bits.  The rest block takes one LU, on the float view
+    as above.
     """
     a, b = np.asarray(a), np.asarray(b)
     try:
+        if split is not None:
+            return _solve_split(split, b)
         if a.dtype.kind == "c" or b.dtype.kind != "c" or a.ndim != 2:
             return np.linalg.solve(a, b)
         cols = b if b.ndim > 1 else b[:, None]
@@ -185,6 +245,27 @@ def solve_linear(a: Matrix, b: Matrix, what: str = "matrix") -> Matrix:
         return x if b.ndim > 1 else x[:, 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{what} is singular") from exc
+
+
+def _solve_split(split: EquationSplit, b: np.ndarray) -> np.ndarray:
+    """solve_linear(a, b) through a's split: one gather of b's equations into split order, the
+    lone unknowns scaled in place, the rest solved in place, and one gather back when there is a rest."""
+    cols = b if b.ndim > 1 else b[:, None]
+    flat = np.ascontiguousarray(cols).view(np.float64) if b.dtype.kind == "c" else cols.astype(np.float64, copy=False)
+    x = flat.take(split.rows, axis=0)
+    m = len(split.pivots)
+    # IEEE arithmetic as LAPACK's: an overflow is inf, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.shape[1] == 1:
+            x[:m] /= split.pivots[:, None]
+        else:
+            x[:m] *= split.recips[:, None]
+    if split.rest is not None:
+        x[m:] = np.linalg.solve(split.rest, x[m:])
+        x = x.take(split.back, axis=0)
+    if b.dtype.kind == "c":
+        x = x.view(complex)
+    return x if b.ndim > 1 else x[:, 0]
 
 
 def inverse(a: Matrix, what: str) -> Matrix:

@@ -42,10 +42,22 @@ keeps stack, gram, the pairing, the interleaved basis and dual as float64; a
 complex basis keeps them complex128 and takes the same call sites.  Group
 elements and coordinates stay complex: linalg.left_product multiplies a kept
 real matrix into a complex operand as one real GEMM on its float view, and
-linalg.solve_linear solves the real G against complex right-hand sides by
-one real LU, each exact per component.  Construction (build_gram's GEMM and
-SVD, the dual solve and the commutator tiles) runs in the basis's own
+linalg.solve_linear solves the real G against complex right-hand sides on
+their float view, each exact per component.  Construction (build_gram's GEMM
+and SVD, the dual solve and the commutator tiles) runs in the basis's own
 arithmetic, and structure_constants() has its dtype.
+
+Root spaces g_a and g_b are trace-form orthogonal unless a + b = 0, and the
+Cartan subalgebra is orthogonal to every root space (Humphreys 1972,
+Introduction to Lie Algebras, section 8).  So on a basis of root vectors and
+Cartan elements, G is a scaled permutation on the root vectors (E_a pairs
+with E_-a alone) plus one rank x rank Cartan block.  Construction reads
+that from G's exact zero pattern once, as gram_split (linalg.equation_split;
+None for a complex G or one with no such equation, as a re-coordinated
+basis has), and both Gram solves, the dual's and _column_coords', take it:
+each equation that holds one coordinate alone is scaled with the bits LU
+would give it, and only the rest, sl's Cartan block, takes an LU.  On gl,
+so and the sl2 irreps every equation holds one coordinate alone.
 """
 
 from __future__ import annotations
@@ -112,13 +124,16 @@ class Representation:
     pass build_gram); the closure check, structure_constants(), adjoint_matrix
     and centralizer_dim project through it by GEMMs and solve nothing.
     coords_of, one pairing GEMM and one Gram solve per call, serves cayley
-    and cayley_jacobian/psi.
+    and cayley_jacobian/psi; gram_split, formed here, lets each Gram solve
+    scale the equations that hold one coordinate alone and take an LU of
+    the rest only (see the module docstring).
     NotASubalgebra when the span is not closed under commutators, checked
     here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
     by dimension count, any other is checked through the dual basis.
 
     Instances are immutable and form no state after construction: stack,
-    gram, dual, the pairing and the interleaved basis are read-only, and
+    gram, gram_split, dual, the pairing and the interleaved basis are
+    read-only, and
     basis is the list of the stack's rows, so values are safe to share
     across threads.  All of them are float64 when the basis has no nonzero
     imaginary part, and complex128 otherwise; see the module docstring.
@@ -138,12 +153,14 @@ class Representation:
         self.basis = list(self.stack)
         self.metadata = dict(metadata or {})
         self.gram, self.gram_cond = build_gram(self.stack)
+        # the Gram equations that hold one coordinate alone: root pairs and orthogonal elements
+        self.gram_split = linalg.equation_split(self.gram)
         # pairing[a*v + b, i] = (B_i)[b, a], so tr(m B_i) = m.ravel() @ pairing[:, i]
         self._pairing = self.stack.transpose(2, 1, 0).reshape(v * v, len(mats))
         # interleaved[c, b*g + i] = (B_i)[c, b], so (m @ interleaved)[a, b*g + i] = (m B_i)[a, b]
         self._interleaved = self.stack.transpose(1, 2, 0).reshape(v, -1)
         # dual[a*v + b] = coordinates of the unit matrix E_ab, so m.ravel() @ dual projects m
-        self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix").T
+        self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix", split=self.gram_split).T
         if not np.isfinite(self.dual).all():
             raise DegenerateInput(f"dual basis is not finite: Gram solve overflows at max |G_ij| {abs(self.gram).max():.2e}")
         for kept in (self.gram, self._pairing, self._interleaved, self.dual):
@@ -193,12 +210,12 @@ class Representation:
         """(g, k) coordinates of the k matrices held row-major in the columns of the (v^2, k) cols.
 
         The trace pairings t = P^T cols are one GEMM against the kept
-        pairing P, and the coordinates one Gram solve G c = t.  The solve
-        makes no conditioning decision of its own: build_gram made it when
-        the Gram matrix was built.
+        pairing P, and the coordinates one Gram solve G c = t through the
+        kept gram_split.  The solve makes no conditioning decision of its
+        own: build_gram made it when the Gram matrix was built.
         """
         t = linalg.left_product(self._pairing.T, cols)
-        return linalg.solve_linear(self.gram, t, "Gram matrix")
+        return linalg.solve_linear(self.gram, t, "Gram matrix", split=self.gram_split)
 
     def _left_products(self, m) -> np.ndarray:
         """(v^2, g) columns: column i holds m B_i row-major, one GEMM against the interleaved basis."""

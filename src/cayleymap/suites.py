@@ -635,7 +635,8 @@ def _sl_fiber_elements(rng, trial) -> float:
     rep = _built(catalog.make, "sl", n)
     x = degree.random_trace_free(n, rng)
     elements = degree.sl_fiber(n, x).valid_elements
-    return _worst(_mismatch(rm.cayley(rep, el).matrix(), x) for el in elements)
+    # every X + t 1 projects onto X: membership in SL(n) is the det g = 1 check
+    return _worst(max(_mismatch(rm.cayley(rep, el).matrix(), x), _mismatch(np.linalg.det(el), 1.0)) for el in elements)
 
 
 def _spin_det_consistency(rng, trial) -> float:
@@ -657,7 +658,7 @@ def _spin_odd_zero_root(rng, trial) -> float:
 DEGREE = [
     Claim("sl-fiber-count", "generic shift fibers have dimension-many points", 0.5, _sl_fiber_counts),
     Claim("spin-fiber-count", "generic spin fibers have n (even) or n-1 (odd) points", 0.5, _spin_fiber_counts),
-    Claim("sl-fiber-elements", "every reported fiber element projects onto the target", 1e-6, _sl_fiber_elements),
+    Claim("sl-fiber-elements", "every reported fiber element has det 1 and projects onto the target", 1e-6, _sl_fiber_elements),
     Claim("spin-det-consistency", "reconstructed rotations satisfy the root-determinant relation", 1e-6, _spin_det_consistency),
     Claim("spin-odd-zero-root", "odd-dimensional fiber polynomials vanish simply at zero", 0.5, _spin_odd_zero_root),
 ]

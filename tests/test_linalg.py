@@ -101,6 +101,96 @@ def test_solve_real_singular_matrix_complex_rhs_raises():
         linalg.solve_linear(a, _random_complex(_rng(6), (2, 3)))
 
 
+def _scaled_permutation(rng, n):
+    # entries 10, 3 and -7 times a uniform factor: no reciprocal is a power of two
+    a = np.zeros((n, n))
+    a[rng.permutation(n), np.arange(n)] = rng.choice([10.0, 3.0, -7.0], n) * rng.uniform(0.5, 2.0, n)
+    return a
+
+
+def _right_hand_sides(rng, n):
+    # real 1-D, one column and several; complex 1-D and several (a float view of two or more columns)
+    return [
+        rng.standard_normal(n),
+        rng.standard_normal((n, 1)),
+        rng.standard_normal((n, 4)),
+        _random_complex(rng, n),
+        _random_complex(rng, (n, 3)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 144])
+def test_split_solve_of_a_scaled_permutation_keeps_the_lu_bits(n):
+    # every equation holds one unknown alone: no LU, and np.linalg.solve's bits, for one float column
+    # (b / pivot) and for several (b * (1 / pivot))
+    rng = _rng(40 + n)
+    for _ in range(3):
+        a = _scaled_permutation(rng, n)
+        split = linalg.equation_split(a)
+        assert split.rest is None and len(split.pivots) == n
+        for b in _right_hand_sides(rng, n):
+            got, want = linalg.solve_linear(a, b, split=split), linalg.solve_linear(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            if b.dtype.kind == "f":
+                assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_split_solve_of_a_mixed_matrix():
+    # 12 unknowns, 4 of them coupled by a dense block on scattered rows and columns: the lone
+    # unknowns keep the full LU's bits, the coupled ones agree within its rounding
+    rng = _rng(44)
+    n, rest_rows, rest_cols = 12, [1, 4, 5, 10], [0, 3, 7, 11]
+    a = np.zeros((n, n))
+    lone_rows, lone_cols = np.setdiff1d(np.arange(n), rest_rows), np.setdiff1d(np.arange(n), rest_cols)
+    a[rng.permutation(lone_rows), lone_cols] = rng.choice([10.0, 3.0, -7.0], n - 4) * rng.uniform(0.5, 2.0, n - 4)
+    a[np.ix_(rest_rows, rest_cols)] = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+    split = linalg.equation_split(a)
+    assert split.rest.shape == (4, 4)
+    assert sorted(split.rows[8:]) == rest_rows and sorted(split.cols[8:]) == rest_cols
+    bound = 16 * np.linalg.cond(a) * np.finfo(float).eps
+    for b in _right_hand_sides(rng, n):
+        got, want = linalg.solve_linear(a, b, split=split), linalg.solve_linear(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got[lone_cols].tobytes() == want[lone_cols].tobytes()
+        assert np.max(np.abs(got - want)) <= bound * (1.0 + np.max(np.abs(want)))
+
+
+def test_split_solve_names_a_singular_rest_block():
+    # two lone equations, and a rest block of rank 1
+    a = np.zeros((4, 4))
+    a[0, 2], a[3, 3] = 5.0, 3.0
+    a[np.ix_([1, 2], [0, 1])] = [[1.0, 2.0], [2.0, 4.0]]
+    split = linalg.equation_split(a)
+    assert split.rest.shape == (2, 2)
+    with pytest.raises(SingularMatrix, match="^Gram matrix is singular$"):
+        linalg.solve_linear(a, _random_complex(_rng(45), (4, 2)), "Gram matrix", split=split)
+
+
+def test_split_is_read_only_and_its_subnormal_pivot_reads_as_lapack_does():
+    # 1 / 5e-324 overflows to inf as in LAPACK's LU: inf and 0 * inf = NaN, with no numpy warning
+    a = np.diag([5e-324, 2.0])
+    split = linalg.equation_split(a)
+    assert all(not arr.flags.writeable for arr in (split.rows, split.cols, split.back, split.pivots, split.recips))
+    for b in (np.array([1.0, 3.0]), np.array([[1.0, 0.0], [3.0, 4.0]])):
+        want = np.linalg.solve(a, b)
+        assert linalg.solve_linear(a, b, split=split).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[2.0, -1.0], [-1.0, 2.0]]),  # a dense block: every equation holds both unknowns
+        np.array([[1.0, 1.0], [0.0, 1.0]]),  # row 1 holds one unknown, but column 1 has two nonzeros
+        np.diag([2.0, 3.0]).astype(complex),
+        np.zeros((2, 3)),
+    ],
+    ids=["dense", "shared-column", "complex", "non-square"],
+)
+def test_no_split_where_no_real_equation_holds_an_unknown_alone(a):
+    assert linalg.equation_split(a) is None
+
+
 # --- determinant ------------------------------------------------------------
 
 

@@ -217,9 +217,9 @@ def _closure_work(monkeypatch):
 
     solve_linear = linalg.solve_linear
 
-    def counted_solve(a, b, what="matrix"):
+    def counted_solve(a, b, what="matrix", split=None):
         work["solves"] += 1
-        return solve_linear(a, b, what)
+        return solve_linear(a, b, what, split)
 
     monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
     monkeypatch.setattr(linalg, "solve_linear", counted_solve)
@@ -247,7 +247,7 @@ def test_proper_subalgebra_walks_every_commutator(monkeypatch, fam, n):
 def _solve_count(monkeypatch):
     solves = []
     solve_linear = linalg.solve_linear
-    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what="matrix": solves.append(np.shape(b)) or solve_linear(a, b, what))
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what="matrix", split=None: solves.append(np.shape(b)) or solve_linear(a, b, what, split))
     return solves
 
 
@@ -454,6 +454,21 @@ def test_adjoint_dual_projection_accuracy(fam, n, cond):
             assert np.max(np.abs(got - want)) <= bound
 
 
+@pytest.mark.parametrize("fam, n", [("sl", 3), ("sl", 4), ("so", 5), ("gl", 3), ("sl2_irrep", 3)])
+def test_split_gram_projection_accuracy(fam, n):
+    # the catalog bases' Gram solves take the split: root pairs (and so's and gl's every
+    # equation) scaled alone, sl's Cartan block by LU.  cayley and the Jacobian agree with the
+    # least-squares oracle at the adjoint's bound
+    rep = catalog.make(fam, n)
+    assert rep.gram_split is not None
+    for seed in range(3):
+        g = catalog.sample_element(rep, "generic", 31 + seed).matrix
+        for got, mats in ((rm.cayley(rep, g).coords, g), (rm.cayley_jacobian(rep, g).T, g @ rep.stack)):
+            want = _oracle_coords(rep, mats)
+            bound = 16 * rep.gram_cond * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound
+
+
 def test_tensor_cube_closure_memory_is_bounded():
     # v = 27: the dual basis is (v^2, g); a v^2 x v^2 projector would be 8.5 MB
     rep = catalog.make_sl2_irrep(2)
@@ -526,7 +541,7 @@ def test_cayley_of_a_stack_is_each_projection_bit_for_bit_from_one_solve(key, mo
     singles = [rm.cayley(rep, rm.GroupElement(m)).coords for m in stack]
     solves = []
     solve = linalg.solve_linear
-    monkeypatch.setattr(linalg, "solve_linear", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(linalg, "solve_linear", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
     got = rm.cayley(rep, stack)
     assert len(solves) == 1 and got.coords.shape == (3, rep.g_dim)
     assert all(np.array_equal(got.coords[k], singles[k]) for k in range(3))

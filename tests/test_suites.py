@@ -199,6 +199,23 @@ def test_nan_term_fails_a_pairwise_claim(monkeypatch):
     assert math.isnan(result.worst_residual)
 
 
+def test_sl_fiber_element_off_the_group_fails_its_claim(monkeypatch):
+    # X + t 1 projects onto the trace-free X for every t: only det g = 1 tells a fiber point
+    # from an element off SL(n), so a shifted element fails the claim by |det - 1|
+    sl_fiber = suites.degree.sl_fiber
+
+    def shifted(n, x):
+        report = sl_fiber(n, x)
+        report.valid_elements = [el + 0.1 * np.eye(n) for el in report.valid_elements]
+        return report
+
+    rng = suites._trial_rng(0, "degree", "sl-fiber-elements", 0)
+    assert suites._sl_fiber_elements(rng, 0) <= 1e-10
+    monkeypatch.setattr(suites.degree, "sl_fiber", shifted)
+    rng = suites._trial_rng(0, "degree", "sl-fiber-elements", 0)
+    assert suites._sl_fiber_elements(rng, 0) > 1e-2
+
+
 def test_claim_statements_cover_all_ids():
     statements = suites.claim_statements()
     for claims in suites.SUITES.values():
