@@ -177,7 +177,7 @@ class EquationSplit:
     The first m = len(pivots) equations rows[:m] each have one nonzero, pivots[k] = a[rows[k],
     cols[k]], in a column that has no other: x[cols[k]] follows from b[rows[k]] alone, ordered by
     that unknown.  The other equations rows[m:] on the other unknowns cols[m:] form the square
-    block rest = a[rows[m:]][:, cols[m:]], None when m is all of a; back = argsort(cols) puts
+    block rest = a[rows[m:]][:, cols[m:]], None when m is all of a; back, the inverse of cols, puts
     unknowns taken in the order cols back in place.  Made once per matrix by equation_split;
     every array is read-only.
     """
@@ -197,21 +197,23 @@ def equation_split(a: Matrix) -> EquationSplit | None:
     if a.dtype.kind == "c" or a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
     nonzero = a != 0
-    first = nonzero.argmax(axis=1)  # the column of each row's first nonzero
-    lone = (np.count_nonzero(nonzero, axis=1) == 1) & (np.count_nonzero(nonzero, axis=0)[first] == 1)
+    first = nonzero.argmax(axis=0)  # the row of each column's first nonzero
+    lone = (np.count_nonzero(nonzero, axis=0) == 1) & (np.count_nonzero(nonzero, axis=1)[first] == 1)
     if not lone.any():
         return None
-    lone_rows = np.flatnonzero(lone)
-    lone_rows = lone_rows[np.argsort(first[lone_rows])]
-    lone_cols = first[lone_rows]
-    rows = np.concatenate((lone_rows, np.flatnonzero(~lone)))
-    cols = np.concatenate((lone_cols, np.setdiff1d(np.arange(len(a)), lone_cols)))
-    m = len(lone_rows)
+    lone_cols = np.flatnonzero(lone)
+    coupled = np.ones(len(a), dtype=bool)
+    coupled[first[lone_cols]] = False
+    rows = np.concatenate((first[lone_cols], np.flatnonzero(coupled)))
+    cols = np.concatenate((lone_cols, np.flatnonzero(~lone)))
+    back = np.empty_like(cols)
+    back[cols] = np.arange(len(a))
+    m = len(lone_cols)
     pivots = a[rows[:m], cols[:m]]
     with np.errstate(divide="ignore", over="ignore"):  # 1 / a subnormal pivot is inf, as LAPACK forms it
         recips = 1.0 / pivots
     rest = a[np.ix_(rows[m:], cols[m:])] if m < len(a) else None
-    split = EquationSplit(rows, cols, np.argsort(cols), pivots, recips, rest)
+    split = EquationSplit(rows, cols, back, pivots, recips, rest)
     for kept in vars(split).values():
         if kept is not None:
             kept.flags.writeable = False
