@@ -3,11 +3,9 @@
 Everything downstream works with small (dim <= 12) dense complex matrices,
 so the kernels here favor reproducibility and explicit tolerances over
 asymptotic speed.  Eigenvalues, solves and determinants are delegated to
-LAPACK via numpy.linalg (a solve against a kept equation_split takes an LU
-only of the equations that do not hold one unknown alone); clustering,
-functions of a matrix that are constant on its eigenvalue clusters, the
-matrix exponential and companion-matrix root finding are built on top.
-Eigenvalues and polynomial roots share one
+LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
+on its eigenvalue clusters, the matrix exponential and companion-matrix root
+finding are built on top.  Eigenvalues and polynomial roots share one
 transitive clustering rule (dedup_roots); spectral measures the gap between
 eigenvalue clusters in the pass that forms them, and every Jordan-type factor
 is one SpectralDecomposition.apply call (a simple spectrum is its own
@@ -198,7 +196,7 @@ def equation_split(a: Matrix) -> EquationSplit | None:
         return None
     nonzero = a != 0
     first = nonzero.argmax(axis=0)  # the row of each column's first nonzero
-    lone = (np.count_nonzero(nonzero, axis=0) == 1) & (np.count_nonzero(nonzero, axis=1)[first] == 1)
+    lone = (nonzero.sum(axis=0) == 1) & (nonzero.sum(axis=1)[first] == 1)
     if not lone.any():
         return None
     lone_cols = np.flatnonzero(lone)
@@ -212,7 +210,7 @@ def equation_split(a: Matrix) -> EquationSplit | None:
     pivots = a[rows[:m], cols[:m]]
     with np.errstate(divide="ignore", over="ignore"):  # 1 / a subnormal pivot is inf, as LAPACK forms it
         recips = 1.0 / pivots
-    rest = a[np.ix_(rows[m:], cols[m:])] if m < len(a) else None
+    rest = a[rows[m:, None], cols[m:]] if m < len(a) else None
     split = EquationSplit(rows, cols, back, pivots, recips, rest)
     for kept in vars(split).values():
         if kept is not None:

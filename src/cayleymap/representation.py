@@ -124,9 +124,7 @@ class Representation:
     pass build_gram); the closure check, structure_constants(), adjoint_matrix
     and centralizer_dim project through it by GEMMs and solve nothing.
     coords_of, one pairing GEMM and one Gram solve per call, serves cayley
-    and cayley_jacobian/psi; gram_split, formed here, lets each Gram solve
-    scale the equations that hold one coordinate alone and take an LU of
-    the rest only (see the module docstring).
+    and cayley_jacobian/psi, through gram_split (see the module docstring).
     NotASubalgebra when the span is not closed under commutators, checked
     here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
     by dimension count, any other is checked through the dual basis.
