@@ -236,22 +236,22 @@ def solve_linear(a: Matrix, b: Matrix, what: str = "matrix", split: EquationSpli
     """
     a, b = np.asarray(a), np.asarray(b)
     try:
-        if split is not None:
-            return _solve_split(split, b)
-        if a.dtype.kind == "c" or b.dtype.kind != "c" or a.ndim != 2:
+        if split is None and (a.dtype.kind == "c" or b.dtype.kind != "c" or a.ndim != 2):
             return np.linalg.solve(a, b)
         cols = b if b.ndim > 1 else b[:, None]
-        x = np.linalg.solve(a, np.ascontiguousarray(cols).view(np.float64)).view(complex)
-        return x if b.ndim > 1 else x[:, 0]
+        flat = np.ascontiguousarray(cols).view(np.float64) if b.dtype.kind == "c" else cols.astype(np.float64, copy=False)
+        x = np.linalg.solve(a, flat) if split is None else _solve_split(split, flat)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{what} is singular") from exc
+    if b.dtype.kind == "c":
+        x = x.view(complex)
+    return x if b.ndim > 1 else x[:, 0]
 
 
-def _solve_split(split: EquationSplit, b: np.ndarray) -> np.ndarray:
-    """solve_linear(a, b) through a's split: one gather of b's equations into split order, the
-    lone unknowns scaled in place, the rest solved in place, and one gather back when there is a rest."""
-    cols = b if b.ndim > 1 else b[:, None]
-    flat = np.ascontiguousarray(cols).view(np.float64) if b.dtype.kind == "c" else cols.astype(np.float64, copy=False)
+def _solve_split(split: EquationSplit, flat: np.ndarray) -> np.ndarray:
+    """The solution of a x = flat, flat float (n, k), through a's split: one gather of flat's
+    equations into split order, the lone unknowns scaled and the rest solved in place, and one
+    gather back where there is a rest."""
     x = flat.take(split.rows, axis=0)
     m = len(split.pivots)
     # IEEE arithmetic as LAPACK's: an overflow is inf, with no numpy warning
@@ -260,12 +260,10 @@ def _solve_split(split: EquationSplit, b: np.ndarray) -> np.ndarray:
             x[:m] /= split.pivots[:, None]
         else:
             x[:m] *= split.recips[:, None]
-    if split.rest is not None:
-        x[m:] = np.linalg.solve(split.rest, x[m:])
-        x = x.take(split.back, axis=0)
-    if b.dtype.kind == "c":
-        x = x.view(complex)
-    return x if b.ndim > 1 else x[:, 0]
+    if split.rest is None:
+        return x
+    x[m:] = np.linalg.solve(split.rest, x[m:])
+    return x.take(split.back, axis=0)
 
 
 def inverse(a: Matrix, what: str) -> Matrix:

@@ -131,9 +131,8 @@ class Representation:
 
     Instances are immutable and form no state after construction: stack,
     gram, gram_split, dual, the pairing and the interleaved basis are
-    read-only, and
-    basis is the list of the stack's rows, so values are safe to share
-    across threads.  All of them are float64 when the basis has no nonzero
+    read-only, and basis is the list of the stack's rows, so values are
+    safe to share across threads.  All of them are float64 when the basis has no nonzero
     imaginary part, and complex128 otherwise; see the module docstring.
     """
 
