@@ -636,7 +636,7 @@ def _sl_fiber_elements(rng, trial) -> float:
     x = degree.random_trace_free(n, rng)
     elements = degree.sl_fiber(n, x).valid_elements
     # every X + t 1 projects onto X: membership in SL(n) is the det g = 1 check
-    return _worst(max(_mismatch(rm.cayley(rep, el).matrix(), x), _mismatch(np.linalg.det(el), 1.0)) for el in elements)
+    return _worst(r for el in elements for r in (_mismatch(rm.cayley(rep, el).matrix(), x), _mismatch(np.linalg.det(el), 1.0)))
 
 
 def _spin_det_consistency(rng, trial) -> float:

@@ -70,7 +70,8 @@ def test_an_unreadable_report_exits_2(report, tmp_path, capsys):
     assert "error: FileNotFoundError" in capsys.readouterr().err
 
 
-def test_two_trees_run_verify_at_each_seed(capsys):
-    # the checkout against itself: one report per tree and seed, and the zero diff
-    assert report_diff.main(["--trees", str(ROOT), str(ROOT), "--seeds", "0", "1", "--trials", "1"]) == 0
+def test_two_trees_run_verify_at_each_seed(capsys, monkeypatch):
+    # the checkout against itself: one report per tree and seed, and the zero diff; one trial keeps it short
+    monkeypatch.setattr(report_diff, "TRIALS", 1)
+    assert report_diff.main(["--trees", str(ROOT), str(ROOT), "--seeds", "0", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["seed 0: identical, 44 records", "seed 1: identical, 44 records"]

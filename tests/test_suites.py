@@ -216,6 +216,18 @@ def test_sl_fiber_element_off_the_group_fails_its_claim(monkeypatch):
     assert suites._sl_fiber_elements(rng, 0) > 1e-2
 
 
+def test_sl_fiber_element_with_a_nan_det_fails_its_claim(monkeypatch):
+    # the det mismatch folds through _worst with the projection's: a NaN det is not dropped
+    rng = suites._trial_rng(0, "degree", "sl-fiber-elements", 0)
+    x = suites.degree.random_trace_free(2, rng)
+    report = suites.degree.sl_fiber(2, x)
+    assert report.valid_elements
+    monkeypatch.setattr(suites.degree, "random_trace_free", lambda n, rng: x)
+    monkeypatch.setattr(suites.degree, "sl_fiber", lambda n, x: report)
+    monkeypatch.setattr(suites.np.linalg, "det", lambda a: np.nan)
+    assert np.isnan(suites._sl_fiber_elements(rng, 0))
+
+
 def test_claim_statements_cover_all_ids():
     statements = suites.claim_statements()
     for claims in suites.SUITES.values():

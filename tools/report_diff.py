@@ -3,13 +3,13 @@
 Usage (from the root of a checkout):
 
   python tools/report_diff.py OLD.json NEW.json
-  python tools/report_diff.py --trees OLD_TREE NEW_TREE --seeds 0 1 2 3 [--trials 50]
+  python tools/report_diff.py --trees OLD_TREE NEW_TREE --seeds 0 1 2 3
 
 The first form compares two report files written by `cayleymap verify
---report`.  The second runs `verify --suite all` in each tree (its src on
-PYTHONPATH, in this interpreter and environment) at every seed and compares
-the two reports of each seed; both must come from one environment, as the
-bits of a residual follow numpy and BLAS.
+--report`.  The second runs `verify --suite all --trials 50` in each tree
+(its src on PYTHONPATH, in this interpreter and environment) at every seed
+and compares the two reports of each seed; both must come from one
+environment, as the bits of a residual follow numpy and BLAS.
 
 For every claim whose records differ it prints the worst residual, old ->
 new, the tolerance, each record whose pass flag flipped and each record
@@ -28,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+TRIALS = 50  # verify trials per seed in the two-tree form, as the suites' acceptance runs use
 
 
 def load_records(path) -> dict:
@@ -82,10 +84,10 @@ def diff_records(old: dict, new: dict) -> tuple[list[str], int]:
     return lines, flips
 
 
-def report_of(tree: Path, seed: int, trials: int, out: Path) -> Path:
+def report_of(tree: Path, seed: int, out: Path) -> Path:
     """Write the `verify --suite all` report of the checkout at tree to out."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "cayleymap.cli", "verify", "--suite", "all", "--trials", str(trials), "--seed", str(seed), "--report", str(out)]
+    cmd = [sys.executable, "-m", "cayleymap.cli", "verify", "--suite", "all", "--trials", str(TRIALS), "--seed", str(seed), "--report", str(out)]
     done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode not in (0, 1) or not out.exists():  # 1: the report holds a failed claim
         raise OSError(f"verify in {tree} at seed {seed} exited {done.returncode}: {done.stderr.strip()}")
@@ -111,7 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("new", help="new report, or new tree with --trees")
     parser.add_argument("--trees", action="store_true", help="old and new are checkouts: run verify in each")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0], help="verify seeds for --trees (default 0)")
-    parser.add_argument("--trials", type=int, default=50, help="verify trials for --trees (default 50)")
     args = parser.parse_args(argv)
     flips = 0
     try:
@@ -120,8 +121,8 @@ def main(argv=None) -> int:
         else:
             with tempfile.TemporaryDirectory() as tmp:
                 for seed in args.seeds:
-                    old = report_of(Path(args.old).resolve(), seed, args.trials, Path(tmp, f"old-{seed}.json"))
-                    new = report_of(Path(args.new).resolve(), seed, args.trials, Path(tmp, f"new-{seed}.json"))
+                    old = report_of(Path(args.old).resolve(), seed, Path(tmp, f"old-{seed}.json"))
+                    new = report_of(Path(args.new).resolve(), seed, Path(tmp, f"new-{seed}.json"))
                     flips += compare(old, new, f"seed {seed}")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
