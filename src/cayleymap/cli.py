@@ -145,12 +145,12 @@ def cmd_psi(args) -> int:
 def cmd_jacobian(args) -> int:
     rep = _build_rep(args)
     g = _element_for(args, rep)
-    det = rm.psi(rep, g)  # the one guarded determinant: DegenerateInput where it overflows
+    jac, det = rm._jacobian_psi(rep, g)  # psi's guarded determinant: DegenerateInput where it overflows
     _emit(
         {
             "command": "jacobian",
             "group": rep.name,
-            "matrix": linalg.matrix_to_json(rm.cayley_jacobian(rep, g)),
+            "matrix": linalg.matrix_to_json(jac),
             "det": linalg.complex_to_json(det),
         },
         args,

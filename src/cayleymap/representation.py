@@ -11,13 +11,13 @@ so c are the coordinates of the unique algebra element whose trace pairing
 with every basis vector matches that of M.  The dual basis D, the (v^2, g)
 coordinates of the v^2 unit matrices, comes from one Gram solve with v^2
 right-hand sides at construction, for every basis, and is kept as
-Representation.dual.  It projects m by one GEMM, m.ravel() @ D: the closure
-check and the structure constants ([B_i, B_j]), adjoint matrices (b B_i b^-1,
-as columns D^T conj) and centralizer operators (x B_i and B_i x) all take
-this route.  Representation._column_coords takes matrices held row-major as
-the columns m^T of a (v^2, k) array, forms their pairings t^T = P^T m^T by
-one GEMM against the kept (v^2, g) pairing matrix P, which also gave D its
-right-hand sides, and solves G c^T = t^T once.  Its two callers are the map
+Representation.dual.  It projects m by one product, m.ravel() @ D: the
+closure check and the structure constants ([B_i, B_j]), adjoint matrices
+(b B_i b^-1, as columns D^T conj) and centralizer operators (x B_i and B_i x)
+all take this route.  Representation._column_coords takes matrices held
+row-major as the columns m^T of a (v^2, k) array, forms their pairings
+t^T = P^T m^T by one product with the kept (v^2, g) pairing matrix P, which
+also gave D its right-hand sides, and solves G c^T = t^T once.  Its two callers are the map
 itself (cayley, M(g), through coords_of, which takes any stack of matrices,
 so cayley of a raw (..., v, v) stack of elements is one solve too) and the
 Jacobian in the left-invariant frame behind psi (cayley_jacobian, M(g) B_i,
@@ -57,7 +57,12 @@ None for a complex G or one with no such equation, as a re-coordinated
 basis has), and both Gram solves, the dual's and _column_coords', take it:
 each equation that holds one coordinate alone is scaled with the bits LU
 would give it, and only the rest, sl's Cartan block, takes an LU.  On gl,
-so and the sl2 irreps every equation holds one coordinate alone.
+so and the sl2 irreps every equation holds one coordinate alone.  Each basis
+element of gl is one matrix unit, and on gl, so and the sl2 irreps a matrix
+entry lies in one basis element at most, so the products with P^T and D^T on
+gl, and with the stack on all three, are one gather each with the GEMM's bits
+(linalg.left_product), by tables that construction reads from their exact
+zero patterns (linalg.lone_entries; none on sl(n >= 3)).
 """
 
 from __future__ import annotations
@@ -122,16 +127,16 @@ class Representation:
     keeps its condition number.  The dual basis, dual, comes next from one
     Gram solve (DegenerateInput where it is not finite: subnormal Gram entries
     pass build_gram); the closure check, structure_constants(), adjoint_matrix
-    and centralizer_dim project through it by GEMMs and solve nothing.
-    coords_of, one pairing GEMM and one Gram solve per call, serves cayley
+    and centralizer_dim project through it by products and solve nothing.
+    coords_of, one pairing product and one Gram solve per call, serves cayley
     and cayley_jacobian/psi, through gram_split (see the module docstring).
     NotASubalgebra when the span is not closed under commutators, checked
     here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
     by dimension count, any other is checked through the dual basis.
 
     Instances are immutable and form no state after construction: stack,
-    gram, gram_split, dual, the pairing and the interleaved basis are
-    read-only, and basis is the list of the stack's rows, so values are
+    gram, gram_split, dual, the pairing, the interleaved basis and the
+    lone-entry tables are read-only, and basis is the list of the stack's rows, so values are
     safe to share across threads.  All of them are float64 when the basis has no nonzero
     imaginary part, and complex128 otherwise; see the module docstring.
     """
@@ -162,6 +167,9 @@ class Representation:
             raise DegenerateInput(f"dual basis is not finite: Gram solve overflows at max |G_ij| {abs(self.gram).max():.2e}")
         for kept in (self.gram, self._pairing, self._interleaved, self.dual):
             kept.flags.writeable = False
+        self._pairing_lone = linalg.lone_entries(self._pairing.T)
+        self._dual_lone = linalg.lone_entries(self.dual.T)
+        self._span_lone = linalg.lone_entries(self.stack.reshape(len(mats), -1).T)
         self._check_closure()
 
     @property
@@ -190,8 +198,8 @@ class Representation:
         return flat.reshape(coords.shape[:-1] + (self.v_dim, self.v_dim))
 
     def _span_columns(self, coords) -> np.ndarray:
-        """(v^2, k) columns: column j holds sum_i coords[i, j] B_i row-major, one GEMM."""
-        return linalg.left_product(self.stack.reshape(self.g_dim, -1).T, coords)
+        """(v^2, k) columns: column j holds sum_i coords[i, j] B_i row-major, one product."""
+        return linalg.left_product(self.stack.reshape(self.g_dim, -1).T, coords, self._span_lone)
 
     def coords_of(self, m) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
@@ -206,12 +214,12 @@ class Representation:
     def _column_coords(self, cols) -> np.ndarray:
         """(g, k) coordinates of the k matrices held row-major in the columns of the (v^2, k) cols.
 
-        The trace pairings t = P^T cols are one GEMM against the kept
+        The trace pairings t = P^T cols are one product with the kept
         pairing P, and the coordinates one Gram solve G c = t through the
         kept gram_split.  The solve makes no conditioning decision of its
         own: build_gram made it when the Gram matrix was built.
         """
-        t = linalg.left_product(self._pairing.T, cols)
+        t = linalg.left_product(self._pairing.T, cols, self._pairing_lone)
         return linalg.solve_linear(self.gram, t, "Gram matrix", split=self.gram_split)
 
     def _left_products(self, m) -> np.ndarray:
@@ -388,9 +396,15 @@ def psi(rep: Representation, g) -> complex:
     Independent of the basis choice; its zero set is where the map's
     differential degenerates.  DegenerateInput where it overflows.
     """
+    return _jacobian_psi(rep, g)[1]
+
+
+def _jacobian_psi(rep: Representation, g) -> tuple[np.ndarray, complex]:
+    """cayley_jacobian(rep, g) and its determinant, psi, from one Jacobian; DegenerateInput where psi overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = linalg.determinant(cayley_jacobian(rep, g))
-    return _require_finite(value, "Jacobian determinant", g)
+        jac = cayley_jacobian(rep, g)
+        value = linalg.determinant(jac)
+    return jac, _require_finite(value, "Jacobian determinant", g)
 
 
 def character(rep: Representation, g) -> complex:
@@ -401,7 +415,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """Matrix of conjugation by b acting on algebra coordinates.
 
     Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
-    dual basis by one GEMM.  A full basis (g = v^2) spans gl(v), so no
+    dual basis by one product.  A full basis (g = v^2) spans gl(v), so no
     conjugate can leave it and no residual is taken, by _check_closure's
     dimension count.  Any other basis raises NotEquivariant if some conjugate
     leaves the basis span by more than ADJOINT_RESIDUAL_TOL relative to its
@@ -418,7 +432,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = linalg.inverse(bm, "conjugating element")
         np.matmul(inverse.T, rep._left_products(bm).reshape(v, v, g), out=conj.reshape(v, v, g))
-        ad = linalg.left_product(rep.dual.T, conj)
+        ad = linalg.left_product(rep.dual.T, conj, rep._dual_lone)
         if full:
             return _require_finite(ad, "adjoint matrix", b)
         np.subtract(conj, rep._span_columns(ad), out=pair[1])
@@ -510,7 +524,7 @@ def centralizer_dim(rep: Representation, x) -> int:
         xm = rep.element_matrix(x.matrix())
         v, g = rep.v_dim, rep.g_dim
         right = linalg.left_product(rep.stack.reshape(g * v, v), xm).reshape(g, v * v).T  # column i: B_i x
-        ops = linalg.left_product(rep.dual.T, np.hstack([rep._left_products(xm), right]))
+        ops = linalg.left_product(rep.dual.T, np.hstack([rep._left_products(xm), right]), rep._dual_lone)
         a, s = ops[:, :g], ops[:, g:]
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")

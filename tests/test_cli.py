@@ -359,6 +359,26 @@ def test_jacobian_det_is_psis_guarded_determinant(capsys):
     assert code == 0 and jacobian["det"] == run_json(capsys, "psi", *args)[1]["psi"]
 
 
+def test_jacobian_forms_one_jacobian_per_command(capsys, monkeypatch):
+    # "matrix" and "det" come from one Jacobian, which psi's guard takes the determinant of
+    from cayleymap import representation as rm
+
+    calls = []
+
+    def counted(rep, g):
+        calls.append(rep.name)
+        return jacobian(rep, g)
+
+    jacobian = rm.cayley_jacobian
+    monkeypatch.setattr(rm, "cayley_jacobian", counted)
+    args = ["--group", "gl", "--n", "3", "--sample", "generic", "--seed", "2"]
+    code, payload = run_json(capsys, "jacobian", *args)
+    assert code == 0 and len(calls) == 1
+    assert payload["det"] == run_json(capsys, "psi", *args)[1]["psi"] and len(calls) == 2
+    assert cli.main(["jacobian", "--group", "gl", "--n", "2", "--element", "diag(1e200,1e200)"]) == 3
+    assert len(calls) == 3
+
+
 def test_spin_exp_rejects_non_bivector_file(tmp_path, capsys):
     from cayleymap import clifford as cl
 

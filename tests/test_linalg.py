@@ -83,6 +83,64 @@ def test_left_product_passes_other_pairs_through():
     assert np.array_equal(linalg.left_product(r.T, r), r.T @ r)
 
 
+def _catalog_operands(rep):
+    """The three left operands a representation keeps lone-entry tables for, with their tables."""
+    span = rep.stack.reshape(rep.g_dim, -1).T
+    return [(rep._pairing.T, rep._pairing_lone), (rep.dual.T, rep._dual_lone), (span, rep._span_lone)]
+
+
+def _signed_columns(rng, rows, k):
+    # entries from 1e-300 to 1e300 of either sign, a third of them zeros of either sign
+    c = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-300, 300, (rows, k))
+    c[rng.random((rows, k)) < 0.33] = 0.0
+    return np.where(rng.random((rows, k)) < 0.5, -c, c)
+
+
+@pytest.mark.parametrize("fam, n", [("gl", 1), ("gl", 2), ("gl", 3), ("gl", 12), ("so", 3), ("so", 4), ("so", 12), ("sl2_irrep", 1), ("sl2_irrep", 3)])
+def test_lone_entry_product_keeps_the_gemm_bits(fam, n):
+    # the gather and its scaling give the GEMM's one nonzero product, and +0 for a zero, on every
+    # catalog operand with tables: real and complex columns, one column and many, strided and not
+    rng = _rng(60 + n)
+    operands = [(a, lone) for a, lone in _catalog_operands(catalog.make(fam, n)) if lone is not None]
+    assert operands
+    for a, lone in operands:
+        rows = a.shape[1]
+        for k in (1, 3, rows):
+            real = _signed_columns(rng, rows, k)
+            cplx = real + 1j * _signed_columns(rng, rows, k)
+            for c in (real, cplx, np.asfortranarray(cplx), cplx[:, :1]):
+                got, want = linalg.left_product(a, c, lone), linalg.left_product(a, c)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                parts = got.view(np.float64)
+                assert not np.signbit(parts[parts == 0.0]).any()
+
+
+def test_lone_entry_product_of_an_empty_row_is_plus_zero():
+    # row 0 holds no nonzero: weight 0 at column 0, and 0 * -3 = -0 reads +0, as the GEMM's sum does
+    a = np.array([[0.0, 0.0], [0.0, -2.0], [0.5, 0.0]])
+    lone = linalg.lone_entries(a)
+    assert lone[0].tolist() == [0, 1, 0] and lone[1].tolist() == [0.0, -2.0, 0.5]
+    assert not lone[0].flags.writeable and not lone[1].flags.writeable
+    for c in (np.array([[-3.0], [0.0]]), np.array([[-3.0 - 1j], [0.0 - 0.0j]]), np.array([[[-3.0], [1.0]]] * 2)):
+        got = linalg.left_product(a, c, lone)
+        assert got.tobytes() == (a @ c).tobytes()
+        assert not np.signbit(got.view(np.float64)[..., 0, :]).any()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0, 0.0], [1.0, 1.0]]),  # row 1 holds two nonzeros
+        np.diag([2.0, 3.0]).astype(complex),
+        np.zeros(3),
+    ],
+    ids=["two-nonzeros", "complex", "one-axis"],
+)
+def test_no_lone_entries_where_a_row_holds_two_nonzeros_or_a_is_complex(a):
+    assert linalg.lone_entries(a) is None
+
+
 @pytest.mark.parametrize("shape", [(6,), (6, 3)])
 def test_solve_real_matrix_complex_rhs_matches_the_complex_solve(shape):
     rng = _rng(5)

@@ -1460,6 +1460,28 @@ def test_kept_arrays_are_real_for_a_real_basis_and_read_only():
         for kept in (rep.stack, rep.gram, rep._pairing, rep.dual):
             assert kept.dtype == want
             assert not kept.flags.writeable
+        for lone in (rep._pairing_lone, rep._dual_lone, rep._span_lone):
+            assert lone is None or not any(kept.flags.writeable for kept in lone)
+
+
+@pytest.mark.parametrize(
+    "fam, sizes, tables",
+    [
+        ("gl", (1, 2, 3, 12), (True, True, True)),
+        ("so", (2, 3, 4, 12), (False, False, True)),
+        ("sl2_irrep", (1, 2, 3, 5), (False, False, True)),
+        ("sl", (3, 4, 6, 10), (False, False, False)),
+    ],
+)
+def test_lone_entry_tables_follow_the_root_pattern(fam, sizes, tables):
+    # each matrix unit of gl pairs with one basis element alone, so its pairing, dual and span keep
+    # tables; so's pairing and dual hold E_ab - E_ba, the sl2 irreps' H holds d entries and sl's
+    # diagonal lies in two Cartan elements, so only the spans qualify there, and none on sl(n >= 3)
+    for n in sizes:
+        rep = catalog.make(fam, n)
+        assert tuple(lone is not None for lone in (rep._pairing_lone, rep._dual_lone, rep._span_lone)) == tables
+    for rep in (_recoordinated_sl3(), rm.Representation("sl3-phase", [PHASE * b for b in SL3.basis])):
+        assert (rep._pairing_lone, rep._dual_lone, rep._span_lone) == (None, None, None)
 
 
 # --- zero-sum exponential inequality ------------------------------------------------
