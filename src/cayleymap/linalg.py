@@ -157,13 +157,13 @@ def _shrink(a, top=None):
 
 
 def lone_entries(a: Matrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """(cols, weights), read-only, where row r of the real 2-D a is weights[r] at cols[r] and 0 elsewhere (an empty
-    row: weight 0 at column 0), from a's exact zero pattern; None for a complex a or a row of two nonzeros."""
+    """(cols, weights), read-only, where row r of the real 2-D a is weights[r, 0] at cols[r] and 0 elsewhere (an
+    empty row: weight 0 at column 0), from a's exact zero pattern; None for a complex a or a row of two nonzeros."""
     a = np.asarray(a)
     if a.dtype.kind == "c" or a.ndim != 2 or (np.count_nonzero(a, axis=1) > 1).any():
         return None
     cols = (a != 0).argmax(axis=1)
-    weights = a[np.arange(len(a)), cols]
+    weights = a[np.arange(len(a)), cols, None]  # a column, as it scales the gathered rows
     cols.flags.writeable = weights.flags.writeable = False
     return cols, weights
 
@@ -176,13 +176,13 @@ def left_product(a: Matrix, c: Matrix, lone: tuple[np.ndarray, np.ndarray] | Non
     a @ c as it stands.
 
     lone, lone_entries(a) kept by a caller, takes no GEMM for a float64 or complex128 c: row r
-    is row cols[r] of c, gathered and scaled by weights[r] on its float view, the one nonzero
+    is row cols[r] of c, gathered and scaled by weights[r, 0] on its float view, the one nonzero
     product of the GEMM's sum (a finite c keeps its bits); += 0.0 makes a zero +0, as that sum does.
     """
     if lone is not None and c.dtype.char in "dD":
         out = c.take(lone[0], axis=-2)
         flat = out.view(np.float64)
-        flat *= lone[1][:, None]
+        flat *= lone[1]
         flat += 0.0
         return out
     if a.dtype.kind == "c" or c.dtype.kind != "c":

@@ -120,7 +120,7 @@ def test_lone_entry_product_of_an_empty_row_is_plus_zero():
     # row 0 holds no nonzero: weight 0 at column 0, and 0 * -3 = -0 reads +0, as the GEMM's sum does
     a = np.array([[0.0, 0.0], [0.0, -2.0], [0.5, 0.0]])
     lone = linalg.lone_entries(a)
-    assert lone[0].tolist() == [0, 1, 0] and lone[1].tolist() == [0.0, -2.0, 0.5]
+    assert lone[0].tolist() == [0, 1, 0] and lone[1].tolist() == [[0.0], [-2.0], [0.5]]
     assert not lone[0].flags.writeable and not lone[1].flags.writeable
     for c in (np.array([[-3.0], [0.0]]), np.array([[-3.0 - 1j], [0.0 - 0.0j]]), np.array([[[-3.0], [1.0]]] * 2)):
         got = linalg.left_product(a, c, lone)
