@@ -96,7 +96,9 @@ def _signed_columns(rng, rows, k):
     return np.where(rng.random((rows, k)) < 0.5, -c, c)
 
 
-@pytest.mark.parametrize("fam, n", [("gl", 1), ("gl", 2), ("gl", 3), ("gl", 12), ("so", 3), ("so", 4), ("so", 12), ("sl2_irrep", 1), ("sl2_irrep", 3)])
+@pytest.mark.parametrize(
+    "fam, n", [("gl", 1), ("gl", 2), ("gl", 3), ("gl", 12), ("so", 3), ("so", 4), ("so", 12), ("sl2_irrep", 1), ("sl2_irrep", 3)]
+)
 def test_lone_entry_product_keeps_the_gemm_bits(fam, n):
     # the gather and its scaling give the GEMM's one nonzero product, and +0 for a zero, on every
     # catalog operand with tables: real and complex columns, one column and many, strided and not
@@ -122,7 +124,7 @@ def test_lone_entry_product_of_an_empty_row_is_plus_zero():
     lone = linalg.lone_entries(a)
     assert lone[0].tolist() == [0, 1, 0] and lone[1].tolist() == [[0.0], [-2.0], [0.5]]
     assert not lone[0].flags.writeable and not lone[1].flags.writeable
-    for c in (np.array([[-3.0], [0.0]]), np.array([[-3.0 - 1j], [0.0 - 0.0j]]), np.array([[[-3.0], [1.0]]] * 2)):
+    for c in (np.array([[-3.0], [0.0]]), np.array([[-3.0 - 1j], [0j]]), np.array([[[-3.0], [1.0]]] * 2)):
         got = linalg.left_product(a, c, lone)
         assert got.tobytes() == (a @ c).tobytes()
         assert not np.signbit(got.view(np.float64)[..., 0, :]).any()

@@ -1475,8 +1475,8 @@ def test_kept_arrays_are_real_for_a_real_basis_and_read_only():
 )
 def test_lone_entry_tables_follow_the_root_pattern(fam, sizes, tables):
     # each matrix unit of gl pairs with one basis element alone, so its pairing, dual and span keep
-    # tables; so's pairing and dual hold E_ab - E_ba, the sl2 irreps' H holds d entries and sl's
-    # diagonal lies in two Cartan elements, so only the spans qualify there, and none on sl(n >= 3)
+    # tables; so's pairing and dual hold E_ab - E_ba and the sl2 irreps' H holds d entries, so only
+    # their spans qualify; sl's diagonal lies in two Cartan elements, so nothing does on sl(n >= 3)
     for n in sizes:
         rep = catalog.make(fam, n)
         assert tuple(lone is not None for lone in (rep._pairing_lone, rep._dual_lone, rep._span_lone)) == tables
