@@ -26,12 +26,21 @@ the rules).  A product is one D x D matmul of the kept images, Gamma(u v) =
 Gamma(u) Gamma(v), whose coefficients are mapped back only when read, so a
 chain of products maps each operand forward once and each result back at
 most once.  At odd n a kept image carries the rounding on blades outside
-Cl_n into the next product; the inverse map drops it.  The spin
-exponential is the package's one matrix exponential, Pade scaling and
-squaring, on the image: Gamma(exp(u)) = linalg.matrix_exp(Gamma(u)), six
-D x D products, one D x D solve and s squarings, s growing as log2 of the
-1-norm of Gamma(u).  The wedge and the contraction are grade projections of
-the product (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
+Cl_n into the next product; the inverse map drops it.
+
+Each generator flips the parity of the basis index c (popcount(x) of a
+blade of grade k is k mod 2), so Cl^0 is End S+ + End S- on the half-spin
+spaces of even and odd c (Lounesto, ch. 16): the image of an exactly even
+element is two D/2 x D/2 blocks, and that of an exactly odd one lives on
+the odd masks x.  The spin exponential is the package's one matrix
+exponential, Pade scaling and squaring, on the image: Gamma(exp(u)) =
+linalg.matrix_exp(Gamma(u)), six products, one solve and s squarings, s
+growing as log2 of the 1-norm of Gamma(u), on the two half-spin blocks of
+an exactly even Gamma(u) (D x D otherwise); the twisted images g z_j
+alpha(g) of an exactly even g are read back on the odd masks alone.
+
+The wedge and the contraction are grade projections of the product
+(Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
 A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
 Only gamma_matrix, the regular representation kept as an independent
 reference for the product, builds a 2^n x 2^n array.
@@ -116,10 +125,46 @@ class _Tables:
         xor = r[:, None] ^ r[None, :]
         self.to_gather = (r[None, :] * d + xor).ravel()
         self.from_gather = (xor * d + r[:, None]).ravel()
+        # the half-spin structure: every Pauli string of a blade of grade k has popcount(x) = k
+        # mod 2, so an even element keeps the parity of c and its image is the two h x h blocks
+        # at these flat indices (h = D/2), while an odd one flips it, off those blocks
+        h = d // 2
+        halves = np.argsort(np.bitwise_count(r) & 1, kind="stable").reshape(2, h)
+        rank = np.empty(d, dtype=np.int64)
+        rank[halves] = np.arange(h)
+        self.blocks = halves[:, :, None] * d + halves[:, None, :]
+        self.off_blocks = halves[:, :, None] * d + halves[::-1, None, :]
+        # generator k + 1 is the signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c]:
+        # the flat indices of its D entries in an (n, D, D) stack, and their values, whose zero
+        # parts are +0 as to_spinor forms them
+        q, y = np.divmod(np.arange(n), 2)
+        gx, gz = 1 << q, (1 << (q + y)) - 1
+        self.generator_at = (np.arange(n)[:, None] * d + (r ^ gx[:, None])) * d + r
+        sign = np.where(np.bitwise_count(r & gz[:, None]) & 1, -1.0, 1.0)
+        self.generator_values = values = np.zeros((n, d), dtype=complex)
+        values.real[y == 0] = sign[y == 0]
+        values.imag[y == 1] = sign[y == 1]
+        # from_odd_spinor's gather onto the h odd masks x and mask 0, whose column is gamma's
+        # diagonal, exactly 0 for an odd gamma, and where in its (D, h + 1) result each blade is:
+        # an odd one at its own mask, an even one in the zero column
+        self.odd_gather = ((np.append(halves[1], 0) ^ r[:, None]) * d + r[:, None]).ravel()
+        bz, bx = np.divmod(self.pos, d)
+        self.odd_pos = bz * (h + 1) + np.where(g & 1, rank[bx], h)
 
     def _hadamard_rows(self, a: np.ndarray) -> np.ndarray:
         """H a for each (D, D) complex row of the (k, D, D) a, as one real GEMM."""
         return linalg.left_product(self.hadamard, a)
+
+    def generator_images(self) -> np.ndarray:
+        """Gamma(z_1), ..., Gamma(z_n) as an (n, D, D) stack: one scatter into zeros."""
+        out = np.zeros((len(self.generator_at), self.d, self.d), dtype=complex)
+        out.put(self.generator_at, self.generator_values)
+        return out
+
+    def is_even(self, gamma: np.ndarray) -> bool:
+        """Whether the D x D gamma keeps the parity of every basis index exactly: all its entries
+        off the two half-spin blocks are exactly 0."""
+        return not gamma.take(self.off_blocks).any()
 
     def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
         """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""
@@ -132,6 +177,16 @@ class _Tables:
         k, d = len(gamma), self.d
         p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.from_gather, axis=1).reshape(k, d, d))
         return p.reshape(k, d * d).take(self.pos, axis=1) * self.unphase
+
+    def from_odd_spinor(self, gamma: np.ndarray) -> np.ndarray:
+        """from_spinor of (k, D, D) gamma that is exactly odd, read on the h odd masks x only: half
+        the gather and half the Hadamard columns.  The odd coefficients are from_spinor's, bit for
+        bit, and the even ones exact zeros, as from_spinor reads them up to their sign."""
+        k, d = len(gamma), self.d
+        p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.odd_gather, axis=1).reshape(k, d, d // 2 + 1))
+        out = p.reshape(k, -1).take(self.odd_pos, axis=1)
+        out *= self.unphase
+        return out
 
 
 @functools.cache
@@ -477,35 +532,52 @@ def spin_exp(u: CliffordElement) -> SpinElement:
 
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
-    2005) applies to Gamma(u) as written.  The cost is Gamma(u), unless u
-    already holds it, plus one matrix_exp: six D x D products, one D x D solve
+    2005) applies to Gamma(u) as written.  Where Gamma(u) is exactly even
+    (_Tables.is_even, as for a u whose odd coefficients are all 0), it is
+    its two h x h half-spin blocks, h = D/2, and so is its exponential: the
+    blocks go to matrix_exp as one (2, h, h) stack, each with its own
+    squarings, and back into a zeroed D x D image.  The cost is Gamma(u),
+    unless u already holds it, plus one matrix_exp: six products, one solve
     and s = max(0, ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings,
-    each product D^3 = 2^(3n/2) flops for even n.
+    on the two blocks (2 h^3 = D^3/4 flops a product) or else on D x D
+    (D^3 = 2^(3n/2) flops for even n).
     """
     _require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
-    return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
+    t, gamma = _tables(u.n), u._image()
+    if t.is_even(gamma):
+        image = np.zeros_like(gamma)
+        image.put(t.blocks, linalg.matrix_exp(gamma.take(t.blocks)))
+    else:
+        image = linalg.matrix_exp(gamma)
+    return SpinElement(CliffordElement._of_image(u.n, image))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
     """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
-    images come from one to_spinor of n unit rows.  The n product images go
-    back by one from_spinor of n rows: the residuals are the row norms of
-    its non-vector coefficients, and the columns are its vector ones.
+    images, signed permutations, are one scatter into a zeroed (n, D, D)
+    stack.  The n product images go back by one read-back of n rows: the
+    residuals are the row norms of its non-vector coefficients, and the
+    columns are its vector ones.  Where the images of g and ag are exactly
+    even, the products are exactly odd, and from_odd_spinor reads them on
+    the odd masks alone, to the same bits; otherwise from_spinor reads all.
     """
     n = g.n
     t = _tables(n)
-    units = np.zeros((n, 1 << n))
-    units[np.arange(n), 1 << np.arange(n)] = 1.0
+    vectors = 1 << np.arange(n)
     # entries or residuals that overflow (norms from ~1e150) fail the test
     with np.errstate(over="ignore", invalid="ignore"):
-        w = t.from_spinor(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.to_spinor(units)]))
-        resid = linalg.norms(np.where(t.grades == 1, 0.0, w), axis=1)
+        read = t.from_odd_spinor if t.is_even(g._image()) and t.is_even(ag._image()) else t.from_spinor
+        w = read(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.generator_images()]))
+        columns = w[:, vectors].T.copy()
+        # zeroed in place, not copied: at n = 10 an (n, 2^n) array is 160 KB, above glibc's mmap threshold
+        w[:, vectors] = 0.0
+        resid = linalg.norms(w, axis=1)
     failed = ~(resid <= threshold)
     j = int(np.argmax(failed))
     raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
-    return w[:, 1 << np.arange(n)].T.copy()
+    return columns
 
 
 def vector_action(g: SpinElement) -> np.ndarray:

@@ -325,7 +325,8 @@ def matrix_exp(a: Matrix) -> Matrix:
     its own refusal, the products and the one solve run over the stack, and a
     matrix that needs fewer squarings than the stack's most keeps its power
     from there on, so every matrix of the result is its exponential alone,
-    bit for bit.  One matrix takes no step a stack needs.
+    bit for bit.  One matrix, or a stack whose matrices all take the same s,
+    is scaled and squared as one matrix is, with no per-matrix step.
     """
     a = _square_matrices(a, "exponent")
     with np.errstate(over="ignore"):
@@ -333,9 +334,10 @@ def matrix_exp(a: Matrix) -> Matrix:
     if a.ndim == 2:
         squarings = fewest = most = _squarings(norm)
     else:
-        squarings = np.array([_squarings(x) for x in norm.ravel().tolist()], dtype=int).reshape(norm.shape + (1, 1))
-        most = squarings.max(initial=0)
-        fewest = squarings.min(initial=most)
+        counts = [_squarings(x) for x in norm.ravel().tolist()]
+        most = max(counts, default=0)
+        fewest = min(counts, default=most)
+        squarings = most if fewest == most else np.array(counts).reshape(norm.shape + (1, 1))
     a = a * 0.5**squarings
     b = PADE_COEFFS
     eye = np.eye(a.shape[-1], dtype=complex)

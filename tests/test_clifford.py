@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cayleymap import clifford as cl
 from cayleymap import linalg
-from cayleymap.errors import DimensionMismatch, NotInSpin, NotSkew, SingularShift
+from cayleymap.errors import DimensionMismatch, NotInSpin, NotSkew, SingularShift, raise_if
 
 
 # every shrink step re-runs the word oracle over up to 2^10 x 12 blade pairs,
@@ -402,6 +402,165 @@ def test_batched_twisted_images_raise_the_first_failing_residual(n, mask):
     assert err.value.value == resid and err.value.threshold == threshold
 
 
+# --- the half-spin structure -------------------------------------------------------
+
+
+def _crosses_parity(d):
+    """The entries [r, c] of a D x D image whose basis indices r and c differ in parity."""
+    r = np.arange(d)
+    return (np.bitwise_count(r[:, None] ^ r[None, :]) & 1).astype(bool)
+
+
+def _generator_rows(n):
+    """The n generator images as to_spinor forms them from unit coefficient rows."""
+    return cl._tables(n).to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
+
+
+def _full_read_back(g, ag):
+    """The coefficients of the n products g z_j ag, generators from to_spinor, read back by from_spinor."""
+    n = g.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = [(g * cl.CliffordElement._of_image(n, z) * ag)._image() for z in _generator_rows(n)]
+        return cl._tables(n).from_spinor(np.stack(images))
+
+
+def _full_twisted_images(g, ag, threshold):
+    """_twisted_images on _full_read_back: the columns, or the NotInSpin of the first generator
+    whose image leaves V."""
+    n, t = g.n, cl._tables(g.n)
+    w = _full_read_back(g, ag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = linalg.norms(np.where(t.grades == 1, 0.0, w), axis=1)
+    failed = ~(resid <= threshold)
+    j = int(np.argmax(failed))
+    raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
+    return w[:, 1 << np.arange(n)].T.copy()
+
+
+def _outcome(f, *args):
+    """f(*args) as bytes, or the refusal as type, message and the exact .value and .threshold it carries."""
+    try:
+        return f(*args).tobytes()
+    except Exception as err:
+        return type(err), str(err), repr(getattr(err, "value", None)), repr(getattr(err, "threshold", None))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_generator_images_are_one_scatter_of_to_spinors_bits(n):
+    assert cl._tables(n).generator_images().tobytes() == _generator_rows(n).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_odd_read_back_is_from_spinors_bits_on_odd_images(n):
+    # an arbitrary exactly odd stack: the odd coefficients bit for bit, the even ones exact zeros
+    t = cl._tables(n)
+    rng = _rng(64 + n)
+    shape = (n, t.d, t.d)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 9, (n, 1, 1))
+    a[:, ~_crosses_parity(t.d)] = 0.0
+    full, odd = t.from_spinor(a), t.from_odd_spinor(a)
+    blades = t.grades & 1 == 1
+    assert odd[:, blades].tobytes() == full[:, blades].tobytes()
+    assert not odd[:, ~blades].any() and not full[:, ~blades].any()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spin_exp_of_an_exact_bivector_stays_on_the_half_spin_blocks(n):
+    # Gamma(u) of an exact bivector is two half-spin blocks, and so is its exponential:
+    # exactly nothing between the parity classes, and within rounding of the D x D one
+    u = cl.random_bivector(n, _rng(65 + n)) * 2.0
+    image = cl.spin_exp(u).value._image()
+    assert not image[_crosses_parity(image.shape[0])].any()
+    dense = linalg.matrix_exp(u._image())
+    assert np.abs(image - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spin_exp_with_odd_noise_below_the_degree_tolerance_is_the_dense_exponential(n):
+    b = cl.random_bivector(n, _rng(66 + n))
+    u = b + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * b.norm())
+    g = cl.spin_exp(u)
+    assert g.value._image().tobytes() == linalg.matrix_exp(u._image()).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_images_of_an_exactly_even_g_are_the_full_read_backs_bits(monkeypatch, n):
+    t = cl._tables(n)
+    g = cl.spin_exp(cl.random_bivector(n, _rng(67 + n)))
+    want = _full_twisted_images(g.value, g._alpha, g._threshold)
+    want_resid = linalg.norms(np.where(t.grades == 1, 0.0, _full_read_back(g.value, g._alpha)), axis=1)
+    norms, resids = linalg.norms, []
+
+    def record(a, axis=None):
+        out = norms(a, axis)
+        if axis == 1:
+            resids.append(out)
+        return out
+
+    def refuse(self, gamma):
+        raise AssertionError("an exactly even g takes the odd read-back")
+
+    monkeypatch.setattr(cl.linalg, "norms", record)
+    monkeypatch.setattr(cl._Tables, "from_spinor", refuse)
+    got = cl.vector_action(g)
+    assert got.tobytes() == want.tobytes()
+    assert len(resids) == 1 and resids[0].tobytes() == want_resid.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_images_of_g_with_odd_residue_take_the_full_read_back(monkeypatch, n):
+    g0 = cl.spin_exp(cl.random_bivector(n, _rng(68 + n))).value
+    noisy = g0 + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * g0.norm())
+    g = cl.SpinElement(noisy)
+    want = _full_twisted_images(g.value, g._alpha, g._threshold)
+
+    def refuse(self, gamma):
+        raise AssertionError("g with an odd residue takes the full read-back")
+
+    monkeypatch.setattr(cl._Tables, "from_odd_spinor", refuse)
+    assert cl.vector_action(g).tobytes() == want.tobytes()
+
+
+def _refused_twisted_cases(n):
+    """(g, alpha(g), threshold) that pass and that fail twisted conjugation, exactly even and not."""
+    rng = _rng(69 + n)
+    g = cl.spin_exp(cl.random_bivector(n, rng)).value
+    noise = cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * g.norm())
+    # cos + sin z_I over the first n - n % 2 generators: exactly even, and it leaves V at n = 5, 6, 7, 9, 10
+    rotor = cl.scalar(n, np.cos(0.3)) + cl.basis_blade(n, (1 << (n - n % 2)) - 1) * np.sin(0.3)
+    cases = [g, -g, g + noise, rotor, rotor + noise, g * 1e150, g * 1e155]
+    scales = [max(1.0, x.norm()) for x in cases]
+    return [(x, cl.alpha(x), cl.SPIN_TOL * s * s) for x, s in zip(cases, scales)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_refusal_keeps_its_type_message_and_order(n):
+    for g, ag, threshold in _refused_twisted_cases(n):
+        assert _outcome(cl._twisted_images, g, ag, threshold) == _outcome(_full_twisted_images, g, ag, threshold)
+
+    def exp_image(u):
+        return cl.spin_exp(u).value._image()
+
+    def dense_exp_image(u):
+        # spin_exp by the D x D exponential alone
+        cl._require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
+        return cl.SpinElement(cl.CliffordElement._of_image(n, linalg.matrix_exp(u._image()))).value._image()
+
+    # an odd part; a 1-norm that overflows; a NaN; products that overflow (exp(u) near 1e155), from n = 3
+    b = cl.random_bivector(n, _rng(70 + n))
+    nan = cl.CliffordElement(n, b.coeffs)
+    nan.coeffs[0b11] = np.nan
+    big = cl.CliffordElement(n)
+    big.coeffs[0b011] = 345j
+    if n >= 3:
+        big.coeffs[0b101] = 0.3 * 345j
+    for u in (b + cl.basis_blade(n, 0b1), b * 1e308, nan, big):
+        got, want = _outcome(exp_image, u), _outcome(dense_exp_image, u)
+        assert type(got) is type(want) and (type(got) is bytes or got[:2] == want[:2])
+    # at n = 2 the one plane's exponential, near 1e149, has products that stay finite, and it passes
+    assert type(got) is (bytes if n == 2 else tuple)
+
+
 def test_dimension_mismatch_rejected():
     # one check, in _coerce, serves every binary operation with one type and message
     ops = [cl.clifford_mul, cl.exterior_mul, cl.pairing, lambda u, v: u * v, lambda u, v: u ^ v, lambda u, v: u + v]
@@ -688,7 +847,7 @@ def test_spin_exp_builds_no_dense_matrix(monkeypatch):
     d, matrix_exp = cl._tables(10).d, linalg.matrix_exp
 
     def spinor_exp(a):
-        if np.shape(a)[0] > d:
+        if np.shape(a)[-1] > d:
             refuse()
         return matrix_exp(a)
 
