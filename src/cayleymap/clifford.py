@@ -604,7 +604,7 @@ def require_skew(s: np.ndarray, what: str) -> None:
     of t's unit-size entries however small s is (up to 18 eps at n = 10 for t near 1).  The norms
     are of s 2^-e, 2^e the largest power of two up to its largest component (e >= 0), scaled back:
     exact, so no term overflows (|s + s^T| reads inf only above the largest float)."""
-    shrink = min(1.0, linalg._shrink(s))
+    shrink = min(1.0, float(linalg._shrink(s)))  # a Python float, as a norm over it overflows to inf with no warning
     r = s * shrink
     sym = linalg.norm(r + r.T) / shrink
     threshold = SKEW_TOL * linalg.norm(r) / shrink + linalg.ROUNDING_FLOOR * s.shape[0]

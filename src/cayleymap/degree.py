@@ -105,7 +105,7 @@ def _fiber_poly(family: str, n: int, x):
         for z in zeros:  # np.poly(zeros) without its per-call checks, and real where the zeros pair as conjugates
             coeffs = np.convolve(coeffs, np.array([1, -z]))
         coeffs = coeffs.real if (np.sort(zeros) == np.sort(zeros.conj())).all() else coeffs
-        coeffs = np.array(coeffs[::-1], dtype=complex)  # contiguous: poly_roots' products keep their bits
+        coeffs = np.array(coeffs[::-1], dtype=complex)  # a complex copy, as it is written below
     if not np.isfinite(coeffs).all():
         raise DegenerateInput(f"fiber polynomial det(t*1 + X) is not finite: it overflows at |X| {norm:.2e}")
     coeffs[n] = 1.0

@@ -21,7 +21,7 @@ convergence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, frexp, ldexp, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -43,6 +43,8 @@ PADE_THETA = 5.371920351148152
 # [13/13] Pade numerator coefficients b_j = (26-j)! 13! / (j! (13-j)!); the
 # denominator has coefficients (-1)^j b_j.
 PADE_COEFFS = [float(factorial(26 - j) // factorial(13 - j) * (factorial(13) // factorial(j))) for j in range(14)]
+# norms rescales a slice whose norm is below this, 2^-485: its sum of squares is under tiny/eps.
+_TINY_NORM = sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 Matrix = np.ndarray
 
@@ -111,14 +113,16 @@ def _complex_from_parts(parts: np.ndarray, scale: float):
 
 def norms(a, axis=None):
     """The Frobenius norms of the array a's slices along axis (an int or a pair, as
-    np.linalg.norm takes it; None for all of a): np.linalg.norm(a, axis=axis) bit for
-    bit wherever that is finite.  np.linalg.norm sums squares, which overflows from
-    entries of about 1e154; there the norm of the slice divided by its largest
-    component is scaled back, so a norm is inf only for a non-finite slice or a norm
-    above the largest float.  The norm of a whole float64 or complex128 array is
-    numpy's sum of squares taken with no numpy warning: np.vdot, unlike the np.dot
-    numpy takes, warns of no overflow, and the real and imaginary sums add as Python
-    floats; only where that sum is not finite does np.errstate enter.
+    np.linalg.norm takes it; None for all of a), exact at every scale: np.linalg.norm(a,
+    axis=axis) bit for bit wherever its sum of squares is finite and at least tiny/eps
+    (2^-970), below which squares that underflow can move the sum by more than n eps.
+    Any other finite slice takes the norm of the slice times 2^-e (_shrink) scaled back
+    by 2^e, the scaled (LAPACK dnrm2) norm (Blue 1978, ACM TOMS 4): exact, so a norm is 0
+    only for a zero slice and inf only for a non-finite slice or a norm above the largest
+    float.  The norm of a whole float64 or complex128 array is numpy's sum of squares
+    taken with no numpy warning: np.vdot, unlike the np.dot numpy takes, warns of no
+    overflow, and the real and imaginary sums add as Python floats; an exact-zero array
+    is 0 from one x.any(), and only a sum outside that range enters np.errstate.
     """
     a = np.asarray(a)
     if axis is None and a.dtype.char in "dD":
@@ -127,17 +131,17 @@ def norms(a, axis=None):
             sq = float(np.vdot(x, x))
         else:
             sq = float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag))
-        if sq < np.inf:
-            return sqrt(sq)
+        out = sqrt(sq)
+        if _TINY_NORM <= out < np.inf or not x.any():
+            return out
     # along an axis numpy squares a complex inf as inf * conj(inf), whose imaginary part is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.linalg.norm(a, axis=axis)
-        redo = out == np.inf
-        if np.count_nonzero(redo):
-            redo &= np.isfinite(a).all(axis=axis)
-            top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=axis, keepdims=True)
-            top = np.where(np.isfinite(top) & (top > 0), top, 1.0)
-            out = np.where(redo, np.linalg.norm(a / top, axis=axis) * np.squeeze(top, axis), out)
+        redo = (out < _TINY_NORM) | (out == np.inf)
+        if redo.any():
+            redo &= np.isfinite(a).all(axis=axis)  # a complex inf times 2^-e is NaN (inf * 0): numpy's inf stays
+            shrink = _shrink(a, axis)
+            out = np.where(redo, (np.linalg.norm(a * shrink, axis=axis, keepdims=True) / shrink).reshape(out.shape), out)
     return out
 
 
@@ -146,14 +150,14 @@ def norm(a) -> float:
     return float(norms(a))
 
 
-def _shrink(a, top=None):
-    """2^-e, 2^e the largest power of two up to top, the largest modulus in the array a unless given,
-    and at least 2^-1022, so that 2^-e is a finite float (e <= 1023 where top is finite): a times it
-    is exact and has its largest modulus in [1, 2) wherever that modulus is normal; a zero array
-    takes the largest factor, 2^1022."""
-    if top is None:
-        top = np.abs(a).max(initial=0.0)
-    return ldexp(1.0, 1 - frexp(max(top, 2.0**-1022))[1])
+def _shrink(a, axis=None):
+    """2^-e, 2^e the largest power of two up to the largest modulus of the array a (of each slice
+    along axis, kept as an axis of length 1 where axis is given) and at least 2^-1022, so that 2^-e
+    is a finite float (e <= 1023 where that modulus is finite): a times it is exact and has its
+    largest modulus in [1, 2) wherever that modulus is normal; a zero array takes the largest
+    factor, 2^1022."""
+    top = np.abs(a).max(axis=axis, keepdims=axis is not None, initial=2.0**-1022)
+    return np.ldexp(1.0, 1 - np.frexp(top)[1])
 
 
 def lone_entries(a: Matrix) -> tuple[np.ndarray, np.ndarray] | None:
@@ -325,19 +329,17 @@ def matrix_exp(a: Matrix) -> Matrix:
     its own refusal, the products and the one solve run over the stack, and a
     matrix that needs fewer squarings than the stack's most keeps its power
     from there on, so every matrix of the result is its exponential alone,
-    bit for bit.  One matrix, or a stack whose matrices all take the same s,
-    is scaled and squared as one matrix is, with no per-matrix step.
+    bit for bit.  One matrix is a stack of one; a stack whose matrices all
+    take the same s is scaled and squared as one matrix is, with no
+    per-matrix step.
     """
     a = _square_matrices(a, "exponent")
     with np.errstate(over="ignore"):
         norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    if a.ndim == 2:
-        squarings = fewest = most = _squarings(norm)
-    else:
-        counts = [_squarings(x) for x in norm.ravel().tolist()]
-        most = max(counts, default=0)
-        fewest = min(counts, default=most)
-        squarings = most if fewest == most else np.array(counts).reshape(norm.shape + (1, 1))
+    counts = [_squarings(x) for x in norm.ravel().tolist()]
+    most = max(counts, default=0)
+    fewest = min(counts, default=most)
+    squarings = most if fewest == most else np.array(counts).reshape(norm.shape + (1, 1))
     a = a * 0.5**squarings
     b = PADE_COEFFS
     eye = np.eye(a.shape[-1], dtype=complex)
@@ -364,7 +366,9 @@ def poly_roots(coeffs) -> np.ndarray:
     """All roots (with multiplicity) of the polynomial with ascending
     coefficients coeffs, via companion-matrix eigenvalues.  Only exactly-zero
     trailing coefficients are stripped; ValueError for input that is not a
-    nonempty 1-D sequence.
+    nonempty 1-D sequence.  The coefficients are taken as a contiguous array,
+    so a strided view (a reversed one among them) gives the roots of a copy
+    bit for bit: numpy multiplies a strided vector by another loop.
 
     Each root is polished by three Newton steps, which matters when roots
     are later deduplicated at tight absolute tolerance.  One table of the
@@ -373,7 +377,7 @@ def poly_roots(coeffs) -> np.ndarray:
     step p/p' is 0 where |p'| is at most NEWTON_SLOPE_TOL, so a masked root
     moves by exactly 0.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-D sequence")
     nonzero = np.flatnonzero(c)
@@ -498,22 +502,19 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
     evaluates a function of a that is constant on each cluster when asked.
     Before any eigen work: ValueError, as as_square_matrix words it, for a
     that is not square or not finite, and DegenerateInput for an entry whose
-    modulus overflows, as the power-of-two scale (_shrink) that the
-    threshold and apply take a at is not defined there.
+    modulus overflows, as the power-of-two scale (_shrink) that apply takes
+    a at is not defined there.  ||a|| is norm's, exact at every scale.
     """
     a = as_square_matrix(a)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    top = np.abs(a).max(initial=0.0)
-    if top == np.inf:
+    if np.abs(a).max(initial=0.0) == np.inf:
         raise DegenerateInput("entry modulus overflows: no power-of-two scale 2^-e brings the matrix to unit size")
     try:
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    # |a| taken on a 2^-e and scaled back: numpy's bits, also where its squares would underflow
-    shrink = _shrink(a, top)
-    threshold = cluster_tol * norm(a * shrink) / shrink
+    threshold = cluster_tol * norm(a)
     reps, labels = dedup_roots(raw, threshold if a.any() else np.inf)
     diff = raw[:, None] - raw
     # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on

@@ -419,14 +419,15 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     conjugate can leave it and no residual is taken, by _check_closure's
     dimension count.  Any other basis raises NotEquivariant if some conjugate
     leaves the basis span by more than ADJOINT_RESIDUAL_TOL relative to its
-    norm, which signals a malformed representation.  DegenerateInput where a
+    norm (each column's two norms from linalg.norms, exact at every scale),
+    which signals a malformed representation.  DegenerateInput where a
     conjugate or its coordinates overflow.
     """
     bm = rep.element_matrix(b)
     v, g = rep.v_dim, rep.g_dim
     full = g == v * v
     # pair[0] holds the conjugates, conj[a*v + d, i] = (b B_i b^-1)[a, d] (row block a of b B_i, times
-    # b^-1), and pair[1] their residuals: one buffer, so that one einsum takes both sums of squares
+    # b^-1), and pair[1] their residuals: one buffer, so that one norms call takes both column norms
     pair = np.empty((1 if full else 2, v * v, g), dtype=complex)
     conj = pair[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,15 +437,8 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
         if full:
             return _require_finite(ad, "adjoint matrix", b)
         np.subtract(conj, rep._span_columns(ad), out=pair[1])
-        # conjugates can span 1e-200..1e200: each column and its residual are scaled by 2^-e, 2^e the
-        # largest power of two up to the column's largest real or imaginary component (the float view
-        # holds column i's parts at 2i and 2i + 1), which leaves the ratio exact and keeps the squares
-        # from underflowing or overflowing
-        parts = pair.view(np.float64)
-        top = np.abs(parts[0]).max(axis=0, initial=2.0**-1022).reshape(g, 2).max(axis=1)
-        parts *= np.repeat(np.ldexp(1.0, 1 - np.frexp(top)[1]), 2)
-        squares = np.einsum("skj,skj->sj", parts, parts).reshape(2, g, 2).sum(axis=2)
-        worst = float(np.sqrt(np.max(squares[1] / squares[0])))
+        sizes = linalg.norms(pair, axis=1)
+        worst = float(np.max(sizes[1] / sizes[0]))
     outside = not worst <= ADJOINT_RESIDUAL_TOL
     if outside:  # a conjugate that overflows leaves NaN in ad and in worst: named first
         _require_finite(ad, "adjoint matrix", b)

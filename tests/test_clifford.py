@@ -771,11 +771,16 @@ def test_spin_exp_group_membership():
 def test_spin_exp_rejects_non_bivector():
     with pytest.raises(ValueError):
         cl.spin_exp(cl.basis_blade(3, 0b1))
+    # also where the squares of the coefficients underflow: the degree test reads no zero scale
+    with pytest.raises(ValueError, match="spin_exp argument must be pure degree 2"):
+        cl.spin_exp((cl.basis_blade(4, 0b11) + cl.basis_blade(4, 0b1)) * 1e-170)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(n=st.integers(2, 6), log_scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
 @example(n=4, log_scale=-8.0, seed=0)
+@example(n=4, log_scale=-170.0, seed=0)
+@example(n=6, log_scale=-300.0, seed=1)
 def test_degree_tests_refuse_an_odd_part_at_every_scale(n, log_scale, seed):
     # both bounds are DEGREE_TOL times the norm of the tested element, so an odd part of
     # 1e-3 relative is refused at every c: c (b + 1e-3 z_1) by spin_exp, c (g + 1e-3 z_1) by SpinElement

@@ -65,6 +65,8 @@ def test_sl_trace_free_check_is_relative_to_the_target():
         with pytest.raises(DegenerateInput, match="must be trace-free"):
             degree.sl_fiber(3, s * np.diag([1.0, 2.0, 3.0]))
     assert degree.sl_fiber(3, np.zeros((3, 3))).count == 3
+    # |tr X| 9.19e-186 is judged against |X| ~ 1.4e-170, not against a norm whose squares underflow to 0
+    assert degree.sl_fiber(2, np.diag([1e-170, -1e-170 + 1e-185])).count == 2
     rng = np.random.default_rng(4)
     for n in (3, 4, 6):
         for s in 10.0 ** np.arange(-6, 7):

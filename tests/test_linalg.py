@@ -256,10 +256,11 @@ def test_no_split_where_no_real_equation_holds_an_unknown_alone(a):
 
 @pytest.mark.parametrize("shape", [(7,), (3, 3), (2, 4, 4)])
 def test_norm_is_numpys_wherever_that_is_finite(shape):
-    # bit for bit, so no threshold built from it moves below the overflow scale
+    # bit for bit, so no threshold built from it moves between the underflow and the overflow
+    # scale; below ~1e-146 numpy's squares underflow, and the exact scaling law below holds there
     rng = np.random.default_rng(0)
     for a in (rng.standard_normal(shape), linalg.complex_normal(rng, shape)):
-        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+        for scale in (1e-8, 1.0, 1e8, 1e150):
             assert linalg.norm(scale * a) == np.linalg.norm(scale * a)
 
 
@@ -280,8 +281,33 @@ def test_norm_does_not_overflow_for_finite_input():
 def test_norms_along_an_axis_are_numpys_wherever_that_is_finite(shape, axis):
     rng = np.random.default_rng(0)
     for a in (rng.standard_normal(shape), linalg.complex_normal(rng, shape)):
-        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+        for scale in (1e-8, 1.0, 1e8, 1e150):
             assert np.array_equal(linalg.norms(scale * a, axis=axis), np.linalg.norm(scale * a, axis=axis))
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), None), ((2, 4, 4), None), ((7, 3), 0), ((2, 4, 4), (-2, -1))])
+def test_norms_scale_exactly_by_powers_of_two(shape, axis):
+    # norms(2^k a) = 2^k norms(a) bit for bit for k in [-1010, 1000], 2^-997 ~ 1e-300 among them:
+    # entries of modulus 0.5..2 keep 2^k a exact, and no scale reads low where numpy's squares
+    # underflow (below ~2^-485) or overflow (above ~2^510)
+    rng = np.random.default_rng(5)
+    parts = rng.uniform(0.5, 2.0, (2, *shape)) * rng.choice([-1.0, 1.0], (2, *shape))
+    for a in (parts[0], parts[0] + 1j * parts[1]):
+        want = linalg.norms(a, axis)
+        for k in range(-1010, 1001):
+            assert np.array_equal(linalg.norms(a * 2.0**k, axis), want * 2.0**k), k
+
+
+def test_norms_of_zero_subnormal_and_non_finite_slices():
+    assert linalg.norm(np.zeros(1024)) == 0.0 and linalg.norm(np.zeros((3, 3), dtype=complex)) == 0.0
+    # numpy's squares of these underflow to 0; the rescaled norms are exact
+    assert linalg.norm(np.full(4, 5e-324)) == 1e-323 and linalg.norm(np.full(4, 1e-170)) == 2e-170
+    assert linalg.norm(np.array([0.0, 5e-324j])) == 5e-324
+    # along an axis: a zero column, a subnormal one, a 1e-170 one, one with an inf and one with a NaN
+    a = np.array([[0.0, 5e-324, 1e-170, np.inf, np.nan], [0.0, 5e-324, -1e-170j, 1.0, 1.0]])
+    got = linalg.norms(a, axis=0)
+    # sqrt(2) 5e-324 rounds to 5e-324; the 1e-170 column takes numpy's bits at 2^600 times its scale
+    assert got[:4].tolist() == [0.0, 5e-324, np.linalg.norm(a[:, 2] * 2.0**600) / 2.0**600, np.inf] and np.isnan(got[4])
 
 
 def test_norms_along_an_axis_rescale_only_the_slices_that_overflow():
@@ -580,6 +606,16 @@ def test_poly_roots_residual_bound():
         assert roots.size == 6
         for r in roots:
             assert abs(np.polyval(p[::-1], r)) <= 1e-8 * scale * (1 + abs(r)) ** 6
+
+
+def test_poly_roots_of_a_strided_view_are_those_of_a_copy():
+    # numpy multiplies a strided vector by another loop than a contiguous one, which moves the
+    # polished roots' last bits; poly_roots takes its coefficients as a contiguous array
+    rng = _rng(7)
+    for deg in (4, 8, 12):
+        doubled = linalg.complex_normal(rng, 2 * deg + 2)
+        for view in (doubled[::-2], doubled[::2], doubled[deg + 1 :][::-1]):
+            assert np.array_equal(linalg.poly_roots(view), linalg.poly_roots(view.copy()))
 
 
 def test_poly_roots_zero_polynomial_raises():
