@@ -20,9 +20,9 @@ O(D^3) flops; the inverse map is the same steps in reverse.  The Hadamard
 product is one real GEMM on the float view of the complex array, whose
 interleaved real and imaginary parts are 2D real columns.
 
-A CliffordElement holds its coefficients, its image Gamma, or both, each
+A CliffordElement holds its coefficients, its kept image, or both, each
 formed from the other on first need and then kept (the class docstring has
-the rules).  A product is one D x D matmul of the kept images, Gamma(u v) =
+the rules).  A product is one matmul of the kept images, Gamma(u v) =
 Gamma(u) Gamma(v), whose coefficients are mapped back only when read, so a
 chain of products maps each operand forward once and each result back at
 most once.  At odd n a kept image carries the rounding on blades outside
@@ -30,14 +30,20 @@ Cl_n into the next product; the inverse map drops it.
 
 Each generator flips the parity of the basis index c (popcount(x) of a
 blade of grade k is k mod 2), so Cl^0 is End S+ + End S- on the half-spin
-spaces of even and odd c (Lounesto, ch. 16): the image of an exactly even
-element is two D/2 x D/2 blocks, and that of an exactly odd one lives on
-the odd masks x.  The spin exponential is the package's one matrix
-exponential, Pade scaling and squaring, on the image: Gamma(exp(u)) =
-linalg.matrix_exp(Gamma(u)), six products, one solve and s squarings, s
-growing as log2 of the 1-norm of Gamma(u), on the two half-spin blocks of
-an exactly even Gamma(u) (D x D otherwise); the twisted images g z_j
-alpha(g) of an exactly even g are read back on the odd masks alone.
+spaces of even and odd c (Lounesto, ch. 16): the image of an element of one
+parity is two h x h blocks, h = D/2, on the two half-spin spaces for an
+even element and between them for an odd one.  So the kept image has two
+forms.  An element whose coefficients of one parity are all exactly 0
+keeps the (2, h, h) stack of its blocks and that parity; it is formed on
+the h masks x of its parity alone, read back on them, and multiplied as one
+batched matmul of the stacks, a quarter of the D x D product's flops, the
+product's parity the xor of its factors'.  Every other element keeps the
+D x D image, and so does a product with a D x D factor.  The spin chain's
+elements all have one parity.  The spin exponential is the package's one
+matrix exponential, Pade scaling and squaring, on the image: Gamma(exp(u))
+= linalg.matrix_exp(Gamma(u)), six products, one solve and s squarings, s
+growing as log2 of the 1-norm of Gamma(u), on the two blocks of an exactly
+even u (D x D otherwise).
 
 The wedge and the contraction are grade projections of the product
 (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
@@ -86,9 +92,10 @@ class _Tables:
     Z^z X^(2^q) = (-1)^(bit q of z) X^(2^q) Z^z.  For odd n only the first
     2^n of the 4^m blades of Cl_{n+1} belong to Cl_n.
 
-    Both transforms hold their D x D arrays in the transposed (z, x) layout,
-    so the symmetric Hadamard matrix H acts from the left: H times the
-    (D, 2D) float view of each complex row is one real GEMM.
+    Every transform holds its arrays in the transposed (z, x) layout, so the
+    symmetric Hadamard matrix H acts from the left: H times the float view of
+    each complex row, (D, 2D), or about (D, D) on the h masks x of one parity,
+    is one real GEMM.
     """
 
     def __init__(self, n: int):
@@ -125,46 +132,58 @@ class _Tables:
         xor = r[:, None] ^ r[None, :]
         self.to_gather = (r[None, :] * d + xor).ravel()
         self.from_gather = (xor * d + r[:, None]).ravel()
-        # the half-spin structure: every Pauli string of a blade of grade k has popcount(x) = k
-        # mod 2, so an even element keeps the parity of c and its image is the two h x h blocks
-        # at these flat indices (h = D/2), while an odd one flips it, off those blocks
+        # the half-spin structure: every Pauli string of a blade of grade k has popcount(x) = k mod 2,
+        # so an element of one parity p keeps (p = 0) or flips (p = 1) the parity of the basis index,
+        # and its image is two h x h blocks (h = D/2): block b maps half b ^ p to half b, the rows
+        # halves[b] and columns halves[b ^ p] of Gamma, at the flat indices block_at[p]
         h = d // 2
-        halves = np.argsort(np.bitwise_count(r) & 1, kind="stable").reshape(2, h)
+        half = np.bitwise_count(r) & 1
+        halves = np.argsort(half, kind="stable").reshape(2, h)
         rank = np.empty(d, dtype=np.int64)
         rank[halves] = np.arange(h)
-        self.blocks = halves[:, :, None] * d + halves[:, None, :]
-        self.off_blocks = halves[:, :, None] * d + halves[::-1, None, :]
-        # generator k + 1 is the signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c]:
-        # the flat indices of its D entries in an (n, D, D) stack, and their values, whose zero
-        # parts are +0 as to_spinor forms them
+        self.blades = np.flatnonzero(g & 1 == 0), np.flatnonzero(g & 1)
+        rows, cols = halves[:, :, None], np.stack([halves, halves[::-1]])[:, :, None, :]
+        self.block_at = rows * d + cols
+        # to_blocks of parity p reads the (z, x) array on the h masks x of parity p, and block entry
+        # Gamma[row, col] at [col, row xor col] of H times it; from_blocks of parity p reads gamma[x
+        # xor c, c] at [c, x] off the blocks for those masks, beside a zero column h, and in its
+        # (D, h + 1) result each blade of parity p is at its (z, x), each other one in that column
+        cells = r[:, None] * d + halves[:, None, :]
+        self.block_src, self.block_phase = self.src[cells], self.phase[cells]
+        self.block_gather = cols * h + rank[rows ^ cols]
+        xr = halves[:, None, :] ^ r[:, None]
+        self.read_gather = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
+        bz, bx = np.divmod(self.pos, d)
+        self.read_pos = tuple(bz * (h + 1) + np.where(g & 1 == parity, rank[bx], h) for parity in (0, 1))
+        # generator k + 1 is the signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c], odd:
+        # the flat indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values,
+        # whose zero parts are +0 as to_blocks forms them
         q, y = np.divmod(np.arange(n), 2)
         gx, gz = 1 << q, (1 << (q + y)) - 1
-        self.generator_at = (np.arange(n)[:, None] * d + (r ^ gx[:, None])) * d + r
+        flipped = r ^ gx[:, None]
+        self.generator_at = ((np.arange(n)[:, None] * 2 + half[flipped]) * h + rank[flipped]) * h + rank[r]
         sign = np.where(np.bitwise_count(r & gz[:, None]) & 1, -1.0, 1.0)
         self.generator_values = values = np.zeros((n, d), dtype=complex)
         values.real[y == 0] = sign[y == 0]
         values.imag[y == 1] = sign[y == 1]
-        # from_odd_spinor's gather onto the h odd masks x and mask 0, whose column is gamma's
-        # diagonal, exactly 0 for an odd gamma, and where in its (D, h + 1) result each blade is:
-        # an odd one at its own mask, an even one in the zero column
-        self.odd_gather = ((np.append(halves[1], 0) ^ r[:, None]) * d + r[:, None]).ravel()
-        bz, bx = np.divmod(self.pos, d)
-        self.odd_pos = bz * (h + 1) + np.where(g & 1, rank[bx], h)
 
     def _hadamard_rows(self, a: np.ndarray) -> np.ndarray:
-        """H a for each (D, D) complex row of the (k, D, D) a, as one real GEMM."""
+        """H a for each (D, c) complex row of the (k, D, c) a, as one real GEMM."""
         return linalg.left_product(self.hadamard, a)
 
-    def generator_images(self) -> np.ndarray:
-        """Gamma(z_1), ..., Gamma(z_n) as an (n, D, D) stack: one scatter into zeros."""
-        out = np.zeros((len(self.generator_at), self.d, self.d), dtype=complex)
+    def generator_blocks(self) -> np.ndarray:
+        """The odd blocks of Gamma(z_1), ..., Gamma(z_n) as an (n, 2, h, h) stack: one scatter into zeros."""
+        h = self.d // 2
+        out = np.zeros((len(self.generator_at), 2, h, h), dtype=complex)
         out.put(self.generator_at, self.generator_values)
         return out
 
-    def is_even(self, gamma: np.ndarray) -> bool:
-        """Whether the D x D gamma keeps the parity of every basis index exactly: all its entries
-        off the two half-spin blocks are exactly 0."""
-        return not gamma.take(self.off_blocks).any()
+    def parity(self, coeffs: np.ndarray) -> int | None:
+        """0 (even) or 1 (odd) where every coefficient of the other parity is exactly 0, the zero
+        element being even; None where both parities occur."""
+        if not coeffs.take(self.blades[1]).any():
+            return 0
+        return None if coeffs.take(self.blades[0]).any() else 1
 
     def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
         """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""
@@ -178,14 +197,32 @@ class _Tables:
         p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.from_gather, axis=1).reshape(k, d, d))
         return p.reshape(k, d * d).take(self.pos, axis=1) * self.unphase
 
-    def from_odd_spinor(self, gamma: np.ndarray) -> np.ndarray:
-        """from_spinor of (k, D, D) gamma that is exactly odd, read on the h odd masks x only: half
-        the gather and half the Hadamard columns.  The odd coefficients are from_spinor's, bit for
-        bit, and the even ones exact zeros, as from_spinor reads them up to their sign."""
-        k, d = len(gamma), self.d
-        p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.odd_gather, axis=1).reshape(k, d, d // 2 + 1))
-        out = p.reshape(k, -1).take(self.odd_pos, axis=1)
+    def to_blocks(self, coeffs: np.ndarray, parity: int) -> np.ndarray:
+        """The (k, 2, h, h) blocks of Gamma(u) for each row of the (k, 2^n) coefficients, all of the
+        given parity: half the gather and half the Hadamard columns, to_spinor's entries bit for bit."""
+        p = self._hadamard_rows(coeffs.take(self.block_src[parity], axis=1) * self.block_phase[parity])
+        return p.reshape(len(coeffs), -1).take(self.block_gather[parity], axis=1)
+
+    def from_blocks(self, blocks: np.ndarray, parity: int) -> np.ndarray:
+        """from_spinor of the images whose (k, 2, h, h) blocks of the given parity are blocks, read
+        on the h masks x of that parity only: half the gather and half the Hadamard columns.  The
+        coefficients of that parity are from_spinor's, bit for bit, and the others zeros, which
+        from_spinor reads as exact zeros times the same phases."""
+        k, h = len(blocks), self.d // 2
+        a = np.zeros((k, self.d, h + 1), dtype=complex)
+        a[..., :h] = blocks.reshape(k, -1).take(self.read_gather[parity], axis=1)
+        out = self._hadamard_rows(a).reshape(k, -1).take(self.read_pos[parity], axis=1)
         out *= self.unphase
+        return out
+
+    def read_back(self, images: np.ndarray, parity: int | None) -> np.ndarray:
+        """The coefficients of a stack of kept images: (k, D, D) for parity None, else blocks."""
+        return self.from_spinor(images) if parity is None else self.from_blocks(images, parity)
+
+    def expand(self, blocks: np.ndarray, parity: int) -> np.ndarray:
+        """The D x D image whose (2, h, h) blocks of the given parity are blocks: one scatter into zeros."""
+        out = np.zeros((self.d, self.d), dtype=complex)
+        out.put(self.block_at[parity], blocks)
         return out
 
 
@@ -198,16 +235,26 @@ def _tables(n: int) -> _Tables:
 
 class CliffordElement:
     """A multivector: its 2^n complex coefficients in bitmask blade order, its
-    D x D spinor image Gamma, or both.
+    kept spinor image, or both.
+
+    The kept image takes one of two forms.  An element of one parity, whose
+    coefficients of the other parity are all exactly 0 (the zero element
+    counts as even), keeps the (2, h, h) stack of the two nonzero half-spin
+    blocks of Gamma, h = D/2, with that parity.  Any other element keeps the
+    D x D Gamma.  Parity is read from exact zeros when the image is formed
+    from coefficients, and a product's is the xor of its operands'; a product
+    with a D x D operand is D x D.  _image() is always D x D, scattering the
+    blocks into zeros when asked.
 
     Built from coefficients, an element has no image until its first product
-    (or spin_exp) forms Gamma with one to_spinor row.  Made by a product or by
-    spin_exp, it holds only its image until coeffs is first read, which costs
-    one from_spinor row.  Each representation is kept once formed.  From the
-    moment an element has an image, its coefficient array is read-only, so an
-    in-place write raises ValueError instead of leaving Gamma stale; a fresh
-    element can be filled in place until it is first multiplied.  Assigning
-    coeffs replaces the coefficients and drops the image.
+    (or spin_exp) forms it with one to_spinor or to_blocks row.  Made by a
+    product or by spin_exp, it holds only its image until coeffs is first
+    read, which costs one from_spinor or from_blocks row.  Each representation
+    is kept once formed.  From the moment an element has an image, its
+    coefficient array is read-only, so an in-place write raises ValueError
+    instead of leaving Gamma stale; a fresh element can be filled in place
+    until it is first multiplied.  Assigning coeffs replaces the coefficients
+    and drops the image.
 
     Two threads making the first read of a missing representation at once may
     both compute it; each stores an equal array, so the race is idempotent.
@@ -216,27 +263,27 @@ class CliffordElement:
     u ^ v the exterior (wedge) product.
     """
 
-    __slots__ = ("n", "_coeffs", "_gamma")
+    __slots__ = ("n", "_coeffs", "_kept")
 
     def __init__(self, n: int, coeffs=None):
         _tables(n)
         self.n = n
         if coeffs is None:
-            self._coeffs, self._gamma = np.zeros(1 << n, dtype=complex), None
+            self._coeffs, self._kept = np.zeros(1 << n, dtype=complex), None
         else:
             self.coeffs = coeffs
 
     @classmethod
-    def _of_image(cls, n: int, gamma: np.ndarray) -> "CliffordElement":
-        """The element whose spinor image is gamma, kept as given."""
+    def _of_image(cls, n: int, image: np.ndarray, parity: int | None = None) -> "CliffordElement":
+        """The element whose kept image is image, as given: D x D for parity None, else the blocks of that parity."""
         out = cls.__new__(cls)
-        out.n, out._coeffs, out._gamma = n, None, gamma
+        out.n, out._coeffs, out._kept = n, None, (image, parity)
         return out
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            c = _tables(self.n).from_spinor(self._gamma[None])[0]
+            c = _tables(self.n).read_back(self._kept[0][None], self._kept[1])[0]
             c.flags.writeable = False
             self._coeffs = c
         return self._coeffs
@@ -247,14 +294,22 @@ class CliffordElement:
         c = np.asarray(value, dtype=complex)
         if c.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} coefficients, got {c.shape}")
-        self._coeffs, self._gamma = c.copy(), None
+        self._coeffs, self._kept = c.copy(), None
+
+    def _kept_image(self) -> tuple[np.ndarray, int | None]:
+        """(image, parity), the kept image; formed from the coefficients on first need, which freezes them."""
+        if self._kept is None:
+            c = self._coeffs
+            c.flags.writeable = False
+            t = _tables(self.n)
+            parity = t.parity(c)
+            self._kept = (t.to_spinor(c[None]) if parity is None else t.to_blocks(c[None], parity))[0], parity
+        return self._kept
 
     def _image(self) -> np.ndarray:
-        """Gamma of this element; formed from the coefficients on first need, which freezes them."""
-        if self._gamma is None:
-            self._coeffs.flags.writeable = False
-            self._gamma = _tables(self.n).to_spinor(self._coeffs[None])[0]
-        return self._gamma
+        """Gamma of this element as D x D: the kept image, or its blocks scattered into zeros."""
+        image, parity = self._kept_image()
+        return image if parity is None else _tables(self.n).expand(image, parity)
 
     # -- ring structure --------------------------------------------------
 
@@ -365,11 +420,19 @@ def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
 
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     """The Clifford product u v: the element whose image is Gamma(u) Gamma(v),
-    one D x D matmul of the operands' kept images (an operand without one forms
-    it first, freezing its coefficients).  Its coefficients are one from_spinor
-    row, formed when first read."""
+    one matmul of the operands' kept images (an operand without one forms it
+    first, freezing its coefficients).  Two blocked operands of parities p and
+    q give blocks of parity p xor q: block b of the product is block b of u
+    times block b xor p of v, so the stacks multiply as one batched matmul,
+    v's reversed when u is odd, of 2 h^3 = D^3/4 flops.  A D x D operand makes
+    the product D x D, the other operand's blocks scattered into zeros first.
+    Its coefficients are one read-back row, formed when first read."""
     v = _coerce(u.n, v)
-    return CliffordElement._of_image(u.n, u._image() @ v._image())
+    a, p = u._kept_image()
+    b, q = v._kept_image()
+    if p is None or q is None:
+        return CliffordElement._of_image(u.n, u._image() @ v._image())
+    return CliffordElement._of_image(u.n, a @ (b[::-1] if p else b), p ^ q)
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
@@ -482,6 +545,9 @@ class SpinElement:
 
     value is fixed at construction; validation forms alpha(g), with its spinor
     image, and the threshold SPIN_TOL max(1, |g|)^2 once, and keeps both.
+    Where g keeps even blocks, as spin_exp's results do, its coefficients and
+    those of g alpha(g) are read back on the even masks alone, and alpha(g),
+    whose odd coefficients are then exact zeros, keeps even blocks too.
     """
 
     __slots__ = ("value", "_alpha", "_threshold")
@@ -528,48 +594,44 @@ class SpinElement:
 
 def spin_exp(u: CliffordElement) -> SpinElement:
     """Clifford exponential exp(u) of a bivector: the element whose image is
-    linalg.matrix_exp of the D x D spinor image Gamma(u).
+    linalg.matrix_exp of the spinor image Gamma(u).
 
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
-    2005) applies to Gamma(u) as written.  Where Gamma(u) is exactly even
-    (_Tables.is_even, as for a u whose odd coefficients are all 0), it is
-    its two h x h half-spin blocks, h = D/2, and so is its exponential: the
-    blocks go to matrix_exp as one (2, h, h) stack, each with its own
-    squarings, and back into a zeroed D x D image.  The cost is Gamma(u),
-    unless u already holds it, plus one matrix_exp: six products, one solve
-    and s = max(0, ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings,
-    on the two blocks (2 h^3 = D^3/4 flops a product) or else on D x D
-    (D^3 = 2^(3n/2) flops for even n).
+    2005) applies to Gamma(u) as written.  An exactly even u (every odd
+    coefficient 0) keeps its image as its two h x h half-spin blocks, h =
+    D/2, and so does its exponential: the (2, h, h) stack goes to matrix_exp,
+    each block with its own squarings, and is kept as exp(u)'s even image.
+    The cost is Gamma(u), unless u already holds it, plus one matrix_exp: six
+    products, one solve and s = max(0, ceil(log2(||Gamma(u)||_1 /
+    linalg.PADE_THETA))) squarings, on the two blocks (2 h^3 = D^3/4 flops a
+    product) or else on D x D (D^3 = 2^(3n/2) flops for even n).
     """
     _require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
-    t, gamma = _tables(u.n), u._image()
-    if t.is_even(gamma):
-        image = np.zeros_like(gamma)
-        image.put(t.blocks, linalg.matrix_exp(gamma.take(t.blocks)))
-    else:
-        image = linalg.matrix_exp(gamma)
-    return SpinElement(CliffordElement._of_image(u.n, image))
+    gamma, parity = u._kept_image()
+    if parity == 0:
+        return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(gamma), 0))
+    return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
     """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
-    images, signed permutations, are one scatter into a zeroed (n, D, D)
-    stack.  The n product images go back by one read-back of n rows: the
-    residuals are the row norms of its non-vector coefficients, and the
-    columns are its vector ones.  Where the images of g and ag are exactly
-    even, the products are exactly odd, and from_odd_spinor reads them on
-    the odd masks alone, to the same bits; otherwise from_spinor reads all.
+    images, odd signed permutations, are one scatter into a zeroed (n, 2, h,
+    h) stack of blocks.  The n product images go back by one read-back of n
+    rows: the residuals are the row norms of its non-vector coefficients, and
+    the columns are its vector ones.  Where g and ag keep even blocks, the
+    products are odd blocks, read on the odd masks alone, to from_spinor's
+    bits; otherwise they are D x D and from_spinor reads all.
     """
     n = g.n
     t = _tables(n)
     vectors = 1 << np.arange(n)
     # entries or residuals that overflow (norms from ~1e150) fail the test
     with np.errstate(over="ignore", invalid="ignore"):
-        read = t.from_odd_spinor if t.is_even(g._image()) and t.is_even(ag._image()) else t.from_spinor
-        w = read(np.stack([(g * CliffordElement._of_image(n, z) * ag)._image() for z in t.generator_images()]))
+        kept = [(g * CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
+        w = t.read_back(np.stack([image for image, _ in kept]), kept[0][1])
         columns = w[:, vectors].T.copy()
         # zeroed in place, not copied: at n = 10 an (n, 2^n) array is 160 KB, above glibc's mmap threshold
         w[:, vectors] = 0.0

@@ -21,7 +21,7 @@ convergence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import factorial, frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -120,20 +120,19 @@ def norms(a, axis=None):
     by 2^e, the scaled (LAPACK dnrm2) norm (Blue 1978, ACM TOMS 4): exact, so a norm is 0
     only for a zero slice and inf only for a non-finite slice or a norm above the largest
     float.  The norm of a whole float64 or complex128 array is numpy's sum of squares
-    taken with no numpy warning: np.vdot, unlike the np.dot numpy takes, warns of no
-    overflow, and the real and imaginary sums add as Python floats; an exact-zero array
-    is 0 from one x.any(), and only a sum outside that range enters np.errstate.
+    taken with no numpy warning (_root_sum_squares); an exact-zero array is 0 from one
+    x.any(), a sum below tiny/eps (so of finite entries) takes the scaled norm the same
+    way, and only a sum outside that range enters np.errstate.
     """
     a = np.asarray(a)
     if axis is None and a.dtype.char in "dD":
         x = a.ravel(order="K")
-        if x.dtype.char == "d":
-            sq = float(np.vdot(x, x))
-        else:
-            sq = float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag))
-        out = sqrt(sq)
+        out = _root_sum_squares(x)
         if _TINY_NORM <= out < np.inf or not x.any():
             return out
+        if out < _TINY_NORM:
+            shrink = _shrink(x)
+            return _root_sum_squares(x * shrink) / shrink
     # along an axis numpy squares a complex inf as inf * conj(inf), whose imaginary part is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.linalg.norm(a, axis=axis)
@@ -143,6 +142,15 @@ def norms(a, axis=None):
             shrink = _shrink(a, axis)
             out = np.where(redo, (np.linalg.norm(a * shrink, axis=axis, keepdims=True) / shrink).reshape(out.shape), out)
     return out
+
+
+def _root_sum_squares(x: np.ndarray) -> float:
+    """sqrt of the sum of squares of the 1-D float64 or complex128 x, as np.linalg.norm(x) takes it,
+    bit for bit: np.vdot, unlike the np.dot numpy takes, warns of no overflow, and the real and
+    imaginary sums add as Python floats."""
+    if x.dtype.char == "d":
+        return sqrt(float(np.vdot(x, x)))
+    return sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
 
 
 def norm(a) -> float:
@@ -155,24 +163,29 @@ def _shrink(a, axis=None):
     along axis, kept as an axis of length 1 where axis is given) and at least 2^-1022, so that 2^-e
     is a finite float (e <= 1023 where that modulus is finite): a times it is exact and has its
     largest modulus in [1, 2) wherever that modulus is normal; a zero array takes the largest
-    factor, 2^1022."""
+    factor, 2^1022.  For the whole array (axis None) it is a Python float, from math.frexp and
+    math.ldexp of the top modulus, which give np.frexp's and np.ldexp's bits (inf and NaN
+    included, whose exponent both read as 0) at half the cost."""
     top = np.abs(a).max(axis=axis, keepdims=axis is not None, initial=2.0**-1022)
+    if axis is None:
+        return ldexp(1.0, 1 - frexp(float(top))[1])
     return np.ldexp(1.0, 1 - np.frexp(top)[1])
 
 
-def lone_entries(a: Matrix) -> tuple[np.ndarray, np.ndarray] | None:
+def lone_entries(a: Matrix) -> tuple[np.ndarray, np.ndarray | None] | None:
     """(cols, weights), read-only, where row r of the real 2-D a is weights[r, 0] at cols[r] and 0 elsewhere (an
-    empty row: weight 0 at column 0), from a's exact zero pattern; None for a complex a or a row of two nonzeros."""
+    empty row: weight 0 at column 0), from a's exact zero pattern; weights is None where every one is exactly 1.
+    None for a complex a or a row of two nonzeros."""
     a = np.asarray(a)
     if a.dtype.kind == "c" or a.ndim != 2 or (np.count_nonzero(a, axis=1) > 1).any():
         return None
     cols = (a != 0).argmax(axis=1)
     weights = a[np.arange(len(a)), cols, None]  # a column, as it scales the gathered rows
     cols.flags.writeable = weights.flags.writeable = False
-    return cols, weights
+    return cols, None if (weights == 1.0).all() else weights
 
 
-def left_product(a: Matrix, c: Matrix, lone: tuple[np.ndarray, np.ndarray] | None = None) -> Matrix:
+def left_product(a: Matrix, c: Matrix, lone: tuple[np.ndarray, np.ndarray | None] | None = None) -> Matrix:
     """a @ c for arrays a and c, c of two or more axes.  A real a and a
     complex c multiply as one real GEMM on c's float view, which holds the
     real and imaginary parts of each column side by side: exact per
@@ -181,12 +194,15 @@ def left_product(a: Matrix, c: Matrix, lone: tuple[np.ndarray, np.ndarray] | Non
 
     lone, lone_entries(a) kept by a caller, takes no GEMM for a float64 or complex128 c: row r
     is row cols[r] of c, gathered and scaled by weights[r, 0] on its float view, the one nonzero
-    product of the GEMM's sum (a finite c keeps its bits); += 0.0 makes a zero +0, as that sum does.
+    product of the GEMM's sum (a finite c keeps its bits), with no scaling where the weights are
+    all 1 (x * 1 = x exactly); += 0.0 makes a zero +0, as that sum does.
     """
     if lone is not None and c.dtype.char in "dD":
-        out = c.take(lone[0], axis=-2)
+        cols, weights = lone
+        out = c.take(cols, axis=-2)
         flat = out.view(np.float64)
-        flat *= lone[1]
+        if weights is not None:
+            flat *= weights
         flat += 0.0
         return out
     if a.dtype.kind == "c" or c.dtype.kind != "c":

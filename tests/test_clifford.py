@@ -318,18 +318,19 @@ def test_coefficients_freeze_once_an_element_has_an_image():
 @pytest.mark.parametrize("n", [8, 10])
 def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # kept images; a round trip through coefficients per product would map
-    # 8n+3 rows forward and 4n+2 back
+    # 8n+3 rows forward and 4n+2 back.  Every element of the chain has one
+    # parity, so every row is a blocked one and none is D x D
     tables = cl._Tables
-    to_spinor, from_spinor, mul, alpha = tables.to_spinor, tables.from_spinor, cl.clifford_mul, cl.alpha
-    rows = {"to": 0, "from": 0, "mul": 0, "alpha": 0}
+    mul, alpha = cl.clifford_mul, cl.alpha
+    rows = {"to": 0, "from": 0, "dense": 0, "mul": 0, "alpha": 0}
 
-    def count_to(self, coeffs):
-        rows["to"] += len(coeffs)
-        return to_spinor(self, coeffs)
+    def count(name, dense, f):
+        def counted(self, images, *parity):
+            rows[name] += len(images)
+            rows["dense"] += dense * len(images)
+            return f(self, images, *parity)
 
-    def count_from(self, gamma):
-        rows["from"] += len(gamma)
-        return from_spinor(self, gamma)
+        return counted
 
     def count_mul(u, v):
         rows["mul"] += 1
@@ -339,8 +340,9 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
         rows["alpha"] += 1
         return alpha(u)
 
-    monkeypatch.setattr(tables, "to_spinor", count_to)
-    monkeypatch.setattr(tables, "from_spinor", count_from)
+    for name, to, frm in (("spinor", True, True), ("blocks", False, False)):
+        monkeypatch.setattr(tables, f"to_{name}", count("to", to, getattr(tables, f"to_{name}")))
+        monkeypatch.setattr(tables, f"from_{name}", count("from", frm, getattr(tables, f"from_{name}")))
     monkeypatch.setattr(cl, "clifford_mul", count_mul)
     monkeypatch.setattr(cl, "alpha", count_alpha)
     g = cl.spin_exp(cl.random_bivector(n, _rng(24)))
@@ -349,6 +351,7 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     assert rows["mul"] == 4 * n + 1
     assert rows["to"] <= 2 * n + 3
     assert rows["from"] <= 2 * n + 2
+    assert rows["dense"] == 0
     # validation keeps alpha(g) for vector_action
     assert rows["alpha"] == 1
     # -g keeps alpha(-g) = -alpha(g), exact since negation commutes with the
@@ -362,14 +365,15 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
 
 
 def _loop_twisted_images(g, ag):
-    """g z_j ag one generator at a time, each read back by its own from_spinor
-    row: the columns and, if one leaves V, the first residual above threshold."""
+    """g z_j ag one generator at a time, generators as to_blocks forms them from unit coefficient
+    rows, each product read back by its own coefficient row: the columns and, if one leaves V, the
+    first residual above threshold."""
     n = g.n
     threshold = cl.SPIN_TOL * max(1.0, g.norm()) ** 2
-    gens = cl._tables(n).to_spinor(np.eye(1 << n)[1 << np.arange(n)])
+    gens = _generator_blocks(n)
     t = np.empty((n, n), dtype=complex)
     for j in range(n):
-        w = g * cl.CliffordElement._of_image(n, gens[j]) * ag
+        w = g * cl.CliffordElement._of_image(n, gens[j], 1) * ag
         resid = (w - w.grade(1)).norm()
         if resid > threshold:
             return t, resid, threshold
@@ -416,11 +420,17 @@ def _generator_rows(n):
     return cl._tables(n).to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
 
 
+def _generator_blocks(n):
+    """The n generators' odd blocks as to_blocks forms them from unit coefficient rows."""
+    return cl._tables(n).to_blocks(np.eye(1 << n, dtype=complex)[1 << np.arange(n)], 1)
+
+
 def _full_read_back(g, ag):
-    """The coefficients of the n products g z_j ag, generators from to_spinor, read back by from_spinor."""
+    """The coefficients of the n products g z_j ag, generators from to_blocks, their D x D images
+    read back by from_spinor on every mask."""
     n = g.n
     with np.errstate(over="ignore", invalid="ignore"):
-        images = [(g * cl.CliffordElement._of_image(n, z) * ag)._image() for z in _generator_rows(n)]
+        images = [(g * cl.CliffordElement._of_image(n, z, 1) * ag)._image() for z in _generator_blocks(n)]
         return cl._tables(n).from_spinor(np.stack(images))
 
 
@@ -447,21 +457,129 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_generator_images_are_one_scatter_of_to_spinors_bits(n):
-    assert cl._tables(n).generator_images().tobytes() == _generator_rows(n).tobytes()
+    # the scatter into odd blocks is to_blocks' bits, and those blocks scattered into D x D zeros are to_spinor's
+    t = cl._tables(n)
+    blocks = t.generator_blocks()
+    assert blocks.tobytes() == _generator_blocks(n).tobytes()
+    assert np.stack([t.expand(z, 1) for z in blocks]).tobytes() == _generator_rows(n).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_odd_read_back_is_from_spinors_bits_on_odd_images(n):
-    # an arbitrary exactly odd stack: the odd coefficients bit for bit, the even ones exact zeros
+    # an arbitrary exactly odd stack, and an exactly even one: the coefficients of its parity bit for
+    # bit, the others zeros with from_spinor's bits (zeros times its phases)
     t = cl._tables(n)
     rng = _rng(64 + n)
     shape = (n, t.d, t.d)
-    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 9, (n, 1, 1))
-    a[:, ~_crosses_parity(t.d)] = 0.0
-    full, odd = t.from_spinor(a), t.from_odd_spinor(a)
-    blades = t.grades & 1 == 1
-    assert odd[:, blades].tobytes() == full[:, blades].tobytes()
-    assert not odd[:, ~blades].any() and not full[:, ~blades].any()
+    for parity in (1, 0):
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 9, (n, 1, 1))
+        a[:, _crosses_parity(t.d) != bool(parity)] = 0.0
+        blocks = a.reshape(n, -1)[:, t.block_at[parity]]
+        assert np.stack([t.expand(b, parity) for b in blocks]).tobytes() == a.tobytes()
+        full, half = t.from_spinor(a), t.from_blocks(blocks, parity)
+        assert half.tobytes() == full.tobytes()
+        assert not half[:, t.blades[1 - parity]].any()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_blocked_transforms_are_the_dense_transforms_bits(n):
+    # coefficients of one parity, at scales 1e-8..1e8, their other parity +0 or -0: to_blocks'
+    # blocks scattered into zeros are to_spinor's image, and from_blocks reads from_spinor's
+    # coefficients back, bit for bit; an element keeps the form its coefficients ask for
+    t = cl._tables(n)
+    rng = _rng(71 + n)
+    for parity in (0, 1):
+        for zero in (0.0, -0.0):
+            c = (rng.standard_normal((4, 1 << n)) + 1j * rng.standard_normal((4, 1 << n))) * 10.0 ** rng.integers(
+                -8, 9, (4, 1)
+            )
+            c[:, t.blades[1 - parity]] = zero
+            blocks, dense = t.to_blocks(c, parity), t.to_spinor(c)
+            assert blocks.shape == (4, 2, t.d // 2, t.d // 2)
+            assert np.stack([t.expand(b, parity) for b in blocks]).tobytes() == dense.tobytes()
+            assert t.from_blocks(blocks, parity).tobytes() == t.from_spinor(dense).tobytes()
+            u = cl.CliffordElement(n, c[0])
+            image, kept = u._kept_image()
+            assert kept == parity and image.tobytes() == blocks[0].tobytes()
+            assert u._image().tobytes() == dense[0].tobytes()
+
+
+def test_an_element_keeps_blocks_only_for_one_parity():
+    # the zero element is even; one nonzero coefficient of each parity makes an element D x D
+    rng = _rng(72)
+    for n in range(1, 11):
+        t = cl._tables(n)
+        assert cl.CliffordElement(n)._kept_image()[1] == 0
+        assert cl.basis_blade(n, 0b1)._kept_image()[1] == 1
+        assert cl.scalar(n, 2.0)._kept_image()[1] == 0
+        for u in (random_element(n, rng), cl.scalar(n, 1.0) + cl.basis_blade(n, 1 << (n - 1))):
+            image, parity = u._kept_image()
+            assert parity is None and image.shape == (t.d, t.d)
+            assert image.tobytes() == t.to_spinor(u.coeffs[None])[0].tobytes()
+
+
+def _parity_element(n, rng, parity):
+    """A random element whose coefficients of the other parity are all 0."""
+    u = random_element(n, rng)
+    return cl.CliffordElement(n, np.where(cl._tables(n).grades & 1 == parity, u.coeffs, 0.0))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_blocked_products_are_the_dense_products(n):
+    # one batched matmul of the stacks, the right one reversed for an odd left factor: block b of the
+    # product is block b of u times block b xor p of v, which the product keeps bit for bit, and
+    # which is the D x D product of the two scattered images.  From D = 8 on both GEMMs run on
+    # column counts that are multiples of four and sum each entry's nonzero terms in one order, so
+    # the bits agree; at D = 2 and 4 the D x D product and the h-column blocks take different
+    # complex kernels (OpenBLAS), whose sums agree to rounding
+    t = cl._tables(n)
+    rng = _rng(73 + n)
+    eps = np.finfo(float).eps
+    for p in (0, 1):
+        for q in (0, 1):
+            u, v = _parity_element(n, rng, p), _parity_element(n, rng, q)
+            a, b = u._kept_image()[0], v._kept_image()[0]
+            image, parity = cl.clifford_mul(u, v)._kept_image()
+            assert parity == p ^ q
+            assert image.tobytes() == np.stack([a[k] @ b[k ^ p] for k in (0, 1)]).tobytes()
+            got, dense = t.expand(image, parity), u._image() @ v._image()
+            if t.d >= 8:
+                assert got.tobytes() == dense.tobytes()
+            else:
+                bound = 4 * t.d * eps * np.abs(u._image()).max() * np.abs(v._image()).max()
+                assert np.abs(got - dense).max() <= bound
+            # the product's coefficients against the regular representation's
+            want = cl.gamma_matrix(u) @ v.coeffs
+            assert np.abs(cl.clifford_mul(u, v).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_product_with_a_dense_operand_is_dense(n):
+    # the blocked operand's image is scattered into zeros first: the D x D product of the two images
+    rng = _rng(74 + n)
+    for p in (0, 1):
+        u, w = _parity_element(n, rng, p), random_element(n, rng)
+        for x, y in ((u, w), (w, u)):
+            image, parity = cl.clifford_mul(x, y)._kept_image()
+            assert parity is None
+            assert image.tobytes() == (x._image() @ y._image()).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_is_inherited_through_chains_of_products(n):
+    # a product's parity is the xor of its factors'; its coefficients of the other parity read back
+    # as exact zeros, and the chain agrees with the chain of D x D products
+    rng = _rng(75 + n)
+    parities = rng.integers(0, 2, 6)
+    factors = [_parity_element(n, rng, int(p)) for p in parities]
+    chain, dense = factors[0], factors[0]._image()
+    for k, f in enumerate(factors[1:], start=1):
+        chain, dense = chain * f, dense @ f._image()
+        want = int(np.bitwise_xor.reduce(parities[: k + 1]))
+        assert chain._kept_image()[1] == want
+        c = chain.coeffs
+        assert not c[cl._tables(n).blades[1 - want]].any()
+        assert np.abs(chain._image() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -469,7 +587,10 @@ def test_spin_exp_of_an_exact_bivector_stays_on_the_half_spin_blocks(n):
     # Gamma(u) of an exact bivector is two half-spin blocks, and so is its exponential:
     # exactly nothing between the parity classes, and within rounding of the D x D one
     u = cl.random_bivector(n, _rng(65 + n)) * 2.0
-    image = cl.spin_exp(u).value._image()
+    g = cl.spin_exp(u).value
+    blocks, parity = g._kept_image()
+    assert parity == 0 and blocks.tobytes() == linalg.matrix_exp(u._kept_image()[0]).tobytes()
+    image = g._image()
     assert not image[_crosses_parity(image.shape[0])].any()
     dense = linalg.matrix_exp(u._image())
     assert np.abs(image - dense).max() <= 1e-13 * np.abs(dense).max()
@@ -514,10 +635,10 @@ def test_twisted_images_of_g_with_odd_residue_take_the_full_read_back(monkeypatc
     g = cl.SpinElement(noisy)
     want = _full_twisted_images(g.value, g._alpha, g._threshold)
 
-    def refuse(self, gamma):
+    def refuse(self, blocks, parity):
         raise AssertionError("g with an odd residue takes the full read-back")
 
-    monkeypatch.setattr(cl._Tables, "from_odd_spinor", refuse)
+    monkeypatch.setattr(cl._Tables, "from_blocks", refuse)
     assert cl.vector_action(g).tobytes() == want.tobytes()
 
 

@@ -130,6 +130,32 @@ def test_lone_entry_product_of_an_empty_row_is_plus_zero():
         assert not np.signbit(got.view(np.float64)[..., 0, :]).any()
 
 
+def test_lone_entry_tables_record_unit_weights():
+    # gl's pairing, dual and span hold weights of exactly 1 only, recorded as None, and their rows
+    # are gathered unscaled; so's and the sl2 irreps' spans keep their weights
+    for n in (1, 2, 3, 12):
+        rep = catalog.make_gl(n)
+        assert [lone[1] for lone in (rep._pairing_lone, rep._dual_lone, rep._span_lone)] == [None] * 3
+    for rep in (catalog.make_so(4), catalog.make_sl2_irrep(3)):
+        assert rep._span_lone[1] is not None
+    rng = _rng(61)
+    c = _random_complex(rng, (3, 4))
+    unit = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert linalg.lone_entries(unit)[1] is None
+    assert linalg.left_product(unit, c, linalg.lone_entries(unit)).tobytes() == c[[1, 0]].tobytes()
+
+
+def test_lone_entry_product_of_a_non_unit_table_still_scales():
+    # one weight of 2 among ones keeps the whole column of weights, and the gathered rows are scaled
+    a = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    lone = linalg.lone_entries(a)
+    assert lone[1].tolist() == [[1.0], [2.0], [-1.0]]
+    c = _random_complex(_rng(62), (3, 2))
+    got = linalg.left_product(a, c, lone)
+    assert np.array_equal(got, np.stack([c[1], 2.0 * c[0], -c[2]]))
+    assert got.tobytes() == linalg.left_product(a, c).tobytes()
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -329,6 +355,47 @@ def test_norm_whose_squares_overflow_is_warning_free():
     # along an axis: the first column's squares overflow, the second's do not
     got = linalg.norms(np.array([[1.3e154 + 1.3e154j, 1.0], [0.0, 1.0]]), axis=0)
     assert got.tolist() == [1.8384776310850235e154, np.sqrt(2)]
+
+
+def test_norm_below_the_underflow_scale_takes_no_numpy_norm(monkeypatch):
+    # a whole array whose sum of squares is under tiny/eps goes straight to the scaled norm, with
+    # the bits of numpy's norm of it times 2^-e scaled back, and calls np.linalg.norm not at all
+    rng = np.random.default_rng(6)
+    cases = [np.full(1024, 1e-170), np.full(4, 5e-324), np.array([0.0, 5e-324j]), 1e-170 * linalg.complex_normal(rng, (3, 5))]
+    cases.append(cases[-1].T)  # a strided view, read in memory order
+    want = []
+    for a in cases:
+        shrink = np.ldexp(1.0, 1 - np.frexp(np.abs(a).max(initial=2.0**-1022))[1])
+        want.append(np.linalg.norm(a * shrink) / shrink)
+    calls = []
+    numpy_norm = np.linalg.norm
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return numpy_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", count)
+    got = [linalg.norm(a) for a in cases]
+    assert not calls
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_shrink_of_a_whole_array_is_the_ufunc_formulas_bits():
+    # math.frexp and math.ldexp of the top modulus give np.frexp's and np.ldexp's bits, as a float
+    def ufunc_shrink(a):
+        top = np.abs(a).max(initial=2.0**-1022)
+        return np.ldexp(1.0, 1 - np.frexp(top)[1])
+
+    tops = [2.0**k * f for k in range(-1074, 1024) for f in (1.0, 1.5)]
+    tops = [t for t in tops if np.isfinite(t)] + [np.nextafter(2.0**k, 0.0) for k in range(-1073, 1024)]
+    tops.append(np.finfo(float).max)
+    cases = [np.array([t, -0.5 * t]) for t in tops] + [np.array([t * 1j]) for t in tops[::7]]
+    cases += [np.zeros(5), np.zeros((2, 3), dtype=complex), np.array([1.0, np.inf]), np.array([np.nan, 1.0])]
+    cases += [np.array([complex(1.0, -np.inf)]), np.array([complex(np.nan, 0.0)]), (1e-300, 2e-300j)]
+    for a in cases:
+        got = linalg._shrink(a)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ufunc_shrink(a)).tobytes(), a
 
 
 def test_determinant_identity():

@@ -1461,7 +1461,8 @@ def test_kept_arrays_are_real_for_a_real_basis_and_read_only():
             assert kept.dtype == want
             assert not kept.flags.writeable
         for lone in (rep._pairing_lone, rep._dual_lone, rep._span_lone):
-            assert lone is None or not any(kept.flags.writeable for kept in lone)
+            # weights is None where every weight is exactly 1
+            assert lone is None or not any(kept.flags.writeable for kept in lone if kept is not None)
 
 
 @pytest.mark.parametrize(
