@@ -6,8 +6,8 @@ asymptotic speed.  Eigenvalues, solves and determinants are delegated to
 LAPACK via numpy.linalg; clustering, functions of a matrix that are constant
 on its eigenvalue clusters, the matrix exponential and companion-matrix root
 finding are built on top.  Eigenvalues and polynomial roots share one
-transitive clustering rule (dedup_roots); spectral measures the gap between
-eigenvalue clusters in the pass that forms them, and every Jordan-type factor
+transitive clustering rule (dedup_roots) on one distance matrix, where spectral
+also reads the gap between eigenvalue clusters, and every Jordan-type factor
 is one SpectralDecomposition.apply call (a simple spectrum is its own
 semisimple part, which takes none).  A polynomial is a plain array of
 ascending complex coefficients, and poly_roots polishes every root at once:
@@ -429,33 +429,45 @@ def dedup_roots(values, tol=ROOT_DEDUP_TOL):
     tol[i] per value (a pair joins below the larger of its two).
 
     Two values share a cluster when a chain of values, each closer than tol
-    to the next, joins them, so the clusters do not depend on input order.
-    Clusters are numbered by their first member.  Returns (representatives,
-    labels): the list labels[i] is the cluster number of values[i], a cluster's
-    representative is the mean of its members in index order, and a
-    singleton's is its value unchanged.
+    to the next, joins them, so the clusters do not depend on input order;
+    a NaN value is a singleton.  The pairs are read off one distance matrix
+    (_clusters), which also gives spectral its gap.  Clusters are numbered by
+    their first member.  Returns (representatives, labels): the list labels[i]
+    is the cluster number of values[i], a cluster's representative is the
+    mean of its members in index order, and a singleton's is its value
+    unchanged.
     """
-    v = np.asarray(values, dtype=complex).ravel()
-    points = v.tolist()
-    tols = np.broadcast_to(tol, v.shape).tolist()
-    # label[i] is the index of the first member of i's cluster so far
-    label = list(range(len(points)))
-    for i, z in enumerate(points):
-        for j in range(i):
-            if label[j] != label[i] and abs(z - points[j]) < max(tols[i], tols[j]):
-                keep, drop = sorted((label[i], label[j]))
-                label = [keep if lab == drop else lab for lab in label]
-    members: dict[int, list[int]] = {}
-    for i, lab in enumerate(label):
-        members.setdefault(lab, []).append(i)
-    number = {first: k for k, first in enumerate(members)}
-    reps = [points[idx[0]] if len(idx) == 1 else np.mean(v[idx]) for idx in members.values()]
-    return np.array(reps, dtype=complex), [number[lab] for lab in label]
+    return _clusters(np.asarray(values, dtype=complex).ravel(), tol)[:2]
+
+
+def _clusters(v: np.ndarray, tol):
+    """dedup_roots of the 1-d v and the distances it reads, inf within a cluster: np.hypot of the
+    differences, complex abs() bit for bit (np.abs of complex arrays can differ in the last ulp).  Over
+    the close pairs only, each value takes the smallest label of its pairs until none changes: its
+    cluster's first member."""
+    k = v.size
+    diff = v[:, None] - v
+    dist = np.hypot(diff.real, diff.imag)
+    dist.flat[:: k + 1] = np.inf
+    tol = np.asarray(tol)
+    close = dist < (np.maximum(tol[:, None], tol) if tol.ndim else tol)
+    label = list(range(k))
+    if not np.count_nonzero(close):
+        return v.copy(), label, dist
+    pairs = list(zip(*np.nonzero(close)))
+    while any(label[j] < label[i] for i, j in pairs):
+        for i, j in pairs:
+            label[i] = min(label[i], label[j])
+    number: dict[int, int] = {}  # first member -> cluster number, in order of first members
+    labels = [number.setdefault(first, len(number)) for first in label]
+    reps = np.array([v[f] if label.count(f) == 1 else np.mean(v[np.equal(label, f)]) for f in number], dtype=complex)
+    dist[np.equal.outer(label, label)] = np.inf
+    return reps, labels, dist
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues of `matrix` clustered by dedup_roots, sorted by real then
+    """Eigenvalues of `matrix` clustered by dedup_roots' rule, sorted by real then
     imaginary part, with multiplicities[k] the number of eigenvalues in
     cluster k.
 
@@ -501,10 +513,10 @@ class SpectralDecomposition:
         return result
 
     def semisimple_part(self) -> Matrix:
-        """apply(eigenvalues), or a copy of matrix where every cluster is one eigenvalue: the
-        interpolant of f(lambda) = lambda on n distinct nodes is lambda itself, so a simple
-        spectrum is its own semisimple part (Higham 2008, ch. 1), with no Newton product."""
-        if max(self.multiplicities) == 1:
+        """apply(eigenvalues), or a copy of matrix where every cluster is one eigenvalue (an empty
+        spectrum too): the interpolant of f(lambda) = lambda on n distinct nodes is lambda itself, so
+        a simple spectrum is its own semisimple part (Higham 2008, ch. 1), with no Newton product."""
+        if max(self.multiplicities, default=1) == 1:
             return self.matrix.copy()
         return self.apply(self.eigenvalues)
 
@@ -512,7 +524,7 @@ class SpectralDecomposition:
 def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Eigenvalues of a clustered at threshold cluster_tol * ||a|| (the zero
     matrix's threshold is 0: its n zero eigenvalues are one cluster), kept on
-    the result as its threshold beside the gap between its clusters.
+    the result as its threshold beside the gap between its clusters (both from _clusters' distances).
 
     Only the eigenvalues are computed here; SpectralDecomposition.apply
     evaluates a function of a that is constant on each cluster when asked.
@@ -531,10 +543,6 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
     threshold = cluster_tol * norm(a)
-    reps, labels = dedup_roots(raw, threshold if a.any() else np.inf)
-    diff = raw[:, None] - raw
-    # hypot matches the scalar abs() of numpy complex bit for bit; np.abs on
-    # complex arrays can differ in the last ulp
-    gap = np.hypot(diff.real, diff.imag)[np.not_equal.outer(labels, labels)].min(initial=np.inf)
-    order = np.lexsort((reps.imag, reps.real))
-    return SpectralDecomposition(a, reps[order], np.bincount(labels)[order].tolist(), threshold, float(gap))
+    reps, labels, dist = _clusters(raw, threshold if a.any() else np.inf)
+    order, gap = np.lexsort((reps.imag, reps.real)), float(dist.min(initial=np.inf))
+    return SpectralDecomposition(a, reps[order], np.bincount(labels)[order].tolist(), threshold, gap)

@@ -458,7 +458,7 @@ def _spectral_checked(m: np.ndarray, cluster_tol: float) -> linalg.SpectralDecom
 
 
 def _unipotent_split(g, cluster_tol: float):
-    """Checked spectrum of the invertible g with its factors g_s, g_u = g_s^-1 g."""
+    """Checked spectrum of the invertible g with g_s and g_u = g_s^-1 g (a copy of g and 1 if simple)."""
     m = _mat(g)
     dec = _spectral_checked(m, cluster_tol)
     moduli = np.abs(dec.eigenvalues)
@@ -467,11 +467,13 @@ def _unipotent_split(g, cluster_tol: float):
     smallest, threshold = moduli.min(), SINGULAR_TOL * moduli.max()
     raise_if(smallest < threshold, SingularMatrix, "element is numerically singular: |eigenvalue|", smallest, threshold)
     gs = dec.semisimple_part()
+    if max(dec.multiplicities, default=1) == 1:  # g_s is a copy of g: g_u is exactly 1, with no solve
+        return dec, gs, np.eye(len(m), dtype=complex)
     return dec, gs, linalg.solve_linear(gs, m, "semisimple part")
 
 
 def multiplicative_jordan(g, cluster_tol: float = linalg.CLUSTER_TOL):
-    """Split g = g_s g_u into commuting semisimple and unipotent parts."""
+    """Split g = g_s g_u into commuting semisimple and unipotent parts (g and 1 for a simple spectrum)."""
     _, gs, gu = _unipotent_split(g, cluster_tol)
     return gs, gu
 
@@ -488,7 +490,7 @@ def ehu_decomposition(g, cluster_tol: float = linalg.CLUSTER_TOL):
 
     g_e and g_h are the functions of g equal to the phase lambda/|lambda| and
     the modulus |lambda| on each eigenvalue cluster; like g_s they are
-    polynomials in g, so all three factors commute.
+    polynomials in g, so all three factors commute; g_u is exactly 1 for a simple spectrum.
     """
     dec, _, gu = _unipotent_split(g, cluster_tol)
     r = np.abs(dec.eigenvalues)

@@ -639,6 +639,108 @@ def test_dedup_roots_transitive_and_order_free(seed, n_centres, size):
         assert abs(perm_reps[k] - rep) <= 1e-15 * (1.0 + abs(rep))
 
 
+def _pairwise_dedup_roots(values, tol):
+    """The pairwise loop dedup_roots replaced, kept as its reference: relabel on
+    every close pair, |z_i - z_j| < max(tol_i, tol_j) by Python's complex abs."""
+    v = np.asarray(values, dtype=complex).ravel()
+    points = v.tolist()
+    tols = np.broadcast_to(tol, v.shape).tolist()
+    label = list(range(len(points)))
+    for i, z in enumerate(points):
+        for j in range(i):
+            if label[j] != label[i] and abs(z - points[j]) < max(tols[i], tols[j]):
+                keep, drop = sorted((label[i], label[j]))
+                label = [keep if lab == drop else lab for lab in label]
+    members: dict[int, list[int]] = {}
+    for i, lab in enumerate(label):
+        members.setdefault(lab, []).append(i)
+    number = {first: k for k, first in enumerate(members)}
+    reps = [points[idx[0]] if len(idx) == 1 else np.mean(v[idx]) for idx in members.values()]
+    return np.array(reps, dtype=complex), [number[lab] for lab in label]
+
+
+# grid step 2^-10: grid neighbours are exactly STEP apart, so the tolerances below sit just below,
+# at and just above that distance, and the comparison must be strict
+STEP = 2.0**-10
+NEAR_STEP = [np.nextafter(STEP, 0.0), STEP, np.nextafter(STEP, 1.0)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), max_size=10),
+    jitter=st.sampled_from([0.0, 0.3, 0.6]),
+    nans=st.sets(st.integers(0, 9), max_size=2),
+    tol=st.one_of(
+        st.sampled_from(NEAR_STEP + [1.5 * STEP, np.inf]),
+        st.lists(st.sampled_from(NEAR_STEP + [0.5 * STEP, 2.0 * STEP]), min_size=10, max_size=10),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dedup_roots_is_the_pairwise_loop_bit_for_bit(points, jitter, nans, tol, seed):
+    # chains along the grid at each tolerance, per-value tolerances (a pair joins below the
+    # larger of its two), NaN values and an infinite tolerance (spectral's zero matrix); k = 0..10
+    rng = _rng(seed)
+    values = STEP * (np.array([complex(a, b) for a, b in points]) + jitter * _random_complex(rng, len(points)))
+    values[[i for i in nans if i < values.size]] = complex(np.nan, 0.0)
+    tol = np.asarray(tol)[: values.size] if np.ndim(tol) else tol
+    reps, labels = linalg.dedup_roots(values, tol)
+    ref_reps, ref_labels = _pairwise_dedup_roots(values, tol)
+    assert labels == ref_labels and all(type(k) is int for k in labels)
+    assert reps.dtype == complex and reps.tobytes() == ref_reps.tobytes()
+
+
+def test_dedup_roots_edge_cases_are_the_pairwise_loop():
+    # chains that one relabelling step or sweep does not close, distance exactly tol (not joined),
+    # a pair that only its larger tolerance joins, NaN singletons, k = 0 and 1
+    cases = [
+        ([0.0, 1.0, STEP, 1.0 + STEP, 2 * STEP, 3 * STEP], np.nextafter(STEP, 1.0)),
+        ([0.0, 2 * STEP, 9.0, STEP], np.nextafter(STEP, 1.0)),
+        ([0.0, STEP], STEP),
+        ([0.0, STEP, 5.0], [0.5 * STEP, 2.0 * STEP, STEP]),
+        ([np.nan, 0.0, np.nan, 1e-12], np.inf),
+        ([], STEP),
+        ([1.0 + 2.0j], STEP),
+        ([1.0 + 2.0j], [STEP]),
+    ]
+    expected = [[0, 1, 0, 1, 0, 0], [0, 0, 1, 0], [0, 1], [0, 0, 1], [0, 1, 2, 1], [], [0], [0]]
+    for (values, tol), want in zip(cases, expected):
+        reps, labels = linalg.dedup_roots(values, tol)
+        ref_reps, ref_labels = _pairwise_dedup_roots(values, tol)
+        assert labels == ref_labels == want
+        assert reps.tobytes() == ref_reps.tobytes()
+
+
+def _pairwise_spectral(a, cluster_tol):
+    """spectral's eigenvalues, multiplicities and gap by the pairwise loop and a second matrix of differences."""
+    raw = np.linalg.eigvals(a)
+    reps, labels = _pairwise_dedup_roots(raw, cluster_tol * linalg.norm(a) if a.any() else np.inf)
+    diff = raw[:, None] - raw
+    gap = np.hypot(diff.real, diff.imag)[np.not_equal.outer(labels, labels)].min(initial=np.inf)
+    order = np.lexsort((reps.imag, reps.real))
+    return reps[order], np.bincount(labels)[order].tolist(), float(gap)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    centres=st.lists(st.integers(-2, 2), min_size=1, max_size=8),
+    spread=st.sampled_from([0.0, 1e-9, 1e-7, 1e-3]),
+    log_tol=st.sampled_from([-6.0, -3.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_gap_and_multiplicities_are_the_pairwise_formula(centres, spread, log_tol, seed):
+    # planted clusters: eigenvalues at a few centres, each moved by up to spread, conjugated
+    rng = _rng(seed)
+    n = len(centres)
+    lams = np.array(centres, dtype=complex) + spread * _random_complex(rng, n)
+    v = _random_complex(rng, (n, n)) + 3.0 * np.eye(n)
+    for a in (np.diag(lams), v @ np.diag(lams) @ np.linalg.inv(v)):
+        dec = linalg.spectral(a, 10.0**log_tol)
+        eigenvalues, mults, gap = _pairwise_spectral(a, 10.0**log_tol)
+        assert dec.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert dec.multiplicities == mults and all(type(m) is int for m in dec.multiplicities)
+        assert dec.gap == gap and type(dec.gap) is float
+
+
 # --- polynomial roots -------------------------------------------------------
 
 

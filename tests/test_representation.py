@@ -839,6 +839,17 @@ def test_zero_element_is_singular_outright():
             split(np.zeros((3, 3)))
 
 
+def test_an_empty_spectrum_is_simple():
+    # 0 x 0: no eigenvalue, so no cluster of more than one; the additive split is two 0 x 0
+    # arrays, and the multiplicative splits refuse it as the zero element (it has no eigenvalue to divide by)
+    assert linalg.spectral(np.zeros((0, 0))).multiplicities == []
+    xs, xn = rm.additive_jordan(np.zeros((0, 0)))
+    assert xs.shape == xn.shape == (0, 0)
+    for split in (rm.multiplicative_jordan, rm.ehu_decomposition):
+        with pytest.raises(SingularMatrix, match="^element is zero: every eigenvalue vanishes$"):
+            split(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("split", [rm.multiplicative_jordan, rm.additive_jordan, rm.ehu_decomposition], ids=lambda f: f.__name__)
 def test_jordan_splits_refuse_an_entry_whose_modulus_overflows(split):
     # spectral's refusal, by name and with no numpy warning (warnings are errors here)
@@ -849,30 +860,43 @@ def test_jordan_splits_refuse_an_entry_whose_modulus_overflows(split):
 PROJECT_REPS = [catalog.make_sl(6), catalog.make_so(12), catalog.make_gl(12)]
 
 
+def _no_solve(*args):
+    raise AssertionError("a simple spectrum takes no solve")
+
+
 @pytest.mark.parametrize("kind", ["generic", "hyperbolic", "cartan"])
 @pytest.mark.parametrize("rep", PROJECT_REPS, ids=lambda r: r.name)
-def test_a_simple_spectrum_is_its_own_semisimple_part(rep, kind):
-    # every cluster one eigenvalue: g_s is g bit for bit and g_u the one solve g^-1 g
-    for seed in range(3):
-        g = catalog.sample_element(rep, kind, seed).matrix
+def test_a_simple_spectrum_is_its_own_semisimple_part(rep, kind, monkeypatch):
+    # every cluster one eigenvalue: g_s is a copy of g, bit for bit, and g_u exactly 1, with no solve
+    samples = [catalog.sample_element(rep, kind, seed).matrix for seed in range(3)]
+    monkeypatch.setattr(linalg, "solve_linear", _no_solve)
+    eye = np.eye(rep.v_dim, dtype=complex)
+    for g in samples:
         assert max(linalg.spectral(g).multiplicities) == 1
         gs, gu = rm.multiplicative_jordan(g)
-        assert np.array_equal(gs, g)
-        assert np.linalg.norm(gs @ gu - g) <= 1e-14 * np.linalg.norm(g)
+        assert np.array_equal(gs, g) and not np.shares_memory(gs, g)
+        assert gu.dtype == complex and np.array_equal(gu, eye)
+        assert np.array_equal(rm.ehu_decomposition(g)[2], eye)
     x = rm.AlgebraVector(rep, linalg.complex_normal(_rng(3), rep.g_dim))
     xs, xn = rm.additive_jordan(x)
     assert np.array_equal(xs, x.matrix()) and not xn.any()
 
 
-def test_a_clustered_spectrum_keeps_its_interpolant():
-    # the sl3 Jordan element's double eigenvalue is one cluster: g_s is the Hermite interpolant, not g
+def test_a_clustered_spectrum_keeps_its_interpolant(monkeypatch):
+    # the sl3 Jordan element's double eigenvalue is one cluster: g_s is the Hermite interpolant, not g,
+    # and g_u the one solve g_s^-1 g
     g = _jordan_element(0)
     dec = linalg.spectral(g)
     assert sorted(dec.multiplicities) == [1, 2]
     interpolant = dec.apply(dec.eigenvalues)
     assert np.array_equal(dec.semisimple_part(), interpolant)
+    solves = []
+    solve = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b, what: solves.append(what) or solve(a, b, what))
     gs, gu = rm.multiplicative_jordan(g)
     assert np.array_equal(gs, interpolant) and np.linalg.norm(gu - np.eye(3)) > 0.1
+    assert np.array_equal(gu, solve(interpolant, g)) and np.array_equal(rm.ehu_decomposition(g)[2], gu)
+    assert solves == ["semisimple part"] * 2
     xs, xn = rm.additive_jordan(g)
     assert np.array_equal(xs, interpolant) and np.array_equal(xn, g - interpolant)
 
@@ -1068,11 +1092,12 @@ def test_adjoint_matrix_of_singular_element_raises_singular_matrix():
 
 
 def test_unipotent_split_with_singular_semisimple_part_raises_singular_matrix(monkeypatch):
-    # a singular g fails the eigenvalue check before the solve, so make the
-    # semisimple part of an invertible g exactly singular instead
+    # a singular g fails the eigenvalue check before the solve, so make the semisimple
+    # part of an invertible g exactly singular instead; only a clustered spectrum, here
+    # the defective [[2, 1], [0, 2]], takes the solve
     monkeypatch.setattr(linalg.SpectralDecomposition, "semisimple_part", lambda dec: np.zeros((2, 2), complex))
     with pytest.raises(SingularMatrix, match="semisimple part is singular"):
-        rm.multiplicative_jordan(np.diag([1.0, 2.0]))
+        rm.multiplicative_jordan(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_adjoint_matrix_rejects_conjugates_outside_the_span():
