@@ -56,6 +56,13 @@ action, the bivector/skew isomorphism, and the classical Cayley transform
 b -> (1-b)(1+b)^{-1}; the lifts of a rotation T are composed from them,
 +-sqrt(det(1 + T)) 2^(-n/2) exterior_exp(-2 tau_inv(cayley_gamma(T))).  Binary
 operations take their second operand through _coerce (DimensionMismatch).
+
+The twisted images g z_j alpha(g), which decide membership in the spin group
+and give the rotation T(g), are read off the inverse transform before its
+gather into blade order: each coefficient is one entry of the Hadamard
+product times the phase w_I^*/D, of modulus 1/D, so T takes the n vector
+entries times their phases and each residual is the norm of the other Cl_n
+entries over D, with no (n, 2^n) coefficient array.
 """
 
 from __future__ import annotations
@@ -128,10 +135,10 @@ class _Tables:
         self.hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0)
         # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[r, c] is
         # entry [c, r xor c] of H times the (z, x) array, and the array that
-        # from_spinor transforms holds gamma[x xor c, c] at [c, x]
+        # from_spinor and inverse_rows transform holds gamma[x xor c, c] at [c, x]
         xor = r[:, None] ^ r[None, :]
         self.to_gather = (r[None, :] * d + xor).ravel()
-        self.from_gather = (xor * d + r[:, None]).ravel()
+        self.from_gather = xor * d + r[:, None]
         # the half-spin structure: every Pauli string of a blade of grade k has popcount(x) = k mod 2,
         # so an element of one parity p keeps (p = 0) or flips (p = 1) the parity of the basis index,
         # and its image is two h x h blocks (h = D/2): block b maps half b ^ p to half b, the rows
@@ -155,6 +162,14 @@ class _Tables:
         self.read_gather = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
         bz, bx = np.divmod(self.pos, d)
         self.read_pos = tuple(bz * (h + 1) + np.where(g & 1 == parity, rank[bx], h) for parity in (0, 1))
+        # what _twisted_images reads off inverse_rows, flat per row: the n vectors' entries and the other Cl_n
+        # blades', of D x D images (key None) at pos, and of odd blocks (key 1), which hold the odd blades alone
+        vectors, others = 1 << np.arange(n), g != 1
+        odd_pos = bz * h + rank[bx]
+        self.twisted_at = {
+            None: (self.pos[vectors], self.pos[others]),
+            1: (odd_pos[vectors], odd_pos[others & (g & 1 == 1)]),
+        }
         # generator k + 1 is the signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c], odd:
         # the flat indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values,
         # whose zero parts are +0 as to_blocks forms them
@@ -191,11 +206,24 @@ class _Tables:
         p = self._hadamard_rows((coeffs.take(self.src, axis=1) * self.phase).reshape(k, d, d))
         return p.reshape(k, d * d).take(self.to_gather, axis=1).reshape(k, d, d)
 
+    def inverse_rows(self, images: list, parity: int | None) -> np.ndarray:
+        """The inverse transform of a list of k kept images up to its gather into blade order: H times
+        the (z, x) array read off each image, gathered straight into its row, with no stack of the
+        images, (k, D, D) for D x D images (parity None), else (k, D, h) on the h masks x of the
+        blocks' parity.  Blade I's entry is D w_I times its coefficient, so of modulus D times it."""
+        gather = self.from_gather if parity is None else self.read_gather[parity]
+        a = np.empty((len(images), *gather.shape), dtype=complex)
+        for row, image in zip(a, images):
+            # in-range indices: mode "clip" writes into row directly, where "raise" buffers the output
+            image.take(gather, out=row, mode="clip")
+        return self._hadamard_rows(a)
+
     def from_spinor(self, gamma: np.ndarray) -> np.ndarray:
-        """The (k, 2^n) coefficients u with Gamma(u) = gamma, for (k, D, D) gamma in the image."""
-        k, d = len(gamma), self.d
-        p = self._hadamard_rows(gamma.reshape(k, d * d).take(self.from_gather, axis=1).reshape(k, d, d))
-        return p.reshape(k, d * d).take(self.pos, axis=1) * self.unphase
+        """The (k, 2^n) coefficients u with Gamma(u) = gamma, for (k, D, D) gamma in the image: inverse_rows
+        of a stack, gathered by one take, then into blade order."""
+        k = len(gamma)
+        p = self._hadamard_rows(gamma.reshape(k, -1).take(self.from_gather, axis=1))
+        return p.reshape(k, -1).take(self.pos, axis=1) * self.unphase
 
     def to_blocks(self, coeffs: np.ndarray, parity: int) -> np.ndarray:
         """The (k, 2, h, h) blocks of Gamma(u) for each row of the (k, 2^n) coefficients, all of the
@@ -207,7 +235,8 @@ class _Tables:
         """from_spinor of the images whose (k, 2, h, h) blocks of the given parity are blocks, read
         on the h masks x of that parity only: half the gather and half the Hadamard columns.  The
         coefficients of that parity are from_spinor's, bit for bit, and the others zeros, which
-        from_spinor reads as exact zeros times the same phases."""
+        from_spinor reads as exact zeros times the same phases: they read a zero column beside the
+        h masks, which fixes their signed zeros (inverse_rows, which reads one parity, has none)."""
         k, h = len(blocks), self.d // 2
         a = np.zeros((k, self.d, h + 1), dtype=complex)
         a[..., :h] = blocks.reshape(k, -1).take(self.read_gather[parity], axis=1)
@@ -216,7 +245,8 @@ class _Tables:
         return out
 
     def read_back(self, images: np.ndarray, parity: int | None) -> np.ndarray:
-        """The coefficients of a stack of kept images: (k, D, D) for parity None, else blocks."""
+        """The coefficients of a stack of kept images: (k, D, D) for parity None, else blocks.  A
+        reader of a few coefficients per row (the twisted images) takes inverse_rows instead."""
         return self.from_spinor(images) if parity is None else self.from_blocks(images, parity)
 
     def expand(self, blocks: np.ndarray, parity: int) -> np.ndarray:
@@ -547,7 +577,9 @@ class SpinElement:
     image, and the threshold SPIN_TOL max(1, |g|)^2 once, and keeps both.
     Where g keeps even blocks, as spin_exp's results do, its coefficients and
     those of g alpha(g) are read back on the even masks alone, and alpha(g),
-    whose odd coefficients are then exact zeros, keeps even blocks too.
+    whose odd coefficients are then exact zeros, keeps even blocks too; such
+    a g has no odd residue to measure.  A g alpha(g) that overflows (from
+    |g| ~ 1e154) is refused by name, at |g|.
     """
 
     __slots__ = ("value", "_alpha", "_threshold")
@@ -563,18 +595,22 @@ class SpinElement:
         if not np.isfinite(c).all():
             raise NotInSpin("coefficients contain non-finite entries")
         norm = g.norm()
-        odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
-        raise_if(odd > DEGREE_TOL * norm, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * norm)
+        # even blocks read back an exact 0 on every odd blade, so only a g kept otherwise has an odd residue
+        if g._kept is None or g._kept[1] != 0:
+            odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
+            raise_if(odd > DEGREE_TOL * norm, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * norm)
         scale = max(1.0, norm)
         self._threshold = threshold = SPIN_TOL * scale * scale
         raise_if(threshold == np.inf, NotInSpin, "membership threshold overflows: norm", scale, _MAX_SPIN_NORM)
         self._alpha = ag = alpha(g)
-        # g alpha(g) - 1; entries that overflow (norms from ~1e154) fail the test
+        # g alpha(g) - 1, whose entries overflow from norms of ~1e154; its norm is finite just where they all are
         with np.errstate(over="ignore", invalid="ignore"):
             diff = (g * ag).coeffs.copy()
         diff[0] -= 1.0
         unit = linalg.norm(diff)
-        raise_if(not unit <= threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
+        if not np.isfinite(unit):
+            raise NotInSpin(f"g alpha(g) is not finite: it overflows at |g| {norm:.2e}")
+        raise_if(unit > threshold, NotInSpin, "g alpha(g) != 1: residual", unit, threshold)
         _twisted_images(g, ag, threshold)
 
     @property
@@ -614,28 +650,42 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
 
 
+def _twisted_rows(g: CliffordElement, ag: CliffordElement) -> tuple[np.ndarray, int | None]:
+    """(rows, parity): inverse_rows of the n products g z_j ag, flat as (n, -1), and their parity, 1 for
+    odd blocks (g and ag even blocks) or None for D x D; g and ag keep images of one parity, as a g and
+    its alpha(g) do.  The products are freed on return."""
+    n, t = g.n, _tables(g.n)
+    kept = [(g * CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
+    parity = kept[0][1]
+    return t.inverse_rows([image for image, _ in kept], parity).reshape(n, -1), parity
+
+
 def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
     """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
     images, odd signed permutations, are one scatter into a zeroed (n, 2, h,
-    h) stack of blocks.  The n product images go back by one read-back of n
-    rows: the residuals are the row norms of its non-vector coefficients, and
-    the columns are its vector ones.  Where g and ag keep even blocks, the
-    products are odd blocks, read on the odd masks alone, to from_spinor's
-    bits; otherwise they are D x D and from_spinor reads all.
+    h) stack of blocks.  The n product images are read off one inverse_rows
+    call of n rows, which stops before the gather into blade order: no (n,
+    2^n) array is formed.  Coefficient I is the row's entry times w_I^*/D, so
+    the columns are the n vector entries times their phases, from_spinor's
+    bits, and each residual is the norm of the row's other Cl_n entries over
+    D, exact as every phase has modulus 1/D and D is a power of two.  Where g
+    and ag keep even blocks, the products are odd blocks, read on the odd
+    masks alone, whose entries are the odd blades; otherwise they are D x D,
+    read in full, and the residual takes every Cl_n blade but the vectors.
+    At odd n the padded blades of Cl_{n+1} stay out of it.
     """
     n = g.n
     t = _tables(n)
-    vectors = 1 << np.arange(n)
     # entries or residuals that overflow (norms from ~1e150) fail the test
     with np.errstate(over="ignore", invalid="ignore"):
-        kept = [(g * CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
-        w = t.read_back(np.stack([image for image, _ in kept]), kept[0][1])
-        columns = w[:, vectors].T.copy()
-        # zeroed in place, not copied: at n = 10 an (n, 2^n) array is 160 KB, above glibc's mmap threshold
-        w[:, vectors] = 0.0
-        resid = linalg.norms(w, axis=1)
+        rows, parity = _twisted_rows(g, ag)
+        vectors, others = t.twisted_at[parity]
+        columns = (rows.take(vectors, axis=1) * t.unphase[1 << np.arange(n)]).T.copy()
+        # rebound, so that the full rows are freed before the norm's two temporaries of the residual entries' size
+        rows = rows.take(others, axis=1)
+        resid = linalg.norms(rows, axis=1) / t.d
     failed = ~(resid <= threshold)
     j = int(np.argmax(failed))
     raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)

@@ -1,6 +1,7 @@
 """Clifford/exterior products, spin group, vector action and Cayley transform."""
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,7 +323,7 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # parity, so every row is a blocked one and none is D x D
     tables = cl._Tables
     mul, alpha = cl.clifford_mul, cl.alpha
-    rows = {"to": 0, "from": 0, "dense": 0, "mul": 0, "alpha": 0}
+    rows = {"to": 0, "from": 0, "twisted": 0, "dense": 0, "mul": 0, "alpha": 0}
 
     def count(name, dense, f):
         def counted(self, images, *parity):
@@ -332,6 +333,15 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
 
         return counted
 
+    # the twisted images are read off inverse_rows
+    inverse_rows = tables.inverse_rows
+
+    def count_inverse(self, images, parity):
+        rows["from"] += len(images)
+        rows["twisted"] += (parity == 1) * len(images)
+        rows["dense"] += (parity is None) * len(images)
+        return inverse_rows(self, images, parity)
+
     def count_mul(u, v):
         rows["mul"] += 1
         return mul(u, v)
@@ -340,9 +350,10 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
         rows["alpha"] += 1
         return alpha(u)
 
-    for name, to, frm in (("spinor", True, True), ("blocks", False, False)):
-        monkeypatch.setattr(tables, f"to_{name}", count("to", to, getattr(tables, f"to_{name}")))
-        monkeypatch.setattr(tables, f"from_{name}", count("from", frm, getattr(tables, f"from_{name}")))
+    for name, dense in (("spinor", True), ("blocks", False)):
+        monkeypatch.setattr(tables, f"to_{name}", count("to", dense, getattr(tables, f"to_{name}")))
+        monkeypatch.setattr(tables, f"from_{name}", count("from", dense, getattr(tables, f"from_{name}")))
+    monkeypatch.setattr(tables, "inverse_rows", count_inverse)
     monkeypatch.setattr(cl, "clifford_mul", count_mul)
     monkeypatch.setattr(cl, "alpha", count_alpha)
     g = cl.spin_exp(cl.random_bivector(n, _rng(24)))
@@ -350,7 +361,10 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     assert np.linalg.norm(t.T @ t - np.eye(n)) < 1e-10
     assert rows["mul"] == 4 * n + 1
     assert rows["to"] <= 2 * n + 3
-    assert rows["from"] <= 2 * n + 2
+    # g's and g alpha(g)'s coefficients, then n twisted images in validation and n more in vector_action,
+    # each one odd block row of inverse_rows
+    assert rows["from"] == 2 * n + 2
+    assert rows["twisted"] == 2 * n
     assert rows["dense"] == 0
     # validation keeps alpha(g) for vector_action
     assert rows["alpha"] == 1
@@ -613,29 +627,88 @@ def test_spin_exp_with_odd_noise_below_the_degree_tolerance_is_the_dense_exponen
     assert g.value._image().tobytes() == linalg.matrix_exp(u._image()).tobytes()
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_twisted_images_of_an_exactly_even_g_are_the_full_read_backs_bits(monkeypatch, n):
-    t = cl._tables(n)
-    g = cl.spin_exp(cl.random_bivector(n, _rng(67 + n)))
-    want = _full_twisted_images(g.value, g._alpha, g._threshold)
-    want_resid = linalg.norms(np.where(t.grades == 1, 0.0, _full_read_back(g.value, g._alpha)), axis=1)
+def _read_back_residuals(g, ag):
+    """The residuals as a full read-back gives them: the norms of the non-vector coefficients of the
+    products g z_j ag, formed as _twisted_images forms them and mapped back to all 2^n coefficients."""
+    n, t = g.n, cl._tables(g.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = [(g * cl.CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
+        w = t.read_back(np.stack([image for image, _ in kept]), kept[0][1])
+        return linalg.norms(np.where(t.grades == 1, 0.0, w), axis=1)
+
+
+def _record_residuals(monkeypatch, n):
+    """The list each row of residuals _twisted_images takes is appended to: the axis norms of its gathered
+    entries, each D times its coefficient in modulus, over D."""
     norms, resids = linalg.norms, []
 
     def record(a, axis=None):
         out = norms(a, axis)
         if axis == 1:
-            resids.append(out)
+            resids.append(out / cl._tables(n).d)
         return out
+
+    monkeypatch.setattr(cl.linalg, "norms", record)
+    return resids
+
+
+def _assert_residuals(got, want):
+    """The residuals of the gathered entries are the full read-back's within 2 eps relative: the same
+    squares, exactly scaled by the phases' 1/D, summed in another order."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * want)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_images_of_an_exactly_even_g_are_the_full_read_backs_bits(monkeypatch, n):
+    g = cl.spin_exp(cl.random_bivector(n, _rng(67 + n)))
+    want = _full_twisted_images(g.value, g._alpha, g._threshold)
+    want_resid = _read_back_residuals(g.value, g._alpha)
+    resids = _record_residuals(monkeypatch, n)
+    inverse_rows = cl._Tables.inverse_rows
 
     def refuse(self, gamma):
         raise AssertionError("an exactly even g takes the odd read-back")
 
-    monkeypatch.setattr(cl.linalg, "norms", record)
+    def refuse_d_by_d(self, images, parity):
+        if parity is None:
+            refuse(self, images)
+        return inverse_rows(self, images, parity)
+
+    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_d_by_d)
     monkeypatch.setattr(cl._Tables, "from_spinor", refuse)
-    scale = g._threshold / cl.SPIN_TOL
-    _assert_d_by_d_bits(cl.vector_action(g), want, n, scale)
+    _assert_d_by_d_bits(cl.vector_action(g), want, n, g._threshold / cl.SPIN_TOL)
     assert len(resids) == 1
-    _assert_d_by_d_bits(resids[0], want_resid, n, scale)
+    _assert_residuals(resids[0], want_resid)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_twisted_residuals_at_odd_n_leave_out_the_padded_blades(monkeypatch, n):
+    # odd n runs in Cl_{n+1}, whose blades outside Cl_n carry the products' rounding; the residual reads Cl_n
+    # alone, on the odd blocks of an exactly even g and on the D x D products of a g with an odd residue
+    g0 = cl.spin_exp(cl.random_bivector(n, _rng(71 + n))).value
+    for g in (cl.SpinElement(g0), cl.SpinElement(g0 + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * g0.norm()))):
+        want = _read_back_residuals(g.value, g._alpha)
+        assert (want > 0).all()
+        with monkeypatch.context() as m:
+            resids = _record_residuals(m, n)
+            cl.vector_action(g)
+        assert len(resids) == 1
+        _assert_residuals(resids[0], want)
+
+
+def test_vector_action_at_n_10_forms_no_coefficient_stack():
+    # the twisted images are read off the inverse transform's rows, so no (10, 2^10) complex array
+    # (160 KiB, above glibc's 128 KiB mmap threshold) is formed: the peak stays below two of them
+    g = cl.spin_exp(cl.random_bivector(10, _rng(72)))
+    cl.vector_action(g)
+    tracemalloc.start()
+    try:
+        cl.vector_action(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 * (1 << 10) * 16
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -644,11 +717,18 @@ def test_twisted_images_of_g_with_odd_residue_take_the_full_read_back(monkeypatc
     noisy = g0 + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * g0.norm())
     g = cl.SpinElement(noisy)
     want = _full_twisted_images(g.value, g._alpha, g._threshold)
+    inverse_rows = cl._Tables.inverse_rows
 
     def refuse(self, blocks, parity):
         raise AssertionError("g with an odd residue takes the full read-back")
 
+    def refuse_blocks(self, images, parity):
+        if parity is not None:
+            refuse(self, images, parity)
+        return inverse_rows(self, images, parity)
+
     monkeypatch.setattr(cl._Tables, "from_blocks", refuse)
+    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_blocks)
     assert cl.vector_action(g).tobytes() == want.tobytes()
 
 
@@ -1060,6 +1140,27 @@ def test_odd_degree_residue_is_the_norm_of_the_odd_part():
     assert exc.value.value == pytest.approx(np.sqrt(0.02), rel=1e-15)
 
 
+def test_only_a_g_kept_otherwise_than_as_even_blocks_takes_the_odd_residue_norm(monkeypatch):
+    # even blocks read back an exact 0 on every odd blade: validation takes |g| and |g alpha(g) - 1| alone
+    n = 6
+    g = cl.spin_exp(cl.random_bivector(n, _rng(73))).value
+    bare = cl.CliffordElement(n, g.coeffs)
+    norm, calls = linalg.norm, []
+    monkeypatch.setattr(cl.linalg, "norm", lambda a: calls.append(1) or norm(a))
+    cl.SpinElement(g)
+    assert len(calls) == 2
+    cl.SpinElement(bare)
+    assert len(calls) == 5
+    # an odd residue above DEGREE_TOL |g| is refused from bare coefficients and from a D x D image alike
+    noisy = bare + cl.basis_blade(n, 0b1) * (2 * cl.DEGREE_TOL * bare.norm())
+    for x in (noisy, noisy * cl.scalar(n, 1.0)):
+        assert x._kept is None or x._kept[1] is None
+        with pytest.raises(NotInSpin, match="odd-degree residue") as exc:
+            cl.SpinElement(x)
+        threshold = cl.DEGREE_TOL * x.norm()
+        assert exc.value.value == abs(x.coeffs[0b1]) > threshold == exc.value.threshold
+
+
 def test_spin_element_whose_threshold_overflows_is_refused_before_multiplying(monkeypatch):
     # one z1z2 coefficient of 1e300: SPIN_TOL |g|^2 is not finite, so no membership test can fail
     products = []
@@ -1071,11 +1172,11 @@ def test_spin_element_whose_threshold_overflows_is_refused_before_multiplying(mo
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_spin_element_whose_products_overflow_is_refused(n):
-    # exp(345i (z1z2 + 0.3 z1z3)) has norm ~1e155: its threshold is finite, but
-    # g alpha(g) overflows, and the NaN it leaves fails the test instead of passing it
+    # exp(345i (z1z2 + 0.3 z1z3)) has norm ~1.9e156: its threshold is finite, but
+    # g alpha(g) overflows, and it is refused by name, at |g|, not as a NaN residual
     u = cl.CliffordElement(n)
     u.coeffs[0b011], u.coeffs[0b101] = 345j, 0.3 * 345j
-    with pytest.raises(NotInSpin, match="residual nan"):
+    with pytest.raises(NotInSpin, match=r"^g alpha\(g\) is not finite: it overflows at \|g\| 1\.90e\+156$"):
         cl.spin_exp(u)
 
 
