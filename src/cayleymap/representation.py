@@ -25,7 +25,10 @@ whose coordinate columns c^T are the Jacobian), and the benchmark's
 call-shape rules (bench/spans.py COVERAGE_RULES) pin their one solve per
 call, a stacked one included.  The products M B_i for all i are one GEMM
 against the kept (v, v g) interleaved basis, and the B_i M of
-centralizer_dim one GEMM against the stack.
+centralizer_dim one GEMM against the stack.  centralizer_dim counts the
+centralizer of a group element with a simple, well-conditioned spectrum on
+its v spectral projectors, by one product with D and one with the stack
+(_commutant_pair), not on the g x g Ad(g) - 1.
 
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
@@ -506,16 +509,21 @@ def centralizer_dim(rep: Representation, x) -> int:
     Group elements use ker(Ad - 1), algebra vectors use ker(ad) = ker(L - R),
     where L and R are left and right multiplication by x; all are operators on
     coordinates, projected through the dual basis.  One rule counts the kernel
-    of the operator a - s in both cases: singular values below
+    of the operator a - s in every case: singular values below
     max(KERNEL_CUTOFF * sigma_max, 64 g eps cond(G) (|a|_F + |s|_F)).  The
     floor (_rounding_floor, shared with the closure check) is a few ulps of
     the operator's inputs, amplified by the Gram condition number; without
     it a central x, where a - s is pure rounding, would have its rounding
-    judged relative to itself.  An exactly zero
-    operator has the whole algebra as kernel.
+    judged relative to itself.  An exactly zero operator has all its
+    columns as kernel.
+
+    A group element takes adjoint_matrix first, for its refusals; where its
+    spectrum is simple and its eigenvectors well conditioned, a - s is the
+    (v^2, v) operator of _commutant_pair in place of Ad - 1.
     """
     if isinstance(x, GroupElement):
-        a, s = adjoint_matrix(rep, x), np.eye(rep.g_dim)
+        ad = adjoint_matrix(rep, x)
+        a, s = _commutant_pair(rep, x.matrix) or (ad, np.eye(rep.g_dim))
     elif isinstance(x, AlgebraVector):
         xm = rep.element_matrix(x.matrix())
         v, g = rep.v_dim, rep.g_dim
@@ -525,10 +533,55 @@ def centralizer_dim(rep: Representation, x) -> int:
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
     sv = np.linalg.svd(a - s, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return rep.g_dim
+    if sv[0] == 0.0:
+        return a.shape[1]
     floor = rep._rounding_floor(linalg.norm(a) + linalg.norm(s))
     return int(np.sum(sv < max(KERNEL_CUTOFF * sv[0], floor)))
+
+
+def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, s) on the commutant of m, for centralizer_dim, or None where m does not qualify.
+
+    A matrix with v distinct eigenvalues, m = P diag(lambda) P^-1, commutes
+    only with the polynomials in m (Gantmacher 1959, The Theory of Matrices,
+    vol. 1, ch. VIII), which its v spectral projectors p_k q_k^T span (q_k the
+    rows of P^-1).  Its centralizer in the algebra is therefore the algebra's
+    intersection with that span: the kernel of a - s, where the columns of a
+    are the projectors scaled to unit norm (row-major, (v^2, v)) and s their
+    projections through the dual basis.  A full basis (g = v^2) contains every
+    projector, and takes a zero a = s with no product.
+
+    m qualifies when its spectrum is simple by spectral's rule (every cluster
+    of _clusters at CLUSTER_TOL |m| a singleton, and the gap at least twice
+    that threshold, as _spectral_checked reads it), and its eigenvectors are
+    well conditioned: cond(P)^2 ROUNDING_FLOOR <= KERNEL_CUTOFF, cond(P) up to
+    ~2.65e3, so that the projectors' rounding stays below the cutoff.  cond(P)
+    is taken as its bound |P|_F |P^-1|_F = sqrt(v sum_k |q_k|^2): eig's p_k
+    have unit norm, so |q_k| is also the norm of p_k q_k^T.  Clustered and
+    near-defective spectra (the identity, central elements, unipotent
+    elements) and an eig or inverse that fails return None.
+    """
+    try:
+        eigenvalues, p = np.linalg.eig(m)
+    except np.linalg.LinAlgError:
+        return None
+    threshold = linalg.CLUSTER_TOL * linalg.norm(m)
+    reps, _, dist = linalg._clusters(eigenvalues, threshold)
+    if len(reps) < len(eigenvalues) or not dist.min(initial=np.inf) >= 2.0 * threshold:
+        return None
+    try:
+        q = linalg.inverse(p, "eigenvector matrix")
+    except SingularMatrix:
+        return None
+    sizes = linalg.norms(q, axis=1)
+    v = rep.v_dim
+    if not v * sizes @ sizes * linalg.ROUNDING_FLOOR <= KERNEL_CUTOFF:
+        return None
+    if rep.g_dim == v * v:
+        zero = np.zeros((v, v))
+        return zero, zero
+    a = (p[:, None, :] * (q / sizes[:, None]).T).reshape(v * v, v)  # a[i*v + j, k] = p[i, k] q[k, j] / |q_k|
+    return a, rep._span_columns(linalg.left_product(rep.dual.T, a, rep._dual_lone))
 
 
 def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:

@@ -740,7 +740,7 @@ def test_catalog_unipotent_samples_are_unipotent(fam, n, seed):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 7: the conjugated unipotent block's eigenvalues scatter by ~eps^(1/n) |g - 1|, far above "
+    reason="ROADMAP item 19: the conjugated unipotent block's eigenvalues scatter by ~eps^(1/n) |g - 1|, far above "
     "the cluster threshold, so spectral reads a simple spectrum and returns g_s = g, g_u = 1",
 )
 def test_catalog_unipotent_samples_have_unit_semisimple_parts_or_are_refused():
@@ -1290,6 +1290,48 @@ def test_centralizer_floor_keeps_regular_elements_regular(fam, n):
         assert rm.centralizer_dim(rep, rm.AlgebraVector(rep, e * rm.cayley(rep, linalg.matrix_exp(a)).coords)) == rank
     for seed in range(4):
         assert rm.centralizer_dim(rep, catalog.sample_element(rep, "generic", seed)) == rank
+
+
+def _ad_minus_one_dim(rep, g):
+    # the kernel rule on Ad(g) - 1, the g x g operator every group element took before the commutant route
+    a, s = rm.adjoint_matrix(rep, g), np.eye(rep.g_dim)
+    sv = np.linalg.svd(a - s, compute_uv=False)
+    return int(np.sum(sv < max(rm.KERNEL_CUTOFF * sv[0], rep._rounding_floor(linalg.norm(a) + linalg.norm(s)))))
+
+
+def test_centralizer_dim_decides_as_the_svd_of_ad_minus_one():
+    # a simple, well-conditioned spectrum is counted on its v spectral projectors, every other on Ad - 1:
+    # both routes must give the count of Ad - 1, at every scale of the element
+    keys = [("sl", n) for n in range(2, 9)] + [("so", n) for n in range(3, 9)] + [("gl", n) for n in range(1, 9)]
+    keys += [("sl2_irrep", m) for m in range(1, 6)] + [("sl", 10), ("so", 12), ("gl", 12)]
+    wrong = []
+    for rep in (catalog.make(*key) for key in keys):
+        for kind in ("generic", "hyperbolic", "elliptic", "cartan", "unipotent"):
+            for seed in range(3):
+                g0 = catalog.sample_element(rep, kind, seed).matrix
+                for scale in (1.0, 1e-8, 1e8):
+                    g = rm.GroupElement(scale * g0)
+                    got, want = rm.centralizer_dim(rep, g), _ad_minus_one_dim(rep, g)
+                    if got != want:
+                        wrong.append((rep.name, kind, seed, scale, got, want))
+    assert wrong == []
+
+
+def test_centralizer_dim_takes_the_g_by_g_svd_only_off_a_simple_spectrum(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(np.shape(a)) or svd(a, **kw))
+    sl10 = catalog.make_sl(10)
+    for rep in (sl10, catalog.make_so(12), catalog.make_gl(12)):
+        del shapes[:]
+        assert rm.centralizer_dim(rep, catalog.sample_element(rep, "generic", 1)) == rep.metadata["rank"]
+        assert (rep.g_dim, rep.g_dim) not in shapes
+    # the identity, the center of SL(3) and a unipotent sample end on Ad - 1
+    unipotent = catalog.sample_element(sl10, "unipotent", 0).matrix
+    for rep, g in [(SL3, np.eye(3)), (SL3, _scalar_root_of_unity(3).matrix), (sl10, unipotent)]:
+        del shapes[:]
+        rm.centralizer_dim(rep, rm.GroupElement(g))
+        assert shapes[-1] == (rep.g_dim, rep.g_dim)
 
 
 # --- restriction -------------------------------------------------------------------
