@@ -14,36 +14,32 @@ Jordan-Wigner generators
 make every blade a phase times a Pauli string, z_I = w_I X^x Z^z, and u maps
 to the D x D matrix Gamma(u) = sum_I u_I w_I X^x Z^z with D = 2^ceil(n/2);
 odd n is embedded in Cl_{n+1}, whose product keeps Cl_n.  Gamma(u) is one
-gather of u w into a D x D array by (z, x), one product from the left with
-the real +-1 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and
-O(D^3) flops; the inverse map is the same steps in reverse.  The Hadamard
-product is one real GEMM on the float view of the complex array, whose
-interleaved real and imaginary parts are 2D real columns.
-
-A CliffordElement holds its coefficients, its kept image, or both, each
-formed from the other on first need and then kept (the class docstring has
-the rules).  A product is one matmul of the kept images, Gamma(u v) =
-Gamma(u) Gamma(v), whose coefficients are mapped back only when read, so a
-chain of products maps each operand forward once and each result back at
-most once.  At odd n a kept image carries the rounding on blades outside
-Cl_n into the next product; the inverse map drops it.
+gather of u w into a (z, x) array, one product from the left with the real
++-1 Walsh-Hadamard matrix and one fixed gather, O(D^2) data and O(D^3)
+flops; the inverse map is the same steps in reverse.  The Hadamard product
+is one real GEMM on the float view of the complex array, whose interleaved
+real and imaginary parts are 2D real columns.
 
 Each generator flips the parity of the basis index c (popcount(x) of a
-blade of grade k is k mod 2), so Cl^0 is End S+ + End S- on the half-spin
-spaces of even and odd c (Lounesto, ch. 16): the image of an element of one
-parity is two h x h blocks, h = D/2, on the two half-spin spaces for an
-even element and between them for an odd one.  So the kept image has two
-forms.  An element whose coefficients of one parity are all exactly 0
-keeps the (2, h, h) stack of its blocks and that parity; it is formed on
-the h masks x of its parity alone, read back on them, and multiplied as one
-batched matmul of the stacks, a quarter of the D x D product's flops, the
-product's parity the xor of its factors'.  Every other element keeps the
-D x D image, and so does a product with a D x D factor.  The spin chain's
-elements all have one parity.  The spin exponential is the package's one
-matrix exponential, Pade scaling and squaring, on the image: Gamma(exp(u))
-= linalg.matrix_exp(Gamma(u)), six products, one solve and s squarings, s
-growing as log2 of the 1-norm of Gamma(u), on the two blocks of an exactly
-even u (D x D otherwise).
+blade of grade k is k mod 2), so Cl^0 is End S+ + End S- and Cl^1 is
+Hom(S+-, S-+) on the half-spin spaces of even and odd c (Lounesto, ch. 16):
+in the half-spin order, block [p, b] of Gamma(u), h x h with h = D/2, maps
+half b ^ p to half b, and the parity-p part of u has the blocks [p] alone.
+A CliffordElement keeps its coefficients, its image as the slices [p] of
+the parities its coefficients take, or both, each formed from the other on
+first need (the class docstring has the rules); a slice is formed and read
+back on the h masks x of its parity, an h-column Hadamard GEMM.  A product
+Gamma(u v) = Gamma(u) Gamma(v) sums over the parity pairs present, block b
+of parity p xor q taking block [p, b] of u times block [q, b xor p] of v,
+as one batched matmul: 2 h^3 = D^3/4 flops for the one pair of two
+elements of one parity each, as all of the spin chain's are.  Coefficients
+are mapped back only when read, so a chain of products maps each operand
+forward once and each result back at most once; at odd n a kept image
+carries the rounding on blades outside Cl_n into the next product, and the
+inverse map drops it.  The spin exponential is the package's one matrix
+exponential, linalg.matrix_exp, on the blocks of an exactly even u (on
+Gamma(u) as D x D otherwise): six products, one solve and s squarings, s
+growing as log2 of the 1-norm of Gamma(u).
 
 The wedge and the contraction are grade projections of the product
 (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
@@ -101,8 +97,7 @@ class _Tables:
 
     Every transform holds its arrays in the transposed (z, x) layout, so the
     symmetric Hadamard matrix H acts from the left: H times the float view of
-    each complex row, (D, 2D), or about (D, D) on the h masks x of one parity,
-    is one real GEMM.
+    each complex (D, h) slice, on the h masks x of one parity, is one real GEMM.
     """
 
     def __init__(self, n: int):
@@ -123,56 +118,46 @@ class _Tables:
             w = np.concatenate([w, w * (1j if y else 1.0) * np.where(z & gx, -1.0, 1.0)])
             x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
         self.d = d
-        # position of each blade in the (z, x) array, and the blade at each
-        # position; positions of blades outside Cl_n get phase 0
-        self.pos = (z * d + x)[: 1 << n]
-        src = np.argsort(z * d + x)
+        src = np.argsort(z * d + x)  # the blade at each position of the (z, x) array, phase 0 outside Cl_n
         kept = src < (1 << n)
-        self.src = np.where(kept, src, 0)
-        self.phase = np.where(kept, w[src], 0.0)
+        src, phase = np.where(kept, src, 0), np.where(kept, w[src], 0.0)
         self.unphase = np.conj(w[: 1 << n]) / d
         r = np.arange(d)
         self.hadamard = np.where(np.bitwise_count(r[:, None] & r[None, :]) & 1, -1.0, 1.0)
-        # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[r, c] is
-        # entry [c, r xor c] of H times the (z, x) array, and the array that
-        # from_spinor and inverse_rows transform holds gamma[x xor c, c] at [c, x]
-        xor = r[:, None] ^ r[None, :]
-        self.to_gather = (r[None, :] * d + xor).ravel()
-        self.from_gather = xor * d + r[:, None]
-        # the half-spin structure: every Pauli string of a blade of grade k has popcount(x) = k mod 2,
-        # so an element of one parity p keeps (p = 0) or flips (p = 1) the parity of the basis index,
-        # and its image is two h x h blocks (h = D/2): block b maps half b ^ p to half b, the rows
-        # halves[b] and columns halves[b ^ p] of Gamma, at the flat indices block_at[p]
+        # the half-spin order: halves[b] are the basis indices of parity b, rank[c] the place of c in its half;
+        # block [p, b] of a kept stack is Gamma's rows halves[b] and columns halves[b ^ p]
         h = d // 2
         half = np.bitwise_count(r) & 1
-        halves = np.argsort(half, kind="stable").reshape(2, h)
+        self.halves = halves = np.argsort(half, kind="stable").reshape(2, h)
         rank = np.empty(d, dtype=np.int64)
         rank[halves] = np.arange(h)
         self.blades = np.flatnonzero(g & 1 == 0), np.flatnonzero(g & 1)
-        rows, cols = halves[:, :, None], np.stack([halves, halves[::-1]])[:, :, None, :]
-        self.block_at = rows * d + cols
-        # to_blocks of parity p reads the (z, x) array on the h masks x of parity p, and block entry
-        # Gamma[row, col] at [col, row xor col] of H times it; from_blocks of parity p reads gamma[x
-        # xor c, c] at [c, x] off the blocks for those masks, beside a zero column h, and in its
-        # (D, h + 1) result each blade of parity p is at its (z, x), each other one in that column
+        rows, cols = self.cells((0, 1))
+        # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[row, col] is entry [col, row xor col] of H
+        # times the (z, x) array, row xor col of parity p in block [p]: slice p of the forward transform
+        # reads the (z, x) array on the h masks x of parity p and gathers its blocks from H times it;
+        # slice p of the inverse one reads gamma[x xor c, c] at [c, x] for those masks off its blocks
         cells = r[:, None] * d + halves[:, None, :]
-        self.block_src, self.block_phase = self.src[cells], self.phase[cells]
-        self.block_gather = cols * h + rank[rows ^ cols]
+        block = cols * h + rank[rows ^ cols]
         xr = halves[:, None, :] ^ r[:, None]
-        self.read_gather = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
-        bz, bx = np.divmod(self.pos, d)
-        self.read_pos = tuple(bz * (h + 1) + np.where(g & 1 == parity, rank[bx], h) for parity in (0, 1))
-        # what _twisted_images reads off inverse_rows, flat per row: the n vectors' entries and the other Cl_n
-        # blades', of D x D images (key None) at pos, and of odd blocks (key 1), which hold the odd blades alone
-        vectors, others = 1 << np.arange(n), g != 1
-        odd_pos = bz * h + rank[bx]
-        self.twisted_at = {
-            None: (self.pos[vectors], self.pos[others]),
-            1: (odd_pos[vectors], odd_pos[others & (g & 1 == 1)]),
-        }
-        # generator k + 1 is the signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c], odd:
-        # the flat indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values,
-        # whose zero parts are +0 as to_blocks forms them
+        read = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
+        bz, bx = np.divmod((z * d + x)[: 1 << n], d)
+        self.forward, self.inverse, self.twisted_at = {}, {}, {}
+        vectors, others = g == 1, g != 1
+        # one table of each per set of parities an element's coefficients can take
+        for parities in ((0,), (1,), (0, 1)):
+            p, slot = list(parities), np.arange(len(parities))
+            gather = block[p] + slot[:, None, None, None] * d * h
+            self.forward[parities] = src[cells[p]], phase[cells[p]], gather[0] if len(p) == 1 else gather
+            # the inverse rows are (D, len(parities) h), blade I at row z and at x's rank in its parity's slice
+            gather = np.concatenate([read[q] + s * 2 * h * h for s, q in enumerate(p)], axis=1)
+            blades = np.flatnonzero(np.isin(g & 1, p))
+            at = bz * len(p) * h + (g & 1) * (len(p) - 1) * h + rank[bx]
+            self.inverse[parities] = gather, blades, at[blades]
+            # what _twisted_images reads off these rows: the vectors' entries and the other Cl_n blades'
+            self.twisted_at[parities] = at[vectors], at[others & np.isin(g & 1, p)]
+        # generator k + 1 is the odd signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c]: the flat
+        # indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values (zero parts +0)
         q, y = np.divmod(np.arange(n), 2)
         gx, gz = 1 << q, (1 << (q + y)) - 1
         flipped = r ^ gx[:, None]
@@ -182,10 +167,6 @@ class _Tables:
         values.real[y == 0] = sign[y == 0]
         values.imag[y == 1] = sign[y == 1]
 
-    def _hadamard_rows(self, a: np.ndarray) -> np.ndarray:
-        """H a for each (D, c) complex row of the (k, D, c) a, as one real GEMM."""
-        return linalg.left_product(self.hadamard, a)
-
     def generator_blocks(self) -> np.ndarray:
         """The odd blocks of Gamma(z_1), ..., Gamma(z_n) as an (n, 2, h, h) stack: one scatter into zeros."""
         h = self.d // 2
@@ -193,66 +174,53 @@ class _Tables:
         out.put(self.generator_at, self.generator_values)
         return out
 
-    def parity(self, coeffs: np.ndarray) -> int | None:
-        """0 (even) or 1 (odd) where every coefficient of the other parity is exactly 0, the zero
-        element being even; None where both parities occur."""
+    def parity(self, coeffs: np.ndarray) -> tuple[int, ...]:
+        """The parities the coefficients take: (0,) or (1,) where every one of the other parity is
+        exactly 0, the zero element being even, and (0, 1) where both occur."""
         if not coeffs.take(self.blades[1]).any():
-            return 0
-        return None if coeffs.take(self.blades[0]).any() else 1
+            return (0,)
+        return (0, 1) if coeffs.take(self.blades[0]).any() else (1,)
 
-    def to_spinor(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gamma(u) of each row of the (k, 2^n) coefficients, as (k, D, D)."""
-        k, d = len(coeffs), self.d
-        p = self._hadamard_rows((coeffs.take(self.src, axis=1) * self.phase).reshape(k, d, d))
-        return p.reshape(k, d * d).take(self.to_gather, axis=1).reshape(k, d, d)
+    def cells(self, parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and columns of Gamma at each entry of a kept image of the given parities."""
+        halves = self.halves
+        cols = np.stack([halves, halves[::-1]])[:, :, None, :]
+        return halves[:, :, None], cols[parities[0]] if len(parities) == 1 else cols
 
-    def inverse_rows(self, images: list, parity: int | None) -> np.ndarray:
-        """The inverse transform of a list of k kept images up to its gather into blade order: H times
-        the (z, x) array read off each image, gathered straight into its row, with no stack of the
-        images, (k, D, D) for D x D images (parity None), else (k, D, h) on the h masks x of the
-        blocks' parity.  Blade I's entry is D w_I times its coefficient, so of modulus D times it."""
-        gather = self.from_gather if parity is None else self.read_gather[parity]
+    def dense(self, images: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
+        """Gamma as D x D from each kept image of the given parities: one scatter into zeros, which only
+        matrix_exp of an element of both parities needs."""
+        out = np.zeros(images.shape[: images.ndim - 2 - len(parities)] + (self.d, self.d), dtype=complex)
+        out[(..., *self.cells(parities))] = images
+        return out
+
+    def to_spinor(self, coeffs: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
+        """The kept images of the rows of the (k, 2^n) coefficients, whose coefficients of any other parity
+        are taken as 0: (k, 2, h, h) for one parity, (k, 2, 2, h, h) for both.  Each slice is H times the
+        (z, x) array on the h masks x of its parity, gathered into its blocks."""
+        src, phase, gather = self.forward[parities]
+        p = linalg.left_product(self.hadamard, (coeffs.take(src, axis=1) * phase).reshape(-1, self.d, self.d // 2))
+        return p.reshape(len(coeffs), -1).take(gather, axis=1)
+
+    def inverse_rows(self, images, parities: tuple[int, ...]) -> np.ndarray:
+        """The inverse transform of k kept images of the given parities up to its gather into blade
+        order: H times the (z, x) array read off each image, gathered straight into its row, with no
+        stack of the images, (k, D, len(parities) h) on the h masks x of each parity.  Blade I's entry
+        is D w_I times its coefficient, so of modulus D times it."""
+        gather = self.inverse[parities][0]
         a = np.empty((len(images), *gather.shape), dtype=complex)
         for row, image in zip(a, images):
             # in-range indices: mode "clip" writes into row directly, where "raise" buffers the output
             image.take(gather, out=row, mode="clip")
-        return self._hadamard_rows(a)
+        return linalg.left_product(self.hadamard, a)
 
-    def from_spinor(self, gamma: np.ndarray) -> np.ndarray:
-        """The (k, 2^n) coefficients u with Gamma(u) = gamma, for (k, D, D) gamma in the image: inverse_rows
-        of a stack, gathered by one take, then into blade order."""
-        k = len(gamma)
-        p = self._hadamard_rows(gamma.reshape(k, -1).take(self.from_gather, axis=1))
-        return p.reshape(k, -1).take(self.pos, axis=1) * self.unphase
-
-    def to_blocks(self, coeffs: np.ndarray, parity: int) -> np.ndarray:
-        """The (k, 2, h, h) blocks of Gamma(u) for each row of the (k, 2^n) coefficients, all of the
-        given parity: half the gather and half the Hadamard columns, to_spinor's entries bit for bit."""
-        p = self._hadamard_rows(coeffs.take(self.block_src[parity], axis=1) * self.block_phase[parity])
-        return p.reshape(len(coeffs), -1).take(self.block_gather[parity], axis=1)
-
-    def from_blocks(self, blocks: np.ndarray, parity: int) -> np.ndarray:
-        """from_spinor of the images whose (k, 2, h, h) blocks of the given parity are blocks, read
-        on the h masks x of that parity only: half the gather and half the Hadamard columns.  The
-        coefficients of that parity are from_spinor's, bit for bit, and the others zeros, which
-        from_spinor reads as exact zeros times the same phases: they read a zero column beside the
-        h masks, which fixes their signed zeros (inverse_rows, which reads one parity, has none)."""
-        k, h = len(blocks), self.d // 2
-        a = np.zeros((k, self.d, h + 1), dtype=complex)
-        a[..., :h] = blocks.reshape(k, -1).take(self.read_gather[parity], axis=1)
-        out = self._hadamard_rows(a).reshape(k, -1).take(self.read_pos[parity], axis=1)
+    def from_spinor(self, images, parities: tuple[int, ...]) -> np.ndarray:
+        """The (k, 2^n) coefficients of k kept images of the given parities: inverse_rows gathered into
+        blade order and times the phases, with the blades of any other parity exact zeros times them."""
+        _, blades, at = self.inverse[parities]
+        out = np.zeros((len(images), len(self.unphase)), dtype=complex)
+        out[:, blades] = self.inverse_rows(images, parities).reshape(len(images), -1).take(at, axis=1)
         out *= self.unphase
-        return out
-
-    def read_back(self, images: np.ndarray, parity: int | None) -> np.ndarray:
-        """The coefficients of a stack of kept images: (k, D, D) for parity None, else blocks.  A
-        reader of a few coefficients per row (the twisted images) takes inverse_rows instead."""
-        return self.from_spinor(images) if parity is None else self.from_blocks(images, parity)
-
-    def expand(self, blocks: np.ndarray, parity: int) -> np.ndarray:
-        """The D x D image whose (2, h, h) blocks of the given parity are blocks: one scatter into zeros."""
-        out = np.zeros((self.d, self.d), dtype=complex)
-        out.put(self.block_at[parity], blocks)
         return out
 
 
@@ -263,23 +231,50 @@ def _tables(n: int) -> _Tables:
     return _Tables(n)
 
 
+@functools.cache
+def _pairs(p: tuple[int, ...], q: tuple[int, ...]) -> tuple:
+    """(u's index, v's index, parities, twice) for _stack_product of images of parities p and q: pair by
+    pair, ordered by the parity p_i xor q_j of the term and then by i, u's slice i and v's slice j with
+    its halves in the order k xor p_i (basic slices for the one pair of p and q of one parity each);
+    the product's parities, and whether each is met by two pairs."""
+    pairs = sorted((pi ^ qj, i, j) for i, pi in enumerate(p) for j, qj in enumerate(q))
+    r, i, j = (np.array(a) for a in zip(*pairs))
+    parities = tuple(sorted(set(r.tolist())))
+    if len(pairs) == 1:
+        return np.s_[...], np.s_[..., :: 1 - 2 * p[0], :, :], parities, False
+    order = np.array(p)[i, None] ^ np.arange(2)
+    left = np.s_[..., None, :, :, :] if len(p) == 1 else np.s_[..., i, :, :, :]
+    right = np.s_[..., order, :, :] if len(q) == 1 else np.s_[..., j[:, None], order, :, :]
+    return left, right, parities, len(pairs) > len(parities)
+
+
+def _stack_product(a: np.ndarray, p: tuple[int, ...], b: np.ndarray, q: tuple[int, ...]):
+    """(image, parities) of Gamma(u) Gamma(v) from the kept images a of parities p and b of parities q,
+    over any leading axes: block k of parity p_i xor q_j takes block [i, k] of a times block [j, k xor
+    p_i] of b, every pair one batched matmul, and the two terms of a parity met twice are added."""
+    left, right, parities, twice = _pairs(p, q)
+    terms = a[left] @ b[right]
+    if twice:
+        terms = terms[..., ::2, :, :, :] + terms[..., 1::2, :, :, :]
+    return terms, parities
+
+
 class CliffordElement:
     """A multivector: its 2^n complex coefficients in bitmask blade order, its
     kept spinor image, or both.
 
-    The kept image takes one of two forms.  An element of one parity, whose
-    coefficients of the other parity are all exactly 0 (the zero element
-    counts as even), keeps the (2, h, h) stack of the two nonzero half-spin
-    blocks of Gamma, h = D/2, with that parity.  Any other element keeps the
-    D x D Gamma.  Parity is read from exact zeros when the image is formed
-    from coefficients, and a product's is the xor of its operands'; a product
-    with a D x D operand is D x D.  _image() is always D x D, scattering the
-    blocks into zeros when asked.
+    The kept image is Gamma's stack of h x h half-spin blocks, h = D/2, for
+    the parities its coefficients take, kept beside them as (0,), (1,) or
+    (0, 1): an element whose coefficients of one parity are all exactly 0
+    (the zero element counts as even) keeps the (2, h, h) slice of that
+    parity, any other element the (2, 2, h, h) stack of both.  Parities are
+    read from exact zeros when the image is formed from coefficients, and a
+    product's are the xors of its operands'.
 
     Built from coefficients, an element has no image until its first product
-    (or spin_exp) forms it with one to_spinor or to_blocks row.  Made by a
-    product or by spin_exp, it holds only its image until coeffs is first
-    read, which costs one from_spinor or from_blocks row.  Each representation
+    (or spin_exp) forms it with one to_spinor row.  Made by a product or by
+    spin_exp, it holds only its image until coeffs is first read, which
+    costs one from_spinor row.  Each representation
     is kept once formed.  From the moment an element has an image, its
     coefficient array is read-only, so an in-place write raises ValueError
     instead of leaving Gamma stale; a fresh element can be filled in place
@@ -304,16 +299,16 @@ class CliffordElement:
             self.coeffs = coeffs
 
     @classmethod
-    def _of_image(cls, n: int, image: np.ndarray, parity: int | None = None) -> "CliffordElement":
-        """The element whose kept image is image, as given: D x D for parity None, else the blocks of that parity."""
+    def _of_image(cls, n: int, image: np.ndarray, parities: tuple[int, ...]) -> "CliffordElement":
+        """The element whose kept image is image, the stack of the blocks of the given parities."""
         out = cls.__new__(cls)
-        out.n, out._coeffs, out._kept = n, None, (image, parity)
+        out.n, out._coeffs, out._kept = n, None, (image, parities)
         return out
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            c = _tables(self.n).read_back(self._kept[0][None], self._kept[1])[0]
+            c = _tables(self.n).from_spinor(self._kept[0][None], self._kept[1])[0]
             c.flags.writeable = False
             self._coeffs = c
         return self._coeffs
@@ -326,20 +321,15 @@ class CliffordElement:
             raise ValueError(f"expected {1 << self.n} coefficients, got {c.shape}")
         self._coeffs, self._kept = c.copy(), None
 
-    def _kept_image(self) -> tuple[np.ndarray, int | None]:
-        """(image, parity), the kept image; formed from the coefficients on first need, which freezes them."""
+    def _kept_image(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(image, parities), the kept image; formed from the coefficients on first need, which freezes them."""
         if self._kept is None:
             c = self._coeffs
             c.flags.writeable = False
             t = _tables(self.n)
-            parity = t.parity(c)
-            self._kept = (t.to_spinor(c[None]) if parity is None else t.to_blocks(c[None], parity))[0], parity
+            parities = t.parity(c)
+            self._kept = t.to_spinor(c[None], parities)[0], parities
         return self._kept
-
-    def _image(self) -> np.ndarray:
-        """Gamma of this element as D x D: the kept image, or its blocks scattered into zeros."""
-        image, parity = self._kept_image()
-        return image if parity is None else _tables(self.n).expand(image, parity)
 
     # -- ring structure --------------------------------------------------
 
@@ -450,33 +440,32 @@ def random_bivector(n: int, rng: np.random.Generator) -> CliffordElement:
 
 def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     """The Clifford product u v: the element whose image is Gamma(u) Gamma(v),
-    one matmul of the operands' kept images (an operand without one forms it
-    first, freezing its coefficients).  Two blocked operands of parities p and
-    q give blocks of parity p xor q: block b of the product is block b of u
-    times block b xor p of v, so the stacks multiply as one batched matmul,
-    v's reversed when u is odd, of 2 h^3 = D^3/4 flops.  A D x D operand makes
-    the product D x D, the other operand's blocks scattered into zeros first.
-    Its coefficients are one read-back row, formed when first read."""
+    _stack_product of the operands' kept images (an operand without one forms
+    it first, freezing its coefficients).  Two operands of parities p and q
+    give the blocks of parity p xor q, block b of u times block b xor p of v,
+    one batched matmul of 2 h^3 = D^3/4 flops.  Its coefficients are one
+    read-back row, formed when first read."""
     v = _coerce(u.n, v)
     a, p = u._kept_image()
     b, q = v._kept_image()
-    if p is None or q is None:
-        return CliffordElement._of_image(u.n, u._image() @ v._image())
-    return CliffordElement._of_image(u.n, a @ (b[::-1] if p else b), p ^ q)
+    image, parities = _stack_product(a, p, b, q)
+    return CliffordElement._of_image(u.n, image, parities)
 
 
 def exterior_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     """u ^ v = sum_r <sum_{p+q=r} u_p v_q>_r over the grade slices u_p, v_q;
-    row r of total sums the spinor products of total grade r."""
+    row r of total sums the spinor products of total grade r, the slices
+    kept with both parities so that one stack holds them all."""
     v = _coerce(u.n, v)
     t = _tables(u.n)
     n1 = u.n + 1
     slices = t.grades == np.arange(n1)[:, None]
-    gu, gv = np.split(t.to_spinor(np.concatenate([slices * u.coeffs, slices * v.coeffs])), 2)
+    both = (0, 1)
+    gu, gv = np.split(t.to_spinor(np.concatenate([slices * u.coeffs, slices * v.coeffs]), both), 2)
     total = np.zeros_like(gu)
     for p in range(n1):
-        total[p:] += gu[p] @ gv[: n1 - p]
-    return CliffordElement(u.n, t.from_spinor(total)[t.grades, np.arange(1 << u.n)])
+        total[p:] += _stack_product(gu[p], both, gv[: n1 - p], both)[0]
+    return CliffordElement(u.n, t.from_spinor(total, both)[t.grades, np.arange(1 << u.n)])
 
 
 # --- grade involutions and derivations ------------------------------------
@@ -495,8 +484,12 @@ def kappa(u: CliffordElement) -> CliffordElement:
 def _vector_split(x: CliffordElement, u: CliffordElement, sign: float) -> CliffordElement:
     """(x u + sign kappa(u) x) / 2 for a vector x, in one spinor round trip."""
     t = _tables(u.n)
-    gx, gu, gk = t.to_spinor(np.array([x.coeffs, u.coeffs, kappa(u).coeffs]))
-    return CliffordElement(u.n, t.from_spinor((gx @ gu + sign * (gk @ gx))[None])[0] / 2)
+    p, q = t.parity(x.coeffs), t.parity(u.coeffs)
+    gx = t.to_spinor(x.coeffs[None], p)[0]
+    gu, gk = t.to_spinor(np.array([u.coeffs, kappa(u).coeffs]), q)
+    left, parities = _stack_product(gx, p, gu, q)
+    right = _stack_product(gk, q, gx, p)[0]
+    return CliffordElement(u.n, t.from_spinor((left + sign * right)[None], parities)[0] / 2)
 
 
 def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
@@ -575,10 +568,10 @@ class SpinElement:
 
     value is fixed at construction; validation forms alpha(g), with its spinor
     image, and the threshold SPIN_TOL max(1, |g|)^2 once, and keeps both.
-    Where g keeps even blocks, as spin_exp's results do, its coefficients and
-    those of g alpha(g) are read back on the even masks alone, and alpha(g),
-    whose odd coefficients are then exact zeros, keeps even blocks too; such
-    a g has no odd residue to measure.  A g alpha(g) that overflows (from
+    Where g keeps its even blocks alone, as spin_exp's results do, its
+    coefficients and those of g alpha(g) are read back on the even masks
+    alone, and alpha(g), whose odd coefficients are then exact zeros, keeps
+    even blocks too; such a g has no odd residue to measure.  A g alpha(g) that overflows (from
     |g| ~ 1e154) is refused by name, at |g|.
     """
 
@@ -596,7 +589,7 @@ class SpinElement:
             raise NotInSpin("coefficients contain non-finite entries")
         norm = g.norm()
         # even blocks read back an exact 0 on every odd blade, so only a g kept otherwise has an odd residue
-        if g._kept is None or g._kept[1] != 0:
+        if g._kept is None or g._kept[1] != (0,):
             odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
             raise_if(odd > DEGREE_TOL * norm, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * norm)
         scale = max(1.0, norm)
@@ -635,53 +628,54 @@ def spin_exp(u: CliffordElement) -> SpinElement:
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
     2005) applies to Gamma(u) as written.  An exactly even u (every odd
-    coefficient 0) keeps its image as its two h x h half-spin blocks, h =
-    D/2, and so does its exponential: the (2, h, h) stack goes to matrix_exp,
-    each block with its own squarings, and is kept as exp(u)'s even image.
-    The cost is Gamma(u), unless u already holds it, plus one matrix_exp: six
-    products, one solve and s = max(0, ceil(log2(||Gamma(u)||_1 /
-    linalg.PADE_THETA))) squarings, on the two blocks (2 h^3 = D^3/4 flops a
-    product) or else on D x D (D^3 = 2^(3n/2) flops for even n).
+    coefficient 0) keeps its two h x h half-spin blocks, h = D/2, and so
+    does its exponential, each block with its own squarings.  Any other u
+    is scattered into the D x D Gamma(u), whose exponential is kept as its
+    blocks of both parities.  The cost is Gamma(u), unless u already holds
+    it, plus one matrix_exp: six products, one solve and s = max(0,
+    ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings, on the two
+    blocks (2 h^3 = D^3/4 flops a product) or else on D x D.
     """
     _require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
-    gamma, parity = u._kept_image()
-    if parity == 0:
-        return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(gamma), 0))
-    return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(u._image())))
+    gamma, parities = u._kept_image()
+    if parities == (0,):
+        return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(gamma), parities))
+    t, both = _tables(u.n), (0, 1)
+    image = linalg.matrix_exp(t.dense(gamma, parities))[(..., *t.cells(both))]
+    return SpinElement(CliffordElement._of_image(u.n, image, both))
 
 
-def _twisted_rows(g: CliffordElement, ag: CliffordElement) -> tuple[np.ndarray, int | None]:
-    """(rows, parity): inverse_rows of the n products g z_j ag, flat as (n, -1), and their parity, 1 for
-    odd blocks (g and ag even blocks) or None for D x D; g and ag keep images of one parity, as a g and
-    its alpha(g) do.  The products are freed on return."""
+def _twisted_rows(g: CliffordElement, ag: CliffordElement) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(rows, parities): inverse_rows of the n products g z_j ag, flat as (n, -1), and their parities,
+    (1,) where g and its alpha(g) ag keep even blocks alone, else (0, 1).  The products are freed on return."""
     n, t = g.n, _tables(g.n)
-    kept = [(g * CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
-    parity = kept[0][1]
-    return t.inverse_rows([image for image, _ in kept], parity).reshape(n, -1), parity
+    kept = [(g * CliffordElement._of_image(n, z, (1,)) * ag)._kept_image() for z in t.generator_blocks()]
+    parities = kept[0][1]
+    return t.inverse_rows([image for image, _ in kept], parities).reshape(n, -1), parities
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
     """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
-    images, odd signed permutations, are one scatter into a zeroed (n, 2, h,
-    h) stack of blocks.  The n product images are read off one inverse_rows
+    images, odd signed permutations, are one scatter into a zeroed (n, 1, 2,
+    h, h) stack of blocks.  The n product images are read off one inverse_rows
     call of n rows, which stops before the gather into blade order: no (n,
     2^n) array is formed.  Coefficient I is the row's entry times w_I^*/D, so
     the columns are the n vector entries times their phases, from_spinor's
     bits, and each residual is the norm of the row's other Cl_n entries over
     D, exact as every phase has modulus 1/D and D is a power of two.  Where g
-    and ag keep even blocks, the products are odd blocks, read on the odd
-    masks alone, whose entries are the odd blades; otherwise they are D x D,
-    read in full, and the residual takes every Cl_n blade but the vectors.
-    At odd n the padded blades of Cl_{n+1} stay out of it.
+    and ag keep even blocks alone, the products are odd blocks, read on the
+    odd masks alone, whose entries are the odd blades; otherwise they have
+    both parities, read in full, and the residual takes every Cl_n blade but
+    the vectors.  At odd n the padded blades of Cl_{n+1} stay out of it.
     """
     n = g.n
     t = _tables(n)
     # entries or residuals that overflow (norms from ~1e150) fail the test
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, parity = _twisted_rows(g, ag)
-        vectors, others = t.twisted_at[parity]
+        rows, parities = _twisted_rows(g, ag)
+        vectors, others = t.twisted_at[parities]
         columns = (rows.take(vectors, axis=1) * t.unphase[1 << np.arange(n)]).T.copy()
         # rebound, so that the full rows are freed before the norm's two temporaries of the residual entries' size
         rows = rows.take(others, axis=1)

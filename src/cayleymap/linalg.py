@@ -542,7 +542,8 @@ def spectral(a: Matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecompositi
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration stalled") from exc
-    threshold = cluster_tol * norm(a)
-    reps, labels, dist = _clusters(raw, threshold if a.any() else np.inf)
+    threshold = cluster_tol * (scale := norm(a))
+    # the zero matrix by its exact norm, not by a threshold that underflows to 0 (one entry 5e-324)
+    reps, labels, dist = _clusters(raw, threshold if scale else np.inf)
     order, gap = np.lexsort((reps.imag, reps.real)), float(dist.min(initial=np.inf))
     return SpectralDecomposition(a, reps[order], np.bincount(labels)[order].tolist(), threshold, gap)

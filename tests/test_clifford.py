@@ -230,9 +230,19 @@ def test_wedge_and_derivations_match_word_oracle(n, blades, seed):
 def test_spinor_image_round_trip(n):
     s = cl._tables(n)
     u = random_element(n, _rng(21 + n))
-    gamma = s.to_spinor(u.coeffs[None])
-    assert gamma.shape == (1,) + (1 << (n + 1) // 2,) * 2
-    assert np.abs(s.from_spinor(gamma)[0] - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+    gamma = s.to_spinor(u.coeffs[None], BOTH)
+    assert gamma.shape == (1, 2, 2) + (s.d // 2,) * 2
+    assert np.abs(s.from_spinor(gamma, BOTH)[0] - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+
+
+# the parities of an element of both parities, whose kept image holds every block of Gamma
+BOTH = (0, 1)
+
+
+def _dense(n, image, parities):
+    """Gamma as D x D from a kept image: the tables' one scatter, which only tests and matrix_exp of an
+    element of both parities take."""
+    return cl._tables(n).dense(image, parities)
 
 
 def _complex_transforms(n):
@@ -276,23 +286,24 @@ def test_real_transforms_match_the_complex_formulation(n):
     rng = _rng(25 + n)
     for k in (1, n):
         u = (rng.standard_normal((k, 1 << n)) + 1j * rng.standard_normal((k, 1 << n))) / np.sqrt(2)
-        gamma = s.to_spinor(u)
-        # an arbitrary D x D stack too: both transforms are linear maps on all of it
+        gamma = s.to_spinor(u, BOTH)
+        # an arbitrary stack of both parities too, every entry of a D x D matrix: both transforms are
+        # linear maps on all of it
         a = (rng.standard_normal(gamma.shape) + 1j * rng.standard_normal(gamma.shape)) / np.sqrt(2)
         for got, want, arg in (
-            (gamma, to_spinor(u), u),
-            (s.from_spinor(gamma), from_spinor(gamma), gamma),
-            (s.from_spinor(a), from_spinor(a), a),
+            (_dense(n, gamma, BOTH), to_spinor(u), u),
+            (s.from_spinor(gamma, BOTH), from_spinor(_dense(n, gamma, BOTH)), gamma),
+            (s.from_spinor(a, BOTH), from_spinor(_dense(n, a, BOTH)), a),
         ):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 4 * s.d * np.finfo(float).eps * np.abs(arg).max()
-        assert np.abs(s.from_spinor(gamma) - u).max() <= 1e-14 * np.abs(u).max()
+        assert np.abs(s.from_spinor(gamma, BOTH) - u).max() <= 1e-14 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spinor_generator_images_square_to_one_and_anticommute(n):
     s = cl._tables(n)
-    z = s.to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
+    z = _dense(n, _generator_blocks(n), (1,))
     eye = np.eye(s.d)
     for i in range(n):
         for j in range(n):
@@ -320,27 +331,23 @@ def test_coefficients_freeze_once_an_element_has_an_image():
 def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # kept images; a round trip through coefficients per product would map
     # 8n+3 rows forward and 4n+2 back.  Every element of the chain has one
-    # parity, so every row is a blocked one and none is D x D
+    # parity, so every row is of one parity and none of both
     tables = cl._Tables
     mul, alpha = cl.clifford_mul, cl.alpha
-    rows = {"to": 0, "from": 0, "twisted": 0, "dense": 0, "mul": 0, "alpha": 0}
+    rows = {"to": 0, "from": 0, "twisted": 0, "both": 0, "mul": 0, "alpha": 0}
+    # every read-back, of coefficients (from_spinor) and of the twisted images, is inverse_rows
+    to_spinor, inverse_rows = tables.to_spinor, tables.inverse_rows
 
-    def count(name, dense, f):
-        def counted(self, images, *parity):
-            rows[name] += len(images)
-            rows["dense"] += dense * len(images)
-            return f(self, images, *parity)
+    def count_to(self, coeffs, parities):
+        rows["to"] += len(coeffs)
+        rows["both"] += (parities == BOTH) * len(coeffs)
+        return to_spinor(self, coeffs, parities)
 
-        return counted
-
-    # the twisted images are read off inverse_rows
-    inverse_rows = tables.inverse_rows
-
-    def count_inverse(self, images, parity):
+    def count_inverse(self, images, parities):
         rows["from"] += len(images)
-        rows["twisted"] += (parity == 1) * len(images)
-        rows["dense"] += (parity is None) * len(images)
-        return inverse_rows(self, images, parity)
+        rows["twisted"] += (parities == (1,)) * len(images)
+        rows["both"] += (parities == BOTH) * len(images)
+        return inverse_rows(self, images, parities)
 
     def count_mul(u, v):
         rows["mul"] += 1
@@ -350,9 +357,7 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
         rows["alpha"] += 1
         return alpha(u)
 
-    for name, dense in (("spinor", True), ("blocks", False)):
-        monkeypatch.setattr(tables, f"to_{name}", count("to", dense, getattr(tables, f"to_{name}")))
-        monkeypatch.setattr(tables, f"from_{name}", count("from", dense, getattr(tables, f"from_{name}")))
+    monkeypatch.setattr(tables, "to_spinor", count_to)
     monkeypatch.setattr(tables, "inverse_rows", count_inverse)
     monkeypatch.setattr(cl, "clifford_mul", count_mul)
     monkeypatch.setattr(cl, "alpha", count_alpha)
@@ -365,7 +370,7 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # each one odd block row of inverse_rows
     assert rows["from"] == 2 * n + 2
     assert rows["twisted"] == 2 * n
-    assert rows["dense"] == 0
+    assert rows["both"] == 0
     # validation keeps alpha(g) for vector_action
     assert rows["alpha"] == 1
     # -g keeps alpha(-g) = -alpha(g), exact since negation commutes with the
@@ -378,16 +383,28 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     assert np.abs(t_neg - t).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_chain_of_one_parity_assembles_no_d_by_d_matrix(monkeypatch, n):
+    # random_bivector -> spin_exp -> vector_action keeps every image as its blocks of one parity: the one
+    # D x D assembly, which matrix_exp of an element of both parities takes, is never reached
+    def refuse(self, images, parities):
+        raise AssertionError("a chain of one parity assembles no D x D matrix")
+
+    monkeypatch.setattr(cl._Tables, "dense", refuse)
+    g = cl.spin_exp(cl.random_bivector(n, _rng(90 + n)))
+    t = cl.vector_action(g)
+    assert np.linalg.norm(t.T @ t - np.eye(n)) < 1e-10
+    assert g.value._kept_image()[1] == (0,)
+
+
 def _loop_twisted_images(g, ag):
-    """g z_j ag one generator at a time, each a D x D image as to_spinor forms it, so that every
-    product is D x D, each read back by its own from_spinor row: the columns and, if one leaves V,
-    the first residual above threshold."""
+    """g z_j ag one generator at a time, each from the generator's coefficients, and each read back by
+    its own from_spinor row: the columns and, if one leaves V, the first residual above threshold."""
     n = g.n
     threshold = cl.SPIN_TOL * max(1.0, g.norm()) ** 2
-    gens = _generator_rows(n)
     t = np.empty((n, n), dtype=complex)
     for j in range(n):
-        w = g * cl.CliffordElement._of_image(n, gens[j]) * ag
+        w = g * cl.basis_blade(n, 1 << j) * ag
         resid = (w - w.grade(1)).norm()
         if resid > threshold:
             return t, resid, threshold
@@ -400,7 +417,7 @@ def test_batched_twisted_images_match_the_loop(n):
     g = cl.spin_exp(cl.random_bivector(n, _rng(26 + n)))
     want, resid, threshold = _loop_twisted_images(g.value, cl.alpha(g.value))
     assert resid is None
-    _assert_d_by_d_bits(cl.vector_action(g), want, n, threshold / cl.SPIN_TOL)
+    assert cl.vector_action(g).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -429,23 +446,23 @@ def _crosses_parity(d):
     return (np.bitwise_count(r[:, None] ^ r[None, :]) & 1).astype(bool)
 
 
-def _generator_rows(n):
-    """The n generator images as to_spinor forms them from unit coefficient rows."""
-    return cl._tables(n).to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
-
-
 def _generator_blocks(n):
-    """The n generators' odd blocks as to_blocks forms them from unit coefficient rows."""
-    return cl._tables(n).to_blocks(np.eye(1 << n, dtype=complex)[1 << np.arange(n)], 1)
+    """The n generators' odd blocks as to_spinor forms them from unit coefficient rows."""
+    return cl._tables(n).to_spinor(np.eye(1 << n, dtype=complex)[1 << np.arange(n)], (1,))
+
+
+def _twisted_products(g, ag):
+    """The kept images of the n products g z_j ag, generators from their coefficients, and their parities."""
+    n = g.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = [(g * cl.basis_blade(n, 1 << j) * ag)._kept_image() for j in range(n)]
+    return np.stack([image for image, _ in kept]), kept[0][1]
 
 
 def _full_read_back(g, ag):
-    """The coefficients of the n products g z_j ag, generators from to_spinor, so that every product
-    is D x D, read back by from_spinor."""
-    n = g.n
+    """The coefficients of the n products g z_j ag, all 2^n of each read back by from_spinor."""
     with np.errstate(over="ignore", invalid="ignore"):
-        images = [(g * cl.CliffordElement._of_image(n, z) * ag)._image() for z in _generator_rows(n)]
-        return cl._tables(n).from_spinor(np.stack(images))
+        return cl._tables(g.n).from_spinor(*_twisted_products(g, ag))
 
 
 def _full_twisted_images(g, ag, threshold):
@@ -470,53 +487,53 @@ def _outcome(f, *args):
 
 
 def _assert_d_by_d_bits(got, want, n, scale):
-    """got, an outcome of the blocked products, is want, the same outcome of D x D products: bit for
-    bit from D = 8 on, where both GEMMs sum each entry's nonzero terms in one order.  At D = 2 and 4
-    numpy and OpenBLAS multiply the h x h blocks with other complex kernels than the D x D matrices
-    (a 1 x 1 product goes to zdotu, and the 2 x 2 product rounds otherwise than the 4 x 4 one), so
-    there two arrays agree to 4 D eps times scale, the size of the products' entries, capped at the
-    largest float (NaN where the other is NaN); a refusal must be the same refusal at every D."""
+    """got, a product of kept images of one parity each, scattered into D x D, is want, the D x D
+    product of the two scattered images: bit for bit from D = 8 on, where both GEMMs sum each entry's
+    nonzero terms in one order.  At D = 2 and 4 numpy and OpenBLAS multiply the h x h blocks with other
+    complex kernels than the D x D matrices (a 1 x 1 product goes to zdotu, and the 2 x 2 product rounds
+    otherwise than the 4 x 4 one), so there the two agree to 4 D eps times scale, the size of the
+    products' entries."""
     d = cl._tables(n).d
-    if d <= 4 and isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
-        atol = 4 * d * np.finfo(float).eps * min(scale, np.finfo(float).max)
-        assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=atol, equal_nan=True)
+    if d <= 4:
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=4 * d * np.finfo(float).eps * scale)
     else:
-        assert (got.tobytes() if isinstance(got, np.ndarray) else got) == (
-            want.tobytes() if isinstance(want, np.ndarray) else want
-        )
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_generator_images_are_one_scatter_of_to_spinors_bits(n):
-    # the scatter into odd blocks is to_blocks' bits, and those blocks scattered into D x D zeros are to_spinor's
-    t = cl._tables(n)
-    blocks = t.generator_blocks()
+    # the scatter into odd blocks is to_spinor's bits, and those blocks scattered into D x D zeros are
+    # the signed permutations of the complex reference transform
+    blocks = cl._tables(n).generator_blocks()
     assert blocks.tobytes() == _generator_blocks(n).tobytes()
-    assert np.stack([t.expand(z, 1) for z in blocks]).tobytes() == _generator_rows(n).tobytes()
+    reference = _complex_transforms(n)[0](np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
+    assert np.array_equal(_dense(n, blocks, (1,)), reference)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_odd_read_back_is_from_spinors_bits_on_odd_images(n):
-    # an arbitrary exactly odd stack, and an exactly even one: the coefficients of its parity bit for
-    # bit, the others zeros with from_spinor's bits (zeros times its phases)
+    # an arbitrary image of one parity and the image of both whose other slice is zeros: the
+    # coefficients of its parity bit for bit, the others zeros with the same bits (zeros times the phases)
     t = cl._tables(n)
     rng = _rng(64 + n)
-    shape = (n, t.d, t.d)
+    shape = (n, 2, t.d // 2, t.d // 2)
     for parity in (1, 0):
-        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 9, (n, 1, 1))
-        a[:, _crosses_parity(t.d) != bool(parity)] = 0.0
-        blocks = a.reshape(n, -1)[:, t.block_at[parity]]
-        assert np.stack([t.expand(b, parity) for b in blocks]).tobytes() == a.tobytes()
-        full, half = t.from_spinor(a), t.from_blocks(blocks, parity)
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 9, (n, 1, 1, 1))
+        both = np.zeros((n, 2) + shape[1:], dtype=complex)
+        both[:, parity] = a
+        dense = _dense(n, both, BOTH)
+        assert not dense[:, _crosses_parity(t.d) != bool(parity)].any()
+        assert _dense(n, a, (parity,)).tobytes() == dense.tobytes()
+        full, half = t.from_spinor(both, BOTH), t.from_spinor(a, (parity,))
         assert half.tobytes() == full.tobytes()
         assert not half[:, t.blades[1 - parity]].any()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_blocked_transforms_are_the_dense_transforms_bits(n):
-    # coefficients of one parity, at scales 1e-8..1e8, their other parity +0 or -0: to_blocks'
-    # blocks scattered into zeros are to_spinor's image, and from_blocks reads from_spinor's
-    # coefficients back, bit for bit; an element keeps the form its coefficients ask for
+    # coefficients of one parity, at scales 1e-8..1e8, their other parity +0 or -0: the image of that
+    # parity is the slice of the image of both, whose other slice is zeros, and the two read the same
+    # coefficients back, bit for bit; an element keeps the slice its coefficients ask for
     t = cl._tables(n)
     rng = _rng(71 + n)
     for parity in (0, 1):
@@ -525,28 +542,27 @@ def test_blocked_transforms_are_the_dense_transforms_bits(n):
                 -8, 9, (4, 1)
             )
             c[:, t.blades[1 - parity]] = zero
-            blocks, dense = t.to_blocks(c, parity), t.to_spinor(c)
+            blocks, both = t.to_spinor(c, (parity,)), t.to_spinor(c, BOTH)
             assert blocks.shape == (4, 2, t.d // 2, t.d // 2)
-            assert np.stack([t.expand(b, parity) for b in blocks]).tobytes() == dense.tobytes()
-            assert t.from_blocks(blocks, parity).tobytes() == t.from_spinor(dense).tobytes()
+            assert blocks.tobytes() == both[:, parity].tobytes() and not both[:, 1 - parity].any()
+            assert t.from_spinor(blocks, (parity,)).tobytes() == t.from_spinor(both, BOTH).tobytes()
             u = cl.CliffordElement(n, c[0])
             image, kept = u._kept_image()
-            assert kept == parity and image.tobytes() == blocks[0].tobytes()
-            assert u._image().tobytes() == dense[0].tobytes()
+            assert kept == (parity,) and image.tobytes() == blocks[0].tobytes()
 
 
 def test_an_element_keeps_blocks_only_for_one_parity():
-    # the zero element is even; one nonzero coefficient of each parity makes an element D x D
+    # the zero element is even; one nonzero coefficient of each parity makes an element keep both slices
     rng = _rng(72)
     for n in range(1, 11):
         t = cl._tables(n)
-        assert cl.CliffordElement(n)._kept_image()[1] == 0
-        assert cl.basis_blade(n, 0b1)._kept_image()[1] == 1
-        assert cl.scalar(n, 2.0)._kept_image()[1] == 0
+        assert cl.CliffordElement(n)._kept_image()[1] == (0,)
+        assert cl.basis_blade(n, 0b1)._kept_image()[1] == (1,)
+        assert cl.scalar(n, 2.0)._kept_image()[1] == (0,)
         for u in (random_element(n, rng), cl.scalar(n, 1.0) + cl.basis_blade(n, 1 << (n - 1))):
-            image, parity = u._kept_image()
-            assert parity is None and image.shape == (t.d, t.d)
-            assert image.tobytes() == t.to_spinor(u.coeffs[None])[0].tobytes()
+            image, parities = u._kept_image()
+            assert parities == BOTH and image.shape == (2, 2, t.d // 2, t.d // 2)
+            assert image.tobytes() == t.to_spinor(u.coeffs[None], BOTH)[0].tobytes()
 
 
 def _parity_element(n, rng, parity):
@@ -560,32 +576,51 @@ def test_blocked_products_are_the_dense_products(n):
     # one batched matmul of the stacks, the right one reversed for an odd left factor: block b of the
     # product is block b of u times block b xor p of v, which the product keeps bit for bit, and
     # which is the D x D product of the two scattered images (_assert_d_by_d_bits)
-    t = cl._tables(n)
     rng = _rng(73 + n)
     for p in (0, 1):
         for q in (0, 1):
             u, v = _parity_element(n, rng, p), _parity_element(n, rng, q)
             a, b = u._kept_image()[0], v._kept_image()[0]
-            image, parity = cl.clifford_mul(u, v)._kept_image()
-            assert parity == p ^ q
+            image, parities = cl.clifford_mul(u, v)._kept_image()
+            assert parities == (p ^ q,)
             assert image.tobytes() == np.stack([a[k] @ b[k ^ p] for k in (0, 1)]).tobytes()
-            scale = np.abs(u._image()).max() * np.abs(v._image()).max()
-            _assert_d_by_d_bits(t.expand(image, parity), u._image() @ v._image(), n, scale)
+            du, dv = _dense(n, a, (p,)), _dense(n, b, (q,))
+            scale = np.abs(du).max() * np.abs(dv).max()
+            _assert_d_by_d_bits(_dense(n, image, parities), du @ dv, n, scale)
             # the product's coefficients against the regular representation's
             want = cl.gamma_matrix(u) @ v.coeffs
             assert np.abs(cl.clifford_mul(u, v).coeffs - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _pair_sum(a, p, b, q):
+    """The blocks of Gamma(u) Gamma(v) by the block rule alone, for images a of parities p and b of
+    parities q: block k of parity r sums, over u's slices i in order, block [i, k] of a times block
+    [j, k xor p_i] of b, where v's slice j has parity p_i xor r."""
+    a = a[None] if len(p) == 1 else a
+    b = b[None] if len(q) == 1 else b
+    out = {}
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            term = np.stack([a[i, k] @ b[j, k ^ pi] for k in (0, 1)])
+            out[pi ^ qj] = out[pi ^ qj] + term if pi ^ qj in out else term
+    return np.stack([out[r] for r in sorted(out)])
+
+
 @pytest.mark.parametrize("n", range(1, 11))
-def test_a_product_with_a_dense_operand_is_dense(n):
-    # the blocked operand's image is scattered into zeros first: the D x D product of the two images
+def test_a_product_with_a_mixed_operand_keeps_both_parities(n):
+    # the pairs of slices are added by parity: the product is _pair_sum bit for bit, whose one term per
+    # parity with an operand of one parity is the product of that operand with the other's slice alone,
+    # and the coefficients are the regular representation's
     rng = _rng(74 + n)
-    for p in (0, 1):
-        u, w = _parity_element(n, rng, p), random_element(n, rng)
-        for x, y in ((u, w), (w, u)):
-            image, parity = cl.clifford_mul(x, y)._kept_image()
-            assert parity is None
-            assert image.tobytes() == (x._image() @ y._image()).tobytes()
+    w, w2 = random_element(n, rng), random_element(n, rng)
+    for x, y in [(u, w) for u in (_parity_element(n, rng, 0), _parity_element(n, rng, 1))] + [(w, w2)]:
+        for left, right in ((x, y), (y, x)):
+            (a, p), (b, q) = left._kept_image(), right._kept_image()
+            image, parities = cl.clifford_mul(left, right)._kept_image()
+            assert parities == BOTH
+            assert image.tobytes() == _pair_sum(a, p, b, q).tobytes()
+            want = cl.gamma_matrix(left) @ right.coeffs
+            assert np.abs(cl.clifford_mul(left, right).coeffs - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -595,14 +630,14 @@ def test_parity_is_inherited_through_chains_of_products(n):
     rng = _rng(75 + n)
     parities = rng.integers(0, 2, 6)
     factors = [_parity_element(n, rng, int(p)) for p in parities]
-    chain, dense = factors[0], factors[0]._image()
+    chain, dense = factors[0], _dense(n, *factors[0]._kept_image())
     for k, f in enumerate(factors[1:], start=1):
-        chain, dense = chain * f, dense @ f._image()
+        chain, dense = chain * f, dense @ _dense(n, *f._kept_image())
         want = int(np.bitwise_xor.reduce(parities[: k + 1]))
-        assert chain._kept_image()[1] == want
+        assert chain._kept_image()[1] == (want,)
         c = chain.coeffs
         assert not c[cl._tables(n).blades[1 - want]].any()
-        assert np.abs(chain._image() - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.abs(_dense(n, *chain._kept_image()) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -611,30 +646,32 @@ def test_spin_exp_of_an_exact_bivector_stays_on_the_half_spin_blocks(n):
     # exactly nothing between the parity classes, and within rounding of the D x D one
     u = cl.random_bivector(n, _rng(65 + n)) * 2.0
     g = cl.spin_exp(u).value
-    blocks, parity = g._kept_image()
-    assert parity == 0 and blocks.tobytes() == linalg.matrix_exp(u._kept_image()[0]).tobytes()
-    image = g._image()
+    blocks, parities = g._kept_image()
+    assert parities == (0,) and blocks.tobytes() == linalg.matrix_exp(u._kept_image()[0]).tobytes()
+    image = _dense(n, blocks, parities)
     assert not image[_crosses_parity(image.shape[0])].any()
-    dense = linalg.matrix_exp(u._image())
+    dense = linalg.matrix_exp(_dense(n, *u._kept_image()))
     assert np.abs(image - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_spin_exp_with_odd_noise_below_the_degree_tolerance_is_the_dense_exponential(n):
+    # u's blocks of both parities are scattered into D x D for matrix_exp, whose result g keeps as its
+    # blocks of both parities: every entry of that exponential, bit for bit
     b = cl.random_bivector(n, _rng(66 + n))
     u = b + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * b.norm())
     g = cl.spin_exp(u)
-    assert g.value._image().tobytes() == linalg.matrix_exp(u._image()).tobytes()
+    image, parities = g.value._kept_image()
+    assert parities == BOTH
+    assert _dense(n, image, parities).tobytes() == linalg.matrix_exp(_dense(n, *u._kept_image())).tobytes()
 
 
 def _read_back_residuals(g, ag):
     """The residuals as a full read-back gives them: the norms of the non-vector coefficients of the
     products g z_j ag, formed as _twisted_images forms them and mapped back to all 2^n coefficients."""
-    n, t = g.n, cl._tables(g.n)
+    t = cl._tables(g.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        kept = [(g * cl.CliffordElement._of_image(n, z, 1) * ag)._kept_image() for z in t.generator_blocks()]
-        w = t.read_back(np.stack([image for image, _ in kept]), kept[0][1])
-        return linalg.norms(np.where(t.grades == 1, 0.0, w), axis=1)
+        return linalg.norms(np.where(t.grades == 1, 0.0, _full_read_back(g, ag)), axis=1)
 
 
 def _record_residuals(monkeypatch, n):
@@ -667,17 +704,17 @@ def test_twisted_images_of_an_exactly_even_g_are_the_full_read_backs_bits(monkey
     resids = _record_residuals(monkeypatch, n)
     inverse_rows = cl._Tables.inverse_rows
 
-    def refuse(self, gamma):
+    def refuse(self, images, parities):
         raise AssertionError("an exactly even g takes the odd read-back")
 
-    def refuse_d_by_d(self, images, parity):
-        if parity is None:
-            refuse(self, images)
-        return inverse_rows(self, images, parity)
+    def refuse_both(self, images, parities):
+        if parities != (1,):
+            refuse(self, images, parities)
+        return inverse_rows(self, images, parities)
 
-    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_d_by_d)
+    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_both)
     monkeypatch.setattr(cl._Tables, "from_spinor", refuse)
-    _assert_d_by_d_bits(cl.vector_action(g), want, n, g._threshold / cl.SPIN_TOL)
+    assert cl.vector_action(g).tobytes() == want.tobytes()
     assert len(resids) == 1
     _assert_residuals(resids[0], want_resid)
 
@@ -685,7 +722,7 @@ def test_twisted_images_of_an_exactly_even_g_are_the_full_read_backs_bits(monkey
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_twisted_residuals_at_odd_n_leave_out_the_padded_blades(monkeypatch, n):
     # odd n runs in Cl_{n+1}, whose blades outside Cl_n carry the products' rounding; the residual reads Cl_n
-    # alone, on the odd blocks of an exactly even g and on the D x D products of a g with an odd residue
+    # alone, on the odd blocks of an exactly even g and on the products of both parities of a g with an odd residue
     g0 = cl.spin_exp(cl.random_bivector(n, _rng(71 + n))).value
     for g in (cl.SpinElement(g0), cl.SpinElement(g0 + cl.basis_blade(n, 0b1) * (1e-3 * cl.DEGREE_TOL * g0.norm()))):
         want = _read_back_residuals(g.value, g._alpha)
@@ -719,16 +756,12 @@ def test_twisted_images_of_g_with_odd_residue_take_the_full_read_back(monkeypatc
     want = _full_twisted_images(g.value, g._alpha, g._threshold)
     inverse_rows = cl._Tables.inverse_rows
 
-    def refuse(self, blocks, parity):
-        raise AssertionError("g with an odd residue takes the full read-back")
+    def refuse_odd(self, images, parities):
+        if parities != BOTH:
+            raise AssertionError("g with an odd residue takes the full read-back")
+        return inverse_rows(self, images, parities)
 
-    def refuse_blocks(self, images, parity):
-        if parity is not None:
-            refuse(self, images, parity)
-        return inverse_rows(self, images, parity)
-
-    monkeypatch.setattr(cl._Tables, "from_blocks", refuse)
-    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_blocks)
+    monkeypatch.setattr(cl._Tables, "inverse_rows", refuse_odd)
     assert cl.vector_action(g).tobytes() == want.tobytes()
 
 
@@ -748,15 +781,19 @@ def _refused_twisted_cases(n):
 def test_every_refusal_keeps_its_type_message_and_order(n):
     for g, ag, threshold in _refused_twisted_cases(n):
         got, want = _outcome(cl._twisted_images, g, ag, threshold), _outcome(_full_twisted_images, g, ag, threshold)
-        _assert_d_by_d_bits(got, want, n, threshold / cl.SPIN_TOL)
+        assert (got.tobytes() if isinstance(got, np.ndarray) else got) == (
+            want.tobytes() if isinstance(want, np.ndarray) else want
+        )
 
     def exp_image(u):
-        return cl.spin_exp(u).value._image()
+        return _dense(n, *cl.spin_exp(u).value._kept_image())
 
     def dense_exp_image(u):
-        # spin_exp by the D x D exponential alone
+        # spin_exp by the D x D exponential alone, kept as its blocks of both parities
         cl._require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
-        return cl.SpinElement(cl.CliffordElement._of_image(n, linalg.matrix_exp(u._image()))).value._image()
+        t = cl._tables(n)
+        image = linalg.matrix_exp(_dense(n, *u._kept_image()))[(..., *t.cells(BOTH))]
+        return _dense(n, cl.SpinElement(cl.CliffordElement._of_image(n, image, BOTH)).value._kept_image()[0], BOTH)
 
     # an odd part; a 1-norm that overflows; a NaN; products that overflow (exp(u) near 1e155), from n = 3
     b = cl.random_bivector(n, _rng(70 + n))
@@ -1154,7 +1191,7 @@ def test_only_a_g_kept_otherwise_than_as_even_blocks_takes_the_odd_residue_norm(
     # an odd residue above DEGREE_TOL |g| is refused from bare coefficients and from a D x D image alike
     noisy = bare + cl.basis_blade(n, 0b1) * (2 * cl.DEGREE_TOL * bare.norm())
     for x in (noisy, noisy * cl.scalar(n, 1.0)):
-        assert x._kept is None or x._kept[1] is None
+        assert x._kept is None or x._kept[1] == BOTH
         with pytest.raises(NotInSpin, match="odd-degree residue") as exc:
             cl.SpinElement(x)
         threshold = cl.DEGREE_TOL * x.norm()

@@ -484,6 +484,12 @@ def test_spectral_of_zero_is_one_cluster():
     dec = linalg.spectral(np.zeros((4, 4)))
     assert dec.multiplicities == [4] and dec.gap == np.inf and dec.threshold == 0.0
     assert not dec.eigenvalues.any() and not dec.semisimple_part().any()
+    # one entry 5e-324 is not the zero matrix, though its threshold CLUSTER_TOL |a| underflows to 0:
+    # the exact norm decides, and its two eigenvalues 0 and 5e-324 stay apart
+    a = np.zeros((2, 2))
+    a[1, 1] = 5e-324
+    dec = linalg.spectral(a)
+    assert dec.threshold == 0.0 and dec.multiplicities == [1, 1] and dec.gap == 5e-324
 
 
 def test_spectral_refuses_an_entry_whose_modulus_overflows(monkeypatch):
@@ -1006,7 +1012,7 @@ def test_matrix_exp_of_a_stack_is_each_exponential_bit_for_bit(key):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_matrix_exp_of_spinor_images_that_square_differently_is_each_bit_for_bit(n):
     # one stack of 0, 0 or 1, 1..3 and 4..6 squarings: the matrices that need fewer keep their power
-    u = clifford.random_bivector(n, _rng(50 + n))._image()
+    u = clifford._tables(n).dense(*clifford.random_bivector(n, _rng(50 + n))._kept_image())
     stack = np.array([s * u for s in (0.01, 1.0, 4.0, 30.0)])
     counts = [linalg._squarings(float(np.abs(a).sum(axis=0).max())) for a in stack]
     assert counts[0] == 0 and len(set(counts)) >= 3
