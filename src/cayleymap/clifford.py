@@ -29,17 +29,17 @@ A CliffordElement keeps its coefficients, its image as the slices [p] of
 the parities its coefficients take, or both, each formed from the other on
 first need (the class docstring has the rules); a slice is formed and read
 back on the h masks x of its parity, an h-column Hadamard GEMM.  A product
-Gamma(u v) = Gamma(u) Gamma(v) sums over the parity pairs present, block b
-of parity p xor q taking block [p, b] of u times block [q, b xor p] of v,
-as one batched matmul: 2 h^3 = D^3/4 flops for the one pair of two
+Gamma(u v) = Gamma(u) Gamma(v) is one block formula, block b of parity r
+summing over u's parities p block [p, b] of u times block [r xor p, b xor
+p] of v, by basic slices: one batched matmul of 2 h^3 = D^3/4 flops for two
 elements of one parity each, as all of the spin chain's are.  Coefficients
 are mapped back only when read, so a chain of products maps each operand
 forward once and each result back at most once; at odd n a kept image
 carries the rounding on blades outside Cl_n into the next product, and the
-inverse map drops it.  The spin exponential is the package's one matrix
-exponential, linalg.matrix_exp, on the blocks of an exactly even u (on
-Gamma(u) as D x D otherwise): six products, one solve and s squarings, s
-growing as log2 of the 1-norm of Gamma(u).
+inverse map drops it.  The spin group lies in the even algebra, and the
+spin exponential is the package's one matrix exponential,
+linalg.matrix_exp, on the two even blocks of a bivector: six products, one
+solve and s squarings, s growing as log2 of the 1-norm of Gamma(u).
 
 The wedge and the contraction are grade projections of the product
 (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
@@ -132,7 +132,7 @@ class _Tables:
         rank = np.empty(d, dtype=np.int64)
         rank[halves] = np.arange(h)
         self.blades = np.flatnonzero(g & 1 == 0), np.flatnonzero(g & 1)
-        rows, cols = self.cells((0, 1))
+        rows, cols = halves[:, :, None], np.stack([halves, halves[::-1]])[:, :, None, :]
         # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[row, col] is entry [col, row xor col] of H
         # times the (z, x) array, row xor col of parity p in block [p]: slice p of the forward transform
         # reads the (z, x) array on the h masks x of parity p and gathers its blocks from H times it;
@@ -142,8 +142,7 @@ class _Tables:
         xr = halves[:, None, :] ^ r[:, None]
         read = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
         bz, bx = np.divmod((z * d + x)[: 1 << n], d)
-        self.forward, self.inverse, self.twisted_at = {}, {}, {}
-        vectors, others = g == 1, g != 1
+        self.forward, self.inverse = {}, {}
         # one table of each per set of parities an element's coefficients can take
         for parities in ((0,), (1,), (0, 1)):
             p, slot = list(parities), np.arange(len(parities))
@@ -154,8 +153,9 @@ class _Tables:
             blades = np.flatnonzero(np.isin(g & 1, p))
             at = bz * len(p) * h + (g & 1) * (len(p) - 1) * h + rank[bx]
             self.inverse[parities] = gather, blades, at[blades]
-            # what _twisted_images reads off these rows: the vectors' entries and the other Cl_n blades'
-            self.twisted_at[parities] = at[vectors], at[others & np.isin(g & 1, p)]
+        # what _twisted_images reads off the rows of odd images: the vectors' entries and the other odd Cl_n blades'
+        _, blades, at = self.inverse[(1,)]
+        self.twisted_at = at[g[blades] == 1], at[g[blades] != 1]
         # generator k + 1 is the odd signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c]: the flat
         # indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values (zero parts +0)
         q, y = np.divmod(np.arange(n), 2)
@@ -180,19 +180,6 @@ class _Tables:
         if not coeffs.take(self.blades[1]).any():
             return (0,)
         return (0, 1) if coeffs.take(self.blades[0]).any() else (1,)
-
-    def cells(self, parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and columns of Gamma at each entry of a kept image of the given parities."""
-        halves = self.halves
-        cols = np.stack([halves, halves[::-1]])[:, :, None, :]
-        return halves[:, :, None], cols[parities[0]] if len(parities) == 1 else cols
-
-    def dense(self, images: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
-        """Gamma as D x D from each kept image of the given parities: one scatter into zeros, which only
-        matrix_exp of an element of both parities needs."""
-        out = np.zeros(images.shape[: images.ndim - 2 - len(parities)] + (self.d, self.d), dtype=complex)
-        out[(..., *self.cells(parities))] = images
-        return out
 
     def to_spinor(self, coeffs: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
         """The kept images of the rows of the (k, 2^n) coefficients, whose coefficients of any other parity
@@ -231,32 +218,19 @@ def _tables(n: int) -> _Tables:
     return _Tables(n)
 
 
-@functools.cache
-def _pairs(p: tuple[int, ...], q: tuple[int, ...]) -> tuple:
-    """(u's index, v's index, parities, twice) for _stack_product of images of parities p and q: pair by
-    pair, ordered by the parity p_i xor q_j of the term and then by i, u's slice i and v's slice j with
-    its halves in the order k xor p_i (basic slices for the one pair of p and q of one parity each);
-    the product's parities, and whether each is met by two pairs."""
-    pairs = sorted((pi ^ qj, i, j) for i, pi in enumerate(p) for j, qj in enumerate(q))
-    r, i, j = (np.array(a) for a in zip(*pairs))
-    parities = tuple(sorted(set(r.tolist())))
-    if len(pairs) == 1:
-        return np.s_[...], np.s_[..., :: 1 - 2 * p[0], :, :], parities, False
-    order = np.array(p)[i, None] ^ np.arange(2)
-    left = np.s_[..., None, :, :, :] if len(p) == 1 else np.s_[..., i, :, :, :]
-    right = np.s_[..., order, :, :] if len(q) == 1 else np.s_[..., j[:, None], order, :, :]
-    return left, right, parities, len(pairs) > len(parities)
-
-
 def _stack_product(a: np.ndarray, p: tuple[int, ...], b: np.ndarray, q: tuple[int, ...]):
     """(image, parities) of Gamma(u) Gamma(v) from the kept images a of parities p and b of parities q,
-    over any leading axes: block k of parity p_i xor q_j takes block [i, k] of a times block [j, k xor
-    p_i] of b, every pair one batched matmul, and the two terms of a parity met twice are added."""
-    left, right, parities, twice = _pairs(p, q)
-    terms = a[left] @ b[right]
-    if twice:
-        terms = terms[..., ::2, :, :, :] + terms[..., 1::2, :, :, :]
-    return terms, parities
+    over any leading axes, by basic slices alone: block k of parity r sums, over u's parities p_i, block
+    [p_i, k] of a times block [r xor p_i, k xor p_i] of b.  A part of parity 1 reads b with its halves
+    reversed, and its parity axis too where b has one.  An element of both parities gives the sum of its
+    two parts where v has both too, and otherwise their stack in the order of the parities of the terms."""
+    if len(p) == 2:
+        even, odd = (_stack_product(a[..., i, :, :, :], (i,), b, q)[0] for i in (0, 1))
+        return (even + odd, q) if len(q) == 2 else (np.stack([even, odd][:: 1 - 2 * q[0]], axis=-4), p)
+    flip = 1 - 2 * p[0]
+    if len(q) == 2:
+        return a[..., None, :, :, :] @ b[..., ::flip, ::flip, :, :], q
+    return a @ b[..., ::flip, :, :], (p[0] ^ q[0],)
 
 
 class CliffordElement:
@@ -566,13 +540,15 @@ class SpinElement:
     """Even Clifford element g with g alpha(g) = 1 preserving V under
     twisted conjugation x -> g x alpha(g).
 
-    value is fixed at construction; validation forms alpha(g), with its spinor
-    image, and the threshold SPIN_TOL max(1, |g|)^2 once, and keeps both.
-    Where g keeps its even blocks alone, as spin_exp's results do, its
-    coefficients and those of g alpha(g) are read back on the even masks
-    alone, and alpha(g), whose odd coefficients are then exact zeros, keeps
-    even blocks too; such a g has no odd residue to measure.  A g alpha(g) that overflows (from
-    |g| ~ 1e154) is refused by name, at |g|.
+    value is fixed at construction: the even part of the given g, whose odd
+    residue must pass DEGREE_TOL |g|, so that it keeps its even blocks alone.
+    Validation forms alpha(g), with its spinor image, and the threshold
+    SPIN_TOL max(1, |g|)^2 once, and keeps both.  The coefficients of g and
+    of g alpha(g) are read back on the even masks alone, and alpha(g), whose
+    odd coefficients are then exact zeros, keeps even blocks too; a g made
+    with even blocks, as spin_exp's results are, has no odd residue to
+    measure.  A g alpha(g) or a g z_j alpha(g) that overflows (from |g| ~
+    1e154) is refused by name, at |g|.
     """
 
     __slots__ = ("value", "_alpha", "_threshold")
@@ -590,8 +566,11 @@ class SpinElement:
         norm = g.norm()
         # even blocks read back an exact 0 on every odd blade, so only a g kept otherwise has an odd residue
         if g._kept is None or g._kept[1] != (0,):
-            odd = linalg.norm(np.where(_tables(g.n).grades & 1, c, 0.0))
+            grades = _tables(g.n).grades
+            odd = linalg.norm(np.where(grades & 1, c, 0.0))
             raise_if(odd > DEGREE_TOL * norm, NotInSpin, "odd-degree residue", odd, DEGREE_TOL * norm)
+            # the even part, which keeps even blocks alone
+            self.value = g = CliffordElement(g.n, np.where(grades & 1, 0.0, c))
         scale = max(1.0, norm)
         self._threshold = threshold = SPIN_TOL * scale * scale
         raise_if(threshold == np.inf, NotInSpin, "membership threshold overflows: norm", scale, _MAX_SPIN_NORM)
@@ -627,60 +606,58 @@ def spin_exp(u: CliffordElement) -> SpinElement:
 
     Gamma is an algebra isomorphism onto its image, so Gamma(exp(u)) =
     exp(Gamma(u)), and the Pade scaling and squaring of matrix_exp (Higham
-    2005) applies to Gamma(u) as written.  An exactly even u (every odd
-    coefficient 0) keeps its two h x h half-spin blocks, h = D/2, and so
-    does its exponential, each block with its own squarings.  Any other u
-    is scattered into the D x D Gamma(u), whose exponential is kept as its
-    blocks of both parities.  The cost is Gamma(u), unless u already holds
-    it, plus one matrix_exp: six products, one solve and s = max(0,
-    ceil(log2(||Gamma(u)||_1 / linalg.PADE_THETA))) squarings, on the two
-    blocks (2 h^3 = D^3/4 flops a product) or else on D x D.
+    2005) applies to Gamma(u) as written.  A bivector is even, so Gamma(u)
+    is its two h x h half-spin blocks, h = D/2, and so is its exponential,
+    each block with its own squarings; of a u with odd noise, which the
+    degree test bounds by DEGREE_TOL |u|, the even slice of its image is
+    taken.  The cost is Gamma(u), unless u already holds it, plus one
+    matrix_exp: six products, one solve and s = max(0, ceil(log2(
+    ||Gamma(u)||_1 / linalg.PADE_THETA))) squarings, on the two blocks
+    (2 h^3 = D^3/4 flops a product).  DegenerateInput, from matrix_exp,
+    where the exponential overflows.
     """
     _require_degree(u, 2, "spin_exp argument must be pure degree 2: residual")
     gamma, parities = u._kept_image()
-    if parities == (0,):
-        return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(gamma), parities))
-    t, both = _tables(u.n), (0, 1)
-    image = linalg.matrix_exp(t.dense(gamma, parities))[(..., *t.cells(both))]
-    return SpinElement(CliffordElement._of_image(u.n, image, both))
+    even = gamma[0] if parities == (0, 1) else gamma
+    return SpinElement(CliffordElement._of_image(u.n, linalg.matrix_exp(even), (0,)))
 
 
-def _twisted_rows(g: CliffordElement, ag: CliffordElement) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(rows, parities): inverse_rows of the n products g z_j ag, flat as (n, -1), and their parities,
-    (1,) where g and its alpha(g) ag keep even blocks alone, else (0, 1).  The products are freed on return."""
+def _twisted_rows(g: CliffordElement, ag: CliffordElement) -> np.ndarray:
+    """inverse_rows of the n odd products g z_j ag of the even g and ag, flat as (n, -1); the products are
+    freed on return."""
     n, t = g.n, _tables(g.n)
-    kept = [(g * CliffordElement._of_image(n, z, (1,)) * ag)._kept_image() for z in t.generator_blocks()]
-    parities = kept[0][1]
-    return t.inverse_rows([image for image, _ in kept], parities).reshape(n, -1), parities
+    images = [(g * CliffordElement._of_image(n, z, (1,)) * ag)._kept_image()[0] for z in t.generator_blocks()]
+    return t.inverse_rows(images, (1,)).reshape(n, -1)
 
 
 def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -> np.ndarray:
-    """Columns g z_j ag, j = 1..n, as vectors; NotInSpin for the first one that leaves V by more than threshold.
+    """Columns g z_j ag, j = 1..n, as vectors, for g and ag that keep even blocks alone; NotInSpin where one
+    is not finite, and otherwise for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
-    images, odd signed permutations, are one scatter into a zeroed (n, 1, 2,
-    h, h) stack of blocks.  The n product images are read off one inverse_rows
-    call of n rows, which stops before the gather into blade order: no (n,
-    2^n) array is formed.  Coefficient I is the row's entry times w_I^*/D, so
-    the columns are the n vector entries times their phases, from_spinor's
-    bits, and each residual is the norm of the row's other Cl_n entries over
-    D, exact as every phase has modulus 1/D and D is a power of two.  Where g
-    and ag keep even blocks alone, the products are odd blocks, read on the
-    odd masks alone, whose entries are the odd blades; otherwise they have
-    both parities, read in full, and the residual takes every Cl_n blade but
-    the vectors.  At odd n the padded blades of Cl_{n+1} stay out of it.
+    images, odd signed permutations, are one scatter into a zeroed (n, 2,
+    h, h) stack of blocks.  The n product images, odd blocks, are read off
+    one inverse_rows call of n rows on the odd masks, which stops before the
+    gather into blade order: no (n, 2^n) array is formed.  Coefficient I is
+    the row's entry times w_I^*/D, so the columns are the n vector entries
+    times their phases, from_spinor's bits, and each residual is the norm of
+    the row's other odd Cl_n entries over D, exact as every phase has
+    modulus 1/D and D is a power of two.  At odd n the padded blades of
+    Cl_{n+1} stay out of it.
     """
     n = g.n
     t = _tables(n)
-    # entries or residuals that overflow (norms from ~1e150) fail the test
+    vectors, others = t.twisted_at
+    # entries that overflow (from |g| ~ 1e154, where g alpha(g) may stay finite) are refused by name below
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, parities = _twisted_rows(g, ag)
-        vectors, others = t.twisted_at[parities]
+        rows = _twisted_rows(g, ag)
         columns = (rows.take(vectors, axis=1) * t.unphase[1 << np.arange(n)]).T.copy()
         # rebound, so that the full rows are freed before the norm's two temporaries of the residual entries' size
         rows = rows.take(others, axis=1)
         resid = linalg.norms(rows, axis=1) / t.d
-    failed = ~(resid <= threshold)
+    if not (np.isfinite(columns).all() and np.isfinite(resid).all()):
+        raise NotInSpin(f"g z_j alpha(g) is not finite: it overflows at |g| {g.norm():.2e}")
+    failed = resid > threshold
     j = int(np.argmax(failed))
     raise_if(failed[j], NotInSpin, "twisted conjugation leaves V: residual", resid[j], threshold)
     return columns

@@ -339,7 +339,10 @@ def matrix_exp(a: Matrix) -> Matrix:
     Higham's algorithm would save up to four products below the norm 2.1;
     one degree keeps one evaluation.  ValueError for input that is not
     square or not finite, as as_square_matrix words it; DegenerateInput where
-    the 1-norm of the finite a overflows, so that no scaling is defined.
+    the 1-norm of the finite a overflows, so that no scaling is defined, and
+    where the exponential itself overflows.  A square that overflows warns of
+    nothing, a kept one or the discarded one of a matrix that needs fewer
+    squarings than others of its stack.
 
     a may carry leading axes, (..., n, n): each matrix keeps its own s and
     its own refusal, the products and the one solve run over the stack, and a
@@ -365,9 +368,12 @@ def matrix_exp(a: Matrix) -> Matrix:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     result = np.linalg.solve(v - u, v + u)
-    for step in range(most):
-        square = result @ result
-        result = square if step < fewest else np.where(squarings > step, square, result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(most):
+            square = result @ result
+            result = square if step < fewest else np.where(squarings > step, square, result)
+    if not np.isfinite(result).all():
+        raise DegenerateInput(f"exponential is not finite: it overflows at exponent 1-norm {norm.max():.2e}")
     return result
 
 

@@ -340,6 +340,12 @@ def test_finite_inputs_whose_results_overflow_are_refused(tmp_path, capsys):
         (["psi", "--group", "gl", "--n", "2", "--element", "diag(1e200,1e200)"], "DegenerateInput"),
         (["fiber", "--family", "spin", "--n", "3", "--target", "diag(1e160,2e160,3e160)"], "NotSkew"),
     ]
+    # spin exp of n = 4 bivectors whose exponential, a discarded square and a twisted image overflow
+    repros = [({3: 800.0}, "DegenerateInput"), ({3: 530.0, 12: 170.0}, "NotInSpin"), ({3: 355.0}, "NotInSpin")]
+    for k, (planes, error) in enumerate(repros):
+        im = [planes.get(mask, 0.0) for mask in range(16)]
+        path = _write(tmp_path / f"e{k}.json", {"n": 4, "coeffs_re": [0.0] * 16, "coeffs_im": im})
+        cases.append((["spin", "exp", "--element", path], error))
     for argv, error in cases:
         assert cli.main(argv) == 3
         captured = capsys.readouterr()

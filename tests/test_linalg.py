@@ -1,5 +1,7 @@
 """Matrix-core contracts: solves, determinants, spectra, roots, exponentials."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -1012,13 +1014,31 @@ def test_matrix_exp_of_a_stack_is_each_exponential_bit_for_bit(key):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_matrix_exp_of_spinor_images_that_square_differently_is_each_bit_for_bit(n):
     # one stack of 0, 0 or 1, 1..3 and 4..6 squarings: the matrices that need fewer keep their power
-    u = clifford._tables(n).dense(*clifford.random_bivector(n, _rng(50 + n))._kept_image())
+    # Gamma(u) as D x D: the even blocks [b] of the bivector's image sit at the rows and columns halves[b]
+    t = clifford._tables(n)
+    u = np.zeros((t.d, t.d), dtype=complex)
+    for half, block in zip(t.halves, clifford.random_bivector(n, _rng(50 + n))._kept_image()[0]):
+        u[np.ix_(half, half)] = block
     stack = np.array([s * u for s in (0.01, 1.0, 4.0, 30.0)])
     counts = [linalg._squarings(float(np.abs(a).sum(axis=0).max())) for a in stack]
     assert counts[0] == 0 and len(set(counts)) >= 3
     got = linalg.matrix_exp(stack)
     for k in range(len(stack)):
         assert np.array_equal(got[k], linalg.matrix_exp(stack[k]))
+
+
+def test_matrix_exp_squares_that_overflow_warn_of_nothing():
+    # exp(400) takes 7 squarings and exp(700) 8: the 8th square of exp(400), which it discards, overflows,
+    # and both kept exponentials are finite (each within 1e-12 relative, 2^8 times the rounding of its
+    # Pade step); exp(800) overflows and is refused by name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.matrix_exp(np.array([[[400.0]], [[700.0]]]))
+        assert [linalg._squarings(x) for x in (400.0, 700.0)] == [7, 8]
+        assert np.isfinite(got).all() and np.allclose(got.ravel(), np.exp([400.0, 700.0]), rtol=1e-12, atol=0.0)
+        message = r"^exponential is not finite: it overflows at exponent 1-norm 8\.00e\+02$"
+        with pytest.raises(DegenerateInput, match=message):
+            linalg.matrix_exp(np.array([[800.0]]))
 
 
 def test_matrix_exp_of_a_stack_checks_each_member():
