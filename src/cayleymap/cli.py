@@ -80,10 +80,14 @@ def _emit(payload: dict, args) -> None:
         text = _flatten_csv(payload)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    # the report first, so that a path it cannot write is a usage error with nothing on stdout
     if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {args.report!r}: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _flatten_csv(payload: dict) -> str:

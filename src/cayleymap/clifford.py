@@ -41,9 +41,10 @@ spin exponential is the package's one matrix exponential,
 linalg.matrix_exp, on the two even blocks of a bivector: six products, one
 solve and s squarings, s growing as log2 of the 1-norm of Gamma(u).
 
-The wedge and the contraction are grade projections of the product
-(Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, 2007):
-A_p ^ B_q = <A_p B_q>_{p+q}, and iota(x) u = (x u - kappa(u) x)/2 for a vector x.
+The wedge is a grade projection of the product and the vector wedge and
+contraction are sums of two products (Dorst, Fontijne & Mann, Geometric
+Algebra for Computer Science, 2007): A_p ^ B_q = <A_p B_q>_{p+q}, and for a
+vector x, x ^ u = (x u + kappa(u) x)/2 and iota(x) u = (x u - kappa(u) x)/2.
 Only gamma_matrix, the regular representation kept as an independent
 reference for the product, builds a 2^n x 2^n array.
 On top of that sit the grade involutions, the spin group (even elements g
@@ -127,8 +128,7 @@ class _Tables:
         # the half-spin order: halves[b] are the basis indices of parity b, rank[c] the place of c in its half;
         # block [p, b] of a kept stack is Gamma's rows halves[b] and columns halves[b ^ p]
         h = d // 2
-        half = np.bitwise_count(r) & 1
-        self.halves = halves = np.argsort(half, kind="stable").reshape(2, h)
+        self.halves = halves = np.argsort(np.bitwise_count(r) & 1, kind="stable").reshape(2, h)
         rank = np.empty(d, dtype=np.int64)
         rank[halves] = np.arange(h)
         self.blades = np.flatnonzero(g & 1 == 0), np.flatnonzero(g & 1)
@@ -136,11 +136,9 @@ class _Tables:
         # X^x Z^z has entry (-1)^{c . z} at [x xor c, c], so Gamma[row, col] is entry [col, row xor col] of H
         # times the (z, x) array, row xor col of parity p in block [p]: slice p of the forward transform
         # reads the (z, x) array on the h masks x of parity p and gathers its blocks from H times it;
-        # slice p of the inverse one reads gamma[x xor c, c] at [c, x] for those masks off its blocks
+        # slice p of the inverse one reads gamma[x xor c, c] at [c, x] back off them, by the inverse gather
         cells = r[:, None] * d + halves[:, None, :]
         block = cols * h + rank[rows ^ cols]
-        xr = halves[:, None, :] ^ r[:, None]
-        read = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
         bz, bx = np.divmod((z * d + x)[: 1 << n], d)
         self.forward, self.inverse = {}, {}
         # one table of each per set of parities an element's coefficients can take
@@ -148,24 +146,20 @@ class _Tables:
             p, slot = list(parities), np.arange(len(parities))
             gather = block[p] + slot[:, None, None, None] * d * h
             self.forward[parities] = src[cells[p]], phase[cells[p]], gather[0] if len(p) == 1 else gather
-            # the inverse rows are (D, len(parities) h), blade I at row z and at x's rank in its parity's slice
-            gather = np.concatenate([read[q] + s * 2 * h * h for s, q in enumerate(p)], axis=1)
+            # the inverse gather is the forward one's inverse permutation, laid out as the inverse rows, (D,
+            # len(parities) h): blade I at row z and at x's rank in its parity's slice
+            gather = np.argsort(gather, axis=None).reshape(len(p), d, h).transpose(1, 0, 2).reshape(d, -1)
             blades = np.flatnonzero(np.isin(g & 1, p))
             at = bz * len(p) * h + (g & 1) * (len(p) - 1) * h + rank[bx]
             self.inverse[parities] = gather, blades, at[blades]
         # what _twisted_images reads off the rows of odd images: the vectors' entries and the other odd Cl_n blades'
         _, blades, at = self.inverse[(1,)]
         self.twisted_at = at[g[blades] == 1], at[g[blades] != 1]
-        # generator k + 1 is the odd signed permutation i^y (-1)^popcount(c & z_k) at [c xor x_k, c]: the flat
-        # indices of its D entries in an (n, 2, h, h) stack of odd blocks, and their values (zero parts +0)
-        q, y = np.divmod(np.arange(n), 2)
-        gx, gz = 1 << q, (1 << (q + y)) - 1
-        flipped = r ^ gx[:, None]
-        self.generator_at = ((np.arange(n)[:, None] * 2 + half[flipped]) * h + rank[flipped]) * h + rank[r]
-        sign = np.where(np.bitwise_count(r & gz[:, None]) & 1, -1.0, 1.0)
-        self.generator_values = values = np.zeros((n, d), dtype=complex)
-        values.real[y == 0] = sign[y == 0]
-        values.imag[y == 1] = sign[y == 1]
+        # the generators' images, odd signed permutations, from to_spinor of the n vector blades' unit rows: the
+        # flat indices of each one's D entries in an (n, 2, h, h) stack of odd blocks, and their values
+        images = self.to_spinor((np.arange(1 << n) == (1 << np.arange(n))[:, None]).astype(complex), (1,))
+        self.generator_at = np.flatnonzero(images).reshape(n, d)
+        self.generator_values = images.take(self.generator_at)
 
     def generator_blocks(self) -> np.ndarray:
         """The odd blocks of Gamma(z_1), ..., Gamma(z_n) as an (n, 2, h, h) stack: one scatter into zeros."""
@@ -359,7 +353,7 @@ class CliffordElement:
 
     @classmethod
     def from_json(cls, d: dict) -> "CliffordElement":
-        n = int(d["n"])
+        n = linalg._json_size(d)
         re = np.asarray(d["coeffs_re"], dtype=float)
         im = np.asarray(d.get("coeffs_im", np.zeros_like(re)), dtype=float)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -455,22 +449,11 @@ def kappa(u: CliffordElement) -> CliffordElement:
     return CliffordElement(u.n, _tables(u.n).kappa_signs * u.coeffs)
 
 
-def _vector_split(x: CliffordElement, u: CliffordElement, sign: float) -> CliffordElement:
-    """(x u + sign kappa(u) x) / 2 for a vector x, in one spinor round trip."""
-    t = _tables(u.n)
-    p, q = t.parity(x.coeffs), t.parity(u.coeffs)
-    gx = t.to_spinor(x.coeffs[None], p)[0]
-    gu, gk = t.to_spinor(np.array([u.coeffs, kappa(u).coeffs]), q)
-    left, parities = _stack_product(gx, p, gu, q)
-    right = _stack_product(gk, q, gx, p)[0]
-    return CliffordElement(u.n, t.from_spinor((left + sign * right)[None], parities)[0] / 2)
-
-
 def epsilon(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     """Left wedge by the degree-1 element x: x ^ u = (x u + kappa(u) x) / 2."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "epsilon direction must be pure degree 1: residual")
-    return _vector_split(x, u, 1.0)
+    return 0.5 * (x * u + kappa(u) * x)
 
 
 def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
@@ -478,7 +461,7 @@ def iota(x: CliffordElement, u: CliffordElement) -> CliffordElement:
     epsilon(x), a degree -1 super-derivation with iota(x) y = (x, y) on vectors."""
     x = _coerce(u.n, x)
     _require_degree(x, 1, "iota direction must be pure degree 1: residual")
-    return _vector_split(x, u, -1.0)
+    return 0.5 * (x * u - kappa(u) * x)
 
 
 def pairing(u: CliffordElement, v: CliffordElement) -> complex:
@@ -635,8 +618,9 @@ def _twisted_images(g: CliffordElement, ag: CliffordElement, threshold: float) -
     is not finite, and otherwise for the first one that leaves V by more than threshold.
 
     g and ag keep their images across all 2n products, and the n generator
-    images, odd signed permutations, are one scatter into a zeroed (n, 2,
-    h, h) stack of blocks.  The n product images, odd blocks, are read off
+    images, odd signed permutations that the tables read off one to_spinor
+    call per n, are one scatter into a zeroed (n, 2, h, h) stack of
+    blocks.  The n product images, odd blocks, are read off
     one inverse_rows call of n rows on the odd masks, which stops before the
     gather into blade order: no (n, 2^n) array is formed.  Coefficient I is
     the row's entry times w_I^*/D, so the columns are the n vector entries

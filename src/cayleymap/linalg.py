@@ -84,8 +84,20 @@ def complex_to_json(z):
     return pairs if a.ndim else pairs[0]
 
 
+def _is_integer(x) -> bool:
+    """x is an int or a numpy integer, and not a bool, which int() and indexing read as 0 or 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _json_size(d: dict) -> int:
+    """d["n"] as an int; ValueError unless it is an integer, so that 4.7 is not read as 4 nor true as 1."""
+    if not _is_integer(d["n"]):
+        raise ValueError(f"n must be an integer, got {d['n']!r}")
+    return int(d["n"])
+
+
 def matrix_from_json(d: dict) -> Matrix:
-    n = int(d["n"])
+    n = _json_size(d)
     re = np.asarray(d["re"], dtype=float)
     im = np.asarray(d.get("im", np.zeros((n, n))), dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):

@@ -585,12 +585,13 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:
-    """New representation on a basis subset; the subset must span a subalgebra.
-    It keeps none of the parent's metadata, whose family and Cartan bookkeeping
+    """New representation on a basis subset of distinct integer indices (not
+    bools, which index as 0 and 1); the subset must span a subalgebra.  It
+    keeps none of the parent's metadata, whose family and Cartan bookkeeping
     describe the parent: every sampler but "generic" raises ValueError on it."""
     idx = list(index_subset)
     if len(idx) == 0:
         raise ValueError("index subset must be nonempty")
-    if len(set(idx)) != len(idx) or not all(0 <= i < rep.g_dim for i in idx):
+    if len(set(idx)) != len(idx) or not all(linalg._is_integer(i) and 0 <= i < rep.g_dim for i in idx):
         raise ValueError(f"invalid index subset {idx}")
     return Representation(f"{rep.name}|{idx}", [rep.basis[i] for i in idx])

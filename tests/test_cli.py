@@ -329,6 +329,34 @@ def _write(path, payload):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "argv", [["map", "--group", "sl", "--n", "2", "--element", "diag(2,0.5)"], ["verify", "--suite", "inequality", "--trials", "1"]]
+)
+def test_an_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 2, not verify's failure code 1, with nothing on stdout, the path and the OS error on one line and
+    # no traceback
+    path = str(tmp_path / "missing" / "x.json")
+    assert cli.main([*argv, "--report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("n", [4.7, True, "4", None])
+def test_a_size_that_is_not_a_json_integer_is_a_usage_error(tmp_path, capsys, n):
+    # int() read 4.7 as 4 and true as 1, and ran on
+    spin = _write(tmp_path / "g.json", {"n": n, "coeffs_re": [1.0] + [0.0] * 15})
+    matrix = _write(tmp_path / "m.json", {"n": n, "re": [[1.0, 0.0], [0.0, 1.0]]})
+    for argv, what, path in (
+        (["spin", "action", "--element", spin], "spin element", spin),
+        (["map", "--group", "sl", "--n", "2", "--element", matrix], "matrix", matrix),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load {what} from {path!r}: n must be an integer, got {n!r}\n"
+
+
 def test_finite_inputs_whose_results_overflow_are_refused(tmp_path, capsys):
     # each exits 3 with a typed error and no numpy warning (warnings are errors here)
     biv = [0.0] * 16

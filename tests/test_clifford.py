@@ -343,6 +343,8 @@ def test_spin_chain_maps_each_operand_once(monkeypatch, n):
     # kept images; a round trip through coefficients per product would map
     # 8n+3 rows forward and 4n+2 back.  Every element of the chain has one
     # parity, so every row is of one parity and none of both
+    # the tables read the generators' images off one to_spinor of n rows when built, before any chain
+    cl._tables(n)
     tables = cl._Tables
     mul, alpha = cl.clifford_mul, cl.alpha
     rows = {"to": 0, "from": 0, "twisted": 0, "both": 0, "mul": 0, "alpha": 0}
@@ -522,6 +524,51 @@ def test_generator_images_are_one_scatter_of_to_spinors_bits(n):
     assert blocks.tobytes() == _generator_blocks(n).tobytes()
     reference = _complex_transforms(n)[0](np.eye(1 << n, dtype=complex)[1 << np.arange(n)])
     assert np.array_equal(_dense(n, blocks, (1,)), reference)
+
+
+def _half_and_rank(n):
+    """Each basis index's parity, the half it lies in, and its place in that half."""
+    t = cl._tables(n)
+    rank = np.empty(t.d, dtype=np.int64)
+    rank[t.halves] = np.arange(t.d // 2)
+    return np.bitwise_count(np.arange(t.d)) & 1, rank
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_generator_images_are_the_jordan_wigner_signed_permutations(n):
+    # generator k + 1, q, y = divmod(k, 2), is i^y (-1)^popcount(c & z_k) at [c xor x_k, c] with x_k = 2^q and
+    # z_k = 2^(q + y) - 1, its zero parts +0: the tables read it off to_spinor, bit for bit this formula
+    t = cl._tables(n)
+    d, h = t.d, t.d // 2
+    half, rank = _half_and_rank(n)
+    r = np.arange(d)
+    q, y = np.divmod(np.arange(n), 2)
+    gx, gz = 1 << q, (1 << (q + y)) - 1
+    flipped = r ^ gx[:, None]
+    at = ((np.arange(n)[:, None] * 2 + half[flipped]) * h + rank[flipped]) * h + rank[r]
+    sign = np.where(np.bitwise_count(r & gz[:, None]) & 1, -1.0, 1.0)
+    values = np.zeros((n, d), dtype=complex)
+    values.real[y == 0] = sign[y == 0]
+    values.imag[y == 1] = sign[y == 1]
+    want = np.zeros((n, 2, h, h), dtype=complex)
+    want.put(at, values)
+    assert t.generator_blocks().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_inverse_gathers_read_each_entry_off_its_block(n):
+    # slice p of the inverse transform reads gamma[x xor c, c] at [c, x] for the h masks x of parity p: block
+    # [half of x xor c] of the (2, h, h) stack of parity p, row rank[x xor c], column rank[c], and slot s of a
+    # stack of both 2 h^2 entries further on; the tables take it as the forward gather's inverse permutation
+    t = cl._tables(n)
+    h = t.d // 2
+    half, rank = _half_and_rank(n)
+    r = np.arange(t.d)
+    xr = t.halves[:, None, :] ^ r[:, None]
+    read = (half[xr] * h + rank[xr]) * h + rank[r][:, None]
+    for parities in ((0,), (1,), BOTH):
+        want = np.concatenate([read[q] + s * 2 * h * h for s, q in enumerate(parities)], axis=1)
+        assert np.array_equal(t.inverse[parities][0], want)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -1351,6 +1351,15 @@ def test_restrict_cartan_of_sl3():
     assert np.linalg.norm(full.matrix() - restricted.matrix()) < 1e-8
 
 
+@pytest.mark.parametrize("index_subset", [[True, False], [np.True_], [0, 1.0]])
+def test_restriction_refuses_indices_that_are_not_integers(index_subset):
+    # [True, False] indexed basis[1] and basis[0]
+    with pytest.raises(ValueError, match="invalid index subset"):
+        rm.restrict_to_subalgebra(SL3, index_subset)
+    # numpy integers are integers
+    assert rm.restrict_to_subalgebra(SL3, np.arange(2)).g_dim == 2
+
+
 @pytest.mark.parametrize("kind", ["unipotent", "trace_free", "cartan", "hyperbolic", "elliptic"])
 def test_restricted_representation_refuses_the_parent_family_samplers(kind):
     # sl3's family metadata describes sl3, not its Cartan subalgebra: with it the
