@@ -262,7 +262,9 @@ def _conjugate(rep: Representation, m: np.ndarray, rng, exponent: bool = False) 
 
 
 def _nilpotent_direction(rep: Representation, rng) -> np.ndarray:
-    """A nonzero nilpotent algebra element, per family."""
+    """A nilpotent algebra element, per family: nonzero where the family has a nonzero
+    nilpotent, and 0 where it has none (so2, up to rounding, and gl1), so that the
+    unipotent sample there is 1 up to rounding."""
     family = rep.metadata.get("family")
     if family in ("sl", "gl"):
         n = rep.v_dim

@@ -356,6 +356,10 @@ class CliffordElement:
         n = linalg._json_size(d)
         re = np.asarray(d["coeffs_re"], dtype=float)
         im = np.asarray(d.get("coeffs_im", np.zeros_like(re)), dtype=float)
+        size = len(_tables(n).grades)  # 2^n, once n is known to be in 1..MAX_N
+        for field, part in (("coeffs_re", re), ("coeffs_im", im)):
+            if part.shape != (size,):
+                raise ValueError(f"{field} must hold 2^n = {size} coefficients for n={n}, got shape {part.shape}")
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("Clifford coefficients contain non-finite entries")
         return cls(n, re + 1j * im)

@@ -32,12 +32,14 @@ its v spectral projectors, by one product with D and one with the stack
 
 Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
 -[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
-of about _TILE_ENTRIES entries per product, so at most a bounded slice of
-them exists at a time, and each tile is projected through D by one GEMM
-(_projected_tiles).  The closure check at construction needs a verdict, not
-coordinates.  A full basis, g = v^2, is closed by dimension count: its
-independent matrices span all of gl(v).  Any other basis maps each projected
-tile back by one more GEMM.  Nothing is formed after construction:
+[a, b) of basis indices, each by two products of one shape, B_[a,b) B_[a,g)
+and B_[a,g) B_[a,b), of at most _TILE_ENTRIES entries each (or one row), so
+at most a bounded slice of them exists at a time, and each tile is projected
+through D by one GEMM (_commutator_tiles).  The closure check at
+construction needs a verdict, not coordinates.  A full basis, g = v^2, is
+closed by dimension count: its independent matrices span all of gl(v).  Any
+other basis maps each projected tile back by one more GEMM.  Nothing is
+formed after construction:
 structure_constants() builds its dense (g, g, g) array anew on each call.
 
 Every catalog basis is real, and a basis with no nonzero imaginary part
@@ -93,13 +95,10 @@ ADJOINT_RESIDUAL_TOL = 1e-6
 KERNEL_CUTOFF = 1e-7
 # An element with an eigenvalue of modulus below this fraction of the largest has no unipotent part.
 SINGULAR_TOL = 1e-12
-# Entries of one commutator product tile; a tile takes as many basis rows as
-# fit, at least one.  Smaller tiles lower the closure check's peak memory and
-# add BLAS calls: at 2^17 (tracemalloc, one BLAS thread, real bases) sl10's
-# construction peaks at 6.8 MiB in 8 tiles and so12's at 5.6 MiB in 5; gl12,
-# closed by dimension count, peaks at 1.5 MiB and tiles (24) only in
-# structure_constants(), at 28.3 MiB, 22.8 MiB of it the (g, g, g) array it
-# returns; the instance retains none of it.
+# Entries of each of a commutator tile's two products; a tile takes as many
+# basis rows as fit, at least one.  Smaller tiles lower the walk's peak memory
+# and add BLAS calls.  Where the products are exact, as on every catalog
+# basis, sum, tensor, dual and restriction, the tiling changes no bit.
 _TILE_ENTRIES = 2**17
 
 
@@ -238,7 +237,7 @@ class Representation:
         projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
         c = np.zeros((self.g_dim,) * 3, dtype=self.stack.dtype)
-        for i, j, _, coords in self._projected_tiles():
+        for i, j, _, coords in self._commutator_tiles():
             c[i, j] = coords
             c[j, i] = -coords
         return c
@@ -267,7 +266,7 @@ class Representation:
             return
         flat_basis = self.stack.reshape(g, v * v)
         res = scale = 0.0  # stay 0 for a one-element basis, which has no pairs
-        for _, _, flat, coords in self._projected_tiles():
+        for _, _, flat, coords in self._commutator_tiles():
             recon = coords @ flat_basis
             recon -= flat  # in place: the commutator tile is the largest array here
             res = max(res, np.abs(recon).sum(axis=1).max(initial=0.0))
@@ -275,27 +274,18 @@ class Representation:
         threshold = max(CLOSURE_TOL * (1.0 + scale), self._rounding_floor(scale))
         raise_if(res > threshold, NotASubalgebra, "basis not closed under commutator: residual", res, threshold)
 
-    def _projected_tiles(self):
-        """Yield (i, j, flat, coords) per commutator tile: flat holds the
-        [B_i, B_j] of _commutator_tiles as rows of v^2 entries, and
-        coords = flat @ dual their coordinates, one GEMM per tile."""
-        for i, j, comm in self._commutator_tiles():
-            flat = comm.reshape(len(comm), self.v_dim * self.v_dim)
-            yield i, j, flat, flat @ self.dual
-
     def _commutator_tiles(self):
-        """Yield (i, j, [B_i, B_j]) for all pairs i < j, one row tile at a time:
-        index arrays i, j and the (pairs, v, v) commutator stack.
+        """Yield (i, j, flat, coords) for all pairs i < j, one row tile at a time:
+        index arrays i, j, the [B_i, B_j] as rows of v^2 entries (flat) and
+        their coordinates, coords = flat @ dual, by one GEMM.
 
         The pairs are walked in row tiles [a, b) of basis indices.  Each tile
-        takes two products, B_[a,b) B_[a,g) and B_[b,g) B_[a,b); with the
-        first's own [a, b) block they give every B_j B_i with j >= a.  Over
-        all tiles that is the work of one (g v) x (g v) product, and a basis
-        that fits in one tile takes only the first.  A tile that would end
-        within two rows of g takes them too: a tile from row g - 2 would hold
-        the single pair (g - 2, g - 1), whose projection numpy computes by
-        matrix-vector products, which can round differently in the last bit,
-        so the structure constants would depend on the tiling.
+        takes two products of one shape, B_[a,b) B_[a,g) and B_[a,g) B_[a,b),
+        which hold every B_i B_j and B_j B_i with a <= i < b and j >= a.  A
+        tile that would end within two rows of g takes them too: a tile from
+        row g - 2 would hold the single pair (g - 2, g - 1), whose projection
+        numpy computes by matrix-vector products, which can round differently
+        in the last bit, so the structure constants would depend on the tiling.
         """
         g, v = self.stack.shape[:2]
         rows = max(1, _TILE_ENTRIES // (g * v * v))
@@ -304,14 +294,10 @@ class Representation:
         while a < g:
             b = a + rows if a + rows < g - 2 else g
             fwd = (self.stack[a:b].reshape(-1, v) @ right[:, a:].reshape(v, -1)).reshape(b - a, v, g - a, v)
-            back = fwd  # back[j - a, :, i - a] = B_j B_i
-            if b < g:
-                back = np.empty((g - a, v, b - a, v), dtype=self.stack.dtype)
-                back[: b - a] = fwd[:, :, : b - a]
-                rest = back[b - a :].reshape(-1, (b - a) * v)
-                np.matmul(self.stack[b:].reshape(-1, v), right[:, a:b].reshape(v, -1), out=rest)
+            back = (self.stack[a:].reshape(-1, v) @ right[:, a:b].reshape(v, -1)).reshape(g - a, v, b - a, v)
             i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(g))  # pairs (a + i, j)
-            yield i + a, j, fwd[i, :, j - a] - back[j - a, :, i]
+            flat = (fwd[i, :, j - a] - back[j - a, :, i]).reshape(len(i), v * v)
+            yield i + a, j, flat, flat @ self.dual
             a = b
 
     def __repr__(self) -> str:
@@ -594,4 +580,5 @@ def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:
         raise ValueError("index subset must be nonempty")
     if len(set(idx)) != len(idx) or not all(linalg._is_integer(i) and 0 <= i < rep.g_dim for i in idx):
         raise ValueError(f"invalid index subset {idx}")
+    idx = [int(i) for i in idx]  # named by value: np.arange(2), range(2) and [0, 1] give one name
     return Representation(f"{rep.name}|{idx}", [rep.basis[i] for i in idx])

@@ -357,6 +357,24 @@ def test_a_size_that_is_not_a_json_integer_is_a_usage_error(tmp_path, capsys, n)
         assert captured.err == f"error: cannot load {what} from {path!r}: n must be an integer, got {n!r}\n"
 
 
+@pytest.mark.parametrize(
+    "payload, field, length",
+    [
+        ({"coeffs_re": [1.0, 0.0, 0.0, 0.0], "coeffs_im": [0.0, 0.0, 0.0]}, "coeffs_im", 3),
+        ({"coeffs_re": [1.0, 0.0, 0.0], "coeffs_im": [0.0, 0.0, 0.0, 0.0]}, "coeffs_re", 3),
+        ({"coeffs_re": [1.0, 0.0, 0.0, 0.0, 0.0]}, "coeffs_re", 5),
+    ],
+)
+def test_a_clifford_payload_of_the_wrong_length_names_its_field(tmp_path, capsys, payload, field, length):
+    # coeffs_re of 4 and coeffs_im of 3 exited 2 with numpy's broadcast error, which named neither
+    path = _write(tmp_path / "g.json", {"n": 2, **payload})
+    assert cli.main(["spin", "action", "--element", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"{field} must hold 2^n = 4 coefficients for n=2, got shape ({length},)"
+    assert captured.err == f"error: cannot load spin element from {path!r}: {want}\n"
+
+
 def test_finite_inputs_whose_results_overflow_are_refused(tmp_path, capsys):
     # each exits 3 with a typed error and no numpy warning (warnings are errors here)
     biv = [0.0] * 16

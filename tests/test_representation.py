@@ -156,14 +156,14 @@ def _coords_of_shapes(monkeypatch):
 def _projected_rows(monkeypatch):
     # (pairs, g) shape of the coordinates of every projected commutator tile
     rows = []
-    tiles = rm.Representation._projected_tiles
+    tiles = rm.Representation._commutator_tiles
 
     def counted_tiles(self):
         for i, j, flat, coords in tiles(self):
             rows.append(coords.shape)
             yield i, j, flat, coords
 
-    monkeypatch.setattr(rm.Representation, "_projected_tiles", counted_tiles)
+    monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
     return rows
 
 
@@ -211,9 +211,9 @@ def _closure_work(monkeypatch):
 
     def counted_tiles(self):
         work["walks"] += 1
-        for i, j, comm in tiles(self):
-            work["pairs"] += len(comm)
-            yield i, j, comm
+        for i, j, flat, coords in tiles(self):
+            work["pairs"] += len(flat)
+            yield i, j, flat, coords
 
     solve_linear = linalg.solve_linear
 
@@ -307,13 +307,25 @@ def test_ill_conditioned_subalgebra_basis_is_closed(fam, n, cond, seed):
     assert err.value.value > 10 * err.value.threshold
 
 
-@pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
+def _combined_reps():
+    # a direct sum, a tensor product, the v = 27 cube, a dual and a restriction, whose tiles take other shapes
+    irrep = {m: catalog.make_sl2_irrep(m) for m in (1, 2, 3)}
+    return [
+        catalog.direct_sum(irrep[1], irrep[2]),
+        catalog.tensor(irrep[1], irrep[3]),
+        catalog.tensor_power(irrep[2], 3),
+        catalog.dual(irrep[3]),
+        rm.restrict_to_subalgebra(catalog.make_sl(4), range(3)),
+    ]
+
+
+@pytest.mark.parametrize("rep", STRUCTURE_REPS + _combined_reps(), ids=lambda r: r.name)
 def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
-    # every tile is projected by its own products and one GEMM against the
-    # dual basis, whose row count changes with the tile: one-row tiles, the
-    # intermediate budgets (2^12 takes 2, 3 and 6 basis rows per tile on so8,
-    # sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the default and one
-    # whole tile give the same bits
+    # every tile is projected by its own two products and one GEMM against
+    # the dual basis, whose row count changes with the tile: one-row tiles,
+    # the intermediate budgets (2^12 takes 2, 3 and 6 basis rows per tile on
+    # so8, sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the default and
+    # one whole tile give the same bits
     want = rep.structure_constants()
     for entries in (1, 2**8, 2**12, 2**14, rm._TILE_ENTRIES, (rep.g_dim * rep.v_dim) ** 2):
         monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
@@ -351,6 +363,22 @@ def test_construction_memory_is_bounded():
     assert peak < 32 * 2**20
     assert retained < 4 * 2**20
     assert after_structure < 4 * 2**20
+
+
+@pytest.mark.parametrize("fam, n", [("sl", 10), ("so", 12)])
+def test_structure_constants_peak_is_the_result_and_a_few_tiles(fam, n):
+    # the walk holds one tile at a time: its two products, the two gathers
+    # of their pairs, the commutators and their coordinates, each of at most
+    # _TILE_ENTRIES entries; sl10 and so12, 13 rows per tile, peak near
+    # 5.1 and 4.1 tiles past the (g, g, g) result
+    rep = catalog.make(fam, n)
+    tracemalloc.start()
+    try:
+        c = rep.structure_constants()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nbytes + 6 * rm._TILE_ENTRIES * rep.stack.itemsize
 
 
 def test_structure_constants_are_formed_anew_and_keep_no_state():
@@ -1358,6 +1386,16 @@ def test_restriction_refuses_indices_that_are_not_integers(index_subset):
         rm.restrict_to_subalgebra(SL3, index_subset)
     # numpy integers are integers
     assert rm.restrict_to_subalgebra(SL3, np.arange(2)).g_dim == 2
+
+
+def test_restriction_is_named_by_its_index_values():
+    # the name was the repr of the list as given: np.arange(2) named sl3|[np.int64(0), np.int64(1)]
+    subs = [rm.restrict_to_subalgebra(SL3, idx) for idx in ([0, 1], (0, 1), range(2), np.arange(2))]
+    assert {sub.name for sub in subs} == {"sl3|[0, 1]"}
+    for sub in subs[1:]:
+        for attr in ("stack", "gram", "dual"):
+            assert np.array_equal(getattr(sub, attr), getattr(subs[0], attr))
+            assert getattr(sub, attr).dtype == getattr(subs[0], attr).dtype
 
 
 @pytest.mark.parametrize("kind", ["unipotent", "trace_free", "cartan", "hyperbolic", "elliptic"])
