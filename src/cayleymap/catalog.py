@@ -9,10 +9,10 @@ Families
                acting on monomials x^(m-p) y^p, ordered basis (H, E, F)
 
 Combinators build block-diagonal sums, Kronecker tensor products, duals
-(B -> -B^T) and tensor powers.  Sums and products check numerically (via
-structure constants) that both operands represent the same abstract
-algebra; a tensor power, whose factors are all one representation, needs
-no check.
+(B -> -B^T) and tensor powers.  Sums and products check numerically (by
+the commutators of fixed combinations of the basis, Representation's closure
+certificate) that both operands represent the same abstract algebra; a tensor
+power, whose factors are all one representation, needs no check.
 
 Samplers return deterministic group elements per (kind, seed, rep) in the
 classes generic / hyperbolic / elliptic / unipotent / cartan / trace_free,
@@ -30,8 +30,7 @@ from .errors import IncompatibleAlgebras, NotProportional, raise_if
 from .representation import GroupElement, Representation
 
 SAMPLE_KINDS = ("generic", "hyperbolic", "elliptic", "unipotent", "cartan", "trace_free")
-# Relative bounds on structure-constant disagreement, dynkin_ratio's fit residual and Im of its ratio.
-STRUCTURE_TOL = 1e-8
+# Relative bounds on dynkin_ratio's fit residual and Im of its ratio.
 PROPORTION_TOL = 1e-6
 REAL_RATIO_TOL = 1e-8
 
@@ -146,13 +145,13 @@ def make(family: str, size: int) -> Representation:
 
 
 def _require_same_algebra(r1: Representation, r2: Representation):
+    """IncompatibleAlgebras unless both bases have one set of structure constants: the
+    coordinates of r2's [X, Y] for the fixed weights, which depend on g alone, mapped
+    into r1's basis must give r1's [X, Y], by the closure rule (_bracket_residual)."""
     if r1.g_dim != r2.g_dim:
         raise IncompatibleAlgebras(f"{r1.name} and {r2.name} have different algebra dimensions")
-    c1 = r1.structure_constants()
-    c2 = r2.structure_constants()
-    diff = np.abs(c1 - c2).max()
-    threshold = STRUCTURE_TOL * (1.0 + max(np.abs(c1).max(), np.abs(c2).max()))
-    raise_if(diff > threshold, IncompatibleAlgebras, "structure constants disagree: max difference", diff, threshold)
+    _, diff, threshold = r1._bracket_residual(r2._bracket_residual()[0])
+    raise_if(diff > threshold, IncompatibleAlgebras, "brackets of the fixed combinations disagree: residual", diff, threshold)
 
 
 def _combined_meta(r1: Representation, family: str) -> dict:

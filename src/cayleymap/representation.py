@@ -30,17 +30,13 @@ centralizer of a group element with a simple, well-conditioned spectrum on
 its v spectral projectors, by one product with D and one with the stack
 (_commutant_pair), not on the g x g Ad(g) - 1.
 
-Of the commutators only the g(g-1)/2 pairs i < j are formed; [B_j, B_i] =
--[B_i, B_j] and [B_i, B_i] = 0 give the rest.  They are formed in row tiles
-[a, b) of basis indices, each by two products of one shape, B_[a,b) B_[a,g)
-and B_[a,g) B_[a,b), of at most _TILE_ENTRIES entries each (or one row), so
-at most a bounded slice of them exists at a time, and each tile is projected
-through D by one GEMM (_commutator_tiles).  The closure check at
-construction needs a verdict, not coordinates.  A full basis, g = v^2, is
-closed by dimension count: its independent matrices span all of gl(v).  Any
-other basis maps each projected tile back by one more GEMM.  Nothing is
-formed after construction:
-structure_constants() builds its dense (g, g, g) array anew on each call.
+Closure, catalog's same-algebra check and the refusals of adjoint_matrix and
+centralizer_dim ask whether [B_i, B_j] or b B_i b^-1 stay in a span.  Each
+map is bilinear or linear, so each is tested on X = sum_i r_i B_i and
+Y = sum_i s_i B_i for two weight pairs (r, s) fixed by g alone (weights):
+_off_span projects the images through D and maps them back by one product
+(Freivalds 1977; Schwartz 1980).  structure_constants() alone walks every
+pair i < j, in bounded row tiles (_commutator_tiles).
 
 Every catalog basis is real, and a basis with no nonzero imaginary part
 keeps stack, gram, the pairing, the interleaved basis and dual as float64; a
@@ -49,8 +45,8 @@ elements and coordinates stay complex: linalg.left_product multiplies a kept
 real matrix into a complex operand as one real GEMM on its float view, and
 linalg.solve_linear solves the real G against complex right-hand sides on
 their float view, each exact per component.  Construction (build_gram's GEMM
-and SVD, the dual solve and the commutator tiles) runs in the basis's own
-arithmetic, and structure_constants() has its dtype.
+and SVD, the dual solve and the closure check) runs in the basis's own
+arithmetic, and structure_constants() has its dtype; the weights are float64.
 
 Root spaces g_a and g_b are trace-form orthogonal unless a + b = 0, and the
 Cartan subalgebra is orthogonal to every root space (Humphreys 1972,
@@ -87,7 +83,7 @@ from .errors import (
     raise_if,
 )
 
-# Residual allowed when re-expressing commutators / conjugates in the basis.
+# Off-span residual allowed of a fixed combination's commutator [X, Y] and conjugate b X b^-1, relative.
 CLOSURE_TOL = 1e-8
 ADJOINT_RESIDUAL_TOL = 1e-6
 # Singular values below this fraction of the largest count as kernel, as do
@@ -95,10 +91,8 @@ ADJOINT_RESIDUAL_TOL = 1e-6
 KERNEL_CUTOFF = 1e-7
 # An element with an eigenvalue of modulus below this fraction of the largest has no unipotent part.
 SINGULAR_TOL = 1e-12
-# Entries of each of a commutator tile's two products; a tile takes as many
-# basis rows as fit, at least one.  Smaller tiles lower the walk's peak memory
-# and add BLAS calls.  Where the products are exact, as on every catalog
-# basis, sum, tensor, dual and restriction, the tiling changes no bit.
+# Entries of structure_constants()' two products per tile of basis rows (one row at least): smaller tiles
+# lower its peak memory.  The tiling moves no bit only where the products are exact, as on catalog bases.
 _TILE_ENTRIES = 2**17
 
 
@@ -133,12 +127,12 @@ class Representation:
     coords_of, one pairing product and one Gram solve per call, serves cayley
     and cayley_jacobian/psi, through gram_split (see the module docstring).
     NotASubalgebra when the span is not closed under commutators, checked
-    here by _check_closure: a full basis (g = v^2) spans gl(v) and is closed
-    by dimension count, any other is checked through the dual basis.
+    here: a full basis (g = v^2) spans gl(v) and is closed by dimension
+    count, any other by [X, Y] for the fixed weights (_bracket_residual).
 
     Instances are immutable and form no state after construction: stack,
-    gram, gram_split, dual, the pairing, the interleaved basis and the
-    lone-entry tables are read-only, and basis is the list of the stack's rows, so values are
+    gram, gram_split, dual, the pairing, the interleaved basis, the weights
+    and the lone-entry tables are read-only, and basis is the list of the stack's rows, so values are
     safe to share across threads.  All of them are float64 when the basis has no nonzero
     imaginary part, and complex128 otherwise; see the module docstring.
     """
@@ -167,12 +161,17 @@ class Representation:
         self.dual = linalg.solve_linear(self.gram, self._pairing.T, "Gram matrix", split=self.gram_split).T
         if not np.isfinite(self.dual).all():
             raise DegenerateInput(f"dual basis is not finite: Gram solve overflows at max |G_ij| {abs(self.gram).max():.2e}")
-        for kept in (self.gram, self._pairing, self._interleaved, self.dual):
+        # weights[0] and weights[1] hold the r and s of two fixed pairs, from g alone: one algebra, one set
+        self._weights = np.random.default_rng(len(mats)).standard_normal((2, 2, len(mats)))
+        for kept in (self.gram, self._pairing, self._interleaved, self.dual, self._weights):
             kept.flags.writeable = False
         self._pairing_lone = linalg.lone_entries(self._pairing.T)
         self._dual_lone = linalg.lone_entries(self.dual.T)
         self._span_lone = linalg.lone_entries(self.stack.reshape(len(mats), -1).T)
-        self._check_closure()
+        # build_gram certified the matrices independent: g = v^2 of them span gl(v), closed by dimension count
+        if len(mats) < v * v:
+            _, res, threshold = self._bracket_residual()
+            raise_if(res > threshold, NotASubalgebra, "basis not closed under commutator: residual", res, threshold)
 
     @property
     def v_dim(self) -> int:
@@ -237,7 +236,7 @@ class Representation:
         projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
         """
         c = np.zeros((self.g_dim,) * 3, dtype=self.stack.dtype)
-        for i, j, _, coords in self._commutator_tiles():
+        for i, j, coords in self._commutator_tiles():
             c[i, j] = coords
             c[j, i] = -coords
         return c
@@ -246,38 +245,33 @@ class Representation:
         """linalg.ROUNDING_FLOOR g cond(G) scale: rounding of a projection of inputs of that scale."""
         return linalg.ROUNDING_FLOOR * self.g_dim * self.gram_cond * scale
 
-    def _check_closure(self) -> None:
-        """NotASubalgebra unless every [B_i, B_j] lies in the basis span.
+    def _off_span(self, cols, coords=None) -> tuple[np.ndarray, np.ndarray]:
+        """(coords, |m - sum_i c_i B_i| / |m|, 0 for m = 0) of the matrices m held row-major in the columns of
+        cols, c by default their projections through dual.  Fixed weights cannot rule out a defect whose
+        (bi)linear form vanishes at them, as a nonzero one does only on a proper subvariety (Schwartz 1980)."""
+        if coords is None:
+            coords = linalg.left_product(self.dual.T, cols, self._dual_lone)
+        off = cols - self._span_columns(coords)
+        return coords, np.array([linalg.norm(d) / (linalg.norm(m) or 1.0) for m, d in zip(cols.T, off.T)])
 
-        A full basis, g = v^2, is closed by dimension count: build_gram has
-        already certified its matrices independent, so they span all of
-        gl(v), and it forms no commutator.  (g > v^2 cannot get here: its
-        Gram matrix has rank at most v^2.)  Otherwise each projected tile is
-        mapped back by one more GEMM.  The test runs on the largest L1
-        residual of one commutator and the largest |[B_i, B_j]| over all
-        tiles, so the tiling changes neither its outcome nor its message.
-        The threshold is CLOSURE_TOL (1 + max |[B_i, B_j]|) or, if larger,
-        the rounding floor at that scale: the residual is rounding amplified
-        by cond(G), and a closed basis near the DegenerateForm bound would
-        otherwise read as open.
-        """
-        g, v = self.stack.shape[:2]
-        if g == v * v:
-            return
-        flat_basis = self.stack.reshape(g, v * v)
-        res = scale = 0.0  # stay 0 for a one-element basis, which has no pairs
-        for _, _, flat, coords in self._commutator_tiles():
-            recon = coords @ flat_basis
-            recon -= flat  # in place: the commutator tile is the largest array here
-            res = max(res, np.abs(recon).sum(axis=1).max(initial=0.0))
-            scale = max(scale, np.abs(flat).max(initial=0.0))
-        threshold = max(CLOSURE_TOL * (1.0 + scale), self._rounding_floor(scale))
-        raise_if(res > threshold, NotASubalgebra, "basis not closed under commutator: residual", res, threshold)
+    def _bracket_residual(self, coords=None) -> tuple[np.ndarray, float, float]:
+        """(coords, residual, threshold): _off_span of [X, Y] for the two weight pairs, at coords if given, the
+        worse residual, and max(CLOSURE_TOL, ROUNDING_FLOOR cond(G) min |X| |Y| / |[X, Y]|), a floor at the
+        rounding of [X, Y], so that pure rounding passes.  DegenerateInput where [X, Y] overflows."""
+        x, y = (self._weights.reshape(4, -1) @ self.stack.reshape(self.g_dim, -1)).reshape(2, 2, *self.stack.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            comm = x @ y - y @ x
+            sizes = linalg.norms(np.stack([x, y, comm]), axis=(2, 3))
+            floor = linalg.ROUNDING_FLOOR * self.gram_cond * np.min(sizes[0] * sizes[1] / sizes[2])
+        if not np.isfinite(comm).all():
+            raise DegenerateInput(f"commutator [X, Y] is not finite: it overflows at max |B_i| {abs(self.stack).max():.2e}")
+        coords, res = self._off_span(comm.reshape(2, -1).T, coords)
+        return coords, float(res.max()), max(CLOSURE_TOL, float(floor))
 
     def _commutator_tiles(self):
-        """Yield (i, j, flat, coords) for all pairs i < j, one row tile at a time:
-        index arrays i, j, the [B_i, B_j] as rows of v^2 entries (flat) and
-        their coordinates, coords = flat @ dual, by one GEMM.
+        """Yield (i, j, coords) for all pairs i < j, one row tile at a time:
+        index arrays i, j and the coordinates of the [B_i, B_j], by one GEMM
+        of the commutators, as rows of v^2 entries, against the dual basis.
 
         The pairs are walked in row tiles [a, b) of basis indices.  Each tile
         takes two products of one shape, B_[a,b) B_[a,g) and B_[a,g) B_[a,b),
@@ -285,7 +279,7 @@ class Representation:
         tile that would end within two rows of g takes them too: a tile from
         row g - 2 would hold the single pair (g - 2, g - 1), whose projection
         numpy computes by matrix-vector products, which can round differently
-        in the last bit, so the structure constants would depend on the tiling.
+        in the last bit even where every product is exact.
         """
         g, v = self.stack.shape[:2]
         rows = max(1, _TILE_ENTRIES // (g * v * v))
@@ -296,8 +290,7 @@ class Representation:
             fwd = (self.stack[a:b].reshape(-1, v) @ right[:, a:].reshape(v, -1)).reshape(b - a, v, g - a, v)
             back = (self.stack[a:].reshape(-1, v) @ right[:, a:b].reshape(v, -1)).reshape(g - a, v, b - a, v)
             i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(g))  # pairs (a + i, j)
-            flat = (fwd[i, :, j - a] - back[j - a, :, i]).reshape(len(i), v * v)
-            yield i + a, j, flat, flat @ self.dual
+            yield i + a, j, (fwd[i, :, j - a] - back[j - a, :, i]).reshape(len(i), v * v) @ self.dual
             a = b
 
     def __repr__(self) -> str:
@@ -308,9 +301,13 @@ def build_gram(stack: np.ndarray) -> tuple[np.ndarray, float]:
     """Gram matrix G_ij = tr(B_i B_j) of the trace form on a (g, v, v) basis stack,
     as one GEMM of the flattened B_i against the flattened B_j^T, and its
     condition number sv[0]/sv[-1]; DegenerateForm above 1/linalg.RTOL, G's only
-    conditioning decision (coords_of solves against G without one)."""
-    g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
-    g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
+    conditioning decision (coords_of solves against G without one).  DegenerateInput,
+    before the SVD, where G overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
+        g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
+    if not np.isfinite(g).all():
+        raise DegenerateInput(f"Gram matrix is not finite: it overflows at max |B_i| {abs(stack).max():.2e}")
     sv = np.linalg.svd(g, compute_uv=False)
     singular = sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]
     ratio = sv[-1] / sv[0] if sv[0] else 0.0
@@ -404,35 +401,34 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """Matrix of conjugation by b acting on algebra coordinates.
 
     Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
-    dual basis by one product.  A full basis (g = v^2) spans gl(v), so no
-    conjugate can leave it and no residual is taken, by _check_closure's
-    dimension count.  Any other basis raises NotEquivariant if some conjugate
-    leaves the basis span by more than ADJOINT_RESIDUAL_TOL relative to its
-    norm (each column's two norms from linalg.norms, exact at every scale),
-    which signals a malformed representation.  DegenerateInput where a
-    conjugate or its coordinates overflow.
+    dual basis by one product.  DegenerateInput where a conjugate or its
+    coordinates overflow; NotEquivariant where the conjugates leave the span
+    (a malformed representation), from their sum with the fixed weights r.
     """
     bm = rep.element_matrix(b)
     v, g = rep.v_dim, rep.g_dim
-    full = g == v * v
-    # pair[0] holds the conjugates, conj[a*v + d, i] = (b B_i b^-1)[a, d] (row block a of b B_i, times
-    # b^-1), and pair[1] their residuals: one buffer, so that one norms call takes both column norms
-    pair = np.empty((1 if full else 2, v * v, g), dtype=complex)
-    conj = pair[0]
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = linalg.inverse(bm, "conjugating element")
-        np.matmul(inverse.T, rep._left_products(bm).reshape(v, v, g), out=conj.reshape(v, v, g))
+        # conj[a*v + d, i] = (b B_i b^-1)[a, d]: row block a of b B_i, times b^-1
+        conj = (inverse.T @ rep._left_products(bm).reshape(v, v, g)).reshape(v * v, g)
         ad = linalg.left_product(rep.dual.T, conj, rep._dual_lone)
-        if full:
+        if g == v * v:  # a full basis spans gl(v): no conjugate can leave it
             return _require_finite(ad, "adjoint matrix", b)
-        np.subtract(conj, rep._span_columns(ad), out=pair[1])
-        sizes = linalg.norms(pair, axis=1)
-        worst = float(np.max(sizes[1] / sizes[0]))
-    outside = not worst <= ADJOINT_RESIDUAL_TOL
-    if outside:  # a conjugate that overflows leaves NaN in ad and in worst: named first
-        _require_finite(ad, "adjoint matrix", b)
-    raise_if(outside, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
+        r = rep._weights[0, :1].T
+        _require_equivariant(rep, b, conj @ r, ad @ r, "adjoint matrix")
     return ad
+
+
+def _require_equivariant(rep: Representation, b, images=None, coords=None, what="conjugate b X b^-1") -> None:
+    """NotEquivariant where b X b^-1, X = sum_i r_i B_i for the first fixed r, leaves the span by more than
+    ADJOINT_RESIDUAL_TOL of its norm (_off_span); first DegenerateInput, naming what, where images (b X b^-1
+    as a (v^2, 1) column, by default one conjugation here) or coords overflow, under the caller's errstate."""
+    if images is None:
+        images = (b @ rep.materialize(rep._weights[0, 0]) @ linalg.inverse(b, "conjugating element")).reshape(-1, 1)
+    worst = rep._off_span(images, coords)[1].max() if rep.g_dim < rep.v_dim**2 else 0.0  # g = v^2 spans gl(v)
+    if not 0.0 < worst <= ADJOINT_RESIDUAL_TOL:  # a full basis, or an overflow, which leaves NaN in worst
+        _require_finite(images if coords is None else coords, what, b)
+    raise_if(not worst <= ADJOINT_RESIDUAL_TOL, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
 
 
 # --- Jordan-type decompositions ----------------------------------------------
@@ -497,19 +493,19 @@ def centralizer_dim(rep: Representation, x) -> int:
     coordinates, projected through the dual basis.  One rule counts the kernel
     of the operator a - s in every case: singular values below
     max(KERNEL_CUTOFF * sigma_max, 64 g eps cond(G) (|a|_F + |s|_F)).  The
-    floor (_rounding_floor, shared with the closure check) is a few ulps of
-    the operator's inputs, amplified by the Gram condition number; without
-    it a central x, where a - s is pure rounding, would have its rounding
-    judged relative to itself.  An exactly zero operator has all its
-    columns as kernel.
+    floor (_rounding_floor) is a few ulps of the operator's inputs, amplified
+    by the Gram condition number; without it a central x, where a - s is pure
+    rounding, would have its rounding judged relative to itself.  An exactly
+    zero operator has all its columns as kernel.
 
-    A group element takes adjoint_matrix first, for its refusals; where its
-    spectrum is simple and its eigenvectors well conditioned, a - s is the
-    (v^2, v) operator of _commutant_pair in place of Ad - 1.
+    A group element with a simple, well-conditioned spectrum takes the (v^2,
+    v) operator of _commutant_pair as a - s, and adjoint_matrix's refusals,
+    in its order, from one conjugation of the fixed combination X; it forms
+    no adjoint matrix.  Any other takes Ad - 1.
     """
     if isinstance(x, GroupElement):
-        ad = adjoint_matrix(rep, x)
-        a, s = _commutant_pair(rep, x.matrix) or (ad, np.eye(rep.g_dim))
+        m = rep.element_matrix(x)
+        a, s = _commutant_pair(rep, m) or (adjoint_matrix(rep, x), np.eye(rep.g_dim))
     elif isinstance(x, AlgebraVector):
         xm = rep.element_matrix(x.matrix())
         v, g = rep.v_dim, rep.g_dim
@@ -545,7 +541,8 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
     is taken as its bound |P|_F |P^-1|_F = sqrt(v sum_k |q_k|^2): eig's p_k
     have unit norm, so |q_k| is also the norm of p_k q_k^T.  Clustered and
     near-defective spectra (the identity, central elements, unipotent
-    elements) and an eig or inverse that fails return None.
+    elements) and an eig or inverse that fails return None.  A qualifying m
+    is refused as adjoint_matrix would refuse it, by _require_equivariant.
     """
     try:
         eigenvalues, p = np.linalg.eig(m)
@@ -563,6 +560,8 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
     v = rep.v_dim
     if not v * sizes @ sizes * linalg.ROUNDING_FLOOR <= KERNEL_CUTOFF:
         return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_equivariant(rep, m)
     if rep.g_dim == v * v:
         zero = np.zeros((v, v))
         return zero, zero

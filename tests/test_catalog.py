@@ -102,9 +102,15 @@ def test_conjugate_by_singular_matrix_raises_singular_matrix(monkeypatch):
         catalog._conjugate(catalog.make_sl(2), np.eye(2), _rng(0))
 
 
-def test_incompatible_algebras_rejected():
-    with pytest.raises(IncompatibleAlgebras):
-        catalog.direct_sum(catalog.make_sl(2), catalog.make_so(3))
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+@pytest.mark.parametrize("combine", [catalog.direct_sum, catalog.tensor, catalog.dynkin_ratio], ids=lambda f: f.__name__)
+def test_incompatible_algebras_rejected(combine, scale):
+    # sl2 and so3 have different structure constants at every scale: the brackets are
+    # compared relative to their own norm, with no unit term (tensor built at 1e-9)
+    sl2, so3 = (rm.Representation(r.name, scale * r.stack) for r in (catalog.make_sl(2), catalog.make_so(3)))
+    with pytest.raises(IncompatibleAlgebras) as err:
+        combine(sl2, so3)
+    assert err.value.value > 10 * err.value.threshold
 
 
 def test_direct_sum_identity():
@@ -168,12 +174,16 @@ def test_tensor_power_identity():
             assert np.linalg.norm(ck - mix) <= 1e-7 * (1 + np.linalg.norm(mix))
 
 
-def test_tensor_power_forms_no_structure_constants(monkeypatch):
+def test_combinators_form_no_structure_constants(monkeypatch):
+    # sums, tensor products and index ratios compare the brackets of fixed combinations;
+    # a tensor power compares nothing
     rep = catalog.make_sl(3)
-    want = catalog.tensor(catalog.tensor(rep, rep), rep)
     calls = []
     formed = rm.Representation.structure_constants
     monkeypatch.setattr(rm.Representation, "structure_constants", lambda self: calls.append(self.name) or formed(self))
+    want = catalog.tensor(catalog.tensor(rep, rep), rep)
+    catalog.direct_sum(rep, rep)
+    assert catalog.dynkin_ratio(want, rep) == pytest.approx(27.0, rel=1e-12)
     cube = catalog.tensor_power(rep, 3)
     assert calls == []
     assert cube.name == want.name and cube.metadata == want.metadata

@@ -101,6 +101,78 @@ def test_not_closed_raises():
         rm.Representation("open", [e12 + e21, e12 - e21])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-100])
+def test_span_of_e12_and_e21_is_not_a_subalgebra_at_any_scale(scale):
+    # [E12, E21] = E11 - E22 leaves span{E12, E21}; judged against |[X, Y]|, not
+    # against a unit term, the span is refused at every scale
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = scale
+    with pytest.raises(NotASubalgebra) as err:
+        rm.Representation("open", [e12, e12.T])
+    assert err.value.value > 10 * err.value.threshold
+
+
+def test_basis_whose_gram_overflows_is_refused_by_name_with_nothing_printed(capfd):
+    # at 1e154 the Gram product overflows: refused before its SVD, with no numpy
+    # warning and no LAPACK message
+    with pytest.raises(DegenerateInput, match=r"^Gram matrix is not finite: it overflows at max \|B_i\| 1.00e\+154$"):
+        rm.Representation("x", SL3.stack * 1e154)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_basis_whose_commutators_overflow_is_refused_by_name():
+    # so12 at 5e153 has a finite Gram matrix; the fixed combinations' products overflow
+    with pytest.raises(DegenerateInput, match=r"^commutator \[X, Y\] is not finite: it overflows at max \|B_i\| 5.00e\+153$"):
+        rm.Representation("x", catalog.make_so(12).stack * 5e153)
+
+
+SWEEP = [10.0 ** (k / 4) for k in range(-48, -19)]  # 1e-12 .. 1e-5, four steps a decade
+
+
+def _first_refused(build):
+    """The smallest delta of SWEEP at which build(delta) raises, checking that every larger one does."""
+    refused = []
+    for delta in SWEEP:
+        try:
+            build(delta)
+            refused.append(False)
+        except (NotASubalgebra, NotEquivariant):
+            refused.append(True)
+    assert refused == sorted(refused)
+    return SWEEP[refused.index(True)]
+
+
+@pytest.mark.parametrize("fam, n, boundary", [("sl", 4, 1e-8), ("so", 6, 10**-7.75)])
+def test_closure_refuses_a_shifted_basis_from_a_pinned_delta(fam, n, boundary):
+    # B_0 + delta |B_0| I leaves the algebra by delta: the closure rule, CLOSURE_TOL
+    # relative to |[X, Y]|, refuses from these delta on (the walk it replaced
+    # refused from 5.62e-9 on sl4 and 3.16e-9 on so6)
+    rep = catalog.make(fam, n)
+
+    def build(delta):
+        stack = np.array(rep.stack)
+        stack[0] += delta * np.linalg.norm(stack[0]) * np.eye(n)
+        rm.Representation("shifted", stack)
+
+    assert _first_refused(build) == boundary
+
+
+@pytest.mark.parametrize("fn", [rm.adjoint_matrix, lambda rep, b: rm.centralizer_dim(rep, rm.GroupElement(b))], ids=["adjoint_matrix", "centralizer_dim"])
+def test_conjugation_refuses_a_nudged_element_from_a_pinned_delta(fn):
+    # b + delta |b| N, N a unit Gaussian matrix, conjugates the span off itself by
+    # about delta: a rotation of so6 and a diagonal element of sl3's Cartan
+    # subalgebra are refused from these delta on (the worst of the conjugates
+    # b B_i b^-1, which adjoint_matrix took before, refused from 1e-6 and 5.62e-7)
+    so6 = catalog.make_so(6)
+    rotation = linalg.matrix_exp(so6.materialize(_rng(0).standard_normal(so6.g_dim))).real
+    cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
+    diag = np.diag([2.0, 0.5, 1.0])
+    for rep, b, seed, boundary in [(so6, rotation, 1, 10**-5.75), (cartan, diag, 2, 10**-6.25)]:
+        nudge = _rng(seed).standard_normal(b.shape)
+        nudge /= np.linalg.norm(nudge)
+        assert _first_refused(lambda delta: fn(rep, b + delta * np.linalg.norm(b) * nudge)) == boundary
+
+
 def _conjugated_sl4():
     # sl4 in a random complex basis P B_i P^-1: commutators with no exact zeros
     rng = _rng(21)
@@ -159,9 +231,9 @@ def _projected_rows(monkeypatch):
     tiles = rm.Representation._commutator_tiles
 
     def counted_tiles(self):
-        for i, j, flat, coords in tiles(self):
+        for i, j, coords in tiles(self):
             rows.append(coords.shape)
-            yield i, j, flat, coords
+            yield i, j, coords
 
     monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
     return rows
@@ -193,7 +265,7 @@ def test_one_row_tiles_project_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("entries", [1, rm._TILE_ENTRIES])
 def test_construction_solves_the_gram_system_once(monkeypatch, entries):
     # construction forms the dual basis, one solve with v^2 right-hand sides,
-    # for every family and whatever the tiling, and makes no coords_of call
+    # for every family; it reads no tiling and makes no coords_of call
     monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
     shapes = _coords_of_shapes(monkeypatch)
     solves = _solve_count(monkeypatch)
@@ -205,15 +277,20 @@ def test_construction_solves_the_gram_system_once(monkeypatch, entries):
 
 
 def _closure_work(monkeypatch):
-    # tile walks entered, commutator pairs they yield and linalg.solve_linear calls
-    work = {"pairs": 0, "walks": 0, "solves": 0}
+    # constructions, tile walks entered, commutator pairs they yield and linalg.solve_linear calls
+    work = {"builds": 0, "pairs": 0, "walks": 0, "solves": 0}
     tiles = rm.Representation._commutator_tiles
+    init = rm.Representation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        work["builds"] += 1
+        init(self, *args, **kwargs)
 
     def counted_tiles(self):
         work["walks"] += 1
-        for i, j, flat, coords in tiles(self):
-            work["pairs"] += len(flat)
-            yield i, j, flat, coords
+        for i, j, coords in tiles(self):
+            work["pairs"] += len(coords)
+            yield i, j, coords
 
     solve_linear = linalg.solve_linear
 
@@ -221,6 +298,7 @@ def _closure_work(monkeypatch):
         work["solves"] += 1
         return solve_linear(a, b, what, split)
 
+    monkeypatch.setattr(rm.Representation, "__init__", counted_init)
     monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
     monkeypatch.setattr(linalg, "solve_linear", counted_solve)
     return work
@@ -233,15 +311,31 @@ def test_full_basis_is_closed_without_the_commutator_walk(monkeypatch, n):
     work = _closure_work(monkeypatch)
     rep = catalog.make_gl(n)
     assert rep.g_dim == rep.v_dim**2
-    assert work == {"pairs": 0, "walks": 0, "solves": 1}
+    assert work == {"builds": 1, "pairs": 0, "walks": 0, "solves": 1}
 
 
-@pytest.mark.parametrize("fam, n", [("sl", 4), ("so", 6)])
-def test_proper_subalgebra_walks_every_commutator(monkeypatch, fam, n):
+def test_construction_enters_no_commutator_walk(monkeypatch):
+    # every catalog family, restriction, sum, tensor, dual and tensor power is
+    # certified closed by the commutators of two fixed combinations, not by the
+    # walk of every pair, and each construction makes the dual basis's one solve
+    irrep = {m: catalog.make_sl2_irrep(m) for m in (1, 2)}
+    sl4 = catalog.make_sl(4)
+    builds = [
+        lambda: catalog.make_sl(4),
+        lambda: catalog.make_so(6),
+        lambda: catalog.make_gl(3),
+        lambda: catalog.make_sl2_irrep(3),
+        lambda: rm.restrict_to_subalgebra(sl4, range(3)),
+        lambda: catalog.direct_sum(irrep[1], irrep[2]),
+        lambda: catalog.tensor(irrep[1], irrep[2]),
+        lambda: catalog.dual(irrep[2]),
+        lambda: catalog.tensor_power(irrep[1], 3),
+    ]
     work = _closure_work(monkeypatch)
-    rep = catalog.make(fam, n)
-    g = rep.g_dim
-    assert work == {"pairs": g * (g - 1) // 2, "walks": 1, "solves": 1}
+    for build in builds:
+        build()
+    # the tensor cube is two Kronecker sums, so two constructions
+    assert work == {"builds": len(builds) + 1, "pairs": 0, "walks": 0, "solves": len(builds) + 1}
 
 
 def _solve_count(monkeypatch):
@@ -280,9 +374,9 @@ def test_adjoint_and_centralizer_reuse_the_dual_basis(monkeypatch, fam, n, first
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ill_conditioned_full_basis_is_closed(seed):
-    # cond(G) = 5e8 is inside the DegenerateForm bound 1/linalg.RTOL; on these
-    # bases the commutator walk's residual, rounding amplified by cond(G), is
-    # 0.31-1.56 against thresholds of 0.14-0.25, so gl must not take it
+    # cond(G) = 5e8 is inside the DegenerateForm bound 1/linalg.RTOL; a full
+    # basis is closed by dimension count and takes no closure certificate (on
+    # these bases its residual would be 1.4e-9-7.3e-9 against 1.0e-5-2.0e-5)
     stack = _recoordinated(catalog.make_gl(4), 5e8, _rng(seed))
     rep = rm.Representation("gl4-recoordinated", stack)
     assert rep.gram_cond == pytest.approx(5e8, rel=1e-4)
@@ -291,10 +385,10 @@ def test_ill_conditioned_full_basis_is_closed(seed):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("fam, n, cond", [("sl", 4, 5e8), ("so", 6, 1e8)])
 def test_ill_conditioned_subalgebra_basis_is_closed(fam, n, cond, seed):
-    # inside the DegenerateForm bound the dual-basis residual is rounding
-    # amplified by cond(G): on these bases 0.21-0.52 (sl4) and 0.009-0.046
-    # (so6) against CLOSURE_TOL (1 + max |[B_i, B_j]|) = 0.20-0.23 and
-    # 0.022-0.025, so only the rounding floor keeps them closed
+    # inside the DegenerateForm bound the residual of [X, Y] is rounding
+    # amplified by cond(G): on these bases at most 4.1e-9 (sl4) and 2.0e-9
+    # (so6) of |[X, Y]|, against the floor ROUNDING_FLOOR cond(G) |X| |Y| /
+    # |[X, Y]| of 9.7e-6-1.7e-5 and 2.6e-6-5.6e-6, above CLOSURE_TOL
     stack = _recoordinated(catalog.make(fam, n), cond, _rng(seed))
     rep = rm.Representation("closed", stack)
     assert rep.gram_cond == pytest.approx(cond, rel=1e-4)
@@ -322,19 +416,38 @@ def _combined_reps():
 @pytest.mark.parametrize("rep", STRUCTURE_REPS + _combined_reps(), ids=lambda r: r.name)
 def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
     # every tile is projected by its own two products and one GEMM against
-    # the dual basis, whose row count changes with the tile: one-row tiles,
-    # the intermediate budgets (2^12 takes 2, 3 and 6 basis rows per tile on
-    # so8, sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the default and
-    # one whole tile give the same bits
+    # the dual basis, whose row count changes with the tile: on these bases,
+    # whose products are exact but for the complex-conjugated sl4's, one-row
+    # tiles, the intermediate budgets (2^12 takes 2, 3 and 6 basis rows per
+    # tile on so8, sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the
+    # default and one whole tile give the same bits
     want = rep.structure_constants()
     for entries in (1, 2**8, 2**12, 2**14, rm._TILE_ENTRIES, (rep.g_dim * rep.v_dim) ** 2):
         monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
         assert np.array_equal(rm.Representation(rep.name, rep.stack).structure_constants(), want)
 
 
-def test_closure_failure_past_the_first_tile(monkeypatch):
-    # I, E33 and E44 commute with everything here, so with one row per tile
-    # only [X, Y] = -2 (E11 - E22), in the third and last tile, leaves the span
+def test_structure_constants_of_a_rounding_basis_follow_the_tiling_within_rounding(monkeypatch):
+    # on a real conjugated sl6, P B_i P^-1 with P Gaussian, the products round
+    # and the GEMMs' last bits follow their shapes: one-row tiles, 2^12 entries
+    # and the default disagree in many entries, within 4 g eps cond(G) max |c|
+    # (measured 0.63 of g eps cond(G) max |c| at one BLAS thread)
+    base = catalog.make_sl(6)
+    p = _rng(5).standard_normal((6, 6))
+    stack = p @ base.stack @ np.linalg.inv(p)
+    want = rm.Representation("sl6-conj", stack).structure_constants()
+    rep = rm.Representation("sl6-conj", stack)
+    bound = 4 * rep.g_dim * np.finfo(float).eps * rep.gram_cond * np.abs(want).max()
+    for entries in (1, 2**12):
+        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
+        got = rm.Representation("sl6-conj", stack).structure_constants()
+        assert np.max(np.abs(got - want)) <= bound
+
+
+def test_closure_failure_does_not_depend_on_the_tiling(monkeypatch):
+    # I, E33 and E44 commute with everything here, so only the bracket of E12 + E21
+    # and E12 - E21, -2 (E11 - E22), leaves the span; the closure certificate
+    # reads no tile, so one-row tiles and the default give one message
     unit = np.eye(4)
     e12 = np.outer(unit[0], unit[1])
     basis = [unit, np.outer(unit[2], unit[2]), np.outer(unit[3], unit[3]), e12 + e12.T, e12 - e12.T]
@@ -426,16 +539,17 @@ CLOSURE_PROBES = [(fam, n, cond) for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]
 
 @pytest.mark.parametrize("fam, n, cond", CLOSURE_PROBES + [("sl", 4, "open"), ("so", 6, "open")])
 def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n, cond):
-    # the construction's residual, read from NotASubalgebra at a zero threshold
-    # (CLOSURE_TOL and the rounding floor both 0), against the L1 residual of
-    # each commutator projected by coords_of, a Gram solve that does not go
-    # through the dual basis; an "open" basis shifts one
-    # element by 1e-6 I, off the algebra.  A gl basis is full, so it is closed
-    # by dimension count and constructs even at a zero threshold
+    # the construction's residual, read from NotASubalgebra at a vanishing
+    # threshold (CLOSURE_TOL 1e-300 and no rounding floor), against the residual
+    # of the same commutators [X, Y] of the fixed combinations projected by
+    # coords_of, a Gram solve that does not go through the dual basis, relative
+    # to |[X, Y]|; an "open" basis shifts one element by 1e-6 I, off the
+    # algebra.  A gl basis is full, so it is closed by dimension count and
+    # constructs even at a vanishing threshold
     stack = _recoordinated(catalog.make(fam, n), 1e3 if cond == "open" else cond, _rng(23))
     if cond == "open":
         stack[0] += 1e-6 * np.eye(n)
-    monkeypatch.setattr(rm, "CLOSURE_TOL", 0.0)
+    monkeypatch.setattr(rm, "CLOSURE_TOL", 1e-300)
     monkeypatch.setattr(linalg, "ROUNDING_FLOOR", 0.0)
     if fam == "gl":
         rep = rm.Representation("probe", stack)
@@ -447,15 +561,15 @@ def test_dual_basis_closure_residual_matches_the_gram_solves(monkeypatch, fam, n
         rep = rm.Representation("probe", stack)
     if cond != "open":
         assert rep.gram_cond == pytest.approx(cond, rel=1e-6)
-    i, j = np.triu_indices(rep.g_dim, 1)
-    comm = stack[i] @ stack[j] - stack[j] @ stack[i]
+    x, y = np.einsum("pki,iab->pkab", rep._weights, rep.stack)
+    comm = x @ y - y @ x
     recon = rep.materialize(rep.coords_of(comm)) - comm
-    want = np.abs(recon).reshape(len(comm), -1).sum(axis=1).max()
+    res = np.linalg.norm(recon, axis=(1, 2)) / np.linalg.norm(comm, axis=(1, 2))
     if fam != "gl":
-        assert want / 2 <= dual <= 2 * want
+        assert res.max() / 2 <= dual <= 2 * res.max()
     monkeypatch.undo()
-    scale = np.abs(comm).max()
-    closed = want <= max(rm.CLOSURE_TOL * (1.0 + scale), rep._rounding_floor(scale))
+    scale = np.linalg.norm(x, axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2)) / np.linalg.norm(comm, axis=(1, 2))
+    closed = res.max() <= max(rm.CLOSURE_TOL, linalg.ROUNDING_FLOOR * rep.gram_cond * scale.min())
     assert closed == (cond != "open")
     if closed:
         rm.Representation("probe", stack)
@@ -1131,7 +1245,7 @@ def test_unipotent_split_with_singular_semisimple_part_raises_singular_matrix(mo
 def test_adjoint_matrix_rejects_conjugates_outside_the_span():
     # the diagonal subalgebra of sl3 is fixed by diagonal conjugation only
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
-    with pytest.raises(NotEquivariant, match="residual 6.63e-01"):
+    with pytest.raises(NotEquivariant, match="residual 5.55e-01"):
         rm.adjoint_matrix(cartan, catalog.sample_element(SL3, "generic", 0))
     assert np.allclose(rm.adjoint_matrix(cartan, np.diag([2.0, 0.5, 1.0])), np.eye(2), rtol=0, atol=1e-15)
 
@@ -1140,7 +1254,7 @@ def test_not_equivariant_names_its_threshold():
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
     with pytest.raises(NotEquivariant) as err:
         rm.adjoint_matrix(cartan, catalog.sample_element(SL3, "generic", 0))
-    assert str(err.value) == "conjugation leaves the algebra span: residual 6.63e-01 > threshold 1.00e-06"
+    assert str(err.value) == "conjugation leaves the algebra span: residual 5.55e-01 > threshold 1.00e-06"
     assert err.value.threshold == rm.ADJOINT_RESIDUAL_TOL < err.value.value
 
 
@@ -1346,20 +1460,47 @@ def test_centralizer_dim_decides_as_the_svd_of_ad_minus_one():
 
 
 def test_centralizer_dim_takes_the_g_by_g_svd_only_off_a_simple_spectrum(monkeypatch):
-    shapes = []
-    svd = np.linalg.svd
+    # a generic sample's refusals come from one conjugation of the fixed combination X: no adjoint matrix
+    shapes, formed = [], []
+    svd, adjoint = np.linalg.svd, rm.adjoint_matrix
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(np.shape(a)) or svd(a, **kw))
+    monkeypatch.setattr(rm, "adjoint_matrix", lambda rep, b: formed.append(rep.name) or adjoint(rep, b))
     sl10 = catalog.make_sl(10)
     for rep in (sl10, catalog.make_so(12), catalog.make_gl(12)):
         del shapes[:]
         assert rm.centralizer_dim(rep, catalog.sample_element(rep, "generic", 1)) == rep.metadata["rank"]
         assert (rep.g_dim, rep.g_dim) not in shapes
+    assert formed == []
     # the identity, the center of SL(3) and a unipotent sample end on Ad - 1
     unipotent = catalog.sample_element(sl10, "unipotent", 0).matrix
     for rep, g in [(SL3, np.eye(3)), (SL3, _scalar_root_of_unity(3).matrix), (sl10, unipotent)]:
         del shapes[:]
         rm.centralizer_dim(rep, rm.GroupElement(g))
         assert shapes[-1] == (rep.g_dim, rep.g_dim)
+
+
+def test_centralizer_dim_refuses_in_adjoint_matrix_order_on_every_route(monkeypatch):
+    # ValueError for a wrong size comes first (test_wrong_size_element_is_a_library_error),
+    # then SingularMatrix, DegenerateInput and NotEquivariant.  A simple spectrum takes the
+    # commutant route, which refuses from one conjugation b X b^-1 of the fixed combination X
+    # and forms no adjoint matrix; a clustered one takes Ad - 1, whose adjoint_matrix refuses
+    formed = []
+    adjoint = rm.adjoint_matrix
+    monkeypatch.setattr(rm, "adjoint_matrix", lambda rep, b: formed.append(rep.name) or adjoint(rep, b))
+    for rep in (SL3, catalog.make_gl(3)):  # a full basis is refused a singular element too
+        for b, route in [(np.diag([0.0, 1.0, 2.0]), []), (np.diag([0.0, 0.0, 1.0]), [rep.name])]:
+            del formed[:]
+            with pytest.raises(SingularMatrix, match="conjugating element is singular"):
+                rm.centralizer_dim(rep, rm.GroupElement(b))
+            assert formed == route
+    del formed[:]
+    # b B_i b^-1 stays finite here, but b X b^-1 overflows: X has entries above 1
+    with pytest.raises(DegenerateInput, match=r"^conjugate b X b\^-1 is not finite: it overflows at .M.g.. 1.72e\+308$"):
+        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.5e308, 7.5e307, 3.75e307])))
+    cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
+    with pytest.raises(NotEquivariant, match="residual 5.55e-01 > threshold 1.00e-06"):
+        rm.centralizer_dim(cartan, catalog.sample_element(SL3, "generic", 0))
+    assert formed == []
 
 
 # --- restriction -------------------------------------------------------------------

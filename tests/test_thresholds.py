@@ -47,12 +47,14 @@ def _half_turn_shift(_):
 # (function holding the raise_if call, trigger, error, side of the threshold the value falls on)
 SITES = {
     "build_gram": (lambda _: rm.build_gram(np.array([np.eye(2), np.eye(2)])), DegenerateForm, "<"),
-    "_check_closure": (
+    # the closure check at construction
+    "__init__": (
         lambda _: rm.Representation("open", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]),
         NotASubalgebra,
         ">",
     ),
-    "adjoint_matrix": (
+    # adjoint_matrix and centralizer_dim's commutant route share this rule
+    "_require_equivariant": (
         lambda _: rm.adjoint_matrix(rm.restrict_to_subalgebra(SL3, [0, 1]), catalog.sample_element(SL3, "generic", 0)),
         NotEquivariant,
         ">",
