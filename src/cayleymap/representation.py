@@ -35,8 +35,11 @@ centralizer_dim ask whether [B_i, B_j] or b B_i b^-1 stay in a span.  Each
 map is bilinear or linear, so each is tested on X = sum_i r_i B_i and
 Y = sum_i s_i B_i for two weight pairs (r, s) fixed by g alone (weights):
 _off_span projects the images through D and maps them back by one product
-(Freivalds 1977; Schwartz 1980).  structure_constants() alone walks every
-pair i < j, in bounded row tiles (_commutator_tiles).
+(Freivalds 1977; Schwartz 1980).  X, Y and b enter these products at
+power-of-two scales (linalg._shrink), which is exact: the residuals are
+relative, and the coordinates of [X, Y] are scaled back.  structure_constants()
+alone forms every [B_i, B_j], a basis row at a time: the g commutators of B_i
+times D, one GEMM of one shape.
 
 Every catalog basis is real, and a basis with no nonzero imaginary part
 keeps stack, gram, the pairing, the interleaved basis and dual as float64; a
@@ -91,9 +94,6 @@ ADJOINT_RESIDUAL_TOL = 1e-6
 KERNEL_CUTOFF = 1e-7
 # An element with an eigenvalue of modulus below this fraction of the largest has no unipotent part.
 SINGULAR_TOL = 1e-12
-# Entries of structure_constants()' two products per tile of basis rows (one row at least): smaller tiles
-# lower its peak memory.  The tiling moves no bit only where the products are exact, as on catalog bases.
-_TILE_ENTRIES = 2**17
 
 
 @dataclass
@@ -202,6 +202,10 @@ class Representation:
         """(v^2, k) columns: column j holds sum_i coords[i, j] B_i row-major, one product."""
         return linalg.left_product(self.stack.reshape(self.g_dim, -1).T, coords, self._span_lone)
 
+    def _dual_coords(self, cols) -> np.ndarray:
+        """(g, k) coordinates of the matrices held row-major in the columns of the (v^2, k) cols, one product with dual."""
+        return linalg.left_product(self.dual.T, cols, self._dual_lone)
+
     def coords_of(self, m) -> np.ndarray:
         """Coordinates of the trace-form projection of m onto the basis span.
 
@@ -231,14 +235,19 @@ class Representation:
     def structure_constants(self) -> np.ndarray:
         """c[i, j, :] = coordinates of [B_i, B_j], as a new (g, g, g) array, real for a real basis.
 
-        Computed on every call, one GEMM against the dual basis per commutator
-        tile; the instance keeps none of it.  Only the pairs i < j are
-        projected; c[j, i] = -c[i, j] and c[i, i] = 0 hold exactly.
+        Computed on every call, one basis row at a time; the instance keeps
+        none of it.  Row i is the g commutators B_i B_j - B_j B_i, as rows of
+        v^2 entries, times the dual basis: one (g, v^2) x (v^2, g) GEMM, of
+        one shape for every row and every basis.  Row i writes c[i, j] and
+        c[j, i] = -c[i, j] for j > i, so the antisymmetry and c[i, i] = 0 hold
+        exactly.
         """
-        c = np.zeros((self.g_dim,) * 3, dtype=self.stack.dtype)
-        for i, j, coords in self._commutator_tiles():
-            c[i, j] = coords
-            c[j, i] = -coords
+        g, v = self.stack.shape[:2]
+        c = np.zeros((g,) * 3, dtype=self.stack.dtype)
+        for i, b in enumerate(self.stack):
+            coords = (b @ self.stack - self.stack @ b).reshape(g, v * v) @ self.dual
+            c[i, i + 1 :] = coords[i + 1 :]
+            c[i + 1 :, i] = -coords[i + 1 :]
         return c
 
     def _rounding_floor(self, scale) -> float:
@@ -250,48 +259,28 @@ class Representation:
         cols, c by default their projections through dual.  Fixed weights cannot rule out a defect whose
         (bi)linear form vanishes at them, as a nonzero one does only on a proper subvariety (Schwartz 1980)."""
         if coords is None:
-            coords = linalg.left_product(self.dual.T, cols, self._dual_lone)
+            coords = self._dual_coords(cols)
         off = cols - self._span_columns(coords)
         return coords, np.array([linalg.norm(d) / (linalg.norm(m) or 1.0) for m, d in zip(cols.T, off.T)])
 
     def _bracket_residual(self, coords=None) -> tuple[np.ndarray, float, float]:
         """(coords, residual, threshold): _off_span of [X, Y] for the two weight pairs, at coords if given, the
         worse residual, and max(CLOSURE_TOL, ROUNDING_FLOOR cond(G) min |X| |Y| / |[X, Y]|), a floor at the
-        rounding of [X, Y], so that pure rounding passes.  DegenerateInput where [X, Y] overflows."""
-        x, y = (self._weights.reshape(4, -1) @ self.stack.reshape(self.g_dim, -1)).reshape(2, 2, *self.stack.shape[1:])
+        rounding of [X, Y], so that pure rounding passes.  X and Y are taken at one power-of-two scale
+        (linalg._shrink), so the products overflow nowhere, and the coordinates, given and returned, are those
+        of the unscaled [X, Y], scaled exactly.  DegenerateInput where they overflow."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            comm = x @ y - y @ x
+            xy = self._weights.reshape(4, -1) @ self.stack.reshape(self.g_dim, -1)
+            shrink = linalg._shrink(xy)
+            x, y = (xy * shrink).reshape(2, 2, *self.stack.shape[1:])
+            comm = x @ y - y @ x  # shrink^2 [X, Y]
             sizes = linalg.norms(np.stack([x, y, comm]), axis=(2, 3))
             floor = linalg.ROUNDING_FLOOR * self.gram_cond * np.min(sizes[0] * sizes[1] / sizes[2])
-        if not np.isfinite(comm).all():
-            raise DegenerateInput(f"commutator [X, Y] is not finite: it overflows at max |B_i| {abs(self.stack).max():.2e}")
-        coords, res = self._off_span(comm.reshape(2, -1).T, coords)
+            coords, res = self._off_span(comm.reshape(2, -1).T, None if coords is None else coords * shrink * shrink)
+            coords = coords / shrink / shrink
+        if not np.isfinite(coords).all():
+            raise DegenerateInput(f"coordinates of [X, Y] are not finite: they overflow at max |B_i| {abs(self.stack).max():.2e}")
         return coords, float(res.max()), max(CLOSURE_TOL, float(floor))
-
-    def _commutator_tiles(self):
-        """Yield (i, j, coords) for all pairs i < j, one row tile at a time:
-        index arrays i, j and the coordinates of the [B_i, B_j], by one GEMM
-        of the commutators, as rows of v^2 entries, against the dual basis.
-
-        The pairs are walked in row tiles [a, b) of basis indices.  Each tile
-        takes two products of one shape, B_[a,b) B_[a,g) and B_[a,g) B_[a,b),
-        which hold every B_i B_j and B_j B_i with a <= i < b and j >= a.  A
-        tile that would end within two rows of g takes them too: a tile from
-        row g - 2 would hold the single pair (g - 2, g - 1), whose projection
-        numpy computes by matrix-vector products, which can round differently
-        in the last bit even where every product is exact.
-        """
-        g, v = self.stack.shape[:2]
-        rows = max(1, _TILE_ENTRIES // (g * v * v))
-        right = self.stack.transpose(1, 0, 2)  # right[:, j] = B_j
-        a = 0
-        while a < g:
-            b = a + rows if a + rows < g - 2 else g
-            fwd = (self.stack[a:b].reshape(-1, v) @ right[:, a:].reshape(v, -1)).reshape(b - a, v, g - a, v)
-            back = (self.stack[a:].reshape(-1, v) @ right[:, a:b].reshape(v, -1)).reshape(g - a, v, b - a, v)
-            i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(g))  # pairs (a + i, j)
-            yield i + a, j, (fwd[i, :, j - a] - back[j - a, :, i]).reshape(len(i), v * v) @ self.dual
-            a = b
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, v_dim={self.v_dim}, g_dim={self.g_dim})"
@@ -302,17 +291,21 @@ def build_gram(stack: np.ndarray) -> tuple[np.ndarray, float]:
     as one GEMM of the flattened B_i against the flattened B_j^T, and its
     condition number sv[0]/sv[-1]; DegenerateForm above 1/linalg.RTOL, G's only
     conditioning decision (coords_of solves against G without one).  DegenerateInput,
-    before the SVD, where G overflows."""
+    before the SVD, where G overflows.  G is symmetrized, and its SVD taken, at the
+    power-of-two scale linalg._shrink(G) and scaled back exactly, so that a G with
+    entries above half the largest float neither overflows nor reads as singular."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = stack.reshape(len(stack), -1) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T
-        g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     if not np.isfinite(g).all():
         raise DegenerateInput(f"Gram matrix is not finite: it overflows at max |B_i| {abs(stack).max():.2e}")
+    shrink = linalg._shrink(g)
+    g = g * shrink
+    g = 0.5 * (g + g.T)  # symmetric up to summation order; make it exact
     sv = np.linalg.svd(g, compute_uv=False)
     singular = sv[0] == 0.0 or sv[-1] < linalg.RTOL * sv[0]
     ratio = sv[-1] / sv[0] if sv[0] else 0.0
     raise_if(singular, DegenerateForm, "trace form singular on the basis span: sv_min/sv_max", ratio, linalg.RTOL)
-    return g, float(sv[0] / sv[-1])
+    return g / shrink, float(sv[0] / sv[-1])
 
 
 @dataclass
@@ -411,7 +404,7 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
         inverse = linalg.inverse(bm, "conjugating element")
         # conj[a*v + d, i] = (b B_i b^-1)[a, d]: row block a of b B_i, times b^-1
         conj = (inverse.T @ rep._left_products(bm).reshape(v, v, g)).reshape(v * v, g)
-        ad = linalg.left_product(rep.dual.T, conj, rep._dual_lone)
+        ad = rep._dual_coords(conj)
         if g == v * v:  # a full basis spans gl(v): no conjugate can leave it
             return _require_finite(ad, "adjoint matrix", b)
         r = rep._weights[0, :1].T
@@ -422,9 +415,11 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
 def _require_equivariant(rep: Representation, b, images=None, coords=None, what="conjugate b X b^-1") -> None:
     """NotEquivariant where b X b^-1, X = sum_i r_i B_i for the first fixed r, leaves the span by more than
     ADJOINT_RESIDUAL_TOL of its norm (_off_span); first DegenerateInput, naming what, where images (b X b^-1
-    as a (v^2, 1) column, by default one conjugation here) or coords overflow, under the caller's errstate."""
+    as a (v^2, 1) column, by default one conjugation here, of X and b at power-of-two scales, as the residual
+    is relative) or coords overflow, under the caller's errstate."""
     if images is None:
-        images = (b @ rep.materialize(rep._weights[0, 0]) @ linalg.inverse(b, "conjugating element")).reshape(-1, 1)
+        x, bs = rep.materialize(rep._weights[0, 0]), b * linalg._shrink(b)
+        images = (bs @ (x * linalg._shrink(x)) @ linalg.inverse(bs, "conjugating element")).reshape(-1, 1)
     worst = rep._off_span(images, coords)[1].max() if rep.g_dim < rep.v_dim**2 else 0.0  # g = v^2 spans gl(v)
     if not 0.0 < worst <= ADJOINT_RESIDUAL_TOL:  # a full basis, or an overflow, which leaves NaN in worst
         _require_finite(images if coords is None else coords, what, b)
@@ -510,7 +505,7 @@ def centralizer_dim(rep: Representation, x) -> int:
         xm = rep.element_matrix(x.matrix())
         v, g = rep.v_dim, rep.g_dim
         right = linalg.left_product(rep.stack.reshape(g * v, v), xm).reshape(g, v * v).T  # column i: B_i x
-        ops = linalg.left_product(rep.dual.T, np.hstack([rep._left_products(xm), right]), rep._dual_lone)
+        ops = rep._dual_coords(np.hstack([rep._left_products(xm), right]))
         a, s = ops[:, :g], ops[:, g:]
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
@@ -566,7 +561,7 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
         zero = np.zeros((v, v))
         return zero, zero
     a = (p[:, None, :] * (q / sizes[:, None]).T).reshape(v * v, v)  # a[i*v + j, k] = p[i, k] q[k, j] / |q_k|
-    return a, rep._span_columns(linalg.left_product(rep.dual.T, a, rep._dual_lone))
+    return a, rep._span_columns(rep._dual_coords(a))
 
 
 def restrict_to_subalgebra(rep: Representation, index_subset) -> Representation:

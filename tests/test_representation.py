@@ -1,5 +1,6 @@
 """Projection map, Jacobian, adjoint, Jordan and centralizer contracts."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -120,10 +121,53 @@ def test_basis_whose_gram_overflows_is_refused_by_name_with_nothing_printed(capf
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("unit, scale", [(SL3, 8e153), (catalog.make_so(12), 5e153)], ids=["sl3", "so12"])
+def test_basis_with_a_finite_gram_builds_at_the_top_of_the_range(unit, scale):
+    # sl3 at 8e153 has max |G_ij| 1.28e308, above half the largest float, and so12 at
+    # 5e153 has fixed combinations whose products overflow unscaled: G is symmetrized
+    # and its SVD taken, and [X, Y] formed, at power-of-two scales
+    rep = rm.Representation("big", unit.stack * scale)
+    assert np.isfinite(rep.gram).all() and np.allclose(rep.dual, unit.dual / scale, rtol=1e-15, atol=0.0)
+    assert rep.gram_cond == pytest.approx(unit.gram_cond, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [-400, 250, "top"])
+@pytest.mark.parametrize("unit", [SL3, catalog.make_so(12), catalog.make_sl2_irrep(3)], ids=lambda r: r.name)
+def test_gram_and_bracket_scale_exactly_with_the_basis(unit, k):
+    # the basis times 2^k has G times 2^2k, dual times 2^-k and the coordinates of
+    # [X, Y] times 2^k, bit for bit, and the same gram_cond, closure residual and
+    # floor; given back, those coordinates give the same residual.  At the top k
+    # the largest |G_ij| lies in [2^1021, 2^1022), where the Gram solve's
+    # reciprocal pivots are still normal
+    if k == "top":
+        k = (1022 - math.frexp(np.abs(unit.gram).max())[1]) // 2
+    rep = rm.Representation("scaled", unit.stack * 2.0**k)
+    assert np.array_equal(rep.gram, unit.gram * 2.0 ** (2 * k)) and rep.gram_cond == unit.gram_cond
+    assert np.array_equal(rep.dual, unit.dual * 2.0**-k)
+    coords, res, threshold = unit._bracket_residual()
+    got = rep._bracket_residual()
+    assert np.array_equal(got[0], coords * 2.0**k) and got[1:] == (res, threshold)
+    again = rep._bracket_residual(got[0])
+    assert np.array_equal(again[0], got[0]) and again[1:] == got[1:]
+
+
+def _rescaled_sl3(t):
+    # sl3's root vectors E_ab times t_ab, with t_12 = t_23 = t, t_13 = t^-3 and t_ba = 1/t_ab:
+    # G is unchanged, and [B_12, B_23] = t^5 B_13
+    unit = np.eye(3)
+    roots = {(0, 1): t, (1, 2): t, (0, 2): t**-3, (1, 0): 1 / t, (2, 1): 1 / t, (2, 0): t**3}
+    cartan = [np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]
+    return cartan + [w * np.outer(unit[a], unit[b]) for (a, b), w in roots.items()]
+
+
 def test_basis_whose_commutators_overflow_is_refused_by_name():
-    # so12 at 5e153 has a finite Gram matrix; the fixed combinations' products overflow
-    with pytest.raises(DegenerateInput, match=r"^commutator \[X, Y\] is not finite: it overflows at max \|B_i\| 5.00e\+153$"):
-        rm.Representation("x", catalog.make_so(12).stack * 5e153)
+    # the products are formed at power-of-two scales, so [X, Y] is finite wherever G
+    # is; what overflows is its coordinates, the structure constants: at t = 4e61
+    # they reach 1.02e308, at 5e61 (t^5 = 3.1e308) they are refused
+    rep = rm.Representation("t=4e61", _rescaled_sl3(4e61))
+    assert rep.gram_cond == pytest.approx(3.0) and np.abs(rep.structure_constants()).max() == pytest.approx(4e61**5)
+    with pytest.raises(DegenerateInput, match=r"^coordinates of \[X, Y\] are not finite: they overflow at max \|B_i\| 1.25e\+185$"):
+        rm.Representation("t=5e61", _rescaled_sl3(5e61))
 
 
 SWEEP = [10.0 ** (k / 4) for k in range(-48, -19)]  # 1e-12 .. 1e-5, four steps a decade
@@ -199,11 +243,23 @@ def test_gram_is_the_trace_form(rep):
         assert np.array_equal(rep.gram, want)
 
 
-@pytest.mark.parametrize("rep", STRUCTURE_REPS, ids=lambda r: r.name)
+def _combined_reps():
+    # a direct sum, the v = 27 cube, a dual and a restriction; tensor(irrep1, irrep3)'s
+    # coordinates round otherwise in the reference's one GEMM of g^2 rows
+    irrep = {m: catalog.make_sl2_irrep(m) for m in (1, 2, 3)}
+    return [
+        catalog.direct_sum(irrep[1], irrep[2]),
+        catalog.tensor_power(irrep[2], 3),
+        catalog.dual(irrep[3]),
+        rm.restrict_to_subalgebra(catalog.make_sl(4), range(3)),
+    ]
+
+
+@pytest.mark.parametrize("rep", STRUCTURE_REPS + _combined_reps(), ids=lambda r: r.name)
 def test_structure_constants_equal_the_full_commutator_projection(rep):
-    # only the pairs i < j are projected; the g x g stack of every [B_i, B_j],
-    # from the same one (g v) x (g v) product, projected through the dual
-    # basis by one GEMM, gives the same bits
+    # row i projects the g commutators [B_i, B_j] by one (g, v^2) x (v^2, g) GEMM;
+    # every B_i B_j from one (g v) x (g v) product and the g^2 commutators
+    # projected through the dual basis by one GEMM give the same bits
     g, v = rep.g_dim, rep.v_dim
     b = rep.stack
     prod = (b.reshape(g * v, v) @ b.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
@@ -225,72 +281,35 @@ def _coords_of_shapes(monkeypatch):
     return shapes
 
 
-def _projected_rows(monkeypatch):
-    # (pairs, g) shape of the coordinates of every projected commutator tile
-    rows = []
-    tiles = rm.Representation._commutator_tiles
-
-    def counted_tiles(self):
-        for i, j, coords in tiles(self):
-            rows.append(coords.shape)
-            yield i, j, coords
-
-    monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
-    return rows
+def _structure_calls(monkeypatch):
+    # the names of the representations whose structure constants are formed
+    names = []
+    formed = rm.Representation.structure_constants
+    monkeypatch.setattr(rm.Representation, "structure_constants", lambda self: names.append(self.name) or formed(self))
+    return names
 
 
-def test_structure_constants_project_each_pair_once(monkeypatch):
-    rep = catalog.make_sl(4)
-    rows = _projected_rows(monkeypatch)
-    shapes = _coords_of_shapes(monkeypatch)
-    rep.structure_constants()
-    g = rep.g_dim
-    assert rows == [(g * (g - 1) // 2, g)]
-    assert shapes == []
-
-
-def test_one_row_tiles_project_each_pair_once(monkeypatch):
-    # tile k holds the pairs (k, j > k); the last tile takes rows g - 3..g - 1,
-    # so no tile holds a single pair
-    monkeypatch.setattr(rm, "_TILE_ENTRIES", 1)
-    rep = catalog.make_sl(4)
-    rows = _projected_rows(monkeypatch)
-    shapes = _coords_of_shapes(monkeypatch)
-    rep.structure_constants()
-    g = rep.g_dim
-    assert rows == [(g - 1 - k, g) for k in range(g - 3)] + [(3, g)]
-    assert shapes == []
-
-
-@pytest.mark.parametrize("entries", [1, rm._TILE_ENTRIES])
-def test_construction_solves_the_gram_system_once(monkeypatch, entries):
+def test_construction_solves_the_gram_system_once(monkeypatch):
     # construction forms the dual basis, one solve with v^2 right-hand sides,
-    # for every family; it reads no tiling and makes no coords_of call
-    monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
+    # for every family; it forms no structure constants and makes no coords_of call
     shapes = _coords_of_shapes(monkeypatch)
     solves = _solve_count(monkeypatch)
+    formed = _structure_calls(monkeypatch)
     for fam, n in [("sl", 4), ("so", 6), ("gl", 4)]:
         rep = catalog.make(fam, n)
         assert solves == [(rep.g_dim, n * n)]
         del solves[:]
-    assert shapes == []
+    assert shapes == [] and formed == []
 
 
 def _closure_work(monkeypatch):
-    # constructions, tile walks entered, commutator pairs they yield and linalg.solve_linear calls
-    work = {"builds": 0, "pairs": 0, "walks": 0, "solves": 0}
-    tiles = rm.Representation._commutator_tiles
+    # constructions, the representations whose structure constants are formed and linalg.solve_linear calls
+    work = {"builds": 0, "structure": _structure_calls(monkeypatch), "solves": 0}
     init = rm.Representation.__init__
 
     def counted_init(self, *args, **kwargs):
         work["builds"] += 1
         init(self, *args, **kwargs)
-
-    def counted_tiles(self):
-        work["walks"] += 1
-        for i, j, coords in tiles(self):
-            work["pairs"] += len(coords)
-            yield i, j, coords
 
     solve_linear = linalg.solve_linear
 
@@ -299,7 +318,6 @@ def _closure_work(monkeypatch):
         return solve_linear(a, b, what, split)
 
     monkeypatch.setattr(rm.Representation, "__init__", counted_init)
-    monkeypatch.setattr(rm.Representation, "_commutator_tiles", counted_tiles)
     monkeypatch.setattr(linalg, "solve_linear", counted_solve)
     return work
 
@@ -311,13 +329,14 @@ def test_full_basis_is_closed_without_the_commutator_walk(monkeypatch, n):
     work = _closure_work(monkeypatch)
     rep = catalog.make_gl(n)
     assert rep.g_dim == rep.v_dim**2
-    assert work == {"builds": 1, "pairs": 0, "walks": 0, "solves": 1}
+    assert work == {"builds": 1, "structure": [], "solves": 1}
 
 
 def test_construction_enters_no_commutator_walk(monkeypatch):
     # every catalog family, restriction, sum, tensor, dual and tensor power is
     # certified closed by the commutators of two fixed combinations, not by the
-    # walk of every pair, and each construction makes the dual basis's one solve
+    # structure constants of every pair, and each construction makes the dual
+    # basis's one solve
     irrep = {m: catalog.make_sl2_irrep(m) for m in (1, 2)}
     sl4 = catalog.make_sl(4)
     builds = [
@@ -335,7 +354,7 @@ def test_construction_enters_no_commutator_walk(monkeypatch):
     for build in builds:
         build()
     # the tensor cube is two Kronecker sums, so two constructions
-    assert work == {"builds": len(builds) + 1, "pairs": 0, "walks": 0, "solves": len(builds) + 1}
+    assert work == {"builds": len(builds) + 1, "structure": [], "solves": len(builds) + 1}
 
 
 def _solve_count(monkeypatch):
@@ -401,63 +420,34 @@ def test_ill_conditioned_subalgebra_basis_is_closed(fam, n, cond, seed):
     assert err.value.value > 10 * err.value.threshold
 
 
-def _combined_reps():
-    # a direct sum, a tensor product, the v = 27 cube, a dual and a restriction, whose tiles take other shapes
-    irrep = {m: catalog.make_sl2_irrep(m) for m in (1, 2, 3)}
-    return [
-        catalog.direct_sum(irrep[1], irrep[2]),
-        catalog.tensor(irrep[1], irrep[3]),
-        catalog.tensor_power(irrep[2], 3),
-        catalog.dual(irrep[3]),
-        rm.restrict_to_subalgebra(catalog.make_sl(4), range(3)),
-    ]
-
-
-@pytest.mark.parametrize("rep", STRUCTURE_REPS + _combined_reps(), ids=lambda r: r.name)
-def test_structure_constants_do_not_depend_on_the_tiling(monkeypatch, rep):
-    # every tile is projected by its own two products and one GEMM against
-    # the dual basis, whose row count changes with the tile: on these bases,
-    # whose products are exact but for the complex-conjugated sl4's, one-row
-    # tiles, the intermediate budgets (2^12 takes 2, 3 and 6 basis rows per
-    # tile on so8, sl6 and gl5, 2^14 takes 9 and 13 on so8 and sl6), the
-    # default and one whole tile give the same bits
-    want = rep.structure_constants()
-    for entries in (1, 2**8, 2**12, 2**14, rm._TILE_ENTRIES, (rep.g_dim * rep.v_dim) ** 2):
-        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
-        assert np.array_equal(rm.Representation(rep.name, rep.stack).structure_constants(), want)
-
-
-def test_structure_constants_of_a_rounding_basis_follow_the_tiling_within_rounding(monkeypatch):
+def test_structure_constants_of_a_rounding_basis_match_the_full_product_within_rounding():
     # on a real conjugated sl6, P B_i P^-1 with P Gaussian, the products round
-    # and the GEMMs' last bits follow their shapes: one-row tiles, 2^12 entries
-    # and the default disagree in many entries, within 4 g eps cond(G) max |c|
-    # (measured 0.63 of g eps cond(G) max |c| at one BLAS thread)
+    # and the GEMMs' last bits can follow their shapes: the rows of g
+    # commutators and the reference's one (g v) x (g v) product and one GEMM of
+    # g^2 rows agree within 4 g eps cond(G) max |c|
     base = catalog.make_sl(6)
     p = _rng(5).standard_normal((6, 6))
-    stack = p @ base.stack @ np.linalg.inv(p)
-    want = rm.Representation("sl6-conj", stack).structure_constants()
-    rep = rm.Representation("sl6-conj", stack)
-    bound = 4 * rep.g_dim * np.finfo(float).eps * rep.gram_cond * np.abs(want).max()
-    for entries in (1, 2**12):
-        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
-        got = rm.Representation("sl6-conj", stack).structure_constants()
-        assert np.max(np.abs(got - want)) <= bound
+    rep = rm.Representation("sl6-conj", p @ base.stack @ np.linalg.inv(p))
+    g, v, b = rep.g_dim, rep.v_dim, rep.stack
+    prod = (b.reshape(g * v, v) @ b.transpose(1, 0, 2).reshape(v, g * v)).reshape(g, v, g, v)
+    comm = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)
+    want = (comm.reshape(g * g, v * v) @ rep.dual).reshape(g, g, g)
+    got = rep.structure_constants()
+    bound = 4 * g * np.finfo(float).eps * rep.gram_cond * np.abs(want).max()
+    assert np.max(np.abs(got - want)) <= bound
 
 
-def test_closure_failure_does_not_depend_on_the_tiling(monkeypatch):
+def test_closure_failure_forms_no_structure_constants(monkeypatch):
     # I, E33 and E44 commute with everything here, so only the bracket of E12 + E21
     # and E12 - E21, -2 (E11 - E22), leaves the span; the closure certificate
-    # reads no tile, so one-row tiles and the default give one message
+    # refuses it from the fixed combinations alone
     unit = np.eye(4)
     e12 = np.outer(unit[0], unit[1])
     basis = [unit, np.outer(unit[2], unit[2]), np.outer(unit[3], unit[3]), e12 + e12.T, e12 - e12.T]
-    messages = []
-    for entries in (1, rm._TILE_ENTRIES):
-        monkeypatch.setattr(rm, "_TILE_ENTRIES", entries)
-        with pytest.raises(NotASubalgebra) as err:
-            rm.Representation("open", basis)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    formed = _structure_calls(monkeypatch)
+    with pytest.raises(NotASubalgebra, match="^basis not closed under commutator: residual"):
+        rm.Representation("open", basis)
+    assert formed == []
 
 
 def test_construction_memory_is_bounded():
@@ -479,11 +469,10 @@ def test_construction_memory_is_bounded():
 
 
 @pytest.mark.parametrize("fam, n", [("sl", 10), ("so", 12)])
-def test_structure_constants_peak_is_the_result_and_a_few_tiles(fam, n):
-    # the walk holds one tile at a time: its two products, the two gathers
-    # of their pairs, the commutators and their coordinates, each of at most
-    # _TILE_ENTRIES entries; sl10 and so12, 13 rows per tile, peak near
-    # 5.1 and 4.1 tiles past the (g, g, g) result
+def test_structure_constants_peak_is_the_result_and_a_few_rows(fam, n):
+    # one basis row at a time: its two (g, v^2) products, their difference and
+    # its (g, g) coordinates; sl10 and so12 peak near 4.0 and 3.5 such rows past
+    # the (g, g, g) result
     rep = catalog.make(fam, n)
     tracemalloc.start()
     try:
@@ -491,7 +480,7 @@ def test_structure_constants_peak_is_the_result_and_a_few_tiles(fam, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < c.nbytes + 6 * rm._TILE_ENTRIES * rep.stack.itemsize
+    assert peak < c.nbytes + 6 * rep.g_dim * rep.v_dim**2 * rep.stack.itemsize
 
 
 def test_structure_constants_are_formed_anew_and_keep_no_state():
@@ -1494,9 +1483,18 @@ def test_centralizer_dim_refuses_in_adjoint_matrix_order_on_every_route(monkeypa
                 rm.centralizer_dim(rep, rm.GroupElement(b))
             assert formed == route
     del formed[:]
-    # b B_i b^-1 stays finite here, but b X b^-1 overflows: X has entries above 1
-    with pytest.raises(DegenerateInput, match=r"^conjugate b X b\^-1 is not finite: it overflows at .M.g.. 1.72e\+308$"):
-        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.5e308, 7.5e307, 3.75e307])))
+    # b X b^-1 is formed of b and X at power-of-two scales, so this element's, whose
+    # unscaled b X overflows, does not: it commutes with sl3's Cartan pair alone
+    assert rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.5e308, 7.5e307, 3.75e307]))) == 2
+    # what still overflows is the inverse of a subnormal eigenvalue, and on the clustered
+    # route the conjugates b B_i b^-1 that adjoint_matrix forms
+    with pytest.raises(DegenerateInput, match=r"^conjugate b X b\^-1 is not finite: it overflows at .M.g.. 1.12e\+00$"):
+        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.0, 0.5, 1e-310])))
+    assert formed == []
+    with pytest.raises(DegenerateInput, match=r"^adjoint matrix is not finite: it overflows at .M.g.. 1.41e\+300$"):
+        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1e300, 1e300, 1e-300])))
+    assert formed == [SL3.name]
+    del formed[:]
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
     with pytest.raises(NotEquivariant, match="residual 5.55e-01 > threshold 1.00e-06"):
         rm.centralizer_dim(cartan, catalog.sample_element(SL3, "generic", 0))

@@ -7,12 +7,10 @@ Usage (from the root of a checkout):
   PYTHONPATH=OLD_TREE/src python tools/walk_hashes.py > base.txt
   cmp base.txt head.txt
 
-The structure constants are hashed at four commutator tilings: one basis row
-per tile, 2^12 entries, the default and one whole tile.  Every hash covers
-the array's dtype, shape and bytes, so a signed zero that moves shows.  No
-CLI command reads the structure constants, so this is what pins the bits of
-the commutator walk between two trees; run both in one environment, with one
-BLAS thread.
+Every hash covers the array's dtype, shape and bytes, so a signed zero that
+moves shows.  No CLI command reads the structure constants, so this is what
+pins their bits between two trees; run both in one environment, with one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -45,14 +43,8 @@ def digest(a: np.ndarray) -> str:
 
 
 def main() -> None:
-    default = rm._TILE_ENTRIES
     for label, rep in representations().items():
-        whole = (rep.g_dim * rep.v_dim) ** 2
-        print(label, "dual", digest(rep.dual), "gram", digest(rep.gram))
-        for entries in (1, 2**12, default, whole):
-            rm._TILE_ENTRIES = entries
-            print(label, "structure", entries, digest(rm.Representation(label, rep.stack).structure_constants()))
-        rm._TILE_ENTRIES = default
+        print(label, "dual", digest(rep.dual), "gram", digest(rep.gram), "structure", digest(rep.structure_constants()))
 
 
 if __name__ == "__main__":
