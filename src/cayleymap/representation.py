@@ -12,10 +12,9 @@ with every basis vector matches that of M.  The dual basis D, the (v^2, g)
 coordinates of the v^2 unit matrices, comes from one Gram solve with v^2
 right-hand sides at construction, for every basis, and is kept as
 Representation.dual.  It projects m by one product, m.ravel() @ D: the
-closure check and the structure constants ([B_i, B_j]), adjoint matrices
-(b B_i b^-1, as columns D^T conj) and centralizer operators (x B_i and B_i x)
-all take this route.  Representation._column_coords takes matrices held
-row-major as the columns m^T of a (v^2, k) array, forms their pairings
+closure check, the structure constants ([B_i, B_j]) and adjoint matrices
+(b B_i b^-1, as columns D^T conj) take this route.  Representation._column_coords
+takes matrices held row-major as the columns m^T of a (v^2, k) array, forms their pairings
 t^T = P^T m^T by one product with the kept (v^2, g) pairing matrix P, which
 also gave D its right-hand sides, and solves G c^T = t^T once.  Its two callers are the map
 itself (cayley, M(g), through coords_of, which takes any stack of matrices,
@@ -25,17 +24,19 @@ whose coordinate columns c^T are the Jacobian), and the benchmark's
 call-shape rules (bench/spans.py COVERAGE_RULES) pin their one solve per
 call, a stacked one included.  The products M B_i for all i are one GEMM
 against the kept (v, v g) interleaved basis, and the B_i M of
-centralizer_dim one GEMM against the stack.  centralizer_dim counts the
-centralizer of a group element with a simple, well-conditioned spectrum on
-its v spectral projectors, by one product with D and one with the stack
-(_commutant_pair), not on the g x g Ad(g) - 1.
+centralizer_dim one GEMM against the stack.  centralizer_dim reads the
+centralizer of a group element and of an algebra vector alike as the kernel
+of the g commutators [x, B_i], held as matrix entries, with no inverse and
+no projection; a simple, well-conditioned spectrum is counted on its v
+spectral projectors instead, by one product with D and one with the stack
+(_commutant_pair).
 
-Closure, catalog's same-algebra check and the refusals of adjoint_matrix and
-centralizer_dim ask whether [B_i, B_j] or b B_i b^-1 stay in a span.  Each
+Closure, catalog's same-algebra check and the refusals of adjoint_matrix
+ask whether [B_i, B_j] or b B_i b^-1 stay in a span.  Each
 map is bilinear or linear, so each is tested on X = sum_i r_i B_i and
 Y = sum_i s_i B_i for two weight pairs (r, s) fixed by g alone (weights):
 _off_span projects the images through D and maps them back by one product
-(Freivalds 1977; Schwartz 1980).  X, Y and b enter these products at
+(Freivalds 1977; Schwartz 1980).  X and Y enter these products at
 power-of-two scales (linalg._shrink), which is exact: the residuals are
 relative, and the coordinates of [X, Y] are scaled back.  structure_constants()
 alone forms every [B_i, B_j], a basis row at a time: the g commutators of B_i
@@ -122,8 +123,8 @@ class Representation:
     ill-conditioned on its span (then no projection map exists); gram_cond
     keeps its condition number.  The dual basis, dual, comes next from one
     Gram solve (DegenerateInput where it is not finite: subnormal Gram entries
-    pass build_gram); the closure check, structure_constants(), adjoint_matrix
-    and centralizer_dim project through it by products and solve nothing.
+    pass build_gram); the closure check, structure_constants() and
+    adjoint_matrix project through it by products and solve nothing.
     coords_of, one pairing product and one Gram solve per call, serves cayley
     and cayley_jacobian/psi, through gram_split (see the module docstring).
     NotASubalgebra when the span is not closed under commutators, checked
@@ -394,9 +395,11 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
     """Matrix of conjugation by b acting on algebra coordinates.
 
     Column i = coordinates of M(b) B_i M(b)^{-1}, projected through the kept
-    dual basis by one product.  DegenerateInput where a conjugate or its
-    coordinates overflow; NotEquivariant where the conjugates leave the span
-    (a malformed representation), from their sum with the fixed weights r.
+    dual basis by one product.  DegenerateInput where the conjugate b X b^-1,
+    X = sum_i r_i B_i for the first fixed r, or its coordinates overflow;
+    NotEquivariant where it leaves the span by more than ADJOINT_RESIDUAL_TOL
+    of its norm (_off_span): a malformed representation.  A full basis
+    (g = v^2) spans gl(v), and no conjugate can leave it.
     """
     bm = rep.element_matrix(b)
     v, g = rep.v_dim, rep.g_dim
@@ -405,25 +408,15 @@ def adjoint_matrix(rep: Representation, b) -> np.ndarray:
         # conj[a*v + d, i] = (b B_i b^-1)[a, d]: row block a of b B_i, times b^-1
         conj = (inverse.T @ rep._left_products(bm).reshape(v, v, g)).reshape(v * v, g)
         ad = rep._dual_coords(conj)
-        if g == v * v:  # a full basis spans gl(v): no conjugate can leave it
+        if g == v * v:
             return _require_finite(ad, "adjoint matrix", b)
         r = rep._weights[0, :1].T
-        _require_equivariant(rep, b, conj @ r, ad @ r, "adjoint matrix")
-    return ad
-
-
-def _require_equivariant(rep: Representation, b, images=None, coords=None, what="conjugate b X b^-1") -> None:
-    """NotEquivariant where b X b^-1, X = sum_i r_i B_i for the first fixed r, leaves the span by more than
-    ADJOINT_RESIDUAL_TOL of its norm (_off_span); first DegenerateInput, naming what, where images (b X b^-1
-    as a (v^2, 1) column, by default one conjugation here, of X and b at power-of-two scales, as the residual
-    is relative) or coords overflow, under the caller's errstate."""
-    if images is None:
-        x, bs = rep.materialize(rep._weights[0, 0]), b * linalg._shrink(b)
-        images = (bs @ (x * linalg._shrink(x)) @ linalg.inverse(bs, "conjugating element")).reshape(-1, 1)
-    worst = rep._off_span(images, coords)[1].max() if rep.g_dim < rep.v_dim**2 else 0.0  # g = v^2 spans gl(v)
-    if not 0.0 < worst <= ADJOINT_RESIDUAL_TOL:  # a full basis, or an overflow, which leaves NaN in worst
-        _require_finite(images if coords is None else coords, what, b)
+        coords = ad @ r
+        worst = rep._off_span(conj @ r, coords)[1].max()
+    if not 0.0 < worst <= ADJOINT_RESIDUAL_TOL:  # an exact fit, or an overflow, which leaves NaN in worst
+        _require_finite(coords, "adjoint matrix", b)
     raise_if(not worst <= ADJOINT_RESIDUAL_TOL, NotEquivariant, "conjugation leaves the algebra span: residual", worst, ADJOINT_RESIDUAL_TOL)
+    return ad
 
 
 # --- Jordan-type decompositions ----------------------------------------------
@@ -481,34 +474,35 @@ def ehu_decomposition(g, cluster_tol: float = linalg.CLUSTER_TOL):
 
 
 def centralizer_dim(rep: Representation, x) -> int:
-    """Dimension of the centralizer of x in the algebra, via numeric kernels.
+    """Dimension of the centralizer {y in the algebra : x y = y x} of a group element or an algebra vector x.
 
-    Group elements use ker(Ad - 1), algebra vectors use ker(ad) = ker(L - R),
-    where L and R are left and right multiplication by x; all are operators on
-    coordinates, projected through the dual basis.  One rule counts the kernel
-    of the operator a - s in every case: singular values below
+    x's matrix m is taken at the power-of-two scale linalg._shrink(m), which
+    is exact, as c m has the centralizer of m, so no product overflows.  An m
+    with a simple, well-conditioned spectrum is counted on its v spectral
+    projectors (_commutant_pair); any other on the g columns m B_i - B_i m,
+    row-major, of a = [m B_i] (one GEMM against the interleaved basis) and
+    s = [B_i m] (one against the stack), with no inverse and no projection.
+    One rule counts the kernel of a - s on both routes: singular values below
     max(KERNEL_CUTOFF * sigma_max, 64 g eps cond(G) (|a|_F + |s|_F)).  The
     floor (_rounding_floor) is a few ulps of the operator's inputs, amplified
     by the Gram condition number; without it a central x, where a - s is pure
     rounding, would have its rounding judged relative to itself.  An exactly
-    zero operator has all its columns as kernel.
-
-    A group element with a simple, well-conditioned spectrum takes the (v^2,
-    v) operator of _commutant_pair as a - s, and adjoint_matrix's refusals,
-    in its order, from one conjugation of the fixed combination X; it forms
-    no adjoint matrix.  Any other takes Ad - 1.
+    zero operator has all its columns as kernel.  A singular x, or one whose
+    conjugation leaves the span, has a centralizer too: nothing is refused.
     """
     if isinstance(x, GroupElement):
         m = rep.element_matrix(x)
-        a, s = _commutant_pair(rep, m) or (adjoint_matrix(rep, x), np.eye(rep.g_dim))
     elif isinstance(x, AlgebraVector):
-        xm = rep.element_matrix(x.matrix())
-        v, g = rep.v_dim, rep.g_dim
-        right = linalg.left_product(rep.stack.reshape(g * v, v), xm).reshape(g, v * v).T  # column i: B_i x
-        ops = rep._dual_coords(np.hstack([rep._left_products(xm), right]))
-        a, s = ops[:, :g], ops[:, g:]
+        m = rep.element_matrix(x.matrix())
     else:
         raise TypeError("x must be a GroupElement or an AlgebraVector")
+    m = m * linalg._shrink(m)
+    pair = _commutant_pair(rep, m)
+    if pair is None:
+        v, g = rep.v_dim, rep.g_dim
+        right = linalg.left_product(rep.stack.reshape(g * v, v), m).reshape(g, v * v).T  # column i: B_i m
+        pair = rep._left_products(m), right
+    a, s = pair
     sv = np.linalg.svd(a - s, compute_uv=False)
     if sv[0] == 0.0:
         return a.shape[1]
@@ -529,22 +523,22 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
     projector, and takes a zero a = s with no product.
 
     m qualifies when its spectrum is simple by spectral's rule (every cluster
-    of _clusters at CLUSTER_TOL |m| a singleton, and the gap at least twice
-    that threshold, as _spectral_checked reads it), and its eigenvectors are
-    well conditioned: cond(P)^2 ROUNDING_FLOOR <= KERNEL_CUTOFF, cond(P) up to
-    ~2.65e3, so that the projectors' rounding stays below the cutoff.  cond(P)
-    is taken as its bound |P|_F |P^-1|_F = sqrt(v sum_k |q_k|^2): eig's p_k
-    have unit norm, so |q_k| is also the norm of p_k q_k^T.  Clustered and
-    near-defective spectra (the identity, central elements, unipotent
-    elements) and an eig or inverse that fails return None.  A qualifying m
-    is refused as adjoint_matrix would refuse it, by _require_equivariant.
+    of _clusters at CLUSTER_TOL |m| a singleton, the zero matrix's eigenvalues
+    one cluster, and the gap at least twice that threshold, as
+    _spectral_checked reads it), and its eigenvectors are well conditioned:
+    cond(P)^2 ROUNDING_FLOOR <= KERNEL_CUTOFF, cond(P) up to ~2.65e3, so that
+    the projectors' rounding stays below the cutoff.  cond(P) is taken as its
+    bound |P|_F |P^-1|_F = sqrt(v sum_k |q_k|^2): eig's p_k have unit norm, so
+    |q_k| is also the norm of p_k q_k^T.  Clustered and near-defective
+    spectra (the identity, central elements, unipotent elements) and an eig
+    or inverse that fails return None.
     """
     try:
         eigenvalues, p = np.linalg.eig(m)
     except np.linalg.LinAlgError:
         return None
-    threshold = linalg.CLUSTER_TOL * linalg.norm(m)
-    reps, _, dist = linalg._clusters(eigenvalues, threshold)
+    threshold = linalg.CLUSTER_TOL * (scale := linalg.norm(m))
+    reps, _, dist = linalg._clusters(eigenvalues, threshold if scale else np.inf)
     if len(reps) < len(eigenvalues) or not dist.min(initial=np.inf) >= 2.0 * threshold:
         return None
     try:
@@ -555,8 +549,6 @@ def _commutant_pair(rep: Representation, m: np.ndarray) -> tuple[np.ndarray, np.
     v = rep.v_dim
     if not v * sizes @ sizes * linalg.ROUNDING_FLOOR <= KERNEL_CUTOFF:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        _require_equivariant(rep, m)
     if rep.g_dim == v * v:
         zero = np.zeros((v, v))
         return zero, zero

@@ -201,12 +201,12 @@ def test_closure_refuses_a_shifted_basis_from_a_pinned_delta(fam, n, boundary):
     assert _first_refused(build) == boundary
 
 
-@pytest.mark.parametrize("fn", [rm.adjoint_matrix, lambda rep, b: rm.centralizer_dim(rep, rm.GroupElement(b))], ids=["adjoint_matrix", "centralizer_dim"])
-def test_conjugation_refuses_a_nudged_element_from_a_pinned_delta(fn):
+def test_conjugation_refuses_a_nudged_element_from_a_pinned_delta():
     # b + delta |b| N, N a unit Gaussian matrix, conjugates the span off itself by
     # about delta: a rotation of so6 and a diagonal element of sl3's Cartan
     # subalgebra are refused from these delta on (the worst of the conjugates
-    # b B_i b^-1, which adjoint_matrix took before, refused from 1e-6 and 5.62e-7)
+    # b B_i b^-1, which adjoint_matrix took before, refused from 1e-6 and 5.62e-7).
+    # centralizer_dim refuses neither: test_centralizer_dim_answers_where_adjoint_matrix_refuses
     so6 = catalog.make_so(6)
     rotation = linalg.matrix_exp(so6.materialize(_rng(0).standard_normal(so6.g_dim))).real
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
@@ -214,7 +214,7 @@ def test_conjugation_refuses_a_nudged_element_from_a_pinned_delta(fn):
     for rep, b, seed, boundary in [(so6, rotation, 1, 10**-5.75), (cartan, diag, 2, 10**-6.25)]:
         nudge = _rng(seed).standard_normal(b.shape)
         nudge /= np.linalg.norm(nudge)
-        assert _first_refused(lambda delta: fn(rep, b + delta * np.linalg.norm(b) * nudge)) == boundary
+        assert _first_refused(lambda delta: rm.adjoint_matrix(rep, b + delta * np.linalg.norm(b) * nudge)) == boundary
 
 
 def _conjugated_sl4():
@@ -1411,7 +1411,7 @@ def test_centralizer_of_a_regular_element_at_a_scale_whose_norm_overflows(scale)
 
 @pytest.mark.parametrize("fam, n", [("sl", 3), ("sl", 6), ("so", 6), ("gl", 4)])
 def test_centralizer_floor_keeps_regular_elements_regular(fam, n):
-    # the rounding floor must not swallow a small but real Ad - 1: exp(e A)
+    # the rounding floor must not swallow a small but real [x, B_i]: exp(e A)
     # for a generic A is regular down to e = 1e-8, as are generic samples
     rep = catalog.make(fam, n)
     rank = rep.metadata["rank"]
@@ -1424,32 +1424,54 @@ def test_centralizer_floor_keeps_regular_elements_regular(fam, n):
 
 
 def _ad_minus_one_dim(rep, g):
-    # the kernel rule on Ad(g) - 1, the g x g operator every group element took before the commutant route
+    # the kernel rule on Ad(g) - 1, the g x g reference operator, read through the adjoint matrix
     a, s = rm.adjoint_matrix(rep, g), np.eye(rep.g_dim)
     sv = np.linalg.svd(a - s, compute_uv=False)
     return int(np.sum(sv < max(rm.KERNEL_CUTOFF * sv[0], rep._rounding_floor(linalg.norm(a) + linalg.norm(s)))))
 
 
+# conjugated unipotent samples (seeds 0-2) on which Ad - 1 over-counts, at every scale: (name, seed) -> its count
+AD_MINUS_ONE_OVERCOUNTS = {("sl10", 1): 11, ("gl12", 0): 16, ("gl12", 1): 16, ("gl12", 2): 14}
+
+
 def test_centralizer_dim_decides_as_the_svd_of_ad_minus_one():
-    # a simple, well-conditioned spectrum is counted on its v spectral projectors, every other on Ad - 1:
-    # both routes must give the count of Ad - 1, at every scale of the element
+    # every count, on either route and at every scale of the element, is that of Ad - 1, but for the
+    # listed unipotent samples: there it is the count of the element's own image, nearer the rank
     keys = [("sl", n) for n in range(2, 9)] + [("so", n) for n in range(3, 9)] + [("gl", n) for n in range(1, 9)]
     keys += [("sl2_irrep", m) for m in range(1, 6)] + [("sl", 10), ("so", 12), ("gl", 12)]
-    wrong = []
+    wrong, moved = [], set()
     for rep in (catalog.make(*key) for key in keys):
+        rank = rep.metadata["rank"]
         for kind in ("generic", "hyperbolic", "elliptic", "cartan", "unipotent"):
             for seed in range(3):
                 g0 = catalog.sample_element(rep, kind, seed).matrix
                 for scale in (1.0, 1e-8, 1e8):
                     g = rm.GroupElement(scale * g0)
                     got, want = rm.centralizer_dim(rep, g), _ad_minus_one_dim(rep, g)
-                    if got != want:
+                    over = AD_MINUS_ONE_OVERCOUNTS.get((rep.name, seed)) if kind == "unipotent" else None
+                    if over is None:
+                        ok = got == want
+                    else:
+                        moved.add((rep.name, seed))
+                        image = rm.centralizer_dim(rep, rm.cayley(rep, g))
+                        ok = want == over and got == image and abs(got - rank) < abs(want - rank)
+                    if not ok:
                         wrong.append((rep.name, kind, seed, scale, got, want))
-    assert wrong == []
+    assert wrong == [] and moved == set(AD_MINUS_ONE_OVERCOUNTS)
 
 
-def test_centralizer_dim_takes_the_g_by_g_svd_only_off_a_simple_spectrum(monkeypatch):
-    # a generic sample's refusals come from one conjugation of the fixed combination X: no adjoint matrix
+@pytest.mark.parametrize("fam, n", [("gl", 12), ("sl", 10)])
+def test_unipotent_element_and_its_image_have_one_centralizer_dim(fam, n):
+    # Ad - 1 over-counts some of these by 2 (AD_MINUS_ONE_OVERCOUNTS); the element must count as its image
+    rep = catalog.make(fam, n)
+    for seed in range(12):
+        g = catalog.sample_element(rep, "unipotent", seed)
+        assert rm.centralizer_dim(rep, g) == rm.centralizer_dim(rep, rm.cayley(rep, g)), seed
+
+
+def test_centralizer_dim_takes_its_svd_on_matrix_entries_and_forms_no_adjoint_matrix(monkeypatch):
+    # a simple spectrum is counted on its v spectral projectors, a (v^2, v) operator (a zero (v, v)
+    # one on a full basis), any other element on its g commutators [m, B_i], a (v^2, g) operator
     shapes, formed = [], []
     svd, adjoint = np.linalg.svd, rm.adjoint_matrix
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(np.shape(a)) or svd(a, **kw))
@@ -1458,47 +1480,48 @@ def test_centralizer_dim_takes_the_g_by_g_svd_only_off_a_simple_spectrum(monkeyp
     for rep in (sl10, catalog.make_so(12), catalog.make_gl(12)):
         del shapes[:]
         assert rm.centralizer_dim(rep, catalog.sample_element(rep, "generic", 1)) == rep.metadata["rank"]
-        assert (rep.g_dim, rep.g_dim) not in shapes
-    assert formed == []
-    # the identity, the center of SL(3) and a unipotent sample end on Ad - 1
+        v = rep.v_dim
+        assert shapes == [(v, v) if rep.g_dim == v * v else (v * v, v)]
+    # the identity, the center of SL(3) and a unipotent sample take [m, B_i]
     unipotent = catalog.sample_element(sl10, "unipotent", 0).matrix
     for rep, g in [(SL3, np.eye(3)), (SL3, _scalar_root_of_unity(3).matrix), (sl10, unipotent)]:
         del shapes[:]
         rm.centralizer_dim(rep, rm.GroupElement(g))
-        assert shapes[-1] == (rep.g_dim, rep.g_dim)
+        assert shapes == [(rep.v_dim**2, rep.g_dim)]
+    assert formed == []
 
 
-def test_centralizer_dim_refuses_in_adjoint_matrix_order_on_every_route(monkeypatch):
-    # ValueError for a wrong size comes first (test_wrong_size_element_is_a_library_error),
-    # then SingularMatrix, DegenerateInput and NotEquivariant.  A simple spectrum takes the
-    # commutant route, which refuses from one conjugation b X b^-1 of the fixed combination X
-    # and forms no adjoint matrix; a clustered one takes Ad - 1, whose adjoint_matrix refuses
+def test_centralizer_dim_answers_where_adjoint_matrix_refuses(monkeypatch):
+    # the centralizer of a singular element, or of one whose inverse or conjugates overflow or leave
+    # the span, is well defined: centralizer_dim counts it, on either route, with no adjoint matrix
     formed = []
     adjoint = rm.adjoint_matrix
     monkeypatch.setattr(rm, "adjoint_matrix", lambda rep, b: formed.append(rep.name) or adjoint(rep, b))
-    for rep in (SL3, catalog.make_gl(3)):  # a full basis is refused a singular element too
-        for b, route in [(np.diag([0.0, 1.0, 2.0]), []), (np.diag([0.0, 0.0, 1.0]), [rep.name])]:
-            del formed[:]
-            with pytest.raises(SingularMatrix, match="conjugating element is singular"):
-                rm.centralizer_dim(rep, rm.GroupElement(b))
-            assert formed == route
-    del formed[:]
-    # b X b^-1 is formed of b and X at power-of-two scales, so this element's, whose
-    # unscaled b X overflows, does not: it commutes with sl3's Cartan pair alone
-    assert rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.5e308, 7.5e307, 3.75e307]))) == 2
-    # what still overflows is the inverse of a subnormal eigenvalue, and on the clustered
-    # route the conjugates b B_i b^-1 that adjoint_matrix forms
-    with pytest.raises(DegenerateInput, match=r"^conjugate b X b\^-1 is not finite: it overflows at .M.g.. 1.12e\+00$"):
-        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.0, 0.5, 1e-310])))
-    assert formed == []
-    with pytest.raises(DegenerateInput, match=r"^adjoint matrix is not finite: it overflows at .M.g.. 1.41e\+300$"):
-        rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1e300, 1e300, 1e-300])))
-    assert formed == [SL3.name]
-    del formed[:]
+    gl3 = catalog.make_gl(3)
     cartan = rm.restrict_to_subalgebra(SL3, [0, 1])
-    with pytest.raises(NotEquivariant, match="residual 5.55e-01 > threshold 1.00e-06"):
-        rm.centralizer_dim(cartan, catalog.sample_element(SL3, "generic", 0))
-    assert formed == []
+    generic = catalog.sample_element(SL3, "generic", 0).matrix
+    cases = [
+        (np.diag([0.0, 1.0, 2.0]), SingularMatrix, {SL3: 2, gl3: 3}),
+        (np.diag([0.0, 0.0, 1.0]), SingularMatrix, {SL3: 4, gl3: 5}),
+        (np.diag([1.0, 0.5, 1e-310]), DegenerateInput, {SL3: 2, gl3: 3}),
+        (np.diag([1e300, 1e300, 1e-300]), DegenerateInput, {SL3: 4, gl3: 5}),
+        (generic, NotEquivariant, {cartan: 0}),
+    ]
+    for b, refusal, dims in cases:
+        for rep, dim in dims.items():
+            assert rm.centralizer_dim(rep, rm.GroupElement(b)) == dim
+            assert formed == []
+            with pytest.raises(refusal):
+                adjoint(rep, b)
+    # b B_i b^-1 of this element is finite, and it commutes with sl3's Cartan pair alone
+    assert rm.centralizer_dim(SL3, rm.GroupElement(np.diag([1.5e308, 7.5e307, 3.75e307]))) == 2
+
+
+def test_commutant_pair_of_the_zero_matrix_is_one_cluster():
+    # spectral clusters the zero matrix's eigenvalues at threshold inf: the zero image of SL(3)'s
+    # center is no simple spectrum, and its commutators [0, B_i] count all of sl3
+    assert rm._commutant_pair(SL3, np.zeros((3, 3), dtype=complex)) is None
+    assert rm.centralizer_dim(SL3, rm.AlgebraVector(SL3, np.zeros(SL3.g_dim))) == SL3.g_dim
 
 
 # --- restriction -------------------------------------------------------------------
@@ -1661,18 +1684,28 @@ def test_projection_matches_lstsq_oracle(rep):
 
 @pytest.mark.parametrize("rep", ORACLE_REPS, ids=lambda r: r.name)
 def test_centralizer_operator_matches_lstsq_oracle(rep, monkeypatch):
-    x = rm.cayley(rep, catalog.sample_element(rep, "generic", 6))
-    xm = x.matrix()
-    want = _oracle_coords(rep, xm @ rep.stack - rep.stack @ xm).T
-    seen = []
+    # a generic image has a simple spectrum and takes the commutant pair; a unipotent sample's
+    # image is clustered and takes the commutators [m, B_i] of its matrix at a power-of-two scale.
+    # Either way the count is the kernel of the lstsq oracle's coordinates of [x, B_i].
+    # _recoordinated_sl3 spans sl3 and has no sampler of its own: it takes sl3's unipotent sample
+    g, v = rep.g_dim, rep.v_dim
+    unipotent = catalog.sample_element(rep if rep.metadata else SL3, "unipotent", 6)
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(np.array(a)) or svd(a, **kw))
-    dim = rm.centralizer_dim(rep, x)
-    monkeypatch.undo()
-    # the last SVD centralizer_dim takes is that of its operator, ad(x) on coordinates
-    _assert_close(seen[-1], want)
-    sv = np.linalg.svd(want, compute_uv=False)
-    assert dim == int(np.sum(sv < rm.KERNEL_CUTOFF * sv[0]))
+    for x, simple in [(rm.cayley(rep, catalog.sample_element(rep, "generic", 6)), True), (rm.cayley(rep, unipotent), False)]:
+        xm = x.matrix()
+        seen = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(np.array(a)) or svd(a, **kw))
+        dim = rm.centralizer_dim(rep, x)
+        monkeypatch.undo()
+        m = xm * linalg._shrink(xm)
+        pair = rm._commutant_pair(rep, m)
+        assert (pair is not None) == simple
+        a, s = pair or ((m @ rep.stack).reshape(g, v * v).T, (rep.stack @ m).reshape(g, v * v).T)
+        # the one SVD centralizer_dim takes is that of its operator
+        assert len(seen) == 1
+        _assert_close(seen[0], a - s)
+        sv = np.linalg.svd(_oracle_coords(rep, xm @ rep.stack - rep.stack @ xm).T, compute_uv=False)
+        assert dim == int(np.sum(sv < rm.KERNEL_CUTOFF * sv[0]))
 
 
 # --- real and complex bases ----------------------------------------------------------

@@ -53,8 +53,8 @@ SITES = {
         NotASubalgebra,
         ">",
     ),
-    # adjoint_matrix and centralizer_dim's commutant route share this rule
-    "_require_equivariant": (
+    # the conjugate b X b^-1 of the fixed combination X leaves the span of sl3's Cartan pair
+    "adjoint_matrix": (
         lambda _: rm.adjoint_matrix(rm.restrict_to_subalgebra(SL3, [0, 1]), catalog.sample_element(SL3, "generic", 0)),
         NotEquivariant,
         ">",
